@@ -108,7 +108,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	_ = sink
 }
 
-// benchSimulate aggregates half a day of the default fleet (~200K records)
+// benchSimulate aggregates half a day of the default fleet (2.4 M records)
 // through Session.Simulate at the given shard count (0 = one per CPU).
 func benchSimulate(b *testing.B, shards int) {
 	b.Helper()

@@ -1,8 +1,8 @@
 package headroom_test
 
 // Tests for the distributed-execution hooks: single-shard aggregation
-// (Session.AggregateShard), the aggregator wire codec, and the mergePartial
-// ordering edge cases that distributed degradation rests on.
+// (Session.AggregateShard) and the aggregator wire codec. The merge that
+// distributed degradation rests on is pinned in partial_merge_test.go.
 
 import (
 	"context"

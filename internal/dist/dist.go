@@ -36,11 +36,12 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"headroom/internal/breaker"
 	"headroom/internal/obs"
+	"headroom/internal/retry"
+	"headroom/internal/stats"
 )
 
 // TokenHeader authenticates internal shard traffic between peers.
@@ -205,6 +206,10 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
+// Is makes a transient ShardError satisfy errors.Is against the module's
+// transient sentinel, so the job queue retries it without re-marking.
+func (e *ShardError) Is(target error) bool { return e.Transient && target == retry.ErrTransient }
+
 // WorkerError is a worker's HTTP-level rejection of a dispatch.
 type WorkerError struct {
 	Peer   string
@@ -223,7 +228,7 @@ type Client struct {
 	http     *http.Client
 	peers    []string
 	breakers map[string]*breaker.Breaker // nil when disabled
-	lat      map[string]*ewma
+	lat      map[string]*stats.EWMA      // dispatch latency, the hedge delay's basis
 }
 
 // New validates the peer list and builds a Client.
@@ -262,13 +267,13 @@ func New(cfg Config) (*Client, error) {
 		cfg:   cfg,
 		http:  &http.Client{Transport: tr},
 		peers: peers,
-		lat:   make(map[string]*ewma, len(peers)),
+		lat:   make(map[string]*stats.EWMA, len(peers)),
 	}
 	if cfg.BreakerThreshold > 0 {
 		c.breakers = make(map[string]*breaker.Breaker, len(peers))
 	}
 	for _, p := range peers {
-		c.lat[p] = &ewma{}
+		c.lat[p] = &stats.EWMA{}
 		if c.breakers != nil {
 			p := p
 			c.breakers[p] = breaker.New(breaker.Config{
@@ -315,7 +320,8 @@ func (c *Client) OpenBreakers() (open, total int) {
 // observations behind it.
 func (c *Client) MeanLatency(peer string) (time.Duration, int64) {
 	if e := c.lat[peer]; e != nil {
-		return e.value()
+		mean, n := e.Mean()
+		return time.Duration(mean * float64(time.Second)), n
 	}
 	return 0, 0
 }
@@ -533,7 +539,7 @@ func (c *Client) send(ctx context.Context, peer string, sh Shard, hedged bool) a
 		if br != nil {
 			br.Success()
 		}
-		c.lat[peer].observe(out.d)
+		c.lat[peer].Observe(out.d)
 		out.body = body
 		return out
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
@@ -579,7 +585,7 @@ func (c *Client) hedgeDelay(peer string) (time.Duration, bool) {
 	case c.cfg.HedgeAfter < 0:
 		return 0, false
 	}
-	mean, n := c.lat[peer].value()
+	mean, n := c.MeanLatency(peer)
 	if n < 3 {
 		return 0, false
 	}
@@ -588,34 +594,4 @@ func (c *Client) hedgeDelay(peer string) (time.Duration, bool) {
 		d = time.Millisecond
 	}
 	return d, true
-}
-
-// ewma tracks a worker's dispatch latency as an exponentially weighted
-// mean — the cheap stand-in for the latency percentile hedging keys off.
-type ewma struct {
-	mu   sync.Mutex
-	mean float64 // seconds
-	n    int64
-}
-
-func (e *ewma) observe(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := d.Seconds()
-	if e.n == 0 {
-		e.mean = s
-	} else {
-		const alpha = 0.2
-		e.mean = alpha*s + (1-alpha)*e.mean
-	}
-	e.n++
-}
-
-func (e *ewma) value() (time.Duration, int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return time.Duration(e.mean * float64(time.Second)), e.n
 }

@@ -14,6 +14,7 @@ import (
 
 	"headroom/internal/breaker"
 	"headroom/internal/leakcheck"
+	"headroom/internal/retry"
 )
 
 // TestDistRendezvousStability is the placement contract: removing one peer
@@ -242,7 +243,7 @@ func TestDistDispatchPermanentFailureNoReroute(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("error = %v, want *ShardError", err)
 	}
-	if se.Transient {
+	if se.Transient || retry.IsTransient(err) {
 		t.Errorf("4xx marked transient")
 	}
 	var we *WorkerError
@@ -274,6 +275,11 @@ func TestDistDispatchExhausted(t *testing.T) {
 	}
 	if !se.Transient || se.Shard != 3 || se.Attempts != 2 {
 		t.Errorf("ShardError = %+v, want transient, shard 3, 2 attempts", se)
+	}
+	// The one sentinel: a transient ShardError is retryable to the job queue
+	// as it stands, also from inside a wrapping error.
+	if !retry.IsTransient(err) || !retry.IsTransient(fmt.Errorf("job: %w", err)) {
+		t.Errorf("transient ShardError does not satisfy errors.Is(retry.ErrTransient): %v", err)
 	}
 }
 
@@ -447,23 +453,6 @@ func TestDistNewValidation(t *testing.T) {
 	defer c.Close()
 	if got := c.Peers(); len(got) != 2 || got[0] != "http://w1" || got[1] != "http://w2" {
 		t.Errorf("peers = %v, want deduped [http://w1 http://w2]", got)
-	}
-}
-
-func TestDistEWMA(t *testing.T) {
-	var e ewma
-	e.observe(100 * time.Millisecond)
-	if v, n := e.value(); n != 1 || v != 100*time.Millisecond {
-		t.Errorf("after first observe: %v/%d", v, n)
-	}
-	e.observe(200 * time.Millisecond)
-	v, n := e.value()
-	if n != 2 {
-		t.Errorf("n = %d, want 2", n)
-	}
-	// alpha 0.2: 0.2*200ms + 0.8*100ms = 120ms
-	if v < 119*time.Millisecond || v > 121*time.Millisecond {
-		t.Errorf("ewma = %v, want ~120ms", v)
 	}
 }
 

@@ -201,6 +201,12 @@ func TestFaultFuncTransientMarksJobRetryable(t *testing.T) {
 	if !jobs.IsTransient(err) {
 		t.Fatalf("first call err = %v, want jobs-transient", err)
 	}
+	// One sentinel across layers: what the job queue marks, the source layer
+	// recognises, and the other way round.
+	if !errors.Is(err, headroom.ErrTransient) || !errors.Is(jobs.Transient(errors.New("e")), headroom.ErrTransient) ||
+		!jobs.IsTransient(headroom.Transient(errors.New("e"))) {
+		t.Fatalf("jobs.Transient and headroom.Transient do not share one sentinel")
+	}
 	if calls != 0 {
 		t.Fatalf("wrapped fn ran despite injected fault")
 	}

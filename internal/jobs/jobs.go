@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"headroom/internal/obs"
+	"headroom/internal/retry"
 )
 
 // State is a job's lifecycle phase.
@@ -40,21 +41,14 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == Done || s == Failed }
 
-// ErrTransient marks an error as retryable. Wrap with Transient (or any
-// wrapping that satisfies errors.Is(err, ErrTransient)) to ask the queue to
-// retry the job with backoff instead of failing it outright.
-var ErrTransient = errors.New("transient failure")
-
-// Transient wraps err so the queue retries the job. A nil err returns nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrTransient, err)
-}
+// Transient wraps err with the module's transient sentinel
+// (retry.ErrTransient, re-exported as headroom.ErrTransient) to ask the
+// queue to retry the job with backoff instead of failing it outright. A nil
+// err returns nil.
+func Transient(err error) error { return retry.Transient(err) }
 
 // IsTransient reports whether err asks for a retry.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+func IsTransient(err error) bool { return retry.IsTransient(err) }
 
 // ErrQueueFull is returned by Submit when the pending queue is at capacity.
 // Callers should surface it as backpressure (HTTP 503) rather than block.
@@ -525,13 +519,9 @@ func (q *Queue) run(j *Job) {
 
 // jitter returns a seeded half-jittered sleep in [backoff/2, backoff].
 func (q *Queue) jitter(backoff time.Duration) time.Duration {
-	half := backoff / 2
-	if half <= 0 {
-		return backoff
-	}
 	q.rngMu.Lock()
 	defer q.rngMu.Unlock()
-	return half + time.Duration(q.rng.Int63n(int64(half)+1))
+	return retry.Jitter(q.rng, backoff)
 }
 
 // safeCall invokes fn, converting a panic into a permanent job failure so

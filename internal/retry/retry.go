@@ -1,0 +1,41 @@
+// Package retry holds what every retrying layer of the module shares: the
+// one sentinel that marks an error as worth retrying, and the one jittered
+// backoff draw. It is a leaf (standard library only) so the record-source
+// layer (headroom.ResilientSource), the job queue (internal/jobs) and the
+// shard dispatcher (internal/dist) can all speak the same classification
+// without importing each other.
+package retry
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"time"
+)
+
+// ErrTransient marks an error as retryable. Wrap with Transient (or any
+// wrapping that satisfies errors.Is(err, ErrTransient)); unmarked errors are
+// permanent.
+var ErrTransient = errors.New("transient failure")
+
+// Transient wraps err so retrying layers retry it. A nil err returns nil.
+func Transient(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrTransient, err)
+}
+
+// IsTransient reports whether err is marked retryable.
+func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+
+// Jitter returns a half-jittered sleep in [backoff/2, backoff] drawn from
+// rng, so synchronized retries spread out while a seeded rng keeps the
+// schedule reproducible. The caller serializes access to rng.
+func Jitter(rng *rand.Rand, backoff time.Duration) time.Duration {
+	half := backoff / 2
+	if half <= 0 {
+		return backoff
+	}
+	return half + time.Duration(rng.Int63n(int64(half)+1))
+}

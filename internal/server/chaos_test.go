@@ -434,7 +434,7 @@ func TestRetryAfterDerivedFromServiceRate(t *testing.T) {
 		t.Errorf("retryAfter before any completion = %d, want 1", got)
 	}
 	// Mean 4 s over 2 workers with 3 queued: ceil((3+1)*4/2) = 8.
-	s.rate.observe(4 * time.Second)
+	s.rate.Observe(4 * time.Second)
 	if got := s.retryAfterSeconds(3); got != 8 {
 		t.Errorf("retryAfter = %d, want 8", got)
 	}
@@ -445,7 +445,7 @@ func TestRetryAfterDerivedFromServiceRate(t *testing.T) {
 	// Fast service: sub-second drains still advertise at least 1 s.
 	s2 := New(Config{Workers: 4, QueueDepth: 8, CacheSize: 4})
 	t.Cleanup(func() { s2.Shutdown(context.Background()) })
-	s2.rate.observe(10 * time.Millisecond)
+	s2.rate.Observe(10 * time.Millisecond)
 	if got := s2.retryAfterSeconds(0); got != 1 {
 		t.Errorf("retryAfter fast = %d, want 1 floor", got)
 	}
@@ -465,9 +465,9 @@ func TestRetryAfterEdgeCases(t *testing.T) {
 	}
 	// Pathological mean (simulating clock weirdness feeding the EWMA): the
 	// estimate overflows float→int range and must clamp to 120, not wrap.
-	s.rate.observe(time.Duration(math.MaxInt64)) // ~292 years
+	s.rate.Observe(time.Duration(math.MaxInt64)) // ~292 years
 	for i := 0; i < 8; i++ {
-		s.rate.observe(time.Duration(math.MaxInt64))
+		s.rate.Observe(time.Duration(math.MaxInt64))
 	}
 	if got := s.retryAfterSeconds(1 << 30); got != 120 {
 		t.Errorf("retryAfter with huge mean and depth = %d, want 120 cap", got)

@@ -1,8 +1,9 @@
 package server
 
 // Distributed scale-out: the worker half (the authenticated internal shard
-// endpoint) and the coordinator half (fan a job's shards out to the peer
-// fleet and merge the returned aggregates).
+// endpoint) and the coordinator half (the ShardRunner that sends each shard
+// of a job's session to the peer fleet; the fan-out and merge around it are
+// headroom.Session's, the same as on a single node).
 //
 // The contract that makes this safe is bit-identity: shards own disjoint
 // (pool, datacenter) keys, sources are deterministic, and the aggregator
@@ -21,10 +22,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
+	"sort"
 	"strconv"
 	"strings"
-	"time"
+	"sync"
 
 	"headroom"
 	"headroom/internal/breaker"
@@ -46,16 +47,14 @@ type shardRequest struct {
 	Of    int      `json:"of"`
 }
 
-// shardResponse is the worker's reply: the shard's aggregate in the exact
-// binary wire format (base64 inside JSON), plus provenance.
-type shardResponse struct {
-	Node    string   `json:"node"`
-	Shard   int      `json:"shard"`
-	Of      int      `json:"of"`
-	Pools   []string `json:"pools,omitempty"`
-	Records int64    `json:"records"`
-	Agg     []byte   `json:"agg"`
-}
+// A worker answers 200 with the shard's aggregate as the raw body, in the
+// exact binary wire format (application/octet-stream). Provenance, for
+// whoever debugs with curl -i, rides in these response headers; the
+// coordinator reads neither.
+const (
+	nodeHeader    = "X-Dist-Node"    // the worker's hostname
+	recordsHeader = "X-Dist-Records" // records the shard consumed
+)
 
 // ShardPlacement records where one shard of a distributed job ran, surfaced
 // in the job status JSON.
@@ -261,14 +260,10 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.SetAttr(obs.Int64("records", records), obs.Int("bytes", len(enc)))
-	writeJSON(w, http.StatusOK, shardResponse{
-		Node:    s.hostname,
-		Shard:   sreq.Shard,
-		Of:      sreq.Of,
-		Pools:   shardPoolNames(src, sreq.Shard, sreq.Of),
-		Records: records,
-		Agg:     enc,
-	})
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set(nodeHeader, s.hostname)
+	w.Header().Set(recordsHeader, strconv.FormatInt(records, 10))
+	_, _ = w.Write(enc) // a failed write is the coordinator's to notice: it reroutes
 }
 
 // wrapSource applies the fault injector and resilience layer to a raw
@@ -289,23 +284,6 @@ func (s *Server) wrapSource(src headroom.Source, seed int64) headroom.Source {
 	return src
 }
 
-// shardPoolNames resolves the pool names of shard index/of of src, when the
-// source can name them.
-func shardPoolNames(src headroom.Source, index, of int) []string {
-	if of == 1 {
-		return poolNames(src)
-	}
-	sh, ok := src.(headroom.ShardedSource)
-	if !ok {
-		return nil
-	}
-	subs := sh.Shards(of)
-	if index >= len(subs) {
-		return nil
-	}
-	return poolNames(subs[index])
-}
-
 func poolNames(src headroom.Source) []string {
 	if pn, ok := src.(headroom.PoolNamer); ok {
 		return pn.PoolNames()
@@ -315,137 +293,62 @@ func poolNames(src headroom.Source) []string {
 
 // --- coordinator half ----------------------------------------------------
 
-// distSimulateAggregate is the distributed counterpart of
-// simulateAggregate: split the request's source into shards, dispatch each
-// to the worker fleet, and merge the returned aggregates in shard order.
-// The merged aggregate is byte-identical to the single-node computation.
-func (s *Server) distSimulateAggregate(ctx context.Context, req SimulateRequest) (*headroom.Aggregator, *headroom.PartialError, error) {
-	cfg, err := req.Fleet()
-	if err != nil {
-		return nil, nil, err
+// shardRunner returns how this server executes the shards of req: nil (the
+// session's in-process default) on a single node, and on a coordinator a
+// runner that dispatches each shard to the worker fleet and decodes the
+// aggregate that comes back. Only that differs between the two; splitting,
+// fan-out, cancellation, merge order and partial-results assembly are the
+// session's, so a distributed job is byte-identical to — and fails and
+// degrades exactly like — the local computation.
+func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
+	if s.dist == nil {
+		return nil
 	}
-	raw := headroom.NewSimSource(cfg, req.Days)
-	n := s.cfg.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	subs := raw.Shards(n)
-	// The source decides how many shards it actually splits into (never
-	// more than asked, fewer when it has fewer pools); `of` is that actual
-	// count, and every worker reproduces the identical split.
-	of := len(subs)
-	if of < 1 {
-		subs, of = []headroom.Source{raw}, 1
-	}
-
-	ctx, aggSp := obs.StartSpan(ctx, "dist.aggregate",
-		obs.Int("shards", of), obs.Int("peers", len(s.dist.Peers())))
-	aggStart := time.Now()
-	defer aggSp.End()
-
-	type shardOutcome struct {
-		res dist.Result
-		err error
-	}
-	pools := make([][]string, of)
-	outcomes := make([]shardOutcome, of)
-	done := make(chan int, of)
-	for i := 0; i < of; i++ {
-		pools[i] = poolNames(subs[i])
-		key := strings.Join(pools[i], ",")
+	var mu sync.Mutex
+	var placements []ShardPlacement
+	return func(ctx context.Context, sub headroom.Source, index, of int) (*headroom.Aggregator, int64, error) {
+		// `of` is the count the source actually split into (never more than
+		// asked, fewer when it has fewer pools); every worker reproduces the
+		// identical split from it.
+		pools := poolNames(sub)
+		key := strings.Join(pools, ",")
 		if key == "" {
-			key = "shard-" + strconv.Itoa(i)
+			key = "shard-" + strconv.Itoa(index)
 		}
 		body, err := json.Marshal(shardRequest{
-			Days: req.Days, Seed: req.Seed, Pools: req.Pools, Shard: i, Of: of,
+			Days: req.Days, Seed: req.Seed, Pools: req.Pools, Shard: index, Of: of,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
-		go func(i int, key string, body []byte) {
-			sctx, sp := obs.StartSpan(ctx, "dist.shard",
-				obs.Int("shard", i), obs.Str("pool", key))
-			res, err := s.dist.Dispatch(sctx, dist.Shard{Key: key, Index: i, Of: of, Body: body})
-			if err == nil {
-				sp.SetAttr(obs.Str("worker", res.Worker),
-					obs.Bool("hedged", res.Hedged), obs.Int("attempts", res.Attempts))
-			}
+		ctx, sp := obs.StartSpan(ctx, "dist.shard", obs.Int("shard", index), obs.Str("pool", key))
+		defer sp.End()
+		res, err := s.dist.Dispatch(ctx, dist.Shard{Key: key, Index: index, Of: of, Body: body})
+		if err != nil {
 			sp.RecordError(err)
-			sp.End()
-			outcomes[i] = shardOutcome{res: res, err: err}
-			done <- i
-		}(i, key, body)
-	}
-	for range outcomes {
-		<-done
-	}
-	obs.ObserveStage("aggregate", time.Since(aggStart))
-
-	// Decode and merge in shard order; decode failures count as shard
-	// failures (transient — the worker may answer cleanly on retry).
-	placements := make([]ShardPlacement, 0, of)
-	aggs := make([]*headroom.Aggregator, of)
-	errs := make([]error, of)
-	for i, oc := range outcomes {
-		if oc.err != nil {
-			errs[i] = oc.err
-			continue
+			return nil, 0, err
 		}
-		var resp shardResponse
-		if err := json.Unmarshal(oc.res.Body, &resp); err != nil {
-			errs[i] = jobs.Transient(fmt.Errorf("shard %d: malformed response from %s: %w", i, oc.res.Worker, err))
-			continue
-		}
-		agg, err := headroom.DecodeAggregator(resp.Agg)
+		sp.SetAttr(obs.Str("worker", res.Worker),
+			obs.Bool("hedged", res.Hedged), obs.Int("attempts", res.Attempts))
+		agg, err := headroom.DecodeAggregator(res.Body)
 		if err != nil {
-			errs[i] = jobs.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", i, oc.res.Worker, err))
-			continue
+			// Transient: the worker may answer cleanly when the job retries.
+			err = headroom.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", index, res.Worker, err))
+			sp.RecordError(err)
+			return nil, 0, err
 		}
-		aggs[i] = agg
+		// Re-annotate on every completion, in shard order, so the job status
+		// shows placements as they land.
+		mu.Lock()
 		placements = append(placements, ShardPlacement{
-			Shard: i, Pools: pools[i], AssignedWorker: oc.res.Worker,
-			Hedged: oc.res.Hedged, Attempts: oc.res.Attempts,
+			Shard: index, Pools: pools, AssignedWorker: res.Worker,
+			Hedged: res.Hedged, Attempts: res.Attempts,
 		})
+		sort.Slice(placements, func(a, b int) bool { return placements[a].Shard < placements[b].Shard })
+		jobs.Annotate(ctx, placementMetaKey, append([]ShardPlacement(nil), placements...))
+		mu.Unlock()
+		return agg, 0, nil // records are counted on the worker's span
 	}
-	jobs.Annotate(ctx, placementMetaKey, placements)
-
-	mergeStart := time.Now()
-	var out *headroom.Aggregator
-	pe := &headroom.PartialError{Shards: of}
-	for i := range subs {
-		if errs[i] != nil {
-			pe.Failed = append(pe.Failed, headroom.PoolError{Shard: i, Pools: pools[i], Err: errs[i]})
-			continue
-		}
-		if out == nil {
-			out = aggs[i]
-		} else {
-			out.Merge(aggs[i])
-		}
-	}
-	obs.ObserveStage("merge", time.Since(mergeStart))
-
-	if len(pe.Failed) == 0 {
-		return out, nil, nil
-	}
-	aggSp.RecordError(pe)
-	if s.cfg.PartialResults && out != nil {
-		// Degraded: the surviving shards' merge plus the failed pools —
-		// mirroring single-node partial results.
-		return out, pe, nil
-	}
-	// Without partial results (or with nothing salvaged) the job fails; a
-	// transient shard failure marks the whole job retryable.
-	for _, f := range pe.Failed {
-		var se *dist.ShardError
-		if errors.As(f.Err, &se) && se.Transient {
-			return nil, nil, jobs.Transient(pe)
-		}
-		if jobs.IsTransient(f.Err) {
-			return nil, nil, jobs.Transient(pe)
-		}
-	}
-	return nil, nil, pe
 }
 
 // DistStats exposes the worker-fleet breaker view for tests and /readyz.

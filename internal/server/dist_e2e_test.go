@@ -11,12 +11,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"headroom"
 	"headroom/internal/dist"
 	"headroom/internal/faults"
 	"headroom/internal/jobs"
@@ -300,6 +303,37 @@ func TestDistPermanentFailureFailsJob(t *testing.T) {
 	}
 }
 
+// TestDistCancelledJobNotServedDegraded is the regression for a coordinator
+// that served a cancelled job as a degraded success: with partial results
+// on, a job whose deadline expires mid-fan-out saw its in-flight shards come
+// back as "shard deadline" failures, merged the shards that had finished and
+// answered 200 naming healthy pools as failed. Caller cancellation must fail
+// the whole run, exactly as it does on a single node.
+func TestDistCancelledJobNotServedDegraded(t *testing.T) {
+	leakcheck.Check(t)
+	// Pool B's shard stalls on every worker far past the job deadline; pool
+	// A's finishes well inside it.
+	workers := newDistWorkers(t, 2, func(i int, cfg *Config) {
+		cfg.Faults = faults.New(1,
+			faults.Rule{Kind: faults.Stall, Pools: []string{"B"}, At: []int{0}, StallFor: time.Minute})
+	})
+	coord, coordTS := newCoordinator(t, workers, func(cfg *Config) {
+		cfg.PartialResults = true
+		cfg.JobTimeout = 2 * time.Second
+	})
+
+	code, got := submitWait(t, coordTS.URL, "/v1/simulate", `{"pools":["A","B"],"days":1}`)
+	if code != http.StatusUnprocessableEntity || got.State != jobs.Failed {
+		t.Fatalf("simulate past its deadline = %d state %s, want 422/failed (result %s)", code, got.State, got.Result)
+	}
+	if !strings.Contains(got.Error, context.DeadlineExceeded.Error()) {
+		t.Errorf("job error = %q, want the job's deadline", got.Error)
+	}
+	if st := coord.CacheStats(); st.Uncacheable != 0 {
+		t.Errorf("cancelled job counted %d degraded (uncacheable) results", st.Uncacheable)
+	}
+}
+
 // TestDistReadyzDegraded drives every peer's breaker open (all dispatches
 // fail against dead addresses) and asserts /readyz flips to degraded once
 // more than half the fleet is unavailable.
@@ -384,12 +418,25 @@ func TestDistInternalShardAuth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid shard request = %d", resp.StatusCode)
 	}
-	var sr shardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatalf("decode shard response: %v", err)
+	// The body is the raw wire encoding — no JSON or base64 envelope — and
+	// provenance rides in the headers.
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read shard response: %v", err)
 	}
-	if sr.Records == 0 || len(sr.Agg) == 0 || sr.Node == "" {
-		t.Errorf("shard response = %+v, want records, agg bytes and node", sr)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("Content-Type = %q, want application/octet-stream", ct)
+	}
+	agg, err := headroom.DecodeAggregator(raw)
+	if err != nil {
+		t.Fatalf("shard response body is not a wire-encoded aggregate: %v", err)
+	}
+	if keys := agg.Pools(); len(keys) == 0 || keys[0].Pool != "B" {
+		t.Errorf("decoded aggregate pools = %v, want pool B", keys)
+	}
+	if n, _ := strconv.Atoi(resp.Header.Get(recordsHeader)); n == 0 || resp.Header.Get(nodeHeader) == "" {
+		t.Errorf("headers %s=%q %s=%q, want a record count and the node", recordsHeader,
+			resp.Header.Get(recordsHeader), nodeHeader, resp.Header.Get(nodeHeader))
 	}
 
 	// A node without DistToken must not serve the endpoint at all.

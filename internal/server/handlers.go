@@ -15,7 +15,6 @@ import (
 
 	"headroom"
 	"headroom/internal/jobcache"
-	"headroom/internal/jobs"
 )
 
 // maxDays bounds a single simulation job; longer horizons should be split
@@ -206,29 +205,26 @@ type SimulateResult struct {
 	Failures []ShardFailure `json:"failures,omitempty"`
 }
 
-// simulateAggregate streams the request's fleet through the session layer
-// and returns the aggregate. The source is wrapped, innermost first, with
-// the chaos fault injector (Config.Faults) and the resilience layer
+// simulateAggregate runs the request's fleet through the session layer and
+// returns the aggregate. The source is wrapped, innermost first, with the
+// chaos fault injector (Config.Faults) and the resilience layer
 // (Config.RetryAttempts); with Config.PartialResults the aggregation
-// tolerates failed pools and the returned *PartialError lists them
-// (degraded result). Transient errors that escape the resilience layer are
-// re-marked for the job queue so the job itself is retried.
+// tolerates failed pools and the returned *PartialError lists them (degraded
+// result). On a coordinator the same session dispatches its shards to the
+// worker fleet (shardRunner): the source then only defines the split, and
+// each worker wraps the shard it streams. Transient errors that escape the
+// resilience layer or the dispatcher carry the sentinel the job queue
+// retries on.
 func (s *Server) simulateAggregate(ctx context.Context, req SimulateRequest, plan *headroom.PlanConfig) (*headroom.Aggregator, *headroom.PartialError, error) {
-	if s.dist != nil {
-		// Distributed scale-out: shards run on the peer fleet (which applies
-		// its own fault injection and resilience) and merge here, byte-
-		// identical to the local computation below.
-		return s.distSimulateAggregate(ctx, req)
-	}
 	cfg, err := req.Fleet()
 	if err != nil {
 		return nil, nil, err
 	}
-	src := s.wrapSource(headroom.NewSimSource(cfg, req.Days), req.Seed)
 	opts := []headroom.Option{
-		headroom.WithSource(src),
+		headroom.WithSource(s.wrapSource(headroom.NewSimSource(cfg, req.Days), req.Seed)),
 		headroom.WithShards(s.cfg.Shards),
 		headroom.WithPartialResults(s.cfg.PartialResults),
+		headroom.WithShardRunner(s.shardRunner(req)),
 	}
 	if plan != nil {
 		opts = append(opts, headroom.WithPlanConfig(*plan))
@@ -242,15 +238,7 @@ func (s *Server) simulateAggregate(ctx context.Context, req SimulateRequest, pla
 	if errors.As(err, &pe) && agg != nil {
 		return agg, pe, nil
 	}
-	if err != nil {
-		if headroom.IsTransient(err) {
-			// Retries inside the source exhausted; let the job queue retry
-			// the whole computation.
-			err = jobs.Transient(err)
-		}
-		return nil, nil, err
-	}
-	return agg, nil, nil
+	return agg, nil, err
 }
 
 // planSession builds the session used by Plan over an already-computed

@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,6 +50,7 @@ import (
 	"headroom/internal/jobs"
 	"headroom/internal/obs"
 	"headroom/internal/obs/prom"
+	"headroom/internal/stats"
 )
 
 // Config sizes a Server. Zero values take the documented defaults.
@@ -189,7 +189,9 @@ type Server struct {
 	breakers map[string]*breaker.Breaker // by job kind; nil when disabled
 	readyHWM int
 	draining atomic.Bool
-	rate     rateTracker
+	// rate is the mean job service time, so 503 responses can derive an
+	// honest Retry-After from queue depth.
+	rate stats.EWMA
 
 	// Distributed scale-out (see dist.go): the dispatch client when this
 	// process coordinates, the shard-work semaphore when it serves shards,
@@ -219,38 +221,6 @@ type serverMetrics struct {
 	queueFull       *prom.Counter
 	notReady        *prom.Counter
 	sourceRetries   *prom.Counter
-}
-
-// rateTracker keeps an exponentially weighted mean of job service time so
-// 503 responses can derive an honest Retry-After from queue depth.
-type rateTracker struct {
-	mu   sync.Mutex
-	mean float64 // seconds; EWMA
-	n    int64
-}
-
-func (rt *rateTracker) observe(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	s := d.Seconds()
-	if rt.n == 0 {
-		rt.mean = s
-	} else {
-		const alpha = 0.2
-		rt.mean = alpha*s + (1-alpha)*rt.mean
-	}
-	rt.n++
-}
-
-// meanSeconds returns the observed mean service time, or false before any
-// job has completed.
-func (rt *rateTracker) meanSeconds() (float64, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.mean, rt.n > 0
 }
 
 // endpoints the server serves jobs for, used to pre-register labelled
@@ -442,7 +412,7 @@ func (s *Server) onJobState(snap jobs.Snapshot) {
 
 func (s *Server) observeCompletion(snap jobs.Snapshot) {
 	if !snap.Started.IsZero() && !snap.Finished.IsZero() {
-		s.rate.observe(snap.Finished.Sub(snap.Started))
+		s.rate.Observe(snap.Finished.Sub(snap.Started))
 	}
 }
 
@@ -469,8 +439,8 @@ func (s *Server) BreakerState(kind string) (breaker.State, bool) {
 // mean service rate, clamped to [1 s, 120 s]. Before any job has completed
 // the estimate falls back to 1 s.
 func (s *Server) retryAfterSeconds(depth int) int {
-	mean, ok := s.rate.meanSeconds()
-	if !ok {
+	mean, n := s.rate.Mean()
+	if n == 0 {
 		return 1
 	}
 	workers := s.queue.Workers()

@@ -1,10 +1,12 @@
 package headroom
 
-// Ordering edge cases of mergePartial, the merge step distributed
-// degradation rests on: failed shards must be reported in shard order with
-// their pool attribution regardless of how failures interleave with
-// survivors, and the survivors must merge in shard order (what keeps
-// degraded distributed results byte-identical to degraded local results).
+// Ordering edge cases of mergeShards, the one merge step every fan-out —
+// local goroutines or the dist coordinator's dispatches — ends in, so
+// distributed degradation rests on exactly this: failed shards must be
+// reported in shard order with their pool attribution regardless of how
+// failures interleave with survivors, and the survivors must merge in shard
+// order (what keeps degraded distributed results byte-identical to degraded
+// local results).
 
 import (
 	"context"
@@ -44,7 +46,7 @@ func TestMergePartialAllShardsFailed(t *testing.T) {
 	subs, _ := mergeFixture(3)
 	errs := []error{errors.New("e0"), errors.New("e1"), errors.New("e2")}
 	// A failed shard's aggregator slot is nil in the real fan-out.
-	out, err := mergePartial(context.Background(), subs, []*Aggregator{nil, nil, nil}, errs)
+	out, err := mergeShards(context.Background(), true, subs, []*Aggregator{nil, nil, nil}, errs)
 	if out != nil {
 		t.Errorf("all-failed merge returned an aggregator with pools %v", out.Pools())
 	}
@@ -72,7 +74,7 @@ func TestMergePartialSingleSurvivor(t *testing.T) {
 	subs, aggs := mergeFixture(3)
 	errs := []error{errors.New("e0"), nil, errors.New("e2")}
 	aggs[0], aggs[2] = nil, nil
-	out, err := mergePartial(context.Background(), subs, aggs, errs)
+	out, err := mergeShards(context.Background(), true, subs, aggs, errs)
 	if out != aggs[1] {
 		t.Errorf("survivor merge did not return the sole surviving aggregator")
 	}
@@ -96,7 +98,7 @@ func TestMergePartialInterleavedFailures(t *testing.T) {
 		aggs[i] = nil
 	}
 	first := aggs[1] // first survivor anchors the merge
-	out, err := mergePartial(context.Background(), subs, aggs, errs)
+	out, err := mergeShards(context.Background(), true, subs, aggs, errs)
 	if out != first {
 		t.Errorf("merge did not anchor on the first surviving shard")
 	}
@@ -132,7 +134,7 @@ func TestMergePartialInterleavedFailures(t *testing.T) {
 
 func TestMergePartialNoFailures(t *testing.T) {
 	subs, aggs := mergeFixture(2)
-	out, err := mergePartial(context.Background(), subs, aggs, make([]error, 2))
+	out, err := mergeShards(context.Background(), true, subs, aggs, make([]error, 2))
 	if err != nil {
 		t.Fatalf("err = %v, want nil when every shard survived", err)
 	}
@@ -145,7 +147,13 @@ func TestMergePartialCancelledContext(t *testing.T) {
 	subs, aggs := mergeFixture(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mergePartial(ctx, subs, aggs, make([]error, 2)); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	// In both modes, with or without shard failures: a cancelled caller never
+	// gets a merge, least of all a degraded one blaming healthy pools.
+	for _, partial := range []bool{true, false} {
+		for _, errs := range [][]error{{nil, nil}, {nil, context.Canceled}} {
+			if out, err := mergeShards(ctx, partial, subs, aggs, errs); out != nil || !errors.Is(err, context.Canceled) || isPartialErr(err) {
+				t.Errorf("partial=%v errs=%v: merge = (%v, %v), want bare context.Canceled", partial, errs, out, err)
+			}
+		}
 	}
 }

@@ -22,24 +22,23 @@ import (
 	"time"
 
 	"headroom/internal/obs"
+	"headroom/internal/retry"
 )
 
-// ErrTransient marks a source error as retryable. Sources (and fault
-// injectors) wrap errors with Transient to tell ResilientSource the failure
-// is worth retrying; unmarked errors are treated as permanent.
-var ErrTransient = errors.New("headroom: transient source failure")
+// ErrTransient marks an error as retryable. Sources (and fault injectors)
+// wrap errors with Transient to tell ResilientSource the failure is worth
+// retrying; unmarked errors are treated as permanent. It is the module's one
+// transient sentinel: the job queue and the shard dispatcher classify
+// against the same value, so a transient failure that escapes one layer is
+// retried by the next without re-marking.
+var ErrTransient = retry.ErrTransient
 
 // Transient wraps err so resilience layers retry it. A nil err returns nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrTransient, err)
-}
+func Transient(err error) error { return retry.Transient(err) }
 
 // IsTransient reports whether err is marked retryable (wrapped by Transient
 // or any wrapping satisfying errors.Is against ErrTransient).
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+func IsTransient(err error) bool { return retry.IsTransient(err) }
 
 // PoolNamer is optionally implemented by sources that know which pools their
 // records belong to. Sharded aggregation uses it to attribute shard failures
@@ -251,7 +250,7 @@ func (r *resilientSource) Stream(ctx context.Context, emit func(Record) error) e
 		// Attribute the retry to the active shard span (if any), so a trace
 		// shows which pool's stream was retried and how often.
 		obs.ActiveSpan(ctx).AddInt("retries", 1)
-		sleep := jitterBackoff(rng, backoff)
+		sleep := retry.Jitter(rng, backoff)
 		select {
 		case <-time.After(sleep):
 		case <-ctx.Done():
@@ -261,15 +260,6 @@ func (r *resilientSource) Stream(ctx context.Context, emit func(Record) error) e
 			backoff = p.MaxBackoff
 		}
 	}
-}
-
-// jitterBackoff returns a half-jittered sleep in [backoff/2, backoff].
-func jitterBackoff(rng *rand.Rand, backoff time.Duration) time.Duration {
-	half := backoff / 2
-	if half <= 0 {
-		return backoff
-	}
-	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
 // safeStream runs one stream attempt, converting a panic in the source into

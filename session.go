@@ -48,6 +48,7 @@ type Session struct {
 	plan     PlanConfig
 	seed     int64
 	partial  bool
+	runner   ShardRunner
 	observer StageObserver
 }
 
@@ -105,16 +106,52 @@ func WithPlanConfig(cfg PlanConfig) Option {
 // it enabled, Simulate and Aggregate no longer abort the whole run when one
 // shard (pool group) fails. Surviving shards aggregate normally and the
 // failed ones are reported through a *PartialError (detect with errors.As),
-// so callers can serve a degraded result instead of none. Failed shards do
-// not cancel their siblings. Without the option (the default), the first
-// shard failure cancels the remaining shards promptly and the run fails
-// whole. In both modes a panicking shard is isolated: the panic is recovered
-// and reported as that shard's error.
+// so callers can serve a degraded result instead of none; when every shard
+// failed — always the case for a failing one-shard run — the aggregator is
+// nil. Failed shards do not cancel their siblings. Without the option (the
+// default), the first shard failure cancels the remaining shards promptly
+// and the run fails whole with that failure. In both modes a panicking shard
+// is isolated (the panic is recovered and reported as that shard's error)
+// and cancellation of the caller's context fails the whole run.
 func WithPartialResults(enabled bool) Option {
 	return func(s *Session) error {
 		s.partial = enabled
 		return nil
 	}
+}
+
+// ShardRunner computes one shard of an aggregation fan-out: sub is shard
+// index of the `of` sub-sources the session's source split into, and the
+// result is the shard's aggregate plus the records consumed (0 when the
+// runner cannot count them). The default streams sub into a fresh aggregator
+// in-process; a distributed coordinator substitutes one that ships
+// (index, of) to a worker, which rebuilds the identical split and calls
+// AggregateShard. Everything around the runner — "simulate.pool" span, panic
+// isolation, "aggregate.shard" event, sibling cancellation, in-shard-order
+// merge, *PartialError — is the session's and is the same for both. Runners
+// are called from one goroutine per shard.
+type ShardRunner func(ctx context.Context, sub Source, index, of int) (*Aggregator, int64, error)
+
+// WithShardRunner replaces how the session executes each shard of Simulate,
+// Aggregate and AggregateShard. A nil runner keeps the in-process default.
+func WithShardRunner(run ShardRunner) Option {
+	return func(s *Session) error {
+		if run != nil {
+			s.runner = run
+		}
+		return nil
+	}
+}
+
+// streamShard is the default ShardRunner: stream the sub-source into a fresh
+// aggregator.
+func streamShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
+	agg := metrics.NewAggregator()
+	var n int64
+	if err := sub.Stream(ctx, func(r Record) error { agg.Add(r); n++; return nil }); err != nil {
+		return nil, n, err
+	}
+	return agg, n, nil
 }
 
 // StageEvent describes one completed pipeline stage, or one completed shard
@@ -174,7 +211,7 @@ func New(ctx context.Context, opts ...Option) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &Session{base: ctx, seed: 1}
+	s := &Session{base: ctx, seed: 1, runner: streamShard}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -290,19 +327,10 @@ func (s *Session) Aggregate(ctx context.Context, src Source) (*Aggregator, error
 	ctx, done := s.opCtx(ctx)
 	defer done()
 
-	var subs []Source
-	if sh, ok := src.(ShardedSource); ok {
-		if n := s.shardCount(); n > 1 {
-			subs = sh.Shards(n)
-		}
-	}
-	shards := len(subs)
-	if shards < 1 {
-		shards = 1
-	}
-	ctx, sp := obs.StartSpan(ctx, "session.aggregate", obs.Int("shards", shards))
+	subs := splitSource(src, s.shardCount())
+	ctx, sp := obs.StartSpan(ctx, "session.aggregate", obs.Int("shards", len(subs)))
 	start := time.Now()
-	agg, records, err := s.aggregate(ctx, src, subs)
+	agg, records, err := s.aggregate(ctx, subs)
 	d := time.Since(start)
 	degraded := isPartialErr(err)
 	sp.SetAttr(obs.Int64("records", records), obs.Bool("degraded", degraded))
@@ -315,36 +343,23 @@ func (s *Session) Aggregate(ctx context.Context, src Source) (*Aggregator, error
 	return agg, err
 }
 
-// aggregate streams the source (sharded when subs has more than one entry)
-// and merges the per-shard aggregators, returning the record count consumed.
-func (s *Session) aggregate(ctx context.Context, src Source, subs []Source) (*Aggregator, int64, error) {
-	if len(subs) <= 1 {
-		agg := metrics.NewAggregator()
-		var n int64
-		// Recover panics like the sharded fan-out below does for its
-		// goroutines, so panic semantics do not depend on the shard count:
-		// every execution path reports a panicking source as an error.
-		err := func() (err error) {
-			defer func() {
-				if v := recover(); v != nil {
-					err = fmt.Errorf("headroom: source panicked: %v", v)
-				}
-			}()
-			return src.Stream(ctx, func(r Record) error { agg.Add(r); n++; return nil })
-		}()
-		if err != nil {
-			return nil, n, err
+// splitSource partitions src into at most n sub-sources; a source that
+// cannot shard (or n <= 1) is a fan-out of one.
+func splitSource(src Source, n int) []Source {
+	if sh, ok := src.(ShardedSource); ok && n > 1 {
+		if subs := sh.Shards(n); len(subs) > 0 {
+			return subs
 		}
-		return agg, n, nil
 	}
+	return []Source{src}
+}
 
-	// One goroutine and one private aggregator per shard; merge in shard
-	// order afterwards. Shards own disjoint (pool, datacenter) keys, so the
-	// merged aggregator is bit-identical to a single sequential pass. Each
-	// shard goroutine is isolated: a panic is recovered into that shard's
-	// error instead of tearing the process down. Each shard carries its own
-	// span ("simulate.pool", annotated with pool names, record count,
-	// retries and the degraded flag) and per-pool duration histogram.
+// aggregate is the one fan-out: one goroutine and one private aggregator per
+// shard (a one-shard run is a fan-out of one), merged in shard order
+// afterwards. Shards own disjoint (pool, datacenter) keys, so the merged
+// aggregator is bit-identical to a single sequential pass. It returns the
+// record count consumed across shards.
+func (s *Session) aggregate(ctx context.Context, subs []Source) (*Aggregator, int64, error) {
 	aggs := make([]*Aggregator, len(subs))
 	errs := make([]error, len(subs))
 	counts := make([]int64, len(subs))
@@ -353,40 +368,13 @@ func (s *Session) aggregate(ctx context.Context, src Source, subs []Source) (*Ag
 	var wg sync.WaitGroup
 	for i, sub := range subs {
 		wg.Add(1)
-		go func(i int, sub Source) {
+		go func() {
 			defer wg.Done()
-			pools := strings.Join(poolNamesOf(sub), ",")
-			sctx, ssp := obs.StartSpan(wctx, "simulate.pool",
-				obs.Str("pool", pools), obs.Int("shard", i))
-			shardStart := time.Now()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("headroom: shard %d panicked: %v", i, v)
-					if !s.partial {
-						cancel()
-					}
-				}
-				sd := time.Since(shardStart)
-				degraded := s.partial && errs[i] != nil
-				ssp.SetAttr(obs.Int64("records", counts[i]), obs.Bool("degraded", degraded))
-				ssp.RecordError(errs[i])
-				ssp.End()
-				s.stageDone(StageEvent{
-					Stage: "aggregate.shard", Pool: pools, Shard: i,
-					Records: int(counts[i]), Duration: sd,
-					Degraded: degraded, Err: errs[i],
-				})
-			}()
-			agg := metrics.NewAggregator()
-			if err := sub.Stream(sctx, func(r Record) error { agg.Add(r); counts[i]++; return nil }); err != nil {
-				errs[i] = err
-				if !s.partial {
-					cancel() // fail fast: stop sibling shards
-				}
-				return
+			aggs[i], counts[i], errs[i] = s.runShard(wctx, sub, i, len(subs))
+			if errs[i] != nil && !s.partial {
+				cancel() // fail fast: stop sibling shards
 			}
-			aggs[i] = agg
-		}(i, sub)
+		}()
 	}
 	wg.Wait()
 	var records int64
@@ -394,91 +382,89 @@ func (s *Session) aggregate(ctx context.Context, src Source, subs []Source) (*Ag
 		records += n
 	}
 
-	if s.partial {
-		agg, err := s.mergePartial(ctx, subs, aggs, errs)
-		return agg, records, err
-	}
-
-	var failure error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		// Prefer a concrete cause over the cascade cancellations it
-		// triggered in sibling shards.
-		if failure == nil || (errors.Is(failure, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			failure = err
-		}
-	}
-	if failure != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, records, err
-		}
-		return nil, records, failure
-	}
-	out := s.mergeShards(ctx, aggs)
-	return out, records, nil
-}
-
-// mergeShards merges the per-shard aggregators in shard order, as the
-// "merge" stage.
-func (s *Session) mergeShards(ctx context.Context, aggs []*Aggregator) *Aggregator {
-	_, sp := obs.StartSpan(ctx, "session.merge", obs.Int("shards", len(aggs)))
+	_, sp := obs.StartSpan(ctx, "session.merge", obs.Int("shards", len(subs)))
 	start := time.Now()
-	out := aggs[0]
-	for _, a := range aggs[1:] {
-		out.Merge(a)
-	}
-	d := time.Since(start)
-	sp.End()
-	s.stageDone(StageEvent{Stage: "merge", Shard: -1, Duration: d})
-	return out
-}
-
-// mergePartial wraps the partial-results merge in the "merge" stage span
-// and metrics, mirroring mergeShards for the tolerant path.
-func (s *Session) mergePartial(ctx context.Context, subs []Source, aggs []*Aggregator, errs []error) (*Aggregator, error) {
-	_, sp := obs.StartSpan(ctx, "session.merge", obs.Int("shards", len(aggs)))
-	start := time.Now()
-	out, err := mergePartial(ctx, subs, aggs, errs)
+	out, err := mergeShards(ctx, s.partial, subs, aggs, errs)
 	d := time.Since(start)
 	sp.RecordError(err)
 	sp.End()
 	s.stageDone(StageEvent{Stage: "merge", Shard: -1, Duration: d, Degraded: isPartialErr(err), Err: err})
-	return out, err
+	return out, records, err
 }
 
-// mergePartial combines the surviving shards of a partial-results fan-out
-// and reports the failed ones as a *PartialError. Cancellation of the caller
-// context still fails the whole run.
-func mergePartial(ctx context.Context, subs []Source, aggs []*Aggregator, errs []error) (*Aggregator, error) {
+// runShard is the only place a shard runs — fan-out, one-shard run, dist
+// worker (AggregateShard) and dist coordinator alike — so every shard carries
+// the same "simulate.pool" span (pool names, record count, retries, degraded
+// flag), per-pool duration histogram and "aggregate.shard" event, and a
+// panic becomes that shard's error instead of tearing the process down.
+func (s *Session) runShard(ctx context.Context, sub Source, index, of int) (agg *Aggregator, records int64, err error) {
+	pools := strings.Join(poolNamesOf(sub), ",")
+	ctx, sp := obs.StartSpan(ctx, "simulate.pool", obs.Str("pool", pools), obs.Int("shard", index))
+	start := time.Now()
+	defer func() {
+		if v := recover(); v != nil {
+			agg, err = nil, fmt.Errorf("headroom: shard %d panicked: %v", index, v)
+		}
+		d := time.Since(start)
+		degraded := s.partial && err != nil
+		sp.SetAttr(obs.Int64("records", records), obs.Bool("degraded", degraded))
+		sp.RecordError(err)
+		sp.End()
+		s.stageDone(StageEvent{
+			Stage: "aggregate.shard", Pool: pools, Shard: index,
+			Records: int(records), Duration: d, Degraded: degraded, Err: err,
+		})
+	}()
+	return s.runner(ctx, sub, index, of)
+}
+
+// mergeShards is the one merge of every fan-out, local or distributed.
+// Cancellation of the caller's context fails the whole run before any merge.
+// Otherwise survivors merge in shard order (what keeps degraded results
+// byte-identical wherever the shards ran) and failures are listed in shard
+// order with their pools: as a *PartialError beside the survivors' aggregate
+// (nil when every shard failed) with partial results on, as the first
+// concrete failure with them off.
+func mergeShards(ctx context.Context, partial bool, subs []Source, aggs []*Aggregator, errs []error) (*Aggregator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var out *Aggregator
 	pe := &PartialError{Shards: len(subs)}
-	for i := range subs {
-		if errs[i] != nil {
-			pe.Failed = append(pe.Failed, PoolError{Shard: i, Pools: poolNamesOf(subs[i]), Err: errs[i]})
-			continue
-		}
-		if out == nil {
-			out = aggs[i]
-		} else {
-			out.Merge(aggs[i])
+	for i, err := range errs {
+		if err != nil {
+			pe.Failed = append(pe.Failed, PoolError{Shard: i, Pools: poolNamesOf(subs[i]), Err: err})
 		}
 	}
-	if len(pe.Failed) == 0 {
-		return out, nil
+	if len(pe.Failed) > 0 && !partial {
+		// Prefer a concrete cause over the cascade cancellations it
+		// triggered in sibling shards.
+		for _, f := range pe.Failed {
+			if !errors.Is(f.Err, context.Canceled) {
+				return nil, f.Err
+			}
+		}
+		return nil, pe.Failed[0].Err
 	}
-	// out is nil when every shard failed: no partial result to serve.
-	return out, pe
+	var out *Aggregator
+	for i, agg := range aggs {
+		switch {
+		case errs[i] != nil:
+		case out == nil:
+			out = agg
+		default:
+			out.Merge(agg)
+		}
+	}
+	if len(pe.Failed) > 0 {
+		return out, pe
+	}
+	return out, nil
 }
 
 // AggregateShard consumes exactly one shard of the session's configured
 // source: the source is split into `of` sub-sources (as Aggregate would) and
-// only shard `index` is streamed, sequentially, into a fresh aggregator. It
-// returns the shard's aggregate and the number of records consumed.
+// only shard `index` is run, exactly as the fan-out runs it. It returns the
+// shard's aggregate and the number of records consumed.
 //
 // This is the worker half of distributed aggregation (internal/dist): a
 // coordinator splits a job into shards, ships (index, of) plus the request to
@@ -499,48 +485,11 @@ func (s *Session) AggregateShard(ctx context.Context, index, of int) (*Aggregato
 	}
 	ctx, done := s.opCtx(ctx)
 	defer done()
-	subs := []Source{s.source}
-	if of > 1 {
-		sh, ok := s.source.(ShardedSource)
-		if !ok {
-			return nil, 0, fmt.Errorf("headroom: source %T cannot split into %d shards", s.source, of)
-		}
-		subs = sh.Shards(of)
-	}
+	subs := splitSource(s.source, of)
 	if len(subs) != of {
-		return nil, 0, fmt.Errorf("headroom: source split into %d shards, coordinator expected %d", len(subs), of)
+		return nil, 0, fmt.Errorf("headroom: source %T split into %d shards, coordinator expected %d", s.source, len(subs), of)
 	}
-	sub := subs[index]
-	pools := strings.Join(poolNamesOf(sub), ",")
-	sctx, sp := obs.StartSpan(ctx, "simulate.pool",
-		obs.Str("pool", pools), obs.Int("shard", index))
-	start := time.Now()
-	agg := metrics.NewAggregator()
-	var records int64
-	// Recover panics exactly like the in-process sharded fan-out does for its
-	// workers: a worker process serving shards over HTTP must degrade the one
-	// shard, not die — the sequential path has no equivalent isolation, so
-	// without this the four execution paths diverge on panic faults.
-	err := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("headroom: shard %d panicked: %v", index, v)
-			}
-		}()
-		return sub.Stream(sctx, func(r Record) error { agg.Add(r); records++; return nil })
-	}()
-	d := time.Since(start)
-	sp.SetAttr(obs.Int64("records", records))
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{
-		Stage: "aggregate.shard", Pool: pools, Shard: index,
-		Records: int(records), Duration: d, Err: err,
-	})
-	if err != nil {
-		return nil, records, err
-	}
-	return agg, records, nil
+	return s.runShard(ctx, subs[index], index, of)
 }
 
 // Stream streams a record source sequentially through emit, for workloads
