@@ -85,7 +85,9 @@ func BenchmarkAblationPlanners(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw record generation of the full
-// default fleet (records per op: one fleet-hour).
+// default fleet (records per op: one fleet-hour) through the per-record
+// adapter: the in-place step fill the pipeline consumes as runs, plus one
+// record copy per emit. Steps allocate nothing once the buffer has grown.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg := sim.DefaultFleet(1)
 	s, err := sim.New(cfg)
@@ -109,7 +111,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // benchSimulate aggregates half a day of the default fleet (2.4 M records)
-// through Session.Simulate at the given shard count (0 = one per CPU).
+// through Session.Simulate at the given shard count (0 = one per CPU): the
+// record hot path, simulator steps handed as runs to Aggregator.AddAll. What
+// is left of B/op is mostly the per-server CPU samples the aggregator keeps
+// (2.4 M float64s, ~19 MB, about doubled by slice growth).
 func benchSimulate(b *testing.B, shards int) {
 	b.Helper()
 	ctx := context.Background()

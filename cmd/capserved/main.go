@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		shardTimeout = fs.Duration("shard-timeout", time.Minute, "end-to-end deadline for one distributed shard (reroutes and hedges included)")
 
 		partial       = fs.Bool("partial-results", false, "serve degraded results when some pools fail instead of failing the whole job")
-		retryAttempts = fs.Int("source-retries", 0, "max source stream attempts per shard (0 = default 3, 1 = no retries)")
+		retryAttempts = fs.Int("source-retries", 0, "max source stream attempts per shard (0 = no retry layer: a failed stream fails its shard; N = up to N attempts)")
 		retryBackoff  = fs.Duration("source-retry-backoff", 0, "initial backoff between source retries (0 = default 50ms)")
 		brThreshold   = fs.Int("breaker-threshold", 0, "consecutive job failures before an endpoint's circuit opens (0 = default 5, negative = disabled)")
 		brOpenFor     = fs.Duration("breaker-open-for", 0, "how long an open circuit fast-fails before probing (0 = default 10s)")

@@ -116,10 +116,10 @@ func run(ctx context.Context, args []string) error {
 	}
 	var n int
 	sctx, sp := obs.StartSpan(ctx, "capsim.stream", obs.Int("days", *days))
-	err = s.Stream(sctx, nil, func(r headroom.Record) error {
+	err = s.Stream(sctx, nil, headroom.EachRecord(func(r headroom.Record) error {
 		n++
 		return write(r)
-	})
+	}))
 	sp.SetAttr(obs.Int("records", n))
 	sp.RecordError(err)
 	sp.End()

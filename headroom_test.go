@@ -55,10 +55,10 @@ func TestFacadeStream(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	var n int
-	if err := s.Stream(ctx, headroom.NewSimSource(cfg, 1), func(headroom.Record) error {
+	if err := s.Stream(ctx, headroom.NewSimSource(cfg, 1), headroom.EachRecord(func(headroom.Record) error {
 		n++
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
 	// 960 pool-D servers x 720 windows.

@@ -230,9 +230,9 @@ func TestTraceRoundTripThroughPipeline(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := trace.NewCSVWriter(&buf)
-	if err := writer.Stream(ctx, headroom.NewSimSource(fleet, 1), func(r headroom.Record) error {
+	if err := writer.Stream(ctx, headroom.NewSimSource(fleet, 1), headroom.EachRecord(func(r headroom.Record) error {
 		return w.Write(r)
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -211,7 +211,7 @@ func poolAggregator(ctx context.Context, pool sim.PoolConfig, seed int64, ticks 
 		return nil, err
 	}
 	agg := metrics.NewAggregator()
-	if err := s.RunContext(ctx, ticks, func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunSteps(ctx, ticks, func(step []trace.Record) error { agg.AddAll(step); return nil }); err != nil {
 		return nil, err
 	}
 	return agg, nil

@@ -182,7 +182,7 @@ func Fig15(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	agg := metrics.NewAggregator()
-	if err := s.RunContext(ctx, days*s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunSteps(ctx, days*s.TicksPerDay(), func(step []trace.Record) error { agg.AddAll(step); return nil }); err != nil {
 		return nil, err
 	}
 	series := map[string][]float64{}

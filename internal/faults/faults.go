@@ -144,6 +144,17 @@ func (in *Injector) onceFired(key string) bool {
 	return false
 }
 
+// fires decides whether rule ri fires before the ord-th matching record (or
+// call) of a stream: at a listed offset — once per (scope, rule, offset)
+// unless the rule is Permanent — or else by a probability draw.
+func (in *Injector) fires(scope string, ri, ord int, draw func() float64) bool {
+	rule := &in.rules[ri]
+	if rule.hasOffset(ord) && (rule.Kind == Permanent || !in.onceFired(fmt.Sprintf("%s/%d/%d", scope, ri, ord))) {
+		return true
+	}
+	return rule.Prob > 0 && draw() < rule.Prob
+}
+
 // Source wraps src with fault injection. The wrapper preserves sharding
 // (each shard gets a decorrelated but reproducible random stream) and pool
 // attribution (headroom.PoolNamer), so it can sit under
@@ -163,39 +174,42 @@ type faultSource struct {
 	rng *rand.Rand
 }
 
-func (f *faultSource) Stream(ctx context.Context, emit func(headroom.Record) error) error {
+func (f *faultSource) Stream(ctx context.Context, emit func([]headroom.Record) error) error {
 	// Per-rule matching-record ordinals restart every attempt; the rng and
 	// one-shot set persist across attempts so probability draws advance and
 	// one-shot offsets stay consumed.
 	counts := make([]int, len(f.in.rules))
-	return f.src.Stream(ctx, func(r headroom.Record) error {
-		for ri := range f.in.rules {
-			rule := &f.in.rules[ri]
-			if !rule.matches(r.Pool) {
-				continue
-			}
-			ord := counts[ri]
-			counts[ri]++
-			fire := false
-			if rule.hasOffset(ord) {
-				if rule.Kind == Permanent {
-					fire = true
-				} else {
-					fire = !f.in.onceFired(fmt.Sprintf("%s/%d/%d", f.scope, ri, ord))
+	draw := f.draw
+	return f.src.Stream(ctx, func(run []headroom.Record) error {
+		// Rules are evaluated record by record, so ordinals and draws do not
+		// depend on how the source cuts its runs. A fault fires before its
+		// record: the records ahead of it in the run are delivered first.
+		sent := 0
+		for i := range run {
+			r := &run[i]
+			for ri := range f.in.rules {
+				rule := &f.in.rules[ri]
+				if !rule.matches(r.Pool) {
+					continue
+				}
+				ord := counts[ri]
+				counts[ri]++
+				if !f.in.fires(f.scope, ri, ord, draw) {
+					continue
+				}
+				if sent < i {
+					if err := emit(run[sent:i]); err != nil {
+						return err
+					}
+					sent = i
+				}
+				where := fmt.Sprintf("before record %d of pool %s@%s", ord, r.Pool, r.DC)
+				if err := f.in.inject(ctx, rule, where); err != nil {
+					return err
 				}
 			}
-			if !fire && rule.Prob > 0 && f.draw() < rule.Prob {
-				fire = true
-			}
-			if !fire {
-				continue
-			}
-			where := fmt.Sprintf("before record %d of pool %s@%s", ord, r.Pool, r.DC)
-			if err := f.in.inject(ctx, rule, where); err != nil {
-				return err
-			}
 		}
-		return emit(r)
+		return emit(run[sent:])
 	})
 }
 
@@ -289,18 +303,7 @@ func (in *Injector) Func(fn jobs.Func) jobs.Func {
 		ord := int(calls.Add(1)) - 1
 		for ri := range in.rules {
 			rule := &in.rules[ri]
-			fire := false
-			if rule.hasOffset(ord) {
-				if rule.Kind == Permanent {
-					fire = true
-				} else {
-					fire = !in.onceFired(fmt.Sprintf("f/%d/%d", ri, ord))
-				}
-			}
-			if !fire && rule.Prob > 0 && draw() < rule.Prob {
-				fire = true
-			}
-			if !fire {
+			if !in.fires("f", ri, ord, draw) {
 				continue
 			}
 			where := fmt.Sprintf("before call %d", ord)

@@ -100,6 +100,31 @@ type poolAcc struct {
 // aggregates. The zero value is not usable; construct with NewAggregator.
 type Aggregator struct {
 	pools map[PoolKey]*poolAcc
+
+	// Ingest state, kept apart from pools so that aggregators holding equal
+	// data stay equal however they were fed: one cursor per pool that AddAll
+	// has touched, and the cursor of the last record.
+	cursors map[PoolKey]*poolCursor
+	last    *poolCursor
+}
+
+// poolCursor predicts where the next record of one pool lands. A fleet emits
+// a pool's servers in the same order every tick, so the server is usually the
+// one after the last (wrapping when the tick changes) and the tick is usually
+// the last one. The pool's maps remain the index: a wrong guess costs a
+// lookup, never a wrong answer.
+type poolCursor struct {
+	key     PoolKey
+	acc     *poolAcc
+	order   []orderedServer // servers in arrival order, at most one per known server
+	next    int             // index in order of the predicted next server
+	tick    int
+	tickAcc *tickAcc // acc.ticks[tick], nil until an online record needs it
+}
+
+type orderedServer struct {
+	name string
+	acc  *serverAcc
 }
 
 // NewAggregator returns an empty aggregator.
@@ -107,49 +132,98 @@ func NewAggregator() *Aggregator {
 	return &Aggregator{pools: make(map[PoolKey]*poolAcc)}
 }
 
-// Add ingests one record. Offline windows count toward availability but not
-// toward resource aggregates (an offline server serves no traffic).
+// Add ingests one record: a run of one (see AddAll).
 func (a *Aggregator) Add(r trace.Record) {
-	key := PoolKey{DC: r.DC, Pool: r.Pool}
+	a.AddAll([]trace.Record{r})
+}
+
+// AddAll ingests a run of records, reading them in place. Offline windows
+// count toward availability but not toward resource aggregates (an offline
+// server serves no traffic). Records may arrive in any order; a stream in
+// fleet order (pool, datacenter, tick, then servers in a fixed order) is
+// ingested without hashing.
+func (a *Aggregator) AddAll(rs []trace.Record) {
+	c := a.last
+	for i := range rs {
+		r := &rs[i]
+		if c == nil || r.Pool != c.key.Pool || r.DC != c.key.DC {
+			c = a.cursor(PoolKey{DC: r.DC, Pool: r.Pool})
+		}
+		if r.Tick != c.tick {
+			c.tick, c.tickAcc, c.next = r.Tick, nil, 0
+		}
+		var s *serverAcc
+		if n := c.next; n < len(c.order) && c.order[n].name == r.Server {
+			s, c.next = c.order[n].acc, n+1
+		} else {
+			s = c.lookupServer(r)
+		}
+		s.windows++
+		if !r.Online {
+			continue
+		}
+		s.online++
+		s.cpu = append(s.cpu, r.CPUPct)
+
+		t := c.tickAcc
+		if t == nil {
+			t = c.acc.ticks[r.Tick]
+			if t == nil {
+				t = &tickAcc{}
+				c.acc.ticks[r.Tick] = t
+			}
+			c.tickAcc = t
+		}
+		t.servers++
+		t.rps += r.RPS
+		t.cpu += r.CPUPct
+		t.latency += r.LatencyMs
+		t.netBytes += r.NetBytes
+		t.netPkts += r.NetPkts
+		t.memPages += r.MemPages
+		t.diskQueue += r.DiskQueue
+		t.diskRead += r.DiskRead
+		t.errs += r.Errors
+	}
+	a.last = c
+}
+
+// cursor returns the ingest cursor of a pool, creating the cursor and the
+// pool on first sight.
+func (a *Aggregator) cursor(key PoolKey) *poolCursor {
+	if c := a.cursors[key]; c != nil {
+		return c
+	}
 	p := a.pools[key]
 	if p == nil {
 		p = &poolAcc{ticks: make(map[int]*tickAcc), servers: make(map[string]*serverAcc)}
 		a.pools[key] = p
 	}
-	s := p.servers[r.Server]
-	if s == nil {
-		s = &serverAcc{generation: r.Generation}
-		p.servers[r.Server] = s
+	if a.cursors == nil {
+		a.cursors = make(map[PoolKey]*poolCursor)
 	}
-	s.windows++
-	if !r.Online {
-		return
-	}
-	s.online++
-	s.cpu = append(s.cpu, r.CPUPct)
-
-	t := p.ticks[r.Tick]
-	if t == nil {
-		t = &tickAcc{}
-		p.ticks[r.Tick] = t
-	}
-	t.servers++
-	t.rps += r.RPS
-	t.cpu += r.CPUPct
-	t.latency += r.LatencyMs
-	t.netBytes += r.NetBytes
-	t.netPkts += r.NetPkts
-	t.memPages += r.MemPages
-	t.diskQueue += r.DiskQueue
-	t.diskRead += r.DiskRead
-	t.errs += r.Errors
+	c := &poolCursor{key: key, acc: p}
+	a.cursors[key] = c
+	return c
 }
 
-// AddAll ingests a batch of records.
-func (a *Aggregator) AddAll(rs []trace.Record) {
-	for _, r := range rs {
-		a.Add(r)
+// lookupServer resolves a record the cursor mispredicted through the pool's
+// server index, creating the server on first sight. A server met at the end
+// of the learned order extends it, which is how the order is learned during
+// a pool's first tick (and relearned after Merge or UnmarshalBinary brought
+// servers in); the order never outgrows the server index, so a stream that
+// repeats or shuffles servers cannot make it grow.
+func (c *poolCursor) lookupServer(r *trace.Record) *serverAcc {
+	s := c.acc.servers[r.Server]
+	if s == nil {
+		s = &serverAcc{generation: r.Generation}
+		c.acc.servers[r.Server] = s
 	}
+	if c.next == len(c.order) && len(c.order) < len(c.acc.servers) {
+		c.order = append(c.order, orderedServer{name: r.Server, acc: s})
+		c.next++
+	}
+	return s
 }
 
 // Merge folds b's accumulated state into a, so record streams can be

@@ -135,7 +135,7 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	if d.remaining() != 0 {
 		return fmt.Errorf("metrics: %d trailing bytes after aggregator payload", d.remaining())
 	}
-	a.pools = pools
+	a.pools, a.cursors, a.last = pools, nil, nil
 	return nil
 }
 

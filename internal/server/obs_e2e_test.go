@@ -276,8 +276,9 @@ func TestDebugTracesChromeExport(t *testing.T) {
 }
 
 // fetchTrace polls /debug/traces?id= until the middleware has ended the
-// root span (its Duration turns nonzero) — the trace is registered at root
-// start, so it is visible before the request fully unwinds.
+// root span (its Duration turns nonzero) and the job span has ended too — the
+// trace is registered at root start, so it is visible before the request
+// fully unwinds.
 func fetchTrace(t *testing.T, base, id string) traceJSON {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -291,11 +292,16 @@ func fetchTrace(t *testing.T, base, id string) traceJSON {
 				t.Fatalf("unmarshal traces: %v", err)
 			}
 			if len(out.Traces) == 1 {
+				// The worker ends the job span after it has released the
+				// waiting request, so the request span can land first.
 				td := out.Traces[0]
+				var request, job bool
 				for _, sd := range td.Spans {
-					if strings.HasPrefix(sd.Name, "http.") && sd.Duration > 0 {
-						return td
-					}
+					request = request || strings.HasPrefix(sd.Name, "http.") && sd.Duration > 0
+					job = job || sd.Name == "jobs.job"
+				}
+				if request && job {
+					return td
 				}
 			}
 		}

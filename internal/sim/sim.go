@@ -69,6 +69,7 @@ type Simulator struct {
 	tick        time.Duration
 	ticksPerDay int
 	pools       []*poolState
+	step        []trace.Record // reused by fillStep
 }
 
 // New validates the configuration and builds a simulator. Actions are
@@ -202,10 +203,21 @@ func (s *Simulator) Run(ticks int, emit func(trace.Record) error) error {
 	return s.RunContext(context.Background(), ticks, emit)
 }
 
-// RunContext is Run with cancellation: it checks ctx at every pool-DC step
-// and returns ctx.Err() as soon as the context is done, leaving the
-// simulator's remaining timeline unevaluated.
+// RunContext is RunSteps for per-record callers: the same records in the same
+// order, handed to emit one at a time.
 func (s *Simulator) RunContext(ctx context.Context, ticks int, emit func(trace.Record) error) error {
+	if emit == nil {
+		return fmt.Errorf("sim: nil emit callback")
+	}
+	return s.RunSteps(ctx, ticks, trace.EachRecord(emit))
+}
+
+// RunSteps simulates [0, ticks) windows and emits the records of each
+// (pool, datacenter, tick) step as one slice, in Run's order. The slice is the
+// simulator's own buffer, overwritten by the next step: emit must not retain
+// it. ctx is checked at every step; once it is done RunSteps returns
+// ctx.Err(), leaving the simulator's remaining timeline unevaluated.
+func (s *Simulator) RunSteps(ctx context.Context, ticks int, emit func(step []trace.Record) error) error {
 	if ticks <= 0 {
 		return fmt.Errorf("sim: non-positive tick count %d", ticks)
 	}
@@ -221,7 +233,11 @@ func (s *Simulator) RunContext(ctx context.Context, ticks int, emit func(trace.R
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				if err := s.stepPoolDC(ps, st, di, tick, emit); err != nil {
+				step, err := s.stepPoolDC(ps, st, di, tick)
+				if err != nil {
+					return err
+				}
+				if err := emit(step); err != nil {
 					return err
 				}
 			}
@@ -231,11 +247,11 @@ func (s *Simulator) RunContext(ctx context.Context, ticks int, emit func(trace.R
 }
 
 // RunCollect simulates and returns all records in memory. Intended for
-// small fleets and tests; large fleets should stream through Run.
+// small fleets and tests; large fleets should stream through RunSteps.
 func (s *Simulator) RunCollect(ticks int) ([]trace.Record, error) {
 	var out []trace.Record
-	err := s.Run(ticks, func(r trace.Record) error {
-		out = append(out, r)
+	err := s.RunSteps(context.Background(), ticks, func(step []trace.Record) error {
+		out = append(out, step...)
 		return nil
 	})
 	if err != nil {
@@ -244,8 +260,9 @@ func (s *Simulator) RunCollect(ticks int) ([]trace.Record, error) {
 	return out, nil
 }
 
-// stepPoolDC advances one pool in one datacenter by one tick.
-func (s *Simulator) stepPoolDC(ps *poolState, st *poolDCState, dcIdx, tick int, emit func(trace.Record) error) error {
+// stepPoolDC advances one pool in one datacenter by one tick and returns the
+// step's records (see fillStep for the buffer's lifetime).
+func (s *Simulator) stepPoolDC(ps *poolState, st *poolDCState, dcIdx, tick int) ([]trace.Record, error) {
 	// Apply due actions.
 	for st.nextAction < len(st.actions) && st.actions[st.nextAction].Tick <= tick {
 		a := st.actions[st.nextAction]
@@ -271,42 +288,47 @@ func (s *Simulator) stepPoolDC(ps *poolState, st *poolDCState, dcIdx, tick int, 
 	// Offered load for this pool in this datacenter.
 	offered, err := ps.gen.RPS(dcIdx, tick)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	offered *= ps.cfg.Schedule.Multiplier(st.dc.Name, tick)
+	return s.fillStep(ps, st, tick, offered), nil
+}
 
-	// Determine availability per server, then share the offered load over
-	// the online ones (the pool's load balancer spreads requests evenly).
-	online := make([]bool, len(st.servers))
+// fillStep writes one record per server of st for this tick into the
+// simulator's reused step buffer and returns it; the next call overwrites it.
+// Availability is decided per server first, then the offered load is shared
+// over the online ones (the pool's load balancer spreads requests evenly) and
+// each online record is filled in place, in server order — the order of the
+// random draws.
+func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered float64) []trace.Record {
+	if cap(s.step) < len(st.servers) {
+		s.step = make([]trace.Record, len(st.servers))
+	}
+	step := s.step[:len(st.servers)]
 	nOnline := 0
-	for i := range st.servers {
-		online[i] = s.serverOnline(ps, st, i, tick)
-		if online[i] {
+	for i := range step {
+		srv := &st.servers[i]
+		online := s.serverOnline(ps, st, i, tick)
+		if online {
 			nOnline++
 		}
+		// Cleared and set through the pointer: assigning a composite literal
+		// would build the record on the stack and copy it over.
+		rec := &step[i]
+		*rec = trace.Record{}
+		rec.Tick, rec.DC, rec.Pool = tick, st.dc.Name, ps.cfg.Name
+		rec.Server, rec.Generation, rec.Online = srv.name, srv.gen.Name, online
 	}
 	var perServer float64
 	if nOnline > 0 {
 		perServer = offered / float64(nOnline)
 	}
-
-	for i := range st.servers {
-		rec := trace.Record{
-			Tick:       tick,
-			DC:         st.dc.Name,
-			Pool:       ps.cfg.Name,
-			Server:     st.servers[i].name,
-			Generation: st.servers[i].gen.Name,
-			Online:     online[i],
-		}
-		if online[i] {
-			rec = s.fillResponse(rec, ps.cfg.Response, st, st.servers[i], perServer, tick)
-		}
-		if err := emit(rec); err != nil {
-			return err
+	for i := range step {
+		if step[i].Online {
+			s.fillResponse(&step[i], &ps.cfg.Response, st, &st.servers[i], perServer, tick)
 		}
 	}
-	return nil
+	return step
 }
 
 // serverOnline evaluates the availability model for one server at one tick.
@@ -365,8 +387,8 @@ func (s *Simulator) localDayFrac(dc workload.Datacenter, tick int) float64 {
 }
 
 // fillResponse computes the server's resource and QoS response to its share
-// of the offered load.
-func (s *Simulator) fillResponse(rec trace.Record, rp ResponseParams, st *poolDCState, srv serverState, perServer float64, tick int) trace.Record {
+// of the offered load, in place.
+func (s *Simulator) fillResponse(rec *trace.Record, rp *ResponseParams, st *poolDCState, srv *serverState, perServer float64, tick int) {
 	rng := st.rng
 	rps := perServer * srv.rpsJitter
 	if rps < 0 {
@@ -415,7 +437,6 @@ func (s *Simulator) fillResponse(rec trace.Record, rp ResponseParams, st *poolDC
 	if rp.ErrorRate > 0 && rng.Float64() < rp.ErrorRate {
 		rec.Errors = float64(1 + rng.Intn(3))
 	}
-	return rec
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -457,8 +478,11 @@ func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offe
 		target:  servers,
 		servers: buildServers(pc, dcName, servers, ticksPerDay, rng),
 	}
+	// The offline harness drives load precisely: no availability model, so
+	// every server is online at every tick.
+	ps := &poolState{cfg: PoolConfig{Name: pc.Name, Response: pc.Response}}
 	sim := &Simulator{tick: workload.TickDuration, ticksPerDay: ticksPerDay}
-	var out []trace.Record
+	out := make([]trace.Record, 0, len(offered)*servers)
 	for tick, load := range offered {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -466,19 +490,7 @@ func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offe
 		if load < 0 {
 			return nil, fmt.Errorf("sim: negative offered load %v at tick %d", load, tick)
 		}
-		perServer := load / float64(servers)
-		for i := range st.servers {
-			rec := trace.Record{
-				Tick:       tick,
-				DC:         dcName,
-				Pool:       pc.Name,
-				Server:     st.servers[i].name,
-				Generation: st.servers[i].gen.Name,
-				Online:     true,
-			}
-			rec = sim.fillResponse(rec, pc.Response, st, st.servers[i], perServer, tick)
-			out = append(out, rec)
-		}
+		out = append(out, sim.fillStep(ps, st, tick, load)...)
 	}
 	return out, nil
 }

@@ -49,6 +49,19 @@ type Record struct {
 	Errors    float64 `json:"errors"`
 }
 
+// EachRecord adapts a per-record callback to a consumer of record runs: fn
+// sees every record of every run, in order, and its first error is returned.
+func EachRecord(fn func(Record) error) func([]Record) error {
+	return func(run []Record) error {
+		for i := range run {
+			if err := fn(run[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // Header is the CSV column order used by WriteCSV/ReadCSV.
 var Header = []string{
 	"tick", "dc", "pool", "server", "generation", "online",

@@ -20,8 +20,8 @@ import (
 // shard of a fan-out.
 type namedShard struct{ pools []string }
 
-func (n namedShard) Stream(context.Context, func(Record) error) error { return nil }
-func (n namedShard) PoolNames() []string                              { return n.pools }
+func (n namedShard) Stream(context.Context, func([]Record) error) error { return nil }
+func (n namedShard) PoolNames() []string                                { return n.pools }
 
 // poolAgg builds an aggregator holding one record of the named pool, so
 // merged aggregators are distinguishable by their pool keys.

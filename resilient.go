@@ -203,7 +203,7 @@ type errConsumer struct{ err error }
 
 func (e errConsumer) Error() string { return e.err.Error() }
 
-func (r *resilientSource) Stream(ctx context.Context, emit func(Record) error) error {
+func (r *resilientSource) Stream(ctx context.Context, emit func([]Record) error) error {
 	p := r.policy
 	rng := rand.New(rand.NewSource(p.Seed))
 	delivered := 0
@@ -215,17 +215,18 @@ func (r *resilientSource) Stream(ctx context.Context, emit func(Record) error) e
 			attemptCtx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
 		}
 		skip := delivered
-		err := safeStream(attemptCtx, r.src, func(rec Record) error {
-			if skip > 0 {
-				// Replay of an earlier attempt's records: drop them so the
-				// consumer sees each record exactly once.
-				skip--
+		err := safeStream(attemptCtx, r.src, func(run []Record) error {
+			// Replay of an earlier attempt's records: drop them, cutting the
+			// run they end in, so the consumer sees each record exactly once.
+			n := min(skip, len(run))
+			skip -= n
+			if run = run[n:]; len(run) == 0 {
 				return nil
 			}
-			if err := emit(rec); err != nil {
+			if err := emit(run); err != nil {
 				return errConsumer{err}
 			}
-			delivered++
+			delivered += len(run)
 			return nil
 		})
 		cancel()
@@ -264,7 +265,7 @@ func (r *resilientSource) Stream(ctx context.Context, emit func(Record) error) e
 
 // safeStream runs one stream attempt, converting a panic in the source into
 // a (permanent) error so one bad shard cannot take the process down.
-func safeStream(ctx context.Context, src Source, emit func(Record) error) (err error) {
+func safeStream(ctx context.Context, src Source, emit func([]Record) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("headroom: source panicked: %v", v)

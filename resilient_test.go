@@ -3,6 +3,7 @@ package headroom_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,12 +11,15 @@ import (
 	"headroom"
 )
 
-// scriptedSource deterministically replays recs, failing each attempt
-// according to failures: failures[attempt-1] = (#records to emit before
-// failing, error to fail with). Attempts beyond the script succeed.
+// scriptedSource deterministically replays recs in runs of runLen records
+// (0 = one record per run), failing each attempt according to failures:
+// failures[attempt-1] = (#records to emit before failing, error to fail
+// with); a failure point inside a run cuts the run there. Attempts beyond the
+// script succeed.
 type scriptedSource struct {
 	recs     []headroom.Record
 	failures []scriptedFailure
+	runLen   int
 	attempts int
 }
 
@@ -24,16 +28,25 @@ type scriptedFailure struct {
 	err   error
 }
 
-func (s *scriptedSource) Stream(ctx context.Context, emit func(headroom.Record) error) error {
+func (s *scriptedSource) Stream(ctx context.Context, emit func([]headroom.Record) error) error {
 	attempt := s.attempts
 	s.attempts++
-	for i, r := range s.recs {
-		if attempt < len(s.failures) && i == s.failures[attempt].after {
+	failAt := len(s.recs) + 1
+	if attempt < len(s.failures) {
+		failAt = s.failures[attempt].after
+	}
+	for i := 0; i < len(s.recs); {
+		if i == failAt {
 			return s.failures[attempt].err
 		}
-		if err := emit(r); err != nil {
+		end := min(i+max(s.runLen, 1), len(s.recs))
+		if i < failAt && failAt < end {
+			end = failAt
+		}
+		if err := emit(s.recs[i:end]); err != nil {
 			return err
 		}
+		i = end
 	}
 	return nil
 }
@@ -63,10 +76,10 @@ func TestResilientSourceRetriesTransientExactlyOnce(t *testing.T) {
 	rs := headroom.ResilientSource(src, policy)
 
 	var got []int
-	err := rs.Stream(context.Background(), func(r headroom.Record) error {
+	err := rs.Stream(context.Background(), headroom.EachRecord(func(r headroom.Record) error {
 		got = append(got, r.Tick)
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatalf("Stream = %v, want nil after retries", err)
 	}
@@ -87,11 +100,44 @@ func TestResilientSourceRetriesTransientExactlyOnce(t *testing.T) {
 	}
 }
 
+func TestResilientSourceResumesInsideRun(t *testing.T) {
+	// Runs of four; the first attempt dies two records into its first run,
+	// the second three records into its second. Each retry re-emits whole
+	// runs from the start, so the skip point falls inside a run both times.
+	src := &scriptedSource{
+		recs:   nRecords(10),
+		runLen: 4,
+		failures: []scriptedFailure{
+			{after: 2, err: headroom.Transient(errors.New("blip 1"))},
+			{after: 7, err: headroom.Transient(errors.New("blip 2"))},
+		},
+	}
+	rs := headroom.ResilientSource(src, fastRetry)
+	var got, runs []int
+	err := rs.Stream(context.Background(), func(run []headroom.Record) error {
+		runs = append(runs, len(run))
+		for _, r := range run {
+			got = append(got, r.Tick)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Stream = %v, want nil after retries", err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("records = %v, want each exactly once in order", got)
+	}
+	// [0,2) | skip 2 of [0,4), [4,7) | skip [0,4) and 3 of [4,8), [8,10).
+	if want := []int{2, 2, 3, 1, 2}; !reflect.DeepEqual(runs, want) {
+		t.Errorf("delivered run lengths = %v, want %v (empty runs are not delivered)", runs, want)
+	}
+}
+
 func TestResilientSourcePermanentNotRetried(t *testing.T) {
 	boom := errors.New("disk on fire")
 	src := &scriptedSource{recs: nRecords(3), failures: []scriptedFailure{{after: 1, err: boom}}}
 	rs := headroom.ResilientSource(src, fastRetry)
-	err := rs.Stream(context.Background(), func(headroom.Record) error { return nil })
+	err := rs.Stream(context.Background(), func([]headroom.Record) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the permanent error", err)
 	}
@@ -106,7 +152,7 @@ func TestResilientSourceExhaustsAttempts(t *testing.T) {
 		{after: 0, err: always}, {after: 0, err: always}, {after: 0, err: always}, {after: 0, err: always},
 	}}
 	rs := headroom.ResilientSource(src, fastRetry)
-	err := rs.Stream(context.Background(), func(headroom.Record) error { return nil })
+	err := rs.Stream(context.Background(), func([]headroom.Record) error { return nil })
 	if !headroom.IsTransient(err) {
 		t.Fatalf("err = %v, want the transient error surfaced after exhaustion", err)
 	}
@@ -119,12 +165,12 @@ func TestResilientSourceConsumerErrorNotRetried(t *testing.T) {
 	src := &scriptedSource{recs: nRecords(3)}
 	rs := headroom.ResilientSource(src, fastRetry)
 	sentinel := errors.New("consumer said stop")
-	err := rs.Stream(context.Background(), func(r headroom.Record) error {
+	err := rs.Stream(context.Background(), headroom.EachRecord(func(r headroom.Record) error {
 		if r.Tick == 1 {
 			return sentinel
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the consumer error as-is", err)
 	}
@@ -140,18 +186,13 @@ type stallingSource struct {
 	attempts int
 }
 
-func (s *stallingSource) Stream(ctx context.Context, emit func(headroom.Record) error) error {
+func (s *stallingSource) Stream(ctx context.Context, emit func([]headroom.Record) error) error {
 	s.attempts++
 	if s.attempts == 1 {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	for _, r := range s.recs {
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return emit(s.recs)
 }
 
 func TestResilientSourceAttemptTimeoutUnsticksStall(t *testing.T) {
@@ -160,7 +201,7 @@ func TestResilientSourceAttemptTimeoutUnsticksStall(t *testing.T) {
 	policy.AttemptTimeout = 20 * time.Millisecond
 	rs := headroom.ResilientSource(src, policy)
 	var got int
-	err := rs.Stream(context.Background(), func(headroom.Record) error { got++; return nil })
+	err := rs.Stream(context.Background(), func(run []headroom.Record) error { got += len(run); return nil })
 	if err != nil {
 		t.Fatalf("Stream = %v, want nil after the stalled attempt is retried", err)
 	}
@@ -171,13 +212,13 @@ func TestResilientSourceAttemptTimeoutUnsticksStall(t *testing.T) {
 
 type panicSource struct{}
 
-func (panicSource) Stream(context.Context, func(headroom.Record) error) error {
+func (panicSource) Stream(context.Context, func([]headroom.Record) error) error {
 	panic("wild pointer")
 }
 
 func TestResilientSourcePanicBecomesPermanentError(t *testing.T) {
 	rs := headroom.ResilientSource(panicSource{}, fastRetry)
-	err := rs.Stream(context.Background(), func(headroom.Record) error { return nil })
+	err := rs.Stream(context.Background(), func([]headroom.Record) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want recovered panic error", err)
 	}
@@ -194,7 +235,7 @@ func TestResilientSourceCancellationWins(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := rs.Stream(ctx, func(headroom.Record) error { return nil })
+	err := rs.Stream(ctx, func([]headroom.Record) error { return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ctx deadline", err)
 	}

@@ -148,7 +148,7 @@ func WithShardRunner(run ShardRunner) Option {
 func streamShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
 	agg := metrics.NewAggregator()
 	var n int64
-	if err := sub.Stream(ctx, func(r Record) error { agg.Add(r); n++; return nil }); err != nil {
+	if err := sub.Stream(ctx, func(run []Record) error { agg.AddAll(run); n += int64(len(run)); return nil }); err != nil {
 		return nil, n, err
 	}
 	return agg, n, nil
@@ -492,10 +492,11 @@ func (s *Session) AggregateShard(ctx context.Context, index, of int) (*Aggregato
 	return s.runShard(ctx, subs[index], index, of)
 }
 
-// Stream streams a record source sequentially through emit, for workloads
-// too large to aggregate in one pass or for writing traces to disk. A nil
-// src uses the session's configured source.
-func (s *Session) Stream(ctx context.Context, src Source, emit func(Record) error) error {
+// Stream streams a record source sequentially through emit, a run at a time
+// (see Source.Stream; wrap a per-record callback with EachRecord), for
+// workloads too large to aggregate in one pass or for writing traces to disk.
+// A nil src uses the session's configured source.
+func (s *Session) Stream(ctx context.Context, src Source, emit func(run []Record) error) error {
 	if src == nil {
 		src = s.source
 	}

@@ -181,10 +181,10 @@ func TestSessionCustomSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []headroom.Record
-	if err := sim.Stream(ctx, headroom.NewSimSource(fleet, 1), func(r headroom.Record) error {
+	if err := sim.Stream(ctx, headroom.NewSimSource(fleet, 1), headroom.EachRecord(func(r headroom.Record) error {
 		recs = append(recs, r)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	want, err := sim.Simulate(ctx, 1)

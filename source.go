@@ -20,12 +20,22 @@ import (
 // paper) and in-memory trace replay (NewReplaySource, for traces read from
 // disk or built by hand).
 type Source interface {
-	// Stream emits every record through emit in deterministic order. It
+	// Stream emits every record through emit in deterministic order, a run
+	// at a time: each call carries one or more consecutive records of the
+	// stream (the simulator emits one (pool, datacenter, tick) step per
+	// call), and the runs concatenated are the stream, never reordered. A
+	// run is valid only during the call — the source may overwrite the slice
+	// afterwards — so a consumer that keeps records copies them. Stream
 	// honours ctx: when the context is cancelled mid-stream, Stream stops
 	// and returns ctx.Err(). A non-nil error from emit aborts the stream
 	// and is returned as-is.
-	Stream(ctx context.Context, emit func(Record) error) error
+	Stream(ctx context.Context, emit func(run []Record) error) error
 }
+
+// EachRecord adapts a per-record callback to Source.Stream's run callback:
+// fn sees every record of every run, in order, and its first error aborts the
+// stream.
+func EachRecord(fn func(Record) error) func([]Record) error { return trace.EachRecord(fn) }
 
 // ShardedSource is a Source that can split itself into disjoint sub-sources
 // for parallel consumption, one (pool, datacenter) group per shard at most.
@@ -58,7 +68,7 @@ func NewSimSource(cfg FleetConfig, days int, actions ...Action) ShardedSource {
 	return &simSource{cfg: cfg, days: days, actions: append([]Action(nil), actions...)}
 }
 
-func (s *simSource) Stream(ctx context.Context, emit func(Record) error) error {
+func (s *simSource) Stream(ctx context.Context, emit func([]Record) error) error {
 	sm, err := sim.New(s.cfg, s.actions...)
 	if err != nil {
 		return err
@@ -66,7 +76,7 @@ func (s *simSource) Stream(ctx context.Context, emit func(Record) error) error {
 	if s.days <= 0 {
 		return fmt.Errorf("headroom: non-positive simulation horizon %d days", s.days)
 	}
-	return sm.RunContext(ctx, s.days*sm.TicksPerDay(), emit)
+	return sm.RunSteps(ctx, s.days*sm.TicksPerDay(), emit)
 }
 
 // PoolNames lists the configured pools, attributing shard failures to pool
@@ -139,7 +149,7 @@ func NewSynthSource(pool PoolConfig, profile Profile, ticksPerLevel int, seed in
 // PoolNames identifies the single pool the replay drives.
 func (s *synthSource) PoolNames() []string { return []string{s.pool.Name} }
 
-func (s *synthSource) Stream(ctx context.Context, emit func(Record) error) error {
+func (s *synthSource) Stream(ctx context.Context, emit func([]Record) error) error {
 	recs, err := synth.ReplayContext(ctx, s.pool, s.profile, s.ticksPerLevel, s.seed)
 	if err != nil {
 		return err
@@ -161,7 +171,7 @@ func NewReplaySource(recs []Record) ShardedSource {
 	return &replaySource{recs: recs}
 }
 
-func (s *replaySource) Stream(ctx context.Context, emit func(Record) error) error {
+func (s *replaySource) Stream(ctx context.Context, emit func([]Record) error) error {
 	return emitAll(ctx, s.recs, emit)
 }
 
@@ -169,24 +179,38 @@ func (s *replaySource) Stream(ctx context.Context, emit func(Record) error) erro
 func (s *replaySource) PoolNames() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, r := range s.recs {
-		if !seen[r.Pool] {
-			seen[r.Pool] = true
-			out = append(out, r.Pool)
+	prev := ""
+	for i := range s.recs {
+		// Traces come in long runs of one pool: look up only on a change.
+		pool := s.recs[i].Pool
+		if i > 0 && pool == prev {
+			continue
+		}
+		prev = pool
+		if !seen[pool] {
+			seen[pool] = true
+			out = append(out, pool)
 		}
 	}
 	return out
 }
 
 func (s *replaySource) Shards(n int) []Source {
-	// Pass 1: collect the key set only; records are not copied yet.
+	// Pass 1: collect the key set only; records are not copied yet. Both
+	// passes consult the map only when the key differs from the previous
+	// record's, as metrics.Aggregator.AddAll does.
 	seen := make(map[metrics.PoolKey]int)
 	order := make([]metrics.PoolKey, 0, 8)
-	for _, r := range s.recs {
-		k := metrics.PoolKey{DC: r.DC, Pool: r.Pool}
-		if _, ok := seen[k]; !ok {
-			seen[k] = 0 // shard assigned after sorting
-			order = append(order, k)
+	var prev metrics.PoolKey
+	for i := range s.recs {
+		r := &s.recs[i]
+		if i > 0 && r.Pool == prev.Pool && r.DC == prev.DC {
+			continue
+		}
+		prev = metrics.PoolKey{DC: r.DC, Pool: r.Pool}
+		if _, ok := seen[prev]; !ok {
+			seen[prev] = 0 // shard assigned after sorting
+			order = append(order, prev)
 		}
 	}
 	if n > len(order) {
@@ -208,9 +232,14 @@ func (s *replaySource) Shards(n int) []Source {
 	// Pass 2: append each record straight to its shard. Per-key record
 	// order is preserved, which is all Merge's bit-identity needs.
 	shards := make([][]Record, n)
-	for _, r := range s.recs {
-		i := seen[metrics.PoolKey{DC: r.DC, Pool: r.Pool}]
-		shards[i] = append(shards[i], r)
+	shard := 0
+	for i := range s.recs {
+		r := &s.recs[i]
+		if i == 0 || r.Pool != prev.Pool || r.DC != prev.DC {
+			prev = metrics.PoolKey{DC: r.DC, Pool: r.Pool}
+			shard = seen[prev]
+		}
+		shards[shard] = append(shards[shard], *r)
 	}
 	out := make([]Source, n)
 	for i := range shards {
@@ -219,18 +248,19 @@ func (s *replaySource) Shards(n int) []Source {
 	return out
 }
 
-// emitAll streams a record slice through emit with periodic cancellation
-// checks.
-func emitAll(ctx context.Context, recs []trace.Record, emit func(Record) error) error {
-	for i, r := range recs {
-		if i%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := emit(r); err != nil {
+// emitAll streams a record slice through emit as runs of at most 1024
+// records — sub-slices of recs, not copies — checking for cancellation before
+// each.
+func emitAll(ctx context.Context, recs []trace.Record, emit func([]Record) error) error {
+	for len(recs) > 0 {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
+		n := min(len(recs), 1024)
+		if err := emit(recs[:n]); err != nil {
+			return err
+		}
+		recs = recs[n:]
 	}
 	return ctx.Err()
 }

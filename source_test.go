@@ -28,7 +28,7 @@ func TestReplaySourceEmpty(t *testing.T) {
 
 	// Streaming an empty slice emits nothing and succeeds.
 	var n int
-	if err := src.Stream(ctx, func(headroom.Record) error { n++; return nil }); err != nil {
+	if err := src.Stream(ctx, headroom.EachRecord(func(headroom.Record) error { n++; return nil })); err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
 	if n != 0 {
@@ -109,13 +109,13 @@ func TestReplaySourceCancellationMidStream(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var n int
-	err := src.Stream(ctx, func(headroom.Record) error {
+	err := src.Stream(ctx, headroom.EachRecord(func(headroom.Record) error {
 		n++
 		if n == 1500 {
 			cancel() // cancel mid-stream, away from a batch boundary
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Stream after mid-stream cancel = %v, want context.Canceled", err)
 	}
@@ -138,13 +138,13 @@ func TestReplaySourceEmitErrorAborts(t *testing.T) {
 	src := headroom.NewReplaySource(recs)
 	boom := errors.New("boom")
 	var n int
-	err := src.Stream(context.Background(), func(headroom.Record) error {
+	err := src.Stream(context.Background(), headroom.EachRecord(func(headroom.Record) error {
 		n++
 		if n == 10 {
 			return boom
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want emit error returned as-is", err)
 	}
@@ -168,12 +168,12 @@ func TestReplaySourceShardsPreserveAllRecords(t *testing.T) {
 	perKey := map[string][]int{}
 	var total int
 	for _, sh := range shards {
-		if err := sh.Stream(context.Background(), func(r headroom.Record) error {
+		if err := sh.Stream(context.Background(), headroom.EachRecord(func(r headroom.Record) error {
 			total++
 			key := fmt.Sprintf("%s@%s", r.Pool, r.DC)
 			perKey[key] = append(perKey[key], r.Tick)
 			return nil
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,6 +186,55 @@ func TestReplaySourceShardsPreserveAllRecords(t *testing.T) {
 				t.Errorf("%s: per-key order broken at %d (%d after %d)", key, i, ticks[i], ticks[i-1])
 				break
 			}
+		}
+	}
+}
+
+// TestReplaySourceRunsAndInterleavedKeys: a replay streams its slice as
+// consecutive sub-slices (no copies), and keys that alternate record by
+// record — the worst case for the previous-key shortcut in PoolNames and
+// Shards — are still named once each and sharded with per-key order intact.
+func TestReplaySourceRunsAndInterleavedKeys(t *testing.T) {
+	a, b, c := poolRecords("A", "DC 1", 1500), poolRecords("B", "DC 1", 1500), poolRecords("A", "DC 2", 1500)
+	var recs []headroom.Record
+	for i := range a {
+		recs = append(recs, a[i], b[i], c[i])
+	}
+	src := headroom.NewReplaySource(recs)
+
+	next := 0
+	if err := src.Stream(context.Background(), func(run []headroom.Record) error {
+		if len(run) == 0 || &run[0] != &recs[next] {
+			t.Fatalf("run at record %d (%d records) is not the next sub-slice of the replayed trace", next, len(run))
+		}
+		next += len(run)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next != len(recs) {
+		t.Fatalf("runs cover %d records, want %d", next, len(recs))
+	}
+
+	if got := src.(headroom.PoolNamer).PoolNames(); !reflect.DeepEqual(got, []string{"A", "B"}) {
+		t.Errorf("PoolNames = %v, want [A B]", got)
+	}
+	shards := src.Shards(3)
+	if len(shards) != 3 {
+		t.Fatalf("Shards(3) = %d shards, want one per key", len(shards))
+	}
+	for i, sh := range shards {
+		var got []headroom.Record
+		if err := sh.Stream(context.Background(), func(run []headroom.Record) error {
+			got = append(got, run...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Keys sort (A, DC 1), (A, DC 2), (B, DC 1) and deal round-robin.
+		if want := [][]headroom.Record{a, c, b}[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d: %d records of %s@%s, want the %d of %s@%s in order",
+				i, len(got), got[0].Pool, got[0].DC, len(want), want[0].Pool, want[0].DC)
 		}
 	}
 }
