@@ -115,14 +115,12 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	var n int
-	sctx, sp := obs.StartSpan(ctx, "capsim.stream", obs.Int("days", *days))
+	sctx, st := obs.StartStage(ctx, "capsim.stream", nil, obs.Int("days", *days))
 	err = s.Stream(sctx, nil, headroom.EachRecord(func(r headroom.Record) error {
 		n++
 		return write(r)
 	}))
-	sp.SetAttr(obs.Int("records", n))
-	sp.RecordError(err)
-	sp.End()
+	st.End(err, obs.Int("records", n))
 	if err != nil {
 		return err
 	}

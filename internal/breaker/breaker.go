@@ -72,7 +72,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Breaker is a consecutive-failure circuit breaker, safe for concurrent
-// use. Construct with New.
+// use. Construct with New. A nil *Breaker is a disabled breaker — it admits
+// everything, records nothing and reads Closed — so callers with breakers
+// switched off hold nil and call it unconditionally.
 type Breaker struct {
 	cfg Config
 
@@ -94,6 +96,9 @@ func New(cfg Config) *Breaker {
 // admits a single probe; in HalfOpen it admits one probe at a time. Every
 // Allow that returns true must be matched by Success, Failure or Release.
 func (b *Breaker) Allow() bool {
+	if b == nil {
+		return true
+	}
 	b.mu.Lock()
 	var transition func()
 	defer func() {
@@ -124,6 +129,9 @@ func (b *Breaker) Allow() bool {
 
 // Success records a successful request.
 func (b *Breaker) Success() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	var transition func()
 	switch b.state {
@@ -147,6 +155,9 @@ func (b *Breaker) Success() {
 
 // Failure records a failed request.
 func (b *Breaker) Failure() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	var transition func()
 	switch b.state {
@@ -172,6 +183,9 @@ func (b *Breaker) Failure() {
 // when the request never ran (queue full, server draining) so a half-open
 // probe slot is not leaked.
 func (b *Breaker) Release() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	if b.state == HalfOpen {
 		b.probing = false
@@ -183,6 +197,9 @@ func (b *Breaker) Release() {
 // when the open interval has elapsed is deliberately NOT done here: only
 // Allow transitions, so observation never mutates.
 func (b *Breaker) State() State {
+	if b == nil {
+		return Closed
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
@@ -192,6 +209,9 @@ func (b *Breaker) State() State {
 // retrying: the time until the breaker half-opens (minimum 1 s), or zero
 // when the breaker is not open.
 func (b *Breaker) RetryAfter() time.Duration {
+	if b == nil {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != Open {

@@ -227,7 +227,7 @@ type Client struct {
 	cfg      Config
 	http     *http.Client
 	peers    []string
-	breakers map[string]*breaker.Breaker // nil when disabled
+	breakers map[string]*breaker.Breaker // no entries when disabled: a nil *Breaker admits everything
 	lat      map[string]*stats.EWMA      // dispatch latency, the hedge delay's basis
 }
 
@@ -264,18 +264,15 @@ func New(cfg Config) (*Client, error) {
 		tr = http.DefaultTransport.(*http.Transport).Clone()
 	}
 	c := &Client{
-		cfg:   cfg,
-		http:  &http.Client{Transport: tr},
-		peers: peers,
-		lat:   make(map[string]*stats.EWMA, len(peers)),
-	}
-	if cfg.BreakerThreshold > 0 {
-		c.breakers = make(map[string]*breaker.Breaker, len(peers))
+		cfg:      cfg,
+		http:     &http.Client{Transport: tr},
+		peers:    peers,
+		breakers: make(map[string]*breaker.Breaker, len(peers)),
+		lat:      make(map[string]*stats.EWMA, len(peers)),
 	}
 	for _, p := range peers {
 		c.lat[p] = &stats.EWMA{}
-		if c.breakers != nil {
-			p := p
+		if cfg.BreakerThreshold > 0 {
 			c.breakers[p] = breaker.New(breaker.Config{
 				Threshold: cfg.BreakerThreshold,
 				OpenFor:   cfg.BreakerOpenFor,
@@ -297,12 +294,7 @@ func (c *Client) Peers() []string { return append([]string(nil), c.peers...) }
 
 // BreakerState returns a worker's breaker position (Closed when breakers
 // are disabled).
-func (c *Client) BreakerState(peer string) breaker.State {
-	if br := c.breakers[peer]; br != nil {
-		return br.State()
-	}
-	return breaker.Closed
-}
+func (c *Client) BreakerState(peer string) breaker.State { return c.breakers[peer].State() }
 
 // OpenBreakers counts workers whose breaker is currently open, and the
 // total worker count — the worker-fleet health signal /readyz reports.
@@ -378,7 +370,7 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 		for next < len(order) {
 			peer := order[next]
 			next++
-			if br := c.breakers[peer]; br != nil && !br.Allow() {
+			if !c.breakers[peer].Allow() {
 				c.event(Event{Kind: EventSkip, Peer: peer})
 				continue
 			}
@@ -473,9 +465,7 @@ func (c *Client) send(ctx context.Context, peer string, sh Shard, hedged bool) a
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+c.cfg.Path, bytes.NewReader(sh.Body))
 	if err != nil {
-		if br != nil {
-			br.Release()
-		}
+		br.Release()
 		out.err = fmt.Errorf("dist: build request for %s: %w", peer, err)
 		return out
 	}
@@ -491,19 +481,13 @@ func (c *Client) send(ctx context.Context, peer string, sh Shard, hedged bool) a
 	if err != nil {
 		switch {
 		case errors.Is(ctx.Err(), context.Canceled):
-			if br != nil {
-				br.Release()
-			}
+			br.Release()
 			out.err, out.canceled = ctx.Err(), true
 		case ctx.Err() != nil: // attempt deadline: the worker was too slow
-			if br != nil {
-				br.Failure()
-			}
+			br.Failure()
 			out.err, out.transient = ctx.Err(), true
 		default:
-			if br != nil {
-				br.Failure()
-			}
+			br.Failure()
 			out.err, out.transient = fmt.Errorf("dist: dispatch to %s: %w", peer, err), true
 		}
 		return out
@@ -515,44 +499,32 @@ func (c *Client) send(ctx context.Context, peer string, sh Shard, hedged bool) a
 			// The dispatch cancelled this attempt mid-read because a sibling
 			// won; the worker did nothing wrong, so the outcome is neutral —
 			// charging a Failure here opens an innocent worker's breaker.
-			if br != nil {
-				br.Release()
-			}
+			br.Release()
 			out.err, out.canceled = ctx.Err(), true
 			return out
 		}
-		if br != nil {
-			br.Failure()
-		}
+		br.Failure()
 		out.err, out.transient = fmt.Errorf("dist: read response from %s: %w", peer, err), true
 		return out
 	}
 	if len(body) > maxResponseBytes {
-		if br != nil {
-			br.Failure()
-		}
+		br.Failure()
 		out.err = fmt.Errorf("dist: response from %s exceeds %d bytes", peer, maxResponseBytes)
 		return out
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if br != nil {
-			br.Success()
-		}
+		br.Success()
 		c.lat[peer].Observe(out.d)
 		out.body = body
 		return out
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		// The worker is healthy; the request itself was rejected. Permanent.
-		if br != nil {
-			br.Success()
-		}
+		br.Success()
 		out.err = &WorkerError{Peer: peer, Status: resp.StatusCode, Msg: errMsg(body)}
 		return out
 	default: // 5xx: the worker is overloaded or broken; reroutable.
-		if br != nil {
-			br.Failure()
-		}
+		br.Failure()
 		out.err = &WorkerError{Peer: peer, Status: resp.StatusCode, Msg: errMsg(body)}
 		out.transient = true
 		return out

@@ -179,16 +179,8 @@ func fleetAggregator(ctx context.Context, seed int64, days int) (*metrics.Aggreg
 	if ok {
 		return agg, nil
 	}
-	cfg := sim.DefaultFleet(seed)
-	s, err := sim.New(cfg)
+	agg, err := aggregateFleet(ctx, sim.DefaultFleet(seed), days*720)
 	if err != nil {
-		return nil, err
-	}
-	agg = metrics.NewAggregator()
-	if err := s.RunContext(ctx, days*s.TicksPerDay(), func(r trace.Record) error {
-		agg.Add(r)
-		return nil
-	}); err != nil {
 		return nil, err
 	}
 	fleetMu.Lock()
@@ -197,15 +189,10 @@ func fleetAggregator(ctx context.Context, seed int64, days int) (*metrics.Aggreg
 	return agg, nil
 }
 
-// poolAggregator simulates a single-pool fleet (cheaper than the whole
-// default fleet) with optional actions, returning the aggregator.
-func poolAggregator(ctx context.Context, pool sim.PoolConfig, seed int64, ticks int, actions ...sim.Action) (*metrics.Aggregator, error) {
-	cfg := sim.FleetConfig{
-		DCs:               nineRegions(),
-		Pools:             []sim.PoolConfig{pool},
-		WorkloadNoiseFrac: 0.03,
-		Seed:              seed,
-	}
+// aggregateFleet simulates cfg for ticks windows, applying actions at their
+// scheduled ticks, and aggregates every record: the one simulate-and-ingest
+// loop of the package.
+func aggregateFleet(ctx context.Context, cfg sim.FleetConfig, ticks int, actions ...sim.Action) (*metrics.Aggregator, error) {
 	s, err := sim.New(cfg, actions...)
 	if err != nil {
 		return nil, err
@@ -215,6 +202,17 @@ func poolAggregator(ctx context.Context, pool sim.PoolConfig, seed int64, ticks 
 		return nil, err
 	}
 	return agg, nil
+}
+
+// poolAggregator simulates a single-pool fleet (cheaper than the whole
+// default fleet) with optional actions, returning the aggregator.
+func poolAggregator(ctx context.Context, pool sim.PoolConfig, seed int64, ticks int, actions ...sim.Action) (*metrics.Aggregator, error) {
+	return aggregateFleet(ctx, sim.FleetConfig{
+		DCs:               nineRegions(),
+		Pools:             []sim.PoolConfig{pool},
+		WorkloadNoiseFrac: 0.03,
+		Seed:              seed,
+	}, ticks, actions...)
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -177,12 +177,8 @@ func Fig15(ctx context.Context, cfg Config) (*Result, error) {
 		WorkloadNoiseFrac: 0.03,
 		Seed:              cfg.Seed,
 	}
-	s, err := sim.New(fleet)
+	agg, err := aggregateFleet(ctx, fleet, days*720)
 	if err != nil {
-		return nil, err
-	}
-	agg := metrics.NewAggregator()
-	if err := s.RunSteps(ctx, days*s.TicksPerDay(), func(step []trace.Record) error { agg.AddAll(step); return nil }); err != nil {
 		return nil, err
 	}
 	series := map[string][]float64{}
@@ -192,7 +188,7 @@ func Fig15(ctx context.Context, cfg Config) (*Result, error) {
 		var combined []float64
 		var weight float64
 		for dc, n := range pc.Servers {
-			av, err := agg.PoolAvailability(dc, pc.Name, s.TicksPerDay())
+			av, err := agg.PoolAvailability(dc, pc.Name, 720)
 			if err != nil {
 				return nil, err
 			}

@@ -3,10 +3,8 @@ package experiments
 import (
 	"context"
 	"headroom/internal/measure"
-	"headroom/internal/metrics"
 	"headroom/internal/optimize"
 	"headroom/internal/sim"
-	"headroom/internal/trace"
 	"headroom/internal/validate"
 )
 
@@ -48,12 +46,8 @@ func Table4(ctx context.Context, cfg Config) (*Result, error) {
 		WorkloadNoiseFrac: 0.03,
 		Seed:              cfg.Seed + 700,
 	}
-	s, err := sim.New(fleet)
+	agg, err := aggregateFleet(ctx, fleet, days*720)
 	if err != nil {
-		return nil, err
-	}
-	agg := metrics.NewAggregator()
-	if err := s.RunSteps(ctx, days*s.TicksPerDay(), func(step []trace.Record) error { agg.AddAll(step); return nil }); err != nil {
 		return nil, err
 	}
 

@@ -30,6 +30,7 @@ import (
 
 	"headroom"
 	"headroom/internal/jobs"
+	"headroom/internal/retry"
 )
 
 // Kind is the class of an injected fault.
@@ -263,27 +264,14 @@ func (f *faultSource) Shards(n int) []headroom.Source {
 			in:    f.in,
 			src:   sub,
 			scope: fmt.Sprintf("%s/%d", f.scope, i),
-			seed:  mix(f.seed, int64(i)),
+			seed:  retry.DeriveSeed(f.seed, int64(i)),
 		}
 	}
 	return out
 }
 
 // PoolNames forwards the underlying source's pool attribution.
-func (f *faultSource) PoolNames() []string {
-	if pn, ok := f.src.(headroom.PoolNamer); ok {
-		return pn.PoolNames()
-	}
-	return nil
-}
-
-// mix folds a shard index into a seed (splitmix64 finalizer).
-func mix(seed, idx int64) int64 {
-	z := uint64(seed) + uint64(idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
+func (f *faultSource) PoolNames() []string { return headroom.PoolNames(f.src) }
 
 // Func wraps a job function with fault injection. Each invocation of the
 // wrapped function counts as one ordinal against every rule (pool filters
@@ -292,7 +280,7 @@ func mix(seed, idx int64) int64 {
 // panic isolation.
 func (in *Injector) Func(fn jobs.Func) jobs.Func {
 	var calls atomic.Int64
-	rng := rand.New(rand.NewSource(mix(in.seed, -7)))
+	rng := rand.New(rand.NewSource(retry.DeriveSeed(in.seed, -7)))
 	var mu sync.Mutex
 	draw := func() float64 {
 		mu.Lock()

@@ -73,12 +73,13 @@ type Job struct {
 	fn   Func
 	done chan struct{}
 
-	// span covers the job's whole lifetime (enqueue → terminal state) when
-	// the submitting context carried a trace; vals propagates the submit
-	// context's values (trace, request id) into the worker, detached from
-	// its cancellation.
-	span *obs.Span
-	vals context.Context
+	// stage covers the job's whole lifetime (enqueue → terminal state), with
+	// a span when the submitting context carried a trace; queued times the
+	// wait for a worker; vals propagates the submit context's values (trace,
+	// request id) into the worker, detached from its cancellation.
+	stage  obs.Stage
+	queued obs.Stage
+	vals   context.Context
 
 	mu        sync.Mutex
 	state     State
@@ -94,7 +95,7 @@ type Job struct {
 }
 
 // TraceID returns the trace the job was submitted under, or "".
-func (j *Job) TraceID() string { return j.span.TraceID() }
+func (j *Job) TraceID() string { return j.stage.Span().TraceID() }
 
 // State returns the job's current lifecycle phase.
 func (j *Job) State() State {
@@ -137,7 +138,7 @@ func (j *Job) Snapshot() Snapshot {
 		ID: j.ID, Kind: j.Kind, State: j.state,
 		Result: j.result, Err: j.err, Attempts: j.attempts,
 		Created: j.created, Started: j.started, Finished: j.finished,
-		TraceID: j.span.TraceID(),
+		TraceID: j.TraceID(),
 		Meta:    meta,
 	}
 }
@@ -262,8 +263,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Queue runs submitted jobs on a bounded worker pool and retains every job
-// (terminal or not) for lookup by ID until Forget or shutdown.
+// Retained is how many terminal jobs stay addressable by ID: once that many
+// later jobs have finished, Get no longer finds a finished job. Pending and
+// running jobs are always kept.
+const Retained = 4096
+
+// Queue runs submitted jobs on a bounded worker pool and keeps them for
+// lookup by ID: every non-terminal job, and the Retained most recently
+// finished ones.
 type Queue struct {
 	cfg    Config
 	pend   chan *Job
@@ -274,9 +281,11 @@ type Queue struct {
 
 	wg sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	closed bool
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	recent  [Retained]string // ring of terminal job IDs, oldest overwritten
+	retired int
+	closed  bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // seeded backoff jitter
@@ -334,9 +343,8 @@ func (q *Queue) SubmitCtx(ctx context.Context, kind string, fn Func) (*Job, erro
 		state:   Pending,
 		created: time.Now(),
 	}
-	vals, span := obs.StartSpan(ctx, "jobs.job", obs.Str("kind", kind), obs.Str("job_id", j.ID))
-	j.span = span
-	j.vals = vals
+	j.vals, j.stage = obs.StartStage(ctx, "jobs.job", nil, obs.Str("kind", kind), obs.Str("job_id", j.ID))
+	j.queued = obs.StartTimer(obs.QueueWaitSeconds)
 	if cb := q.cfg.OnStateChange; cb != nil {
 		j.onRunning = func(j *Job) { cb(j.Snapshot()) }
 		j.onFinish = func(j *Job) { cb(j.Snapshot()) }
@@ -371,14 +379,16 @@ func (q *Queue) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Forget drops a terminal job from the lookup table, bounding memory for
-// long-running servers. Non-terminal jobs are kept.
-func (q *Queue) Forget(id string) {
+// retire records that j is terminal and evicts the terminal job that
+// finished Retained jobs before it, bounding the table (and the closures,
+// request contexts and traces finished jobs pin) on a long-running server.
+func (q *Queue) retire(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j, ok := q.jobs[id]; ok && j.State().Terminal() {
-		delete(q.jobs, id)
-	}
+	slot := &q.recent[q.retired%Retained]
+	delete(q.jobs, *slot) // "" while the ring fills: deletes nothing
+	*slot = j.ID
+	q.retired++
 }
 
 // Stats is a point-in-time view of queue load.
@@ -433,26 +443,14 @@ func (q *Queue) worker() {
 	}
 }
 
-// valuesCtx carries cancellation and deadline from base while resolving
-// values through vals first — how a job runs under the queue's shutdown
-// context yet keeps the submitting request's trace linkage.
-type valuesCtx struct {
-	context.Context                 // base: cancellation, deadline
-	vals            context.Context // values: trace span, request metadata
-}
-
-func (c valuesCtx) Value(k any) any {
-	if v := c.vals.Value(k); v != nil {
-		return v
-	}
-	return c.Context.Value(k)
-}
-
 // run executes one job, retrying transient failures with exponential
 // backoff until MaxAttempts or the job deadline.
 func (q *Queue) run(j *Job) {
-	var ctx context.Context = valuesCtx{Context: q.hard, vals: j.vals}
-	var cancel context.CancelFunc
+	// The job keeps the submitting request's values (its trace linkage) but
+	// not its cancellation: what stops it is the queue's hard shutdown.
+	ctx, cancel := context.WithCancel(context.WithoutCancel(j.vals))
+	defer cancel()
+	defer context.AfterFunc(q.hard, cancel)()
 	if q.cfg.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, q.cfg.Timeout)
 		defer cancel()
@@ -462,33 +460,30 @@ func (q *Queue) run(j *Job) {
 
 	// Queue-wait vs run split: how long the job sat pending, then how long
 	// it executed (spanning retries).
-	pickup := time.Now()
-	wait := pickup.Sub(j.created)
-	obs.ObserveQueueWait(wait)
-	j.span.Event("jobs.queued", j.created, wait, obs.Int64("queue_wait_ns", wait.Nanoseconds()))
+	wait := j.queued.End(nil)
+	j.stage.Span().Event("jobs.queued", j.created, wait, obs.Int64("queue_wait_ns", wait.Nanoseconds()))
+	running := obs.StartTimer(obs.JobRunSeconds)
 	defer func() {
-		run := time.Since(pickup)
-		obs.ObserveJobRun(run)
+		run := running.End(nil)
 		snap := j.Snapshot()
-		j.span.SetAttr(
+		j.stage.End(snap.Err,
 			obs.Str("state", string(snap.State)),
 			obs.Int("attempts", snap.Attempts),
 			obs.Int64("queue_wait_ns", wait.Nanoseconds()),
 			obs.Int64("run_ns", run.Nanoseconds()),
 		)
-		if snap.Err != nil {
-			j.span.RecordError(snap.Err)
-		}
-		j.span.End()
+		// A retained job answers status queries only: drop the closure and
+		// the submitting request's context (payload, connection) it pins.
+		j.fn, j.vals = nil, nil
+		q.retire(j)
 	}()
 
 	backoff := q.cfg.Backoff
 	for attempt := 1; ; attempt++ {
 		j.setRunning()
-		attemptCtx, sp := obs.StartSpan(ctx, "jobs.attempt", obs.Int("attempt", attempt))
+		attemptCtx, st := obs.StartStage(ctx, "jobs.attempt", nil, obs.Int("attempt", attempt))
 		result, err := safeCall(attemptCtx, j.fn)
-		sp.RecordError(err)
-		sp.End()
+		st.End(err)
 		if err == nil {
 			j.finish(result, nil)
 			return

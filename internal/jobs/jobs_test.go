@@ -249,16 +249,86 @@ func TestOnStateChangeCallback(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
-	q := New(Config{Workers: 1})
+// TestRetainsRecentTerminalJobs pins the table's bound: once Retained+k jobs
+// have finished, the first k are gone and the last Retained are still
+// addressable — and a job that was pending, then running, while all of them
+// finished is never evicted.
+func TestRetainsRecentTerminalJobs(t *testing.T) {
+	const extra = 3
+	q := New(Config{Workers: 1, QueueDepth: Retained + extra + 1})
 	defer q.Close(context.Background())
 
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) { return nil, nil })
-	j.Wait(context.Background())
-	q.Forget(j.ID)
-	if _, ok := q.Get(j.ID); ok {
-		t.Error("job still visible after Forget")
+	ids := make([]string, Retained+extra)
+	for i := range ids {
+		j, err := q.Submit("test", func(context.Context) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		ids[i] = j.ID
 	}
+	started, release := make(chan struct{}), make(chan struct{})
+	last, err := q.Submit("test", func(context.Context) (any, error) {
+		close(started)
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, ok := q.Get(last.ID); !ok {
+		t.Fatal("pending job not addressable")
+	}
+	// The one worker starts the last job only after it has retired every
+	// job before it.
+	<-started
+	for i, id := range ids {
+		if _, ok := q.Get(id); ok != (i >= extra) {
+			t.Errorf("finished job %d of %d: addressable = %v, want %v", i, len(ids), ok, i >= extra)
+		}
+	}
+	if _, ok := q.Get(last.ID); !ok {
+		t.Error("running job evicted")
+	}
+	close(release)
+	last.Wait(context.Background())
+}
+
+// TestGetRacesEviction reads the table while finishing jobs evict from it;
+// the race detector is the judge.
+func TestGetRacesEviction(t *testing.T) {
+	q := New(Config{Workers: 4, QueueDepth: Retained + 500})
+	defer q.Close(context.Background())
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+					q.Get(fmt.Sprintf("j-%06d", n%(Retained+600)))
+				}
+			}
+		}()
+	}
+	for i := 0; i < Retained+500; i++ {
+		j, err := q.Submit("test", func(context.Context) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if i%8 == 0 {
+			j.Wait(context.Background())
+			if _, ok := q.Get(j.ID); !ok {
+				t.Fatalf("job %s gone right after finishing", j.ID)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestConcurrentSubmitAndGet(t *testing.T) {

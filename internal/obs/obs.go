@@ -282,10 +282,17 @@ func (s *Span) RecordError(err error) {
 
 // End finishes the span and records it on its trace. End is idempotent.
 func (s *Span) End() {
+	if s.Enabled() {
+		s.end(time.Since(s.start))
+	}
+}
+
+// end finishes the span with a duration the caller measured (Stage.End takes
+// one clock reading for the span and its series).
+func (s *Span) end(d time.Duration) {
 	if !s.Enabled() {
 		return
 	}
-	d := time.Since(s.start)
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()

@@ -39,3 +39,13 @@ func Jitter(rng *rand.Rand, backoff time.Duration) time.Duration {
 	}
 	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
+
+// DeriveSeed mixes a stream index into a base seed (splitmix64 finalizer) so
+// per-shard randomness — retry jitter, injected faults — is decorrelated but
+// reproducible.
+func DeriveSeed(seed, idx int64) int64 {
+	z := uint64(seed) + uint64(idx+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return int64(z ^ (z >> 31))
+}

@@ -40,11 +40,9 @@ import (
 // identical deterministic source from (days, seed, pools) and streams only
 // shard `shard` of `of`.
 type shardRequest struct {
-	Days  int      `json:"days"`
-	Seed  int64    `json:"seed"`
-	Pools []string `json:"pools,omitempty"`
-	Shard int      `json:"shard"`
-	Of    int      `json:"of"`
+	SimulateRequest
+	Shard int `json:"shard"`
+	Of    int `json:"of"`
 }
 
 // A worker answers 200 with the shard's aggregate as the raw body, in the
@@ -215,34 +213,32 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, r, fmt.Errorf("shard %d/%d out of range", sreq.Shard, sreq.Of))
 		return
 	}
-	simReq := SimulateRequest{Days: sreq.Days, Seed: sreq.Seed, Pools: sreq.Pools}
-	if err := simReq.Normalize(); err != nil {
+	if err := sreq.Normalize(); err != nil {
 		s.badRequest(w, r, err)
 		return
 	}
-	cfg, err := simReq.Fleet()
+	cfg, err := sreq.Fleet()
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
 	}
 
 	// The coordinator's trace id rides in as a span attribute so operators
-	// can hop from a job's trace to the worker-side shard spans.
-	ctx, sp := obs.StartSpan(r.Context(), "dist.shard.serve",
+	// can hop from a job's trace to the worker-side shard spans. The stage
+	// ends with whatever err holds when the handler returns.
+	ctx, st := obs.StartStage(r.Context(), "dist.shard.serve", nil,
 		obs.Int("shard", sreq.Shard), obs.Int("of", sreq.Of),
 		obs.Str("coordinator_trace_id", r.Header.Get(dist.TraceHeader)))
-	defer sp.End()
+	defer func() { st.End(err) }()
 
-	src := s.wrapSource(headroom.NewSimSource(cfg, simReq.Days), simReq.Seed)
+	src := s.wrapSource(headroom.NewSimSource(cfg, sreq.Days), sreq.Seed)
 	sess, err := headroom.New(context.Background(), headroom.WithSource(src))
 	if err != nil {
-		sp.RecordError(err)
 		writeJSON(w, http.StatusInternalServerError, errBody(r, err.Error()))
 		return
 	}
 	agg, records, err := sess.AggregateShard(ctx, sreq.Shard, sreq.Of)
 	if err != nil {
-		sp.RecordError(err)
 		// Transient shard failures (and this worker shutting down) are the
 		// coordinator's cue to reroute; anything else is permanent for this
 		// request on every worker.
@@ -255,11 +251,10 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 	}
 	enc, err := headroom.EncodeAggregator(agg)
 	if err != nil {
-		sp.RecordError(err)
 		writeJSON(w, http.StatusInternalServerError, errBody(r, err.Error()))
 		return
 	}
-	sp.SetAttr(obs.Int64("records", records), obs.Int("bytes", len(enc)))
+	st.Span().SetAttr(obs.Int64("records", records), obs.Int("bytes", len(enc)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(nodeHeader, s.hostname)
 	w.Header().Set(recordsHeader, strconv.FormatInt(records, 10))
@@ -284,13 +279,6 @@ func (s *Server) wrapSource(src headroom.Source, seed int64) headroom.Source {
 	return src
 }
 
-func poolNames(src headroom.Source) []string {
-	if pn, ok := src.(headroom.PoolNamer); ok {
-		return pn.PoolNames()
-	}
-	return nil
-}
-
 // --- coordinator half ----------------------------------------------------
 
 // shardRunner returns how this server executes the shards of req: nil (the
@@ -306,36 +294,31 @@ func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
 	}
 	var mu sync.Mutex
 	var placements []ShardPlacement
-	return func(ctx context.Context, sub headroom.Source, index, of int) (*headroom.Aggregator, int64, error) {
+	return func(ctx context.Context, sub headroom.Source, index, of int) (_ *headroom.Aggregator, _ int64, err error) {
 		// `of` is the count the source actually split into (never more than
 		// asked, fewer when it has fewer pools); every worker reproduces the
 		// identical split from it.
-		pools := poolNames(sub)
+		pools := headroom.PoolNames(sub)
 		key := strings.Join(pools, ",")
 		if key == "" {
 			key = "shard-" + strconv.Itoa(index)
 		}
-		body, err := json.Marshal(shardRequest{
-			Days: req.Days, Seed: req.Seed, Pools: req.Pools, Shard: index, Of: of,
-		})
+		body, err := json.Marshal(shardRequest{SimulateRequest: req, Shard: index, Of: of})
 		if err != nil {
 			return nil, 0, err
 		}
-		ctx, sp := obs.StartSpan(ctx, "dist.shard", obs.Int("shard", index), obs.Str("pool", key))
-		defer sp.End()
+		ctx, st := obs.StartStage(ctx, "dist.shard", nil, obs.Int("shard", index), obs.Str("pool", key))
+		defer func() { st.End(err) }()
 		res, err := s.dist.Dispatch(ctx, dist.Shard{Key: key, Index: index, Of: of, Body: body})
 		if err != nil {
-			sp.RecordError(err)
 			return nil, 0, err
 		}
-		sp.SetAttr(obs.Str("worker", res.Worker),
+		st.Span().SetAttr(obs.Str("worker", res.Worker),
 			obs.Bool("hedged", res.Hedged), obs.Int("attempts", res.Attempts))
 		agg, err := headroom.DecodeAggregator(res.Body)
 		if err != nil {
 			// Transient: the worker may answer cleanly when the job retries.
-			err = headroom.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", index, res.Worker, err))
-			sp.RecordError(err)
-			return nil, 0, err
+			return nil, 0, headroom.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", index, res.Worker, err))
 		}
 		// Re-annotate on every completion, in shard order, so the job status
 		// shows placements as they land.

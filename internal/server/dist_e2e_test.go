@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -458,11 +459,45 @@ func TestDistMetricsExposed(t *testing.T) {
 	leakcheck.Check(t)
 	workers := newDistWorkers(t, 2, nil)
 	_, coordTS := newCoordinator(t, workers, nil)
-	if _, got := submitWait(t, coordTS.URL, "/v1/simulate", `{"pools":["A","B"],"days":1}`); got.State != jobs.Done {
-		t.Fatalf("simulate failed: %s", got.Error)
+	_, got := submitWait(t, coordTS.URL, "/v1/plan", `{"pools":["A","B"],"days":1}`)
+	if got.State != jobs.Done {
+		t.Fatalf("plan failed: %s", got.Error)
 	}
 	_, body := getJSON(t, coordTS.URL+"/metrics")
 	text := string(body)
+
+	// The observable contract of one distributed plan job, pinned like the
+	// single-node one (TestPlanJobEndToEndObservability): the coordinator's
+	// trace plus every worker-side shard trace, and the /metrics inventory.
+	traces := [][]spanJSON{fetchTrace(t, coordTS.URL, got.TraceID).Spans}
+	deadline := time.Now().Add(5 * time.Second)
+	for served := 0; served < 2; { // a worker ends its request span after answering
+		traces, served = traces[:1], 0
+		for _, w := range workers {
+			for _, td := range w.srv.Tracer().Traces() {
+				var spans []spanJSON
+				for _, sd := range td.Spans {
+					spans = append(spans, spanJSON{SpanID: sd.SpanID, ParentID: sd.ParentID, Name: sd.Name, Attrs: sd.Attrs.Map()})
+					if sd.Name == "http.internal_shard" {
+						served++
+					}
+				}
+				traces = append(traces, spans)
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers finished %d shard requests, want 2", served)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if shape := spanShape(traces...); shape != wantDistPlanSpans {
+		t.Errorf("span shape of a distributed plan job changed:\n%s\nwant:\n%s", shape, wantDistPlanSpans)
+	}
+	wantMetrics := strings.Split(wantNodeMetrics+"\n"+wantDistMetrics, "\n")
+	sort.Strings(wantMetrics)
+	if shape := metricShape(t, text); shape != strings.Join(wantMetrics, "\n") {
+		t.Errorf("/metrics inventory changed:\n%s\nwant:\n%s", shape, strings.Join(wantMetrics, "\n"))
+	}
 	for _, family := range []string{
 		"capserved_dist_shards_dispatched_total",
 		"capserved_dist_shard_failures_total",
@@ -498,3 +533,39 @@ func TestDistMetricsExposed(t *testing.T) {
 		t.Errorf("total dispatched = %g, want >= 1", dispatched)
 	}
 }
+
+// Captured at the same commit as wantPlanSpans. Two pools make two shards;
+// each shard is a dist.shard under the coordinator's simulate.pool and one
+// worker-side http.internal_shard trace.
+const wantDistPlanSpans = `dist.shard <simulate.pool> [attempts hedged pool shard worker]
+dist.shard <simulate.pool> [attempts hedged pool shard worker]
+dist.shard.serve <http.internal_shard> [bytes coordinator_trace_id of records shard]
+dist.shard.serve <http.internal_shard> [bytes coordinator_trace_id of records shard]
+http.internal_shard <> [method path request_id]
+http.internal_shard <> [method path request_id]
+http.plan <> [method path request_id]
+jobs.attempt <jobs.job> [attempt]
+jobs.job <http.plan> [attempts job_id kind queue_wait_ns run_ns state]
+jobs.queued <jobs.job> [queue_wait_ns]
+session.aggregate <session.simulate> [degraded records shards]
+session.merge <session.aggregate> [shards]
+session.plan <jobs.attempt> [pools]
+session.simulate <jobs.attempt> [days]
+simulate.pool <dist.shard.serve> [degraded pool records shard]
+simulate.pool <dist.shard.serve> [degraded pool records shard]
+simulate.pool <session.aggregate> [degraded pool records shard]
+simulate.pool <session.aggregate> [degraded pool records shard]`
+
+// The coordinator's families beyond wantNodeMetrics.
+const wantDistMetrics = `capserved_dist_breaker_skips_total counter {}
+capserved_dist_breaker_transitions_total counter {peer,to}
+capserved_dist_hedge_wins_total counter {}
+capserved_dist_hedges_total counter {}
+capserved_dist_peers gauge {}
+capserved_dist_peers_open gauge {}
+capserved_dist_reroutes_total counter {}
+capserved_dist_shard_failures_total counter {peer}
+capserved_dist_shard_latency_seconds histogram {peer} le=0.001,0.005,0.025,0.1,0.25,1,2.5,10,30,+Inf
+capserved_dist_shards_dispatched_total counter {peer}
+capserved_dist_shards_exhausted_total counter {}
+capserved_dist_worker_breaker_state gauge {peer}`

@@ -205,46 +205,37 @@ type SimulateResult struct {
 	Failures []ShardFailure `json:"failures,omitempty"`
 }
 
-// simulateAggregate runs the request's fleet through the session layer and
-// returns the aggregate. The source is wrapped, innermost first, with the
-// chaos fault injector (Config.Faults) and the resilience layer
-// (Config.RetryAttempts); with Config.PartialResults the aggregation
-// tolerates failed pools and the returned *PartialError lists them (degraded
-// result). On a coordinator the same session dispatches its shards to the
-// worker fleet (shardRunner): the source then only defines the split, and
-// each worker wraps the shard it streams. Transient errors that escape the
-// resilience layer or the dispatcher carry the sentinel the job queue
-// retries on.
-func (s *Server) simulateAggregate(ctx context.Context, req SimulateRequest, plan *headroom.PlanConfig) (*headroom.Aggregator, *headroom.PartialError, error) {
+// session builds the one session a simulate or plan job runs on (plan is
+// the zero config for a job that never plans). The source is wrapped,
+// innermost first, with the chaos fault injector (Config.Faults) and the
+// resilience layer (Config.RetryAttempts). On a coordinator the same session
+// dispatches its shards to the worker fleet (shardRunner): the source then
+// only defines the split, and each worker wraps the shard it streams.
+// Transient errors that escape the resilience layer or the dispatcher carry
+// the sentinel the job queue retries on.
+func (s *Server) session(req SimulateRequest, plan headroom.PlanConfig) (*headroom.Session, error) {
 	cfg, err := req.Fleet()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	opts := []headroom.Option{
+	return headroom.New(context.Background(),
 		headroom.WithSource(s.wrapSource(headroom.NewSimSource(cfg, req.Days), req.Seed)),
 		headroom.WithShards(s.cfg.Shards),
 		headroom.WithPartialResults(s.cfg.PartialResults),
 		headroom.WithShardRunner(s.shardRunner(req)),
-	}
-	if plan != nil {
-		opts = append(opts, headroom.WithPlanConfig(*plan))
-	}
-	sess, err := headroom.New(context.Background(), opts...)
-	if err != nil {
-		return nil, nil, err
-	}
+		headroom.WithPlanConfig(plan))
+}
+
+// simulate runs the session's fleet and returns the aggregate; with
+// Config.PartialResults the aggregation tolerates failed pools and the
+// returned *PartialError lists them (degraded result).
+func simulate(ctx context.Context, sess *headroom.Session) (*headroom.Aggregator, *headroom.PartialError, error) {
 	agg, err := sess.Simulate(ctx, 0)
 	var pe *headroom.PartialError
 	if errors.As(err, &pe) && agg != nil {
 		return agg, pe, nil
 	}
 	return agg, nil, err
-}
-
-// planSession builds the session used by Plan over an already-computed
-// aggregate.
-func (s *Server) planSession(plan headroom.PlanConfig) (*headroom.Session, error) {
-	return headroom.New(context.Background(), headroom.WithPlanConfig(plan))
 }
 
 // BuildSimulateResult condenses an aggregate into the wire result for req.
@@ -289,7 +280,11 @@ func BuildSimulateResult(req SimulateRequest, agg *headroom.Aggregator, pe *head
 }
 
 func (s *Server) computeSimulate(ctx context.Context, req SimulateRequest) (any, error) {
-	agg, pe, err := s.simulateAggregate(ctx, req, nil)
+	sess, err := s.session(req, headroom.PlanConfig{})
+	if err != nil {
+		return nil, err
+	}
+	agg, pe, err := simulate(ctx, sess)
 	if err != nil {
 		return nil, err
 	}
@@ -421,12 +416,11 @@ func BuildPlanResult(req PlanRequest, plans []headroom.PoolPlan, pe *headroom.Pa
 }
 
 func (s *Server) computePlan(ctx context.Context, req PlanRequest) (any, error) {
-	planCfg := req.PlanConfig()
-	agg, pe, err := s.simulateAggregate(ctx, req.SimulateRequest, &planCfg)
+	sess, err := s.session(req.SimulateRequest, req.PlanConfig())
 	if err != nil {
 		return nil, err
 	}
-	sess, err := s.planSession(planCfg)
+	agg, pe, err := simulate(ctx, sess)
 	if err != nil {
 		return nil, err
 	}

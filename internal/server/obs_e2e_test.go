@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -166,7 +168,56 @@ func TestPlanJobEndToEndObservability(t *testing.T) {
 			t.Errorf("metrics missing %s", want)
 		}
 	}
+
+	// The observable contract, pinned: what one plan job shows an operator is
+	// this span tree and this metric inventory, whatever closes the stages.
+	if got := spanShape(td.Spans); got != wantPlanSpans {
+		t.Errorf("span shape of a plan job changed:\n%s\nwant:\n%s", got, wantPlanSpans)
+	}
+	if got := metricShape(t, metrics); got != wantNodeMetrics {
+		t.Errorf("/metrics inventory changed:\n%s\nwant:\n%s", got, wantNodeMetrics)
+	}
 }
+
+// The expected shapes were captured at the commit before obs.Stage existed
+// (hand-threaded StartSpan/time.Since/Observe* at every site).
+const wantPlanSpans = `http.plan <> [method path request_id]
+jobs.attempt <jobs.job> [attempt]
+jobs.job <http.plan> [attempts job_id kind queue_wait_ns run_ns state]
+jobs.queued <jobs.job> [queue_wait_ns]
+session.aggregate <session.simulate> [degraded records shards]
+session.merge <session.aggregate> [shards]
+session.plan <jobs.attempt> [pools]
+session.simulate <jobs.attempt> [days]
+simulate.pool <session.aggregate> [degraded pool records shard]
+simulate.pool <session.aggregate> [degraded pool records shard]`
+
+const wantNodeMetrics = `capserved_bad_requests_total counter {}
+capserved_breaker_fast_fails_total counter {kind}
+capserved_breaker_state gauge {kind}
+capserved_breaker_transitions_total counter {kind,to}
+capserved_cache_deduped_total counter {}
+capserved_cache_hits_total counter {}
+capserved_cache_misses_total counter {}
+capserved_cache_size gauge {}
+capserved_cache_uncacheable_total counter {}
+capserved_degraded_responses_total counter {kind}
+capserved_http_requests_total counter {handler}
+capserved_injected_faults_total counter {}
+capserved_job_retries_total counter {kind}
+capserved_jobs_completed_total counter {kind,state}
+capserved_jobs_running gauge {}
+capserved_jobs_submitted_total counter {kind}
+capserved_not_ready_total counter {}
+capserved_queue_depth gauge {}
+capserved_queue_rejections_total counter {}
+capserved_request_duration_seconds histogram {handler} le=0.001,0.005,0.025,0.1,0.25,1,2.5,10,30,+Inf
+capserved_source_retries_total counter {}
+capserved_workers gauge {}
+headroom_jobs_queue_wait_seconds histogram {} le=0.0001,0.0005,0.001,0.005,0.025,0.1,0.5,1,2.5,5,10,30,+Inf
+headroom_jobs_run_seconds histogram {} le=0.0001,0.0005,0.001,0.005,0.025,0.1,0.5,1,2.5,5,10,30,+Inf
+headroom_simulate_pool_duration_seconds histogram {pool} le=0.0001,0.0005,0.001,0.005,0.025,0.1,0.5,1,2.5,5,10,30,+Inf
+headroom_stage_duration_seconds histogram {stage} le=0.0001,0.0005,0.001,0.005,0.025,0.1,0.5,1,2.5,5,10,30,+Inf`
 
 func TestRequestIDPropagationAndErrorTraceID(t *testing.T) {
 	tracer := obs.NewTracer(8)
@@ -327,4 +378,98 @@ func metricLine(out, substr string) string {
 		}
 	}
 	return ""
+}
+
+// spanShape renders the observable shape of a set of traces: one line per
+// span — its name, its parent's name and its sorted attribute keys — sorted,
+// so the multiset of (name, parent, keys) is comparable as one string. Span
+// ids, timings and attribute values are deliberately absent: they vary run to
+// run, the shape must not.
+func spanShape(traces ...[]spanJSON) string {
+	var lines []string
+	for _, spans := range traces {
+		names := map[uint64]string{}
+		for _, sd := range spans {
+			names[sd.SpanID] = sd.Name
+		}
+		for _, sd := range spans {
+			keys := make([]string, 0, len(sd.Attrs))
+			for k := range sd.Attrs {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			lines = append(lines, fmt.Sprintf("%s <%s> [%s]", sd.Name, names[sd.ParentID], strings.Join(keys, " ")))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// metricShape renders the inventory of a /metrics exposition: one sorted line
+// per family — name, type, sorted label keys and, for histograms, the bucket
+// bounds — independent of label values and sample values.
+func metricShape(t *testing.T, text string) string {
+	t.Helper()
+	types := map[string]string{}
+	keys := map[string]map[string]bool{}
+	buckets := map[string][]string{}
+	for _, ln := range strings.Split(text, "\n") {
+		if f := strings.Fields(ln); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+			keys[f[2]] = map[string]bool{}
+			continue
+		}
+		if ln == "" || ln[0] == '#' {
+			continue
+		}
+		name, rest := ln, ""
+		if i := strings.IndexAny(ln, "{ "); i >= 0 {
+			name, rest = ln[:i], ln[i:]
+		}
+		family := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(name, suffix); base != name && types[base] == "histogram" {
+				family = base
+			}
+		}
+		if _, ok := types[family]; !ok {
+			t.Fatalf("sample %q has no TYPE line", ln)
+		}
+		for strings.HasPrefix(rest, "{") || strings.HasPrefix(rest, ",") {
+			rest = rest[1:]
+			eq := strings.Index(rest, `="`)
+			key := rest[:eq]
+			rest = rest[eq+2:]
+			end := 0
+			for rest[end] != '"' {
+				if rest[end] == '\\' {
+					end++
+				}
+				end++
+			}
+			if key == "le" {
+				if b := buckets[family]; len(b) == 0 || !slices.Contains(b, rest[:end]) {
+					buckets[family] = append(b, rest[:end])
+				}
+			} else {
+				keys[family][key] = true
+			}
+			rest = rest[end+1:]
+		}
+	}
+	var lines []string
+	for family, typ := range types {
+		ks := make([]string, 0, len(keys[family]))
+		for k := range keys[family] {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		line := fmt.Sprintf("%s %s {%s}", family, typ, strings.Join(ks, ","))
+		if b := buckets[family]; len(b) > 0 {
+			line += " le=" + strings.Join(b, ",")
+		}
+		lines = append(lines, line)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -180,13 +180,15 @@ func (c Config) readyHighWatermark(queueDepth int) int {
 // Server wires handlers, the job queue, the result cache, the per-endpoint
 // circuit breakers and metrics.
 type Server struct {
-	cfg      Config
-	queue    *jobs.Queue
-	cache    *jobcache.Cache
-	reg      *prom.Registry
-	mux      *http.ServeMux
-	handler  http.Handler
-	breakers map[string]*breaker.Breaker // by job kind; nil when disabled
+	cfg     Config
+	queue   *jobs.Queue
+	cache   *jobcache.Cache
+	reg     *prom.Registry
+	mux     *http.ServeMux
+	handler http.Handler
+	// breakers is keyed by job kind and has no entries when breakers are
+	// disabled: a nil *Breaker admits everything.
+	breakers map[string]*breaker.Breaker
 	readyHWM int
 	draining atomic.Bool
 	// rate is the mean job service time, so 503 responses can derive an
@@ -329,12 +331,7 @@ func (s *Server) initMetrics() {
 		kind := kind
 		s.reg.Gauge("capserved_breaker_state",
 			"Circuit-breaker position (0 closed, 1 open, 2 half-open).", prom.Labels{"kind": kind},
-			func() float64 {
-				if br := s.breakers[kind]; br != nil {
-					return float64(br.State())
-				}
-				return 0
-			})
+			func() float64 { return float64(s.breakers[kind].State()) })
 	}
 	for _, h := range append([]string{"jobs", "healthz", "readyz", "metrics", "internal_shard"}, jobKinds...) {
 		m.reqTotal[h] = s.reg.Counter("capserved_http_requests_total",
@@ -396,17 +393,13 @@ func (s *Server) onJobState(snap jobs.Snapshot) {
 			c.Inc()
 		}
 		s.observeCompletion(snap)
-		if br := s.breakerFor(snap.Kind); br != nil {
-			br.Success()
-		}
+		s.breakers[snap.Kind].Success()
 	case jobs.Failed:
 		if c, ok := s.m.jobsFailed[snap.Kind]; ok {
 			c.Inc()
 		}
 		s.observeCompletion(snap)
-		if br := s.breakerFor(snap.Kind); br != nil {
-			br.Failure()
-		}
+		s.breakers[snap.Kind].Failure()
 	}
 }
 
@@ -416,22 +409,11 @@ func (s *Server) observeCompletion(snap jobs.Snapshot) {
 	}
 }
 
-// breakerFor returns the endpoint's breaker, or nil when disabled.
-func (s *Server) breakerFor(kind string) *breaker.Breaker {
-	if s.breakers == nil {
-		return nil
-	}
-	return s.breakers[kind]
-}
-
 // BreakerState exposes an endpoint's breaker position for tests; the second
 // return is false when breakers are disabled.
 func (s *Server) BreakerState(kind string) (breaker.State, bool) {
-	br := s.breakerFor(kind)
-	if br == nil {
-		return breaker.Closed, false
-	}
-	return br.State(), true
+	br := s.breakers[kind]
+	return br.State(), br != nil
 }
 
 // retryAfterSeconds derives the Retry-After hint for a 503: the estimated
@@ -496,18 +478,16 @@ func (s *Server) instrument(name string, h http.Handler) http.Handler {
 			reqID = obs.NewID()
 		}
 		ctx := obs.WithTracer(r.Context(), s.cfg.Tracer)
-		ctx, sp := obs.StartSpan(ctx, "http."+name,
+		ctx, st := obs.StartStage(ctx, "http."+name, dur,
 			obs.Str("method", r.Method), obs.Str("path", r.URL.Path),
 			obs.Str("request_id", reqID))
 		w.Header().Set("X-Request-Id", reqID)
-		if id := sp.TraceID(); id != "" {
+		if id := st.Span().TraceID(); id != "" {
 			w.Header().Set("X-Trace-Id", id)
 		}
-		start := time.Now()
 		h.ServeHTTP(w, r.WithContext(ctx))
-		sp.End()
+		st.End(nil)
 		total.Inc()
-		dur.Observe(time.Since(start).Seconds())
 	})
 }
 
@@ -664,8 +644,8 @@ func (s *Server) handleSubmit(kind string) http.Handler {
 		// Circuit breaker: when this endpoint's jobs keep failing, reject
 		// immediately instead of queueing doomed work. Retry-After is the
 		// time until the breaker half-opens for a probe.
-		br := s.breakerFor(kind)
-		if br != nil && !br.Allow() {
+		br := s.breakers[kind]
+		if !br.Allow() {
 			s.m.breakerFastFail[kind].Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterCeil(br.RetryAfter())))
 			writeJSON(w, http.StatusServiceUnavailable,
@@ -676,9 +656,7 @@ func (s *Server) handleSubmit(kind string) http.Handler {
 		// shard count excluded (sharding never changes results).
 		key, err := jobcache.Key(kind, canonical)
 		if err != nil {
-			if br != nil {
-				br.Release()
-			}
+			br.Release()
 			s.badRequest(w, r, err)
 			return
 		}
@@ -690,24 +668,18 @@ func (s *Server) handleSubmit(kind string) http.Handler {
 		})
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			if br != nil {
-				br.Release() // the job never ran; don't leak a probe slot
-			}
+			br.Release() // the job never ran; don't leak a probe slot
 			s.m.queueFull.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(s.queue.Stats().Depth)))
 			writeJSON(w, http.StatusServiceUnavailable, errBody(r, err.Error()))
 			return
 		case errors.Is(err, jobs.ErrClosed):
-			if br != nil {
-				br.Release()
-			}
+			br.Release()
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(s.queue.Stats().Depth)))
 			writeJSON(w, http.StatusServiceUnavailable, errBody(r, "server is draining"))
 			return
 		case err != nil:
-			if br != nil {
-				br.Release()
-			}
+			br.Release()
 			writeJSON(w, http.StatusInternalServerError, errBody(r, err.Error()))
 			return
 		}

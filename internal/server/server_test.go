@@ -225,6 +225,52 @@ func TestJobNotFound(t *testing.T) {
 	}
 }
 
+// TestEvictedJobIs404: a finished job stays addressable until jobs.Retained
+// later jobs have finished, then answers 404 like an id that never existed.
+// Breakers are off, so the same run drives the submit and completion paths
+// over nil breakers.
+func TestEvictedJobIs404(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 8, JobTimeout: time.Minute, BreakerThreshold: -1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	})
+	code, body := postJSON(t, ts.URL+"/v1/simulate?wait=true", `{"pools":["B"],"days":1}`)
+	if code != http.StatusOK {
+		t.Fatalf("simulate = %d: %s", code, body)
+	}
+	if st, enabled := s.BreakerState("simulate"); enabled || st.String() != "closed" {
+		t.Errorf("BreakerState with breakers off = %s, %v; want closed, false", st, enabled)
+	}
+	var v jobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := getJSON(t, ts.URL+v.Self); code != http.StatusOK {
+		t.Fatalf("finished job = %d, want 200 while retained", code)
+	}
+	for i := 0; i < jobs.Retained; i++ {
+		j, err := s.queue.Submit("noop", func(context.Context) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		j.Wait(context.Background())
+	}
+	// The worker evicts just after it releases the waiter above.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, body = getJSON(t, ts.URL+v.Self)
+		if code == http.StatusNotFound || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code != http.StatusNotFound || !strings.Contains(string(body), "no job") {
+		t.Errorf("evicted job = %d %s, want 404 no job", code, body)
+	}
+}
+
 func TestValidateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	code, body := postJSON(t, ts.URL+"/v1/validate?wait=true",

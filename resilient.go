@@ -47,8 +47,9 @@ type PoolNamer interface {
 	PoolNames() []string
 }
 
-// poolNamesOf returns src's pool names when it implements PoolNamer.
-func poolNamesOf(src Source) []string {
+// PoolNames returns src's pool names when it implements PoolNamer, nil
+// otherwise.
+func PoolNames(src Source) []string {
 	if pn, ok := src.(PoolNamer); ok {
 		return pn.PoolNames()
 	}
@@ -289,23 +290,14 @@ func (r *resilientSource) Shards(n int) []Source {
 	out := make([]Source, len(subs))
 	for i, sub := range subs {
 		p := r.policy
-		p.Seed = deriveSeed(p.Seed, int64(i))
+		p.Seed = retry.DeriveSeed(p.Seed, int64(i))
 		out[i] = &resilientSource{src: sub, policy: p}
 	}
 	return out
 }
 
 // PoolNames forwards the underlying source's pool attribution.
-func (r *resilientSource) PoolNames() []string { return poolNamesOf(r.src) }
-
-// deriveSeed mixes a stream index into a base seed (splitmix64 finalizer) so
-// per-shard randomness is decorrelated but reproducible.
-func deriveSeed(seed, idx int64) int64 {
-	z := uint64(seed) + uint64(idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
+func (r *resilientSource) PoolNames() []string { return PoolNames(r.src) }
 
 var (
 	_ ShardedSource = (*resilientSource)(nil)

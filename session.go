@@ -283,26 +283,19 @@ func (s *Session) Simulate(ctx context.Context, days int, actions ...Action) (*A
 	return s.simulate(ctx, NewSimSource(s.fleet, days, actions...), days)
 }
 
-// simulate wraps the aggregation in the "simulate" stage span and metrics.
+// simulate wraps the aggregation in the "simulate" stage.
 func (s *Session) simulate(ctx context.Context, src Source, days int) (*Aggregator, error) {
-	ctx, sp := obs.StartSpan(ctx, "session.simulate", obs.Int("days", days))
-	start := time.Now()
+	ctx, st := obs.StartStage(ctx, "session.simulate", obs.StageSeconds("simulate"), obs.Int("days", days))
 	agg, err := s.Aggregate(ctx, src)
-	d := time.Since(start)
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{Stage: "simulate", Shard: -1, Duration: d, Degraded: isPartialErr(err), Err: err})
+	s.end(st, StageEvent{Stage: "simulate", Shard: -1, Degraded: isPartialErr(err), Err: err})
 	return agg, err
 }
 
-// stageDone feeds one completed stage (or shard) into the process-wide
-// stage metrics and the session's observer.
-func (s *Session) stageDone(ev StageEvent) {
-	if ev.Stage == "aggregate.shard" {
-		obs.ObservePool(ev.Pool, ev.Duration)
-	} else {
-		obs.ObserveStage(ev.Stage, ev.Duration)
-	}
+// end closes one stage (or shard): st.End stamps attrs and ev.Err on the
+// span and observes the duration series, and the duration it returns is the
+// one the observer's event carries.
+func (s *Session) end(st obs.Stage, ev StageEvent, attrs ...obs.Attr) {
+	ev.Duration = st.End(ev.Err, attrs...)
 	if s.observer != nil {
 		s.observer(ev)
 	}
@@ -328,18 +321,11 @@ func (s *Session) Aggregate(ctx context.Context, src Source) (*Aggregator, error
 	defer done()
 
 	subs := splitSource(src, s.shardCount())
-	ctx, sp := obs.StartSpan(ctx, "session.aggregate", obs.Int("shards", len(subs)))
-	start := time.Now()
+	ctx, st := obs.StartStage(ctx, "session.aggregate", obs.StageSeconds("aggregate"), obs.Int("shards", len(subs)))
 	agg, records, err := s.aggregate(ctx, subs)
-	d := time.Since(start)
 	degraded := isPartialErr(err)
-	sp.SetAttr(obs.Int64("records", records), obs.Bool("degraded", degraded))
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{
-		Stage: "aggregate", Shard: -1, Records: int(records),
-		Duration: d, Degraded: degraded, Err: err,
-	})
+	s.end(st, StageEvent{Stage: "aggregate", Shard: -1, Records: int(records), Degraded: degraded, Err: err},
+		obs.Int64("records", records), obs.Bool("degraded", degraded))
 	return agg, err
 }
 
@@ -382,13 +368,9 @@ func (s *Session) aggregate(ctx context.Context, subs []Source) (*Aggregator, in
 		records += n
 	}
 
-	_, sp := obs.StartSpan(ctx, "session.merge", obs.Int("shards", len(subs)))
-	start := time.Now()
+	_, st := obs.StartStage(ctx, "session.merge", obs.StageSeconds("merge"), obs.Int("shards", len(subs)))
 	out, err := mergeShards(ctx, s.partial, subs, aggs, errs)
-	d := time.Since(start)
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{Stage: "merge", Shard: -1, Duration: d, Degraded: isPartialErr(err), Err: err})
+	s.end(st, StageEvent{Stage: "merge", Shard: -1, Degraded: isPartialErr(err), Err: err})
 	return out, records, err
 }
 
@@ -398,22 +380,17 @@ func (s *Session) aggregate(ctx context.Context, subs []Source) (*Aggregator, in
 // flag), per-pool duration histogram and "aggregate.shard" event, and a
 // panic becomes that shard's error instead of tearing the process down.
 func (s *Session) runShard(ctx context.Context, sub Source, index, of int) (agg *Aggregator, records int64, err error) {
-	pools := strings.Join(poolNamesOf(sub), ",")
-	ctx, sp := obs.StartSpan(ctx, "simulate.pool", obs.Str("pool", pools), obs.Int("shard", index))
-	start := time.Now()
+	pools := strings.Join(PoolNames(sub), ",")
+	ctx, st := obs.StartStage(ctx, "simulate.pool", obs.PoolSeconds(pools), obs.Str("pool", pools), obs.Int("shard", index))
 	defer func() {
 		if v := recover(); v != nil {
 			agg, err = nil, fmt.Errorf("headroom: shard %d panicked: %v", index, v)
 		}
-		d := time.Since(start)
 		degraded := s.partial && err != nil
-		sp.SetAttr(obs.Int64("records", records), obs.Bool("degraded", degraded))
-		sp.RecordError(err)
-		sp.End()
-		s.stageDone(StageEvent{
+		s.end(st, StageEvent{
 			Stage: "aggregate.shard", Pool: pools, Shard: index,
-			Records: int(records), Duration: d, Degraded: degraded, Err: err,
-		})
+			Records: int(records), Degraded: degraded, Err: err,
+		}, obs.Int64("records", records), obs.Bool("degraded", degraded))
 	}()
 	return s.runner(ctx, sub, index, of)
 }
@@ -432,7 +409,7 @@ func mergeShards(ctx context.Context, partial bool, subs []Source, aggs []*Aggre
 	pe := &PartialError{Shards: len(subs)}
 	for i, err := range errs {
 		if err != nil {
-			pe.Failed = append(pe.Failed, PoolError{Shard: i, Pools: poolNamesOf(subs[i]), Err: err})
+			pe.Failed = append(pe.Failed, PoolError{Shard: i, Pools: PoolNames(subs[i]), Err: err})
 		}
 	}
 	if len(pe.Failed) > 0 && !partial {
@@ -515,14 +492,9 @@ func (s *Session) Stream(ctx context.Context, src Source, emit func(run []Record
 func (s *Session) Plan(ctx context.Context, agg *Aggregator) ([]PoolPlan, error) {
 	ctx, done := s.opCtx(ctx)
 	defer done()
-	ctx, sp := obs.StartSpan(ctx, "session.plan")
-	start := time.Now()
+	ctx, st := obs.StartStage(ctx, "session.plan", obs.StageSeconds("plan"))
 	plans, err := core.Plan(ctx, agg, s.plan)
-	d := time.Since(start)
-	sp.SetAttr(obs.Int("pools", len(plans)))
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{Stage: "plan", Shard: -1, Duration: d, Err: err})
+	s.end(st, StageEvent{Stage: "plan", Shard: -1, Err: err}, obs.Int("pools", len(plans)))
 	return plans, err
 }
 
@@ -540,13 +512,9 @@ func (s *Session) RunRSM(ctx context.Context, plant Plant, cfg RSMConfig) (RSMRe
 func (s *Session) Validate(ctx context.Context, cfg ValidateConfig, change Change) (ValidateReport, error) {
 	ctx, done := s.opCtx(ctx)
 	defer done()
-	ctx, sp := obs.StartSpan(ctx, "session.validate")
-	start := time.Now()
+	ctx, st := obs.StartStage(ctx, "session.validate", obs.StageSeconds("validate"))
 	report, err := validate.Run(ctx, cfg, change)
-	d := time.Since(start)
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{Stage: "validate", Shard: -1, Duration: d, Err: err})
+	s.end(st, StageEvent{Stage: "validate", Shard: -1, Err: err})
 	return report, err
 }
 
@@ -559,13 +527,9 @@ func (s *Session) Forecast(ctx context.Context, series []float64, ticksPerDay in
 	if err := ctx.Err(); err != nil {
 		return ForecastModel{}, err
 	}
-	_, sp := obs.StartSpan(ctx, "session.forecast", obs.Int("points", len(series)))
-	start := time.Now()
+	_, st := obs.StartStage(ctx, "session.forecast", obs.StageSeconds("forecast"), obs.Int("points", len(series)))
 	model, err := forecast.Fit(series, ticksPerDay)
-	d := time.Since(start)
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{Stage: "forecast", Shard: -1, Duration: d, Err: err})
+	s.end(st, StageEvent{Stage: "forecast", Shard: -1, Err: err})
 	return model, err
 }
 
