@@ -38,6 +38,9 @@ type Result struct {
 	Assignment []int // Assignment[i] is the cluster index of point i
 	Inertia    float64
 	Iterations int
+	// Silhouette is the mean silhouette SelectK scored this result by; zero
+	// for K == 1 and for results KMeans returns directly.
+	Silhouette float64
 }
 
 // Sizes returns the number of points in each cluster.
@@ -245,13 +248,14 @@ func Silhouette(points []Point, assignment []int, k int) (float64, error) {
 		sizes[c]++
 	}
 	var total float64
+	sums := make([]float64, k)
 	for i, p := range points {
 		ci := assignment[i]
 		if sizes[ci] <= 1 {
 			continue // silhouette of a singleton is 0
 		}
 		// Mean distance to own cluster (a) and nearest other cluster (b).
-		sums := make([]float64, k)
+		clear(sums)
 		for j, q := range points {
 			if i == j {
 				continue
@@ -312,6 +316,7 @@ func SelectK(points []Point, maxK int, minSilhouette float64, seed int64) (*Resu
 		}
 		if score > bestScore {
 			best = res
+			best.Silhouette = score
 			bestScore = score
 		}
 	}

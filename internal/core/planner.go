@@ -16,6 +16,7 @@ import (
 	"headroom/internal/metrics"
 	"headroom/internal/optimize"
 	"headroom/internal/sim"
+	"headroom/internal/stats"
 	"headroom/internal/workload"
 )
 
@@ -192,8 +193,8 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 			totals = append(totals, t.TotalRPS)
 		}
 	}
-	refLoad := percentile(loads, 95)
-	refTotal := percentile(totals, 95)
+	refLoad := stats.Percentile(loads, 95)
+	refTotal := stats.Percentile(totals, 95)
 	current := int(refTotal/refLoad + 0.5)
 	if current < 1 {
 		current = 1
@@ -213,26 +214,6 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 	plan.ForecastLatencyMs = fc.LatencyMs
 	plan.Plannable = true
 	return plan, nil
-}
-
-// percentile is a tiny local helper to avoid exporting stats through core's
-// API surface.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0]
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(rank)
-	if lo >= len(cp)-1 {
-		return cp[len(cp)-1]
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
 }
 
 // SimPlant adapts the simulator's controlled pool harness to the

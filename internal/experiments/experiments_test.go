@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -235,6 +236,33 @@ func TestTable4(t *testing.T) {
 	}
 	if lat := metric(t, res, "avg_latency_impact_ms (paper ~5)"); lat > 5.5 {
 		t.Errorf("avg latency impact = %v, want <= 5.5", lat)
+	}
+}
+
+// Pools C and G tie on "largest datacenter" and every pool sums availability
+// over its datacenters: both used to follow map order, so a fixed seed gave
+// three different tables.
+func TestTable4Deterministic(t *testing.T) {
+	assertDeterministic(t, "table4", 12)
+}
+
+// Fig15's daily availability was summed over the tick map and the datacenter
+// map, so its means moved in their last bits from run to run.
+func TestFig15Deterministic(t *testing.T) {
+	assertDeterministic(t, "fig15", 3)
+}
+
+func assertDeterministic(t *testing.T, id string, runs int) {
+	t.Helper()
+	want := run(t, id)
+	for i := 1; i < runs; i++ {
+		got := run(t, id)
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("run %d: %s rows differ at a fixed seed:\n got %v\nwant %v", i, id, got.Rows, want.Rows)
+		}
+		if !reflect.DeepEqual(got.Metrics, want.Metrics) {
+			t.Fatalf("run %d: %s metrics differ at a fixed seed:\n got %v\nwant %v", i, id, got.Metrics, want.Metrics)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"headroom/internal/measure"
 	"headroom/internal/metrics"
@@ -13,6 +14,17 @@ import (
 )
 
 func nineRegions() []workload.Datacenter { return workload.NineRegions() }
+
+// poolDCs returns the datacenters pc runs in, sorted by name: a choice or a
+// float sum over pc.Servers taken in map order differs from run to run.
+func poolDCs(pc sim.PoolConfig) []string {
+	dcs := make([]string, 0, len(pc.Servers))
+	for dc := range pc.Servers {
+		dcs = append(dcs, dc)
+	}
+	sort.Strings(dcs)
+	return dcs
+}
 
 // fleetServerSummaries collects every server summary in the fleet-day.
 func fleetServerSummaries(agg *metrics.Aggregator) ([]metrics.ServerSummary, error) {
@@ -187,7 +199,8 @@ func Fig15(ctx context.Context, cfg Config) (*Result, error) {
 		// (server-weighted mean of per-DC daily availability).
 		var combined []float64
 		var weight float64
-		for dc, n := range pc.Servers {
+		for _, dc := range poolDCs(pc) {
+			n := pc.Servers[dc]
 			av, err := agg.PoolAvailability(dc, pc.Name, 720)
 			if err != nil {
 				return nil, err

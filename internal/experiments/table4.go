@@ -53,10 +53,13 @@ func Table4(ctx context.Context, cfg Config) (*Result, error) {
 
 	var obs []optimize.PoolObservation
 	for _, pc := range pools {
-		// Representative series: the pool's largest datacenter.
+		// Representative series: the pool's largest datacenter, the first
+		// by name among equals.
+		dcs := poolDCs(pc)
 		bestDC, bestN := "", 0
 		total := 0
-		for dc, n := range pc.Servers {
+		for _, dc := range dcs {
+			n := pc.Servers[dc]
 			total += n
 			if n > bestN {
 				bestDC, bestN = dc, n
@@ -81,7 +84,7 @@ func Table4(ctx context.Context, cfg Config) (*Result, error) {
 		// Availability across every datacenter the pool runs in.
 		var avSum float64
 		var avN int
-		for dc := range pc.Servers {
+		for _, dc := range dcs {
 			sums, err := agg.ServerSummaries(dc, pc.Name)
 			if err != nil {
 				return nil, err

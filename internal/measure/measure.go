@@ -268,14 +268,7 @@ func GroupServers(sums []metrics.ServerSummary, maxK int, minSilhouette float64,
 	for i, a := range res.Assignment {
 		groups[a].Servers = append(groups[a].Servers, names[i])
 	}
-	g := Grouping{Groups: groups}
-	if res.K > 1 {
-		sil, err := cluster.Silhouette(points, res.Assignment, res.K)
-		if err != nil {
-			return Grouping{}, fmt.Errorf("measure: %w", err)
-		}
-		g.Silhouette = sil
-	}
+	g := Grouping{Groups: groups, Silhouette: res.Silhouette}
 	// Deterministic order: by ascending p95 centroid.
 	sort.Slice(g.Groups, func(i, j int) bool { return g.Groups[i].P95Centroid < g.Groups[j].P95Centroid })
 	return g, nil

@@ -329,29 +329,39 @@ func (a *Aggregator) ServerSummaries(dc, pool string) ([]ServerSummary, error) {
 		return nil, fmt.Errorf("metrics: no data for pool %s@%s", pool, dc)
 	}
 	out := make([]ServerSummary, 0, len(p.servers))
+	var sel stats.Selector
 	for name, s := range p.servers {
-		sum := ServerSummary{
-			Server:     name,
-			Generation: s.generation,
-			Windows:    s.windows,
-		}
-		if s.windows > 0 {
-			sum.Availability = float64(s.online) / float64(s.windows)
-		}
-		if len(s.cpu) > 0 {
-			sum.CPU = stats.Summarize(s.cpu)
-			ranks := []float64{5, 25, 50, 75, 95}
-			vals := []float64{sum.CPU.P5, sum.CPU.P25, sum.CPU.P50, sum.CPU.P75, sum.CPU.P95}
-			if fit, err := stats.LinearRegression(ranks, vals); err == nil {
-				sum.Slope = fit.Slope
-				sum.Intercept = fit.Intercept
-				sum.R2 = fit.R2
-			}
-		}
-		out = append(out, sum)
+		out = append(out, summarizeServer(&sel, name, s))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Server < out[j].Server })
 	return out, nil
+}
+
+// summaryRanks are the percentile ranks of stats.Summary's P5..P95, the x
+// axis of a server's percentile line.
+var summaryRanks = []float64{5, 25, 50, 75, 95}
+
+// summarizeServer is ServerSummaries' per-server work; on a Selector that
+// has seen a sample as long as s.cpu it allocates nothing.
+func summarizeServer(sel *stats.Selector, name string, s *serverAcc) ServerSummary {
+	sum := ServerSummary{
+		Server:     name,
+		Generation: s.generation,
+		Windows:    s.windows,
+	}
+	if s.windows > 0 {
+		sum.Availability = float64(s.online) / float64(s.windows)
+	}
+	if len(s.cpu) > 0 {
+		sum.CPU = sel.Summarize(s.cpu)
+		vals := [...]float64{sum.CPU.P5, sum.CPU.P25, sum.CPU.P50, sum.CPU.P75, sum.CPU.P95}
+		if fit, err := stats.LinearRegression(summaryRanks, vals[:]); err == nil {
+			sum.Slope = fit.Slope
+			sum.Intercept = fit.Intercept
+			sum.R2 = fit.R2
+		}
+	}
+	return sum
 }
 
 // PoolAvailability returns, for each day, the pool's mean online fraction
@@ -377,7 +387,13 @@ func (a *Aggregator) PoolAvailability(dc, pool string, ticksPerDay int) ([]float
 	days := maxTick/ticksPerDay + 1
 	online := make([]float64, days)
 	counts := make([]int, days)
-	for tick, t := range p.ticks {
+	// In tick order: a float sum taken in map order differs in its last bits
+	// from run to run.
+	for tick := 0; tick <= maxTick; tick++ {
+		t, ok := p.ticks[tick]
+		if !ok {
+			continue
+		}
 		d := tick / ticksPerDay
 		online[d] += float64(t.servers) / float64(total)
 		counts[d]++

@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"headroom/internal/stats"
 	"headroom/internal/trace"
 )
 
@@ -53,6 +55,28 @@ func TestPoolSeriesUnknownPool(t *testing.T) {
 	a := NewAggregator()
 	if _, err := a.PoolSeries("DC 1", "nope"); err == nil {
 		t.Error("unknown pool should error")
+	}
+}
+
+// ServerSummaries' per-server work runs 1 890 times per default-fleet plan;
+// on a Selector that has already seen a day of samples it must not allocate.
+func TestSummarizeServerDoesNotAllocate(t *testing.T) {
+	acc := &serverAcc{generation: "gen1", online: 720, windows: 720}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 720; i++ {
+		acc.cpu = append(acc.cpu, 40+12*rng.NormFloat64())
+	}
+	var sel stats.Selector
+	want := summarizeServer(&sel, "s1", acc)
+	if want.CPU.N != 720 || want.R2 == 0 {
+		t.Fatalf("summary not computed: %+v", want)
+	}
+	var got ServerSummary
+	if allocs := testing.AllocsPerRun(50, func() { got = summarizeServer(&sel, "s1", acc) }); allocs != 0 {
+		t.Errorf("summarizeServer on a warmed Selector allocated %v times per run", allocs)
+	}
+	if got != want {
+		t.Errorf("reused Selector changed the summary:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmptyInput is returned by functions that cannot operate on an empty
@@ -93,20 +92,14 @@ func Max(xs []float64) float64 {
 // monitoring systems). The input is not modified. It returns NaN for an
 // empty slice or a p outside [0, 100].
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || p < 0 || p > 100 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return Percentiles(xs, p)[0]
 }
 
 // PercentileSorted is like Percentile but requires xs to be sorted
 // ascending. It avoids the copy and sort, which matters in hot loops over
 // 120-second windows.
 func PercentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 || p < 0 || p > 100 {
+	if len(sorted) == 0 || !(p >= 0 && p <= 100) { // a NaN p is outside too
 		return math.NaN()
 	}
 	return percentileSorted(sorted, p)
@@ -127,8 +120,9 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Percentiles computes several percentiles in one pass over a single sorted
-// copy. ps are percentile ranks in [0, 100]; the result is parallel to ps.
+// Percentiles computes several percentiles over one selection of the ranks
+// they interpolate between (see Selector). ps are percentile ranks in
+// [0, 100]; the result is parallel to ps.
 func Percentiles(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(xs) == 0 {
@@ -137,16 +131,8 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 		}
 		return out
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		if p < 0 || p > 100 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = percentileSorted(sorted, p)
-	}
+	var s Selector
+	s.percentiles(out, xs, ps)
 	return out
 }
 
@@ -206,13 +192,17 @@ func RSquared(ys, preds []float64) (float64, error) {
 		d := ys[i] - my
 		ssTot += d * d
 	}
+	return rSquared(ssRes, ssTot), nil
+}
+
+func rSquared(ssRes, ssTot float64) float64 {
 	if ssTot == 0 {
 		if ssRes == 0 {
-			return 1, nil
+			return 1
 		}
-		return 0, nil
+		return 0
 	}
-	return 1 - ssRes/ssTot, nil
+	return 1 - ssRes/ssTot
 }
 
 // Summary holds the descriptive statistics the measurement pipeline reports
@@ -233,14 +223,6 @@ type Summary struct {
 // Summarize computes a Summary of xs. The zero Summary is returned for an
 // empty input (with N == 0 and NaN moments).
 func Summarize(xs []float64) Summary {
-	s := Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-	}
-	ps := Percentiles(xs, 5, 25, 50, 75, 95)
-	s.P5, s.P25, s.P50, s.P75, s.P95 = ps[0], ps[1], ps[2], ps[3], ps[4]
-	return s
+	var s Selector
+	return s.Summarize(xs)
 }

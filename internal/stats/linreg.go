@@ -47,15 +47,15 @@ func LinearRegression(xs, ys []float64) (LinearFit, error) {
 	slope := sxy / sxx
 	intercept := my - slope*mx
 	fit := LinearFit{Slope: slope, Intercept: intercept, N: len(xs)}
-	preds := make([]float64, len(xs))
+	// RSquared(ys, predictions) without materialising the predictions.
+	var ssRes, ssTot float64
 	for i, x := range xs {
-		preds[i] = fit.Predict(x)
+		r := ys[i] - fit.Predict(x)
+		ssRes += r * r
+		d := ys[i] - my
+		ssTot += d * d
 	}
-	r2, err := RSquared(ys, preds)
-	if err != nil {
-		return LinearFit{}, err
-	}
-	fit.R2 = r2
+	fit.R2 = rSquared(ssRes, ssTot)
 	return fit, nil
 }
 

@@ -116,10 +116,15 @@ func WinsorizedMean(xs []float64, frac float64) (float64, error) {
 	if frac < 0 || frac >= 0.5 {
 		return 0, fmt.Errorf("winsorized mean: fraction %v outside [0, 0.5)", frac)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	k := int(frac * float64(len(sorted)))
+	// Every rank from k to n-1-k, so the surviving middle is summed in
+	// ascending order; the clamped tails need no order.
+	k := int(frac * float64(len(xs)))
+	idx := make([]int, len(xs)-2*k)
+	for i := range idx {
+		idx[i] = k + i
+	}
+	var s Selector
+	sorted := s.place(xs, idx)
 	lo, hi := sorted[k], sorted[len(sorted)-1-k]
 	var sum float64
 	for _, x := range sorted {
