@@ -7,40 +7,42 @@
 //
 //	capsim -days 2 -pools B,D -out bd.csv
 //	capplan -in bd.csv -budget 5
+//	capsim -days 2 -pools B,D | capplan -in - -budget 5
 //
-// The trace is replayed through the same Source interface the simulator
-// streams through, so the planner is agnostic to where records came from.
+// The trace is decoded as it streams (CSV or JSON Lines, told from its first
+// byte) through the same Source interface the simulator streams through, so
+// the planner is agnostic to where records came from and holds a few chunks
+// of the trace, never the whole file.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"strings"
 
 	"headroom"
 	"headroom/internal/obs"
-	"headroom/internal/trace"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "capplan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string, out *os.File) error {
+func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("capplan", flag.ContinueOnError)
 	var (
-		in       = fs.String("in", "", "input trace file (csv or jsonl by extension)")
+		in       = fs.String("in", "", "input trace file, or - for stdin (csv or jsonl, told from the first byte)")
 		budget   = fs.Float64("budget", 5, "acceptable latency increase in ms")
 		seed     = fs.Int64("seed", 1, "seed for clustering and robust fits")
-		shards   = fs.Int("shards", 0, "parallel aggregation shards (0 = one per CPU)")
+		shards   = fs.Int("shards", 0, "accepted and ignored: a trace is decoded in parallel and aggregated in one ordered pass")
 		traceOut = fs.String("trace-out", "", "write a Chrome trace_event JSON of the run (load at chrome://tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -60,25 +62,16 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		return fail("budget must be positive milliseconds, got %v", *budget)
 	}
 	if *shards < 0 {
-		return fail("shards must be >= 0 (0 = one per CPU), got %d", *shards)
+		return fail("shards must be >= 0, got %d", *shards)
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return fmt.Errorf("open trace: %w", err)
-	}
-	defer f.Close()
-
-	var records []trace.Record
-	if strings.HasSuffix(*in, ".jsonl") {
-		records, err = trace.ReadJSONL(f)
-	} else {
-		records, err = trace.ReadCSV(f)
-	}
-	if err != nil {
-		return fmt.Errorf("read trace: %w", err)
-	}
-	if len(records) == 0 {
-		return fmt.Errorf("trace %q is empty", *in)
+	input := stdin
+	if *in != "-" {
+		f, err := os.Open(*in)
+		if err != nil {
+			return fmt.Errorf("open trace: %w", err)
+		}
+		defer f.Close()
+		input = f
 	}
 
 	if *traceOut != "" {
@@ -92,8 +85,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	}
 
 	s, err := headroom.New(ctx,
-		headroom.WithSource(headroom.NewReplaySource(records)),
-		headroom.WithShards(*shards),
+		headroom.WithSource(headroom.NewTraceSource(input)),
 		headroom.WithPlanConfig(headroom.PlanConfig{LatencyBudgetMs: *budget, Seed: *seed}),
 	)
 	if err != nil {
@@ -101,7 +93,10 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	}
 	agg, err := s.Aggregate(ctx, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("read trace: %w", err)
+	}
+	if len(agg.Pools()) == 0 {
+		return fmt.Errorf("trace %q is empty", *in)
 	}
 	plans, err := s.Plan(ctx, agg)
 	if err != nil {

@@ -6,6 +6,7 @@
 //
 //	capsim -days 1 -seed 1 -format csv -out fleet.csv
 //	capsim -days 2 -pools B,D -format jsonl -out bd.jsonl
+//	capsim -days 1 -pools B | capplan -in - -budget 5
 //
 // Interrupting the process (Ctrl-C) cancels the simulation mid-stream.
 package main
@@ -14,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -26,13 +28,13 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "capsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
 	var (
 		days     = fs.Int("days", 1, "days to simulate")
@@ -77,25 +79,28 @@ func run(ctx context.Context, args []string) error {
 		cfg.Pools = filtered
 	}
 
-	w := os.Stdout
+	w, closeOut := stdout, func() error { return nil }
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return fmt.Errorf("create output: %w", err)
 		}
+		// For the error paths; the success path checks Close below, where a
+		// failed write-back (full disk, NFS) surfaces.
 		defer f.Close()
-		w = f
+		w, closeOut = f, f.Close
 	}
 
-	var write func(trace.Record) error
+	var write func([]trace.Record) error
 	var flush func() error
+	var cw *trace.CSVWriter
 	switch *format {
 	case "csv":
-		cw := trace.NewCSVWriter(w)
-		write, flush = cw.Write, cw.Flush
+		cw = trace.NewCSVWriter(w)
+		write, flush = cw.WriteRun, cw.Flush
 	case "jsonl":
 		jw := trace.NewJSONLWriter(w)
-		write, flush = jw.Write, jw.Flush
+		write, flush = trace.EachRecord(jw.Write), jw.Flush
 	default:
 		return fmt.Errorf("unknown format %q (want csv or jsonl)", *format)
 	}
@@ -116,16 +121,27 @@ func run(ctx context.Context, args []string) error {
 	}
 	var n int
 	sctx, st := obs.StartStage(ctx, "capsim.stream", nil, obs.Int("days", *days))
-	err = s.Stream(sctx, nil, headroom.EachRecord(func(r headroom.Record) error {
-		n++
-		return write(r)
-	}))
+	_, enc := obs.StartStage(sctx, "trace.encode", nil, obs.Str("format", *format))
+	err = s.Stream(sctx, nil, func(run []headroom.Record) error {
+		n += len(run)
+		return write(run)
+	})
+	// Flush after a failed stream too: it is what stops the CSV writer's
+	// goroutines.
+	if ferr := flush(); err == nil {
+		err = ferr
+	}
+	attrs := []obs.Attr{obs.Int("records", n)}
+	if cw != nil {
+		attrs = append(attrs, obs.Int64("bytes", cw.Bytes), obs.Int("chunks", cw.Chunks))
+	}
+	enc.End(err, attrs...)
 	st.End(err, obs.Int("records", n))
 	if err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
-		return err
+	if err := closeOut(); err != nil {
+		return fmt.Errorf("close output: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "capsim: wrote %d records (%d pools, %d days, seed %d)\n",
 		n, len(cfg.Pools), *days, *seed)

@@ -10,12 +10,15 @@ package trace
 
 import (
 	"bufio"
-	"encoding/csv"
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
+	"slices"
+
+	"headroom/internal/obs"
 )
 
 // Record is one 120-second observation window for one server.
@@ -62,115 +65,21 @@ func EachRecord(fn func(Record) error) func([]Record) error {
 	}
 }
 
-// Header is the CSV column order used by WriteCSV/ReadCSV.
-var Header = []string{
-	"tick", "dc", "pool", "server", "generation", "online",
-	"rps", "cpu_pct", "latency_ms",
-	"net_bytes", "net_pkts", "mem_pages", "disk_queue", "disk_read", "errors",
-}
-
-// fields renders the record as CSV fields in Header order.
-func (r Record) fields() []string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return []string{
-		strconv.Itoa(r.Tick), r.DC, r.Pool, r.Server, r.Generation,
-		strconv.FormatBool(r.Online),
-		f(r.RPS), f(r.CPUPct), f(r.LatencyMs),
-		f(r.NetBytes), f(r.NetPkts), f(r.MemPages), f(r.DiskQueue), f(r.DiskRead), f(r.Errors),
-	}
-}
-
-// parseRecord decodes CSV fields in Header order.
-func parseRecord(fields []string) (Record, error) {
-	if len(fields) != len(Header) {
-		return Record{}, fmt.Errorf("trace: %d fields, want %d", len(fields), len(Header))
-	}
-	var r Record
-	var err error
-	if r.Tick, err = strconv.Atoi(fields[0]); err != nil {
-		return Record{}, fmt.Errorf("trace: bad tick %q: %w", fields[0], err)
-	}
-	r.DC, r.Pool, r.Server, r.Generation = fields[1], fields[2], fields[3], fields[4]
-	if r.Online, err = strconv.ParseBool(fields[5]); err != nil {
-		return Record{}, fmt.Errorf("trace: bad online %q: %w", fields[5], err)
-	}
-	nums := []*float64{
-		&r.RPS, &r.CPUPct, &r.LatencyMs,
-		&r.NetBytes, &r.NetPkts, &r.MemPages, &r.DiskQueue, &r.DiskRead, &r.Errors,
-	}
-	for i, dst := range nums {
-		v, err := strconv.ParseFloat(fields[6+i], 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("trace: bad %s %q: %w", Header[6+i], fields[6+i], err)
+// EmitRuns streams a record slice through emit as runs of at most 1024
+// records — sub-slices of recs, not copies — checking for cancellation before
+// each.
+func EmitRuns(ctx context.Context, recs []Record, emit func(run []Record) error) error {
+	for len(recs) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		*dst = v
-	}
-	return r, nil
-}
-
-// CSVWriter streams records as CSV with a header row.
-type CSVWriter struct {
-	w           *csv.Writer
-	wroteHeader bool
-}
-
-// NewCSVWriter wraps w in a CSV record writer.
-func NewCSVWriter(w io.Writer) *CSVWriter {
-	return &CSVWriter{w: csv.NewWriter(w)}
-}
-
-// Write appends one record, emitting the header first if needed.
-func (cw *CSVWriter) Write(r Record) error {
-	if !cw.wroteHeader {
-		if err := cw.w.Write(Header); err != nil {
-			return fmt.Errorf("trace: write header: %w", err)
+		n := min(len(recs), 1024)
+		if err := emit(recs[:n]); err != nil {
+			return err
 		}
-		cw.wroteHeader = true
+		recs = recs[n:]
 	}
-	if err := cw.w.Write(r.fields()); err != nil {
-		return fmt.Errorf("trace: write record: %w", err)
-	}
-	return nil
-}
-
-// Flush flushes buffered output and reports any deferred write error.
-func (cw *CSVWriter) Flush() error {
-	cw.w.Flush()
-	if err := cw.w.Error(); err != nil {
-		return fmt.Errorf("trace: flush: %w", err)
-	}
-	return nil
-}
-
-// ReadCSV decodes all records from a CSV stream produced by CSVWriter.
-func ReadCSV(r io.Reader) ([]Record, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(Header)
-	first, err := cr.Read()
-	if errors.Is(err, io.EOF) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("trace: read header: %w", err)
-	}
-	if len(first) == 0 || first[0] != Header[0] {
-		return nil, fmt.Errorf("trace: missing header row (got %v)", first)
-	}
-	var out []Record
-	for {
-		fields, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: read row %d: %w", len(out)+2, err)
-		}
-		rec, err := parseRecord(fields)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", len(out)+2, err)
-		}
-		out = append(out, rec)
-	}
+	return ctx.Err()
 }
 
 // JSONLWriter streams records as JSON Lines.
@@ -201,19 +110,100 @@ func (jw *JSONLWriter) Flush() error {
 	return nil
 }
 
-// ReadJSONL decodes all records from a JSON Lines stream.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
+// Decode streams the records of a trace through emit, in stream order and in
+// runs of at most 1024 records that are valid only during the call. The
+// format is told from the first byte: '{' starts a JSON Lines trace, anything
+// else must be the CSV header row. Memory stays bounded by a few chunks of the
+// input however long the trace is. A non-nil error from emit, a decode error
+// (after the records before it have been emitted) or the context's error
+// ends the stream; cancellation is noticed between reads of r.
+func Decode(ctx context.Context, r io.Reader, emit func(run []Record) error) error {
+	var first [1]byte
+	if _, err := io.ReadFull(r, first[:]); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		return fmt.Errorf("trace: read: %w", err)
+	}
+	r = io.MultiReader(bytes.NewReader(first[:]), r)
+	if first[0] == '{' {
+		return decode(ctx, "jsonl", r, emit)
+	}
+	return decode(ctx, "csv", r, emit)
+}
+
+// decodeStats is what a decode reports on its span.
+type decodeStats struct {
+	records, bytes int64
+	chunks         int
+}
+
+// decode runs one format's decoder under the "trace.decode" span.
+func decode(ctx context.Context, format string, r io.Reader, emit func([]Record) error) error {
+	ctx, stage := obs.StartStage(ctx, "trace.decode", nil, obs.Str("format", format))
+	var st decodeStats
+	var err error
+	if format == "jsonl" {
+		st, err = decodeJSONL(ctx, r, emit)
+	} else {
+		st, err = decodeCSV(ctx, r, decodeChunkBytes, emit)
+	}
+	stage.End(err, obs.Int64("records", st.records), obs.Int64("bytes", st.bytes), obs.Int("chunks", st.chunks))
+	return err
+}
+
+// collect decodes a whole trace of the given format into memory.
+func collect(format string, r io.Reader) ([]Record, error) {
 	var out []Record
+	err := decode(context.Background(), format, r, func(run []Record) error {
+		if cap(out)-len(out) < len(run) {
+			// Double: append's 1.25x steps would copy a long trace four
+			// times over on the way up.
+			out = slices.Grow(out, max(len(out), len(run)))
+		}
+		out = append(out, run...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadCSV decodes all records from a CSV stream produced by CSVWriter.
+func ReadCSV(r io.Reader) ([]Record, error) { return collect("csv", r) }
+
+// ReadJSONL decodes all records from a JSON Lines stream.
+func ReadJSONL(r io.Reader) ([]Record, error) { return collect("jsonl", r) }
+
+// decodeJSONL streams the records of a JSON Lines trace through emit, one
+// reused run of 1024 at a time.
+func decodeJSONL(ctx context.Context, r io.Reader, emit func([]Record) error) (st decodeStats, err error) {
+	dec := json.NewDecoder(r)
+	run := make([]Record, 0, 1024)
 	for {
 		var rec Record
-		err := dec.Decode(&rec)
-		if errors.Is(err, io.EOF) {
-			return out, nil
+		derr := dec.Decode(&rec)
+		if derr == nil {
+			if run = append(run, rec); len(run) < cap(run) {
+				continue
+			}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: decode line %d: %w", len(out)+1, err)
+		// The run is full or the stream is over: hand on what there is.
+		if len(run) > 0 {
+			st.chunks++
 		}
-		out = append(out, rec)
+		st.records += int64(len(run))
+		st.bytes = dec.InputOffset()
+		if err := EmitRuns(ctx, run, emit); err != nil {
+			return st, err
+		}
+		run = run[:0]
+		if errors.Is(derr, io.EOF) {
+			return st, nil
+		}
+		if derr != nil {
+			return st, fmt.Errorf("trace: decode line %d: %w", st.records+1, derr)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -116,8 +117,33 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(tt.in)); err == nil {
-				t.Error("want error")
+			_, err := ReadCSV(strings.NewReader(tt.in))
+			if err == nil {
+				t.Fatal("want error")
+			}
+			if tt.name == "bad header" {
+				return
+			}
+			if !strings.Contains(err.Error(), "row 2:") {
+				t.Errorf("error %q does not name row 2", err)
+			}
+			// The same bad row behind 3000 good ones, decoded in chunks of
+			// a few rows, a few hundred rows and one chunk: always row 3002.
+			header, bad, _ := strings.Cut(tt.in, "\n")
+			good := "7,DC 1,B,s,g,true,1,2,3,4,5,6,7,8,9\n"
+			in := header + "\n" + strings.Repeat(good, 3000) + bad + good
+			for _, size := range []int{64, 20000, 1 << 20} {
+				var n int
+				_, err := decodeCSV(context.Background(), strings.NewReader(in), size, func(run []Record) error {
+					n += len(run)
+					return nil
+				})
+				if err == nil || !strings.Contains(err.Error(), "row 3002:") {
+					t.Errorf("chunks of %d bytes: error %v, want one naming row 3002", size, err)
+				}
+				if n != 3000 {
+					t.Errorf("chunks of %d bytes: %d records emitted before the error, want 3000", size, n)
+				}
 			}
 		})
 	}

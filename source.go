@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
+	"sync/atomic"
 
 	"headroom/internal/metrics"
 	"headroom/internal/sim"
@@ -15,10 +17,11 @@ import (
 // Source is a stream of trace records — the uniform input of every pipeline
 // step. The methodology is deliberately black-box: it consumes only records,
 // so any system able to produce them can be measured, planned and validated.
-// Three implementations ship with the facade: the fleet simulator
+// Four implementations ship with the facade: the fleet simulator
 // (NewSimSource), synthetic-workload replay (NewSynthSource, Step 3 of the
-// paper) and in-memory trace replay (NewReplaySource, for traces read from
-// disk or built by hand).
+// paper), a trace file or pipe decoded as it streams (NewTraceSource) and
+// in-memory trace replay (NewReplaySource, for records built by hand or
+// already decoded).
 type Source interface {
 	// Stream emits every record through emit in deterministic order, a run
 	// at a time: each call carries one or more consecutive records of the
@@ -154,11 +157,35 @@ func (s *synthSource) Stream(ctx context.Context, emit func([]Record) error) err
 	if err != nil {
 		return err
 	}
-	return emitAll(ctx, recs, emit)
+	return trace.EmitRuns(ctx, recs, emit)
 }
 
-// replaySource streams an in-memory record slice: traces decoded from CSV /
-// JSONL files or assembled by tests.
+// traceSource streams a CSV or JSON Lines trace straight from its reader.
+type traceSource struct {
+	r    io.Reader
+	used atomic.Bool
+}
+
+// NewTraceSource returns a Source that decodes a trace written by
+// trace.CSVWriter or trace.JSONLWriter (cmd/capsim's two formats) as it
+// streams: the format is told from the first byte ('{' is JSON Lines,
+// anything else must be the CSV header row), CSV is parsed in parallel and
+// delivered in file order, and memory stays bounded by a few chunks of the
+// input however long the trace is. A reader is consumed once, so the source
+// is a single shard and a second Stream is an error.
+func NewTraceSource(r io.Reader) Source {
+	return &traceSource{r: r}
+}
+
+func (s *traceSource) Stream(ctx context.Context, emit func([]Record) error) error {
+	if s.used.Swap(true) {
+		return errors.New("headroom: a trace source streams its reader once")
+	}
+	return trace.Decode(ctx, s.r, emit)
+}
+
+// replaySource streams an in-memory record slice: records assembled by tests
+// or decoded earlier.
 type replaySource struct {
 	recs []Record
 }
@@ -172,7 +199,7 @@ func NewReplaySource(recs []Record) ShardedSource {
 }
 
 func (s *replaySource) Stream(ctx context.Context, emit func([]Record) error) error {
-	return emitAll(ctx, s.recs, emit)
+	return trace.EmitRuns(ctx, s.recs, emit)
 }
 
 // PoolNames lists the distinct pool names in the trace, in first-seen order.
@@ -248,26 +275,10 @@ func (s *replaySource) Shards(n int) []Source {
 	return out
 }
 
-// emitAll streams a record slice through emit as runs of at most 1024
-// records — sub-slices of recs, not copies — checking for cancellation before
-// each.
-func emitAll(ctx context.Context, recs []trace.Record, emit func([]Record) error) error {
-	for len(recs) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := min(len(recs), 1024)
-		if err := emit(recs[:n]); err != nil {
-			return err
-		}
-		recs = recs[n:]
-	}
-	return ctx.Err()
-}
-
 var (
 	_ ShardedSource = (*simSource)(nil)
 	_ Source        = (*synthSource)(nil)
+	_ Source        = (*traceSource)(nil)
 	_ ShardedSource = (*replaySource)(nil)
 	_ PoolNamer     = (*simSource)(nil)
 	_ PoolNamer     = (*synthSource)(nil)

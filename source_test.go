@@ -1,13 +1,17 @@
 package headroom_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"headroom"
+	"headroom/internal/leakcheck"
+	"headroom/internal/trace"
 )
 
 // poolRecords builds n in-order windows for one (pool, dc) key.
@@ -100,7 +104,7 @@ func TestReplaySourceSinglePool(t *testing.T) {
 }
 
 func TestReplaySourceCancellationMidStream(t *testing.T) {
-	// Enough records to cross emitAll's periodic cancellation checks.
+	// Enough records to cross the replay's per-run cancellation checks.
 	var recs []headroom.Record
 	for _, pool := range []string{"A", "B", "C"} {
 		recs = append(recs, poolRecords(pool, "DC 1", 2000)...)
@@ -236,5 +240,110 @@ func TestReplaySourceRunsAndInterleavedKeys(t *testing.T) {
 			t.Errorf("shard %d: %d records of %s@%s, want the %d of %s@%s in order",
 				i, len(got), got[0].Pool, got[0].DC, len(want), want[0].Pool, want[0].DC)
 		}
+	}
+}
+
+// traceBytes renders recs as a CSV or JSON Lines trace.
+func traceBytes(t *testing.T, recs []headroom.Record, jsonl bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw, jw := trace.NewCSVWriter(&buf), trace.NewJSONLWriter(&buf)
+	write, flush := cw.WriteRun, cw.Flush
+	if jsonl {
+		write, flush = trace.EachRecord(jw.Write), jw.Flush
+	}
+	if err := write(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceSourceMatchesReplay: a trace streamed from its bytes, CSV or JSON
+// Lines, aggregates to exactly what replaying the records in memory does, in
+// one shard whatever the session's shard count; the reader is consumed, so a
+// second Stream is an error.
+func TestTraceSourceMatchesReplay(t *testing.T) {
+	leakcheck.Check(t)
+	ctx := context.Background()
+	var recs []headroom.Record
+	for i, pool := range []string{"A", "B", "C"} {
+		recs = append(recs, poolRecords(pool, "DC 1", 3000+1000*i)...)
+		recs = append(recs, poolRecords(pool, "DC 2", 500)...)
+	}
+	aggregate := func(src headroom.Source, shards int) []byte {
+		t.Helper()
+		s, err := headroom.New(ctx, headroom.WithSource(src), headroom.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := s.Aggregate(ctx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := headroom.EncodeAggregator(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := aggregate(headroom.NewReplaySource(recs), 1)
+	for _, jsonl := range []bool{false, true} {
+		data := traceBytes(t, recs, jsonl)
+		for _, shards := range []int{1, 3} {
+			if got := aggregate(headroom.NewTraceSource(bytes.NewReader(data)), shards); !bytes.Equal(got, want) {
+				t.Errorf("jsonl=%v, %d shards: the streamed trace's aggregate differs from the replayed records'", jsonl, shards)
+			}
+		}
+	}
+
+	src := headroom.NewTraceSource(bytes.NewReader(traceBytes(t, recs, false)))
+	count := func(run []headroom.Record) error { return nil }
+	if err := src.Stream(ctx, count); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Stream(ctx, count); err == nil {
+		t.Error("second Stream of a trace source succeeded, want an error")
+	}
+}
+
+// TestTraceSourceStopsCleanly: cancellation, an emit error and a panic in
+// emit each end a streamed trace with that outcome — emit runs on the caller's
+// goroutine, so the session still turns a panic into the shard's error — and
+// leave no decoding goroutine behind.
+func TestTraceSourceStopsCleanly(t *testing.T) {
+	leakcheck.Check(t)
+	data := traceBytes(t, poolRecords("B", "DC 1", 20_000), false)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var n int
+	err := headroom.NewTraceSource(bytes.NewReader(data)).Stream(ctx, func(run []headroom.Record) error {
+		if n += len(run); n >= 5000 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || n >= 20_000 {
+		t.Errorf("cancelled mid-stream: %d records, err = %v", n, err)
+	}
+
+	boom := errors.New("boom")
+	err = headroom.NewTraceSource(bytes.NewReader(data)).Stream(context.Background(), func([]headroom.Record) error { return boom })
+	if !errors.Is(err, boom) {
+		t.Errorf("emit error: got %v", err)
+	}
+
+	s, err := headroom.New(context.Background(),
+		headroom.WithSource(headroom.NewTraceSource(bytes.NewReader(data))),
+		headroom.WithShardRunner(func(ctx context.Context, sub headroom.Source, _, _ int) (*headroom.Aggregator, int64, error) {
+			return nil, 0, sub.Stream(ctx, func([]headroom.Record) error { panic("emit blew up") })
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Aggregate(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Errorf("panic in emit: err = %v, want the shard's panic as an error", err)
 	}
 }
