@@ -63,20 +63,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	cfg := headroom.DefaultFleet(*seed)
 	if *pools != "" {
-		keep := map[string]bool{}
-		for _, p := range strings.Split(*pools, ",") {
-			keep[strings.TrimSpace(p)] = true
+		var err error
+		if cfg, err = headroom.FilterPools(cfg, strings.Split(*pools, ",")); err != nil {
+			return err
 		}
-		var filtered []headroom.PoolConfig
-		for _, pc := range cfg.Pools {
-			if keep[pc.Name] {
-				filtered = append(filtered, pc)
-			}
-		}
-		if len(filtered) == 0 {
-			return fmt.Errorf("no pools match %q", *pools)
-		}
-		cfg.Pools = filtered
 	}
 
 	w, closeOut := stdout, func() error { return nil }

@@ -83,3 +83,23 @@ func TestWriteErrorFails(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolFilterRejectsUnknownAndEmptyNames: a -pools list the fleet cannot
+// satisfy fails with the message capserved answers the same list with, and
+// writes no trace of the pools it did know.
+func TestPoolFilterRejectsUnknownAndEmptyNames(t *testing.T) {
+	for pools, want := range map[string]string{
+		"B,Zzz":     "unknown pools: Zzz",
+		"Zzz,B,Yyy": "unknown pools: Yyy, Zzz",
+		"B,":        "pools contains an empty name",
+	} {
+		var stdout bytes.Buffer
+		err := run(context.Background(), []string{"-days", "1", "-pools", pools}, &stdout)
+		if err == nil || err.Error() != want {
+			t.Errorf("-pools %q: err = %v, want %q", pools, err, want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-pools %q wrote %d bytes of trace", pools, stdout.Len())
+		}
+	}
+}

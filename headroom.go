@@ -27,6 +27,11 @@
 package headroom
 
 import (
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+
 	"headroom/internal/core"
 	"headroom/internal/forecast"
 	"headroom/internal/metrics"
@@ -113,6 +118,42 @@ func NineRegions() []Datacenter { return workload.NineRegions() }
 // the wire (cmd/capserved) resolve them through this lookup.
 func NamedPool(cfg FleetConfig, name string) (PoolConfig, error) {
 	return sim.NamedPool(cfg, name)
+}
+
+// FilterPools returns the fleet restricted to the named pools, in fleet
+// order; no names keeps the whole fleet. It is the one pool filter behind
+// every surface that takes pool names (capserved requests, capsim -pools): an
+// empty name or a name the fleet does not have is an error, never a silently
+// smaller fleet.
+func FilterPools(cfg FleetConfig, names []string) (FleetConfig, error) {
+	if len(names) == 0 {
+		return cfg, nil
+	}
+	keep := map[string]bool{}
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			return cfg, errors.New("pools contains an empty name")
+		}
+		keep[name] = true
+	}
+	var filtered []PoolConfig
+	for _, pc := range cfg.Pools {
+		if keep[pc.Name] {
+			filtered = append(filtered, pc)
+			delete(keep, pc.Name)
+		}
+	}
+	if len(keep) > 0 {
+		missing := make([]string, 0, len(keep))
+		for name := range keep {
+			missing = append(missing, name)
+		}
+		sort.Strings(missing)
+		return cfg, fmt.Errorf("unknown pools: %s", strings.Join(missing, ", "))
+	}
+	cfg.Pools = filtered
+	return cfg, nil
 }
 
 // BuildProfile derives a synthetic workload profile from production pool

@@ -40,6 +40,7 @@ import (
 
 	"headroom/internal/breaker"
 	"headroom/internal/obs"
+	"headroom/internal/obs/prom"
 	"headroom/internal/retry"
 	"headroom/internal/stats"
 )
@@ -68,8 +69,6 @@ type Config struct {
 	Peers []string
 	// Token is the shared secret sent as X-Dist-Token. Required.
 	Token string
-	// Path is the shard endpoint path; default DefaultPath.
-	Path string
 	// Transport overrides the HTTP transport — tests and benchmarks use
 	// Loopback. Default: a dedicated clone of http.DefaultTransport.
 	Transport http.RoundTripper
@@ -87,22 +86,17 @@ type Config struct {
 	// BreakerOpenFor is how long an open worker breaker fast-fails before
 	// probing; default 5 s.
 	BreakerOpenFor time.Duration
-	// BreakerProbes is the consecutive half-open successes that close a
-	// worker breaker; default 1.
-	BreakerProbes int
 	// Clock overrides time.Now for the breakers, for tests.
 	Clock func() time.Time
 	// Logger receives dispatch lifecycle events; default discard.
 	Logger *slog.Logger
-	// OnEvent, when set, observes every dispatch event — the metrics hook.
-	// It must be fast and safe for concurrent use.
-	OnEvent func(Event)
+	// Registry is where the client registers the capserved_dist_* families
+	// it owns and counts into: a coordinator hands in the registry behind
+	// its /metrics. Nil means a private one.
+	Registry *prom.Registry
 }
 
 func (c Config) withDefaults() Config {
-	if c.Path == "" {
-		c.Path = DefaultPath
-	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = time.Minute
 	}
@@ -112,49 +106,13 @@ func (c Config) withDefaults() Config {
 	if c.BreakerOpenFor <= 0 {
 		c.BreakerOpenFor = 5 * time.Second
 	}
-	if c.BreakerProbes <= 0 {
-		c.BreakerProbes = 1
-	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
+	if c.Registry == nil {
+		c.Registry = prom.NewRegistry()
+	}
 	return c
-}
-
-// EventKind classifies a dispatch event.
-type EventKind string
-
-const (
-	// EventDispatch is one attempt sent to a worker.
-	EventDispatch EventKind = "dispatch"
-	// EventSuccess is an attempt that returned a usable result.
-	EventSuccess EventKind = "success"
-	// EventFailure is an attempt that failed (transient or permanent).
-	EventFailure EventKind = "failure"
-	// EventReroute is a shard moved to its next-ranked worker after a
-	// transient failure.
-	EventReroute EventKind = "reroute"
-	// EventHedge is a duplicate dispatch launched because the primary
-	// outlived its hedge delay.
-	EventHedge EventKind = "hedge"
-	// EventHedgeWin is a hedged dispatch that answered first.
-	EventHedgeWin EventKind = "hedge_win"
-	// EventSkip is a candidate worker skipped because its breaker is open.
-	EventSkip EventKind = "breaker_skip"
-	// EventExhausted is a shard that failed on every available worker.
-	EventExhausted EventKind = "exhausted"
-	// EventBreaker is a worker breaker state transition.
-	EventBreaker EventKind = "breaker_transition"
-)
-
-// Event is one observation from a dispatch, fed to Config.OnEvent.
-type Event struct {
-	Kind    EventKind
-	Peer    string
-	Hedged  bool
-	Latency time.Duration // EventSuccess only
-	From    breaker.State // EventBreaker only
-	To      breaker.State // EventBreaker only
 }
 
 // Shard is one unit of distributable work: an opaque request body plus the
@@ -172,8 +130,9 @@ type Shard struct {
 
 // Result is a successful dispatch.
 type Result struct {
-	// Body is the worker's response payload.
-	Body []byte
+	// Body is the worker's response payload, Header its response header.
+	Body   []byte
+	Header http.Header
 	// Worker is the base URL of the worker that answered.
 	Worker string
 	// Hedged reports that the answer came from a hedged duplicate.
@@ -221,14 +180,28 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("dist: worker %s: %d %s", e.Peer, e.Status, e.Msg)
 }
 
-// Client dispatches shards to a static fleet of workers. Construct with
-// New; a Client is safe for concurrent use.
+// worker is what the client keeps per peer: its breaker, the latency the
+// hedge delay adapts to, and its series of the per-peer metric families.
+type worker struct {
+	breaker     *breaker.Breaker // nil when breakers are disabled: admits everything
+	lat         stats.EWMA       // dispatch latency, the hedge delay's basis
+	dispatched  *prom.Counter
+	failures    *prom.Counter
+	latency     *prom.Histogram
+	transitions [3]*prom.Counter // by destination breaker.State
+}
+
+// Client dispatches shards to a static fleet of workers and owns the
+// capserved_dist_* metric families: each is registered and counted here,
+// where the event happens. Construct with New; a Client is safe for
+// concurrent use.
 type Client struct {
-	cfg      Config
-	http     *http.Client
-	peers    []string
-	breakers map[string]*breaker.Breaker // no entries when disabled: a nil *Breaker admits everything
-	lat      map[string]*stats.EWMA      // dispatch latency, the hedge delay's basis
+	cfg     Config
+	http    *http.Client
+	peers   []string
+	workers map[string]*worker
+
+	reroutes, hedges, hedgeWins, skips, exhausted *prom.Counter
 }
 
 // New validates the peer list and builds a Client.
@@ -264,28 +237,58 @@ func New(cfg Config) (*Client, error) {
 		tr = http.DefaultTransport.(*http.Transport).Clone()
 	}
 	c := &Client{
-		cfg:      cfg,
-		http:     &http.Client{Transport: tr},
-		peers:    peers,
-		breakers: make(map[string]*breaker.Breaker, len(peers)),
-		lat:      make(map[string]*stats.EWMA, len(peers)),
+		cfg:     cfg,
+		http:    &http.Client{Transport: tr},
+		peers:   peers,
+		workers: make(map[string]*worker, len(peers)),
 	}
+	reg := cfg.Registry
 	for _, p := range peers {
-		c.lat[p] = &stats.EWMA{}
+		lbl := prom.Labels{"peer": p}
+		w := &worker{
+			dispatched: reg.Counter("capserved_dist_shards_dispatched_total",
+				"Shard dispatches sent to a worker (reroutes and hedges included).", lbl),
+			failures: reg.Counter("capserved_dist_shard_failures_total",
+				"Shard dispatch attempts that failed, by worker.", lbl),
+			latency: reg.Histogram("capserved_dist_shard_latency_seconds",
+				"Successful shard dispatch latency, by worker.", lbl, prom.DefBuckets),
+		}
+		for _, to := range []breaker.State{breaker.Closed, breaker.Open, breaker.HalfOpen} {
+			w.transitions[to] = reg.Counter("capserved_dist_breaker_transitions_total",
+				"Worker circuit-breaker transitions, by destination state.",
+				prom.Labels{"peer": p, "to": to.String()})
+		}
 		if cfg.BreakerThreshold > 0 {
-			c.breakers[p] = breaker.New(breaker.Config{
+			w.breaker = breaker.New(breaker.Config{
 				Threshold: cfg.BreakerThreshold,
 				OpenFor:   cfg.BreakerOpenFor,
-				Probes:    cfg.BreakerProbes,
 				Now:       cfg.Clock,
 				OnTransition: func(from, to breaker.State) {
 					c.cfg.Logger.Info("dist: worker breaker transition",
 						"peer", p, "from", from.String(), "to", to.String())
-					c.event(Event{Kind: EventBreaker, Peer: p, From: from, To: to})
+					w.transitions[to].Inc()
 				},
 			})
 		}
+		reg.Gauge("capserved_dist_worker_breaker_state",
+			"Worker circuit-breaker position (0 closed, 1 open, 2 half-open).", lbl,
+			func() float64 { return float64(w.breaker.State()) })
+		c.workers[p] = w
 	}
+	c.reroutes = reg.Counter("capserved_dist_reroutes_total",
+		"Shards rerouted to a fallback worker after a transient failure.", nil)
+	c.hedges = reg.Counter("capserved_dist_hedges_total",
+		"Hedged (duplicate) shard dispatches launched for slow primaries.", nil)
+	c.hedgeWins = reg.Counter("capserved_dist_hedge_wins_total",
+		"Hedged dispatches that answered before the primary.", nil)
+	c.skips = reg.Counter("capserved_dist_breaker_skips_total",
+		"Candidate workers skipped because their breaker was open.", nil)
+	c.exhausted = reg.Counter("capserved_dist_shards_exhausted_total",
+		"Shards that failed on every available worker.", nil)
+	reg.Gauge("capserved_dist_peers", "Configured distributed workers.", nil,
+		func() float64 { return float64(len(c.peers)) })
+	reg.Gauge("capserved_dist_peers_open", "Workers whose circuit breaker is open.", nil,
+		func() float64 { open, _ := c.OpenBreakers(); return float64(open) })
 	return c, nil
 }
 
@@ -294,28 +297,17 @@ func (c *Client) Peers() []string { return append([]string(nil), c.peers...) }
 
 // BreakerState returns a worker's breaker position (Closed when breakers
 // are disabled).
-func (c *Client) BreakerState(peer string) breaker.State { return c.breakers[peer].State() }
+func (c *Client) BreakerState(peer string) breaker.State { return c.workers[peer].breaker.State() }
 
 // OpenBreakers counts workers whose breaker is currently open, and the
 // total worker count — the worker-fleet health signal /readyz reports.
 func (c *Client) OpenBreakers() (open, total int) {
-	total = len(c.peers)
-	for _, p := range c.peers {
-		if c.BreakerState(p) == breaker.Open {
+	for _, w := range c.workers {
+		if w.breaker.State() == breaker.Open {
 			open++
 		}
 	}
-	return open, total
-}
-
-// MeanLatency returns a worker's EWMA dispatch latency and the number of
-// observations behind it.
-func (c *Client) MeanLatency(peer string) (time.Duration, int64) {
-	if e := c.lat[peer]; e != nil {
-		mean, n := e.Mean()
-		return time.Duration(mean * float64(time.Second)), n
-	}
-	return 0, 0
+	return open, len(c.peers)
 }
 
 // Close releases idle transport connections.
@@ -325,17 +317,13 @@ func (c *Client) Close() {
 	}
 }
 
-func (c *Client) event(ev Event) {
-	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(ev)
-	}
-}
-
 // attemptResult is one worker attempt's outcome.
 type attemptResult struct {
 	peer      string
+	w         *worker
 	hedged    bool
 	body      []byte
+	header    http.Header
 	d         time.Duration
 	err       error
 	transient bool
@@ -365,31 +353,30 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 	next, inflight, attempts := 0, 0, 0
 
 	// launch sends the shard to the next breaker-admitted candidate,
-	// returning its peer URL ("" when no candidate is left).
-	launch := func(hedged bool) string {
+	// returning its row (nil when no candidate is left).
+	launch := func(hedged bool) *worker {
 		for next < len(order) {
 			peer := order[next]
 			next++
-			if !c.breakers[peer].Allow() {
-				c.event(Event{Kind: EventSkip, Peer: peer})
+			w := c.workers[peer]
+			if !w.breaker.Allow() {
+				c.skips.Inc()
 				continue
 			}
 			attempts++
 			inflight++
 			actx, acancel := context.WithCancel(dctx)
 			cancels = append(cancels, acancel)
-			c.event(Event{Kind: EventDispatch, Peer: peer, Hedged: hedged})
-			go func(peer string, hedged bool) {
-				results <- c.send(actx, peer, sh, hedged)
-			}(peer, hedged)
-			return peer
+			w.dispatched.Inc()
+			go func() { results <- c.send(actx, peer, w, sh, hedged) }()
+			return w
 		}
-		return ""
+		return nil
 	}
 
 	primary := launch(false)
-	if primary == "" {
-		c.event(Event{Kind: EventExhausted})
+	if primary == nil {
+		c.exhausted.Inc()
 		return Result{}, &ShardError{
 			Shard: sh.Index, Key: sh.Key, Transient: true,
 			Err: errors.New("every worker's circuit breaker is open"),
@@ -409,18 +396,18 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 		case res := <-results:
 			inflight--
 			if res.err == nil {
-				c.event(Event{Kind: EventSuccess, Peer: res.peer, Hedged: res.hedged, Latency: res.d})
+				res.w.latency.Observe(res.d.Seconds())
 				if res.hedged {
-					c.event(Event{Kind: EventHedgeWin, Peer: res.peer})
+					c.hedgeWins.Inc()
 				}
-				return Result{Body: res.body, Worker: res.peer, Hedged: res.hedged, Attempts: attempts}, nil
+				return Result{Body: res.body, Header: res.header, Worker: res.peer, Hedged: res.hedged, Attempts: attempts}, nil
 			}
 			if res.canceled {
 				// Cancelled by the dispatch itself; the deadline case below
 				// (or a sibling's result) decides the outcome.
 				continue
 			}
-			c.event(Event{Kind: EventFailure, Peer: res.peer, Hedged: res.hedged})
+			res.w.failures.Inc()
 			c.cfg.Logger.Warn("dist: shard attempt failed",
 				"peer", res.peer, "shard", sh.Index, "hedged", res.hedged,
 				"transient", res.transient, "error", res.err)
@@ -430,14 +417,14 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 				return Result{}, &ShardError{Shard: sh.Index, Key: sh.Key, Attempts: attempts, Err: res.err}
 			}
 			if inflight == 0 {
-				if p := launch(false); p != "" {
-					c.event(Event{Kind: EventReroute, Peer: p})
+				if launch(false) != nil {
+					c.reroutes.Inc()
 				}
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if p := launch(true); p != "" {
-				c.event(Event{Kind: EventHedge, Peer: p})
+			if launch(true) != nil {
+				c.hedges.Inc()
 			}
 		case <-dctx.Done():
 			return Result{}, &ShardError{
@@ -447,7 +434,7 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 		}
 	}
 
-	c.event(Event{Kind: EventExhausted})
+	c.exhausted.Inc()
 	if lastErr == nil {
 		lastErr = errors.New("no worker available")
 	}
@@ -459,11 +446,11 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 // response (the worker is alive, even if it rejected the request), Failure
 // for network errors, 5xx and attempt timeouts, and a neutral Release when
 // the dispatch cancelled the attempt because a sibling won.
-func (c *Client) send(ctx context.Context, peer string, sh Shard, hedged bool) attemptResult {
-	out := attemptResult{peer: peer, hedged: hedged}
-	br := c.breakers[peer]
+func (c *Client) send(ctx context.Context, peer string, w *worker, sh Shard, hedged bool) attemptResult {
+	out := attemptResult{peer: peer, w: w, hedged: hedged}
+	br := w.breaker
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+c.cfg.Path, bytes.NewReader(sh.Body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+DefaultPath, bytes.NewReader(sh.Body))
 	if err != nil {
 		br.Release()
 		out.err = fmt.Errorf("dist: build request for %s: %w", peer, err)
@@ -515,8 +502,8 @@ func (c *Client) send(ctx context.Context, peer string, sh Shard, hedged bool) a
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		br.Success()
-		c.lat[peer].Observe(out.d)
-		out.body = body
+		w.lat.Observe(out.d)
+		out.body, out.header = body, resp.Header
 		return out
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		// The worker is healthy; the request itself was rejected. Permanent.
@@ -547,21 +534,21 @@ func errMsg(body []byte) string {
 	return s
 }
 
-// hedgeDelay resolves the hedge trigger for a dispatch whose primary is
-// peer: fixed when configured, otherwise 2x the worker's EWMA latency once
-// enough history exists, never below 1 ms.
-func (c *Client) hedgeDelay(peer string) (time.Duration, bool) {
+// hedgeDelay resolves the hedge trigger for a dispatch to primary: fixed
+// when configured, otherwise 2x the worker's EWMA latency once enough
+// history exists, never below 1 ms.
+func (c *Client) hedgeDelay(primary *worker) (time.Duration, bool) {
 	switch {
 	case c.cfg.HedgeAfter > 0:
 		return c.cfg.HedgeAfter, true
 	case c.cfg.HedgeAfter < 0:
 		return 0, false
 	}
-	mean, n := c.MeanLatency(peer)
+	mean, n := primary.lat.Mean()
 	if n < 3 {
 		return 0, false
 	}
-	d := 2 * mean
+	d := time.Duration(2 * mean * float64(time.Second))
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}

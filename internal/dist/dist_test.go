@@ -190,13 +190,7 @@ func TestDistDispatchReroutes(t *testing.T) {
 	})
 	mux.set(order[1][len("http://"):], okWorker("backup"))
 
-	var events []EventKind
-	var mu sync.Mutex
-	c := newTestClient(t, mux, Config{Peers: peers, OnEvent: func(ev Event) {
-		mu.Lock()
-		events = append(events, ev.Kind)
-		mu.Unlock()
-	}})
+	c := newTestClient(t, mux, Config{Peers: peers})
 
 	res, err := c.Dispatch(context.Background(), Shard{Key: "PoolB", Index: 0, Of: 1})
 	if err != nil {
@@ -208,16 +202,24 @@ func TestDistDispatchReroutes(t *testing.T) {
 	if res.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", res.Attempts)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	var saw bool
-	for _, k := range events {
-		if k == EventReroute {
-			saw = true
+	// Counted where it happened, on the series that names it.
+	first, backup := c.workers[order[0]], c.workers[order[1]]
+	for _, ct := range []struct {
+		name string
+		got  int64
+		want int64
+	}{
+		{"reroutes", c.reroutes.Value(), 1},
+		{"hedges", c.hedges.Value(), 0},
+		{"dispatched to the owner", first.dispatched.Value(), 1},
+		{"failures of the owner", first.failures.Value(), 1},
+		{"dispatched to the fallback", backup.dispatched.Value(), 1},
+		{"failures of the fallback", backup.failures.Value(), 0},
+		{"latency samples of the fallback", backup.latency.Count(), 1},
+	} {
+		if ct.got != ct.want {
+			t.Errorf("%s = %d, want %d", ct.name, ct.got, ct.want)
 		}
-	}
-	if !saw {
-		t.Errorf("no reroute event in %v", events)
 	}
 }
 
@@ -302,15 +304,9 @@ func TestDistDispatchHedges(t *testing.T) {
 	mux.set(order[1][len("http://"):], okWorker("hedge"))
 	defer close(release)
 
-	var hedgeWins atomic.Int64
 	c := newTestClient(t, mux, Config{
 		Peers:      peers,
 		HedgeAfter: 5 * time.Millisecond,
-		OnEvent: func(ev Event) {
-			if ev.Kind == EventHedgeWin {
-				hedgeWins.Add(1)
-			}
-		},
 	})
 
 	res, err := c.Dispatch(context.Background(), Shard{Key: "slow-key"})
@@ -323,8 +319,8 @@ func TestDistDispatchHedges(t *testing.T) {
 	if res.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", res.Attempts)
 	}
-	if hedgeWins.Load() != 1 {
-		t.Errorf("hedge_win events = %d, want 1", hedgeWins.Load())
+	if hedges, wins, reroutes := c.hedges.Value(), c.hedgeWins.Value(), c.reroutes.Value(); hedges != 1 || wins != 1 || reroutes != 0 {
+		t.Errorf("hedges %d, hedge wins %d, reroutes %d; want 1, 1, 0", hedges, wins, reroutes)
 	}
 }
 
@@ -343,16 +339,10 @@ func TestDistDispatchBreakerSkips(t *testing.T) {
 	})
 	mux.set(order[1][len("http://"):], okWorker("good"))
 
-	var skips atomic.Int64
 	c := newTestClient(t, mux, Config{
 		Peers:            peers,
 		BreakerThreshold: 1,
 		BreakerOpenFor:   time.Hour,
-		OnEvent: func(ev Event) {
-			if ev.Kind == EventSkip {
-				skips.Add(1)
-			}
-		},
 	})
 
 	// First dispatch fails on the owner (opening its breaker) and reroutes.
@@ -373,8 +363,8 @@ func TestDistDispatchBreakerSkips(t *testing.T) {
 	if badHits.Load() != 1 {
 		t.Errorf("open-breaker worker was contacted %d times, want 1", badHits.Load())
 	}
-	if skips.Load() == 0 {
-		t.Error("no breaker_skip events recorded")
+	if skips, opened := c.skips.Value(), c.workers[order[0]].transitions[breaker.Open].Value(); skips != 1 || opened != 1 {
+		t.Errorf("breaker skips %d, owner transitions to open %d; want 1, 1", skips, opened)
 	}
 	open, total := c.OpenBreakers()
 	if open != 1 || total != 2 {
@@ -522,17 +512,11 @@ func TestDistDispatchSlowLoserNeutral(t *testing.T) {
 	order := Rank("slow-loser", peers)
 	slowHost.Store(strings.TrimPrefix(order[0], "http://"))
 
-	var failures atomic.Int64
 	c, err := New(Config{
 		Peers:            peers,
 		Token:            "secret",
 		HedgeAfter:       5 * time.Millisecond,
 		BreakerThreshold: 1,
-		OnEvent: func(ev Event) {
-			if ev.Kind == EventFailure {
-				failures.Add(1)
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +546,7 @@ func TestDistDispatchSlowLoserNeutral(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := failures.Load(); n != 0 {
-		t.Errorf("failure events = %d, want 0 (cancelled loser is neutral)", n)
+	if n := c.workers[order[0]].failures.Value() + c.workers[order[1]].failures.Value(); n != 0 {
+		t.Errorf("failures counted = %d, want 0 (cancelled loser is neutral)", n)
 	}
 }

@@ -272,12 +272,11 @@ const Retained = 4096
 // lookup by ID: every non-terminal job, and the Retained most recently
 // finished ones.
 type Queue struct {
-	cfg    Config
-	pend   chan *Job
-	seq    atomic.Uint64
-	hardMu sync.Mutex
-	hard   context.Context // cancels running jobs past the drain deadline
-	kill   context.CancelFunc
+	cfg  Config
+	pend chan *Job
+	seq  atomic.Uint64
+	hard context.Context // cancels running jobs past the drain deadline
+	kill context.CancelFunc
 
 	wg sync.WaitGroup
 
@@ -350,23 +349,20 @@ func (q *Queue) SubmitCtx(ctx context.Context, kind string, fn Func) (*Job, erro
 		j.onFinish = func(j *Job) { cb(j.Snapshot()) }
 	}
 
+	// The closed check, the table entry and the send are one critical
+	// section: Close closes q.pend under the same lock, so a submission can
+	// neither send on the closed channel nor leave an entry behind for a job
+	// that was refused. The send has a default and never blocks.
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		return nil, ErrClosed
 	}
-	// Reserve the map slot under the lock so a Get racing the Submit sees
-	// the job as soon as Submit succeeds.
-	q.jobs[j.ID] = j
-	q.mu.Unlock()
-
 	select {
 	case q.pend <- j:
+		q.jobs[j.ID] = j
 		return j, nil
 	default:
-		q.mu.Lock()
-		delete(q.jobs, j.ID)
-		q.mu.Unlock()
 		return nil, ErrQueueFull
 	}
 }
@@ -412,12 +408,11 @@ func (q *Queue) Stats() Stats {
 // them promptly) and Close returns ctx.Err().
 func (q *Queue) Close(ctx context.Context) error {
 	q.mu.Lock()
-	already := q.closed
-	q.closed = true
-	q.mu.Unlock()
-	if !already {
-		close(q.pend)
+	if !q.closed {
+		q.closed = true
+		close(q.pend) // under q.mu: SubmitCtx sends under it
 	}
+	q.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -393,5 +394,56 @@ func TestAnnotateAttachesMetadata(t *testing.T) {
 func TestAnnotateOutsideJobIsNoop(t *testing.T) {
 	if Annotate(context.Background(), "k", "v") {
 		t.Error("Annotate succeeded outside a job context")
+	}
+}
+
+// TestSubmitRacesClose: submissions racing Close get a job or ErrClosed /
+// ErrQueueFull — never a send on the closed pending channel — and a refused
+// submission leaves no orphan in the job table.
+func TestSubmitRacesClose(t *testing.T) {
+	for iter := 0; iter < 100; iter++ {
+		q := New(Config{Workers: 1, QueueDepth: 2})
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for { // until the queue closes under this submitter
+					j, err := q.Submit("t", func(context.Context) (any, error) { return nil, nil })
+					switch {
+					case err == nil:
+						accepted.Add(1)
+						if _, ok := q.Get(j.ID); !ok {
+							t.Errorf("accepted job %s is not in the table", j.ID)
+						}
+					case errors.Is(err, ErrClosed):
+						return
+					case !errors.Is(err, ErrQueueFull):
+						t.Errorf("Submit = %v, want a job, ErrClosed or ErrQueueFull", err)
+						return
+					}
+				}
+			}()
+		}
+		for accepted.Load() == 0 {
+			runtime.Gosched()
+		}
+		if err := q.Close(context.Background()); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wg.Wait()
+		// Close drained the queue, so whatever is in the table was accepted
+		// and ran; a pending entry is the orphan of a refused submission.
+		q.mu.Lock()
+		for id, j := range q.jobs {
+			if !j.State().Terminal() {
+				t.Errorf("job %s left %s after Close", id, j.State())
+			}
+		}
+		if n := int64(len(q.jobs)); n != accepted.Load() {
+			t.Errorf("table holds %d jobs, %d were accepted", n, accepted.Load())
+		}
+		q.mu.Unlock()
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -28,11 +27,9 @@ import (
 	"sync"
 
 	"headroom"
-	"headroom/internal/breaker"
 	"headroom/internal/dist"
 	"headroom/internal/jobs"
 	"headroom/internal/obs"
-	"headroom/internal/obs/prom"
 )
 
 // shardRequest is the wire request of POST /v1/internal/shard: the original
@@ -46,9 +43,9 @@ type shardRequest struct {
 }
 
 // A worker answers 200 with the shard's aggregate as the raw body, in the
-// exact binary wire format (application/octet-stream). Provenance, for
-// whoever debugs with curl -i, rides in these response headers; the
-// coordinator reads neither.
+// exact binary wire format (application/octet-stream). Provenance rides in
+// these response headers: the node for whoever debugs with curl -i, the
+// record count for the coordinator's spans and stage events too.
 const (
 	nodeHeader    = "X-Dist-Node"    // the worker's hostname
 	recordsHeader = "X-Dist-Records" // records the shard consumed
@@ -68,111 +65,24 @@ type ShardPlacement struct {
 // placements under.
 const placementMetaKey = "placement"
 
-// distMetrics holds the coordinator-side capserved_dist_* series.
-type distMetrics struct {
-	dispatched  map[string]*prom.Counter   // by peer
-	failures    map[string]*prom.Counter   // by peer
-	latency     map[string]*prom.Histogram // by peer
-	transitions map[string]map[breaker.State]*prom.Counter
-	reroutes    *prom.Counter
-	hedges      *prom.Counter
-	hedgeWins   *prom.Counter
-	skips       *prom.Counter
-	exhausted   *prom.Counter
-}
-
-// initDist builds the dist client and its metrics; called from New when
+// initDist builds the dist client, which registers the capserved_dist_*
+// families it owns on this server's registry; called from New when
 // Config.Peers is non-empty. Invalid distribution config is a deployment
 // error, not a request error, so it panics like a bad flag would.
 func (s *Server) initDist() {
 	client, err := dist.New(dist.Config{
 		Peers:        s.cfg.Peers,
 		Token:        s.cfg.DistToken,
-		Transport:    s.cfg.DistTransport,
 		ShardTimeout: s.cfg.ShardTimeout,
 		HedgeAfter:   s.cfg.HedgeAfter,
 		Clock:        s.cfg.Clock,
 		Logger:       s.cfg.Logger,
-		OnEvent:      s.onDistEvent,
+		Registry:     s.reg,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("server: distributed config: %v", err))
 	}
 	s.dist = client
-
-	m := &s.distM
-	m.dispatched = map[string]*prom.Counter{}
-	m.failures = map[string]*prom.Counter{}
-	m.latency = map[string]*prom.Histogram{}
-	m.transitions = map[string]map[breaker.State]*prom.Counter{}
-	for _, peer := range client.Peers() {
-		m.dispatched[peer] = s.reg.Counter("capserved_dist_shards_dispatched_total",
-			"Shard dispatches sent to a worker (reroutes and hedges included).", prom.Labels{"peer": peer})
-		m.failures[peer] = s.reg.Counter("capserved_dist_shard_failures_total",
-			"Shard dispatch attempts that failed, by worker.", prom.Labels{"peer": peer})
-		m.latency[peer] = s.reg.Histogram("capserved_dist_shard_latency_seconds",
-			"Successful shard dispatch latency, by worker.", prom.Labels{"peer": peer}, prom.DefBuckets)
-		byState := map[breaker.State]*prom.Counter{}
-		for _, st := range []breaker.State{breaker.Closed, breaker.Open, breaker.HalfOpen} {
-			byState[st] = s.reg.Counter("capserved_dist_breaker_transitions_total",
-				"Worker circuit-breaker transitions, by destination state.",
-				prom.Labels{"peer": peer, "to": st.String()})
-		}
-		m.transitions[peer] = byState
-		peer := peer
-		s.reg.Gauge("capserved_dist_worker_breaker_state",
-			"Worker circuit-breaker position (0 closed, 1 open, 2 half-open).", prom.Labels{"peer": peer},
-			func() float64 { return float64(client.BreakerState(peer)) })
-	}
-	m.reroutes = s.reg.Counter("capserved_dist_reroutes_total",
-		"Shards rerouted to a fallback worker after a transient failure.", nil)
-	m.hedges = s.reg.Counter("capserved_dist_hedges_total",
-		"Hedged (duplicate) shard dispatches launched for slow primaries.", nil)
-	m.hedgeWins = s.reg.Counter("capserved_dist_hedge_wins_total",
-		"Hedged dispatches that answered before the primary.", nil)
-	m.skips = s.reg.Counter("capserved_dist_breaker_skips_total",
-		"Candidate workers skipped because their breaker was open.", nil)
-	m.exhausted = s.reg.Counter("capserved_dist_shards_exhausted_total",
-		"Shards that failed on every available worker.", nil)
-	s.reg.Gauge("capserved_dist_peers", "Configured distributed workers.", nil,
-		func() float64 { _, total := client.OpenBreakers(); return float64(total) })
-	s.reg.Gauge("capserved_dist_peers_open", "Workers whose circuit breaker is open.", nil,
-		func() float64 { open, _ := client.OpenBreakers(); return float64(open) })
-}
-
-// onDistEvent feeds dispatch lifecycle events into the dist metric series.
-func (s *Server) onDistEvent(ev dist.Event) {
-	m := &s.distM
-	switch ev.Kind {
-	case dist.EventDispatch:
-		if c, ok := m.dispatched[ev.Peer]; ok {
-			c.Inc()
-		}
-	case dist.EventSuccess:
-		if h, ok := m.latency[ev.Peer]; ok {
-			h.Observe(ev.Latency.Seconds())
-		}
-	case dist.EventFailure:
-		if c, ok := m.failures[ev.Peer]; ok {
-			c.Inc()
-		}
-	case dist.EventReroute:
-		m.reroutes.Inc()
-	case dist.EventHedge:
-		m.hedges.Inc()
-	case dist.EventHedgeWin:
-		m.hedgeWins.Inc()
-	case dist.EventSkip:
-		m.skips.Inc()
-	case dist.EventExhausted:
-		m.exhausted.Inc()
-	case dist.EventBreaker:
-		if by, ok := m.transitions[ev.Peer]; ok {
-			if c, ok := by[ev.To]; ok {
-				c.Inc()
-			}
-		}
-	}
 }
 
 // --- worker half ---------------------------------------------------------
@@ -198,26 +108,7 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil || int64(len(body)) > s.cfg.MaxBodyBytes {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errBody(r, "unreadable or oversized body"))
-		return
-	}
-	var sreq shardRequest
-	if err := decode(body, &sreq); err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	if sreq.Of < 1 || sreq.Shard < 0 || sreq.Shard >= sreq.Of {
-		s.badRequest(w, r, fmt.Errorf("shard %d/%d out of range", sreq.Shard, sreq.Of))
-		return
-	}
-	if err := sreq.Normalize(); err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	cfg, err := sreq.Fleet()
+	sreq, cfg, err := decodeShard(r)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
@@ -259,6 +150,24 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(nodeHeader, s.hostname)
 	w.Header().Set(recordsHeader, strconv.FormatInt(records, 10))
 	_, _ = w.Write(enc) // a failed write is the coordinator's to notice: it reroutes
+}
+
+// decodeShard reads and validates a shard request the way a submission is
+// read and validated — readBody, strict decode, resolve — plus the shard
+// coordinates; here any unreadable body is a plain bad request.
+func decodeShard(r *http.Request) (sreq shardRequest, cfg headroom.FleetConfig, err error) {
+	body, err := readBody(r)
+	if err != nil {
+		return sreq, cfg, errors.New("unreadable or oversized body")
+	}
+	if err := decode(body, &sreq); err != nil {
+		return sreq, cfg, err
+	}
+	if sreq.Of < 1 || sreq.Shard < 0 || sreq.Shard >= sreq.Of {
+		return sreq, cfg, fmt.Errorf("shard %d/%d out of range", sreq.Shard, sreq.Of)
+	}
+	cfg, err = sreq.resolve()
+	return sreq, cfg, err
 }
 
 // wrapSource applies the fault injector and resilience layer to a raw
@@ -320,6 +229,8 @@ func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
 			// Transient: the worker may answer cleanly when the job retries.
 			return nil, 0, headroom.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", index, res.Worker, err))
 		}
+		// 0, the runner's "cannot count", if the worker sent no count.
+		records, _ := strconv.ParseInt(res.Header.Get(recordsHeader), 10, 64)
 		// Re-annotate on every completion, in shard order, so the job status
 		// shows placements as they land.
 		mu.Lock()
@@ -330,7 +241,7 @@ func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
 		sort.Slice(placements, func(a, b int) bool { return placements[a].Shard < placements[b].Shard })
 		jobs.Annotate(ctx, placementMetaKey, append([]ShardPlacement(nil), placements...))
 		mu.Unlock()
-		return agg, 0, nil // records are counted on the worker's span
+		return agg, records, nil
 	}
 }
 

@@ -516,6 +516,29 @@ func TestDistMetricsExposed(t *testing.T) {
 			t.Errorf("/metrics missing %s", family)
 		}
 	}
+	// The coordinator's account of a distributed job's records is the
+	// workers': each shard's count rides back in the X-Dist-Records header.
+	num := func(v any) int64 { // a JSON-decoded span says float64, a worker's own int64
+		if f, ok := v.(float64); ok {
+			return int64(f)
+		}
+		n, _ := v.(int64)
+		return n
+	}
+	var aggregated, served int64
+	for i, spans := range traces {
+		for _, sd := range spans {
+			if i == 0 && sd.Name == "session.aggregate" {
+				aggregated += num(sd.Attrs["records"])
+			}
+			if i > 0 && sd.Name == "dist.shard.serve" {
+				served += num(sd.Attrs["records"])
+			}
+		}
+	}
+	if served == 0 || aggregated != served {
+		t.Errorf("coordinator session.aggregate records = %d, workers' dist.shard.serve records sum to %d", aggregated, served)
+	}
 	// At least one dispatch happened.
 	if !strings.Contains(text, `capserved_dist_shards_dispatched_total{peer="`) {
 		t.Error("no per-peer dispatch counter rendered")

@@ -1,11 +1,13 @@
 package server
 
 // Request decoding, validation, canonicalization and the compute functions
-// that drive the headroom.Session pipeline. Every compute function returns
-// its result pre-marshalled (json.RawMessage) so cached results are served
+// that drive the headroom.Session pipeline: the typed halves of each job
+// kind's row (addKind). A compute function returns its wire result;
+// finishResult pre-marshals it (json.RawMessage) so cached results are served
 // byte-identical to the first computation.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,46 +23,10 @@ import (
 // into multiple jobs.
 const maxDays = 30
 
-// computeFunc produces a job result (a json.RawMessage).
-type computeFunc func(ctx context.Context) (any, error)
-
-// buildJob decodes and validates the request body for kind and returns the
-// compute function plus the canonicalized request used as the cache key.
-func (s *Server) buildJob(kind string, body []byte) (computeFunc, any, error) {
-	switch kind {
-	case "simulate":
-		req, err := decodeSimulate(body)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(ctx context.Context) (any, error) { return s.computeSimulate(ctx, req) }, req, nil
-	case "plan":
-		req, err := decodePlan(body)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(ctx context.Context) (any, error) { return s.computePlan(ctx, req) }, req, nil
-	case "validate":
-		req, err := decodeValidate(body)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(ctx context.Context) (any, error) { return s.computeValidate(ctx, req) }, req, nil
-	case "forecast":
-		req, err := decodeForecast(body)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(ctx context.Context) (any, error) { return s.computeForecast(ctx, req) }, req, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown job kind %q", kind)
-	}
-}
-
 // decode unmarshals strictly: unknown fields are rejected so a typoed
 // option fails loudly instead of silently planning the wrong scenario.
 func decode(body []byte, into any) error {
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("decode request: %w", err)
@@ -91,13 +57,17 @@ func decodeSimulate(body []byte) (SimulateRequest, error) {
 	if err := decode(body, &req); err != nil {
 		return req, err
 	}
-	if err := req.Normalize(); err != nil {
-		return req, err
-	}
-	// Resolve the fleet now so unknown pool names fail the submission (400)
-	// instead of the job.
-	_, err := req.Fleet()
+	_, err := req.resolve()
 	return req, err
+}
+
+// resolve canonicalizes the request and resolves its fleet, so a bad horizon
+// or an unknown pool name fails the submission (400) instead of the job.
+func (r *SimulateRequest) resolve() (headroom.FleetConfig, error) {
+	if err := r.Normalize(); err != nil {
+		return headroom.FleetConfig{}, err
+	}
+	return r.Fleet()
 }
 
 func (r *SimulateRequest) Normalize() error {
@@ -114,10 +84,7 @@ func (r *SimulateRequest) Normalize() error {
 		seen := map[string]bool{}
 		kept := r.Pools[:0]
 		for _, p := range r.Pools {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				return fmt.Errorf("pools contains an empty name")
-			}
+			p = strings.TrimSpace(p) // Fleet rejects a name that was only space
 			if !seen[p] {
 				seen[p] = true
 				kept = append(kept, p)
@@ -129,34 +96,10 @@ func (r *SimulateRequest) Normalize() error {
 	return nil
 }
 
-// fleet resolves the request's fleet configuration, failing on unknown pool
-// names.
+// Fleet resolves the request's fleet configuration, failing on empty or
+// unknown pool names.
 func (r SimulateRequest) Fleet() (headroom.FleetConfig, error) {
-	cfg := headroom.DefaultFleet(r.Seed)
-	if len(r.Pools) == 0 {
-		return cfg, nil
-	}
-	keep := map[string]bool{}
-	for _, p := range r.Pools {
-		keep[p] = true
-	}
-	var filtered []headroom.PoolConfig
-	for _, pc := range cfg.Pools {
-		if keep[pc.Name] {
-			filtered = append(filtered, pc)
-			delete(keep, pc.Name)
-		}
-	}
-	if len(keep) > 0 {
-		missing := make([]string, 0, len(keep))
-		for p := range keep {
-			missing = append(missing, p)
-		}
-		sort.Strings(missing)
-		return cfg, fmt.Errorf("unknown pools: %s", strings.Join(missing, ", "))
-	}
-	cfg.Pools = filtered
-	return cfg, nil
+	return headroom.FilterPools(headroom.DefaultFleet(r.Seed), r.Pools)
 }
 
 // ShardFailure is the wire view of one failed shard of a degraded job.
@@ -279,39 +222,47 @@ func BuildSimulateResult(req SimulateRequest, agg *headroom.Aggregator, pe *head
 	return res, nil
 }
 
-func (s *Server) computeSimulate(ctx context.Context, req SimulateRequest) (any, error) {
-	sess, err := s.session(req, headroom.PlanConfig{})
+// computeFleet is the compute of both fleet kinds: one session, one
+// aggregate, then reduce — the only step simulate and plan differ in. A
+// *PartialError (pools lost, Config.PartialResults on) reaches reduce and the
+// caller: the result is degraded.
+func (s *Server) computeFleet(ctx context.Context, req SimulateRequest, plan headroom.PlanConfig,
+	reduce func(*headroom.Session, *headroom.Aggregator, *headroom.PartialError) (any, error)) (any, *headroom.PartialError, error) {
+	sess, err := s.session(req, plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	agg, pe, err := simulate(ctx, sess)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := BuildSimulateResult(req, agg, pe)
-	if err != nil {
-		return nil, err
-	}
-	return s.finishResult(ctx, "simulate", res, pe)
+	res, err := reduce(sess, agg, pe)
+	return res, pe, err
 }
 
-// finishResult pre-renders a job result, marking degraded (partial) results
-// uncacheable so a later identical request recomputes instead of being
-// served a partial answer as if it were complete.
-func (s *Server) finishResult(ctx context.Context, kind string, v any, pe *headroom.PartialError) (any, error) {
-	raw, err := marshalResult(v)
+func (s *Server) computeSimulate(ctx context.Context, req SimulateRequest) (any, *headroom.PartialError, error) {
+	return s.computeFleet(ctx, req, headroom.PlanConfig{},
+		func(_ *headroom.Session, agg *headroom.Aggregator, pe *headroom.PartialError) (any, error) {
+			return BuildSimulateResult(req, agg, pe)
+		})
+}
+
+// finishResult pre-renders a job result so cached repeats are served
+// byte-identical, marking degraded (partial) results uncacheable so a later
+// identical request recomputes instead of being served a partial answer as
+// if it were complete.
+func (s *Server) finishResult(ctx context.Context, k *jobKind, v any, pe *headroom.PartialError) (any, error) {
+	raw, err := json.Marshal(v)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("marshal result: %w", err)
 	}
 	if pe == nil {
-		return raw, nil
+		return json.RawMessage(raw), nil
 	}
-	if c, ok := s.m.degraded[kind]; ok {
-		c.Inc()
-	}
+	k.degraded.Inc()
 	s.cfg.Logger.WarnContext(ctx, "degraded result",
-		"kind", kind, "failed_pools", pe.FailedPools(), "error", pe.Error())
-	return jobcache.Uncacheable{Value: raw}, nil
+		"kind", k.name, "failed_pools", pe.FailedPools(), "error", pe.Error())
+	return jobcache.Uncacheable{Value: json.RawMessage(raw)}, nil
 }
 
 // --- plan ----------------------------------------------------------------
@@ -334,10 +285,7 @@ func decodePlan(body []byte) (PlanRequest, error) {
 	if err := decode(body, &req); err != nil {
 		return req, err
 	}
-	if err := req.SimulateRequest.Normalize(); err != nil {
-		return req, err
-	}
-	if _, err := req.Fleet(); err != nil {
+	if _, err := req.resolve(); err != nil {
 		return req, err
 	}
 	if req.LatencyBudgetMs < 0 {
@@ -415,21 +363,15 @@ func BuildPlanResult(req PlanRequest, plans []headroom.PoolPlan, pe *headroom.Pa
 	return res
 }
 
-func (s *Server) computePlan(ctx context.Context, req PlanRequest) (any, error) {
-	sess, err := s.session(req.SimulateRequest, req.PlanConfig())
-	if err != nil {
-		return nil, err
-	}
-	agg, pe, err := simulate(ctx, sess)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := sess.Plan(ctx, agg)
-	if err != nil {
-		return nil, err
-	}
-	res := BuildPlanResult(req, plans, pe)
-	return s.finishResult(ctx, "plan", res, pe)
+func (s *Server) computePlan(ctx context.Context, req PlanRequest) (any, *headroom.PartialError, error) {
+	return s.computeFleet(ctx, req.SimulateRequest, req.PlanConfig(),
+		func(sess *headroom.Session, agg *headroom.Aggregator, pe *headroom.PartialError) (any, error) {
+			plans, err := sess.Plan(ctx, agg)
+			if err != nil {
+				return nil, err
+			}
+			return BuildPlanResult(req, plans, pe), nil
+		})
 }
 
 // --- validate ------------------------------------------------------------
@@ -533,14 +475,14 @@ type ValidateResult struct {
 	Report headroom.ValidateReport `json:"report"`
 }
 
-func (s *Server) computeValidate(ctx context.Context, req ValidateRequest) (any, error) {
+func (s *Server) computeValidate(ctx context.Context, req ValidateRequest) (any, *headroom.PartialError, error) {
 	pool, err := headroom.NamedPool(headroom.DefaultFleet(req.Seed), req.Pool)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sess, err := headroom.New(context.Background())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep, err := sess.Validate(ctx, headroom.ValidateConfig{
 		Pool:          pool,
@@ -552,9 +494,9 @@ func (s *Server) computeValidate(ctx context.Context, req ValidateRequest) (any,
 		Seed:          req.Seed,
 	}, req.Change.change())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return marshalResult(ValidateResult{Pool: req.Pool, Report: rep})
+	return ValidateResult{Pool: req.Pool, Report: rep}, nil, nil
 }
 
 // --- forecast ------------------------------------------------------------
@@ -598,32 +540,22 @@ type ForecastResult struct {
 	PeakForecast *float64 `json:"peak_forecast,omitempty"`
 }
 
-func (s *Server) computeForecast(ctx context.Context, req ForecastRequest) (any, error) {
+func (s *Server) computeForecast(ctx context.Context, req ForecastRequest) (any, *headroom.PartialError, error) {
 	sess, err := headroom.New(context.Background())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	model, err := sess.Forecast(ctx, req.Series, req.TicksPerDay)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := ForecastResult{Model: model, GrowthPerDay: model.GrowthPerDay()}
 	if req.HorizonDays > 0 {
 		peak, err := model.PeakOverHorizon(len(req.Series), req.HorizonDays*req.TicksPerDay, 2)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.PeakForecast = &peak
 	}
-	return marshalResult(res)
-}
-
-// marshalResult pre-renders a job result so cached repeats are served
-// byte-identical.
-func marshalResult(v any) (json.RawMessage, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("marshal result: %w", err)
-	}
-	return json.RawMessage(b), nil
+	return res, nil, nil
 }

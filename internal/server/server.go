@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"headroom"
 	"headroom/internal/breaker"
 	"headroom/internal/dist"
 	"headroom/internal/faults"
@@ -71,9 +72,6 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown: connection draining plus job
 	// draining; default 30 seconds.
 	DrainTimeout time.Duration
-	// MaxBodyBytes bounds request bodies; default 8 MiB (forecast series
-	// can be large).
-	MaxBodyBytes int64
 	// PartialResults lets sharded simulate/plan jobs tolerate failed
 	// pools: surviving pools aggregate into a degraded result listing the
 	// failures instead of failing the whole job. Degraded results are
@@ -93,9 +91,6 @@ type Config struct {
 	// BreakerOpenFor is how long an open breaker fast-fails before
 	// half-opening; default 10 s.
 	BreakerOpenFor time.Duration
-	// BreakerProbes is the consecutive half-open successes that close a
-	// breaker; default 1.
-	BreakerProbes int
 	// ReadyHighWatermark marks the server not-ready (/readyz 503) while
 	// the pending queue is at or above it; default 3/4 of the queue depth.
 	ReadyHighWatermark int
@@ -114,8 +109,6 @@ type Config struct {
 	// fixed delay, zero adapts to 2× the worker's EWMA latency, negative
 	// disables hedging.
 	HedgeAfter time.Duration
-	// DistTransport overrides the dispatch HTTP transport, for tests.
-	DistTransport http.RoundTripper
 	// Faults, when set, injects deterministic faults into every job's
 	// record source — the chaos-testing hook (see internal/faults).
 	Faults *faults.Injector
@@ -140,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.RetryAttempts > 0 && c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
 	}
@@ -151,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerOpenFor <= 0 {
 		c.BreakerOpenFor = 10 * time.Second
-	}
-	if c.BreakerProbes <= 0 {
-		c.BreakerProbes = 1
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
@@ -177,8 +164,11 @@ func (c Config) readyHighWatermark(queueDepth int) int {
 	return hwm
 }
 
-// Server wires handlers, the job queue, the result cache, the per-endpoint
-// circuit breakers and metrics.
+// maxBodyBytes bounds a request body (forecast series can be large).
+const maxBodyBytes = 8 << 20
+
+// Server wires handlers, the job queue, the result cache, the job-kind rows
+// and metrics.
 type Server struct {
 	cfg     Config
 	queue   *jobs.Queue
@@ -186,9 +176,8 @@ type Server struct {
 	reg     *prom.Registry
 	mux     *http.ServeMux
 	handler http.Handler
-	// breakers is keyed by job kind and has no entries when breakers are
-	// disabled: a nil *Breaker admits everything.
-	breakers map[string]*breaker.Breaker
+	// kinds holds one row per submission endpoint, in route order.
+	kinds    []*jobKind
 	readyHWM int
 	draining atomic.Bool
 	// rate is the mean job service time, so 503 responses can derive an
@@ -202,32 +191,107 @@ type Server struct {
 	shardSem chan struct{}
 	hostname string
 
-	m     serverMetrics
-	distM distMetrics
+	m serverMetrics
 }
 
-// serverMetrics holds the pre-registered metric series.
+// serverMetrics holds the pre-registered metric series that belong to no one
+// job kind (those are on the kind's row).
 type serverMetrics struct {
-	jobsSubmitted   map[string]*prom.Counter // by kind
-	jobsDone        map[string]*prom.Counter
-	jobsFailed      map[string]*prom.Counter
-	jobRetries      map[string]*prom.Counter   // job attempts beyond the first
-	degraded        map[string]*prom.Counter   // degraded (partial) results served
-	breakerFastFail map[string]*prom.Counter   // submissions rejected by an open breaker
-	breakerOpen     map[string]*prom.Counter   // transitions into open, by kind
-	breakerHalf     map[string]*prom.Counter   // transitions into half_open
-	breakerClosed   map[string]*prom.Counter   // transitions into closed
-	reqTotal        map[string]*prom.Counter   // by handler
-	reqDuration     map[string]*prom.Histogram // by handler
-	badRequests     *prom.Counter
-	queueFull       *prom.Counter
-	notReady        *prom.Counter
-	sourceRetries   *prom.Counter
+	reqTotal      map[string]*prom.Counter   // by handler
+	reqDuration   map[string]*prom.Histogram // by handler
+	badRequests   *prom.Counter
+	queueFull     *prom.Counter
+	notReady      *prom.Counter
+	sourceRetries *prom.Counter
 }
 
-// endpoints the server serves jobs for, used to pre-register labelled
-// metric series.
-var jobKinds = []string{"simulate", "plan", "validate", "forecast"}
+// jobKind is the one row a submission endpoint is defined by: its name (the
+// route, the job label, the metric label), how a request body becomes a job,
+// its circuit breaker and its series of the per-kind metric families. Routes,
+// submission, completion accounting and breaker transitions all index it.
+type jobKind struct {
+	name string
+	// build decodes, validates and canonicalizes a request body and returns
+	// the job that computes it plus the canonical request, the cache key.
+	build   func(body []byte) (jobs.Func, any, error)
+	breaker *breaker.Breaker // nil when breakers are disabled: admits everything
+
+	submitted   *prom.Counter
+	done        *prom.Counter
+	failed      *prom.Counter
+	retries     *prom.Counter    // job attempts beyond the first
+	degraded    *prom.Counter    // degraded (partial) results served
+	fastFails   *prom.Counter    // submissions rejected by the open breaker
+	transitions [3]*prom.Counter // by destination breaker.State
+}
+
+// addKind appends the row of endpoint name, built from its typed halves:
+// decode validates and canonicalizes a body into the request R; compute runs
+// the job and returns its wire result plus, for a fleet job that lost pools,
+// the *PartialError naming them.
+func addKind[R any](s *Server, name string, decode func([]byte) (R, error),
+	compute func(context.Context, R) (any, *headroom.PartialError, error)) {
+	lbl := prom.Labels{"kind": name}
+	k := &jobKind{
+		name: name,
+		submitted: s.reg.Counter("capserved_jobs_submitted_total",
+			"Jobs accepted into the queue.", lbl),
+		done: s.reg.Counter("capserved_jobs_completed_total",
+			"Jobs finished, by outcome.", prom.Labels{"kind": name, "state": "done"}),
+		failed: s.reg.Counter("capserved_jobs_completed_total",
+			"Jobs finished, by outcome.", prom.Labels{"kind": name, "state": "failed"}),
+		retries: s.reg.Counter("capserved_job_retries_total",
+			"Job attempts beyond the first (transient-failure retries).", lbl),
+		degraded: s.reg.Counter("capserved_degraded_responses_total",
+			"Jobs that completed degraded: partial results after pool failures.", lbl),
+		fastFails: s.reg.Counter("capserved_breaker_fast_fails_total",
+			"Submissions rejected immediately by an open circuit breaker.", lbl),
+	}
+	for _, to := range []breaker.State{breaker.Open, breaker.HalfOpen, breaker.Closed} {
+		k.transitions[to] = s.reg.Counter("capserved_breaker_transitions_total",
+			"Circuit-breaker state transitions, by destination state.",
+			prom.Labels{"kind": name, "to": to.String()})
+	}
+	if s.cfg.BreakerThreshold > 0 {
+		k.breaker = breaker.New(breaker.Config{
+			Threshold: s.cfg.BreakerThreshold,
+			OpenFor:   s.cfg.BreakerOpenFor,
+			Now:       s.cfg.Clock,
+			OnTransition: func(from, to breaker.State) {
+				s.cfg.Logger.Info("breaker transition",
+					"kind", name, "from", from.String(), "to", to.String())
+				k.transitions[to].Inc()
+			},
+		})
+	}
+	s.reg.Gauge("capserved_breaker_state",
+		"Circuit-breaker position (0 closed, 1 open, 2 half-open).", lbl,
+		func() float64 { return float64(k.breaker.State()) })
+	k.build = func(body []byte) (jobs.Func, any, error) {
+		req, err := decode(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func(ctx context.Context) (any, error) {
+			res, pe, err := compute(ctx, req)
+			if err != nil {
+				return nil, err
+			}
+			return s.finishResult(ctx, k, res, pe)
+		}, req, nil
+	}
+	s.kinds = append(s.kinds, k)
+}
+
+// kind returns the row named name, nil for a job no endpoint submitted.
+func (s *Server) kind(name string) *jobKind {
+	for _, k := range s.kinds {
+		if k.name == name {
+			return k
+		}
+	}
+	return nil
+}
 
 // New builds a Server and starts its worker pool. Call Shutdown (or Serve
 // with a cancellable context) to drain it.
@@ -253,87 +317,30 @@ func New(cfg Config) *Server {
 	// Shard work bypasses the job queue; bound it at twice the worker pool
 	// so a coordinator burst cannot starve this node's own jobs.
 	s.shardSem = make(chan struct{}, 2*s.queue.Workers())
+	addKind(s, "simulate", decodeSimulate, s.computeSimulate)
+	addKind(s, "plan", decodePlan, s.computePlan)
+	addKind(s, "validate", decodeValidate, s.computeValidate)
+	addKind(s, "forecast", decodeForecast, s.computeForecast)
 	s.initMetrics()
 	if len(cfg.Peers) > 0 {
 		s.initDist()
-	}
-	if cfg.BreakerThreshold > 0 {
-		s.breakers = make(map[string]*breaker.Breaker, len(jobKinds))
-		for _, kind := range jobKinds {
-			kind := kind
-			s.breakers[kind] = breaker.New(breaker.Config{
-				Threshold: cfg.BreakerThreshold,
-				OpenFor:   cfg.BreakerOpenFor,
-				Probes:    cfg.BreakerProbes,
-				Now:       cfg.Clock,
-				OnTransition: func(from, to breaker.State) {
-					s.onBreakerTransition(kind, from, to)
-				},
-			})
-		}
 	}
 	s.routes()
 	s.handler = s.mux
 	return s
 }
 
-// onBreakerTransition feeds breaker state changes into the transition
-// counters and the lifecycle log.
-func (s *Server) onBreakerTransition(kind string, from, to breaker.State) {
-	s.cfg.Logger.Info("breaker transition",
-		"kind", kind, "from", from.String(), "to", to.String())
-	var c *prom.Counter
-	switch to {
-	case breaker.Open:
-		c = s.m.breakerOpen[kind]
-	case breaker.HalfOpen:
-		c = s.m.breakerHalf[kind]
-	case breaker.Closed:
-		c = s.m.breakerClosed[kind]
-	}
-	if c != nil {
-		c.Inc()
-	}
-}
-
+// initMetrics registers the families that belong to no one job kind; it runs
+// after the kind rows so the exposition keeps their families first.
 func (s *Server) initMetrics() {
 	m := &s.m
-	m.jobsSubmitted = map[string]*prom.Counter{}
-	m.jobsDone = map[string]*prom.Counter{}
-	m.jobsFailed = map[string]*prom.Counter{}
-	m.jobRetries = map[string]*prom.Counter{}
-	m.degraded = map[string]*prom.Counter{}
-	m.breakerFastFail = map[string]*prom.Counter{}
-	m.breakerOpen = map[string]*prom.Counter{}
-	m.breakerHalf = map[string]*prom.Counter{}
-	m.breakerClosed = map[string]*prom.Counter{}
 	m.reqTotal = map[string]*prom.Counter{}
 	m.reqDuration = map[string]*prom.Histogram{}
-	for _, kind := range jobKinds {
-		m.jobsSubmitted[kind] = s.reg.Counter("capserved_jobs_submitted_total",
-			"Jobs accepted into the queue.", prom.Labels{"kind": kind})
-		m.jobsDone[kind] = s.reg.Counter("capserved_jobs_completed_total",
-			"Jobs finished, by outcome.", prom.Labels{"kind": kind, "state": "done"})
-		m.jobsFailed[kind] = s.reg.Counter("capserved_jobs_completed_total",
-			"Jobs finished, by outcome.", prom.Labels{"kind": kind, "state": "failed"})
-		m.jobRetries[kind] = s.reg.Counter("capserved_job_retries_total",
-			"Job attempts beyond the first (transient-failure retries).", prom.Labels{"kind": kind})
-		m.degraded[kind] = s.reg.Counter("capserved_degraded_responses_total",
-			"Jobs that completed degraded: partial results after pool failures.", prom.Labels{"kind": kind})
-		m.breakerFastFail[kind] = s.reg.Counter("capserved_breaker_fast_fails_total",
-			"Submissions rejected immediately by an open circuit breaker.", prom.Labels{"kind": kind})
-		m.breakerOpen[kind] = s.reg.Counter("capserved_breaker_transitions_total",
-			"Circuit-breaker state transitions, by destination state.", prom.Labels{"kind": kind, "to": "open"})
-		m.breakerHalf[kind] = s.reg.Counter("capserved_breaker_transitions_total",
-			"Circuit-breaker state transitions, by destination state.", prom.Labels{"kind": kind, "to": "half_open"})
-		m.breakerClosed[kind] = s.reg.Counter("capserved_breaker_transitions_total",
-			"Circuit-breaker state transitions, by destination state.", prom.Labels{"kind": kind, "to": "closed"})
-		kind := kind
-		s.reg.Gauge("capserved_breaker_state",
-			"Circuit-breaker position (0 closed, 1 open, 2 half-open).", prom.Labels{"kind": kind},
-			func() float64 { return float64(s.breakers[kind].State()) })
+	handlers := []string{"jobs", "healthz", "readyz", "metrics", "internal_shard"}
+	for _, k := range s.kinds {
+		handlers = append(handlers, k.name)
 	}
-	for _, h := range append([]string{"jobs", "healthz", "readyz", "metrics", "internal_shard"}, jobKinds...) {
+	for _, h := range handlers {
 		m.reqTotal[h] = s.reg.Counter("capserved_http_requests_total",
 			"HTTP requests served, by handler.", prom.Labels{"handler": h})
 		m.reqDuration[h] = s.reg.Histogram("capserved_request_duration_seconds",
@@ -381,38 +388,31 @@ func (s *Server) initMetrics() {
 // onJobState feeds queue transitions into the completion counters, the
 // service-rate estimate behind Retry-After, and the circuit breakers.
 func (s *Server) onJobState(snap jobs.Snapshot) {
+	if snap.State.Terminal() && !snap.Started.IsZero() && !snap.Finished.IsZero() {
+		s.rate.Observe(snap.Finished.Sub(snap.Started))
+	}
+	k := s.kind(snap.Kind)
+	if k == nil {
+		return
+	}
 	switch snap.State {
 	case jobs.Running:
 		if snap.Attempts > 1 {
-			if c, ok := s.m.jobRetries[snap.Kind]; ok {
-				c.Inc()
-			}
+			k.retries.Inc()
 		}
 	case jobs.Done:
-		if c, ok := s.m.jobsDone[snap.Kind]; ok {
-			c.Inc()
-		}
-		s.observeCompletion(snap)
-		s.breakers[snap.Kind].Success()
+		k.done.Inc()
+		k.breaker.Success()
 	case jobs.Failed:
-		if c, ok := s.m.jobsFailed[snap.Kind]; ok {
-			c.Inc()
-		}
-		s.observeCompletion(snap)
-		s.breakers[snap.Kind].Failure()
-	}
-}
-
-func (s *Server) observeCompletion(snap jobs.Snapshot) {
-	if !snap.Started.IsZero() && !snap.Finished.IsZero() {
-		s.rate.Observe(snap.Finished.Sub(snap.Started))
+		k.failed.Inc()
+		k.breaker.Failure()
 	}
 }
 
 // BreakerState exposes an endpoint's breaker position for tests; the second
 // return is false when breakers are disabled.
 func (s *Server) BreakerState(kind string) (breaker.State, bool) {
-	br := s.breakers[kind]
+	br := s.kind(kind).breaker
 	return br.State(), br != nil
 }
 
@@ -443,10 +443,9 @@ func (s *Server) retryAfterSeconds(depth int) int {
 }
 
 func (s *Server) routes() {
-	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSubmit("simulate")))
-	s.mux.Handle("POST /v1/plan", s.instrument("plan", s.handleSubmit("plan")))
-	s.mux.Handle("POST /v1/validate", s.instrument("validate", s.handleSubmit("validate")))
-	s.mux.Handle("POST /v1/forecast", s.instrument("forecast", s.handleSubmit("forecast")))
+	for _, k := range s.kinds {
+		s.mux.Handle("POST /v1/"+k.name, s.instrument(k.name, s.handleSubmit(k)))
+	}
 	s.mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs", http.HandlerFunc(s.handleJob)))
 	s.mux.Handle("GET /healthz", s.instrument("healthz", http.HandlerFunc(s.handleHealthz)))
 	s.mux.Handle("GET /readyz", s.instrument("readyz", http.HandlerFunc(s.handleReadyz)))
@@ -621,22 +620,37 @@ func (s *Server) viewOf(j *jobs.Job) jobView {
 	return v
 }
 
-// handleSubmit decodes, validates and canonicalizes a request for kind,
+// errBodyTooLarge is readBody's error for a body over maxBodyBytes.
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+
+// readBody reads a request body of at most maxBodyBytes; every endpoint that
+// takes one reads it here and maps the error to its own status.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+	if len(body) > maxBodyBytes {
+		return nil, errBodyTooLarge
+	}
+	return body, nil
+}
+
+// handleSubmit decodes, validates and canonicalizes a request for kind k,
 // then submits a job that computes through the result cache.
-func (s *Server) handleSubmit(kind string) http.Handler {
+func (s *Server) handleSubmit(k *jobKind) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-		if err != nil {
-			s.badRequest(w, r, fmt.Errorf("read body: %w", err))
-			return
-		}
-		if int64(len(body)) > s.cfg.MaxBodyBytes {
+		body, err := readBody(r)
+		if err == errBodyTooLarge {
 			s.m.badRequests.Inc()
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errBody(r, fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes)))
+			writeJSON(w, http.StatusRequestEntityTooLarge, errBody(r, err.Error()))
 			return
 		}
-		compute, canonical, err := s.buildJob(kind, body)
+		if err != nil {
+			s.badRequest(w, r, err)
+			return
+		}
+		compute, canonical, err := k.build(body)
 		if err != nil {
 			s.badRequest(w, r, err)
 			return
@@ -644,17 +658,17 @@ func (s *Server) handleSubmit(kind string) http.Handler {
 		// Circuit breaker: when this endpoint's jobs keep failing, reject
 		// immediately instead of queueing doomed work. Retry-After is the
 		// time until the breaker half-opens for a probe.
-		br := s.breakers[kind]
+		br := k.breaker
 		if !br.Allow() {
-			s.m.breakerFastFail[kind].Inc()
+			k.fastFails.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterCeil(br.RetryAfter())))
 			writeJSON(w, http.StatusServiceUnavailable,
-				errBody(r, fmt.Sprintf("circuit breaker open for %s: recent jobs kept failing", kind)))
+				errBody(r, fmt.Sprintf("circuit breaker open for %s: recent jobs kept failing", k.name)))
 			return
 		}
 		// The cache key is the canonicalized request — defaults applied,
 		// shard count excluded (sharding never changes results).
-		key, err := jobcache.Key(kind, canonical)
+		key, err := jobcache.Key(k.name, canonical)
 		if err != nil {
 			br.Release()
 			s.badRequest(w, r, err)
@@ -662,7 +676,7 @@ func (s *Server) handleSubmit(kind string) http.Handler {
 		}
 		// SubmitCtx links the job's span tree under this request's trace;
 		// the job outliving the request (async submit) keeps the linkage.
-		j, err := s.queue.SubmitCtx(r.Context(), kind, func(ctx context.Context) (any, error) {
+		j, err := s.queue.SubmitCtx(r.Context(), k.name, func(ctx context.Context) (any, error) {
 			val, _, err := s.cache.Do(key, func() (any, error) { return compute(ctx) })
 			return val, err
 		})
@@ -683,7 +697,7 @@ func (s *Server) handleSubmit(kind string) http.Handler {
 			writeJSON(w, http.StatusInternalServerError, errBody(r, err.Error()))
 			return
 		}
-		s.m.jobsSubmitted[kind].Inc()
+		k.submitted.Inc()
 
 		if wait, ok := parseWait(r.URL.Query().Get("wait")); ok {
 			waitCtx := r.Context()
