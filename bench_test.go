@@ -170,6 +170,33 @@ func BenchmarkPlanPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanFleetSharded is one cold plan request's compute as capserved
+// runs it: the benchmark's fleet (A/B/D/H, one day) dealt over two shards,
+// each ingested and planned where its records are (SimulateRows), the rows
+// combined in (pool, datacenter) order. Reports ms/op beside B/op.
+func BenchmarkPlanFleetSharded(b *testing.B) {
+	ctx := context.Background()
+	fleet, err := headroom.FilterPools(headroom.DefaultFleet(1), []string{"A", "B", "D", "H"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := headroom.New(ctx, headroom.WithSource(headroom.NewSimSource(fleet, 1)),
+		headroom.WithShards(2), headroom.WithPlanConfig(headroom.PlanConfig{LatencyBudgetMs: 5, Seed: 2}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := headroom.SimulateRows(ctx, s, planShard(s),
+			func(p headroom.PoolPlan) (string, string) { return p.Pool, p.DC })
+		if err != nil || len(rows) != 12 {
+			b.Fatalf("%d rows, err %v", len(rows), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+}
+
 func BenchmarkPolyFitQuadratic(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 1221) // the paper's N for the pool B fit

@@ -7,6 +7,7 @@ package headroom_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,21 +113,27 @@ func TestAggregateShardPanicIsolated(t *testing.T) {
 	cfg := headroom.DefaultFleet(9)
 	cfg.Pools = cfg.Pools[:2]
 	inj := faults.New(7, faults.Rule{Kind: faults.Panic, Pools: []string{cfg.Pools[1].Name}, At: []int{0}, Msg: "injected crash"})
-	s, err := headroom.New(ctx, headroom.WithSource(inj.Source(headroom.NewSimSource(cfg, 1))))
+	src := headroom.NewSimSource(cfg, 1)
+	s, err := headroom.New(ctx, headroom.WithSource(inj.Source(src)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Pools are dealt by weight: find the shard pool 1 landed in.
+	faulted := 0
+	if headroom.PoolNames(src.Shards(2)[1])[0] == cfg.Pools[1].Name {
+		faulted = 1
+	}
 
-	// Shard 0 (pool 0) is untouched.
-	if _, n, err := s.AggregateShard(ctx, 0, 2); err != nil || n == 0 {
+	// The other shard is untouched.
+	if _, n, err := s.AggregateShard(ctx, 1-faulted, 2); err != nil || n == 0 {
 		t.Fatalf("healthy shard: n=%d err=%v", n, err)
 	}
-	// Shard 1 (pool 1) panics: the panic must surface as a shard error.
-	_, _, err = s.AggregateShard(ctx, 1, 2)
+	// Pool 1's shard panics: the panic must surface as a shard error.
+	_, _, err = s.AggregateShard(ctx, faulted, 2)
 	if err == nil {
 		t.Fatal("panicking shard returned nil error")
 	}
-	if !strings.Contains(err.Error(), "shard 1 panicked") || !strings.Contains(err.Error(), "injected crash") {
-		t.Errorf("error = %q, want shard-1 panic message", err)
+	if !strings.Contains(err.Error(), fmt.Sprintf("shard %d panicked", faulted)) || !strings.Contains(err.Error(), "injected crash") {
+		t.Errorf("error = %q, want the shard's panic message", err)
 	}
 }

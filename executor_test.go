@@ -1,16 +1,20 @@
 package headroom_test
 
 // The shard executor as one table: every way a shard can end × both failure
-// modes × a fan-out of one and of three, driven twice — through the default
-// in-process runner over internal/faults sources, and through a fake
-// ShardRunner standing in for a remote dispatch. The executor around the
-// runner (span, panic isolation, sibling cancellation, merge order,
-// PartialError assembly, aggregate.shard events) is shared, so both runners
-// must produce the same outcome; the table also pins that outcome.
+// modes × a fan-out of one and of three, driven three times — the aggregate
+// fan-out (Simulate) and the rows fan-out (SimulateRows, each shard planned
+// where it was ingested) through the in-process shard function over
+// internal/faults sources, and the rows fan-out through a fake ShardFunc
+// standing in for a remote dispatch. The executor around the shard function
+// (span, panic isolation, sibling cancellation, combine order, PartialError
+// assembly, aggregate.shard events) is shared, so all three must come to the
+// same outcome; the table also pins that outcome, and holds the rows to the
+// sequential library oracle: Simulate on one shard, then Plan.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -55,11 +59,11 @@ type shardEvent struct {
 
 // execOutcome is everything the table asserts about one run.
 type execOutcome struct {
-	Class  string   // errClass of the returned error
-	Failed []string // "shard:pools" of PartialError.Failed, in order
-	Shards int      // PartialError.Shards
-	Agg    []byte   // wire encoding of the returned aggregate, nil when none
-	Events []shardEvent
+	Class   string   // errClass of the returned error
+	Failed  []string // "shard:pools" of PartialError.Failed, in order
+	Shards  int      // PartialError.Shards
+	Product []byte   // the run's product encoded (aggregate wire bytes, or rows JSON); nil when none
+	Events  []shardEvent
 }
 
 // errClass folds an error into the classes the executor must preserve.
@@ -81,16 +85,22 @@ func errClass(err error) string {
 	}
 }
 
-// execRun drives one table cell through one runner and collects its outcome.
-// build returns the session options for the runner under test; cancel is
-// the caller's, for the cancel behaviour.
-func execRun(t *testing.T, shards int, partial bool, build func(cancel context.CancelFunc) []headroom.Option) execOutcome {
+// execDo runs a session's fan-out and returns its product encoded.
+type execDo func(context.Context, *headroom.Session) ([]byte, error)
+
+// execDriver returns the session options and the fan-out of one way to drive
+// a table cell; cancel is the caller's, for the cancel behaviour.
+type execDriver func(cancel context.CancelFunc) ([]headroom.Option, execDo)
+
+// execRun drives one table cell through one driver and collects its outcome.
+func execRun(t *testing.T, shards int, partial bool, drive execDriver) execOutcome {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex
 	var events []shardEvent
-	opts := append(build(cancel),
+	opts, do := drive(cancel)
+	opts = append(opts,
 		headroom.WithShards(shards),
 		headroom.WithPartialResults(partial),
 		headroom.WithObserver(func(ev headroom.StageEvent) {
@@ -105,9 +115,9 @@ func execRun(t *testing.T, shards int, partial bool, build func(cancel context.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := s.Simulate(ctx, 0)
+	product, err := do(ctx, s)
 
-	out := execOutcome{Class: errClass(err)}
+	out := execOutcome{Class: errClass(err), Product: product}
 	var pe *headroom.PartialError
 	if errors.As(err, &pe) {
 		out.Shards = pe.Shards
@@ -115,21 +125,59 @@ func execRun(t *testing.T, shards int, partial bool, build func(cancel context.C
 			out.Failed = append(out.Failed, fmt.Sprintf("%d:%s=%s", f.Shard, strings.Join(f.Pools, ","), errClass(f.Err)))
 		}
 	}
-	if agg != nil {
-		if out.Agg, err = headroom.EncodeAggregator(agg); err != nil {
-			t.Fatal(err)
-		}
-	}
 	sort.Slice(events, func(i, j int) bool { return events[i].Shard < events[j].Shard })
 	out.Events = events
 	return out
 }
 
-// localRunner is the default in-process runner over a fault-injected replay
+// aggregateOf is the aggregate fan-out: Simulate, wire-encoded.
+func aggregateOf(ctx context.Context, s *headroom.Session) ([]byte, error) {
+	agg, err := s.Simulate(ctx, 0)
+	if agg == nil {
+		return nil, err
+	}
+	enc, encErr := headroom.EncodeAggregator(agg)
+	if encErr != nil {
+		return nil, encErr
+	}
+	return enc, err
+}
+
+// rowsOf is the rows fan-out of the plan kind over the shard function run
+// builds for the session, rendered as the JSON a result carries.
+func rowsOf(run func(*headroom.Session) headroom.ShardFunc[[]headroom.PoolPlan]) execDo {
+	return func(ctx context.Context, s *headroom.Session) ([]byte, error) {
+		rows, err := headroom.SimulateRows(ctx, s, run(s),
+			func(p headroom.PoolPlan) (string, string) { return p.Pool, p.DC })
+		if rows == nil {
+			return nil, err
+		}
+		enc, encErr := json.Marshal(rows)
+		if encErr != nil {
+			return nil, encErr
+		}
+		return enc, err
+	}
+}
+
+// planShard is the in-process shard of the plan kind: ingest, then plan where
+// the aggregate is.
+func planShard(s *headroom.Session) headroom.ShardFunc[[]headroom.PoolPlan] {
+	return func(ctx context.Context, sub headroom.Source, index, of int) ([]headroom.PoolPlan, int64, error) {
+		agg, n, err := headroom.IngestShard(ctx, sub, index, of)
+		if err != nil {
+			return nil, n, err
+		}
+		rows, err := s.Plan(ctx, agg)
+		return rows, n, err
+	}
+}
+
+// localDriver is the in-process shard function over a fault-injected replay
 // source. The cancel behaviour stalls the faulted pool's stream and cancels
 // the caller once the stall has begun.
-func localRunner(behaviour string) func(context.CancelFunc) []headroom.Option {
-	return func(cancel context.CancelFunc) []headroom.Option {
+func localDriver(behaviour string, do execDo) execDriver {
+	return func(cancel context.CancelFunc) ([]headroom.Option, execDo) {
 		src := headroom.Source(headroom.NewReplaySource(execRecords(execPools)))
 		if behaviour != "ok" {
 			rule := faults.Rule{Pools: []string{execFaulted}, At: []int{2}}
@@ -154,16 +202,16 @@ func localRunner(behaviour string) func(context.CancelFunc) []headroom.Option {
 				}()
 			}
 		}
-		return []headroom.Option{headroom.WithSource(src)}
+		return []headroom.Option{headroom.WithSource(src)}, do
 	}
 }
 
-// fakeRunner replaces shard execution the way a dist coordinator does: the
-// source only defines the split, and a stand-in computes (or fails) each
-// shard.
-func fakeRunner(behaviour string) func(context.CancelFunc) []headroom.Option {
-	return func(cancel context.CancelFunc) []headroom.Option {
-		run := func(ctx context.Context, sub headroom.Source, index, of int) (*headroom.Aggregator, int64, error) {
+// fakeDriver replaces shard execution the way a dist coordinator does: the
+// source only defines the split, and a stand-in answers (or fails) each shard
+// with the rows a worker would send back.
+func fakeDriver(behaviour string) execDriver {
+	return func(cancel context.CancelFunc) ([]headroom.Option, execDo) {
+		run := func(ctx context.Context, sub headroom.Source, index, of int) ([]headroom.PoolPlan, int64, error) {
 			pools := sub.(headroom.PoolNamer).PoolNames()
 			faulted := false
 			for _, p := range pools {
@@ -183,57 +231,83 @@ func fakeRunner(behaviour string) func(context.CancelFunc) []headroom.Option {
 					return nil, 0, ctx.Err()
 				}
 			}
-			return execAggregate(ctx, pools) // what a worker would send back
+			return workerRows(ctx, pools)
 		}
-		return []headroom.Option{
-			headroom.WithSource(headroom.NewReplaySource(execRecords(execPools))),
-			headroom.WithShardRunner(run),
-		}
+		return []headroom.Option{headroom.WithSource(headroom.NewReplaySource(execRecords(execPools)))},
+			rowsOf(func(*headroom.Session) headroom.ShardFunc[[]headroom.PoolPlan] { return run })
 	}
 }
 
-// execAggregate is the fault-free aggregate of the given pools' records.
-func execAggregate(ctx context.Context, pools []string) (*headroom.Aggregator, int64, error) {
+// workerRows is what a worker answers for a fault-free shard of the given
+// pools: the shard run on a session of its own, its rows through the JSON wire.
+func workerRows(ctx context.Context, pools []string) ([]headroom.PoolPlan, int64, error) {
 	s, err := headroom.New(ctx, headroom.WithSource(headroom.NewReplaySource(execRecords(pools))))
 	if err != nil {
 		return nil, 0, err
 	}
-	return s.AggregateShard(ctx, 0, 1)
+	rows, n, err := headroom.RunShard(ctx, s, 0, 1, planShard(s))
+	if err != nil {
+		return nil, n, err
+	}
+	wire, err := json.Marshal(rows)
+	if err != nil {
+		return nil, n, err
+	}
+	rows = nil
+	return rows, n, json.Unmarshal(wire, &rows)
 }
 
 func TestShardExecutorTable(t *testing.T) {
 	leakcheck.Check(t)
-	encode := func(pools ...string) []byte {
+	// The oracle: the given pools' records on one shard — wire bytes of the
+	// aggregate, and JSON of the plan over it.
+	oracle := func(pools ...string) (agg, rows []byte) {
 		t.Helper()
-		agg, _, err := execAggregate(context.Background(), pools)
+		s, err := headroom.New(context.Background(),
+			headroom.WithSource(headroom.NewReplaySource(execRecords(pools))), headroom.WithShards(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := headroom.EncodeAggregator(agg)
+		a, err := s.Simulate(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		if agg, err = headroom.EncodeAggregator(a); err != nil {
+			t.Fatal(err)
+		}
+		plans, err := s.Plan(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err = json.Marshal(plans); err != nil {
+			t.Fatal(err)
+		}
+		return agg, rows
 	}
-	whole, survivors := encode(execPools...), encode("P0", "P2")
+	wholeAgg, wholeRows := oracle(execPools...)
+	survivorAgg, survivorRows := oracle("P0", "P2")
 
 	for _, behaviour := range []string{"ok", "permanent", "transient", "panic", "cancel"} {
 		for _, partial := range []bool{true, false} {
 			for _, shards := range []int{1, 3} {
 				name := fmt.Sprintf("%s/partial=%v/shards=%d", behaviour, partial, shards)
 				t.Run(name, func(t *testing.T) {
-					local := execRun(t, shards, partial, localRunner(behaviour))
-					fake := execRun(t, shards, partial, fakeRunner(behaviour))
+					outcomes := map[string]execOutcome{
+						"local aggregate": execRun(t, shards, partial, localDriver(behaviour, aggregateOf)),
+						"local rows":      execRun(t, shards, partial, localDriver(behaviour, rowsOf(planShard))),
+						"fake rows":       execRun(t, shards, partial, fakeDriver(behaviour)),
+					}
 
 					// What the table says the run must come to.
 					want := execOutcome{Class: behaviour}
+					var wantAgg, wantRows []byte
 					faultedShard, faultedPools := 1, execFaulted
 					if shards == 1 {
 						faultedShard, faultedPools = 0, strings.Join(execPools, ",")
 					}
 					switch {
 					case behaviour == "ok":
-						want.Agg = whole
+						wantAgg, wantRows = wholeAgg, wholeRows
 					case behaviour == "cancel":
 						// Caller cancellation fails the run whole in both modes.
 						want.Class = "cancelled"
@@ -241,36 +315,44 @@ func TestShardExecutorTable(t *testing.T) {
 						want.Class, want.Shards = "partial", shards
 						want.Failed = []string{fmt.Sprintf("%d:%s=%s", faultedShard, faultedPools, behaviour)}
 						if shards == 3 {
-							want.Agg = survivors // nil when the only shard failed
+							wantAgg, wantRows = survivorAgg, survivorRows // none when the only shard failed
 						}
 					}
-					for runner, got := range map[string]execOutcome{"local": local, "fake": fake} {
+					for driver, got := range outcomes {
 						if got.Class != want.Class || got.Shards != want.Shards || !reflect.DeepEqual(got.Failed, want.Failed) {
-							t.Errorf("%s runner: outcome = %s %d %v, want %s %d %v", runner,
+							t.Errorf("%s: outcome = %s %d %v, want %s %d %v", driver,
 								got.Class, got.Shards, got.Failed, want.Class, want.Shards, want.Failed)
 						}
-						if !bytes.Equal(got.Agg, want.Agg) {
-							t.Errorf("%s runner: aggregate = %d bytes, want %d (survivors merged in shard order)", runner, len(got.Agg), len(want.Agg))
+						wantProduct := wantRows
+						if driver == "local aggregate" {
+							wantProduct = wantAgg
+						}
+						if !bytes.Equal(got.Product, wantProduct) {
+							t.Errorf("%s: product = %d bytes, want the one-shard oracle's %d (survivors combined in shard order)\n got: %.200s\nwant: %.200s",
+								driver, len(got.Product), len(wantProduct), got.Product, wantProduct)
 						}
 						// One aggregate.shard event per shard; the faulted
 						// shard's names its pools, class and degradation.
 						if len(got.Events) != shards {
-							t.Fatalf("%s runner: %d aggregate.shard events, want %d: %+v", runner, len(got.Events), shards, got.Events)
+							t.Fatalf("%s: %d aggregate.shard events, want %d: %+v", driver, len(got.Events), shards, got.Events)
 						}
 						wantEv := shardEvent{Shard: faultedShard, Pool: faultedPools, Class: behaviour, Degraded: partial && behaviour != "ok"}
 						if behaviour == "cancel" {
 							wantEv.Class = "cancelled"
 						}
 						if ev := got.Events[faultedShard]; ev != wantEv {
-							t.Errorf("%s runner: faulted shard event = %+v, want %+v", runner, ev, wantEv)
+							t.Errorf("%s: faulted shard event = %+v, want %+v", driver, ev, wantEv)
 						}
 					}
 					// Siblings race a cancellation — the caller's, or in
 					// fail-whole mode the failed shard's; everywhere else
-					// every event must agree across runners.
+					// every event must agree across drivers.
 					if behaviour == "ok" || (partial && behaviour != "cancel") {
-						if !reflect.DeepEqual(local.Events, fake.Events) {
-							t.Errorf("events differ across runners:\n local: %+v\n fake:  %+v", local.Events, fake.Events)
+						ref := outcomes["local aggregate"].Events
+						for driver, got := range outcomes {
+							if !reflect.DeepEqual(got.Events, ref) {
+								t.Errorf("events differ across drivers:\n local aggregate: %+v\n %s: %+v", ref, driver, got.Events)
+							}
 						}
 					}
 				})

@@ -3,7 +3,7 @@
 // shards own disjoint (pool, datacenter) keys and aggregator merges are
 // bit-identical regardless of where a shard ran — so the coordinator can
 // split a job's source into shards, ship each shard to a worker over HTTP,
-// and merge the returned aggregates into the exact bytes a single-node run
+// and combine what the workers return into the exact bytes a single-node run
 // would have produced.
 //
 // The client half (this package) owns placement and the failure playbook:
@@ -21,7 +21,7 @@
 //
 // The server half is capserved's authenticated POST /v1/internal/shard
 // endpoint (internal/server), which runs exactly one shard through the
-// session machinery and returns the encoded aggregate.
+// session machinery and returns its pools' rows.
 package dist
 
 import (
@@ -58,9 +58,9 @@ const ShardHeader = "X-Dist-Shard"
 // DefaultPath is the internal shard endpoint every capserved worker serves.
 const DefaultPath = "/v1/internal/shard"
 
-// maxResponseBytes bounds a worker response; an encoded shard aggregate for
-// a month of a large fleet stays well under this.
-const maxResponseBytes = 256 << 20
+// maxResponseBytes bounds what a coordinator buffers from a worker per attempt
+// (a shard's rows: kilobytes); it is the server's bound on a request body.
+const maxResponseBytes = 8 << 20
 
 // Config parameterizes a Client. Zero values take the documented defaults.
 type Config struct {

@@ -257,6 +257,37 @@ func TestDistDispatchPermanentFailureNoReroute(t *testing.T) {
 	}
 }
 
+// TestDispatchRejectsOversizedResponse: a coordinator buffers at most
+// maxResponseBytes of a worker's answer — rows are kilobytes, so more than the
+// request-side bound is a misbehaving worker. The attempt fails naming the
+// peer and the bound, and is charged to that worker's breaker.
+func TestDispatchRejectsOversizedResponse(t *testing.T) {
+	leakcheck.Check(t)
+	mux := newHostMux()
+	mux.set("w1", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(make([]byte, maxResponseBytes+1))
+	})
+	c := newTestClient(t, mux, Config{Peers: []string{"http://w1"}, BreakerThreshold: 1})
+
+	_, err := c.Dispatch(context.Background(), Shard{Key: "k"})
+	var se *ShardError
+	if !errors.As(err, &se) {
+		t.Fatalf("error = %v, want *ShardError", err)
+	}
+	for _, want := range []string{"http://w1", fmt.Sprintf("exceeds %d bytes", 8<<20)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if got := c.BreakerState("http://w1"); got != breaker.Open {
+		t.Errorf("worker breaker = %s after an oversized response at threshold 1, want open", got)
+	}
+	if got := c.workers["http://w1"].failures.Value(); got != 1 {
+		t.Errorf("failures of the worker = %d, want 1", got)
+	}
+}
+
 // TestDistDispatchExhausted: every worker fails transiently, so the shard
 // errors out as transient with the last failure attached.
 func TestDistDispatchExhausted(t *testing.T) {

@@ -81,8 +81,9 @@ func TestChaosDegradedServing(t *testing.T) {
 	leakcheck.Check(t)
 	const seed = 42
 	rules := []faults.Rule{{Kind: faults.Permanent, Pools: []string{"B", "F"}, At: []int{0}, Msg: "injected outage"}}
-	// 8 pools across 8 shards: the round-robin deal gives every pool its
-	// own shard, so a killed pool maps to exactly one failed shard.
+	// 8 pools across 8 shards: the deal (heaviest pool first, each to the
+	// lightest shard) gives every pool its own shard, so a killed pool maps
+	// to exactly one failed shard.
 	body := `{"days":1,"seed":1,"pools":["A","B","C","D","E","F","G","H"]}`
 
 	s := New(chaosConfig(faults.New(seed, rules...)))

@@ -1,18 +1,18 @@
 package server
 
 // Distributed scale-out: the worker half (the authenticated internal shard
-// endpoint) and the coordinator half (the ShardRunner that sends each shard
-// of a job's session to the peer fleet; the fan-out and merge around it are
+// endpoint) and the coordinator half (the ShardFunc that sends each shard of a
+// job's session to the peer fleet; the fan-out and combine around it are
 // headroom.Session's, the same as on a single node).
 //
 // The contract that makes this safe is bit-identity: shards own disjoint
-// (pool, datacenter) keys, sources are deterministic, and the aggregator
-// wire codec preserves every float64 bit — so a job distributed across N
+// (pool, datacenter) keys, sources are deterministic, a shard reduces to its
+// pools' rows by the same code wherever it runs, and encoding/json writes a
+// float64 in its shortest round-trip form — so a job distributed across N
 // capserved processes returns byte-for-byte the result a single process
-// would have computed. Placement is rendezvous-hashed on each shard's pool
-// names, dispatches reroute/hedge around slow or dead workers, and with
-// partial results enabled a shard that exhausts every worker degrades the
-// job instead of failing it.
+// would. Placement is rendezvous-hashed on each shard's pool names, dispatches
+// reroute/hedge around slow or dead workers, and with partial results enabled
+// a shard that exhausts every worker degrades the job instead of failing it.
 
 import (
 	"context"
@@ -32,20 +32,20 @@ import (
 	"headroom/internal/obs"
 )
 
-// shardRequest is the wire request of POST /v1/internal/shard: the original
-// simulate parameters plus the shard coordinates. The worker rebuilds the
-// identical deterministic source from (days, seed, pools) and streams only
-// shard `shard` of `of`.
+// shardRequest is the wire request of POST /v1/internal/shard: the job's
+// request plus the shard coordinates. The worker rebuilds the identical
+// deterministic source from (days, seed, pools), streams only shard `shard` of
+// `of`, and reduces it: to plan rows given plan fields, else to summary rows.
 type shardRequest struct {
-	SimulateRequest
+	PlanRequest
 	Shard int `json:"shard"`
 	Of    int `json:"of"`
 }
 
-// A worker answers 200 with the shard's aggregate as the raw body, in the
-// exact binary wire format (application/octet-stream). Provenance rides in
-// these response headers: the node for whoever debugs with curl -i, the
-// record count for the coordinator's spans and stage events too.
+// A worker answers 200 with the shard's rows as a JSON array: kilobytes, the
+// samples stay where they were ingested. Provenance rides in these headers:
+// the node for whoever debugs with curl -i, the record count for the
+// coordinator's spans and stage events too.
 const (
 	nodeHeader    = "X-Dist-Node"    // the worker's hostname
 	recordsHeader = "X-Dist-Records" // records the shard consumed
@@ -89,8 +89,7 @@ func (s *Server) initDist() {
 
 // handleInternalShard serves POST /v1/internal/shard: authenticate, rebuild
 // the deterministic source, run exactly one shard through the session
-// machinery, and return the encoded aggregate. Registered only when a
-// DistToken is configured.
+// machinery, and return its rows. Registered only when a DistToken is set.
 func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 	if subtle.ConstantTimeCompare([]byte(r.Header.Get(dist.TokenHeader)), []byte(s.cfg.DistToken)) != 1 {
 		writeJSON(w, http.StatusForbidden, errBody(r, "invalid or missing "+dist.TokenHeader))
@@ -108,7 +107,7 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sreq, cfg, err := decodeShard(r)
+	sreq, err := decodeShard(r)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
@@ -122,13 +121,22 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 		obs.Str("coordinator_trace_id", r.Header.Get(dist.TraceHeader)))
 	defer func() { st.End(err) }()
 
-	src := s.wrapSource(headroom.NewSimSource(cfg, sreq.Days), sreq.Seed)
-	sess, err := headroom.New(context.Background(), headroom.WithSource(src))
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errBody(r, err.Error()))
-		return
+	// Plan fields make it a plan shard (resolvePlan leaves their seed non-zero);
+	// a bare request is a simulate shard.
+	sess, err := s.session(sreq.PlanRequest)
+	var rows any
+	var records int64
+	switch {
+	case err != nil:
+	case sreq.PlanSeed != 0:
+		rows, records, err = headroom.RunShard(ctx, sess, sreq.Shard, sreq.Of, reduceShard(sess, planRows))
+	default:
+		rows, records, err = headroom.RunShard(ctx, sess, sreq.Shard, sreq.Of, reduceShard(sess, summaryRows))
 	}
-	agg, records, err := sess.AggregateShard(ctx, sreq.Shard, sreq.Of)
+	var body []byte
+	if err == nil {
+		body, err = json.Marshal(rows)
+	}
 	if err != nil {
 		// Transient shard failures (and this worker shutting down) are the
 		// coordinator's cue to reroute; anything else is permanent for this
@@ -140,34 +148,47 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusUnprocessableEntity, errBody(r, err.Error()))
 		return
 	}
-	enc, err := headroom.EncodeAggregator(agg)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errBody(r, err.Error()))
-		return
-	}
-	st.Span().SetAttr(obs.Int64("records", records), obs.Int("bytes", len(enc)))
-	w.Header().Set("Content-Type", "application/octet-stream")
+	st.Span().SetAttr(obs.Int64("records", records), obs.Int("bytes", len(body)))
+	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(nodeHeader, s.hostname)
 	w.Header().Set(recordsHeader, strconv.FormatInt(records, 10))
-	_, _ = w.Write(enc) // a failed write is the coordinator's to notice: it reroutes
+	_, _ = w.Write(body) // a failed write is the coordinator's to notice: it reroutes
 }
 
 // decodeShard reads and validates a shard request the way a submission is
 // read and validated — readBody, strict decode, resolve — plus the shard
 // coordinates; here any unreadable body is a plain bad request.
-func decodeShard(r *http.Request) (sreq shardRequest, cfg headroom.FleetConfig, err error) {
+func decodeShard(r *http.Request) (sreq shardRequest, err error) {
 	body, err := readBody(r)
 	if err != nil {
-		return sreq, cfg, errors.New("unreadable or oversized body")
+		return sreq, errors.New("unreadable or oversized body")
 	}
 	if err := decode(body, &sreq); err != nil {
-		return sreq, cfg, err
+		return sreq, err
 	}
 	if sreq.Of < 1 || sreq.Shard < 0 || sreq.Shard >= sreq.Of {
-		return sreq, cfg, fmt.Errorf("shard %d/%d out of range", sreq.Shard, sreq.Of)
+		return sreq, fmt.Errorf("shard %d/%d out of range", sreq.Shard, sreq.Of)
 	}
-	cfg, err = sreq.resolve()
-	return sreq, cfg, err
+	if _, err := sreq.resolve(); err != nil {
+		return sreq, err
+	}
+	if sreq.PlanConfig() != (headroom.PlanConfig{}) {
+		err = sreq.resolvePlan()
+	}
+	return sreq, err
+}
+
+// reduceShard is a shard run in-process: ingested, then reduced to its rows on
+// the same goroutine, so local shards reduce in parallel.
+func reduceShard[R any](sess *headroom.Session, reduce reducer[R]) headroom.ShardFunc[[]R] {
+	return func(ctx context.Context, sub headroom.Source, index, of int) ([]R, int64, error) {
+		agg, records, err := headroom.IngestShard(ctx, sub, index, of)
+		if err != nil {
+			return nil, records, err
+		}
+		rows, err := reduce(ctx, sess, agg)
+		return rows, records, err
+	}
 }
 
 // wrapSource applies the fault injector and resilience layer to a raw
@@ -190,20 +211,19 @@ func (s *Server) wrapSource(src headroom.Source, seed int64) headroom.Source {
 
 // --- coordinator half ----------------------------------------------------
 
-// shardRunner returns how this server executes the shards of req: nil (the
-// session's in-process default) on a single node, and on a coordinator a
-// runner that dispatches each shard to the worker fleet and decodes the
-// aggregate that comes back. Only that differs between the two; splitting,
-// fan-out, cancellation, merge order and partial-results assembly are the
-// session's, so a distributed job is byte-identical to — and fails and
-// degrades exactly like — the local computation.
-func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
+// shardFunc returns how this server executes the shards of req: in-process
+// (reduceShard) on a single node, and on a coordinator by dispatching each
+// shard to the worker fleet and decoding the rows that come back. Only that
+// differs; splitting, fan-out, cancellation, row order and partial-results
+// assembly are the session's, so a distributed job is byte-identical to — and
+// fails and degrades exactly like — the local computation.
+func shardFunc[R any](s *Server, sess *headroom.Session, req PlanRequest, reduce reducer[R]) headroom.ShardFunc[[]R] {
 	if s.dist == nil {
-		return nil
+		return reduceShard(sess, reduce)
 	}
 	var mu sync.Mutex
 	var placements []ShardPlacement
-	return func(ctx context.Context, sub headroom.Source, index, of int) (_ *headroom.Aggregator, _ int64, err error) {
+	return func(ctx context.Context, sub headroom.Source, index, of int) (rows []R, _ int64, err error) {
 		// `of` is the count the source actually split into (never more than
 		// asked, fewer when it has fewer pools); every worker reproduces the
 		// identical split from it.
@@ -212,7 +232,7 @@ func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
 		if key == "" {
 			key = "shard-" + strconv.Itoa(index)
 		}
-		body, err := json.Marshal(shardRequest{SimulateRequest: req, Shard: index, Of: of})
+		body, err := json.Marshal(shardRequest{PlanRequest: req, Shard: index, Of: of})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -224,12 +244,16 @@ func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
 		}
 		st.Span().SetAttr(obs.Str("worker", res.Worker),
 			obs.Bool("hedged", res.Hedged), obs.Int("attempts", res.Attempts))
-		agg, err := headroom.DecodeAggregator(res.Body)
-		if err != nil {
-			// Transient: the worker may answer cleanly when the job retries.
-			return nil, 0, headroom.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", index, res.Worker, err))
+		if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			// A worker from before rows crossed the wire answers with an
+			// encoded aggregate; it will on every retry, so this is permanent.
+			return nil, 0, fmt.Errorf("shard %d: worker %s answered %q, not JSON rows: upgrade workers before coordinators", index, res.Worker, ct)
 		}
-		// 0, the runner's "cannot count", if the worker sent no count.
+		if err := json.Unmarshal(res.Body, &rows); err != nil {
+			// Transient: the worker may answer cleanly when the job retries.
+			return nil, 0, headroom.Transient(fmt.Errorf("shard %d: undecodable rows from %s: %w", index, res.Worker, err))
+		}
+		// 0, the function's "cannot count", if the worker sent no count.
 		records, _ := strconv.ParseInt(res.Header.Get(recordsHeader), 10, 64)
 		// Re-annotate on every completion, in shard order, so the job status
 		// shows placements as they land.
@@ -241,7 +265,7 @@ func (s *Server) shardRunner(req SimulateRequest) headroom.ShardRunner {
 		sort.Slice(placements, func(a, b int) bool { return placements[a].Shard < placements[b].Shard })
 		jobs.Annotate(ctx, placementMetaKey, append([]ShardPlacement(nil), placements...))
 		mu.Unlock()
-		return agg, records, nil
+		return rows, records, nil
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -194,6 +194,102 @@ func TestDistClusterByteIdentical(t *testing.T) {
 	if served != 4 {
 		t.Errorf("dist.shard.serve spans across workers = %d, want 4", served)
 	}
+
+	// The same plan with pool B permanently down, partial results on. The
+	// oracle is the library path the rows replaced on the served one:
+	// Simulate (merge the surviving shards' aggregates), then Plan over the
+	// merge. A single node must render its very bytes; the cluster must too,
+	// up to the failure text (a dispatch error carries worker and HTTP
+	// context a local shard error cannot).
+	rule := faults.Rule{Kind: faults.Permanent, Pools: []string{"B"}, At: []int{0}, Msg: "injected outage"}
+	oracle := degradedPlanOracle(t, reqBody, 4, rule)
+
+	faulty := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Shards: 4,
+		PartialResults: true, Faults: faults.New(1, rule)})
+	faultyTS := httptest.NewServer(faulty.Handler())
+	t.Cleanup(func() {
+		faultyTS.Close()
+		faulty.Shutdown(context.Background())
+	})
+	if _, v := submitWait(t, faultyTS.URL, "/v1/plan", reqBody); v.State != jobs.Done || !bytes.Equal(compact(t, v.Result), oracle) {
+		t.Errorf("degraded single-node plan (%s %s) differs from the library oracle:\n served: %s\n oracle: %s", v.State, v.Error, compact(t, v.Result), oracle)
+	}
+
+	workers = newDistWorkers(t, 3, func(_ int, cfg *Config) { cfg.Faults = faults.New(1, rule) })
+	_, coordTS = newCoordinator(t, workers, func(cfg *Config) { cfg.PartialResults = true })
+	_, v := submitWait(t, coordTS.URL, "/v1/plan", reqBody)
+	if v.State != jobs.Done {
+		t.Fatalf("degraded distributed plan: %s %s", v.State, v.Error)
+	}
+	var distRes, oracleRes PlanResult
+	if err := json.Unmarshal(v.Result, &distRes); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(oracle, &oracleRes); err != nil {
+		t.Fatal(err)
+	}
+	if !distRes.Degraded || fmt.Sprint(distRes.FailedPools) != "[B]" || fmt.Sprint(distRes.FailedPools) != fmt.Sprint(oracleRes.FailedPools) {
+		t.Errorf("distributed failed_pools = %v (degraded %v), oracle %v", distRes.FailedPools, distRes.Degraded, oracleRes.FailedPools)
+	}
+	if len(distRes.Failures) != len(oracleRes.Failures) {
+		t.Fatalf("distributed failures = %+v, oracle %+v", distRes.Failures, oracleRes.Failures)
+	}
+	for i, f := range distRes.Failures {
+		want := oracleRes.Failures[i]
+		if f.Shard != want.Shard || fmt.Sprint(f.Pools) != fmt.Sprint(want.Pools) || !strings.Contains(f.Error, "injected outage") {
+			t.Errorf("distributed failures[%d] = %+v, oracle %+v", i, f, want)
+		}
+		distRes.Failures[i].Error = want.Error
+	}
+	if got, _ := json.Marshal(distRes); !bytes.Equal(got, oracle) {
+		t.Errorf("degraded distributed plan differs from the library oracle beyond the failure text:\n dist:   %s\n oracle: %s", got, oracle)
+	}
+}
+
+// degradedPlanOracle renders a plan request the library way, which the served
+// paths no longer take: a sharded Simulate under the fault rule with partial
+// results on (the survivors' aggregates merged in shard order), Plan over the
+// merge, BuildPlanResult.
+func degradedPlanOracle(t *testing.T, body string, shards int, rule faults.Rule) []byte {
+	t.Helper()
+	req, err := decodePlan([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := req.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := headroom.New(context.Background(),
+		headroom.WithSource(faults.New(1, rule).Source(headroom.NewSimSource(fleet, req.Days))),
+		headroom.WithShards(shards), headroom.WithPartialResults(true), headroom.WithPlanConfig(req.PlanConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := sess.Simulate(context.Background(), 0)
+	var pe *headroom.PartialError
+	if !errors.As(err, &pe) || agg == nil {
+		t.Fatalf("oracle simulate: %v, want a partial result", err)
+	}
+	plans, err := sess.Plan(context.Background(), agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(BuildPlanResult(req, plans, pe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// compact strips the indentation the job envelope gives an embedded result.
+func compact(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, raw); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestDistWorkerLossReroutes kills one worker and verifies the job still
@@ -407,33 +503,23 @@ func TestDistInternalShardAuth(t *testing.T) {
 		}
 	}
 
-	// Correct token: the worker computes the shard and returns a decodable
-	// aggregate.
-	req, _ := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
-	req.Header.Set(dist.TokenHeader, e2eToken)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	// Correct token: the worker computes the shard and answers its rows — a
+	// request without plan fields is a simulate shard, so summary rows.
+	resp, raw := postShard(t, workers[0], body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid shard request = %d", resp.StatusCode)
 	}
-	// The body is the raw wire encoding — no JSON or base64 envelope — and
-	// provenance rides in the headers.
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read shard response: %v", err)
+	// The body is the bare JSON array — no envelope — and provenance rides
+	// in the headers.
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("Content-Type = %q, want application/octet-stream", ct)
+	var rows []PoolSummary
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatalf("shard response body is not JSON rows: %v", err)
 	}
-	agg, err := headroom.DecodeAggregator(raw)
-	if err != nil {
-		t.Fatalf("shard response body is not a wire-encoded aggregate: %v", err)
-	}
-	if keys := agg.Pools(); len(keys) == 0 || keys[0].Pool != "B" {
-		t.Errorf("decoded aggregate pools = %v, want pool B", keys)
+	if len(rows) == 0 || rows[0].Pool != "B" || rows[0].Windows == 0 {
+		t.Errorf("rows = %+v, want pool B's summaries", rows)
 	}
 	if n, _ := strconv.Atoi(resp.Header.Get(recordsHeader)); n == 0 || resp.Header.Get(nodeHeader) == "" {
 		t.Errorf("headers %s=%q %s=%q, want a record count and the node", recordsHeader,
@@ -557,9 +643,10 @@ func TestDistMetricsExposed(t *testing.T) {
 	}
 }
 
-// Captured at the same commit as wantPlanSpans. Two pools make two shards;
-// each shard is a dist.shard under the coordinator's simulate.pool and one
-// worker-side http.internal_shard trace.
+// Captured at the same commit as wantPlanSpans and moved with it. Two pools
+// make two shards; each shard is a dist.shard under the coordinator's
+// simulate.pool and one worker-side http.internal_shard trace, whose
+// simulate.pool is where session.plan now runs: the coordinator plans nothing.
 const wantDistPlanSpans = `dist.shard <simulate.pool> [attempts hedged pool shard worker]
 dist.shard <simulate.pool> [attempts hedged pool shard worker]
 dist.shard.serve <http.internal_shard> [bytes coordinator_trace_id of records shard]
@@ -572,7 +659,8 @@ jobs.job <http.plan> [attempts job_id kind queue_wait_ns run_ns state]
 jobs.queued <jobs.job> [queue_wait_ns]
 session.aggregate <session.simulate> [degraded records shards]
 session.merge <session.aggregate> [shards]
-session.plan <jobs.attempt> [pools]
+session.plan <simulate.pool> [pools]
+session.plan <simulate.pool> [pools]
 session.simulate <jobs.attempt> [days]
 simulate.pool <dist.shard.serve> [degraded pool records shard]
 simulate.pool <dist.shard.serve> [degraded pool records shard]

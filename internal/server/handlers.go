@@ -148,15 +148,13 @@ type SimulateResult struct {
 	Failures []ShardFailure `json:"failures,omitempty"`
 }
 
-// session builds the one session a simulate or plan job runs on (plan is
-// the zero config for a job that never plans). The source is wrapped,
-// innermost first, with the chaos fault injector (Config.Faults) and the
-// resilience layer (Config.RetryAttempts). On a coordinator the same session
-// dispatches its shards to the worker fleet (shardRunner): the source then
-// only defines the split, and each worker wraps the shard it streams.
-// Transient errors that escape the resilience layer or the dispatcher carry
-// the sentinel the job queue retries on.
-func (s *Server) session(req SimulateRequest, plan headroom.PlanConfig) (*headroom.Session, error) {
+// session builds the one session a simulate or plan job — or, on a worker,
+// one shard of it — runs on (a simulate request's plan fields, and so its plan
+// config, are zero). The source is wrapped, innermost first, with the chaos
+// fault injector (Config.Faults) and the resilience layer
+// (Config.RetryAttempts); transient errors that escape that layer or the
+// dispatcher carry the sentinel the job queue retries on.
+func (s *Server) session(req PlanRequest) (*headroom.Session, error) {
 	cfg, err := req.Fleet()
 	if err != nil {
 		return nil, err
@@ -165,33 +163,33 @@ func (s *Server) session(req SimulateRequest, plan headroom.PlanConfig) (*headro
 		headroom.WithSource(s.wrapSource(headroom.NewSimSource(cfg, req.Days), req.Seed)),
 		headroom.WithShards(s.cfg.Shards),
 		headroom.WithPartialResults(s.cfg.PartialResults),
-		headroom.WithShardRunner(s.shardRunner(req)),
-		headroom.WithPlanConfig(plan))
+		headroom.WithPlanConfig(req.PlanConfig()))
 }
 
-// simulate runs the session's fleet and returns the aggregate; with
-// Config.PartialResults the aggregation tolerates failed pools and the
-// returned *PartialError lists them (degraded result).
-func simulate(ctx context.Context, sess *headroom.Session) (*headroom.Aggregator, *headroom.PartialError, error) {
-	agg, err := sess.Simulate(ctx, 0)
-	var pe *headroom.PartialError
-	if errors.As(err, &pe) && agg != nil {
-		return agg, pe, nil
+// reducer is the reduce half of a fleet job kind: what a shard's aggregate
+// comes to, one row per (pool, datacenter), computed where the shard was
+// ingested — on its goroutine, or on the worker that ran it (dist.go).
+type reducer[R any] func(ctx context.Context, sess *headroom.Session, agg *headroom.Aggregator) ([]R, error)
+
+func planRows(ctx context.Context, sess *headroom.Session, agg *headroom.Aggregator) ([]headroom.PoolPlan, error) {
+	if len(agg.Pools()) == 0 {
+		return nil, nil // no records, no rows: only a fleet without pools is the planner's error
 	}
-	return agg, nil, err
+	return sess.Plan(ctx, agg)
 }
 
-// BuildSimulateResult condenses an aggregate into the wire result for req.
-// It is the single summary builder for every execution path — sequential,
-// sharded, distributed and cache-served — so equal aggregates always render
-// to equal results (the differential harness in internal/diffcheck depends
-// on this being the only implementation).
-func BuildSimulateResult(req SimulateRequest, agg *headroom.Aggregator, pe *headroom.PartialError) (SimulateResult, error) {
-	res := SimulateResult{Days: req.Days, Seed: req.Seed}
+// The order the fan-out hands rows back in: by (pool, datacenter).
+func planKey(r headroom.PoolPlan) (string, string) { return r.Pool, r.DC }
+func summaryKey(r PoolSummary) (string, string)    { return r.Pool, r.DC }
+
+// summaryRows condenses each (pool, datacenter) series of an aggregate into
+// its PoolSummary, in Aggregator.Pools order.
+func summaryRows(_ context.Context, _ *headroom.Session, agg *headroom.Aggregator) ([]PoolSummary, error) {
+	var rows []PoolSummary
 	for _, key := range agg.Pools() {
 		series, err := agg.PoolSeries(key.DC, key.Pool)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		sum := PoolSummary{Pool: key.Pool, DC: key.DC, Windows: len(series)}
 		for _, ts := range series {
@@ -210,41 +208,53 @@ func BuildSimulateResult(req SimulateRequest, agg *headroom.Aggregator, pe *head
 			sum.MeanCPUPct /= n
 			sum.MeanLatencyMs /= n
 		}
-		res.TotalWindows += sum.Windows
-		res.Pools = append(res.Pools, sum)
+		rows = append(rows, sum)
 	}
-	res.PoolDCs = len(res.Pools)
+	return rows, nil
+}
+
+// BuildSimulateResult condenses an aggregate into the wire result for req:
+// the library form internal/diffcheck holds the served paths to.
+func BuildSimulateResult(req SimulateRequest, agg *headroom.Aggregator, pe *headroom.PartialError) (SimulateResult, error) {
+	rows, err := summaryRows(context.Background(), nil, agg)
+	return simulateResult(req, rows, pe), err
+}
+
+// simulateResult is the single assembly of a simulate result for every
+// execution path, so equal rows always render to equal results.
+func simulateResult(req SimulateRequest, rows []PoolSummary, pe *headroom.PartialError) SimulateResult {
+	res := SimulateResult{Days: req.Days, Seed: req.Seed, PoolDCs: len(rows), Pools: rows}
+	for _, sum := range rows {
+		res.TotalWindows += sum.Windows
+	}
 	if pe != nil {
 		res.Degraded = true
 		res.FailedPools = pe.FailedPools()
 		res.Failures = shardFailures(pe)
 	}
-	return res, nil
+	return res
 }
 
-// computeFleet is the compute of both fleet kinds: one session, one
-// aggregate, then reduce — the only step simulate and plan differ in. A
-// *PartialError (pools lost, Config.PartialResults on) reaches reduce and the
-// caller: the result is degraded.
-func (s *Server) computeFleet(ctx context.Context, req SimulateRequest, plan headroom.PlanConfig,
-	reduce func(*headroom.Session, *headroom.Aggregator, *headroom.PartialError) (any, error)) (any, *headroom.PartialError, error) {
-	sess, err := s.session(req, plan)
+// fleetRows is the compute of both fleet kinds: one session, one fan-out whose
+// shards end in reduce (shardFunc), the surviving rows in key order. A
+// *PartialError that left survivors (pools lost, Config.PartialResults on) is
+// returned beside them: the result is degraded.
+func fleetRows[R any](ctx context.Context, s *Server, req PlanRequest, reduce reducer[R], key func(R) (string, string)) ([]R, *headroom.PartialError, error) {
+	sess, err := s.session(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	agg, pe, err := simulate(ctx, sess)
-	if err != nil {
-		return nil, nil, err
+	rows, err := headroom.SimulateRows(ctx, sess, shardFunc(s, sess, req, reduce), key)
+	var pe *headroom.PartialError
+	if errors.As(err, &pe) && len(pe.Failed) < pe.Shards {
+		return rows, pe, nil
 	}
-	res, err := reduce(sess, agg, pe)
-	return res, pe, err
+	return rows, nil, err
 }
 
 func (s *Server) computeSimulate(ctx context.Context, req SimulateRequest) (any, *headroom.PartialError, error) {
-	return s.computeFleet(ctx, req, headroom.PlanConfig{},
-		func(_ *headroom.Session, agg *headroom.Aggregator, pe *headroom.PartialError) (any, error) {
-			return BuildSimulateResult(req, agg, pe)
-		})
+	rows, pe, err := fleetRows(ctx, s, PlanRequest{SimulateRequest: req}, summaryRows, summaryKey)
+	return simulateResult(req, rows, pe), pe, err
 }
 
 // finishResult pre-renders a job result so cached repeats are served
@@ -288,22 +298,28 @@ func decodePlan(body []byte) (PlanRequest, error) {
 	if _, err := req.resolve(); err != nil {
 		return req, err
 	}
-	if req.LatencyBudgetMs < 0 {
-		return req, fmt.Errorf("latency_budget_ms must be >= 0, got %v", req.LatencyBudgetMs)
+	return req, req.resolvePlan()
+}
+
+// resolvePlan defaults and bounds the plan fields; it leaves the plan seed
+// non-zero, which is how a worker tells a plan shard from a simulate shard.
+func (r *PlanRequest) resolvePlan() error {
+	if r.LatencyBudgetMs < 0 {
+		return fmt.Errorf("latency_budget_ms must be >= 0, got %v", r.LatencyBudgetMs)
 	}
-	if req.LatencyBudgetMs == 0 {
-		req.LatencyBudgetMs = 5
+	if r.LatencyBudgetMs == 0 {
+		r.LatencyBudgetMs = 5
 	}
-	if req.PlanSeed == 0 {
-		req.PlanSeed = 2
+	if r.PlanSeed == 0 {
+		r.PlanSeed = 2
 	}
-	if req.MaxGroups < 0 {
-		return req, fmt.Errorf("max_groups must be >= 0, got %d", req.MaxGroups)
+	if r.MaxGroups < 0 {
+		return fmt.Errorf("max_groups must be >= 0, got %d", r.MaxGroups)
 	}
-	if req.MaxReductionFrac < 0 || req.MaxReductionFrac > 1 {
-		return req, fmt.Errorf("max_reduction_frac must be in [0, 1], got %v", req.MaxReductionFrac)
+	if r.MaxReductionFrac < 0 || r.MaxReductionFrac > 1 {
+		return fmt.Errorf("max_reduction_frac must be in [0, 1], got %v", r.MaxReductionFrac)
 	}
-	return req, nil
+	return nil
 }
 
 // PlanResult is the wire result of a planning job.
@@ -364,14 +380,8 @@ func BuildPlanResult(req PlanRequest, plans []headroom.PoolPlan, pe *headroom.Pa
 }
 
 func (s *Server) computePlan(ctx context.Context, req PlanRequest) (any, *headroom.PartialError, error) {
-	return s.computeFleet(ctx, req.SimulateRequest, req.PlanConfig(),
-		func(sess *headroom.Session, agg *headroom.Aggregator, pe *headroom.PartialError) (any, error) {
-			plans, err := sess.Plan(ctx, agg)
-			if err != nil {
-				return nil, err
-			}
-			return BuildPlanResult(req, plans, pe), nil
-		})
+	plans, pe, err := fleetRows(ctx, s, req, planRows, planKey)
+	return BuildPlanResult(req, plans, pe), pe, err
 }
 
 // --- validate ------------------------------------------------------------

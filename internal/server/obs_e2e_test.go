@@ -180,14 +180,18 @@ func TestPlanJobEndToEndObservability(t *testing.T) {
 }
 
 // The expected shapes were captured at the commit before obs.Stage existed
-// (hand-threaded StartSpan/time.Since/Observe* at every site).
+// (hand-threaded StartSpan/time.Since/Observe* at every site); one line has
+// moved since, on purpose: each shard is planned where it was ingested, so
+// session.plan is a child of every simulate.pool, no longer one span under
+// jobs.attempt after the merge.
 const wantPlanSpans = `http.plan <> [method path request_id]
 jobs.attempt <jobs.job> [attempt]
 jobs.job <http.plan> [attempts job_id kind queue_wait_ns run_ns state]
 jobs.queued <jobs.job> [queue_wait_ns]
 session.aggregate <session.simulate> [degraded records shards]
 session.merge <session.aggregate> [shards]
-session.plan <jobs.attempt> [pools]
+session.plan <simulate.pool> [pools]
+session.plan <simulate.pool> [pools]
 session.simulate <jobs.attempt> [days]
 simulate.pool <session.aggregate> [degraded pool records shard]
 simulate.pool <session.aggregate> [degraded pool records shard]`

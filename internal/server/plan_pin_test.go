@@ -39,19 +39,11 @@ func TestPlanResultPinnedAcrossVersions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
-		sess, err := s.session(req.SimulateRequest, req.PlanConfig())
+		res, _, err := s.computePlan(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
-		agg, pe, err := simulate(context.Background(), sess)
-		if err != nil {
-			t.Fatalf("%s: simulate: %v", body, err)
-		}
-		plans, err := sess.Plan(context.Background(), agg)
-		if err != nil {
-			t.Fatalf("%s: plan: %v", body, err)
-		}
-		out, err := json.Marshal(BuildPlanResult(req, plans, pe))
+		out, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}

@@ -46,7 +46,7 @@ func TestMergePartialAllShardsFailed(t *testing.T) {
 	subs, _ := mergeFixture(3)
 	errs := []error{errors.New("e0"), errors.New("e1"), errors.New("e2")}
 	// A failed shard's aggregator slot is nil in the real fan-out.
-	out, err := mergeShards(context.Background(), true, subs, []*Aggregator{nil, nil, nil}, errs)
+	out, err := mergeShards(context.Background(), true, subs, []*Aggregator{nil, nil, nil}, errs, mergeAggregates)
 	if out != nil {
 		t.Errorf("all-failed merge returned an aggregator with pools %v", out.Pools())
 	}
@@ -74,7 +74,7 @@ func TestMergePartialSingleSurvivor(t *testing.T) {
 	subs, aggs := mergeFixture(3)
 	errs := []error{errors.New("e0"), nil, errors.New("e2")}
 	aggs[0], aggs[2] = nil, nil
-	out, err := mergeShards(context.Background(), true, subs, aggs, errs)
+	out, err := mergeShards(context.Background(), true, subs, aggs, errs, mergeAggregates)
 	if out != aggs[1] {
 		t.Errorf("survivor merge did not return the sole surviving aggregator")
 	}
@@ -98,7 +98,7 @@ func TestMergePartialInterleavedFailures(t *testing.T) {
 		aggs[i] = nil
 	}
 	first := aggs[1] // first survivor anchors the merge
-	out, err := mergeShards(context.Background(), true, subs, aggs, errs)
+	out, err := mergeShards(context.Background(), true, subs, aggs, errs, mergeAggregates)
 	if out != first {
 		t.Errorf("merge did not anchor on the first surviving shard")
 	}
@@ -134,7 +134,7 @@ func TestMergePartialInterleavedFailures(t *testing.T) {
 
 func TestMergePartialNoFailures(t *testing.T) {
 	subs, aggs := mergeFixture(2)
-	out, err := mergeShards(context.Background(), true, subs, aggs, make([]error, 2))
+	out, err := mergeShards(context.Background(), true, subs, aggs, make([]error, 2), mergeAggregates)
 	if err != nil {
 		t.Fatalf("err = %v, want nil when every shard survived", err)
 	}
@@ -151,7 +151,7 @@ func TestMergePartialCancelledContext(t *testing.T) {
 	// gets a merge, least of all a degraded one blaming healthy pools.
 	for _, partial := range []bool{true, false} {
 		for _, errs := range [][]error{{nil, nil}, {nil, context.Canceled}} {
-			if out, err := mergeShards(ctx, partial, subs, aggs, errs); out != nil || !errors.Is(err, context.Canceled) || isPartialErr(err) {
+			if out, err := mergeShards(ctx, partial, subs, aggs, errs, mergeAggregates); out != nil || !errors.Is(err, context.Canceled) || isPartialErr(err) {
 				t.Errorf("partial=%v errs=%v: merge = (%v, %v), want bare context.Canceled", partial, errs, out, err)
 			}
 		}

@@ -1,12 +1,15 @@
 package headroom
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"headroom/internal/core"
@@ -48,7 +51,6 @@ type Session struct {
 	plan     PlanConfig
 	seed     int64
 	partial  bool
-	runner   ShardRunner
 	observer StageObserver
 }
 
@@ -120,32 +122,19 @@ func WithPartialResults(enabled bool) Option {
 	}
 }
 
-// ShardRunner computes one shard of an aggregation fan-out: sub is shard
-// index of the `of` sub-sources the session's source split into, and the
-// result is the shard's aggregate plus the records consumed (0 when the
-// runner cannot count them). The default streams sub into a fresh aggregator
-// in-process; a distributed coordinator substitutes one that ships
-// (index, of) to a worker, which rebuilds the identical split and calls
-// AggregateShard. Everything around the runner — "simulate.pool" span, panic
-// isolation, "aggregate.shard" event, sibling cancellation, in-shard-order
-// merge, *PartialError — is the session's and is the same for both. Runners
-// are called from one goroutine per shard.
-type ShardRunner func(ctx context.Context, sub Source, index, of int) (*Aggregator, int64, error)
+// ShardFunc computes one shard's product: sub is shard index of the `of`
+// sub-sources the session's source split into, and the result is the product
+// plus the records consumed (0 when it cannot count them). IngestShard is the
+// in-process aggregate; a server reduces it to its pools' rows on the spot, and
+// a coordinator ships (index, of) to a worker, which rebuilds the identical
+// split and calls RunShard. Span, panic isolation, "aggregate.shard" event,
+// sibling cancellation, combine order and *PartialError are the session's
+// around all of them. It is called from one goroutine per shard.
+type ShardFunc[T any] func(ctx context.Context, sub Source, index, of int) (T, int64, error)
 
-// WithShardRunner replaces how the session executes each shard of Simulate,
-// Aggregate and AggregateShard. A nil runner keeps the in-process default.
-func WithShardRunner(run ShardRunner) Option {
-	return func(s *Session) error {
-		if run != nil {
-			s.runner = run
-		}
-		return nil
-	}
-}
-
-// streamShard is the default ShardRunner: stream the sub-source into a fresh
-// aggregator.
-func streamShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
+// IngestShard is the ShardFunc of Simulate, Aggregate and AggregateShard:
+// stream the sub-source into a fresh aggregator.
+func IngestShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
 	agg := metrics.NewAggregator()
 	var n int64
 	if err := sub.Stream(ctx, func(run []Record) error { agg.AddAll(run); n += int64(len(run)); return nil }); err != nil {
@@ -211,7 +200,7 @@ func New(ctx context.Context, opts ...Option) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &Session{base: ctx, seed: 1, runner: streamShard}
+	s := &Session{base: ctx, seed: 1}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -275,20 +264,37 @@ func (s *Session) Simulate(ctx context.Context, days int, actions ...Action) (*A
 		if days != 0 || len(actions) != 0 {
 			return nil, errors.New("headroom: days and actions configure the fleet simulator; this session streams a custom source")
 		}
-		return s.simulate(ctx, s.source, 0)
+		return simulateAs(ctx, s, s.source, 0, IngestShard, mergeAggregates)
 	}
 	if !s.hasFleet {
 		return nil, ErrNoSource
 	}
-	return s.simulate(ctx, NewSimSource(s.fleet, days, actions...), days)
+	return simulateAs(ctx, s, NewSimSource(s.fleet, days, actions...), days, IngestShard, mergeAggregates)
 }
 
-// simulate wraps the aggregation in the "simulate" stage.
-func (s *Session) simulate(ctx context.Context, src Source, days int) (*Aggregator, error) {
+// SimulateRows is Simulate over the session's configured source, reduced where
+// the data is: run's rows are each shard's product — local shards reduce in
+// parallel, a remote one answers in kilobytes — and the result is the surviving
+// shards' rows ordered by key's (pool, datacenter), the order Aggregator.Pools
+// gives a merged aggregate. A failed shard contributes none.
+func SimulateRows[R any](ctx context.Context, s *Session, run ShardFunc[[]R], key func(R) (pool, dc string)) ([]R, error) {
+	return simulateAs(ctx, s, nil, 0, run, func(parts [][]R) []R {
+		rows := slices.Concat(parts...)
+		slices.SortFunc(rows, func(a, b R) int {
+			pa, da := key(a)
+			pb, db := key(b)
+			return cmp.Or(cmp.Compare(pa, pb), cmp.Compare(da, db))
+		})
+		return rows
+	})
+}
+
+// simulateAs wraps the fan-out in the "simulate" stage.
+func simulateAs[T any](ctx context.Context, s *Session, src Source, days int, run ShardFunc[T], combine func([]T) T) (T, error) {
 	ctx, st := obs.StartStage(ctx, "session.simulate", obs.StageSeconds("simulate"), obs.Int("days", days))
-	agg, err := s.Aggregate(ctx, src)
+	out, err := aggregateAs(ctx, s, src, run, combine)
 	s.end(st, StageEvent{Stage: "simulate", Shard: -1, Degraded: isPartialErr(err), Err: err})
-	return agg, err
+	return out, err
 }
 
 // end closes one stage (or shard): st.End stamps attrs and ev.Err on the
@@ -311,22 +317,20 @@ func isPartialErr(err error) bool {
 // goroutines when the source implements ShardedSource and the session's
 // shard count allows. A nil src uses the session's configured source.
 func (s *Session) Aggregate(ctx context.Context, src Source) (*Aggregator, error) {
-	if src == nil {
-		src = s.source
-	}
-	if src == nil {
-		return nil, ErrNoSource
-	}
-	ctx, done := s.opCtx(ctx)
-	defer done()
+	return aggregateAs(ctx, s, src, IngestShard, mergeAggregates)
+}
 
-	subs := splitSource(src, s.shardCount())
-	ctx, st := obs.StartStage(ctx, "session.aggregate", obs.StageSeconds("aggregate"), obs.Int("shards", len(subs)))
-	agg, records, err := s.aggregate(ctx, subs)
-	degraded := isPartialErr(err)
-	s.end(st, StageEvent{Stage: "aggregate", Shard: -1, Records: int(records), Degraded: degraded, Err: err},
-		obs.Int64("records", records), obs.Bool("degraded", degraded))
-	return agg, err
+// mergeAggregates is Aggregate's combine: shards own disjoint (pool,
+// datacenter) keys, so merging in shard order is bit-identical to one
+// sequential pass over the survivors' records (nil when none survived).
+func mergeAggregates(aggs []*Aggregator) *Aggregator {
+	if len(aggs) == 0 {
+		return nil
+	}
+	for _, agg := range aggs[1:] {
+		aggs[0].Merge(agg)
+	}
+	return aggs[0]
 }
 
 // splitSource partitions src into at most n sub-sources; a source that
@@ -340,15 +344,25 @@ func splitSource(src Source, n int) []Source {
 	return []Source{src}
 }
 
-// aggregate is the one fan-out: one goroutine and one private aggregator per
-// shard (a one-shard run is a fan-out of one), merged in shard order
-// afterwards. Shards own disjoint (pool, datacenter) keys, so the merged
-// aggregator is bit-identical to a single sequential pass. It returns the
-// record count consumed across shards.
-func (s *Session) aggregate(ctx context.Context, subs []Source) (*Aggregator, int64, error) {
-	aggs := make([]*Aggregator, len(subs))
+// aggregateAs is the one fan-out: one goroutine and one private product per
+// shard of src (nil: the session's source; a one-shard run is a fan-out of
+// one), combined inside the "merge" stage. Whatever the product, the
+// "aggregate" stage carries the records consumed across shards.
+func aggregateAs[T any](ctx context.Context, s *Session, src Source, run ShardFunc[T], combine func([]T) T) (out T, err error) {
+	if src == nil {
+		src = s.source
+	}
+	if src == nil {
+		return out, ErrNoSource
+	}
+	ctx, done := s.opCtx(ctx)
+	defer done()
+	subs := splitSource(src, s.shardCount())
+	ctx, st := obs.StartStage(ctx, "session.aggregate", obs.StageSeconds("aggregate"), obs.Int("shards", len(subs)))
+
+	products := make([]T, len(subs))
 	errs := make([]error, len(subs))
-	counts := make([]int64, len(subs))
+	var records atomic.Int64
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -356,35 +370,37 @@ func (s *Session) aggregate(ctx context.Context, subs []Source) (*Aggregator, in
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			aggs[i], counts[i], errs[i] = s.runShard(wctx, sub, i, len(subs))
+			var n int64
+			products[i], n, errs[i] = runShard(wctx, s, sub, i, len(subs), run)
+			records.Add(n)
 			if errs[i] != nil && !s.partial {
 				cancel() // fail fast: stop sibling shards
 			}
 		}()
 	}
 	wg.Wait()
-	var records int64
-	for _, n := range counts {
-		records += n
-	}
 
-	_, st := obs.StartStage(ctx, "session.merge", obs.StageSeconds("merge"), obs.Int("shards", len(subs)))
-	out, err := mergeShards(ctx, s.partial, subs, aggs, errs)
-	s.end(st, StageEvent{Stage: "merge", Shard: -1, Degraded: isPartialErr(err), Err: err})
-	return out, records, err
+	_, mst := obs.StartStage(ctx, "session.merge", obs.StageSeconds("merge"), obs.Int("shards", len(subs)))
+	out, err = mergeShards(ctx, s.partial, subs, products, errs, combine)
+	degraded := isPartialErr(err)
+	s.end(mst, StageEvent{Stage: "merge", Shard: -1, Degraded: degraded, Err: err})
+	s.end(st, StageEvent{Stage: "aggregate", Shard: -1, Records: int(records.Load()), Degraded: degraded, Err: err},
+		obs.Int64("records", records.Load()), obs.Bool("degraded", degraded))
+	return out, err
 }
 
 // runShard is the only place a shard runs — fan-out, one-shard run, dist
-// worker (AggregateShard) and dist coordinator alike — so every shard carries
-// the same "simulate.pool" span (pool names, record count, retries, degraded
+// worker (RunShard) and dist coordinator alike — so every shard carries the
+// same "simulate.pool" span (pool names, record count, retries, degraded
 // flag), per-pool duration histogram and "aggregate.shard" event, and a
 // panic becomes that shard's error instead of tearing the process down.
-func (s *Session) runShard(ctx context.Context, sub Source, index, of int) (agg *Aggregator, records int64, err error) {
+func runShard[T any](ctx context.Context, s *Session, sub Source, index, of int, run ShardFunc[T]) (out T, records int64, err error) {
 	pools := strings.Join(PoolNames(sub), ",")
 	ctx, st := obs.StartStage(ctx, "simulate.pool", obs.PoolSeconds(pools), obs.Str("pool", pools), obs.Int("shard", index))
 	defer func() {
 		if v := recover(); v != nil {
-			agg, err = nil, fmt.Errorf("headroom: shard %d panicked: %v", index, v)
+			var none T
+			out, err = none, fmt.Errorf("headroom: shard %d panicked: %v", index, v)
 		}
 		degraded := s.partial && err != nil
 		s.end(st, StageEvent{
@@ -392,24 +408,27 @@ func (s *Session) runShard(ctx context.Context, sub Source, index, of int) (agg 
 			Records: int(records), Degraded: degraded, Err: err,
 		}, obs.Int64("records", records), obs.Bool("degraded", degraded))
 	}()
-	return s.runner(ctx, sub, index, of)
+	return run(ctx, sub, index, of)
 }
 
-// mergeShards is the one merge of every fan-out, local or distributed.
-// Cancellation of the caller's context fails the whole run before any merge.
-// Otherwise survivors merge in shard order (what keeps degraded results
-// byte-identical wherever the shards ran) and failures are listed in shard
-// order with their pools: as a *PartialError beside the survivors' aggregate
-// (nil when every shard failed) with partial results on, as the first
-// concrete failure with them off.
-func mergeShards(ctx context.Context, partial bool, subs []Source, aggs []*Aggregator, errs []error) (*Aggregator, error) {
+// mergeShards is the one end of every fan-out, local or distributed.
+// Cancellation of the caller's context fails the whole run before any combine.
+// Otherwise the survivors' products are combined in shard order (what keeps
+// degraded results byte-identical wherever the shards ran) and failures are
+// listed in shard order with their pools: as a *PartialError beside the
+// combine (of none when every shard failed) with partial results on, as the
+// first concrete failure with them off.
+func mergeShards[T any](ctx context.Context, partial bool, subs []Source, products []T, errs []error, combine func([]T) T) (out T, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return out, err
 	}
 	pe := &PartialError{Shards: len(subs)}
+	survivors := make([]T, 0, len(subs))
 	for i, err := range errs {
 		if err != nil {
 			pe.Failed = append(pe.Failed, PoolError{Shard: i, Pools: PoolNames(subs[i]), Err: err})
+		} else {
+			survivors = append(survivors, products[i])
 		}
 	}
 	if len(pe.Failed) > 0 && !partial {
@@ -417,56 +436,45 @@ func mergeShards(ctx context.Context, partial bool, subs []Source, aggs []*Aggre
 		// triggered in sibling shards.
 		for _, f := range pe.Failed {
 			if !errors.Is(f.Err, context.Canceled) {
-				return nil, f.Err
+				return out, f.Err
 			}
 		}
-		return nil, pe.Failed[0].Err
+		return out, pe.Failed[0].Err
 	}
-	var out *Aggregator
-	for i, agg := range aggs {
-		switch {
-		case errs[i] != nil:
-		case out == nil:
-			out = agg
-		default:
-			out.Merge(agg)
-		}
-	}
-	if len(pe.Failed) > 0 {
+	if out = combine(survivors); len(pe.Failed) > 0 {
 		return out, pe
 	}
 	return out, nil
 }
 
-// AggregateShard consumes exactly one shard of the session's configured
-// source: the source is split into `of` sub-sources (as Aggregate would) and
-// only shard `index` is run, exactly as the fan-out runs it. It returns the
-// shard's aggregate and the number of records consumed.
-//
-// This is the worker half of distributed aggregation (internal/dist): a
-// coordinator splits a job into shards, ships (index, of) plus the request to
-// a fleet of workers, and each worker reproduces the identical shard split —
-// sources are deterministic, so equal configuration yields equal shards —
-// runs its one shard, and returns the aggregate via EncodeAggregator.
-// Merging the per-shard aggregates in shard order is then bit-identical to a
-// single-process sharded run.
-func (s *Session) AggregateShard(ctx context.Context, index, of int) (*Aggregator, int64, error) {
+// RunShard runs exactly one shard of the session's configured source — the
+// source is split into `of` sub-sources and shard `index` is run exactly as
+// the fan-out runs it — and returns its product and the records consumed. It
+// is the worker half of distributed execution (internal/dist): sources are
+// deterministic, so a worker handed (index, of) plus the request reproduces
+// the coordinator's split, and its product is the one a local shard yields.
+func RunShard[T any](ctx context.Context, s *Session, index, of int, run ShardFunc[T]) (out T, records int64, err error) {
 	if s.source == nil {
-		return nil, 0, ErrNoSource
+		return out, 0, ErrNoSource
 	}
 	if of < 1 {
-		return nil, 0, fmt.Errorf("headroom: AggregateShard shard count %d, want >= 1", of)
+		return out, 0, fmt.Errorf("headroom: shard count %d, want >= 1", of)
 	}
 	if index < 0 || index >= of {
-		return nil, 0, fmt.Errorf("headroom: shard index %d out of range [0, %d)", index, of)
+		return out, 0, fmt.Errorf("headroom: shard index %d out of range [0, %d)", index, of)
 	}
 	ctx, done := s.opCtx(ctx)
 	defer done()
 	subs := splitSource(s.source, of)
 	if len(subs) != of {
-		return nil, 0, fmt.Errorf("headroom: source %T split into %d shards, coordinator expected %d", s.source, len(subs), of)
+		return out, 0, fmt.Errorf("headroom: source %T split into %d shards, coordinator expected %d", s.source, len(subs), of)
 	}
-	return s.runShard(ctx, subs[index], index, of)
+	return runShard(ctx, s, subs[index], index, of, run)
+}
+
+// AggregateShard is RunShard with the shard's aggregate as the product.
+func (s *Session) AggregateShard(ctx context.Context, index, of int) (*Aggregator, int64, error) {
+	return RunShard(ctx, s, index, of, IngestShard)
 }
 
 // Stream streams a record source sequentially through emit, a run at a time

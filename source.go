@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -106,13 +107,22 @@ func (s *simSource) Shards(n int) []Source {
 	if err := s.cfg.Validate(); err != nil {
 		return []Source{s}
 	}
-	// Pools are dealt round-robin in configuration order so large and small
-	// pools spread across shards.
+	// Whole pools are dealt heaviest first (weight: the pool's servers, which
+	// its ingest time follows), each to the lightest shard so far, ties by
+	// configuration order — a pure function of the configuration, so worker and
+	// coordinator deal alike. Pools keep configuration order within a shard.
+	weight := func(pc PoolConfig) int { return sim.TotalServers(FleetConfig{Pools: []PoolConfig{pc}}) }
+	heavy := slices.Clone(s.cfg.Pools)
+	slices.SortStableFunc(heavy, func(a, b PoolConfig) int { return weight(b) - weight(a) })
+	load := make([]int, n)
+	owner := make(map[string]int, len(heavy))
+	for _, pc := range heavy {
+		owner[pc.Name] = slices.Index(load, slices.Min(load))
+		load[owner[pc.Name]] += weight(pc)
+	}
 	groups := make([][]sim.PoolConfig, n)
-	owner := make(map[string]int, len(s.cfg.Pools))
-	for i, pc := range s.cfg.Pools {
-		groups[i%n] = append(groups[i%n], pc)
-		owner[pc.Name] = i % n
+	for _, pc := range s.cfg.Pools {
+		groups[owner[pc.Name]] = append(groups[owner[pc.Name]], pc)
 	}
 	actions := make([][]Action, n)
 	for _, a := range s.actions {

@@ -243,6 +243,35 @@ func TestReplaySourceRunsAndInterleavedKeys(t *testing.T) {
 	}
 }
 
+// TestSimSourceDealsPoolsByWeight pins the deal of the benchmark's fleet —
+// A/B/D/H, 230/550/960/150 servers — heaviest pool first, each to the lightest
+// shard so far: {D} against {A,B,H} at two shards (960 : 930, where the
+// round-robin deal gave {A,D} : {B,H} = 1190 : 700), D and B alone at three.
+// Pools stay whole and keep configuration order inside a shard, and a fleet
+// rebuilt from the same request — what a dist worker does — deals identically.
+func TestSimSourceDealsPoolsByWeight(t *testing.T) {
+	deal := func(n int) string {
+		t.Helper()
+		cfg, err := headroom.FilterPools(headroom.DefaultFleet(7), []string{"A", "B", "D", "H"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shards []string
+		for _, sub := range headroom.NewSimSource(cfg, 1).Shards(n) {
+			shards = append(shards, strings.Join(headroom.PoolNames(sub), ","))
+		}
+		return strings.Join(shards, " | ")
+	}
+	for n, want := range map[int]string{1: "A,B,D,H", 2: "D | A,B,H", 3: "D | B | A,H", 4: "D | B | A | H", 9: "D | B | A | H"} {
+		if got := deal(n); got != want {
+			t.Errorf("Shards(%d) of A/B/D/H = %s, want %s", n, got, want)
+		}
+		if coordinator, worker := deal(n), deal(n); coordinator != worker {
+			t.Errorf("Shards(%d): coordinator deals %s, worker %s", n, coordinator, worker)
+		}
+	}
+}
+
 // traceBytes renders recs as a CSV or JSON Lines trace.
 func traceBytes(t *testing.T, recs []headroom.Record, jsonl bool) []byte {
 	t.Helper()
@@ -335,15 +364,15 @@ func TestTraceSourceStopsCleanly(t *testing.T) {
 		t.Errorf("emit error: got %v", err)
 	}
 
-	s, err := headroom.New(context.Background(),
-		headroom.WithSource(headroom.NewTraceSource(bytes.NewReader(data))),
-		headroom.WithShardRunner(func(ctx context.Context, sub headroom.Source, _, _ int) (*headroom.Aggregator, int64, error) {
-			return nil, 0, sub.Stream(ctx, func([]headroom.Record) error { panic("emit blew up") })
-		}))
+	s, err := headroom.New(context.Background(), headroom.WithSource(headroom.NewTraceSource(bytes.NewReader(data))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Aggregate(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "panicked") {
+	_, err = headroom.SimulateRows(context.Background(), s,
+		func(ctx context.Context, sub headroom.Source, _, _ int) ([]int, int64, error) {
+			return nil, 0, sub.Stream(ctx, func([]headroom.Record) error { panic("emit blew up") })
+		}, func(int) (string, string) { return "", "" })
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("panic in emit: err = %v, want the shard's panic as an error", err)
 	}
 }

@@ -1,11 +1,9 @@
 package headroom
 
-// Aggregator serialization: the hook distributed execution rests on. A
-// shard aggregated in one capserved process is encoded, shipped over the
-// internal shard endpoint, decoded by the coordinator and merged — and
-// because the codec preserves every float64 bit and the accumulator layout
-// exactly, the merged result is indistinguishable from aggregating all
-// shards in a single process.
+// Aggregator serialization, for callers that move a shard's samples between
+// processes (capserved moves its pools' rows instead): the codec preserves
+// every float64 bit and the accumulator layout exactly, so merging decoded
+// shards is indistinguishable from aggregating them in a single process.
 
 import (
 	"errors"
@@ -14,9 +12,8 @@ import (
 )
 
 // EncodeAggregator serializes an aggregator's accumulated state into the
-// compact binary wire format used to ship per-shard aggregates between
-// processes. The encoding is exact (float64 bit patterns are preserved) and
-// deterministic (equal aggregators encode to equal bytes).
+// compact binary wire format. The encoding is exact (float64 bit patterns are
+// preserved) and deterministic (equal aggregators encode to equal bytes).
 func EncodeAggregator(a *Aggregator) ([]byte, error) {
 	if a == nil {
 		return nil, errors.New("headroom: EncodeAggregator(nil)")
@@ -25,8 +22,7 @@ func EncodeAggregator(a *Aggregator) ([]byte, error) {
 }
 
 // DecodeAggregator reconstructs an aggregator encoded by EncodeAggregator.
-// Merging the result is bit-identical to merging the original: distributed
-// shard execution produces the same bytes as a single-process run.
+// Merging the result is bit-identical to merging the original.
 func DecodeAggregator(data []byte) (*Aggregator, error) {
 	a := metrics.NewAggregator()
 	if err := a.UnmarshalBinary(data); err != nil {
