@@ -54,25 +54,34 @@ func (c *chunk) encode() {
 	if c.header {
 		b = append(b, headerLine...)
 	}
+	// Per string column, the previous record's name and whether it needs
+	// quotes: all but the server repeat row after row.
+	var last [4]string
+	var quote [4]bool
 	for i := range c.recs {
 		r := &c.recs[i]
 		b = strconv.AppendInt(b, int64(r.Tick), 10)
-		for _, s := range [...]string{r.DC, r.Pool, r.Server, r.Generation} {
-			b = appendField(append(b, ','), s)
+		for col, s := range [...]string{r.DC, r.Pool, r.Server, r.Generation} {
+			if s != last[col] {
+				last[col], quote[col] = s, needsQuotes(s)
+			}
+			b = appendField(append(b, ','), s, quote[col])
 		}
 		b = strconv.AppendBool(append(b, ','), r.Online)
 		for _, v := range r.floats() {
-			b = strconv.AppendFloat(append(b, ','), *v, 'g', -1, 64)
+			var ok bool // appendFloat writes strconv's bytes or declines
+			if b, ok = appendFloat(append(b, ','), *v); !ok {
+				b = strconv.AppendFloat(b, *v, 'g', -1, 64)
+			}
 		}
 		b = append(b, '\n')
 	}
 	c.buf = b
 }
 
-// appendField appends a string field, quoted when encoding/csv would quote
-// it: a delimiter, quote or line break anywhere, leading space, or `\.`.
-func appendField(b []byte, s string) []byte {
-	if !needsQuotes(s) {
+// appendField appends a string field, in quotes if quote says so.
+func appendField(b []byte, s string, quote bool) []byte {
+	if !quote {
 		return append(b, s...)
 	}
 	b = append(b, '"')
@@ -85,6 +94,8 @@ func appendField(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// needsQuotes reports whether encoding/csv would quote s: a delimiter, quote
+// or line break anywhere, leading space, or `\.`.
 func needsQuotes(s string) bool {
 	if s == "" {
 		return false
@@ -363,6 +374,12 @@ func (p *csvParser) decode(c *chunk) {
 				c.err = fmt.Errorf("trace: missing header row (got %q)", fields)
 				return
 			}
+			for i, want := range Header {
+				if string(fields[i]) != want {
+					c.err = fmt.Errorf("trace: read header: column %d is %q, want %q", i+1, fields[i], want)
+					return
+				}
+			}
 			continue
 		}
 		if err == nil {
@@ -519,8 +536,9 @@ func (in *interner) get(col int, b []byte) string {
 }
 
 // parse decodes one row's fields, in Header order, into r. strconv does the
-// numbers, so what is accepted is what it accepts; string(b) of a field
-// that short does not allocate.
+// numbers — parseFloat only the floats it can prove strconv's answer to — so
+// what is accepted is what strconv accepts; string(b) of a field that short
+// does not allocate.
 func (in *interner) parse(r *Record, fields [][]byte) error {
 	var err error
 	if r.Tick, err = strconv.Atoi(string(fields[0])); err != nil {
@@ -532,6 +550,10 @@ func (in *interner) parse(r *Record, fields [][]byte) error {
 		return fmt.Errorf("bad online %q: %w", fields[5], err)
 	}
 	for i, dst := range r.floats() {
+		var ok bool
+		if *dst, ok = parseFloat(fields[6+i]); ok {
+			continue
+		}
 		if *dst, err = strconv.ParseFloat(string(fields[6+i]), 64); err != nil {
 			return fmt.Errorf("bad %s %q: %w", Header[6+i], fields[6+i], err)
 		}

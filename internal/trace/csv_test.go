@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,8 +82,8 @@ func oracleRead(data []byte) (recs []Record, badRow int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if first[0] != Header[0] {
-		return nil, 0, errors.New("missing header row")
+	if !slices.Equal(first, Header) {
+		return nil, 0, errors.New("not the header row")
 	}
 	for {
 		fields, err := cr.Read()
@@ -169,6 +170,10 @@ var fuzzSeeds = func() []string {
 		"not,a,header\n", "tick\n", "\"tick\",a,b,c,d,e,f,g,h,i,j,k,l,m,n\n" + row,
 		"tick,\"a\nb\",c,d,e,f,g,h,i,j,k,l,m,n,o\n" + row, "{\"tick\":1}\n",
 		strings.Repeat("\n", 100) + h + row, // the header row beyond the first chunks
+		// Columns permuted (which would read as DC "B", pool "DC 1"), one
+		// misspelt, a quoted name that is still right.
+		"tick,pool,dc" + h[len("tick,dc,pool"):] + row, h[:len(h)-2] + "\n" + row,
+		"tick,\"dc\"" + h[len("tick,dc"):] + row,
 	}
 }()
 
@@ -180,6 +185,15 @@ func TestCSVDecodeMatchesEncodingCSV(t *testing.T) {
 		for _, size := range []int{1, 2, 7, 16, 64, 200, 1 << 20} {
 			checkAgainstOracle(t, []byte(in), size)
 		}
+	}
+}
+
+// TestDecodeNamesTheWrongColumn: the header has to be Header, name for name.
+func TestDecodeNamesTheWrongColumn(t *testing.T) {
+	in := "tick,pool,dc" + headerLine[len("tick,dc,pool"):] + "3,B,DC 1,b-0001,gen1,true,1.5,2,3,4,5,6,7,8,9\n"
+	_, err := ReadCSV(strings.NewReader(in))
+	if want := `trace: read header: column 2 is "pool", want "dc"`; err == nil || err.Error() != want {
+		t.Errorf("got %v, want %s", err, want)
 	}
 }
 
