@@ -98,7 +98,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := s.Run(30, func(r trace.Record) error { // one hour of windows
+		if err := s.RunContext(context.Background(), 30, func(r trace.Record) error { // one hour of windows
 			sink += r.CPUPct
 			n++
 			return nil

@@ -39,7 +39,7 @@ func main() {
 func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("capplan", flag.ContinueOnError)
 	var (
-		in       = fs.String("in", "", "input trace file, or - for stdin (csv or jsonl, told from the first byte)")
+		in       = fs.String("in", "", "input trace file, or - for stdin (csv or jsonl, told from the first non-blank byte)")
 		budget   = fs.Float64("budget", 5, "acceptable latency increase in ms")
 		seed     = fs.Int64("seed", 1, "seed for clustering and robust fits")
 		shards   = fs.Int("shards", 0, "accepted and ignored: a trace is decoded in parallel and aggregated in one ordered pass")

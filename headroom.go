@@ -10,7 +10,7 @@
 //
 //  1. Measure  — validate workload metrics, group servers (Simulate + Plan)
 //  2. Optimize — fit workload→QoS models and right-size pools (Plan, RunRSM)
-//  3. Model    — build and verify synthetic workloads (BuildProfile,
+//  3. Model    — build and replay synthetic workloads (BuildProfile,
 //     NewSynthSource)
 //  4. Validate — gate changes offline before deployment (Validate)
 //
@@ -37,7 +37,6 @@ import (
 	"headroom/internal/metrics"
 	"headroom/internal/optimize"
 	"headroom/internal/sim"
-	"headroom/internal/slo"
 	"headroom/internal/synth"
 	"headroom/internal/trace"
 	"headroom/internal/validate"
@@ -81,22 +80,11 @@ type (
 	ValidateReport = validate.Report
 	// Datacenter is one region of the simulated topology.
 	Datacenter = workload.Datacenter
-	// Pattern is a diurnal traffic pattern.
-	Pattern = workload.Pattern
-	// SLOSet is a micro-service's QoS requirement as a set of objectives.
-	SLOSet = slo.Set
-	// SLOReport is the evaluation of an SLO set against observations.
-	SLOReport = slo.Report
 	// ForecastModel is a fitted workload trend + daily-seasonality model.
 	ForecastModel = forecast.Model
-	// PoolModel is the fitted workload→resource/QoS model of a pool.
-	PoolModel = optimize.PoolModel
 	// Profile is a reproducible synthetic workload (Step 3), replayable
 	// through NewSynthSource.
 	Profile = synth.Profile
-	// DCCapacity and DRPlan drive disaster-recovery sizing.
-	DCCapacity = optimize.DCCapacity
-	DRPlan     = optimize.DRPlan
 )
 
 // DefaultFleet returns the paper-shaped fleet: pools A-I (Table I and the
@@ -162,22 +150,4 @@ func FilterPools(cfg FleetConfig, names []string) (FleetConfig, error) {
 // offline pool size. Replay it with NewSynthSource.
 func BuildProfile(series []metrics.TickStat, mix workload.Mix, servers, levels int, extendFrac float64) (Profile, error) {
 	return synth.BuildProfile(series, mix, servers, levels, extendFrac)
-}
-
-// TypicalSLO returns the SLO set the paper describes as typical for large
-// online services (p95 latency bound, 99.95% availability, low errors).
-func TypicalSLO(service string, latencyMs float64) SLOSet {
-	return slo.Typical(service, latencyMs)
-}
-
-// EvaluateSLO checks a pool's observation series and availability against
-// its QoS requirement.
-func EvaluateSLO(set SLOSet, series []metrics.TickStat, meanAvailability float64) (SLOReport, error) {
-	return slo.Evaluate(set, series, meanAvailability)
-}
-
-// FitPoolModel fits the workload models (linear CPU, quadratic latency)
-// from pool history — the building block behind Plan.
-func FitPoolModel(series []metrics.TickStat) (PoolModel, error) {
-	return optimize.FitPoolModel(series)
 }

@@ -7,16 +7,12 @@ import (
 	"testing"
 
 	"headroom"
-	"headroom/internal/optimize"
 	"headroom/internal/sim"
-	"headroom/internal/slo"
-	"headroom/internal/synth"
 	"headroom/internal/trace"
-	"headroom/internal/workload"
 )
 
 // TestFullMethodologyPipeline walks the paper's complete loop on pool B
-// through the Session API: measure production, plan a reduction, verify a
+// through the Session API: measure production, plan a reduction, replay a
 // synthetic workload, gate a change offline, run the reduction, and confirm
 // the forecast QoS held.
 func TestFullMethodologyPipeline(t *testing.T) {
@@ -55,8 +51,8 @@ func TestFullMethodologyPipeline(t *testing.T) {
 		t.Fatalf("DC 1 plan unusable: %+v", dc1)
 	}
 
-	// --- Step 3: build and verify a synthetic workload, replayed through
-	// the same Source interface production records stream through. ---
+	// --- Step 3: build a synthetic workload and replay it through the same
+	// Source interface production records stream through. ---
 	prodSeries, err := agg.PoolSeries("DC 1", "B")
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +69,15 @@ func TestFullMethodologyPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := synth.Verify(prodSeries, synthSeries, pool.Mix, profile.Mix, synth.Tolerance{})
-	if err != nil {
-		t.Fatalf("verify: %v", err)
+	var prodTop, synthTop float64
+	for _, ts := range prodSeries {
+		prodTop = max(prodTop, ts.RPSPerServer)
 	}
-	if !eq.Equivalent {
-		t.Fatalf("synthetic workload failed verification: %+v", eq)
+	for _, ts := range synthSeries {
+		synthTop = max(synthTop, ts.RPSPerServer)
+	}
+	if synthTop < prodTop {
+		t.Errorf("synthetic sweep tops out at %v rps/server, below production's %v", synthTop, prodTop)
 	}
 
 	// --- Step 4: offline-gate a benign change before the reduction. ---
@@ -120,97 +119,10 @@ func TestFullMethodologyPipeline(t *testing.T) {
 			observedP95, dc1.ForecastLatencyMs)
 	}
 
-	// --- SLO check on the reduced pool. ---
-	sums, err := redAgg.ServerSummaries("DC 1", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var avail float64
-	for _, sum := range sums {
-		avail += sum.Availability
-	}
-	avail /= float64(len(sums))
-	sloRep, err := slo.Evaluate(slo.Set{
-		Service: "B",
-		Objectives: []slo.Objective{
-			{Name: "p95 latency", Kind: slo.LatencyPercentile, Percentile: 95, Threshold: dc1.BaselineLatencyMs + 5},
-		},
-	}, redSeries, avail)
-	if err != nil {
-		t.Fatalf("slo: %v", err)
-	}
-	if !sloRep.Met {
-		t.Errorf("reduced pool violates its SLO: %s", sloRep)
-	}
-}
-
-// TestForecastDrivenDisasterRecovery chains the workload forecaster into
-// the DR planner: predict next-day peaks per DC, then size every DC to
-// survive any single-region failure.
-func TestForecastDrivenDisasterRecovery(t *testing.T) {
-	ctx := context.Background()
-	pool := sim.PoolB()
-	fleet := headroom.FleetConfig{
-		DCs:               headroom.NineRegions(),
-		Pools:             []headroom.PoolConfig{pool},
-		WorkloadNoiseFrac: 0.03,
-		Seed:              50,
-	}
-	s, err := headroom.New(ctx, headroom.WithFleet(fleet))
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := s.Simulate(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tpd := workload.TicksPerDay(workload.TickDuration)
-
-	var caps []optimize.DCCapacity
-	var model optimize.PoolModel
-	for dcName, servers := range pool.Servers {
-		series, err := agg.PoolSeries(dcName, "B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		loads := make([]float64, 3*tpd)
-		for _, ts := range series {
-			if ts.Tick < len(loads) {
-				loads[ts.Tick] = ts.TotalRPS
-			}
-		}
-		fm, err := s.Forecast(ctx, loads, tpd)
-		if err != nil {
-			t.Fatalf("forecast %s: %v", dcName, err)
-		}
-		peak, err := fm.PeakOverHorizon(3*tpd, tpd, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caps = append(caps, optimize.DCCapacity{
-			DC: dcName, Servers: servers, PeakRPS: peak,
-			Weight: regionWeight(dcName),
-		})
-		if model.Windows == 0 {
-			model, err = optimize.FitPoolModel(series)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	plan, err := model.PlanDisasterRecovery(caps, 40)
-	if err != nil {
-		t.Fatalf("dr plan: %v", err)
-	}
-	if plan.TotalServers <= 0 {
-		t.Fatal("empty DR plan")
-	}
-	// With only two DCs, each must be able to carry everything: required
-	// counts well above the single-DC peak share.
-	for _, r := range plan.PerDC {
-		if r.Required <= 0 {
-			t.Errorf("%s requires %d servers", r.DC, r.Required)
-		}
+	// --- The reduced pool keeps its latency objective: p95 within 5 ms of
+	// the pre-reduction baseline. ---
+	if observedP95 > dc1.BaselineLatencyMs+5 {
+		t.Errorf("reduced pool p95 latency %v exceeds baseline %v + 5 ms", observedP95, dc1.BaselineLatencyMs)
 	}
 }
 
@@ -283,13 +195,4 @@ func percentileOf(xs []float64, p float64) float64 {
 	}
 	idx := int(p / 100 * float64(n-1))
 	return cp[idx]
-}
-
-func regionWeight(dc string) float64 {
-	for _, d := range workload.NineRegions() {
-		if d.Name == dc {
-			return d.Weight
-		}
-	}
-	return 0
 }

@@ -48,19 +48,6 @@ func TestMMcValidation(t *testing.T) {
 	}
 }
 
-func TestMeanWaitMatchesM_M_1(t *testing.T) {
-	// M/M/1: Wq = rho / (mu - lambda).
-	m := MMc{Lambda: 0.5, Mu: 1, C: 1}
-	w, err := m.MeanWait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5 / (1 - 0.5)
-	if math.Abs(w-want) > 1e-12 {
-		t.Errorf("MeanWait = %v, want %v", w, want)
-	}
-}
-
 func TestWaitPercentile(t *testing.T) {
 	m := MMc{Lambda: 8, Mu: 1, C: 10}
 	w50, err := m.WaitPercentile(50)

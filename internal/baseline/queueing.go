@@ -62,18 +62,6 @@ func (m MMc) ErlangC() (float64, error) {
 	return c, nil
 }
 
-// MeanWait returns the mean time a request waits in queue (seconds).
-func (m MMc) MeanWait() (float64, error) {
-	pw, err := m.ErlangC()
-	if err != nil {
-		return 0, err
-	}
-	if m.Lambda == 0 {
-		return 0, nil
-	}
-	return pw / (float64(m.C)*m.Mu - m.Lambda), nil
-}
-
 // WaitPercentile returns the p-th percentile (0 < p < 100) of queueing
 // delay, using the standard M/M/c result that the conditional wait is
 // exponential: P(W > t) = ErlangC * exp(-(c*mu - lambda) t).

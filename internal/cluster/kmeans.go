@@ -43,15 +43,6 @@ type Result struct {
 	Silhouette float64
 }
 
-// Sizes returns the number of points in each cluster.
-func (r *Result) Sizes() []int {
-	sizes := make([]int, r.K)
-	for _, c := range r.Assignment {
-		sizes[c]++
-	}
-	return sizes
-}
-
 // Config controls a k-means run.
 type Config struct {
 	K             int

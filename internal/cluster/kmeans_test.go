@@ -42,10 +42,6 @@ func TestKMeansTwoBlobs(t *testing.T) {
 	if purity < 0.99 {
 		t.Errorf("purity = %v, want >= 0.99", purity)
 	}
-	sizes := res.Sizes()
-	if len(sizes) != 2 || sizes[0]+sizes[1] != len(points) {
-		t.Errorf("sizes = %v", sizes)
-	}
 }
 
 func TestKMeansErrors(t *testing.T) {

@@ -24,7 +24,7 @@ func runFleet(t *testing.T, pools []sim.PoolConfig, days int, seed int64) *metri
 		t.Fatal(err)
 	}
 	agg := metrics.NewAggregator()
-	if err := s.Run(days*s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunContext(context.Background(), days*s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return agg

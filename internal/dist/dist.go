@@ -292,13 +292,6 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Peers returns the normalized worker list.
-func (c *Client) Peers() []string { return append([]string(nil), c.peers...) }
-
-// BreakerState returns a worker's breaker position (Closed when breakers
-// are disabled).
-func (c *Client) BreakerState(peer string) breaker.State { return c.workers[peer].breaker.State() }
-
 // OpenBreakers counts workers whose breaker is currently open, and the
 // total worker count — the worker-fleet health signal /readyz reports.
 func (c *Client) OpenBreakers() (open, total int) {

@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,16 +77,6 @@ func TestDistRendezvousStability(t *testing.T) {
 	t.Logf("removing %s moved %d/%d keys", removed, moved, len(keys))
 }
 
-func TestDistRendezvousOwner(t *testing.T) {
-	if got := Owner("k", nil); got != "" {
-		t.Errorf("Owner with no peers = %q, want empty", got)
-	}
-	peers := []string{"http://a", "http://b"}
-	if got, want := Owner("k", peers), Rank("k", peers)[0]; got != want {
-		t.Errorf("Owner = %q, want top-ranked %q", got, want)
-	}
-}
-
 // hostMux routes loopback requests by the fake host in the peer URL, so one
 // handler emulates a multi-worker fleet.
 type hostMux struct {
@@ -125,6 +117,30 @@ func newTestClient(t *testing.T, mux http.Handler, cfg Config) *Client {
 	return c
 }
 
+// metric reads one series from the client's capserved_dist_* exposition, as
+// a /metrics scrape sees it: series is the name with its rendered labels.
+func metric(t *testing.T, c *Client, series string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := c.cfg.Registry.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no series %s in:\n%s", series, buf.String())
+	return 0
+}
+
+// peerSeries names a per-worker series.
+func peerSeries(name, peer string) string { return fmt.Sprintf("%s{peer=%q}", name, peer) }
+
 func okWorker(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -140,7 +156,7 @@ func TestDistDispatchSuccess(t *testing.T) {
 	c := newTestClient(t, mux, Config{Peers: []string{"http://w1", "http://w2"}})
 
 	sh := Shard{Key: "PoolA", Index: 0, Of: 2, Body: []byte(`{}`)}
-	owner := Owner(sh.Key, c.Peers())
+	owner := Rank(sh.Key, c.peers)[0]
 	res, err := c.Dispatch(context.Background(), sh)
 	if err != nil {
 		t.Fatal(err)
@@ -203,19 +219,18 @@ func TestDistDispatchReroutes(t *testing.T) {
 		t.Errorf("attempts = %d, want 2", res.Attempts)
 	}
 	// Counted where it happened, on the series that names it.
-	first, backup := c.workers[order[0]], c.workers[order[1]]
 	for _, ct := range []struct {
 		name string
 		got  int64
 		want int64
 	}{
-		{"reroutes", c.reroutes.Value(), 1},
-		{"hedges", c.hedges.Value(), 0},
-		{"dispatched to the owner", first.dispatched.Value(), 1},
-		{"failures of the owner", first.failures.Value(), 1},
-		{"dispatched to the fallback", backup.dispatched.Value(), 1},
-		{"failures of the fallback", backup.failures.Value(), 0},
-		{"latency samples of the fallback", backup.latency.Count(), 1},
+		{"reroutes", metric(t, c, "capserved_dist_reroutes_total"), 1},
+		{"hedges", metric(t, c, "capserved_dist_hedges_total"), 0},
+		{"dispatched to the owner", metric(t, c, peerSeries("capserved_dist_shards_dispatched_total", order[0])), 1},
+		{"failures of the owner", metric(t, c, peerSeries("capserved_dist_shard_failures_total", order[0])), 1},
+		{"dispatched to the fallback", metric(t, c, peerSeries("capserved_dist_shards_dispatched_total", order[1])), 1},
+		{"failures of the fallback", metric(t, c, peerSeries("capserved_dist_shard_failures_total", order[1])), 0},
+		{"latency samples of the fallback", metric(t, c, peerSeries("capserved_dist_shard_latency_seconds_count", order[1])), 1},
 	} {
 		if ct.got != ct.want {
 			t.Errorf("%s = %d, want %d", ct.name, ct.got, ct.want)
@@ -280,10 +295,10 @@ func TestDispatchRejectsOversizedResponse(t *testing.T) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
-	if got := c.BreakerState("http://w1"); got != breaker.Open {
+	if got := c.workers["http://w1"].breaker.State(); got != breaker.Open {
 		t.Errorf("worker breaker = %s after an oversized response at threshold 1, want open", got)
 	}
-	if got := c.workers["http://w1"].failures.Value(); got != 1 {
+	if got := metric(t, c, peerSeries("capserved_dist_shard_failures_total", "http://w1")); got != 1 {
 		t.Errorf("failures of the worker = %d, want 1", got)
 	}
 }
@@ -350,7 +365,8 @@ func TestDistDispatchHedges(t *testing.T) {
 	if res.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", res.Attempts)
 	}
-	if hedges, wins, reroutes := c.hedges.Value(), c.hedgeWins.Value(), c.reroutes.Value(); hedges != 1 || wins != 1 || reroutes != 0 {
+	hedges, wins := metric(t, c, "capserved_dist_hedges_total"), metric(t, c, "capserved_dist_hedge_wins_total")
+	if reroutes := metric(t, c, "capserved_dist_reroutes_total"); hedges != 1 || wins != 1 || reroutes != 0 {
 		t.Errorf("hedges %d, hedge wins %d, reroutes %d; want 1, 1, 0", hedges, wins, reroutes)
 	}
 }
@@ -380,8 +396,8 @@ func TestDistDispatchBreakerSkips(t *testing.T) {
 	if _, err := c.Dispatch(context.Background(), Shard{Key: "br-key"}); err != nil {
 		t.Fatal(err)
 	}
-	if c.BreakerState(order[0]) != breaker.Open {
-		t.Fatalf("owner breaker = %v, want Open", c.BreakerState(order[0]))
+	if c.workers[order[0]].breaker.State() != breaker.Open {
+		t.Fatalf("owner breaker = %v, want Open", c.workers[order[0]].breaker.State())
 	}
 	// Second dispatch must skip the owner entirely.
 	res, err := c.Dispatch(context.Background(), Shard{Key: "br-key"})
@@ -394,7 +410,8 @@ func TestDistDispatchBreakerSkips(t *testing.T) {
 	if badHits.Load() != 1 {
 		t.Errorf("open-breaker worker was contacted %d times, want 1", badHits.Load())
 	}
-	if skips, opened := c.skips.Value(), c.workers[order[0]].transitions[breaker.Open].Value(); skips != 1 || opened != 1 {
+	skips := metric(t, c, "capserved_dist_breaker_skips_total")
+	if opened := metric(t, c, fmt.Sprintf("capserved_dist_breaker_transitions_total{peer=%q,to=\"open\"}", order[0])); skips != 1 || opened != 1 {
 		t.Errorf("breaker skips %d, owner transitions to open %d; want 1, 1", skips, opened)
 	}
 	open, total := c.OpenBreakers()
@@ -472,7 +489,7 @@ func TestDistNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Peers(); len(got) != 2 || got[0] != "http://w1" || got[1] != "http://w2" {
+	if got := c.peers; len(got) != 2 || got[0] != "http://w1" || got[1] != "http://w2" {
 		t.Errorf("peers = %v, want deduped [http://w1 http://w2]", got)
 	}
 }
@@ -572,12 +589,13 @@ func TestDistDispatchSlowLoserNeutral(t *testing.T) {
 	}
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if st := c.BreakerState(order[0]); st != breaker.Closed {
+		if st := c.workers[order[0]].breaker.State(); st != breaker.Closed {
 			t.Fatalf("loser breaker = %v; a dispatch-cancelled attempt was charged as a failure", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := c.workers[order[0]].failures.Value() + c.workers[order[1]].failures.Value(); n != 0 {
+	if n := metric(t, c, peerSeries("capserved_dist_shard_failures_total", order[0])) +
+		metric(t, c, peerSeries("capserved_dist_shard_failures_total", order[1])); n != 0 {
 		t.Errorf("failures counted = %d, want 0 (cancelled loser is neutral)", n)
 	}
 }

@@ -30,14 +30,6 @@ func Rank(key string, peers []string) []string {
 	return ranked
 }
 
-// Owner returns the top-ranked peer for key, or "" with no peers.
-func Owner(key string, peers []string) string {
-	if len(peers) == 0 {
-		return ""
-	}
-	return Rank(key, peers)[0]
-}
-
 // weight hashes one (key, peer) pair. FNV-1a over peer<NUL>key: cheap,
 // stable across processes and Go versions (unlike maphash), and uniform
 // enough for placement.

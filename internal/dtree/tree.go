@@ -1,6 +1,5 @@
-// Package dtree implements CART-style binary decision trees for both
-// classification (Gini impurity) and regression (variance reduction),
-// together with k-fold cross-validation helpers.
+// Package dtree implements CART-style binary classification trees (Gini
+// impurity), together with k-fold cross-validation helpers.
 //
 // The paper (§II-A2) trains a decision tree over a per-server feature vector
 // (5/25/50/75/95th percentile CPU plus the slope, intercept and R² of a
@@ -18,21 +17,8 @@ import (
 	"sort"
 )
 
-// Task selects between classification and regression trees.
-type Task int
-
-const (
-	// Classification grows the tree by Gini impurity; predictions are the
-	// majority class probability.
-	Classification Task = iota + 1
-	// Regression grows the tree by variance reduction; predictions are leaf
-	// means.
-	Regression
-)
-
 // Config controls tree induction.
 type Config struct {
-	Task        Task
 	MaxDepth    int // default 10
 	MinLeafSize int // minimum samples per leaf; default 5
 	// MinImpurityDecrease prunes splits whose impurity gain is below this
@@ -41,9 +27,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Task == 0 {
-		c.Task = Classification
-	}
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 10
 	}
@@ -65,8 +48,7 @@ type Node struct {
 	Left      *Node
 	Right     *Node
 
-	// Value is the leaf prediction: mean target for regression, positive-
-	// class probability for classification.
+	// Value is the leaf prediction: the positive-class probability.
 	Value float64
 	// N is the number of training samples that reached this node.
 	N int
@@ -88,7 +70,7 @@ type Tree struct {
 var ErrNoData = errors.New("dtree: no training data")
 
 // Fit grows a tree on the feature matrix xs (rows are samples) and targets
-// ys. For classification, ys must be 0 or 1.
+// ys, which must be 0 or 1.
 func Fit(xs [][]float64, ys []float64, cfg Config) (*Tree, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoData
@@ -106,11 +88,9 @@ func Fit(xs [][]float64, ys []float64, cfg Config) (*Tree, error) {
 			return nil, fmt.Errorf("dtree: row %d has %d features, want %d", i, len(row), width)
 		}
 	}
-	if cfg.Task == Classification {
-		for i, y := range ys {
-			if y != 0 && y != 1 {
-				return nil, fmt.Errorf("dtree: classification target %v at row %d not in {0,1}", y, i)
-			}
+	for i, y := range ys {
+		if y != 0 && y != 1 {
+			return nil, fmt.Errorf("dtree: classification target %v at row %d not in {0,1}", y, i)
 		}
 	}
 	idx := make([]int, len(xs))
@@ -127,7 +107,7 @@ func grow(xs [][]float64, ys []float64, idx []int, cfg Config, depth int) *Node 
 	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeafSize {
 		return node
 	}
-	imp := impurity(ys, idx, cfg.Task)
+	imp := impurity(ys, idx)
 	if imp == 0 {
 		return node
 	}
@@ -161,34 +141,23 @@ func leafValue(ys []float64, idx []int) float64 {
 	return s / float64(len(idx))
 }
 
-// impurity returns Gini impurity (classification) or variance (regression)
-// over the indexed samples.
-func impurity(ys []float64, idx []int, task Task) float64 {
+// impurity returns the Gini impurity over the indexed samples.
+func impurity(ys []float64, idx []int) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
-	if task == Classification {
-		var pos float64
-		for _, i := range idx {
-			pos += ys[i]
-		}
-		p := pos / float64(len(idx))
-		return 2 * p * (1 - p)
-	}
-	var s, ss float64
+	var pos float64
 	for _, i := range idx {
-		s += ys[i]
-		ss += ys[i] * ys[i]
+		pos += ys[i]
 	}
-	n := float64(len(idx))
-	m := s / n
-	return ss/n - m*m
+	p := pos / float64(len(idx))
+	return 2 * p * (1 - p)
 }
 
 // bestSplit scans every feature and every midpoint between adjacent distinct
 // values for the split with the largest weighted impurity decrease.
 func bestSplit(xs [][]float64, ys []float64, idx []int, cfg Config) (feature int, threshold, gain float64) {
-	parent := impurity(ys, idx, cfg.Task)
+	parent := impurity(ys, idx)
 	n := float64(len(idx))
 	feature = -1
 
@@ -197,21 +166,14 @@ func bestSplit(xs [][]float64, ys []float64, idx []int, cfg Config) (feature int
 		copy(order, idx)
 		sort.Slice(order, func(a, b int) bool { return xs[order[a]][f] < xs[order[b]][f] })
 
-		// Incremental sufficient statistics for left/right partitions.
-		var lSum, lSS, lPos float64
-		var rSum, rSS, rPos float64
+		// Incremental positive counts for left/right partitions.
+		var lPos, rPos float64
 		for _, i := range order {
-			rSum += ys[i]
-			rSS += ys[i] * ys[i]
 			rPos += ys[i]
 		}
 		for k := 0; k < len(order)-1; k++ {
 			i := order[k]
-			lSum += ys[i]
-			lSS += ys[i] * ys[i]
 			lPos += ys[i]
-			rSum -= ys[i]
-			rSS -= ys[i] * ys[i]
 			rPos -= ys[i]
 
 			if xs[order[k]][f] == xs[order[k+1]][f] {
@@ -222,18 +184,9 @@ func bestSplit(xs [][]float64, ys []float64, idx []int, cfg Config) (feature int
 			if int(nl) < cfg.MinLeafSize || int(nr) < cfg.MinLeafSize {
 				continue
 			}
-			var childImp float64
-			if cfg.Task == Classification {
-				pl := lPos / nl
-				pr := rPos / nr
-				childImp = (nl*2*pl*(1-pl) + nr*2*pr*(1-pr)) / n
-			} else {
-				ml := lSum / nl
-				mr := rSum / nr
-				vl := lSS/nl - ml*ml
-				vr := rSS/nr - mr*mr
-				childImp = (nl*vl + nr*vr) / n
-			}
+			pl := lPos / nl
+			pr := rPos / nr
+			childImp := (nl*2*pl*(1-pl) + nr*2*pr*(1-pr)) / n
 			if g := parent - childImp; g > gain {
 				gain = g
 				feature = f
@@ -244,8 +197,8 @@ func bestSplit(xs [][]float64, ys []float64, idx []int, cfg Config) (feature int
 	return feature, threshold, gain
 }
 
-// Predict returns the tree's output for a single feature vector: the leaf
-// mean (regression) or positive-class probability (classification).
+// Predict returns the tree's positive-class probability for a single
+// feature vector.
 func (t *Tree) Predict(x []float64) (float64, error) {
 	if len(x) != t.NumFeatures {
 		return 0, fmt.Errorf("dtree: input has %d features, want %d", len(x), t.NumFeatures)
@@ -261,19 +214,6 @@ func (t *Tree) Predict(x []float64) (float64, error) {
 	return n.Value, nil
 }
 
-// PredictClass returns the hard 0/1 classification for x using a 0.5
-// probability cut-off.
-func (t *Tree) PredictClass(x []float64) (float64, error) {
-	p, err := t.Predict(x)
-	if err != nil {
-		return 0, err
-	}
-	if p >= 0.5 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
 // Splits returns the number of internal (split) nodes; the paper reports
 // its grouping tree used 34 splits.
 func (t *Tree) Splits() int {
@@ -287,33 +227,15 @@ func (t *Tree) Splits() int {
 	return count(t.Root)
 }
 
-// Depth returns the maximum depth of the tree (a lone root has depth 0).
-func (t *Tree) Depth() int {
-	var depth func(n *Node) int
-	depth = func(n *Node) int {
-		if n == nil || n.IsLeaf() {
-			return 0
-		}
-		l, r := depth(n.Left), depth(n.Right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return depth(t.Root)
-}
-
 // CVResult summarises a k-fold cross-validation run.
 type CVResult struct {
 	// R2 is the coefficient of determination of out-of-fold predictions
 	// against true targets.
 	R2 float64
 	// AUC is the ranking quality of out-of-fold positive-class
-	// probabilities (classification only; NaN for regression with
-	// non-binary targets).
+	// probabilities.
 	AUC float64
-	// Accuracy is the out-of-fold 0/1 accuracy at the 0.5 cut
-	// (classification only).
+	// Accuracy is the out-of-fold 0/1 accuracy at the 0.5 cut.
 	Accuracy float64
 	Folds    int
 }
@@ -356,32 +278,30 @@ func CrossValidate(xs [][]float64, ys []float64, cfg Config, folds []struct{ Tra
 
 	res := CVResult{Folds: len(folds), AUC: math.NaN(), Accuracy: math.NaN()}
 	res.R2 = rSquared(ys, preds)
-	if cfg.withDefaults().Task == Classification {
-		labels := make([]bool, len(ys))
-		binary := true
-		for i, y := range ys {
-			if y != 0 && y != 1 {
-				binary = false
-				break
-			}
-			labels[i] = y == 1
+	labels := make([]bool, len(ys))
+	binary := true
+	for i, y := range ys {
+		if y != 0 && y != 1 {
+			binary = false
+			break
 		}
-		if binary {
-			if auc, err := aucScore(labels, preds); err == nil {
-				res.AUC = auc
-			}
-			correct := 0
-			for i := range ys {
-				hard := 0.0
-				if preds[i] >= 0.5 {
-					hard = 1
-				}
-				if hard == ys[i] {
-					correct++
-				}
-			}
-			res.Accuracy = float64(correct) / float64(len(ys))
+		labels[i] = y == 1
+	}
+	if binary {
+		if auc, err := aucScore(labels, preds); err == nil {
+			res.AUC = auc
 		}
+		correct := 0
+		for i := range ys {
+			hard := 0.0
+			if preds[i] >= 0.5 {
+				hard = 1
+			}
+			if hard == ys[i] {
+				correct++
+			}
+		}
+		res.Accuracy = float64(correct) / float64(len(ys))
 	}
 	return res, nil
 }

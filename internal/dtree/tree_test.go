@@ -1,7 +1,6 @@
 package dtree
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -41,17 +40,17 @@ func groupedServers(n int, seed int64) (xs [][]float64, ys []float64) {
 
 func TestFitClassificationSeparable(t *testing.T) {
 	xs, ys := groupedServers(400, 1)
-	tree, err := Fit(xs, ys, Config{Task: Classification, MaxDepth: 6, MinLeafSize: 5})
+	tree, err := Fit(xs, ys, Config{MaxDepth: 6, MinLeafSize: 5})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	correct := 0
 	for i := range xs {
-		c, err := tree.PredictClass(xs[i])
+		p, err := tree.Predict(xs[i])
 		if err != nil {
-			t.Fatalf("PredictClass: %v", err)
+			t.Fatalf("Predict: %v", err)
 		}
-		if c == ys[i] {
+		if (p >= 0.5) == (ys[i] == 1) {
 			correct++
 		}
 	}
@@ -61,46 +60,6 @@ func TestFitClassificationSeparable(t *testing.T) {
 	}
 	if tree.Splits() == 0 {
 		t.Error("tree should have at least one split")
-	}
-	if tree.Depth() < 1 {
-		t.Error("tree should have depth >= 1")
-	}
-}
-
-func TestFitRegression(t *testing.T) {
-	// Piecewise-constant target: regression tree should recover it well.
-	rng := rand.New(rand.NewSource(2))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 500; i++ {
-		x := rng.Float64() * 10
-		y := 1.0
-		if x > 3 {
-			y = 5
-		}
-		if x > 7 {
-			y = 2
-		}
-		xs = append(xs, []float64{x})
-		ys = append(ys, y+0.05*rng.NormFloat64())
-	}
-	tree, err := Fit(xs, ys, Config{Task: Regression, MaxDepth: 4, MinLeafSize: 10})
-	if err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	checks := []struct {
-		x, want float64
-	}{
-		{1, 1}, {5, 5}, {9, 2},
-	}
-	for _, c := range checks {
-		got, err := tree.Predict([]float64{c.x})
-		if err != nil {
-			t.Fatalf("Predict: %v", err)
-		}
-		if math.Abs(got-c.want) > 0.3 {
-			t.Errorf("Predict(%v) = %v, want ~%v", c.x, got, c.want)
-		}
 	}
 }
 
@@ -117,14 +76,14 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit([][]float64{{1}, {2, 3}}, []float64{1, 0}, Config{}); err == nil {
 		t.Error("ragged rows should error")
 	}
-	if _, err := Fit([][]float64{{1}, {2}}, []float64{0.5, 1}, Config{Task: Classification}); err == nil {
-		t.Error("non-binary classification target should error")
+	if _, err := Fit([][]float64{{1}, {2}}, []float64{0.5, 1}, Config{}); err == nil {
+		t.Error("non-binary target should error")
 	}
 }
 
 func TestPredictValidatesWidth(t *testing.T) {
 	xs, ys := groupedServers(50, 3)
-	tree, err := Fit(xs, ys, Config{Task: Classification})
+	tree, err := Fit(xs, ys, Config{})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -135,7 +94,7 @@ func TestPredictValidatesWidth(t *testing.T) {
 
 func TestMinLeafSizeRespected(t *testing.T) {
 	xs, ys := groupedServers(200, 4)
-	tree, err := Fit(xs, ys, Config{Task: Classification, MinLeafSize: 40, MaxDepth: 10})
+	tree, err := Fit(xs, ys, Config{MinLeafSize: 40, MaxDepth: 10})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -159,7 +118,7 @@ func TestMinLeafSizeRespected(t *testing.T) {
 func TestPureNodeStopsSplitting(t *testing.T) {
 	xs := [][]float64{{1}, {2}, {3}, {4}, {5}, {6}}
 	ys := []float64{1, 1, 1, 1, 1, 1}
-	tree, err := Fit(xs, ys, Config{Task: Classification, MinLeafSize: 1})
+	tree, err := Fit(xs, ys, Config{MinLeafSize: 1})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -174,7 +133,7 @@ func TestPureNodeStopsSplitting(t *testing.T) {
 func TestCrossValidateClassification(t *testing.T) {
 	xs, ys := groupedServers(600, 5)
 	folds := makeFolds(len(xs), 5, 7)
-	res, err := CrossValidate(xs, ys, Config{Task: Classification, MaxDepth: 6, MinLeafSize: 5}, folds)
+	res, err := CrossValidate(xs, ys, Config{MaxDepth: 6, MinLeafSize: 5}, folds)
 	if err != nil {
 		t.Fatalf("CrossValidate: %v", err)
 	}
@@ -221,8 +180,8 @@ func makeFolds(n, k int, seed int64) []struct{ Train, Test []int } {
 	return folds
 }
 
-// Property: classification leaf probabilities are valid probabilities and
-// regression predictions stay within the target range.
+// Property: leaf predictions are valid probabilities, on any binary
+// targets.
 func TestPredictionBoundsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 20; trial++ {
@@ -231,24 +190,19 @@ func TestPredictionBoundsProperty(t *testing.T) {
 		var ys []float64
 		for i := 0; i < n; i++ {
 			xs = append(xs, []float64{rng.Float64() * 100, rng.Float64() * 10})
-			ys = append(ys, rng.Float64()*50)
+			ys = append(ys, float64(rng.Intn(2)))
 		}
-		tree, err := Fit(xs, ys, Config{Task: Regression, MaxDepth: 5, MinLeafSize: 3})
+		tree, err := Fit(xs, ys, Config{MaxDepth: 5, MinLeafSize: 3})
 		if err != nil {
 			t.Fatalf("Fit: %v", err)
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, y := range ys {
-			lo = math.Min(lo, y)
-			hi = math.Max(hi, y)
 		}
 		for i := 0; i < 50; i++ {
 			p, err := tree.Predict([]float64{rng.Float64() * 100, rng.Float64() * 10})
 			if err != nil {
 				t.Fatalf("Predict: %v", err)
 			}
-			if p < lo-1e-9 || p > hi+1e-9 {
-				t.Fatalf("prediction %v outside target range [%v, %v]", p, lo, hi)
+			if p < 0 || p > 1 {
+				t.Fatalf("prediction %v is not a probability", p)
 			}
 		}
 	}

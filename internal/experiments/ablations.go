@@ -118,7 +118,7 @@ func AblationPartitions(ctx context.Context, cfg Config) (*Result, error) {
 		Header: []string{"J", "mean_points_per_partition", "mean_pred_err_ms"},
 	}
 	for _, j := range []int{1, 2, 4, 8, 16} {
-		parts, err := partitionObs(series, j)
+		parts, err := optimize.PartitionPoints(series, j)
 		if err != nil {
 			return nil, err
 		}
@@ -153,11 +153,6 @@ func AblationPartitions(ctx context.Context, cfg Config) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"J=1 mixes the traffic effect into the server-count fit; very large J starves each fit — the paper picks J with the pool owner")
 	return res, nil
-}
-
-func partitionObs(points []optimize.ObsPoint, j int) ([]optimize.Partition, error) {
-	// Reuse optimize.PartitionByLoad via a TickStat adapter.
-	return optimize.PartitionPoints(points, j)
 }
 
 func meanServers(p optimize.Partition) float64 {

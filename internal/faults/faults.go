@@ -1,8 +1,8 @@
 // Package faults is a deterministic fault-injection harness for the
 // capacity-planning pipeline: it wraps any record source (headroom.Source)
-// or job function with rules that inject transient errors, permanent
-// errors, latency stalls and panics at configurable record offsets or
-// probabilities — fully reproducible from a seed.
+// with rules that inject transient errors, permanent errors, latency stalls
+// and panics at configurable record offsets or probabilities — fully
+// reproducible from a seed.
 //
 // The package exists so failure paths can be driven as deliberately as
 // happy paths: the chaos tests replay the exact same faults from the same
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"headroom"
-	"headroom/internal/jobs"
 	"headroom/internal/retry"
 )
 
@@ -37,13 +36,12 @@ import (
 type Kind string
 
 const (
-	// Transient injects an error marked retryable (headroom.Transient for
-	// sources, jobs.Transient for job funcs).
+	// Transient injects an error marked retryable (headroom.Transient).
 	Transient Kind = "transient"
 	// Permanent injects an unmarked error: resilience layers must not
 	// retry it.
 	Permanent Kind = "permanent"
-	// Stall injects a latency stall (Rule.Stall) before the record or call
+	// Stall injects a latency stall (Rule.Stall) before the record
 	// proceeds; the stall honours context cancellation.
 	Stall Kind = "stall"
 	// Panic injects a panic, exercising panic-isolation paths.
@@ -56,8 +54,7 @@ type Rule struct {
 	// Kind is the fault class; required.
 	Kind Kind
 	// Pools restricts the rule to records of the named pools (and offset
-	// counting to those records). Empty matches every record. Job-func
-	// injection ignores the filter: funcs have no pool identity.
+	// counting to those records). Empty matches every record.
 	Pools []string
 	// At lists the matching-record ordinals (0-based, counted per stream
 	// attempt) before which the fault fires. For Transient, Stall and
@@ -109,9 +106,9 @@ func (r Rule) message(where string) string {
 	return fmt.Sprintf("faults: injected %s fault %s", r.Kind, where)
 }
 
-// Injector deterministically injects the configured rules into sources and
-// job functions. One injector may wrap many streams; its injection counter
-// aggregates across all of them (exported to metrics by capserved).
+// Injector deterministically injects the configured rules into sources. One
+// injector may wrap many streams; its injection counter aggregates across
+// all of them (exported to metrics by capserved).
 type Injector struct {
 	seed     int64
 	rules    []Rule
@@ -130,9 +127,6 @@ func New(seed int64, rules ...Rule) *Injector {
 // Injected returns the total number of faults injected so far.
 func (in *Injector) Injected() int64 { return in.injected.Load() }
 
-// Rules returns a copy of the configured rules.
-func (in *Injector) Rules() []Rule { return append([]Rule(nil), in.rules...) }
-
 // onceFired reports whether the one-shot trigger key already fired, marking
 // it fired otherwise.
 func (in *Injector) onceFired(key string) bool {
@@ -145,8 +139,8 @@ func (in *Injector) onceFired(key string) bool {
 	return false
 }
 
-// fires decides whether rule ri fires before the ord-th matching record (or
-// call) of a stream: at a listed offset — once per (scope, rule, offset)
+// fires decides whether rule ri fires before the ord-th matching record of a
+// stream: at a listed offset — once per (scope, rule, offset)
 // unless the rule is Permanent — or else by a probability draw.
 func (in *Injector) fires(scope string, ri, ord int, draw func() float64) bool {
 	rule := &in.rules[ri]
@@ -272,40 +266,6 @@ func (f *faultSource) Shards(n int) []headroom.Source {
 
 // PoolNames forwards the underlying source's pool attribution.
 func (f *faultSource) PoolNames() []string { return headroom.PoolNames(f.src) }
-
-// Func wraps a job function with fault injection. Each invocation of the
-// wrapped function counts as one ordinal against every rule (pool filters
-// do not apply); transient faults are marked with jobs.Transient so the job
-// queue retries them. Stalls delay the call; panics exercise the queue's
-// panic isolation.
-func (in *Injector) Func(fn jobs.Func) jobs.Func {
-	var calls atomic.Int64
-	rng := rand.New(rand.NewSource(retry.DeriveSeed(in.seed, -7)))
-	var mu sync.Mutex
-	draw := func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Float64()
-	}
-	return func(ctx context.Context) (any, error) {
-		ord := int(calls.Add(1)) - 1
-		for ri := range in.rules {
-			rule := &in.rules[ri]
-			if !in.fires("f", ri, ord, draw) {
-				continue
-			}
-			where := fmt.Sprintf("before call %d", ord)
-			if rule.Kind == Transient {
-				in.injected.Add(1)
-				return nil, jobs.Transient(fmt.Errorf("%s", rule.message(where)))
-			}
-			if err := in.inject(ctx, rule, where); err != nil {
-				return nil, err
-			}
-		}
-		return fn(ctx)
-	}
-}
 
 // String renders the injector's configuration for logs.
 func (in *Injector) String() string {

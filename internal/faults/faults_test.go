@@ -240,44 +240,19 @@ func TestFaultSourceForwardsPoolNames(t *testing.T) {
 	}
 }
 
-func TestFaultFuncTransientMarksJobRetryable(t *testing.T) {
-	inj := faults.New(1, faults.Rule{Kind: faults.Transient, At: []int{0}})
-	calls := 0
-	fn := inj.Func(func(ctx context.Context) (any, error) {
-		calls++
-		return "ok", nil
-	})
-	_, err := fn(context.Background())
-	if !jobs.IsTransient(err) {
-		t.Fatalf("first call err = %v, want jobs-transient", err)
-	}
-	// One sentinel across layers: what the job queue marks, the source layer
-	// recognises, and the other way round.
-	if !errors.Is(err, headroom.ErrTransient) || !errors.Is(jobs.Transient(errors.New("e")), headroom.ErrTransient) ||
-		!jobs.IsTransient(headroom.Transient(errors.New("e"))) {
-		t.Fatalf("jobs.Transient and headroom.Transient do not share one sentinel")
-	}
-	if calls != 0 {
-		t.Fatalf("wrapped fn ran despite injected fault")
-	}
-	// One-shot: the second call passes through.
-	v, err := fn(context.Background())
-	if err != nil || v != "ok" {
-		t.Fatalf("second call = (%v, %v), want (ok, nil)", v, err)
-	}
-}
-
-// TestFaultPanicJobLeaksNoGoroutines drives a panic-injected job through a
-// real queue: the worker must recover, fail the job, and keep serving.
+// TestFaultPanicJobLeaksNoGoroutines drives a job whose source panics
+// through a real queue: the worker must recover, fail the job, and keep
+// serving.
 func TestFaultPanicJobLeaksNoGoroutines(t *testing.T) {
 	leakcheck.Check(t)
 	inj := faults.New(1, faults.Rule{Kind: faults.Panic, At: []int{0}, Msg: "boom"})
+	src := inj.Source(traceOf("A"))
 	q := jobs.New(jobs.Config{Workers: 2})
 	defer q.Close(context.Background())
 
-	j, err := q.Submit("chaos", inj.Func(func(ctx context.Context) (any, error) {
-		return nil, nil
-	}))
+	j, err := q.SubmitCtx(context.Background(), "chaos", func(ctx context.Context) (any, error) {
+		return nil, src.Stream(ctx, func([]headroom.Record) error { return nil })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +260,7 @@ func TestFaultPanicJobLeaksNoGoroutines(t *testing.T) {
 		t.Fatalf("job err = %v, want recovered panic", err)
 	}
 	// The worker survived the panic: a follow-up job still runs.
-	j2, err := q.Submit("chaos", func(ctx context.Context) (any, error) { return 7, nil })
+	j2, err := q.SubmitCtx(context.Background(), "chaos", func(ctx context.Context) (any, error) { return 7, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"headroom/internal/retry"
 )
 
 func TestJitterSeededDeterministic(t *testing.T) {
@@ -57,8 +59,8 @@ func TestRetryAbandonedWhenBackoffExceedsDeadline(t *testing.T) {
 	defer q.Close(context.Background())
 
 	cause := errors.New("flaky dependency")
-	j, err := q.Submit("t", func(ctx context.Context) (any, error) {
-		return nil, Transient(cause)
+	j, err := q.SubmitCtx(context.Background(), "t", func(ctx context.Context) (any, error) {
+		return nil, retry.Transient(cause)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +87,10 @@ func TestRetrySucceedsWithinDeadline(t *testing.T) {
 	q := New(Config{Workers: 1, Timeout: 5 * time.Second, Backoff: time.Millisecond, MaxAttempts: 3})
 	defer q.Close(context.Background())
 	calls := 0
-	j, err := q.Submit("t", func(ctx context.Context) (any, error) {
+	j, err := q.SubmitCtx(context.Background(), "t", func(ctx context.Context) (any, error) {
 		calls++
 		if calls == 1 {
-			return nil, Transient(errors.New("blip"))
+			return nil, retry.Transient(errors.New("blip"))
 		}
 		return "ok", nil
 	})

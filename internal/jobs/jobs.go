@@ -41,20 +41,11 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == Done || s == Failed }
 
-// Transient wraps err with the module's transient sentinel
-// (retry.ErrTransient, re-exported as headroom.ErrTransient) to ask the
-// queue to retry the job with backoff instead of failing it outright. A nil
-// err returns nil.
-func Transient(err error) error { return retry.Transient(err) }
-
-// IsTransient reports whether err asks for a retry.
-func IsTransient(err error) bool { return retry.IsTransient(err) }
-
-// ErrQueueFull is returned by Submit when the pending queue is at capacity.
+// ErrQueueFull is returned by SubmitCtx when the pending queue is at capacity.
 // Callers should surface it as backpressure (HTTP 503) rather than block.
 var ErrQueueFull = errors.New("jobs: queue full")
 
-// ErrClosed is returned by Submit after Close has begun.
+// ErrClosed is returned by SubmitCtx after Close has begun.
 var ErrClosed = errors.New("jobs: queue closed")
 
 // Func is the work a job performs. The context carries the per-job deadline
@@ -171,9 +162,6 @@ func Annotate(ctx context.Context, key string, value any) bool {
 	return true
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Wait blocks until the job is terminal or ctx is cancelled, returning the
 // result or the job/context error.
 func (j *Job) Wait(ctx context.Context) (any, error) {
@@ -223,14 +211,14 @@ func (j *Job) finish(result any, err error) {
 type Config struct {
 	// Workers is the worker-pool size; default GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the pending queue; Submit returns ErrQueueFull
+	// QueueDepth bounds the pending queue; SubmitCtx returns ErrQueueFull
 	// beyond it. Default 4 × Workers.
 	QueueDepth int
 	// Timeout is the per-job deadline measured from the moment a worker
 	// first picks the job up (it spans retries). Zero means no deadline.
 	Timeout time.Duration
 	// MaxAttempts bounds executions of a job whose error is transient
-	// (see Transient). Default 3; permanent errors never retry.
+	// (see retry.Transient). Default 3; permanent errors never retry.
 	MaxAttempts int
 	// Backoff is the sleep before the first retry, doubling per attempt
 	// with seeded jitter (each retry sleeps a uniform value in
@@ -317,19 +305,14 @@ func (q *Queue) Workers() int { return q.cfg.Workers }
 // QueueDepth returns the pending queue's capacity bound.
 func (q *Queue) QueueDepth() int { return q.cfg.QueueDepth }
 
-// Submit enqueues fn as a new job labelled kind. It never blocks: when the
+// SubmitCtx enqueues fn as a new job labelled kind. It never blocks: when the
 // pending queue is full it returns ErrQueueFull, and after Close it returns
-// ErrClosed.
-func (q *Queue) Submit(kind string, fn Func) (*Job, error) {
-	return q.SubmitCtx(context.Background(), kind, fn)
-}
-
-// SubmitCtx is Submit with a caller context: the context's values (active
-// trace span, request id) propagate into the job's execution context —
-// detached from the caller's cancellation, since the job outlives the
-// request that submitted it. When ctx carries a trace, the job records an
-// enqueue→terminal span with queue-wait and run-time attributes, and its
-// spans (and the session spans inside it) nest under the caller's.
+// ErrClosed. The context's values (active trace span, request id) propagate
+// into the job's execution context — detached from the caller's
+// cancellation, since the job outlives the request that submitted it. When
+// ctx carries a trace, the job records an enqueue→terminal span with
+// queue-wait and run-time attributes, and its spans (and the session spans
+// inside it) nest under the caller's.
 func (q *Queue) SubmitCtx(ctx context.Context, kind string, fn Func) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -483,7 +466,7 @@ func (q *Queue) run(j *Job) {
 			j.finish(result, nil)
 			return
 		}
-		retryable := IsTransient(err) && attempt < q.cfg.MaxAttempts && ctx.Err() == nil
+		retryable := retry.IsTransient(err) && attempt < q.cfg.MaxAttempts && ctx.Err() == nil
 		if !retryable {
 			j.finish(nil, err)
 			return

@@ -9,13 +9,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"headroom/internal/retry"
 )
 
 func TestSubmitRunsJob(t *testing.T) {
 	q := New(Config{Workers: 2})
 	defer q.Close(context.Background())
 
-	j, err := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		return 42, nil
 	})
 	if err != nil {
@@ -41,7 +43,7 @@ func TestGetByID(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
 
-	j, err := q.Submit("test", func(ctx context.Context) (any, error) { return "ok", nil })
+	j, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return "ok", nil })
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -60,7 +62,7 @@ func TestPermanentFailureDoesNotRetry(t *testing.T) {
 
 	var calls atomic.Int32
 	boom := errors.New("boom")
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		calls.Add(1)
 		return nil, boom
 	})
@@ -81,9 +83,9 @@ func TestTransientFailureRetriesWithBackoff(t *testing.T) {
 	defer q.Close(context.Background())
 
 	var calls atomic.Int32
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		if calls.Add(1) < 3 {
-			return nil, Transient(errors.New("flaky"))
+			return nil, retry.Transient(errors.New("flaky"))
 		}
 		return "recovered", nil
 	})
@@ -107,12 +109,12 @@ func TestTransientFailureExhaustsAttempts(t *testing.T) {
 	defer q.Close(context.Background())
 
 	var calls atomic.Int32
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		calls.Add(1)
-		return nil, Transient(errors.New("always flaky"))
+		return nil, retry.Transient(errors.New("always flaky"))
 	})
 	_, err := j.Wait(context.Background())
-	if !IsTransient(err) {
+	if !retry.IsTransient(err) {
 		t.Fatalf("err = %v, want transient", err)
 	}
 	if n := calls.Load(); n != 2 {
@@ -130,16 +132,16 @@ func TestQueueFull(t *testing.T) {
 
 	// Occupy the single worker, then fill the depth-1 queue.
 	started := make(chan struct{})
-	q.Submit("test", func(ctx context.Context) (any, error) {
+	q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		close(started)
 		<-block
 		return nil, nil
 	})
 	<-started
-	if _, err := q.Submit("test", func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
+	if _, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
 		t.Fatalf("queued submit: %v", err)
 	}
-	j, err := q.Submit("test", func(ctx context.Context) (any, error) { return nil, nil })
+	j, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return nil, nil })
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
@@ -152,7 +154,7 @@ func TestJobTimeout(t *testing.T) {
 	q := New(Config{Workers: 1, Timeout: 20 * time.Millisecond})
 	defer q.Close(context.Background())
 
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -167,7 +169,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 	var done atomic.Int32
 	var js []*Job
 	for i := 0; i < 6; i++ {
-		j, err := q.Submit("test", func(ctx context.Context) (any, error) {
+		j, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 			time.Sleep(5 * time.Millisecond)
 			done.Add(1)
 			return nil, nil
@@ -188,14 +190,14 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 			t.Errorf("job %s state = %s after drain", j.ID, s)
 		}
 	}
-	if _, err := q.Submit("test", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
+	if _, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
 
 func TestCloseDeadlineCancelsRunningJobs(t *testing.T) {
 	q := New(Config{Workers: 1})
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		<-ctx.Done() // runs until the drain deadline kills it
 		return nil, ctx.Err()
 	})
@@ -217,7 +219,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
 
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		panic("kaboom")
 	})
 	_, err := j.Wait(context.Background())
@@ -225,7 +227,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 		t.Fatalf("err = %v, state = %s; want failure", err, j.State())
 	}
 	// The worker must survive the panic.
-	j2, _ := q.Submit("test", func(ctx context.Context) (any, error) { return "alive", nil })
+	j2, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return "alive", nil })
 	if got, err := j2.Wait(context.Background()); err != nil || got != "alive" {
 		t.Fatalf("worker died after panic: %v, %v", got, err)
 	}
@@ -241,7 +243,7 @@ func TestOnStateChangeCallback(t *testing.T) {
 	}})
 	defer q.Close(context.Background())
 
-	j, _ := q.Submit("test", func(ctx context.Context) (any, error) { return nil, nil })
+	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return nil, nil })
 	j.Wait(context.Background())
 	mu.Lock()
 	defer mu.Unlock()
@@ -261,14 +263,14 @@ func TestRetainsRecentTerminalJobs(t *testing.T) {
 
 	ids := make([]string, Retained+extra)
 	for i := range ids {
-		j, err := q.Submit("test", func(context.Context) (any, error) { return nil, nil })
+		j, err := q.SubmitCtx(context.Background(), "test", func(context.Context) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 		ids[i] = j.ID
 	}
 	started, release := make(chan struct{}), make(chan struct{})
-	last, err := q.Submit("test", func(context.Context) (any, error) {
+	last, err := q.SubmitCtx(context.Background(), "test", func(context.Context) (any, error) {
 		close(started)
 		<-release
 		return nil, nil
@@ -317,7 +319,7 @@ func TestGetRacesEviction(t *testing.T) {
 		}()
 	}
 	for i := 0; i < Retained+500; i++ {
-		j, err := q.Submit("test", func(context.Context) (any, error) { return nil, nil })
+		j, err := q.SubmitCtx(context.Background(), "test", func(context.Context) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -342,7 +344,7 @@ func TestConcurrentSubmitAndGet(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for k := 0; k < 20; k++ {
-				j, err := q.Submit("test", func(ctx context.Context) (any, error) {
+				j, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 					return fmt.Sprintf("r%d", i), nil
 				})
 				if err != nil {
@@ -363,7 +365,7 @@ func TestConcurrentSubmitAndGet(t *testing.T) {
 func TestAnnotateAttachesMetadata(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
-	j, err := q.Submit("test", func(ctx context.Context) (any, error) {
+	j, err := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		if !Annotate(ctx, "placement", []string{"http://w1", "http://w2"}) {
 			return nil, errors.New("Annotate did not find the job in ctx")
 		}
@@ -410,7 +412,7 @@ func TestSubmitRacesClose(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for { // until the queue closes under this submitter
-					j, err := q.Submit("t", func(context.Context) (any, error) { return nil, nil })
+					j, err := q.SubmitCtx(context.Background(), "t", func(context.Context) (any, error) { return nil, nil })
 					switch {
 					case err == nil:
 						accepted.Add(1)

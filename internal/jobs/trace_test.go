@@ -118,7 +118,7 @@ func TestSubmitCtxDetachedFromCallerCancellation(t *testing.T) {
 func TestSubmitWithoutContextIsUntraced(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
-	j, err := q.Submit("plan", func(ctx context.Context) (any, error) { return nil, nil })
+	j, err := q.SubmitCtx(context.Background(), "plan", func(ctx context.Context) (any, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

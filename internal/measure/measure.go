@@ -308,7 +308,7 @@ func TrainGroupClassifier(examples []PoolExample, folds, minLeaf int, seed int64
 			ys[i] = 1
 		}
 	}
-	cfg := dtree.Config{Task: dtree.Classification, MaxDepth: 8, MinLeafSize: minLeaf}
+	cfg := dtree.Config{MaxDepth: 8, MinLeafSize: minLeaf}
 	kf, err := stats.KFold(len(examples), folds, seed)
 	if err != nil {
 		return ClassifierResult{}, fmt.Errorf("measure: %w", err)

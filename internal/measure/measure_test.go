@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -133,7 +134,7 @@ func TestGroupServersTwoGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := metrics.NewAggregator()
-	if err := s.Run(s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunContext(context.Background(), s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	sums, err := agg.ServerSummaries("DC 1", "I")
@@ -172,7 +173,7 @@ func TestGroupServersSingleGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := metrics.NewAggregator()
-	if err := s.Run(s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunContext(context.Background(), s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	sums, err := agg.ServerSummaries("DC 1", "B")

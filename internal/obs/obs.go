@@ -38,7 +38,6 @@ const (
 	kindString attrKind = iota
 	kindInt64
 	kindBool
-	kindFloat64
 )
 
 // Attr is one key/value span annotation. Values are stored unboxed so
@@ -48,7 +47,6 @@ type Attr struct {
 	kind attrKind
 	s    string
 	i    int64
-	f    float64
 }
 
 // Str builds a string attribute.
@@ -69,9 +67,6 @@ func Bool(k string, v bool) Attr {
 	return a
 }
 
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, kind: kindFloat64, f: v} }
-
 // Value returns the attribute's value as an any.
 func (a Attr) Value() any {
 	switch a.kind {
@@ -79,8 +74,6 @@ func (a Attr) Value() any {
 		return a.i
 	case kindBool:
 		return a.i != 0
-	case kindFloat64:
-		return a.f
 	default:
 		return a.s
 	}
@@ -400,12 +393,6 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 		return ctx
 	}
 	return context.WithValue(ctx, tracerKey{}, t)
-}
-
-// TracerFrom returns the context's tracer, or nil.
-func TracerFrom(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
 }
 
 // ActiveSpan returns the context's current span. The result is never nil:

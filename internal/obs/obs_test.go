@@ -199,12 +199,12 @@ func TestMaxSpansPerTraceBound(t *testing.T) {
 }
 
 func TestAttrListJSON(t *testing.T) {
-	l := AttrList{Str("pool", "B"), Int("shard", 2), Bool("degraded", true), Float("frac", 0.5)}
+	l := AttrList{Str("pool", "B"), Int("shard", 2), Bool("degraded", true)}
 	b, err := json.Marshal(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"pool":"B","shard":2,"degraded":true,"frac":0.5}`
+	want := `{"pool":"B","shard":2,"degraded":true}`
 	if string(b) != want {
 		t.Fatalf("AttrList JSON = %s, want %s", b, want)
 	}

@@ -60,32 +60,6 @@ func EscapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// UnescapeLabel inverts EscapeLabel, for parsers (and the round-trip
-// tests).
-func UnescapeLabel(v string) string {
-	if !strings.Contains(v, `\`) {
-		return v
-	}
-	var b strings.Builder
-	for i := 0; i < len(v); i++ {
-		if v[i] != '\\' || i+1 == len(v) {
-			b.WriteByte(v[i])
-			continue
-		}
-		i++
-		switch v[i] {
-		case 'n':
-			b.WriteByte('\n')
-		case '\\', '"':
-			b.WriteByte(v[i])
-		default: // unknown escape: keep it verbatim
-			b.WriteByte('\\')
-			b.WriteByte(v[i])
-		}
-	}
-	return b.String()
-}
-
 // escapeHelp escapes a HELP string: backslash and newline only (quotes are
 // legal there).
 func escapeHelp(v string) string {
@@ -110,12 +84,6 @@ type Counter struct {
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be >= 0 for counter semantics).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
 
 func (c *Counter) write(buf *bytes.Buffer, name, lbl string) {
 	buf.WriteString(name)
@@ -182,13 +150,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.sum += v
 	h.count++
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 func (h *Histogram) write(buf *bytes.Buffer, name, lbl string) {
@@ -350,13 +311,6 @@ func (r *Registry) Counter(name, help string, lbl Labels) *Counter {
 	c := &Counter{}
 	r.family(name, help, "counter").add(lbl, c)
 	return c
-}
-
-// LazyCounter returns the counter series for (name, lbl), registering it on
-// first use — for label values discovered at runtime.
-func (r *Registry) LazyCounter(name, help string, lbl Labels) *Counter {
-	s := r.family(name, help, "counter").getOrAdd(lbl, func() series { return &Counter{} })
-	return s.(*Counter)
 }
 
 // Gauge registers a scrape-time-sampled gauge series.

@@ -6,11 +6,14 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// The escapes are Go's own for backslash, quote and newline, so
+// strconv.Unquote inverts them.
 func TestEscapeLabelRoundTrip(t *testing.T) {
 	cases := []string{
 		"plain",
@@ -26,8 +29,8 @@ func TestEscapeLabelRoundTrip(t *testing.T) {
 		if strings.ContainsAny(esc, "\n") {
 			t.Errorf("EscapeLabel(%q) = %q still contains a raw newline", in, esc)
 		}
-		if got := UnescapeLabel(esc); got != in {
-			t.Errorf("round-trip %q -> %q -> %q", in, esc, got)
+		if got, err := strconv.Unquote(`"` + esc + `"`); err != nil || got != in {
+			t.Errorf("round-trip %q -> %q -> %q (%v)", in, esc, got, err)
 		}
 	}
 }
@@ -41,17 +44,15 @@ func TestEscapeLabelNoAllocFastPath(t *testing.T) {
 func TestCounterRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "Test counter.", Labels{"kind": `a"b`})
-	c.Inc()
-	c.Add(41)
+	for range 42 {
+		c.Inc()
+	}
 	out := render(t, r)
 	if !strings.Contains(out, "# HELP test_total Test counter.\n# TYPE test_total counter\n") {
 		t.Fatalf("missing header:\n%s", out)
 	}
 	if !strings.Contains(out, `test_total{kind="a\"b"} 42`) {
 		t.Fatalf("missing escaped sample:\n%s", out)
-	}
-	if c.Value() != 42 {
-		t.Fatalf("Value = %d", c.Value())
 	}
 }
 
@@ -78,9 +79,6 @@ func TestHistogramConsistency(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
-	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d", h.Count())
 	}
 	// +Inf bucket must always equal _count: a parser cross-checks them.
 	infLine := lineWith(out, `le="+Inf"`)
@@ -124,26 +122,21 @@ func TestTypeMismatchPanics(t *testing.T) {
 
 func TestLazySeries(t *testing.T) {
 	r := NewRegistry()
-	a := r.LazyCounter("lazy_total", "h", Labels{"pool": "A"})
-	a2 := r.LazyCounter("lazy_total", "h", Labels{"pool": "A"})
+	a := r.LazyHistogram("lazy_seconds", "h", Labels{"pool": "A"}, DefBuckets)
+	a2 := r.LazyHistogram("lazy_seconds", "h", Labels{"pool": "A"}, DefBuckets)
 	if a != a2 {
-		t.Fatal("LazyCounter must return the same series for the same labels")
+		t.Fatal("LazyHistogram must return the same series for the same labels")
 	}
-	b := r.LazyCounter("lazy_total", "h", Labels{"pool": "B"})
+	b := r.LazyHistogram("lazy_seconds", "h", Labels{"pool": "B"}, DefBuckets)
 	if a == b {
 		t.Fatal("distinct labels must get distinct series")
 	}
-	a.Inc()
-	b.Add(2)
+	a.Observe(1)
+	b.Observe(1)
+	b.Observe(2)
 	out := render(t, r)
-	if !strings.Contains(out, `lazy_total{pool="A"} 1`) || !strings.Contains(out, `lazy_total{pool="B"} 2`) {
+	if !strings.Contains(out, `lazy_seconds_count{pool="A"} 1`) || !strings.Contains(out, `lazy_seconds_count{pool="B"} 2`) {
 		t.Fatalf("lazy series missing:\n%s", out)
-	}
-
-	h1 := r.LazyHistogram("lazy_seconds", "h", Labels{"pool": "A"}, DefBuckets)
-	h2 := r.LazyHistogram("lazy_seconds", "h", Labels{"pool": "A"}, DefBuckets)
-	if h1 != h2 {
-		t.Fatal("LazyHistogram must return the same series for the same labels")
 	}
 }
 
@@ -209,7 +202,7 @@ func TestConcurrentObserveWhileRender(t *testing.T) {
 				}
 				h.Observe(float64(i%100) / 100)
 				c.Inc()
-				r.LazyCounter("c_lazy_total", "h", Labels{"w": fmt.Sprintf("%d", w)}).Inc()
+				r.LazyHistogram("c_lazy_seconds", "h", Labels{"w": fmt.Sprintf("%d", w)}, DefBuckets).Observe(1)
 			}
 		}(w)
 	}
@@ -259,14 +252,14 @@ func BenchmarkMetricsRender(b *testing.B) {
 	r := NewRegistry()
 	kinds := []string{"simulate", "plan", "validate", "forecast"}
 	for _, k := range kinds {
-		r.Counter("bench_jobs_submitted_total", "h", Labels{"kind": k}).Add(100)
-		r.Counter("bench_jobs_completed_total", "h", Labels{"kind": k, "state": "done"}).Add(90)
-		r.Counter("bench_jobs_completed_total", "h", Labels{"kind": k, "state": "failed"}).Add(10)
+		r.Counter("bench_jobs_submitted_total", "h", Labels{"kind": k}).v.Add(100)
+		r.Counter("bench_jobs_completed_total", "h", Labels{"kind": k, "state": "done"}).v.Add(90)
+		r.Counter("bench_jobs_completed_total", "h", Labels{"kind": k, "state": "failed"}).v.Add(10)
 		r.Counter("bench_breaker_transitions_total", "h", Labels{"kind": k, "to": "open"})
 		r.Gauge("bench_breaker_state", "h", Labels{"kind": k}, func() float64 { return 0 })
 	}
 	for _, h := range append([]string{"jobs", "healthz", "readyz", "metrics"}, kinds...) {
-		r.Counter("bench_http_requests_total", "h", Labels{"handler": h}).Add(1000)
+		r.Counter("bench_http_requests_total", "h", Labels{"handler": h}).v.Add(1000)
 		hist := r.Histogram("bench_request_duration_seconds", "h", Labels{"handler": h}, DefBuckets)
 		for i := 0; i < 64; i++ {
 			hist.Observe(float64(i) / 100)

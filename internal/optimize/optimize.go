@@ -136,25 +136,10 @@ type Partition struct {
 	Points         []ObsPoint
 }
 
-// PartitionByLoad splits pool history into j buckets of total workload with
+// PartitionPoints splits observations into j buckets of total workload with
 // (approximately) equal observation counts, the {r_idj} partitioning of
 // §II-B2. Quantile-based bucket edges keep "sufficient data within each
 // heavily used partition".
-func PartitionByLoad(series []metrics.TickStat, j int) ([]Partition, error) {
-	if j < 1 {
-		return nil, fmt.Errorf("optimize: need >= 1 partition, got %d", j)
-	}
-	var pts []ObsPoint
-	for _, t := range series {
-		if t.Servers == 0 {
-			continue
-		}
-		pts = append(pts, ObsPoint{Tick: t.Tick, Servers: float64(t.Servers), Latency: t.LatencyMean, TotalRPS: t.TotalRPS})
-	}
-	return PartitionPoints(pts, j)
-}
-
-// PartitionPoints is PartitionByLoad over raw observation points.
 func PartitionPoints(points []ObsPoint, j int) ([]Partition, error) {
 	if j < 1 {
 		return nil, fmt.Errorf("optimize: need >= 1 partition, got %d", j)

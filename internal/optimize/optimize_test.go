@@ -139,10 +139,13 @@ func TestMaxReduction(t *testing.T) {
 }
 
 func TestPartitionByLoad(t *testing.T) {
-	series := poolBSeries(720, 300, 2)
-	parts, err := PartitionByLoad(series, 5)
+	var points []ObsPoint
+	for _, ts := range poolBSeries(720, 300, 2) {
+		points = append(points, ObsPoint{Tick: ts.Tick, Servers: float64(ts.Servers), Latency: ts.LatencyMean, TotalRPS: ts.TotalRPS})
+	}
+	parts, err := PartitionPoints(points, 5)
 	if err != nil {
-		t.Fatalf("PartitionByLoad: %v", err)
+		t.Fatalf("PartitionPoints: %v", err)
 	}
 	if len(parts) != 5 {
 		t.Fatalf("partitions = %d, want 5", len(parts))
@@ -164,11 +167,11 @@ func TestPartitionByLoad(t *testing.T) {
 	if total != 720 {
 		t.Errorf("points = %d, want 720", total)
 	}
-	if _, err := PartitionByLoad(series, 0); err == nil {
+	if _, err := PartitionPoints(points, 0); err == nil {
 		t.Error("zero partitions should error")
 	}
-	if _, err := PartitionByLoad(nil, 2); err == nil {
-		t.Error("empty series should error")
+	if _, err := PartitionPoints(nil, 2); err == nil {
+		t.Error("no points should error")
 	}
 }
 

@@ -366,7 +366,7 @@ func TestReadyzStates(t *testing.T) {
 	// reaches the watermark.
 	block := make(chan struct{})
 	release := func() { close(block) }
-	if _, err := s.queue.Submit("t", func(ctx context.Context) (any, error) {
+	if _, err := s.queue.SubmitCtx(context.Background(), "t", func(ctx context.Context) (any, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -376,7 +376,7 @@ func TestReadyzStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "worker busy", func() bool { return s.queue.Stats().Running == 1 })
-	if _, err := s.queue.Submit("t", func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
+	if _, err := s.queue.SubmitCtx(context.Background(), "t", func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -177,7 +177,7 @@ func TestDistClusterByteIdentical(t *testing.T) {
 	// per shard, each tagged with the coordinator's trace id.
 	served := 0
 	for _, w := range workers {
-		for _, tr := range w.srv.Tracer().Traces() {
+		for _, tr := range w.srv.cfg.Tracer.Traces() {
 			for _, sd := range tr.Spans {
 				if sd.Name != "dist.shard.serve" {
 					continue
@@ -560,7 +560,7 @@ func TestDistMetricsExposed(t *testing.T) {
 	for served := 0; served < 2; { // a worker ends its request span after answering
 		traces, served = traces[:1], 0
 		for _, w := range workers {
-			for _, td := range w.srv.Tracer().Traces() {
+			for _, td := range w.srv.cfg.Tracer.Traces() {
 				var spans []spanJSON
 				for _, sd := range td.Spans {
 					spans = append(spans, spanJSON{SpanID: sd.SpanID, ParentID: sd.ParentID, Name: sd.Name, Attrs: sd.Attrs.Map()})

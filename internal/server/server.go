@@ -409,13 +409,6 @@ func (s *Server) onJobState(snap jobs.Snapshot) {
 	}
 }
 
-// BreakerState exposes an endpoint's breaker position for tests; the second
-// return is false when breakers are disabled.
-func (s *Server) BreakerState(kind string) (breaker.State, bool) {
-	br := s.kind(kind).breaker
-	return br.State(), br != nil
-}
-
 // retryAfterSeconds derives the Retry-After hint for a 503: the estimated
 // time to drain `depth` queued jobs across the worker pool at the observed
 // mean service rate, clamped to [1 s, 120 s]. Before any job has completed
@@ -461,9 +454,6 @@ func (s *Server) routes() {
 
 // Handler returns the server's HTTP handler, for tests and embedding.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Tracer returns the server's trace ring, for the standalone debug listener.
-func (s *Server) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
 // instrument wraps a handler with the per-endpoint request counter and
 // latency histogram, and roots a span for the request: the request id is

@@ -259,7 +259,7 @@ func TestEvictedJobIs404(t *testing.T) {
 				break
 			}
 		}
-		j, err := s.queue.Submit("noop", func(context.Context) (any, error) { return nil, nil })
+		j, err := s.queue.SubmitCtx(context.Background(), "noop", func(context.Context) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
@@ -384,7 +384,7 @@ func TestQueueFullReturns503(t *testing.T) {
 		return nil, nil
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := s.queue.Submit("simulate", blocked); err != nil {
+		if _, err := s.queue.SubmitCtx(context.Background(), "simulate", blocked); err != nil {
 			t.Fatalf("occupy workers: %v", err)
 		}
 	}
@@ -392,7 +392,7 @@ func TestQueueFullReturns503(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := s.queue.Submit("simulate", blocked); err != nil {
+		if _, err := s.queue.SubmitCtx(context.Background(), "simulate", blocked); err != nil {
 			t.Fatalf("fill queue: %v", err)
 		}
 	}

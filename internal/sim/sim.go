@@ -196,15 +196,10 @@ func deriveSeed(seed int64, parts ...string) int64 {
 // TicksPerDay returns the number of windows per day at the configured tick.
 func (s *Simulator) TicksPerDay() int { return s.ticksPerDay }
 
-// Run simulates [0, ticks) windows, emitting one record per server per tick
-// through emit. Emission order is deterministic: tick, then pool
-// (configuration order), then datacenter (configuration order), then server.
-func (s *Simulator) Run(ticks int, emit func(trace.Record) error) error {
-	return s.RunContext(context.Background(), ticks, emit)
-}
-
 // RunContext is RunSteps for per-record callers: the same records in the same
-// order, handed to emit one at a time.
+// order, handed to emit one at a time. Emission order is deterministic: tick,
+// then pool (configuration order), then datacenter (configuration order),
+// then server.
 func (s *Simulator) RunContext(ctx context.Context, ticks int, emit func(trace.Record) error) error {
 	if emit == nil {
 		return fmt.Errorf("sim: nil emit callback")
@@ -213,9 +208,9 @@ func (s *Simulator) RunContext(ctx context.Context, ticks int, emit func(trace.R
 }
 
 // RunSteps simulates [0, ticks) windows and emits the records of each
-// (pool, datacenter, tick) step as one slice, in Run's order. The slice is the
-// simulator's own buffer, overwritten by the next step: emit must not retain
-// it. ctx is checked at every step; once it is done RunSteps returns
+// (pool, datacenter, tick) step as one slice, in RunContext's order. The slice
+// is the simulator's own buffer, overwritten by the next step: emit must not
+// retain it. ctx is checked at every step; once it is done RunSteps returns
 // ctx.Err(), leaving the simulator's remaining timeline unevaluated.
 func (s *Simulator) RunSteps(ctx context.Context, ticks int, emit func(step []trace.Record) error) error {
 	if ticks <= 0 {
@@ -449,17 +444,12 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// SimulatePool runs one pool in one datacenter against an explicit offered-
-// load series (total pool RPS per tick) with a fixed server count, returning
-// all records. This is the controlled harness used by the synthetic-workload
-// (step 3) and offline-validation (step 4) stages, where the operator drives
-// load precisely instead of receiving organic traffic.
-func SimulatePool(pc PoolConfig, dcName string, offered []float64, servers int, seed int64) ([]trace.Record, error) {
-	return SimulatePoolContext(context.Background(), pc, dcName, offered, servers, seed)
-}
-
-// SimulatePoolContext is SimulatePool with cancellation, checked once per
-// tick.
+// SimulatePoolContext runs one pool in one datacenter against an explicit
+// offered-load series (total pool RPS per tick) with a fixed server count,
+// returning all records. This is the controlled harness used by the
+// synthetic-workload (step 3) and offline-validation (step 4) stages, where
+// the operator drives load precisely instead of receiving organic traffic.
+// ctx is checked once per tick.
 func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offered []float64, servers int, seed int64) ([]trace.Record, error) {
 	if servers <= 0 {
 		return nil, fmt.Errorf("sim: non-positive server count %d", servers)

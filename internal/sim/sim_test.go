@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -118,10 +119,10 @@ func TestRunArgumentChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(0, func(trace.Record) error { return nil }); err == nil {
+	if err := s.RunContext(context.Background(), 0, func(trace.Record) error { return nil }); err == nil {
 		t.Error("zero ticks should error")
 	}
-	if err := s.Run(1, nil); err == nil {
+	if err := s.RunContext(context.Background(), 1, nil); err == nil {
 		t.Error("nil emit should error")
 	}
 }
@@ -159,7 +160,7 @@ func TestPoolBResponseRecoverable(t *testing.T) {
 	}
 	agg := metrics.NewAggregator()
 	days := 3
-	if err := s.Run(days*s.TicksPerDay(), func(r trace.Record) error {
+	if err := s.RunContext(context.Background(), days*s.TicksPerDay(), func(r trace.Record) error {
 		agg.Add(r)
 		return nil
 	}); err != nil {
@@ -220,7 +221,7 @@ func TestCapacityActionRaisesPerServerLoad(t *testing.T) {
 	}
 	meanRPS := func(s *Simulator) (float64, int) {
 		agg := metrics.NewAggregator()
-		if err := s.Run(ticks, func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+		if err := s.RunContext(context.Background(), ticks, func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		series, err := agg.PoolSeries("DC 1", "T")
@@ -257,7 +258,7 @@ func TestRestoreServersAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make(map[int]int)
-	if err := s.Run(20, func(r trace.Record) error {
+	if err := s.RunContext(context.Background(), 20, func(r trace.Record) error {
 		if r.Online {
 			counts[r.Tick]++
 		}
@@ -283,7 +284,7 @@ func TestDeploymentShiftsIntercept(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := metrics.NewAggregator()
-	if err := s.Run(100, func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunContext(context.Background(), 100, func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	series, err := agg.PoolSeries("DC 1", "T")
@@ -322,7 +323,7 @@ func TestAvailabilityProfiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg := metrics.NewAggregator()
-		if err := s.Run(2*s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+		if err := s.RunContext(context.Background(), 2*s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		sums, err := agg.ServerSummaries("DC 1", "T")
@@ -357,7 +358,7 @@ func TestTwoGenerationsFormTwoClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := metrics.NewAggregator()
-	if err := s.Run(s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunContext(context.Background(), s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	sums, err := agg.ServerSummaries("DC 1", "I")
@@ -418,7 +419,7 @@ func TestBackgroundWorkloadContaminatesCPU(t *testing.T) {
 func TestSimulatePoolControlledLoad(t *testing.T) {
 	pool := tinyPool(5)
 	offered := []float64{100, 200, 300}
-	recs, err := SimulatePool(pool, "DC 1", offered, 5, 3)
+	recs, err := SimulatePoolContext(context.Background(), pool, "DC 1", offered, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,13 +441,13 @@ func TestSimulatePoolControlledLoad(t *testing.T) {
 	if mean := sum / float64(n); math.Abs(mean-60) > 5 {
 		t.Errorf("mean per-server RPS = %v, want ~60", mean)
 	}
-	if _, err := SimulatePool(pool, "DC 1", offered, 0, 1); err == nil {
+	if _, err := SimulatePoolContext(context.Background(), pool, "DC 1", offered, 0, 1); err == nil {
 		t.Error("zero servers should error")
 	}
-	if _, err := SimulatePool(pool, "DC 1", nil, 5, 1); err == nil {
+	if _, err := SimulatePoolContext(context.Background(), pool, "DC 1", nil, 5, 1); err == nil {
 		t.Error("empty load series should error")
 	}
-	if _, err := SimulatePool(pool, "DC 1", []float64{-1}, 5, 1); err == nil {
+	if _, err := SimulatePoolContext(context.Background(), pool, "DC 1", []float64{-1}, 5, 1); err == nil {
 		t.Error("negative load should error")
 	}
 }
@@ -478,7 +479,7 @@ func TestDCLatencyDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := metrics.NewAggregator()
-	if err := s.Run(50, func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunContext(context.Background(), 50, func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	s1, err := agg.PoolSeries("DC 1", "T")

@@ -111,7 +111,7 @@ func TestSimulatePoolStreamPinned(t *testing.T) {
 	for i := range offered {
 		offered[i] = 200 + 35*float64(i)
 	}
-	recs, err := SimulatePool(cfg.Pools[0], "offline", offered, 7, 5)
+	recs, err := SimulatePoolContext(context.Background(), cfg.Pools[0], "offline", offered, 7, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

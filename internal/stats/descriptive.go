@@ -59,20 +59,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the minimum of xs. It returns NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs. It returns NaN for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -49,34 +49,6 @@ func NewHistogram(xs []float64, n int, lo, hi float64) (*Histogram, error) {
 	return h, nil
 }
 
-// Fractions returns each bin's share of the total count. An empty histogram
-// yields all zeros.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Bins))
-	if h.Total == 0 {
-		return out
-	}
-	for i, b := range h.Bins {
-		out[i] = float64(b.Count) / float64(h.Total)
-	}
-	return out
-}
-
-// FractionAbove returns the share of observations in bins whose lower edge
-// is >= x.
-func (h *Histogram) FractionAbove(x float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var c int
-	for _, b := range h.Bins {
-		if b.Lo >= x {
-			c += b.Count
-		}
-	}
-	return float64(c) / float64(h.Total)
-}
-
 // ECDF is an empirical cumulative distribution function.
 type ECDF struct {
 	sorted []float64
@@ -97,44 +69,4 @@ func NewECDF(xs []float64) (*ECDF, error) {
 func (e *ECDF) At(x float64) float64 {
 	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest value v with At(v) >= q, for q in (0, 1].
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(math.Ceil(q*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
-// Len returns the number of observations backing the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// CDFPoint is one (x, cumulative fraction) point of a sampled CDF curve,
-// used to render the paper's Figure 12-style charts.
-type CDFPoint struct {
-	X    float64
-	Frac float64
-}
-
-// SampleCDF evaluates the ECDF at n evenly spaced points across the data
-// range, returning a plot-ready curve.
-func (e *ECDF) SampleCDF(n int) []CDFPoint {
-	if n < 2 {
-		n = 2
-	}
-	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	out := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = CDFPoint{X: x, Frac: e.At(x)}
-	}
-	return out
 }

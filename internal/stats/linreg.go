@@ -67,14 +67,6 @@ type Polynomial struct {
 	N      int
 }
 
-// Degree returns the nominal degree of the polynomial (len(Coeffs)-1).
-func (p Polynomial) Degree() int {
-	if len(p.Coeffs) == 0 {
-		return 0
-	}
-	return len(p.Coeffs) - 1
-}
-
 // Predict evaluates the polynomial at x using Horner's method.
 func (p Polynomial) Predict(x float64) float64 {
 	var y float64
@@ -82,19 +74,6 @@ func (p Polynomial) Predict(x float64) float64 {
 		y = y*x + p.Coeffs[i]
 	}
 	return y
-}
-
-// Derivative returns the first derivative polynomial. The derivative of a
-// constant (or empty) polynomial is the zero polynomial.
-func (p Polynomial) Derivative() Polynomial {
-	if len(p.Coeffs) <= 1 {
-		return Polynomial{Coeffs: []float64{0}}
-	}
-	d := make([]float64, len(p.Coeffs)-1)
-	for i := 1; i < len(p.Coeffs); i++ {
-		d[i-1] = p.Coeffs[i] * float64(i)
-	}
-	return Polynomial{Coeffs: d}
 }
 
 // String renders a quadratic the way the paper prints them, e.g.

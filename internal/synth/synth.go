@@ -1,20 +1,13 @@
 // Package synth implements Step 3 of the capacity-planning methodology
-// (§II-C of the paper): building a reproducible synthetic workload whose
-// QoS and resource-usage response matches production, so that changes can be
-// validated offline before deployment.
-//
-// A synthetic workload is only trustworthy once verified: for the same
-// volume of synthetic workload the offline pool must show the same QoS and
-// resource usage as production. Without matching the request mix and
-// dependency-response distribution, one could detect THAT a change shifted
-// capacity or latency but not accurately measure BY HOW MUCH.
+// (§II-C of the paper): building a reproducible synthetic workload from
+// production history and replaying it against an offline pool, so that
+// changes can be validated offline before deployment.
 package synth
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"headroom/internal/metrics"
 	"headroom/internal/sim"
@@ -76,14 +69,9 @@ func BuildProfile(series []metrics.TickStat, mix workload.Mix, servers, levels i
 	return Profile{Offered: offered, Servers: servers, Mix: mix}, nil
 }
 
-// Replay drives an offline pool with the synthetic workload, returning the
-// trace records. ticksPerLevel repeats each load step to accumulate
-// statistics.
-func Replay(pc sim.PoolConfig, p Profile, ticksPerLevel int, seed int64) ([]trace.Record, error) {
-	return ReplayContext(context.Background(), pc, p, ticksPerLevel, seed)
-}
-
-// ReplayContext is Replay with cancellation, checked per simulated tick.
+// ReplayContext drives an offline pool with the synthetic workload,
+// returning the trace records. ticksPerLevel repeats each load step to
+// accumulate statistics; ctx is checked per simulated tick.
 func ReplayContext(ctx context.Context, pc sim.PoolConfig, p Profile, ticksPerLevel int, seed int64) ([]trace.Record, error) {
 	if ticksPerLevel <= 0 {
 		return nil, fmt.Errorf("synth: non-positive ticks per level %d", ticksPerLevel)
@@ -98,108 +86,4 @@ func ReplayContext(ctx context.Context, pc sim.PoolConfig, p Profile, ticksPerLe
 		}
 	}
 	return sim.SimulatePoolContext(ctx, pc, "offline", series, p.Servers, seed)
-}
-
-// Equivalence reports whether the synthetic response matches production —
-// the verification gate of §II-C.
-type Equivalence struct {
-	// CPUSlopeRelErr is |synthetic slope - production slope| / production.
-	CPUSlopeRelErr float64
-	// CPUAtRefAbsErr is the CPU gap (percentage points) at the reference
-	// per-server load.
-	CPUAtRefAbsErr float64
-	// LatencyAtRefAbsErr is the latency gap (ms) at the reference load.
-	LatencyAtRefAbsErr float64
-	// MixDistance is the total-variation distance between production and
-	// replayed request mixes.
-	MixDistance float64
-	// RefRPSPerServer is the per-server load the point checks used.
-	RefRPSPerServer float64
-	// Equivalent is true when all gaps are within tolerance.
-	Equivalent bool
-}
-
-// Tolerance bounds the acceptable production↔synthetic gaps.
-type Tolerance struct {
-	CPUSlopeRel  float64 // default 0.10
-	CPUAbs       float64 // default 1.5 percentage points
-	LatencyAbsMs float64 // default 2 ms
-	MixTV        float64 // default 0.05
-}
-
-func (t Tolerance) withDefaults() Tolerance {
-	if t.CPUSlopeRel <= 0 {
-		t.CPUSlopeRel = 0.10
-	}
-	if t.CPUAbs <= 0 {
-		t.CPUAbs = 1.5
-	}
-	if t.LatencyAbsMs <= 0 {
-		t.LatencyAbsMs = 2
-	}
-	if t.MixTV <= 0 {
-		t.MixTV = 0.05
-	}
-	return t
-}
-
-// Verify compares production and synthetic pool aggregates. replayMix is
-// the mix actually replayed (usually the profile's); pass the production mix
-// to assert distributional fidelity.
-func Verify(prod, synthSeries []metrics.TickStat, prodMix, replayMix workload.Mix, tol Tolerance) (Equivalence, error) {
-	tol = tol.withDefaults()
-	fitOf := func(series []metrics.TickStat, what string) (stats.LinearFit, stats.Polynomial, error) {
-		var xs, cpu, lat []float64
-		for _, t := range series {
-			if t.Servers == 0 {
-				continue
-			}
-			xs = append(xs, t.RPSPerServer)
-			cpu = append(cpu, t.CPUMean)
-			lat = append(lat, t.LatencyMean)
-		}
-		cf, err := stats.LinearRegression(xs, cpu)
-		if err != nil {
-			return stats.LinearFit{}, stats.Polynomial{}, fmt.Errorf("synth: %s cpu fit: %w", what, err)
-		}
-		lf, err := stats.PolyFit(xs, lat, 2)
-		if err != nil {
-			return stats.LinearFit{}, stats.Polynomial{}, fmt.Errorf("synth: %s latency fit: %w", what, err)
-		}
-		return cf, lf, nil
-	}
-	pc, pl, err := fitOf(prod, "production")
-	if err != nil {
-		return Equivalence{}, err
-	}
-	sc, sl, err := fitOf(synthSeries, "synthetic")
-	if err != nil {
-		return Equivalence{}, err
-	}
-	var prodLoads []float64
-	for _, t := range prod {
-		if t.Servers > 0 {
-			prodLoads = append(prodLoads, t.RPSPerServer)
-		}
-	}
-	ref := stats.Percentile(prodLoads, 75)
-
-	eq := Equivalence{RefRPSPerServer: ref}
-	if pc.Slope != 0 {
-		eq.CPUSlopeRelErr = math.Abs(sc.Slope-pc.Slope) / math.Abs(pc.Slope)
-	} else {
-		eq.CPUSlopeRelErr = math.Abs(sc.Slope - pc.Slope)
-	}
-	eq.CPUAtRefAbsErr = math.Abs(sc.Predict(ref) - pc.Predict(ref))
-	eq.LatencyAtRefAbsErr = math.Abs(sl.Predict(ref) - pl.Predict(ref))
-	d, err := workload.Distance(prodMix, replayMix)
-	if err != nil {
-		return Equivalence{}, fmt.Errorf("synth: %w", err)
-	}
-	eq.MixDistance = d
-	eq.Equivalent = eq.CPUSlopeRelErr <= tol.CPUSlopeRel &&
-		eq.CPUAtRefAbsErr <= tol.CPUAbs &&
-		eq.LatencyAtRefAbsErr <= tol.LatencyAbsMs &&
-		eq.MixDistance <= tol.MixTV
-	return eq, nil
 }

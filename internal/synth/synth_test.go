@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"headroom/internal/metrics"
@@ -24,7 +25,7 @@ func productionTrace(t *testing.T, seed int64) []metrics.TickStat {
 		t.Fatal(err)
 	}
 	agg := metrics.NewAggregator()
-	if err := s.Run(s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
+	if err := s.RunContext(context.Background(), s.TicksPerDay(), func(r trace.Record) error { agg.Add(r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	series, err := agg.PoolSeries("DC 1", "B")
@@ -83,112 +84,12 @@ func TestBuildProfileErrors(t *testing.T) {
 	}
 }
 
-func TestReplayAndVerifyEquivalence(t *testing.T) {
-	// The synthetic replay of the SAME pool must verify as equivalent —
-	// this is the §II-C gate that establishes the offline baseline.
-	prod := productionTrace(t, 3)
-	pc := sim.PoolB()
-	profile, err := BuildProfile(prod, pc.Mix, 20, 15, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Replay(pc, profile, 25, 4)
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	agg := metrics.NewAggregator()
-	agg.AddAll(recs)
-	synthSeries, err := agg.PoolSeries("offline", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := Verify(prod, synthSeries, pc.Mix, profile.Mix, Tolerance{})
-	if err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if !eq.Equivalent {
-		t.Errorf("same-pool replay should verify: %+v", eq)
-	}
-	if eq.MixDistance != 0 {
-		t.Errorf("mix distance = %v, want 0", eq.MixDistance)
-	}
-}
-
-func TestVerifyDetectsDivergentSystem(t *testing.T) {
-	// Replaying against a pool with a different response model must fail
-	// the equivalence gate.
-	prod := productionTrace(t, 5)
-	pc := sim.PoolB()
-	profile, err := BuildProfile(prod, pc.Mix, 20, 15, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := pc
-	changed.Response.CPUSlope *= 1.5
-	changed.Response.LatQuad[0] += 6
-	recs, err := Replay(changed, profile, 25, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := metrics.NewAggregator()
-	agg.AddAll(recs)
-	synthSeries, err := agg.PoolSeries("offline", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := Verify(prod, synthSeries, pc.Mix, profile.Mix, Tolerance{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq.Equivalent {
-		t.Error("divergent system should fail verification")
-	}
-	if eq.CPUSlopeRelErr < 0.3 {
-		t.Errorf("slope error = %v, want ~0.5", eq.CPUSlopeRelErr)
-	}
-	if eq.LatencyAtRefAbsErr < 3 {
-		t.Errorf("latency error = %v, want >= 3", eq.LatencyAtRefAbsErr)
-	}
-}
-
-func TestVerifyDetectsMixDrift(t *testing.T) {
-	prod := productionTrace(t, 7)
-	pc := sim.PoolB()
-	profile, err := BuildProfile(prod, pc.Mix, 20, 15, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Replay(pc, profile, 25, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := metrics.NewAggregator()
-	agg.AddAll(recs)
-	synthSeries, err := agg.PoolSeries("offline", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay used a wrong mix (all passthrough): equivalence must fail on
-	// the mix check even though the load response matches.
-	wrongMix := workload.Mix{{Name: "passthrough", Weight: 1, CostFactor: 0.3}}
-	eq, err := Verify(prod, synthSeries, pc.Mix, wrongMix, Tolerance{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq.Equivalent {
-		t.Error("mix drift should fail verification")
-	}
-	if eq.MixDistance < 0.5 {
-		t.Errorf("mix distance = %v, want large", eq.MixDistance)
-	}
-}
-
 func TestReplayErrors(t *testing.T) {
 	pc := sim.PoolB()
-	if _, err := Replay(pc, Profile{}, 10, 1); err == nil {
+	if _, err := ReplayContext(context.Background(), pc, Profile{}, 10, 1); err == nil {
 		t.Error("empty profile should error")
 	}
-	if _, err := Replay(pc, Profile{Offered: []float64{1}, Servers: 5}, 0, 1); err == nil {
+	if _, err := ReplayContext(context.Background(), pc, Profile{Offered: []float64{1}, Servers: 5}, 0, 1); err == nil {
 		t.Error("zero ticks per level should error")
 	}
 }

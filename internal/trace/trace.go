@@ -112,25 +112,36 @@ func (jw *JSONLWriter) Flush() error {
 
 // Decode streams the records of a trace through emit, in stream order and in
 // runs of at most 1024 records that are valid only during the call. The
-// format is told from the first byte: '{' starts a JSON Lines trace, anything
-// else must be the CSV header row. Memory stays bounded by a few chunks of the
-// input however long the trace is. A non-nil error from emit, a decode error
-// (after the records before it have been emitted) or the context's error
-// ends the stream; cancellation is noticed between reads of r.
+// format is told from the first byte that is not white space: '{' starts a
+// JSON Lines trace, anything else must be the CSV header row. Memory stays
+// bounded by a few chunks of the input however long the trace is. A non-nil
+// error from emit, a decode error (after the records before it have been
+// emitted) or the context's error ends the stream; cancellation is noticed
+// between reads of r.
 func Decode(ctx context.Context, r io.Reader, emit func(run []Record) error) error {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
+	var head []byte
+	var b [1]byte
+	for len(head) == 0 || isSpace(b[0]) {
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			if !errors.Is(err, io.EOF) {
+				return fmt.Errorf("trace: read: %w", err)
+			}
+			if len(head) == 0 {
+				return nil
+			}
+			break
 		}
-		return fmt.Errorf("trace: read: %w", err)
+		head = append(head, b[0])
 	}
-	r = io.MultiReader(bytes.NewReader(first[:]), r)
-	if first[0] == '{' {
+	r = io.MultiReader(bytes.NewReader(head), r)
+	if b[0] == '{' {
 		return decode(ctx, "jsonl", r, emit)
 	}
 	return decode(ctx, "csv", r, emit)
 }
+
+// isSpace reports whether c is JSON white space.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // decodeStats is what a decode reports on its span.
 type decodeStats struct {
@@ -173,13 +184,12 @@ func collect(format string, r io.Reader) ([]Record, error) {
 // ReadCSV decodes all records from a CSV stream produced by CSVWriter.
 func ReadCSV(r io.Reader) ([]Record, error) { return collect("csv", r) }
 
-// ReadJSONL decodes all records from a JSON Lines stream.
-func ReadJSONL(r io.Reader) ([]Record, error) { return collect("jsonl", r) }
-
 // decodeJSONL streams the records of a JSON Lines trace through emit, one
-// reused run of 1024 at a time.
+// reused run of 1024 at a time. A field Record does not have is an error, not
+// a silently zero one.
 func decodeJSONL(ctx context.Context, r io.Reader, emit func([]Record) error) (st decodeStats, err error) {
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	run := make([]Record, 0, 1024)
 	for {
 		var rec Record

@@ -68,9 +68,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := collect("jsonl", &buf)
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
 	if !reflect.DeepEqual(recs, got) {
 		t.Error("JSONL round trip mismatch")
@@ -150,12 +150,59 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
+	if _, err := collect("jsonl", strings.NewReader("{not json}\n")); err == nil {
 		t.Error("bad JSON should error")
 	}
-	got, err := ReadJSONL(strings.NewReader(""))
+	got, err := collect("jsonl", strings.NewReader(""))
 	if err != nil || got != nil {
 		t.Errorf("empty stream: got %v, %v", got, err)
+	}
+}
+
+// decodeString runs Decode over in and collects its records.
+func decodeString(in string) ([]Record, error) {
+	var out []Record
+	err := Decode(context.Background(), strings.NewReader(in), func(run []Record) error {
+		out = append(out, run...)
+		return nil
+	})
+	return out, err
+}
+
+// A misspelled field must not load as a zero: "cpu" and "latency" are not
+// Record's "cpu_pct" and "latency_ms".
+func TestDecodeJSONLRejectsUnknownField(t *testing.T) {
+	good := `{"tick":0,"dc":"DC 1","pool":"B","server":"s1","online":true,"rps":10,"cpu_pct":50,"latency_ms":12}` + "\n"
+	bad := `{"tick":1,"dc":"DC 1","pool":"B","server":"s1","online":true,"rps":10,"cpu":50,"latency":12}` + "\n"
+	got, err := decodeString(good + bad)
+	if err == nil {
+		t.Fatalf("decoded %+v with no error", got)
+	}
+	for _, want := range []string{"line 2", `"cpu"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if len(got) != 1 || got[0].CPUPct != 50 {
+		t.Errorf("records before the bad line = %+v, want the good one", got)
+	}
+}
+
+// The format is told from the first byte that is not white space, so a JSON
+// Lines trace that starts with a blank line is still JSON Lines.
+func TestDecodeSniffsPastLeadingWhitespace(t *testing.T) {
+	line := `{"tick":3,"dc":"DC 1","pool":"B","server":"s1","online":true,"rps":10,"cpu_pct":50,"latency_ms":12}`
+	got, err := decodeString("\n \r\n\t" + line + "\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Record{Tick: 3, DC: "DC 1", Pool: "B", Server: "s1", Online: true, RPS: 10, CPUPct: 50, LatencyMs: 12}
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("got %+v, want [%+v]", got, want)
+	}
+	// White space alone is still a CSV trace, as before: a header error.
+	if _, err := decodeString("  \n"); err == nil {
+		t.Error("a blank trace with no header decoded without error")
 	}
 }
 

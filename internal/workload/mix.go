@@ -3,9 +3,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 )
 
 // RequestClass is one kind of request in a service's traffic mix. The
@@ -53,121 +50,4 @@ func (m Mix) Validate() error {
 		return errors.New("workload: request mix total weight is zero")
 	}
 	return nil
-}
-
-// Normalize returns a copy of the mix with weights summing to 1.
-func (m Mix) Normalize() (Mix, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	var total float64
-	for _, c := range m {
-		total += c.Weight
-	}
-	out := make(Mix, len(m))
-	copy(out, m)
-	for i := range out {
-		out[i].Weight /= total
-	}
-	return out, nil
-}
-
-// MeanCost returns the weight-averaged cost factor of the mix.
-func (m Mix) MeanCost() (float64, error) {
-	n, err := m.Normalize()
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, c := range n {
-		s += c.Weight * c.CostFactor
-	}
-	return s, nil
-}
-
-// MeanDependencyLatency returns the weight-averaged dependency latency.
-func (m Mix) MeanDependencyLatency() (float64, error) {
-	n, err := m.Normalize()
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, c := range n {
-		s += c.Weight * c.DependencyLatencyMs
-	}
-	return s, nil
-}
-
-// Sample draws a request class according to the weights using the provided
-// random source.
-func (m Mix) Sample(rng *rand.Rand) (RequestClass, error) {
-	n, err := m.Normalize()
-	if err != nil {
-		return RequestClass{}, err
-	}
-	target := rng.Float64()
-	var acc float64
-	for _, c := range n {
-		acc += c.Weight
-		if target <= acc {
-			return c, nil
-		}
-	}
-	return n[len(n)-1], nil
-}
-
-// Distance returns the total variation distance between two mixes over the
-// union of their class names, in [0, 1]. The synthetic-workload validation
-// step uses this to check the replayed mix matches production.
-func Distance(a, b Mix) (float64, error) {
-	na, err := a.Normalize()
-	if err != nil {
-		return 0, fmt.Errorf("workload: mix a: %w", err)
-	}
-	nb, err := b.Normalize()
-	if err != nil {
-		return 0, fmt.Errorf("workload: mix b: %w", err)
-	}
-	wa := make(map[string]float64, len(na))
-	for _, c := range na {
-		wa[c.Name] += c.Weight
-	}
-	wb := make(map[string]float64, len(nb))
-	for _, c := range nb {
-		wb[c.Name] += c.Weight
-	}
-	names := make(map[string]bool, len(wa)+len(wb))
-	for n := range wa {
-		names[n] = true
-	}
-	for n := range wb {
-		names[n] = true
-	}
-	var tv float64
-	for n := range names {
-		tv += math.Abs(wa[n] - wb[n])
-	}
-	return tv / 2, nil
-}
-
-// EmpiricalMix tallies observed class names into a Mix with uniform cost
-// factors, for comparing a replayed workload against its source.
-func EmpiricalMix(names []string) (Mix, error) {
-	if len(names) == 0 {
-		return nil, errors.New("workload: no observations")
-	}
-	counts := make(map[string]int, 8)
-	for _, n := range names {
-		counts[n]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	m := make(Mix, 0, len(keys))
-	for _, k := range keys {
-		m = append(m, RequestClass{Name: k, Weight: float64(counts[k]), CostFactor: 1})
-	}
-	return m, nil
 }

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func productionMix() Mix {
 	return Mix{
@@ -34,143 +30,5 @@ func TestMixValidate(t *testing.T) {
 				t.Error("want error")
 			}
 		})
-	}
-}
-
-func TestMixNormalize(t *testing.T) {
-	n, err := productionMix().Normalize()
-	if err != nil {
-		t.Fatalf("Normalize: %v", err)
-	}
-	var total float64
-	for _, c := range n {
-		total += c.Weight
-	}
-	if math.Abs(total-1) > 1e-12 {
-		t.Errorf("normalized total = %v, want 1", total)
-	}
-	// Original untouched.
-	if productionMix()[0].Weight != 70 {
-		t.Error("Normalize mutated its receiver")
-	}
-}
-
-func TestMixMeanCost(t *testing.T) {
-	mc, err := productionMix().MeanCost()
-	if err != nil {
-		t.Fatalf("MeanCost: %v", err)
-	}
-	want := 0.7*0.5 + 0.2*2 + 0.1*3
-	if math.Abs(mc-want) > 1e-12 {
-		t.Errorf("MeanCost = %v, want %v", mc, want)
-	}
-	ml, err := productionMix().MeanDependencyLatency()
-	if err != nil {
-		t.Fatalf("MeanDependencyLatency: %v", err)
-	}
-	wantL := 0.2*8 + 0.1*15.0
-	if math.Abs(ml-wantL) > 1e-12 {
-		t.Errorf("MeanDependencyLatency = %v, want %v", ml, wantL)
-	}
-}
-
-func TestMixSampleDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	counts := map[string]int{}
-	n := 20000
-	for i := 0; i < n; i++ {
-		c, err := productionMix().Sample(rng)
-		if err != nil {
-			t.Fatalf("Sample: %v", err)
-		}
-		counts[c.Name]++
-	}
-	checks := map[string]float64{"cache-hit": 0.7, "cache-miss": 0.2, "write": 0.1}
-	for name, want := range checks {
-		got := float64(counts[name]) / float64(n)
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("class %s frequency = %v, want ~%v", name, got, want)
-		}
-	}
-}
-
-func TestDistance(t *testing.T) {
-	a := productionMix()
-	d, err := Distance(a, a)
-	if err != nil {
-		t.Fatalf("Distance: %v", err)
-	}
-	if d != 0 {
-		t.Errorf("self distance = %v, want 0", d)
-	}
-	disjoint := Mix{{Name: "other", Weight: 1, CostFactor: 1}}
-	d, err = Distance(a, disjoint)
-	if err != nil {
-		t.Fatalf("Distance: %v", err)
-	}
-	if math.Abs(d-1) > 1e-12 {
-		t.Errorf("disjoint distance = %v, want 1", d)
-	}
-	shifted := Mix{
-		{Name: "cache-hit", Weight: 60, CostFactor: 0.5},
-		{Name: "cache-miss", Weight: 30, CostFactor: 2},
-		{Name: "write", Weight: 10, CostFactor: 3},
-	}
-	d, err = Distance(a, shifted)
-	if err != nil {
-		t.Fatalf("Distance: %v", err)
-	}
-	if math.Abs(d-0.1) > 1e-12 {
-		t.Errorf("shifted distance = %v, want 0.1", d)
-	}
-	if _, err := Distance(Mix{}, a); err == nil {
-		t.Error("invalid mix should error")
-	}
-}
-
-func TestEmpiricalMix(t *testing.T) {
-	names := []string{"a", "b", "a", "a", "b", "c"}
-	m, err := EmpiricalMix(names)
-	if err != nil {
-		t.Fatalf("EmpiricalMix: %v", err)
-	}
-	n, err := m.Normalize()
-	if err != nil {
-		t.Fatalf("Normalize: %v", err)
-	}
-	want := map[string]float64{"a": 0.5, "b": 1.0 / 3, "c": 1.0 / 6}
-	for _, c := range n {
-		if math.Abs(c.Weight-want[c.Name]) > 1e-12 {
-			t.Errorf("class %s weight = %v, want %v", c.Name, c.Weight, want[c.Name])
-		}
-	}
-	if _, err := EmpiricalMix(nil); err == nil {
-		t.Error("empty observations should error")
-	}
-}
-
-// Property: sampling from a mix and re-estimating it converges (small TV
-// distance).
-func TestSampleRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	src := productionMix()
-	var names []string
-	for i := 0; i < 50000; i++ {
-		c, err := src.Sample(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		names = append(names, c.Name)
-	}
-	emp, err := EmpiricalMix(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Distance(src, emp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 0.02 {
-		t.Errorf("round-trip TV distance = %v, want <= 0.02", d)
 	}
 }

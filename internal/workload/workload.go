@@ -132,49 +132,6 @@ func (s *Schedule) Events() []Event {
 	return append([]Event(nil), s.events...)
 }
 
-// FailoverEvent builds an Event that removes the failed datacenters and
-// redistributes their traffic share to the survivors proportionally to the
-// survivors' weights. This reproduces the paper's first natural experiment,
-// where pools in multiple datacenters received a median 56% workload
-// increase, with one datacenter receiving +127%.
-func FailoverEvent(name string, startTick, endTick int, dcs []Datacenter, failed ...string) (Event, error) {
-	if len(dcs) == 0 {
-		return Event{}, errors.New("workload: no datacenters")
-	}
-	failedSet := make(map[string]bool, len(failed))
-	for _, f := range failed {
-		failedSet[f] = true
-	}
-	var lostWeight, aliveWeight float64
-	known := make(map[string]bool, len(dcs))
-	for _, dc := range dcs {
-		known[dc.Name] = true
-		if failedSet[dc.Name] {
-			lostWeight += dc.Weight
-		} else {
-			aliveWeight += dc.Weight
-		}
-	}
-	for _, f := range failed {
-		if !known[f] {
-			return Event{}, fmt.Errorf("workload: unknown datacenter %q in failover", f)
-		}
-	}
-	if aliveWeight <= 0 {
-		return Event{}, errors.New("workload: failover would remove all capacity")
-	}
-	mult := make(map[string]float64, len(dcs))
-	for _, dc := range dcs {
-		if failedSet[dc.Name] {
-			mult[dc.Name] = 0
-			continue
-		}
-		// Survivors absorb the lost share proportionally to weight.
-		mult[dc.Name] = 1 + lostWeight/aliveWeight
-	}
-	return Event{Name: name, StartTick: startTick, EndTick: endTick, Multipliers: mult}, nil
-}
-
 // Generator produces per-datacenter offered load over a tick timeline.
 type Generator struct {
 	Pattern  Pattern

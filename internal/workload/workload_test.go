@@ -91,49 +91,6 @@ func TestNewScheduleErrors(t *testing.T) {
 	}
 }
 
-func TestFailoverEventRedistributes(t *testing.T) {
-	dcs := []Datacenter{
-		{Name: "A", Weight: 0.5},
-		{Name: "B", Weight: 0.3},
-		{Name: "C", Weight: 0.2},
-	}
-	ev, err := FailoverEvent("failC", 0, 10, dcs, "C")
-	if err != nil {
-		t.Fatalf("FailoverEvent: %v", err)
-	}
-	if ev.Multipliers["C"] != 0 {
-		t.Errorf("failed DC multiplier = %v, want 0", ev.Multipliers["C"])
-	}
-	// Survivors each absorb 0.2/0.8 = +25%.
-	for _, dc := range []string{"A", "B"} {
-		if got := ev.Multipliers[dc]; math.Abs(got-1.25) > 1e-12 {
-			t.Errorf("%s multiplier = %v, want 1.25", dc, got)
-		}
-	}
-	// Conservation: total traffic unchanged.
-	var before, after float64
-	for _, dc := range dcs {
-		before += dc.Weight
-		after += dc.Weight * ev.Multipliers[dc.Name]
-	}
-	if math.Abs(before-after) > 1e-12 {
-		t.Errorf("traffic not conserved: %v -> %v", before, after)
-	}
-}
-
-func TestFailoverEventErrors(t *testing.T) {
-	dcs := []Datacenter{{Name: "A", Weight: 1}}
-	if _, err := FailoverEvent("x", 0, 1, nil, "A"); err == nil {
-		t.Error("no datacenters should error")
-	}
-	if _, err := FailoverEvent("x", 0, 1, dcs, "A"); err == nil {
-		t.Error("failing all capacity should error")
-	}
-	if _, err := FailoverEvent("x", 0, 1, dcs, "Z"); err == nil {
-		t.Error("unknown datacenter should error")
-	}
-}
-
 func TestGeneratorDiurnalOffsets(t *testing.T) {
 	dcs := []Datacenter{
 		{Name: "West", UTCOffset: 0, Weight: 1},

@@ -178,11 +178,11 @@ type traceSource struct {
 
 // NewTraceSource returns a Source that decodes a trace written by
 // trace.CSVWriter or trace.JSONLWriter (cmd/capsim's two formats) as it
-// streams: the format is told from the first byte ('{' is JSON Lines,
-// anything else must be the CSV header row), CSV is parsed in parallel and
-// delivered in file order, and memory stays bounded by a few chunks of the
-// input however long the trace is. A reader is consumed once, so the source
-// is a single shard and a second Stream is an error.
+// streams: the format is told from the first non-blank byte ('{' is JSON
+// Lines, anything else must be the CSV header row), CSV is parsed in
+// parallel and delivered in file order, and memory stays bounded by a few
+// chunks of the input however long the trace is. A reader is consumed once,
+// so the source is a single shard and a second Stream is an error.
 func NewTraceSource(r io.Reader) Source {
 	return &traceSource{r: r}
 }
