@@ -242,21 +242,23 @@ func Fig3(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	perDC, err := agg.MergedServerSummaries("I")
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "fig3",
 		Title:  "Per-server p5 vs p95 CPU, pool I (shapes are datacenters)",
 		Header: []string{"dc", "server", "generation", "p5_cpu", "p95_cpu"},
 	}
+	// Datacenters in Pools order: the order servers reach GroupServers is the
+	// order k-means picks its seeds in.
 	var all []metrics.ServerSummary
-	for dc, sums := range perDC {
+	for _, key := range agg.Pools() {
+		sums, err := agg.ServerSummaries(key.DC, key.Pool)
+		if err != nil {
+			return nil, err
+		}
 		for i, s := range sums {
 			all = append(all, s)
 			if i < 8 { // sample rows per DC keep the figure readable
-				res.Rows = append(res.Rows, []string{dc, s.Server, s.Generation, f1(s.CPU.P5), f1(s.CPU.P95)})
+				res.Rows = append(res.Rows, []string{key.DC, s.Server, s.Generation, f1(s.CPU.P5), f1(s.CPU.P95)})
 			}
 		}
 	}

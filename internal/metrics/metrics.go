@@ -405,24 +405,3 @@ func (a *Aggregator) PoolAvailability(dc, pool string, ticksPerDay int) ([]float
 	}
 	return online, nil
 }
-
-// MergedServerSummaries concatenates the server summaries of a pool across
-// every datacenter it runs in, which is how the paper's Figure 3 scatter
-// (shapes are datacenters) is assembled.
-func (a *Aggregator) MergedServerSummaries(pool string) (map[string][]ServerSummary, error) {
-	out := make(map[string][]ServerSummary)
-	for _, key := range a.Pools() {
-		if key.Pool != pool {
-			continue
-		}
-		ss, err := a.ServerSummaries(key.DC, key.Pool)
-		if err != nil {
-			return nil, err
-		}
-		out[key.DC] = ss
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("metrics: no data for pool %s", pool)
-	}
-	return out, nil
-}

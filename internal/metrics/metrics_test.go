@@ -170,16 +170,6 @@ func TestPoolsSortedAndMerged(t *testing.T) {
 	if keys[0].String() != "A@DC 1" {
 		t.Errorf("String = %q", keys[0].String())
 	}
-	merged, err := a.MergedServerSummaries("B")
-	if err != nil {
-		t.Fatalf("MergedServerSummaries: %v", err)
-	}
-	if len(merged) != 2 {
-		t.Errorf("merged DCs = %d, want 2", len(merged))
-	}
-	if _, err := a.MergedServerSummaries("zzz"); err == nil {
-		t.Error("unknown pool should error")
-	}
 }
 
 func TestOfflineOnlyTickProducesNoTickStat(t *testing.T) {
