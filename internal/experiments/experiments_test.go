@@ -5,20 +5,41 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // fastCfg runs experiments with shortened horizons.
 func fastCfg() Config { return Config{Seed: 1, Fast: true} }
 
-// run executes a registered experiment and sanity-checks the result shape.
+var (
+	runMu   sync.Mutex
+	runMemo = map[string]*Result{}
+)
+
+// run returns a registered experiment's result at fastCfg, computed once per
+// test binary: the range tests and TestGolden share it.
 func run(t *testing.T, id string) *Result {
+	t.Helper()
+	runMu.Lock()
+	defer runMu.Unlock()
+	if res, ok := runMemo[id]; ok {
+		return res
+	}
+	res := runAt(t, id, fastCfg())
+	runMemo[id] = res
+	return res
+}
+
+// runAt executes a registered experiment at cfg and sanity-checks the result
+// shape.
+func runAt(t *testing.T, id string, cfg Config) *Result {
 	t.Helper()
 	exp, err := ByID(id)
 	if err != nil {
 		t.Fatalf("ByID(%s): %v", id, err)
 	}
-	res, err := exp.Run(context.Background(), fastCfg())
+	res, err := exp.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -262,7 +283,7 @@ func assertDeterministic(t *testing.T, id string, runs int) {
 	t.Helper()
 	want := run(t, id)
 	for i := 1; i < runs; i++ {
-		got := run(t, id)
+		got := runAt(t, id, fastCfg())
 		if !reflect.DeepEqual(got.Rows, want.Rows) {
 			t.Fatalf("run %d: %s rows differ at a fixed seed:\n got %v\nwant %v", i, id, got.Rows, want.Rows)
 		}
