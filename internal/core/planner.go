@@ -16,7 +16,6 @@ import (
 	"headroom/internal/metrics"
 	"headroom/internal/optimize"
 	"headroom/internal/sim"
-	"headroom/internal/stats"
 	"headroom/internal/workload"
 )
 
@@ -166,52 +165,19 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 	plan.Groups = len(grouping.Groups)
 
 	// Step 2: fit models and right-size.
-	model, err := optimize.FitPoolModel(working)
-	if err != nil {
-		return PoolPlan{}, err
-	}
-	plan.Model = model
-	obs := optimize.PoolObservation{
-		Pool:    key.Pool,
-		Series:  working,
-		Servers: len(sums),
-	}
-	rows, err := optimize.SummarizeSavings([]optimize.PoolObservation{obs}, optimize.SavingsConfig{
+	sz, err := optimize.SizePool(working, optimize.SavingsConfig{
 		LatencyBudgetMs:  cfg.LatencyBudgetMs,
 		MaxReductionFrac: cfg.MaxReductionFrac,
 	})
 	if err != nil {
 		return PoolPlan{}, err
 	}
-	row := rows[0]
-
-	// Reference operating point for reporting.
-	var loads, totals []float64
-	for _, t := range working {
-		if t.Servers > 0 {
-			loads = append(loads, t.RPSPerServer)
-			totals = append(totals, t.TotalRPS)
-		}
-	}
-	refLoad := stats.Percentile(loads, 95)
-	refTotal := stats.Percentile(totals, 95)
-	current := int(refTotal/refLoad + 0.5)
-	if current < 1 {
-		current = 1
-	}
-	recommended := int(float64(current)*(1-row.EfficiencySavings) + 0.5)
-	if recommended < 1 {
-		recommended = 1
-	}
-	fc, err := model.ForecastReduction(refTotal, current, recommended)
-	if err != nil {
-		return PoolPlan{}, err
-	}
-	plan.CurrentServers = current
-	plan.RecommendedServers = recommended
-	plan.SavingsFrac = row.EfficiencySavings
-	plan.BaselineLatencyMs = model.Latency.Predict(refLoad)
-	plan.ForecastLatencyMs = fc.LatencyMs
+	plan.Model = sz.Model
+	plan.CurrentServers = sz.Current
+	plan.RecommendedServers = sz.Recommended
+	plan.SavingsFrac = sz.SavingsFrac
+	plan.BaselineLatencyMs = sz.BaselineLatencyMs
+	plan.ForecastLatencyMs = sz.Forecast.LatencyMs
 	plan.Plannable = true
 	return plan, nil
 }
@@ -259,11 +225,9 @@ func (p *SimPlant) Observe(ctx context.Context, servers, ticks int) ([]metrics.T
 		// The plant's DC receives its fleet share of the pool's traffic.
 		offered[t] = v * p.DC.Weight
 	}
-	recs, err := sim.SimulatePoolContext(ctx, p.Pool, p.DC.Name, offered, servers, p.Seed+int64(p.calls))
+	series, err := sim.SimulatePoolSeries(ctx, p.Pool, p.DC.Name, offered, servers, p.Seed+int64(p.calls))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	agg := metrics.NewAggregator()
-	agg.AddAll(recs)
-	return agg.PoolSeries(p.DC.Name, p.Pool.Name)
+	return series, nil
 }

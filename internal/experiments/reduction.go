@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"headroom/internal/core"
 	"headroom/internal/metrics"
 	"headroom/internal/optimize"
 	"headroom/internal/sim"
@@ -159,14 +160,15 @@ func Table3(ctx context.Context, cfg Config) (*Result, error) {
 // cpuFigure builds the Figure 8/10 artifact: per-stage linear CPU fits plus
 // the forecast check at the reduced stage's p95 load.
 func cpuFigure(run *reductionRun) (*Result, error) {
-	origFit, err := fitCPU(run.original)
+	orig, err := optimize.FitPoolModel(run.original)
 	if err != nil {
 		return nil, err
 	}
-	redFit, err := fitCPU(run.reduced)
+	red, err := optimize.FitPoolModel(run.reduced)
 	if err != nil {
 		return nil, err
 	}
+	origFit, redFit := orig.CPU, red.CPU
 	redP95 := stats.Percentile(loads(run.reduced), 95)
 	forecast := origFit.Predict(redP95)
 
@@ -192,10 +194,11 @@ func cpuFigure(run *reductionRun) (*Result, error) {
 // quadratic latency fit and its forecast against the observed reduced-stage
 // latency.
 func latencyFigure(run *reductionRun) (*Result, error) {
-	quad, err := fitLatency(run.original)
+	orig, err := optimize.FitPoolModel(run.original)
 	if err != nil {
 		return nil, err
 	}
+	quad := orig.Latency
 	redP95 := stats.Percentile(loads(run.reduced), 95)
 	forecast := quad.Predict(redP95)
 	observed := meanNear(run.reduced, redP95, 0.05, func(t metrics.TickStat) float64 { return t.LatencyMean })
@@ -217,30 +220,6 @@ func latencyFigure(run *reductionRun) (*Result, error) {
 	res.Metric("observed_latency_ms", observed)
 	res.Metric("forecast_abs_error_ms", abs(forecast-observed))
 	return res, nil
-}
-
-func fitCPU(series []metrics.TickStat) (stats.LinearFit, error) {
-	var xs, ys []float64
-	for _, t := range series {
-		if t.Servers == 0 {
-			continue
-		}
-		xs = append(xs, t.RPSPerServer)
-		ys = append(ys, t.CPUMean)
-	}
-	return stats.LinearRegression(xs, ys)
-}
-
-func fitLatency(series []metrics.TickStat) (stats.Polynomial, error) {
-	var xs, ys []float64
-	for _, t := range series {
-		if t.Servers == 0 {
-			continue
-		}
-		xs = append(xs, t.RPSPerServer)
-		ys = append(ys, t.LatencyMean)
-	}
-	return stats.PolyFit(xs, ys, 2)
 }
 
 // meanNear averages get(t) over windows whose load is within relTol of ref.
@@ -347,10 +326,11 @@ func Fig11(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	repQuad, err := fitLatency(rep.original)
+	repModel, err := optimize.FitPoolModel(rep.original)
 	if err != nil {
 		return nil, err
 	}
+	repQuad := repModel.Latency
 	repP95 := stats.Percentile(loads(rep.reduced), 95)
 	origP95 := stats.Percentile(loads(rep.original), 95)
 	res.Metric("dc4_forecast_latency_ms", repQuad.Predict(repP95))
@@ -383,7 +363,12 @@ func Fig7(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Fast {
 		observeTicks = 180
 	}
-	plant := &rsmPlant{pool: pool, seed: cfg.Seed + 400}
+	plant := &core.SimPlant{
+		Pool:      pool,
+		DC:        workload.Datacenter{Name: "DC 1", Weight: 0.16}, // the DC 1 share of global traffic
+		NoiseFrac: 0.04,
+		Seed:      cfg.Seed + 400,
+	}
 	rsm, err := optimize.RunRSM(ctx, plant, optimize.RSMConfig{
 		InitialServers: 200,
 		QoSLimitMs:     14,
@@ -411,39 +396,4 @@ func Fig7(ctx context.Context, cfg Config) (*Result, error) {
 	res.Metric("savings_frac", rsm.SavingsFrac)
 	res.Notes = append(res.Notes, "stopped: "+rsm.Stopped)
 	return res, nil
-}
-
-// rsmPlant drives a pool at requested server counts for Fig7, reusing the
-// core.SimPlant behaviour without importing core (avoiding a cycle is not
-// the issue — experiments may import core — but the figure needs DC-share
-// control).
-type rsmPlant struct {
-	pool  sim.PoolConfig
-	seed  int64
-	calls int
-}
-
-func (p *rsmPlant) Observe(ctx context.Context, servers, ticks int) ([]metrics.TickStat, error) {
-	p.calls++
-	dc := workload.Datacenter{Name: "DC 1", Weight: 1}
-	gen, err := workload.NewGenerator(p.pool.Traffic, []workload.Datacenter{dc}, nil,
-		workload.TickDuration, 0.04, p.seed+int64(p.calls))
-	if err != nil {
-		return nil, err
-	}
-	offered := make([]float64, ticks)
-	for t := range offered {
-		v, err := gen.RPS(0, t)
-		if err != nil {
-			return nil, err
-		}
-		offered[t] = v * 0.16 // the DC 1 share of global traffic
-	}
-	recs, err := sim.SimulatePoolContext(ctx, p.pool, dc.Name, offered, servers, p.seed+int64(p.calls))
-	if err != nil {
-		return nil, err
-	}
-	agg := metrics.NewAggregator()
-	agg.AddAll(recs)
-	return agg.PoolSeries(dc.Name, p.pool.Name)
 }

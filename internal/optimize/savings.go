@@ -32,7 +32,7 @@ type SavingsRow struct {
 	Servers int
 }
 
-// SavingsConfig controls the Table IV computation.
+// SavingsConfig controls SizePool, and through it the Table IV computation.
 type SavingsConfig struct {
 	// LatencyBudgetMs is the acceptable latency increase over the current
 	// operating point (the paper accepted an average of 5 ms, <1% of
@@ -66,55 +66,76 @@ type PoolObservation struct {
 	Availability float64
 }
 
-// SummarizeSavings computes a Table IV row per pool: fit the workload
-// models, find the largest reduction whose forecast latency stays within
-// the budget above the current p95 operating point, and add the savings
-// from lifting availability to best practice.
-func SummarizeSavings(obs []PoolObservation, cfg SavingsConfig) ([]SavingsRow, error) {
+// Sizing is Step 2's answer for one pool: the fitted workload models, the
+// pool's p95 operating point, and the smallest server count whose forecast
+// latency stays within the budget there.
+type Sizing struct {
+	Model PoolModel
+	// Current is the server count at the p95 operating point: p95 total load
+	// over p95 per-server load (the series may span maintenance dips, so it
+	// is not read off the series).
+	Current int
+	// Recommended is the right-sized count and SavingsFrac the fraction of
+	// Current it removes, capped at MaxReductionFrac.
+	Recommended int
+	SavingsFrac float64
+	// BaselineLatencyMs is the latency model at the p95 per-server load;
+	// Forecast is the operating point at Recommended servers and the p95
+	// total load.
+	BaselineLatencyMs float64
+	Forecast          Forecast
+}
+
+// SizePool right-sizes one pool from its history: fit the workload models,
+// take the p95 operating point, and find the largest reduction whose
+// forecast latency stays within cfg.LatencyBudgetMs above the latency there,
+// capped at cfg.MaxReductionFrac.
+func SizePool(series []metrics.TickStat, cfg SavingsConfig) (Sizing, error) {
 	cfg = cfg.withDefaults()
+	model, err := FitPoolModel(series)
+	if err != nil {
+		return Sizing{}, err
+	}
+	var loads, totals []float64
+	for _, t := range series {
+		if t.Servers == 0 {
+			continue
+		}
+		loads = append(loads, t.RPSPerServer)
+		totals = append(totals, t.TotalRPS)
+	}
+	refLoad := stats.Percentile(loads, 95)
+	refTotal := stats.Percentile(totals, 95)
+	sz := Sizing{Model: model, BaselineLatencyMs: model.Latency.Predict(refLoad)}
+	sz.Current = max(int(refTotal/refLoad+0.5), 1)
+	sz.Recommended, sz.SavingsFrac, err = model.MaxReduction(refTotal, sz.Current, sz.BaselineLatencyMs+cfg.LatencyBudgetMs)
+	if err != nil {
+		return Sizing{}, err
+	}
+	if sz.SavingsFrac > cfg.MaxReductionFrac {
+		sz.SavingsFrac = cfg.MaxReductionFrac
+		sz.Recommended = int(float64(sz.Current)*(1-sz.SavingsFrac) + 0.5)
+	}
+	if sz.Forecast, err = model.ForecastReduction(refTotal, sz.Current, sz.Recommended); err != nil {
+		return Sizing{}, err
+	}
+	return sz, nil
+}
+
+// SummarizeSavings computes a Table IV row per pool: the pool's SizePool
+// savings, the forecast latency increase they cost, and the savings from
+// lifting availability to best practice.
+func SummarizeSavings(obs []PoolObservation, cfg SavingsConfig) ([]SavingsRow, error) {
 	rows := make([]SavingsRow, 0, len(obs))
 	for _, o := range obs {
 		if o.Servers <= 0 {
 			return nil, fmt.Errorf("optimize: pool %s has %d servers", o.Pool, o.Servers)
 		}
-		model, err := FitPoolModel(o.Series)
+		sz, err := SizePool(o.Series, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("optimize: pool %s: %w", o.Pool, err)
 		}
-		// Reference operating point: p95 of per-server load and the
-		// latency there.
-		var loads, totals []float64
-		for _, t := range o.Series {
-			if t.Servers == 0 {
-				continue
-			}
-			loads = append(loads, t.RPSPerServer)
-			totals = append(totals, t.TotalRPS)
-		}
-		refLoad := stats.Percentile(loads, 95)
-		refTotal := stats.Percentile(totals, 95)
-		baseLat := model.Latency.Predict(refLoad)
-		qosLimit := baseLat + cfg.LatencyBudgetMs
-
-		// Effective current server count at the p95 point (the series may
-		// span maintenance dips); derive from total/perserver.
-		current := int(refTotal/refLoad + 0.5)
-		if current <= 0 {
-			current = 1
-		}
-		minServers, frac, err := model.MaxReduction(refTotal, current, qosLimit)
-		if err != nil {
-			return nil, fmt.Errorf("optimize: pool %s: %w", o.Pool, err)
-		}
-		if frac > cfg.MaxReductionFrac {
-			frac = cfg.MaxReductionFrac
-			minServers = int(float64(current)*(1-frac) + 0.5)
-		}
-		fc, err := model.ForecastReduction(refTotal, current, minServers)
-		if err != nil {
-			return nil, fmt.Errorf("optimize: pool %s: %w", o.Pool, err)
-		}
-		latImpact := fc.LatencyMs - baseLat
+		latImpact := sz.Forecast.LatencyMs - sz.BaselineLatencyMs
 		if latImpact < 0 {
 			latImpact = 0
 		}
@@ -127,7 +148,7 @@ func SummarizeSavings(obs []PoolObservation, cfg SavingsConfig) ([]SavingsRow, e
 		}
 		row := SavingsRow{
 			Pool:              o.Pool,
-			EfficiencySavings: frac,
+			EfficiencySavings: sz.SavingsFrac,
 			LatencyImpactMs:   latImpact,
 			OnlineSavings:     online,
 			Servers:           o.Servers,

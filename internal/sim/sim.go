@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"headroom/internal/metrics"
 	"headroom/internal/trace"
 	"headroom/internal/workload"
 )
@@ -483,4 +484,16 @@ func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offe
 		out = append(out, sim.fillStep(ps, st, tick, load)...)
 	}
 	return out, nil
+}
+
+// SimulatePoolSeries is SimulatePoolContext aggregated into the pool's
+// per-tick series, in tick order: what an offline experiment observes.
+func SimulatePoolSeries(ctx context.Context, pc PoolConfig, dcName string, offered []float64, servers int, seed int64) ([]metrics.TickStat, error) {
+	recs, err := SimulatePoolContext(ctx, pc, dcName, offered, servers, seed)
+	if err != nil {
+		return nil, err
+	}
+	agg := metrics.NewAggregator()
+	agg.AddAll(recs)
+	return agg.PoolSeries(dcName, pc.Name)
 }

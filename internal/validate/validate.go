@@ -17,10 +17,8 @@ import (
 	"errors"
 	"fmt"
 
-	"headroom/internal/metrics"
 	"headroom/internal/sim"
 	"headroom/internal/stats"
-	"headroom/internal/trace"
 )
 
 // Change is a candidate modification to a micro-service, expressed as a
@@ -138,22 +136,13 @@ func Run(ctx context.Context, cfg Config, change Change) (Report, error) {
 		return Report{}, fmt.Errorf("validate: changed response invalid: %w", err)
 	}
 
-	baseRecs, err := sim.SimulatePoolContext(ctx, baselinePool, "offline-a", offered, cfg.Servers, cfg.Seed)
+	baseSeries, err := sim.SimulatePoolSeries(ctx, baselinePool, "offline-a", offered, cfg.Servers, cfg.Seed)
 	if err != nil {
 		return Report{}, fmt.Errorf("validate: baseline run: %w", err)
 	}
-	changeRecs, err := sim.SimulatePoolContext(ctx, changedPool, "offline-b", offered, cfg.Servers, cfg.Seed+1)
+	changeSeries, err := sim.SimulatePoolSeries(ctx, changedPool, "offline-b", offered, cfg.Servers, cfg.Seed+1)
 	if err != nil {
 		return Report{}, fmt.Errorf("validate: change run: %w", err)
-	}
-
-	baseSeries, err := poolSeries(baseRecs, "offline-a", cfg.Pool.Name)
-	if err != nil {
-		return Report{}, err
-	}
-	changeSeries, err := poolSeries(changeRecs, "offline-b", cfg.Pool.Name)
-	if err != nil {
-		return Report{}, err
 	}
 
 	rep := Report{Change: change.Name, MemoryImproved: true}
@@ -211,16 +200,4 @@ func Run(ctx context.Context, cfg Config, change Change) (Report, error) {
 	}
 	rep.Acceptable = !rep.LatencyRegression && rep.CapacityImpactFrac <= 0.05
 	return rep, nil
-}
-
-// poolSeries aggregates raw records into per-tick pool stats, in tick
-// order.
-func poolSeries(recs []trace.Record, dc, pool string) ([]metrics.TickStat, error) {
-	agg := metrics.NewAggregator()
-	agg.AddAll(recs)
-	series, err := agg.PoolSeries(dc, pool)
-	if err != nil {
-		return nil, fmt.Errorf("validate: %w", err)
-	}
-	return series, nil
 }
