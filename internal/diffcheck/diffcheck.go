@@ -208,23 +208,6 @@ func RunCase(ctx context.Context, c Case, opts Options) (*Report, error) {
 // retryBackoff keeps injected-transient retries fast on every path.
 const retryBackoff = time.Millisecond
 
-// wrapSource mirrors (*server.Server).wrapSource exactly: faults innermost,
-// then the resilience layer — the invariant is only meaningful if every
-// path wraps in the same order.
-func (c Case) wrapSource(src headroom.Source) headroom.Source {
-	if c.Fault != nil {
-		src = faults.New(c.Fault.Seed, c.Fault.Rule()).Source(src)
-		if c.Fault.Retries > 0 {
-			src = headroom.ResilientSource(src, headroom.RetryPolicy{
-				MaxAttempts: c.Fault.Retries,
-				Backoff:     retryBackoff,
-				Seed:        c.Req.Seed,
-			})
-		}
-	}
-	return src
-}
-
 // runLibrary is paths (a) and (b): a Session over the request's fleet with
 // the given shard count, rendered through the same result builders the
 // server uses.
@@ -240,7 +223,9 @@ func (c Case) runLibrary(ctx context.Context, shards int) PathResult {
 		out.Err = err.Error()
 		return out
 	}
-	src := c.wrapSource(headroom.NewSimSource(cfg, c.Req.Days))
+	// The server's own wrap, with a fresh fault injector per path: the
+	// invariant is only meaningful if every path wraps in the same order.
+	src := server.WrapSource(c.serverConfig(true), headroom.NewSimSource(cfg, c.Req.Days), c.Req.Seed, nil)
 	opts := []headroom.Option{
 		headroom.WithSource(src),
 		headroom.WithShards(shards),

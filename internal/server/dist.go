@@ -191,19 +191,21 @@ func reduceShard[R any](sess *headroom.Session, reduce reducer[R]) headroom.Shar
 	}
 }
 
-// wrapSource applies the fault injector and resilience layer to a raw
-// source, exactly as single-node aggregation does, so a worker's shard
-// behaves identically to the same shard run locally.
-func (s *Server) wrapSource(src headroom.Source, seed int64) headroom.Source {
-	if s.cfg.Faults != nil {
-		src = s.cfg.Faults.Source(src)
+// WrapSource wraps a raw source as cfg asks: the fault injector
+// (cfg.Faults) innermost, then the resilience layer (cfg.RetryAttempts),
+// whose backoff jitter seed drives. onRetry, if not nil, observes each
+// retry. It is the one wrap order: a worker's shard, the same shard run on a
+// single node, and a library session built to check them all wrap here.
+func WrapSource(cfg Config, src headroom.Source, seed int64, onRetry func(attempt int, err error)) headroom.Source {
+	if cfg.Faults != nil {
+		src = cfg.Faults.Source(src)
 	}
-	if s.cfg.RetryAttempts > 0 {
+	if cfg.RetryAttempts > 0 {
 		src = headroom.ResilientSource(src, headroom.RetryPolicy{
-			MaxAttempts: s.cfg.RetryAttempts,
-			Backoff:     s.cfg.RetryBackoff,
+			MaxAttempts: cfg.RetryAttempts,
+			Backoff:     cfg.RetryBackoff,
 			Seed:        seed,
-			OnRetry:     func(int, error) { s.m.sourceRetries.Inc() },
+			OnRetry:     onRetry,
 		})
 	}
 	return src

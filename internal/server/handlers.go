@@ -160,7 +160,8 @@ func (s *Server) session(req PlanRequest) (*headroom.Session, error) {
 		return nil, err
 	}
 	return headroom.New(context.Background(),
-		headroom.WithSource(s.wrapSource(headroom.NewSimSource(cfg, req.Days), req.Seed)),
+		headroom.WithSource(WrapSource(s.cfg, headroom.NewSimSource(cfg, req.Days), req.Seed,
+			func(int, error) { s.m.sourceRetries.Inc() })),
 		headroom.WithShards(s.cfg.Shards),
 		headroom.WithPartialResults(s.cfg.PartialResults),
 		headroom.WithPlanConfig(req.PlanConfig()))

@@ -144,9 +144,6 @@ type RetryPolicy struct {
 	// Seed drives the backoff jitter deterministically; default 1. Sharded
 	// sources derive a distinct jitter stream per shard.
 	Seed int64
-	// Classify overrides transient/permanent classification: return true to
-	// retry err. Default: IsTransient.
-	Classify func(error) bool
 	// OnRetry, when set, observes every retry (attempt is the attempt that
 	// just failed, starting at 1). Used for metrics.
 	OnRetry func(attempt int, err error)
@@ -164,9 +161,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
-	}
-	if p.Classify == nil {
-		p.Classify = IsTransient
 	}
 	return p
 }
@@ -243,7 +237,7 @@ func (r *resilientSource) Stream(ctx context.Context, emit func([]Record) error)
 		}
 		// An attempt-timeout expiry is a stall, retried as transient.
 		stalled := p.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded)
-		if attempt >= p.MaxAttempts || !(stalled || p.Classify(err)) {
+		if attempt >= p.MaxAttempts || !(stalled || IsTransient(err)) {
 			return err
 		}
 		if p.OnRetry != nil {
