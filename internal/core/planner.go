@@ -177,7 +177,7 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 	plan.RecommendedServers = sz.Recommended
 	plan.SavingsFrac = sz.SavingsFrac
 	plan.BaselineLatencyMs = sz.BaselineLatencyMs
-	plan.ForecastLatencyMs = sz.Forecast.LatencyMs
+	plan.ForecastLatencyMs = sz.ForecastLatencyMs
 	plan.Plannable = true
 	return plan, nil
 }

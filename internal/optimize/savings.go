@@ -67,8 +67,8 @@ type PoolObservation struct {
 }
 
 // Sizing is Step 2's answer for one pool: the fitted workload models, the
-// pool's p95 operating point, and the smallest server count whose forecast
-// latency stays within the budget there.
+// server count at the pool's p95 operating point, and the smallest count
+// whose forecast latency stays within the budget there.
 type Sizing struct {
 	Model PoolModel
 	// Current is the server count at the p95 operating point: p95 total load
@@ -80,10 +80,10 @@ type Sizing struct {
 	Recommended int
 	SavingsFrac float64
 	// BaselineLatencyMs is the latency model at the p95 per-server load;
-	// Forecast is the operating point at Recommended servers and the p95
+	// ForecastLatencyMs is its forecast at Recommended servers and the p95
 	// total load.
 	BaselineLatencyMs float64
-	Forecast          Forecast
+	ForecastLatencyMs float64
 }
 
 // SizePool right-sizes one pool from its history: fit the workload models,
@@ -116,9 +116,11 @@ func SizePool(series []metrics.TickStat, cfg SavingsConfig) (Sizing, error) {
 		sz.SavingsFrac = cfg.MaxReductionFrac
 		sz.Recommended = int(float64(sz.Current)*(1-sz.SavingsFrac) + 0.5)
 	}
-	if sz.Forecast, err = model.ForecastReduction(refTotal, sz.Current, sz.Recommended); err != nil {
+	fc, err := model.ForecastReduction(refTotal, sz.Current, sz.Recommended)
+	if err != nil {
 		return Sizing{}, err
 	}
+	sz.ForecastLatencyMs = fc.LatencyMs
 	return sz, nil
 }
 
@@ -135,7 +137,7 @@ func SummarizeSavings(obs []PoolObservation, cfg SavingsConfig) ([]SavingsRow, e
 		if err != nil {
 			return nil, fmt.Errorf("optimize: pool %s: %w", o.Pool, err)
 		}
-		latImpact := sz.Forecast.LatencyMs - sz.BaselineLatencyMs
+		latImpact := sz.ForecastLatencyMs - sz.BaselineLatencyMs
 		if latImpact < 0 {
 			latImpact = 0
 		}

@@ -191,11 +191,9 @@ func reduceShard[R any](sess *headroom.Session, reduce reducer[R]) headroom.Shar
 	}
 }
 
-// WrapSource wraps a raw source as cfg asks: the fault injector
-// (cfg.Faults) innermost, then the resilience layer (cfg.RetryAttempts),
-// whose backoff jitter seed drives. onRetry, if not nil, observes each
-// retry. It is the one wrap order: a worker's shard, the same shard run on a
-// single node, and a library session built to check them all wrap here.
+// WrapSource wraps a raw source as cfg asks, faults (cfg.Faults) innermost,
+// then retries (cfg.RetryAttempts) jittered from seed and seen by onRetry if
+// not nil: the one wrap order of every path that streams a request's source.
 func WrapSource(cfg Config, src headroom.Source, seed int64, onRetry func(attempt int, err error)) headroom.Source {
 	if cfg.Faults != nil {
 		src = cfg.Faults.Source(src)
