@@ -29,6 +29,7 @@ package headroom
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,20 +113,22 @@ func NamedPool(cfg FleetConfig, name string) (PoolConfig, error) {
 // order; no names keeps the whole fleet. It is the one pool filter behind
 // every surface that takes pool names (capserved requests, capsim -pools): an
 // empty name or a name the fleet does not have is an error, never a silently
-// smaller fleet.
+// smaller fleet. The result's Pools slice is its own, so cfg may be a template
+// shared between callers; the pool configs in it are shared read-only.
 func FilterPools(cfg FleetConfig, names []string) (FleetConfig, error) {
 	if len(names) == 0 {
+		cfg.Pools = slices.Clone(cfg.Pools)
 		return cfg, nil
 	}
 	keep := map[string]bool{}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" {
-			return cfg, errors.New("pools contains an empty name")
+			return FleetConfig{}, errors.New("pools contains an empty name")
 		}
 		keep[name] = true
 	}
-	var filtered []PoolConfig
+	filtered := make([]PoolConfig, 0, len(keep))
 	for _, pc := range cfg.Pools {
 		if keep[pc.Name] {
 			filtered = append(filtered, pc)
@@ -138,7 +141,7 @@ func FilterPools(cfg FleetConfig, names []string) (FleetConfig, error) {
 			missing = append(missing, name)
 		}
 		sort.Strings(missing)
-		return cfg, fmt.Errorf("unknown pools: %s", strings.Join(missing, ", "))
+		return FleetConfig{}, fmt.Errorf("unknown pools: %s", strings.Join(missing, ", "))
 	}
 	cfg.Pools = filtered
 	return cfg, nil

@@ -88,13 +88,6 @@ type Job struct {
 // TraceID returns the trace the job was submitted under, or "".
 func (j *Job) TraceID() string { return j.stage.Span().TraceID() }
 
-// State returns the job's current lifecycle phase.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 // Snapshot is a consistent copy of a job's observable state.
 type Snapshot struct {
 	ID       string

@@ -30,7 +30,7 @@ func TestSubmitRunsJob(t *testing.T) {
 	if got != 42 {
 		t.Errorf("result = %v, want 42", got)
 	}
-	if s := j.State(); s != Done {
+	if s := j.Snapshot().State; s != Done {
 		t.Errorf("state = %s, want done", s)
 	}
 	snap := j.Snapshot()
@@ -73,7 +73,7 @@ func TestPermanentFailureDoesNotRetry(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Errorf("calls = %d, want 1 (permanent errors must not retry)", n)
 	}
-	if s := j.State(); s != Failed {
+	if s := j.Snapshot().State; s != Failed {
 		t.Errorf("state = %s, want failed", s)
 	}
 }
@@ -186,7 +186,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 		t.Errorf("completed = %d, want 6 (Close must drain)", n)
 	}
 	for _, j := range js {
-		if s := j.State(); s != Done {
+		if s := j.Snapshot().State; s != Done {
 			t.Errorf("job %s state = %s after drain", j.ID, s)
 		}
 	}
@@ -202,7 +202,7 @@ func TestCloseDeadlineCancelsRunningJobs(t *testing.T) {
 		return nil, ctx.Err()
 	})
 	// Wait until the job is actually running so Close observes it in flight.
-	for j.State() != Running {
+	for j.Snapshot().State != Running {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -223,8 +223,8 @@ func TestPanicBecomesFailure(t *testing.T) {
 		panic("kaboom")
 	})
 	_, err := j.Wait(context.Background())
-	if err == nil || j.State() != Failed {
-		t.Fatalf("err = %v, state = %s; want failure", err, j.State())
+	if err == nil || j.Snapshot().State != Failed {
+		t.Fatalf("err = %v, state = %s; want failure", err, j.Snapshot().State)
 	}
 	// The worker must survive the panic.
 	j2, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return "alive", nil })
@@ -439,8 +439,8 @@ func TestSubmitRacesClose(t *testing.T) {
 		// and ran; a pending entry is the orphan of a refused submission.
 		q.mu.Lock()
 		for id, j := range q.jobs {
-			if !j.State().Terminal() {
-				t.Errorf("job %s left %s after Close", id, j.State())
+			if !j.Snapshot().State.Terminal() {
+				t.Errorf("job %s left %s after Close", id, j.Snapshot().State)
 			}
 		}
 		if n := int64(len(q.jobs)); n != accepted.Load() {

@@ -3,8 +3,9 @@ package server
 // Request decoding, validation, canonicalization and the compute functions
 // that drive the headroom.Session pipeline: the typed halves of each job
 // kind's row (addKind). A compute function returns its wire result;
-// finishResult pre-marshals it (json.RawMessage) so cached results are served
-// byte-identical to the first computation.
+// finishResult renders it once into its job-view form (viewResult), so a cached
+// result is served byte-identical to the first computation and a hit copies
+// stored bytes instead of encoding them again.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"headroom"
 	"headroom/internal/jobcache"
@@ -96,10 +98,16 @@ func (r *SimulateRequest) Normalize() error {
 	return nil
 }
 
+// defaultFleet is the default fleet built once: only its Seed differs between
+// requests, and its pool configs are shared read-only.
+var defaultFleet = sync.OnceValue(func() headroom.FleetConfig { return headroom.DefaultFleet(0) })
+
 // Fleet resolves the request's fleet configuration, failing on empty or
 // unknown pool names.
 func (r SimulateRequest) Fleet() (headroom.FleetConfig, error) {
-	return headroom.FilterPools(headroom.DefaultFleet(r.Seed), r.Pools)
+	cfg := defaultFleet()
+	cfg.Seed = r.Seed
+	return headroom.FilterPools(cfg, r.Pools)
 }
 
 // ShardFailure is the wire view of one failed shard of a degraded job.
@@ -258,22 +266,32 @@ func (s *Server) computeSimulate(ctx context.Context, req SimulateRequest) (any,
 	return simulateResult(req, rows, pe), pe, err
 }
 
-// finishResult pre-renders a job result so cached repeats are served
-// byte-identical, marking degraded (partial) results uncacheable so a later
-// identical request recomputes instead of being served a partial answer as
-// if it were complete.
+// viewResult is a job result rendered into the exact bytes it has inside an
+// indented job view: json.Marshal, then json.Indent with prefix and indent
+// "  ". It is not compact JSON; writeView copies it into every view of the job.
+type viewResult []byte
+
+// finishResult renders a job result once into its view form, so cached
+// repeats are served byte-identical and without re-encoding, and marks
+// degraded (partial) results uncacheable so a later identical request
+// recomputes instead of being served a partial answer as if it were complete.
 func (s *Server) finishResult(ctx context.Context, k *jobKind, v any, pe *headroom.PartialError) (any, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("marshal result: %w", err)
 	}
+	var view bytes.Buffer
+	if err := json.Indent(&view, raw, "  ", "  "); err != nil {
+		return nil, fmt.Errorf("indent result: %w", err)
+	}
+	res := viewResult(bytes.Clone(view.Bytes())) // exact size: the cache and job table hold it
 	if pe == nil {
-		return json.RawMessage(raw), nil
+		return res, nil
 	}
 	k.degraded.Inc()
 	s.cfg.Logger.WarnContext(ctx, "degraded result",
 		"kind", k.name, "failed_pools", pe.FailedPools(), "error", pe.Error())
-	return jobcache.Uncacheable{Value: json.RawMessage(raw)}, nil
+	return jobcache.Uncacheable{Value: res}, nil
 }
 
 // --- plan ----------------------------------------------------------------

@@ -29,6 +29,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -567,7 +568,7 @@ type jobView struct {
 	Created  time.Time       `json:"created"`
 	Started  *time.Time      `json:"started,omitempty"`
 	Finished *time.Time      `json:"finished,omitempty"`
-	Result   json.RawMessage `json:"result,omitempty"`
+	Result   json.RawMessage `json:"result,omitempty"` // writeView's placeholder for the stored result
 	Error    string          `json:"error,omitempty"`
 	// Node is the hostname of the coordinator that ran (or is running) the
 	// job; Placement lists where each shard of a distributed job executed.
@@ -576,8 +577,9 @@ type jobView struct {
 	Self      string           `json:"self"`
 }
 
-func (s *Server) viewOf(j *jobs.Job) jobView {
-	snap := j.Snapshot()
+// viewOf builds the job view of snap and returns the job's stored result
+// beside it; the view's Result is left for writeView to fill.
+func (s *Server) viewOf(snap jobs.Snapshot) (jobView, viewResult) {
 	v := jobView{
 		JobID:    snap.ID,
 		Kind:     snap.Kind,
@@ -599,15 +601,45 @@ func (s *Server) viewOf(j *jobs.Job) jobView {
 		t := snap.Finished
 		v.Finished = &t
 	}
+	var res viewResult
 	if snap.State == jobs.Done {
-		if raw, ok := snap.Result.(json.RawMessage); ok {
-			v.Result = raw
-		}
+		res, _ = snap.Result.(viewResult)
 	}
 	if snap.State == jobs.Failed && snap.Err != nil {
 		v.Error = snap.Err.Error()
 	}
-	return v
+	return v, res
+}
+
+// resultKey is what the result placeholder encodes to inside a job view. It
+// occurs nowhere else in one: encoding/json escapes every quote inside a
+// string value, and no other field is named result.
+var resultKey = []byte(`"result": 0`)
+
+// writeView writes snap's job view: the bytes writeJSON would write for it,
+// except that the result is copied from its stored view form, not encoded.
+// The small envelope is encoded around a placeholder result, which the stored
+// bytes then replace.
+func (s *Server) writeView(w http.ResponseWriter, code int, snap jobs.Snapshot) {
+	v, res := s.viewOf(snap)
+	if res != nil {
+		v.Result = json.RawMessage("0")
+	}
+	var env bytes.Buffer
+	enc := json.NewEncoder(&env)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+	head, tail := env.Bytes(), []byte(nil)
+	if res != nil {
+		at := bytes.Index(head, resultKey) + len(resultKey) - 1
+		head, tail = head[:at], head[at+1:]
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(res)+len(tail)))
+	w.WriteHeader(code)
+	w.Write(head)
+	w.Write(res)
+	w.Write(tail)
 }
 
 // errBodyTooLarge is readBody's error for a body over maxBodyBytes.
@@ -697,19 +729,18 @@ func (s *Server) handleSubmit(k *jobKind) http.Handler {
 				defer cancel()
 			}
 			j.Wait(waitCtx)
-			if !j.State().Terminal() {
-				// Timed out waiting: fall back to the async envelope.
-				writeJSON(w, http.StatusAccepted, s.viewOf(j))
-				return
+			snap := j.Snapshot()
+			switch snap.State {
+			case jobs.Done:
+				s.writeView(w, http.StatusOK, snap)
+			case jobs.Failed:
+				s.writeView(w, http.StatusUnprocessableEntity, snap)
+			default: // timed out waiting: fall back to the async envelope
+				s.writeView(w, http.StatusAccepted, snap)
 			}
-			code := http.StatusOK
-			if j.State() == jobs.Failed {
-				code = http.StatusUnprocessableEntity
-			}
-			writeJSON(w, code, s.viewOf(j))
 			return
 		}
-		writeJSON(w, http.StatusAccepted, s.viewOf(j))
+		s.writeView(w, http.StatusAccepted, j.Snapshot())
 	})
 }
 
@@ -738,7 +769,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errBody(r, fmt.Sprintf("no job %q", id)))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.viewOf(j))
+	s.writeView(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
