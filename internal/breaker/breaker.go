@@ -45,9 +45,6 @@ type Config struct {
 	// OpenFor is how long the breaker stays open before half-opening;
 	// default 10 s.
 	OpenFor time.Duration
-	// Probes is the number of consecutive half-open successes required to
-	// close; default 1.
-	Probes int
 	// Now overrides the clock, for tests.
 	Now func() time.Time
 	// OnTransition, when set, observes every state change. It is called
@@ -62,9 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.OpenFor <= 0 {
 		c.OpenFor = 10 * time.Second
 	}
-	if c.Probes <= 0 {
-		c.Probes = 1
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -78,12 +72,11 @@ func (c Config) withDefaults() Config {
 type Breaker struct {
 	cfg Config
 
-	mu        sync.Mutex
-	state     State
-	failures  int  // consecutive failures while closed
-	successes int  // consecutive probe successes while half-open
-	probing   bool // a half-open probe is in flight
-	openedAt  time.Time
+	mu       sync.Mutex
+	state    State
+	failures int  // consecutive failures while closed
+	probing  bool // a half-open probe is in flight
+	openedAt time.Time
 }
 
 // New builds a breaker in the Closed state.
@@ -116,7 +109,6 @@ func (b *Breaker) Allow() bool {
 		}
 		transition = b.setStateLocked(HalfOpen)
 		b.probing = true
-		b.successes = 0
 		return true
 	default: // HalfOpen
 		if b.probing {
@@ -138,12 +130,10 @@ func (b *Breaker) Success() {
 	case Closed:
 		b.failures = 0
 	case HalfOpen:
+		// One successful probe closes the breaker.
 		b.probing = false
-		b.successes++
-		if b.successes >= b.cfg.Probes {
-			transition = b.setStateLocked(Closed)
-			b.failures = 0
-		}
+		transition = b.setStateLocked(Closed)
+		b.failures = 0
 	}
 	// A success landing while Open (a request admitted before the breaker
 	// opened) is ignored: only probes close the breaker.

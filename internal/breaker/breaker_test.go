@@ -141,25 +141,6 @@ func TestBreakerReleaseFreesProbeSlot(t *testing.T) {
 	}
 }
 
-func TestBreakerMultipleProbesToClose(t *testing.T) {
-	clk := newTestClock()
-	b := New(Config{Threshold: 1, OpenFor: time.Second, Probes: 2, Now: clk.Now})
-	b.Failure()
-	clk.Advance(2 * time.Second)
-	b.Allow()
-	b.Success()
-	if st := b.State(); st != HalfOpen {
-		t.Fatalf("state after 1 of 2 probe successes = %s, want half_open", st)
-	}
-	if !b.Allow() {
-		t.Fatal("second probe not admitted")
-	}
-	b.Success()
-	if st := b.State(); st != Closed {
-		t.Fatalf("state after 2 probe successes = %s, want closed", st)
-	}
-}
-
 func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 	b := New(Config{Threshold: 2})
 	b.Failure()

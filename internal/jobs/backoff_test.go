@@ -10,52 +10,11 @@ import (
 	"headroom/internal/retry"
 )
 
-func TestJitterSeededDeterministic(t *testing.T) {
-	seq := func(seed int64) []time.Duration {
-		q := New(Config{Workers: 1, Seed: seed})
-		defer q.Close(context.Background())
-		out := make([]time.Duration, 8)
-		for i := range out {
-			out[i] = q.jitter(100 * time.Millisecond)
-		}
-		return out
-	}
-	a, b := seq(5), seq(5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at draw %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	c := seq(6)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical jitter sequences")
-	}
-}
-
-func TestJitterStaysInHalfToFullRange(t *testing.T) {
-	q := New(Config{Workers: 1, Seed: 3})
-	defer q.Close(context.Background())
-	backoff := 80 * time.Millisecond
-	for i := 0; i < 200; i++ {
-		got := q.jitter(backoff)
-		if got < backoff/2 || got > backoff {
-			t.Fatalf("jitter(%s) = %s, want within [%s, %s]", backoff, got, backoff/2, backoff)
-		}
-	}
-}
-
 func TestRetryAbandonedWhenBackoffExceedsDeadline(t *testing.T) {
 	// The first retry's backoff cannot complete before the job deadline:
 	// rather than burn a worker sleeping toward certain failure, the queue
 	// must give up immediately with the last real error.
-	q := New(Config{Workers: 1, Timeout: 50 * time.Millisecond, Backoff: 10 * time.Second, MaxAttempts: 3})
+	q := New(Config{Workers: 1, Timeout: 10 * time.Millisecond})
 	defer q.Close(context.Background())
 
 	cause := errors.New("flaky dependency")
@@ -84,7 +43,7 @@ func TestRetryAbandonedWhenBackoffExceedsDeadline(t *testing.T) {
 func TestRetrySucceedsWithinDeadline(t *testing.T) {
 	// Sanity check against over-eager abandonment: a short backoff well
 	// inside the deadline must still retry and succeed.
-	q := New(Config{Workers: 1, Timeout: 5 * time.Second, Backoff: time.Millisecond, MaxAttempts: 3})
+	q := New(Config{Workers: 1, Timeout: 5 * time.Second})
 	defer q.Close(context.Background())
 	calls := 0
 	j, err := q.SubmitCtx(context.Background(), "t", func(ctx context.Context) (any, error) {

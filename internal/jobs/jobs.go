@@ -1,7 +1,8 @@
 // Package jobs is the async execution backbone of capserved: a bounded
-// worker pool fed by a bounded queue, with per-job deadlines, retry with
-// exponential backoff for transient failures, and job states queryable by
-// ID (pending → running → done | failed).
+// worker pool fed by a bounded queue, with per-job deadlines, retry of
+// transient failures on a fixed schedule (internal/retry's: 3 attempts,
+// jittered backoff from 50 ms, jitter seeded with 1), and job states
+// queryable by ID (pending → running → done | failed).
 //
 // The queue is deliberately generic — a job is any func(ctx) (any, error) —
 // so the server layer owns request decoding and result shaping while this
@@ -12,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -200,7 +200,11 @@ func (j *Job) finish(result any, err error) {
 	}
 }
 
-// Config sizes a Queue. Zero values take the documented defaults.
+// Config sizes a Queue. Zero values take the documented defaults. The retry
+// schedule is fixed, not configured: a job whose error is transient (see
+// retry.Transient) runs up to 3 times, sleeping a jittered 50 ms, then 100 ms,
+// between attempts (retry.Do's defaults, jitter seeded with 1); permanent
+// errors never retry.
 type Config struct {
 	// Workers is the worker-pool size; default GOMAXPROCS.
 	Workers int
@@ -210,16 +214,6 @@ type Config struct {
 	// Timeout is the per-job deadline measured from the moment a worker
 	// first picks the job up (it spans retries). Zero means no deadline.
 	Timeout time.Duration
-	// MaxAttempts bounds executions of a job whose error is transient
-	// (see retry.Transient). Default 3; permanent errors never retry.
-	MaxAttempts int
-	// Backoff is the sleep before the first retry, doubling per attempt
-	// with seeded jitter (each retry sleeps a uniform value in
-	// [Backoff/2, Backoff] of the doubled base), so synchronized retries
-	// cannot stampede the queue. Default 50 ms.
-	Backoff time.Duration
-	// Seed drives the backoff jitter deterministically; default 1.
-	Seed int64
 	// OnStateChange, when set, is invoked after every job transition
 	// (running, done, failed). Used by the server for metrics.
 	OnStateChange func(Snapshot)
@@ -231,15 +225,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -267,8 +252,7 @@ type Queue struct {
 	retired int
 	closed  bool
 
-	rngMu sync.Mutex
-	rng   *rand.Rand // seeded backoff jitter
+	jitter func(time.Duration) time.Duration // seeded backoff jitter
 
 	running atomic.Int64
 }
@@ -278,12 +262,12 @@ func New(cfg Config) *Queue {
 	cfg = cfg.withDefaults()
 	hard, kill := context.WithCancel(context.Background())
 	q := &Queue{
-		cfg:  cfg,
-		pend: make(chan *Job, cfg.QueueDepth),
-		hard: hard,
-		kill: kill,
-		jobs: make(map[string]*Job),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		cfg:    cfg,
+		pend:   make(chan *Job, cfg.QueueDepth),
+		hard:   hard,
+		kill:   kill,
+		jobs:   make(map[string]*Job),
+		jitter: retry.Seeded(1),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		q.wg.Add(1)
@@ -414,8 +398,8 @@ func (q *Queue) worker() {
 	}
 }
 
-// run executes one job, retrying transient failures with exponential
-// backoff until MaxAttempts or the job deadline.
+// run executes one job, retrying transient failures on the fixed schedule
+// until it runs out of attempts or the job deadline.
 func (q *Queue) run(j *Job) {
 	// The job keeps the submitting request's values (its trace linkage) but
 	// not its cancellation: what stops it is the queue's hard shutdown.
@@ -449,45 +433,16 @@ func (q *Queue) run(j *Job) {
 		q.retire(j)
 	}()
 
-	backoff := q.cfg.Backoff
-	for attempt := 1; ; attempt++ {
+	var result any
+	err := retry.Do(ctx, retry.Attempts, retry.Backoff, q.jitter, retry.IsTransient, nil, func(n int) error {
 		j.setRunning()
-		attemptCtx, st := obs.StartStage(ctx, "jobs.attempt", nil, obs.Int("attempt", attempt))
-		result, err := safeCall(attemptCtx, j.fn)
+		attemptCtx, st := obs.StartStage(ctx, "jobs.attempt", nil, obs.Int("attempt", n))
+		var err error
+		result, err = safeCall(attemptCtx, j.fn)
 		st.End(err)
-		if err == nil {
-			j.finish(result, nil)
-			return
-		}
-		retryable := retry.IsTransient(err) && attempt < q.cfg.MaxAttempts && ctx.Err() == nil
-		if !retryable {
-			j.finish(nil, err)
-			return
-		}
-		sleep := q.jitter(backoff)
-		// Cap cumulative retry time by the job deadline: a sleep that
-		// cannot finish before the deadline would only burn a worker, so
-		// give up now with the last real error.
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= sleep {
-			j.finish(nil, fmt.Errorf("jobs: retry abandoned after %d attempts (backoff %s exceeds job deadline): %w",
-				attempt, sleep, err))
-			return
-		}
-		select {
-		case <-time.After(sleep):
-		case <-ctx.Done():
-			j.finish(nil, fmt.Errorf("%w (after %d attempts: %w)", ctx.Err(), attempt, err))
-			return
-		}
-		backoff *= 2
-	}
-}
-
-// jitter returns a seeded half-jittered sleep in [backoff/2, backoff].
-func (q *Queue) jitter(backoff time.Duration) time.Duration {
-	q.rngMu.Lock()
-	defer q.rngMu.Unlock()
-	return retry.Jitter(q.rng, backoff)
+		return err
+	})
+	j.finish(result, err)
 }
 
 // safeCall invokes fn, converting a panic into a permanent job failure so

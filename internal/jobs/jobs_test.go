@@ -57,7 +57,7 @@ func TestGetByID(t *testing.T) {
 }
 
 func TestPermanentFailureDoesNotRetry(t *testing.T) {
-	q := New(Config{Workers: 1, MaxAttempts: 5, Backoff: time.Millisecond})
+	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
 
 	var calls atomic.Int32
@@ -79,7 +79,7 @@ func TestPermanentFailureDoesNotRetry(t *testing.T) {
 }
 
 func TestTransientFailureRetriesWithBackoff(t *testing.T) {
-	q := New(Config{Workers: 1, MaxAttempts: 3, Backoff: time.Millisecond})
+	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
 
 	var calls atomic.Int32
@@ -105,7 +105,7 @@ func TestTransientFailureRetriesWithBackoff(t *testing.T) {
 }
 
 func TestTransientFailureExhaustsAttempts(t *testing.T) {
-	q := New(Config{Workers: 1, MaxAttempts: 2, Backoff: time.Millisecond})
+	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
 
 	var calls atomic.Int32
@@ -117,8 +117,8 @@ func TestTransientFailureExhaustsAttempts(t *testing.T) {
 	if !retry.IsTransient(err) {
 		t.Fatalf("err = %v, want transient", err)
 	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("calls = %d, want MaxAttempts = 2", n)
+	if n := calls.Load(); n != retry.Attempts {
+		t.Errorf("calls = %d, want retry.Attempts = %d", n, retry.Attempts)
 	}
 }
 

@@ -1,10 +1,14 @@
 package retry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -62,11 +66,135 @@ func TestJitterBounds(t *testing.T) {
 	}
 	// A seeded rng gives a reproducible schedule.
 	rng = rand.New(rand.NewSource(7))
+	draw := Seeded(7)
 	want := []time.Duration{81362415, 96996170, 86328111, 52019363, 56065288, 61104541}
 	for i, w := range want {
 		if got := Jitter(rng, 100*time.Millisecond); got != w {
 			t.Errorf("draw %d at seed 7 = %d, pinned %d", i, got, w)
 		}
+		if got := draw(100 * time.Millisecond); got != w {
+			t.Errorf("Seeded(7) draw %d = %d, pinned %d", i, got, w)
+		}
+	}
+}
+
+// TestSeededConcurrentDraws: the job queue's workers share one Seeded draw;
+// the race detector is the judge.
+func TestSeededConcurrentDraws(t *testing.T) {
+	draw := Seeded(1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if d := draw(Backoff); d < Backoff/2 || d > Backoff {
+					t.Errorf("draw = %v, outside [%v, %v]", d, Backoff/2, Backoff)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDoContract holds Do to its rules, one row each. The jitter draw
+// records the backoff it is asked for and returns the row's draw, so no row
+// sleeps for long.
+func TestDoContract(t *testing.T) {
+	blip := Transient(errors.New("blip"))
+	fatal := errors.New("disk on fire")
+	const ms = time.Millisecond
+	tests := []struct {
+		name     string
+		attempts int
+		errs     []error       // attempt n returns errs[n-1], the last one from then on
+		deadline time.Duration // ctx deadline, none if 0
+		cancel   string        // "attempt": attempt 1 cancels ctx; "sleep": ctx is cancelled 1 ms into the first sleep
+		draw     time.Duration // what the jitter draw returns
+
+		calls   int
+		draws   []time.Duration
+		retries int     // onRetry calls
+		is      []error // errors.Is(err, each) holds; if empty, err is the last attempt's own error
+		text    string  // err's text contains it
+	}{
+		{name: "success on the first attempt", attempts: 3, errs: []error{nil}, calls: 1},
+		{name: "transient error, then success", attempts: 3, errs: []error{blip, nil},
+			calls: 2, draws: []time.Duration{50 * ms}, retries: 1},
+		{name: "permanent error, not retried", attempts: 3, errs: []error{fatal}, calls: 1},
+		{name: "attempts run out", attempts: 3, errs: []error{blip},
+			calls: 3, draws: []time.Duration{50 * ms, 100 * ms}, retries: 2},
+		{name: "context ended after an attempt: no draw, no sleep", attempts: 3, errs: []error{blip},
+			cancel: "attempt", calls: 1},
+		{name: "context cancelled during the sleep", attempts: 3, errs: []error{blip},
+			cancel: "sleep", draw: time.Hour,
+			calls: 1, draws: []time.Duration{50 * ms}, retries: 1, is: []error{context.Canceled, blip}},
+		{name: "backoff that cannot finish before the deadline", attempts: 3, errs: []error{blip},
+			deadline: time.Hour, draw: 2 * time.Hour,
+			calls: 1, draws: []time.Duration{50 * ms}, is: []error{context.DeadlineExceeded, blip}, text: "retry abandoned"},
+		{name: "backoffs double from 50 ms to the 2 s cap, one draw per retry", attempts: 10, errs: []error{blip},
+			calls: 10, draws: []time.Duration{50 * ms, 100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 2000 * ms, 2000 * ms, 2000 * ms},
+			retries: 9},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			if tt.deadline > 0 {
+				ctx, cancel = context.WithTimeout(context.Background(), tt.deadline)
+			}
+			defer cancel()
+			var draws []time.Duration
+			jitter := func(backoff time.Duration) time.Duration {
+				draws = append(draws, backoff)
+				if tt.cancel == "sleep" {
+					time.AfterFunc(ms, cancel)
+				}
+				return tt.draw
+			}
+			var calls, retries int
+			var last error
+			start := time.Now()
+			err := Do(ctx, tt.attempts, Backoff, jitter, IsTransient, func(n int, err error) {
+				retries++
+				if n != calls || err != last {
+					t.Errorf("onRetry(%d, %v) after attempt %d failed with %v", n, err, calls, last)
+				}
+			}, func(n int) error {
+				calls++
+				if n != calls {
+					t.Errorf("attempt numbered %d, want %d", n, calls)
+				}
+				if tt.cancel == "attempt" {
+					cancel()
+				}
+				last = tt.errs[min(n, len(tt.errs))-1]
+				return last
+			})
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("Do took %s: it slept a sleep it should not have", elapsed)
+			}
+			if calls != tt.calls {
+				t.Errorf("attempts = %d, want %d", calls, tt.calls)
+			}
+			if !slices.Equal(draws, tt.draws) {
+				t.Errorf("backoffs drawn = %v, want %v", draws, tt.draws)
+			}
+			if retries != tt.retries {
+				t.Errorf("onRetry calls = %d, want %d", retries, tt.retries)
+			}
+			if len(tt.is) == 0 && err != last {
+				t.Errorf("err = %v, want the last attempt's error %v itself", err, last)
+			}
+			for _, target := range tt.is {
+				if !errors.Is(err, target) {
+					t.Errorf("err = %v, want it to wrap %v", err, target)
+				}
+			}
+			if err == nil && tt.text != "" || err != nil && !strings.Contains(err.Error(), tt.text) {
+				t.Errorf("err = %v, want text containing %q", err, tt.text)
+			}
+		})
 	}
 }
 

@@ -83,8 +83,9 @@ type Config struct {
 	// backoff before they surface as pool errors. Zero disables source
 	// retries.
 	RetryAttempts int
-	// RetryBackoff is the initial source-retry backoff; default 50 ms
-	// (used only when RetryAttempts > 0).
+	// RetryBackoff is the initial source-retry backoff; zero takes
+	// headroom.RetryPolicy's default of 50 ms (used only when
+	// RetryAttempts > 0).
 	RetryBackoff time.Duration
 	// BreakerThreshold is the consecutive-job-failure count that opens an
 	// endpoint's circuit breaker; default 5, negative disables breakers.
@@ -133,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.RetryAttempts > 0 && c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -127,16 +126,14 @@ func (e *PartialError) FailedPools() []string {
 	return out
 }
 
-// RetryPolicy configures ResilientSource. Zero fields take the documented
-// defaults.
+// RetryPolicy configures ResilientSource. Zero fields take internal/retry's
+// defaults, which retry.Do applies to the job queue too.
 type RetryPolicy struct {
 	// MaxAttempts bounds stream attempts (first try included); default 3.
 	MaxAttempts int
 	// Backoff is the sleep before the first retry, doubling per attempt
-	// with seeded jitter; default 50 ms.
+	// with seeded jitter up to a fixed cap of 2 s; default 50 ms.
 	Backoff time.Duration
-	// MaxBackoff caps the per-retry sleep; default 2 s.
-	MaxBackoff time.Duration
 	// AttemptTimeout bounds each attempt. A stalled attempt is cancelled at
 	// the timeout and retried as a transient failure. Zero means no
 	// per-attempt deadline.
@@ -144,20 +141,17 @@ type RetryPolicy struct {
 	// Seed drives the backoff jitter deterministically; default 1. Sharded
 	// sources derive a distinct jitter stream per shard.
 	Seed int64
-	// OnRetry, when set, observes every retry (attempt is the attempt that
-	// just failed, starting at 1). Used for metrics.
+	// OnRetry, when set, observes every retry that will sleep (attempt is
+	// the attempt that just failed, starting at 1). Used for metrics.
 	OnRetry func(attempt int, err error)
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
+		p.MaxAttempts = retry.Attempts
 	}
 	if p.Backoff <= 0 {
-		p.Backoff = 50 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
+		p.Backoff = retry.Backoff
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -175,7 +169,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // Classification: errors marked Transient are retried, as are per-attempt
 // timeouts (AttemptTimeout) and panics are converted to permanent errors.
 // Errors returned by the consumer's emit callback and context cancellation
-// are never retried.
+// are never retried. The retries run through retry.Do, so a backoff that
+// cannot end before ctx's deadline is not slept: Stream gives up at once with
+// an error wrapping context.DeadlineExceeded and the last stream error.
 //
 // The wrapper preserves sharding: when src implements ShardedSource, each
 // shard is wrapped with the same policy (distinct jitter seed per shard), so
@@ -200,62 +196,55 @@ func (e errConsumer) Error() string { return e.err.Error() }
 
 func (r *resilientSource) Stream(ctx context.Context, emit func([]Record) error) error {
 	p := r.policy
-	rng := rand.New(rand.NewSource(p.Seed))
 	delivered := 0
-	backoff := p.Backoff
-	for attempt := 1; ; attempt++ {
-		attemptCtx := ctx
-		cancel := context.CancelFunc(func() {})
-		if p.AttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
-		}
-		skip := delivered
-		err := safeStream(attemptCtx, r.src, func(run []Record) error {
-			// Replay of an earlier attempt's records: drop them, cutting the
-			// run they end in, so the consumer sees each record exactly once.
-			n := min(skip, len(run))
-			skip -= n
-			if run = run[n:]; len(run) == 0 {
+	var ce errConsumer
+	err := retry.Do(ctx, p.MaxAttempts, p.Backoff, retry.Seeded(p.Seed),
+		func(err error) bool {
+			// An attempt-timeout expiry is a stall, retried as transient.
+			stalled := p.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded)
+			return !errors.As(err, &ce) && (stalled || IsTransient(err))
+		},
+		func(attempt int, err error) {
+			if p.OnRetry != nil {
+				p.OnRetry(attempt, err)
+			}
+			// Attribute the retry to the active shard span (if any), so a
+			// trace shows which pool's stream was retried and how often.
+			obs.ActiveSpan(ctx).AddInt("retries", 1)
+		},
+		func(int) error {
+			attemptCtx := ctx
+			cancel := context.CancelFunc(func() {})
+			if p.AttemptTimeout > 0 {
+				attemptCtx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
+			}
+			defer cancel()
+			skip := delivered
+			err := safeStream(attemptCtx, r.src, func(run []Record) error {
+				// Replay of an earlier attempt's records: drop them, cutting the
+				// run they end in, so the consumer sees each record exactly once.
+				n := min(skip, len(run))
+				skip -= n
+				if run = run[n:]; len(run) == 0 {
+					return nil
+				}
+				if err := emit(run); err != nil {
+					return errConsumer{err}
+				}
+				delivered += len(run)
 				return nil
+			})
+			// A source failing because the caller's context ended reports
+			// the context's error, not its own.
+			if err != nil && !errors.As(err, &ce) && ctx.Err() != nil {
+				return ctx.Err()
 			}
-			if err := emit(run); err != nil {
-				return errConsumer{err}
-			}
-			delivered += len(run)
-			return nil
-		})
-		cancel()
-		if err == nil {
-			return nil
-		}
-		var ce errConsumer
-		if errors.As(err, &ce) {
-			return ce.err
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		// An attempt-timeout expiry is a stall, retried as transient.
-		stalled := p.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded)
-		if attempt >= p.MaxAttempts || !(stalled || IsTransient(err)) {
 			return err
-		}
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err)
-		}
-		// Attribute the retry to the active shard span (if any), so a trace
-		// shows which pool's stream was retried and how often.
-		obs.ActiveSpan(ctx).AddInt("retries", 1)
-		sleep := retry.Jitter(rng, backoff)
-		select {
-		case <-time.After(sleep):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if backoff *= 2; backoff > p.MaxBackoff {
-			backoff = p.MaxBackoff
-		}
+		})
+	if errors.As(err, &ce) {
+		return ce.err
 	}
+	return err
 }
 
 // safeStream runs one stream attempt, converting a panic in the source into

@@ -60,7 +60,7 @@ func nRecords(n int) []headroom.Record {
 }
 
 // fastRetry keeps test retries in the microsecond range.
-var fastRetry = headroom.RetryPolicy{MaxAttempts: 3, Backoff: time.Microsecond, MaxBackoff: time.Millisecond}
+var fastRetry = headroom.RetryPolicy{MaxAttempts: 3, Backoff: time.Microsecond}
 
 func TestResilientSourceRetriesTransientExactlyOnce(t *testing.T) {
 	src := &scriptedSource{
@@ -241,6 +241,32 @@ func TestResilientSourceCancellationWins(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("retry backoff ignored context cancellation")
+	}
+}
+
+// TestResilientSourceAbandonsBackoffPastDeadline: a retry whose backoff
+// cannot end before the context's deadline is not slept toward it. Stream
+// gives up at once, with an error carrying both the deadline and the
+// stream's last error.
+func TestResilientSourceAbandonsBackoffPastDeadline(t *testing.T) {
+	lastErr := headroom.Transient(errors.New("still down"))
+	src := &scriptedSource{recs: nRecords(1), failures: []scriptedFailure{
+		{after: 0, err: lastErr}, {after: 0, err: lastErr}, {after: 0, err: lastErr},
+	}}
+	policy := fastRetry
+	policy.Backoff = 10 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := headroom.ResilientSource(src, policy).Stream(ctx, func([]headroom.Record) error { return nil })
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("Stream returned after %s: the backoff was slept toward the 200 ms deadline", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, lastErr) {
+		t.Fatalf("err = %v, want it to wrap both context.DeadlineExceeded and the last stream error", err)
+	}
+	if src.attempts != 1 {
+		t.Errorf("attempts = %d, want 1 (abandoned before the second)", src.attempts)
 	}
 }
 
