@@ -23,9 +23,10 @@ type AutoscalerConfig struct {
 	ProvisionDelayTicks int
 	// CooldownTicks is the minimum spacing between scaling decisions.
 	CooldownTicks int
-	// StepFrac is the relative size of each scaling step (default 0.1).
-	StepFrac float64
 }
+
+// stepFrac is the relative size of each scaling step.
+const stepFrac = 0.1
 
 func (c AutoscalerConfig) validate() error {
 	if c.TargetLow <= 0 || c.TargetHigh <= c.TargetLow || c.TargetHigh >= 100 {
@@ -79,10 +80,6 @@ func SimulateAutoscaler(cfg AutoscalerConfig, offered []float64, initial int, sl
 	}
 	if initial < cfg.MinServers || initial > cfg.MaxServers {
 		return AutoscaleResult{}, fmt.Errorf("baseline: initial %d outside [%d, %d]", initial, cfg.MinServers, cfg.MaxServers)
-	}
-	stepFrac := cfg.StepFrac
-	if stepFrac <= 0 {
-		stepFrac = 0.1
 	}
 
 	var res AutoscaleResult

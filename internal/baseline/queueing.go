@@ -93,9 +93,10 @@ type PlanConfig struct {
 	SLOMs float64
 	// Percentile is the SLO percentile (default 95).
 	Percentile float64
-	// MaxServers bounds the search (default 1e6).
-	MaxServers int
 }
+
+// maxPlanServers bounds PlanServers' search.
+const maxPlanServers = 1_000_000
 
 // PlanServers returns the minimal c meeting the SLO under the M/M/c model.
 // This is the queueing-theory planner of the paper's related work; its
@@ -116,15 +117,11 @@ func PlanServers(cfg PlanConfig) (int, error) {
 	if pct <= 0 {
 		pct = 95
 	}
-	maxC := cfg.MaxServers
-	if maxC <= 0 {
-		maxC = 1_000_000
-	}
 	mu := 1000 / cfg.ServiceTimeMs // req/s per server
 	budgetWait := (cfg.SLOMs - cfg.ServiceTimeMs) / 1000
 
 	cMin := int(cfg.PeakLambda/mu) + 1
-	for c := cMin; c <= maxC; c++ {
+	for c := cMin; c <= maxPlanServers; c++ {
 		m := MMc{Lambda: cfg.PeakLambda, Mu: mu, C: c}
 		w, err := m.WaitPercentile(pct)
 		if err != nil {

@@ -45,11 +45,14 @@ type Result struct {
 
 // Config controls a k-means run.
 type Config struct {
-	K             int
-	MaxIterations int   // default 100
-	Restarts      int   // independent initialisations, best inertia wins; default 5
-	Seed          int64 // deterministic random source
+	K    int
+	Seed int64 // deterministic random source
 }
+
+const (
+	maxIterations = 100 // Lloyd iterations per run
+	restarts      = 5   // independent initialisations, best inertia wins
+)
 
 // KMeans clusters points into cfg.K clusters using Lloyd's algorithm with
 // k-means++ initialisation and several restarts.
@@ -69,19 +72,11 @@ func KMeans(points []Point, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("cluster: point %d has dimension %d, want %d", i, len(p), dim)
 		}
 	}
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	restarts := cfg.Restarts
-	if restarts <= 0 {
-		restarts = 5
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var best *Result
 	for r := 0; r < restarts; r++ {
-		res := runLloyd(points, cfg.K, maxIter, rng)
+		res := runLloyd(points, cfg.K, rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
@@ -90,7 +85,7 @@ func KMeans(points []Point, cfg Config) (*Result, error) {
 }
 
 // runLloyd executes one k-means run with k-means++ seeding.
-func runLloyd(points []Point, k, maxIter int, rng *rand.Rand) *Result {
+func runLloyd(points []Point, k int, rng *rand.Rand) *Result {
 	dim := len(points[0])
 	centroids := seedPlusPlus(points, k, rng)
 	assign := make([]int, len(points))
@@ -100,7 +95,7 @@ func runLloyd(points []Point, k, maxIter int, rng *rand.Rand) *Result {
 	}
 
 	iters := 0
-	for ; iters < maxIter; iters++ {
+	for ; iters < maxIterations; iters++ {
 		changed := false
 		for i, p := range points {
 			bestC, bestD := 0, math.Inf(1)

@@ -187,7 +187,7 @@ func TestInertiaMonotoneInK(t *testing.T) {
 	points, _ := twoBlobs(40, 8)
 	prev := math.Inf(1)
 	for k := 1; k <= 4; k++ {
-		res, err := KMeans(points, Config{K: k, Seed: 20, Restarts: 8})
+		res, err := KMeans(points, Config{K: k, Seed: 20})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

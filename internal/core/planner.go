@@ -24,9 +24,6 @@ type PlanConfig struct {
 	// LatencyBudgetMs is the acceptable latency increase over each pool's
 	// current p95 operating point (the paper accepted ~5 ms on average).
 	LatencyBudgetMs float64
-	// MinR2 is the metric-validation threshold (default
-	// measure.DefaultLinearR2).
-	MinR2 float64
 	// MaxGroups bounds server-group detection per pool (default 4).
 	MaxGroups int
 	// MaxReductionFrac caps per-pool savings (default 1/3, the paper's
@@ -39,9 +36,6 @@ type PlanConfig struct {
 func (c PlanConfig) withDefaults() PlanConfig {
 	if c.LatencyBudgetMs <= 0 {
 		c.LatencyBudgetMs = 5
-	}
-	if c.MinR2 <= 0 {
-		c.MinR2 = measure.DefaultLinearR2
 	}
 	if c.MaxGroups <= 0 {
 		c.MaxGroups = 4
@@ -127,7 +121,7 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 	}
 
 	// Step 1a: validate the workload metric, refining if needed.
-	rep, err := measure.ValidateWorkloadMetric(series, cfg.MinR2)
+	rep, err := measure.ValidateWorkloadMetric(series, measure.DefaultLinearR2)
 	if err != nil {
 		return PoolPlan{}, err
 	}
@@ -139,10 +133,10 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 			plan.Reason = "metric refinement failed: " + err.Error()
 			return plan, nil
 		}
-		if ref.After >= cfg.MinR2 {
+		if ref.After >= measure.DefaultLinearR2 {
 			plan.Refined = true
 			working = ref.Clean
-			rep2, err := measure.ValidateWorkloadMetric(working, cfg.MinR2)
+			rep2, err := measure.ValidateWorkloadMetric(working, measure.DefaultLinearR2)
 			if err != nil {
 				return PoolPlan{}, err
 			}

@@ -80,12 +80,6 @@ type Config struct {
 	// per worker, hedging after 2x the worker's EWMA latency once three
 	// dispatches have been observed; negative disables hedging.
 	HedgeAfter time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// worker's circuit breaker; default 3, negative disables breakers.
-	BreakerThreshold int
-	// BreakerOpenFor is how long an open worker breaker fast-fails before
-	// probing; default 5 s.
-	BreakerOpenFor time.Duration
 	// Clock overrides time.Now for the breakers, for tests.
 	Clock func() time.Time
 	// Logger receives dispatch lifecycle events; default discard.
@@ -99,12 +93,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = time.Minute
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 5 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
@@ -183,8 +171,8 @@ func (e *WorkerError) Error() string {
 // worker is what the client keeps per peer: its breaker, the latency the
 // hedge delay adapts to, and its series of the per-peer metric families.
 type worker struct {
-	breaker     *breaker.Breaker // nil when breakers are disabled: admits everything
-	lat         stats.EWMA       // dispatch latency, the hedge delay's basis
+	breaker     *breaker.Breaker
+	lat         stats.EWMA // dispatch latency, the hedge delay's basis
 	dispatched  *prom.Counter
 	failures    *prom.Counter
 	latency     *prom.Histogram
@@ -242,6 +230,9 @@ func New(cfg Config) (*Client, error) {
 		peers:   peers,
 		workers: make(map[string]*worker, len(peers)),
 	}
+	// A worker's breaker opens after breakerThreshold consecutive failed
+	// dispatches and fast-fails for breakerOpenFor before it admits a probe.
+	const breakerThreshold, breakerOpenFor = 3, 5 * time.Second
 	reg := cfg.Registry
 	for _, p := range peers {
 		lbl := prom.Labels{"peer": p}
@@ -258,18 +249,16 @@ func New(cfg Config) (*Client, error) {
 				"Worker circuit-breaker transitions, by destination state.",
 				prom.Labels{"peer": p, "to": to.String()})
 		}
-		if cfg.BreakerThreshold > 0 {
-			w.breaker = breaker.New(breaker.Config{
-				Threshold: cfg.BreakerThreshold,
-				OpenFor:   cfg.BreakerOpenFor,
-				Now:       cfg.Clock,
-				OnTransition: func(from, to breaker.State) {
-					c.cfg.Logger.Info("dist: worker breaker transition",
-						"peer", p, "from", from.String(), "to", to.String())
-					w.transitions[to].Inc()
-				},
-			})
-		}
+		w.breaker = breaker.New(breaker.Config{
+			Threshold: breakerThreshold,
+			OpenFor:   breakerOpenFor,
+			Now:       cfg.Clock,
+			OnTransition: func(from, to breaker.State) {
+				c.cfg.Logger.Info("dist: worker breaker transition",
+					"peer", p, "from", from.String(), "to", to.String())
+				w.transitions[to].Inc()
+			},
+		})
 		reg.Gauge("capserved_dist_worker_breaker_state",
 			"Worker circuit-breaker position (0 closed, 1 open, 2 half-open).", lbl,
 			func() float64 { return float64(w.breaker.State()) })

@@ -275,7 +275,8 @@ func TestDistDispatchPermanentFailureNoReroute(t *testing.T) {
 // TestDispatchRejectsOversizedResponse: a coordinator buffers at most
 // maxResponseBytes of a worker's answer — rows are kilobytes, so more than the
 // request-side bound is a misbehaving worker. The attempt fails naming the
-// peer and the bound, and is charged to that worker's breaker.
+// peer and the bound, and is charged to that worker's breaker: three of them
+// in a row open it.
 func TestDispatchRejectsOversizedResponse(t *testing.T) {
 	leakcheck.Check(t)
 	mux := newHostMux()
@@ -283,23 +284,25 @@ func TestDispatchRejectsOversizedResponse(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(make([]byte, maxResponseBytes+1))
 	})
-	c := newTestClient(t, mux, Config{Peers: []string{"http://w1"}, BreakerThreshold: 1})
+	c := newTestClient(t, mux, Config{Peers: []string{"http://w1"}})
 
-	_, err := c.Dispatch(context.Background(), Shard{Key: "k"})
-	var se *ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("error = %v, want *ShardError", err)
-	}
-	for _, want := range []string{"http://w1", fmt.Sprintf("exceeds %d bytes", 8<<20)} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+	for i := 1; i <= 3; i++ {
+		_, err := c.Dispatch(context.Background(), Shard{Key: "k"})
+		var se *ShardError
+		if !errors.As(err, &se) {
+			t.Fatalf("dispatch %d: error = %v, want *ShardError", i, err)
+		}
+		for _, want := range []string{"http://w1", fmt.Sprintf("exceeds %d bytes", 8<<20)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("dispatch %d: error %q does not name %q", i, err, want)
+			}
 		}
 	}
 	if got := c.workers["http://w1"].breaker.State(); got != breaker.Open {
-		t.Errorf("worker breaker = %s after an oversized response at threshold 1, want open", got)
+		t.Errorf("worker breaker = %s after three oversized responses, want open", got)
 	}
-	if got := metric(t, c, peerSeries("capserved_dist_shard_failures_total", "http://w1")); got != 1 {
-		t.Errorf("failures of the worker = %d, want 1", got)
+	if got := metric(t, c, peerSeries("capserved_dist_shard_failures_total", "http://w1")); got != 3 {
+		t.Errorf("failures of the worker = %d, want 3", got)
 	}
 }
 
@@ -386,29 +389,28 @@ func TestDistDispatchBreakerSkips(t *testing.T) {
 	})
 	mux.set(order[1][len("http://"):], okWorker("good"))
 
-	c := newTestClient(t, mux, Config{
-		Peers:            peers,
-		BreakerThreshold: 1,
-		BreakerOpenFor:   time.Hour,
-	})
+	c := newTestClient(t, mux, Config{Peers: peers})
 
-	// First dispatch fails on the owner (opening its breaker) and reroutes.
-	if _, err := c.Dispatch(context.Background(), Shard{Key: "br-key"}); err != nil {
-		t.Fatal(err)
+	// The first three dispatches fail on the owner (the third opens its
+	// breaker) and reroute.
+	for i := 1; i <= 3; i++ {
+		if _, err := c.Dispatch(context.Background(), Shard{Key: "br-key"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.workers[order[0]].breaker.State() != breaker.Open {
 		t.Fatalf("owner breaker = %v, want Open", c.workers[order[0]].breaker.State())
 	}
-	// Second dispatch must skip the owner entirely.
+	// The fourth dispatch must skip the owner entirely.
 	res, err := c.Dispatch(context.Background(), Shard{Key: "br-key"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Attempts != 1 || res.Worker != order[1] {
-		t.Errorf("second dispatch: worker %s attempts %d, want %s/1", res.Worker, res.Attempts, order[1])
+		t.Errorf("fourth dispatch: worker %s attempts %d, want %s/1", res.Worker, res.Attempts, order[1])
 	}
-	if badHits.Load() != 1 {
-		t.Errorf("open-breaker worker was contacted %d times, want 1", badHits.Load())
+	if badHits.Load() != 3 {
+		t.Errorf("owner was contacted %d times, want 3", badHits.Load())
 	}
 	skips := metric(t, c, "capserved_dist_breaker_skips_total")
 	if opened := metric(t, c, fmt.Sprintf("capserved_dist_breaker_transitions_total{peer=%q,to=\"open\"}", order[0])); skips != 1 || opened != 1 {
@@ -428,13 +430,11 @@ func TestDistDispatchAllBreakersOpen(t *testing.T) {
 	mux.set("w1", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusInternalServerError)
 	})
-	c := newTestClient(t, mux, Config{
-		Peers:            []string{"http://w1"},
-		BreakerThreshold: 1,
-		BreakerOpenFor:   time.Hour,
-	})
-	if _, err := c.Dispatch(context.Background(), Shard{Key: "k"}); err == nil {
-		t.Fatal("first dispatch succeeded, want failure")
+	c := newTestClient(t, mux, Config{Peers: []string{"http://w1"}})
+	for i := 1; i <= 3; i++ {
+		if _, err := c.Dispatch(context.Background(), Shard{Key: "k"}); err == nil {
+			t.Fatalf("dispatch %d succeeded, want failure", i)
+		}
 	}
 	_, err := c.Dispatch(context.Background(), Shard{Key: "k"})
 	var se *ShardError
@@ -528,24 +528,25 @@ func BenchmarkDistDispatchOverhead(b *testing.B) {
 
 // TestDistDispatchSlowLoserNeutral forces a slow loser: the rendezvous
 // primary streams a partial body and stalls, the hedge wins, and the
-// dispatch cancels the primary mid-read. The cancelled loser must neither
-// block nor leak (leakcheck) and must not be charged a breaker failure —
-// with Threshold 1, a single misattributed Failure would open an innocent
-// worker's breaker. Uses real HTTP servers because the stall happens while
-// streaming the response body, which the loopback transport cannot model.
+// dispatch cancels the primary mid-read, three times over. The cancelled
+// loser must neither block nor leak (leakcheck) and must not be charged a
+// breaker failure — three misattributed Failures in a row would open an
+// innocent worker's breaker. Uses real HTTP servers because the stall happens
+// while streaming the response body, which the loopback transport cannot
+// model.
 func TestDistDispatchSlowLoserNeutral(t *testing.T) {
 	leakcheck.Check(t)
 
 	var slowHost atomic.Value // "host:port" of the rendezvous primary
 	slowHost.Store("")
-	slowDone := make(chan struct{})
+	slowDone := make(chan struct{}, 3)
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Host != slowHost.Load().(string) {
 			w.WriteHeader(http.StatusOK)
 			fmt.Fprint(w, "fast-winner")
 			return
 		}
-		defer close(slowDone)
+		defer func() { slowDone <- struct{}{} }()
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, "partial-")
 		w.(http.Flusher).Flush()
@@ -561,31 +562,32 @@ func TestDistDispatchSlowLoserNeutral(t *testing.T) {
 	slowHost.Store(strings.TrimPrefix(order[0], "http://"))
 
 	c, err := New(Config{
-		Peers:            peers,
-		Token:            "secret",
-		HedgeAfter:       5 * time.Millisecond,
-		BreakerThreshold: 1,
+		Peers:      peers,
+		Token:      "secret",
+		HedgeAfter: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	res, err := c.Dispatch(context.Background(), Shard{Key: "slow-loser", Index: 0, Of: 2, Body: []byte(`{}`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Hedged || res.Worker != order[1] {
-		t.Fatalf("result = worker %s hedged %v, want hedge winner %s", res.Worker, res.Hedged, order[1])
-	}
-
-	// The loser's attempt goroutine finishes after Dispatch returns; wait for
-	// the cancel to reach the stalled handler, then hold the breaker under
-	// observation long enough for the loser's accounting to land.
-	select {
-	case <-slowDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancel never reached the stalled primary")
+	// Each loser's attempt goroutine finishes after Dispatch returns; wait
+	// for the cancel to reach the stalled handler, and after the last one
+	// hold the breaker under observation long enough for the losers'
+	// accounting to land.
+	for i := 1; i <= 3; i++ {
+		res, err := c.Dispatch(context.Background(), Shard{Key: "slow-loser", Index: 0, Of: 2, Body: []byte(`{}`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Hedged || res.Worker != order[1] {
+			t.Fatalf("dispatch %d: result = worker %s hedged %v, want hedge winner %s", i, res.Worker, res.Hedged, order[1])
+		}
+		select {
+		case <-slowDone:
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancel never reached the stalled primary")
+		}
 	}
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {

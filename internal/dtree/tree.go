@@ -21,10 +21,10 @@ import (
 type Config struct {
 	MaxDepth    int // default 10
 	MinLeafSize int // minimum samples per leaf; default 5
-	// MinImpurityDecrease prunes splits whose impurity gain is below this
-	// threshold. Default 1e-7.
-	MinImpurityDecrease float64
 }
+
+// minImpurityDecrease prunes splits whose impurity gain is below it.
+const minImpurityDecrease = 1e-7
 
 func (c Config) withDefaults() Config {
 	if c.MaxDepth <= 0 {
@@ -32,9 +32,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinLeafSize <= 0 {
 		c.MinLeafSize = 5
-	}
-	if c.MinImpurityDecrease <= 0 {
-		c.MinImpurityDecrease = 1e-7
 	}
 	return c
 }
@@ -112,7 +109,7 @@ func grow(xs [][]float64, ys []float64, idx []int, cfg Config, depth int) *Node 
 		return node
 	}
 	feature, threshold, gain := bestSplit(xs, ys, idx, cfg)
-	if feature < 0 || gain < cfg.MinImpurityDecrease {
+	if feature < 0 || gain < minImpurityDecrease {
 		return node
 	}
 	var left, right []int

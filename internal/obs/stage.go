@@ -37,7 +37,7 @@ var (
 func StageSeconds(stage string) *prom.Histogram { return stageSeconds[stage] }
 
 // PoolSeconds returns the simulate/aggregate shard duration series of a pool
-// (or comma-joined pool group); the per-pool series registers on first use.
+// ("" is "unknown"); the per-pool series registers on first use.
 func PoolSeconds(pool string) *prom.Histogram {
 	if pool == "" {
 		pool = "unknown"

@@ -88,10 +88,11 @@ type Config struct {
 	// RetryAttempts > 0).
 	RetryBackoff time.Duration
 	// BreakerThreshold is the consecutive-job-failure count that opens an
-	// endpoint's circuit breaker; default 5, negative disables breakers.
+	// endpoint's circuit breaker; zero takes internal/breaker's default
+	// (5), negative disables breakers.
 	BreakerThreshold int
 	// BreakerOpenFor is how long an open breaker fast-fails before
-	// half-opening; default 10 s.
+	// half-opening; zero takes internal/breaker's default (10 s).
 	BreakerOpenFor time.Duration
 	// ReadyHighWatermark marks the server not-ready (/readyz 503) while
 	// the pending queue is at or above it; default 3/4 of the queue depth.
@@ -134,12 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 10 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
@@ -251,7 +246,7 @@ func addKind[R any](s *Server, name string, decode func([]byte) (R, error),
 			"Circuit-breaker state transitions, by destination state.",
 			prom.Labels{"kind": name, "to": to.String()})
 	}
-	if s.cfg.BreakerThreshold > 0 {
+	if s.cfg.BreakerThreshold >= 0 {
 		k.breaker = breaker.New(breaker.Config{
 			Threshold: s.cfg.BreakerThreshold,
 			OpenFor:   s.cfg.BreakerOpenFor,

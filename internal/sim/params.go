@@ -225,8 +225,6 @@ type FleetConfig struct {
 	Tick time.Duration
 	// WorkloadNoiseFrac is the relative noise on offered load per tick.
 	WorkloadNoiseFrac float64
-	// Schedule holds fleet-wide traffic events (natural experiments).
-	Schedule *workload.Schedule
 	// Seed drives every stochastic component deterministically.
 	Seed int64
 }

@@ -16,9 +16,8 @@ import (
 
 // Action is a scheduled operational change applied to one pool in one
 // datacenter at a tick. Actions model the paper's production experiments:
-// server-count reductions (§II-B2), their restoration, and deployments that
-// shift the CPU intercept or latency base (the confound observed during the
-// pool B experiment).
+// server-count changes (§II-B2) and deployments that shift the CPU intercept
+// (the confound observed during the pool B experiment).
 type Action struct {
 	Pool string
 	DC   string
@@ -26,13 +25,9 @@ type Action struct {
 	// SetServers, when positive, caps the pool's active servers in this
 	// datacenter at the given count.
 	SetServers int
-	// RestoreServers returns the pool to its nominal server count.
-	RestoreServers bool
 	// CPUInterceptDelta permanently shifts the CPU intercept from this
 	// tick on (code/data deployments).
 	CPUInterceptDelta float64
-	// LatencyDelta permanently shifts the latency base from this tick on.
-	LatencyDelta float64
 }
 
 // serverState is the immutable identity of one simulated server.
@@ -92,7 +87,7 @@ func New(cfg FleetConfig, actions ...Action) (*Simulator, error) {
 	poolIndex := make(map[string]*poolState, len(cfg.Pools))
 
 	for pi, pc := range cfg.Pools {
-		gen, err := workload.NewGenerator(pc.Traffic, cfg.DCs, cfg.Schedule, tick,
+		gen, err := workload.NewGenerator(pc.Traffic, cfg.DCs, nil, tick,
 			cfg.WorkloadNoiseFrac, deriveSeed(cfg.Seed, pc.Name, "workload"))
 		if err != nil {
 			return nil, fmt.Errorf("sim: pool %s: %w", pc.Name, err)
@@ -263,13 +258,10 @@ func (s *Simulator) stepPoolDC(ps *poolState, st *poolDCState, dcIdx, tick int) 
 	for st.nextAction < len(st.actions) && st.actions[st.nextAction].Tick <= tick {
 		a := st.actions[st.nextAction]
 		st.nextAction++
-		if a.RestoreServers {
-			st.target = len(st.servers)
-		} else if a.SetServers > 0 {
+		if a.SetServers > 0 {
 			st.target = a.SetServers
 		}
 		st.cpuDelta += a.CPUInterceptDelta
-		st.latDelta += a.LatencyDelta
 	}
 
 	// Roll pool-wide incidents at local day boundaries.

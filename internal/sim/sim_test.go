@@ -249,31 +249,6 @@ func TestCapacityActionRaisesPerServerLoad(t *testing.T) {
 	}
 }
 
-func TestRestoreServersAction(t *testing.T) {
-	s, err := New(smallFleet(5, tinyPool(10)),
-		Action{Pool: "T", DC: "DC 1", Tick: 0, SetServers: 5},
-		Action{Pool: "T", DC: "DC 1", Tick: 10, RestoreServers: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[int]int)
-	if err := s.RunContext(context.Background(), 20, func(r trace.Record) error {
-		if r.Online {
-			counts[r.Tick]++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if counts[5] != 5 {
-		t.Errorf("online at tick 5 = %d, want 5", counts[5])
-	}
-	if counts[15] != 10 {
-		t.Errorf("online at tick 15 = %d, want 10", counts[15])
-	}
-}
-
 func TestDeploymentShiftsIntercept(t *testing.T) {
 	pool := tinyPool(6)
 	pool.Response.CPUNoise = 0

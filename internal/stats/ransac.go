@@ -20,12 +20,13 @@ type RANSACConfig struct {
 	// as an inlier. When zero, a threshold is derived from the median
 	// absolute deviation of a preliminary full-data fit (2.5 * MAD).
 	InlierThreshold float64
-	// MinInlierFrac aborts the fit when the best consensus set covers less
-	// than this fraction of the data. Defaults to 0.5.
-	MinInlierFrac float64
 	// Seed for the deterministic random source.
 	Seed int64
 }
+
+// minInlierFrac aborts a fit whose best consensus set covers less than this
+// fraction of the data.
+const minInlierFrac = 0.5
 
 // RANSACResult is a robust polynomial fit together with its consensus set.
 type RANSACResult struct {
@@ -51,10 +52,6 @@ func RANSAC(xs, ys []float64, cfg RANSACConfig) (RANSACResult, error) {
 	iters := cfg.MaxIterations
 	if iters <= 0 {
 		iters = 200
-	}
-	minFrac := cfg.MinInlierFrac
-	if minFrac <= 0 {
-		minFrac = 0.5
 	}
 
 	threshold := cfg.InlierThreshold
@@ -110,9 +107,9 @@ func RANSAC(xs, ys []float64, cfg RANSACConfig) (RANSACResult, error) {
 			}
 		}
 	}
-	if float64(len(best)) < minFrac*float64(len(xs)) {
+	if float64(len(best)) < minInlierFrac*float64(len(xs)) {
 		return RANSACResult{}, fmt.Errorf("ransac: best consensus %d/%d below minimum fraction %.2f",
-			len(best), len(xs), minFrac)
+			len(best), len(xs), minInlierFrac)
 	}
 	sort.Ints(best)
 	inX := make([]float64, len(best))

@@ -72,7 +72,7 @@ func TestRANSACErrors(t *testing.T) {
 	if _, err := RANSAC([]float64{1, 2, 3}, []float64{1, 2, 3}, RANSACConfig{Degree: 2}); err == nil {
 		t.Error("too few points should error")
 	}
-	// Majority outliers: consensus below MinInlierFrac must fail.
+	// Majority outliers: consensus below minInlierFrac must fail.
 	rng := rand.New(rand.NewSource(4))
 	var xs, ys []float64
 	for i := 0; i < 40; i++ {
@@ -80,7 +80,7 @@ func TestRANSACErrors(t *testing.T) {
 		ys = append(ys, rng.Float64()*1000) // pure noise
 	}
 	if _, err := RANSAC(xs, ys, RANSACConfig{
-		Degree: 1, Seed: 3, InlierThreshold: 0.1, MinInlierFrac: 0.9,
+		Degree: 1, Seed: 3, InlierThreshold: 0.1,
 	}); err == nil {
 		t.Error("pure-noise data should fail the consensus check")
 	}

@@ -2,6 +2,7 @@ package headroom_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -13,6 +14,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -32,14 +35,29 @@ var reachAllow = map[string]string{
 
 const reachAllowMax = 8
 
+// fieldAllow names the struct fields no program writes that stay on
+// purpose, each with its reason. It holds at most fieldAllowMax entries, and
+// an entry a program writes fails the test as stale.
+var fieldAllow = map[string]string{
+	"server.Config.Clock":  "test fixture: the chaos tests advance a fake breaker clock through it",
+	"faults.Rule.Prob":     "test fixture: partial_test.go drives probability stalls through it",
+	"faults.Rule.StallFor": "test fixture: the hedging and stall tests drive slow workers through it",
+}
+
+const fieldAllowMax = 4
+
 // TestReachable type-checks every non-test package of the module, its
 // examples and cmd/capbench, and fails on each package-level declaration or
-// method that no main, init or blank-var root reaches.
+// method that no main, init or blank-var root reaches, and on each struct
+// field that no non-test code writes.
 func TestReachable(t *testing.T) {
 	if len(reachAllow) > reachAllowMax {
 		t.Errorf("allowlist has %d entries, at most %d allowed", len(reachAllow), reachAllowMax)
 	}
-	rep, err := analyzeReach([]string{".", "cmd/capbench"}, reachAllow)
+	if len(fieldAllow) > fieldAllowMax {
+		t.Errorf("field allowlist has %d entries, at most %d allowed", len(fieldAllow), fieldAllowMax)
+	}
+	rep, err := analyzeReach([]string{".", "cmd/capbench"}, reachAllow, fieldAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,22 +66,36 @@ func TestReachable(t *testing.T) {
 	for _, a := range rep.allowed {
 		t.Logf("allowlisted %s: %s", a, reachAllow[strings.Fields(a)[1]])
 	}
+	t.Logf("%d fields: %d written, %d json-tagged, %d allowlisted, %d unwritten",
+		rep.fields, rep.fields-rep.tagged-len(rep.fieldAllowed)-len(rep.unwritten), rep.tagged, len(rep.fieldAllowed), len(rep.unwritten))
+	for _, a := range rep.fieldAllowed {
+		t.Logf("allowlisted %s: %s", a, fieldAllow[strings.Fields(a)[1]])
+	}
 	for _, s := range rep.stale {
 		t.Errorf("stale allowlist entry %s", s)
 	}
 	for _, u := range rep.unreached {
 		t.Errorf("unreached: %s", u)
 	}
+	for _, u := range rep.unwritten {
+		t.Errorf("unwritten: %s", u)
+	}
 }
 
-// reachReport is what analyzeReach finds. Declarations are spelled
-// "file:line identifier", file relative to the first listed directory.
+// reachReport is what analyzeReach finds. Declarations and fields are
+// spelled "file:line identifier", file relative to the first listed
+// directory.
 type reachReport struct {
 	decls     int      // package-level declarations and methods of the program
 	unreached []string // in file order
 	lines     int      // lines the unreached declarations span, doc comments included
 	allowed   []string // allowlisted declarations, unreached as they should be
-	stale     []string // allowlist entries a root reaches, or that name nothing
+	stale     []string // allowlist entries a root reaches or a program writes, or that name nothing
+
+	fields       int      // struct fields the program declares
+	tagged       int      // fields with a json tag, which encoding/json writes
+	unwritten    []string // in file order
+	fieldAllowed []string // allowlisted fields, unwritten as they should be
 }
 
 // listedPkg is the part of `go list -json` the analysis reads.
@@ -93,8 +125,9 @@ type reachDecl struct {
 // method of a reached type that satisfies an interface of the program or
 // the standard library (Unwrap, Is and As always: errors calls them through
 // unnamed interfaces). The allowlist is checked for staleness, then added to
-// the roots.
-func analyzeReach(dirs []string, allow map[string]string) (*reachReport, error) {
+// the roots. Then every struct field must be written (fieldWrites says what
+// a write is) unless it has a json tag or fieldAllow names it.
+func analyzeReach(dirs []string, allow, fieldAllow map[string]string) (*reachReport, error) {
 	listed := map[string]*listedPkg{}
 	var order []string
 	for _, dir := range dirs {
@@ -125,9 +158,10 @@ func analyzeReach(dirs []string, allow map[string]string) (*reachReport, error) 
 		return nil, fmt.Errorf("no export data for %s", path)
 	})
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	checked := map[string]*types.Package{}
 	files := map[string][]*ast.File{}
@@ -163,6 +197,15 @@ func analyzeReach(dirs []string, allow map[string]string) (*reachReport, error) 
 		}
 	}
 
+	// position spells p with its file relative to base.
+	position := func(p token.Pos) token.Position {
+		pos := fset.Position(p)
+		if rel, err := filepath.Rel(base, pos.Filename); err == nil {
+			pos.Filename = filepath.ToSlash(rel)
+		}
+		return pos
+	}
+
 	// Nodes.
 	decls := map[types.Object]*reachDecl{}
 	var all []*reachDecl
@@ -175,13 +218,9 @@ func analyzeReach(dirs []string, allow map[string]string) (*reachReport, error) 
 		if doc != nil {
 			start = doc.Pos()
 		}
-		pos := fset.Position(id.Pos())
-		if rel, err := filepath.Rel(base, pos.Filename); err == nil {
-			pos.Filename = filepath.ToSlash(rel)
-		}
 		d := &reachDecl{
 			name:  reachName(pkg, obj),
-			pos:   pos,
+			pos:   position(id.Pos()),
 			lines: fset.Position(span.End()).Line - fset.Position(start).Line + 1,
 			obj:   obj,
 			root:  id.Name == "_",
@@ -351,20 +390,241 @@ func analyzeReach(dirs []string, allow map[string]string) (*reachReport, error) 
 	}
 	flood()
 
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i].pos, all[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Offset < b.Offset
-	})
+	slices.SortStableFunc(all, func(a, b *reachDecl) int { return posCompare(a.pos, b.pos) })
 	for _, d := range all {
 		if !reached[d] {
 			rep.unreached = append(rep.unreached, fmt.Sprintf("%s:%d %s", d.pos.Filename, d.pos.Line, d.name))
 			rep.lines += d.lines
 		}
 	}
+
+	// Fields: each one the program declares, named by its struct, must be
+	// written somewhere outside a withDefaults method. Identical unnamed
+	// struct types are one type, so their fields are declared where the
+	// first of them is, and canon maps the others' fields there.
+	type field struct {
+		name string
+		pos  token.Position
+	}
+	var fields []*types.Var
+	named := map[*types.Var]field{}
+	tagged := map[*types.Var]bool{}
+	canon := map[*types.Var]*types.Var{}
+	var unnamed []*types.Struct
+	var qual string // of the package being declared
+	var declare func(prefix string, n ast.Node)
+	declareFields := func(prefix string, n *ast.StructType) {
+		st, k := info.TypeOf(n).(*types.Struct), 0
+		for _, f := range n.Fields.List {
+			for range max(1, len(f.Names)) { // an embedded field has no names
+				v, tag := st.Field(k), st.Tag(k)
+				k++
+				name := prefix + "." + v.Name()
+				if v.Name() != "_" {
+					fields = append(fields, v)
+					named[v] = field{name, position(v.Pos())}
+					_, tagged[v] = reflect.StructTag(tag).Lookup("json")
+				}
+				declare(name, f.Type)
+			}
+		}
+	}
+	declare = func(prefix string, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					declareFields(qual+"."+n.Name.Name, st)
+				} else {
+					declare(qual+"."+n.Name.Name, n.Type)
+				}
+				return false
+			case *ast.ValueSpec:
+				if prefix == qual { // a package-level var names its unnamed structs
+					declare(qual+"."+n.Names[0].Name, n)
+					return false
+				}
+			case *ast.StructType:
+				st := info.TypeOf(n).(*types.Struct)
+				if i := slices.IndexFunc(unnamed, func(u *types.Struct) bool { return types.Identical(u, st) }); i >= 0 {
+					for k := range st.NumFields() {
+						canon[st.Field(k)] = unnamed[i].Field(k)
+					}
+				} else {
+					unnamed = append(unnamed, st)
+					declareFields(prefix, n)
+				}
+				return false
+			}
+			return true
+		})
+	}
+	written := map[*types.Var]bool{}
+	for _, path := range order {
+		pkg := listed[path]
+		qual = reachQual(pkg)
+		for _, f := range files[path] {
+			for _, decl := range f.Decls {
+				prefix := qual
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					prefix = reachName(pkg, info.Defs[fd.Name])
+				}
+				declare(prefix, decl)
+			}
+			fieldWrites(info, f, written)
+		}
+	}
+	for v := range written {
+		if c := canon[v]; c != nil {
+			written[c] = true
+		}
+	}
+	byField := map[string]*types.Var{}
+	for _, v := range fields {
+		byField[named[v].name] = v
+	}
+	names = names[:0]
+	for name := range fieldAllow {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		switch v := byField[name]; {
+		case v == nil:
+			rep.stale = append(rep.stale, name+": names no field")
+		case written[v] || tagged[v]:
+			rep.stale = append(rep.stale, name+": written")
+		default:
+			rep.fieldAllowed = append(rep.fieldAllowed, fmt.Sprintf("%s:%d %s", named[v].pos.Filename, named[v].pos.Line, name))
+			written[v] = true
+		}
+	}
+	slices.SortStableFunc(fields, func(a, b *types.Var) int { return posCompare(named[a].pos, named[b].pos) })
+	rep.fields = len(fields)
+	for _, v := range fields {
+		switch {
+		case tagged[v]:
+			rep.tagged++
+		case !written[v]:
+			rep.unwritten = append(rep.unwritten, fmt.Sprintf("%s:%d %s", named[v].pos.Filename, named[v].pos.Line, named[v].name))
+		}
+	}
 	return rep, nil
+}
+
+// fieldWrites marks in written each field f's code writes: a keyed entry
+// of a composite literal (a positional one writes every field); the operand
+// of =, op=, ++, --, & or a range clause that assigns, down through
+// selectors and array indexes that do not pass a pointer; and the operand
+// of a pointer-receiver method, which Go addresses implicitly (x.mu.Lock()).
+// A withDefaults method restates defaults and writes nothing.
+func fieldWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				if _, ok := info.TypeOf(x.X).Underlying().(*types.Array); !ok {
+					return
+				}
+				e = x.X
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil {
+					return
+				}
+				fs, operand := selWrites(sel)
+				for _, v := range fs {
+					written[v.Origin()] = true
+				}
+				if !operand {
+					return
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			return n.Recv == nil || n.Name.Name != "withDefaults"
+		case *ast.CompositeLit:
+			t := info.TypeOf(n).Underlying()
+			if p, ok := t.(*types.Pointer); ok { // an elided &T{} in []*T{{…}}
+				t = p.Elem().Underlying()
+			}
+			st, ok := t.(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						written[v.Origin()] = true
+					}
+				} else {
+					written[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				write(e)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X)
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				write(n.Key)
+				write(n.Value)
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+				write(n)
+			}
+		}
+		return true
+	})
+}
+
+// selWrites returns the fields a write through sel modifies: the field it
+// selects and the embedded fields it passes after the last pointer, or for a
+// pointer-receiver method the embedded fields alone (a value receiver
+// modifies nothing). operand reports whether the write reaches sel's
+// operand too, which it does when no pointer lies on the way.
+func selWrites(sel *types.Selection) (fields []*types.Var, operand bool) {
+	t, idx := sel.Recv(), sel.Index()
+	if sel.Kind() == types.MethodVal {
+		if _, ok := sel.Obj().(*types.Func).Signature().Recv().Type().(*types.Pointer); !ok {
+			return nil, false
+		}
+		idx = idx[:len(idx)-1]
+	}
+	operand = true
+	for _, k := range idx {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			fields, operand, t = nil, false, p.Elem()
+		}
+		v := t.Underlying().(*types.Struct).Field(k)
+		fields = append(fields, v)
+		t = v.Type()
+	}
+	if _, ok := t.Underlying().(*types.Pointer); ok && sel.Kind() == types.MethodVal {
+		return nil, false
+	}
+	return fields, operand
+}
+
+// posCompare orders positions by file, then offset.
+func posCompare(a, b token.Position) int {
+	return cmp.Or(strings.Compare(a.Filename, b.Filename), a.Offset-b.Offset)
 }
 
 // goListDeps lists the packages matched by ./... in dir and all their
@@ -399,10 +659,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // (a main package's import path instead), then the receiver's type name for
 // a method, then the identifier.
 func reachName(pkg *listedPkg, obj types.Object) string {
-	qual := pkg.Name
-	if qual == "main" {
-		qual = pkg.ImportPath
-	}
+	qual := reachQual(pkg)
 	if fn, ok := obj.(*types.Func); ok {
 		if recv := fn.Signature().Recv(); recv != nil {
 			t := recv.Type()
@@ -427,6 +684,15 @@ func reachOrigin(obj types.Object) types.Object {
 		return o.Origin()
 	}
 	return obj
+}
+
+// reachQual is the package part of a name: the package name, or a main
+// package's import path.
+func reachQual(pkg *listedPkg) string {
+	if pkg.Name == "main" {
+		return pkg.ImportPath
+	}
+	return pkg.Name
 }
 
 func reachGeneric(t types.Type) bool {

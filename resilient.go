@@ -134,10 +134,6 @@ type RetryPolicy struct {
 	// Backoff is the sleep before the first retry, doubling per attempt
 	// with seeded jitter up to a fixed cap of 2 s; default 50 ms.
 	Backoff time.Duration
-	// AttemptTimeout bounds each attempt. A stalled attempt is cancelled at
-	// the timeout and retried as a transient failure. Zero means no
-	// per-attempt deadline.
-	AttemptTimeout time.Duration
 	// Seed drives the backoff jitter deterministically; default 1. Sharded
 	// sources derive a distinct jitter stream per shard.
 	Seed int64
@@ -166,8 +162,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // deterministic across attempts — true of every source in this module (all
 // are seeded).
 //
-// Classification: errors marked Transient are retried, as are per-attempt
-// timeouts (AttemptTimeout) and panics are converted to permanent errors.
+// Classification: errors marked Transient are retried, and panics are
+// converted to permanent errors.
 // Errors returned by the consumer's emit callback and context cancellation
 // are never retried. The retries run through retry.Do, so a backoff that
 // cannot end before ctx's deadline is not slept: Stream gives up at once with
@@ -199,11 +195,7 @@ func (r *resilientSource) Stream(ctx context.Context, emit func([]Record) error)
 	delivered := 0
 	var ce errConsumer
 	err := retry.Do(ctx, p.MaxAttempts, p.Backoff, retry.Seeded(p.Seed),
-		func(err error) bool {
-			// An attempt-timeout expiry is a stall, retried as transient.
-			stalled := p.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded)
-			return !errors.As(err, &ce) && (stalled || IsTransient(err))
-		},
+		func(err error) bool { return !errors.As(err, &ce) && IsTransient(err) },
 		func(attempt int, err error) {
 			if p.OnRetry != nil {
 				p.OnRetry(attempt, err)
@@ -213,14 +205,8 @@ func (r *resilientSource) Stream(ctx context.Context, emit func([]Record) error)
 			obs.ActiveSpan(ctx).AddInt("retries", 1)
 		},
 		func(int) error {
-			attemptCtx := ctx
-			cancel := context.CancelFunc(func() {})
-			if p.AttemptTimeout > 0 {
-				attemptCtx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
-			}
-			defer cancel()
 			skip := delivered
-			err := safeStream(attemptCtx, r.src, func(run []Record) error {
+			err := safeStream(ctx, r.src, func(run []Record) error {
 				// Replay of an earlier attempt's records: drop them, cutting the
 				// run they end in, so the consumer sees each record exactly once.
 				n := min(skip, len(run))

@@ -179,37 +179,6 @@ func TestResilientSourceConsumerErrorNotRetried(t *testing.T) {
 	}
 }
 
-// stallingSource blocks until the context is cancelled on its first attempt
-// and streams cleanly on later ones.
-type stallingSource struct {
-	recs     []headroom.Record
-	attempts int
-}
-
-func (s *stallingSource) Stream(ctx context.Context, emit func([]headroom.Record) error) error {
-	s.attempts++
-	if s.attempts == 1 {
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	return emit(s.recs)
-}
-
-func TestResilientSourceAttemptTimeoutUnsticksStall(t *testing.T) {
-	src := &stallingSource{recs: nRecords(3)}
-	policy := fastRetry
-	policy.AttemptTimeout = 20 * time.Millisecond
-	rs := headroom.ResilientSource(src, policy)
-	var got int
-	err := rs.Stream(context.Background(), func(run []headroom.Record) error { got += len(run); return nil })
-	if err != nil {
-		t.Fatalf("Stream = %v, want nil after the stalled attempt is retried", err)
-	}
-	if got != 3 || src.attempts != 2 {
-		t.Errorf("records = %d attempts = %d, want 3 records over 2 attempts", got, src.attempts)
-	}
-}
-
 type panicSource struct{}
 
 func (panicSource) Stream(context.Context, func([]headroom.Record) error) error {

@@ -299,12 +299,13 @@ func simulateAs[T any](ctx context.Context, s *Session, src Source, days int, ru
 
 // end closes one stage (or shard): st.End stamps attrs and ev.Err on the
 // span and observes the duration series, and the duration it returns is the
-// one the observer's event carries.
-func (s *Session) end(st obs.Stage, ev StageEvent, attrs ...obs.Attr) {
+// one the observer's event carries and end returns.
+func (s *Session) end(st obs.Stage, ev StageEvent, attrs ...obs.Attr) time.Duration {
 	ev.Duration = st.End(ev.Err, attrs...)
 	if s.observer != nil {
 		s.observer(ev)
 	}
+	return ev.Duration
 }
 
 // isPartialErr reports whether err is a degraded (partial-results) outcome.
@@ -395,18 +396,27 @@ func aggregateAs[T any](ctx context.Context, s *Session, src Source, run ShardFu
 // flag), per-pool duration histogram and "aggregate.shard" event, and a
 // panic becomes that shard's error instead of tearing the process down.
 func runShard[T any](ctx context.Context, s *Session, sub Source, index, of int, run ShardFunc[T]) (out T, records int64, err error) {
-	pools := strings.Join(PoolNames(sub), ",")
-	ctx, st := obs.StartStage(ctx, "simulate.pool", obs.PoolSeconds(pools), obs.Str("pool", pools), obs.Int("shard", index))
+	names := PoolNames(sub)
+	pools := strings.Join(names, ",")
+	ctx, st := obs.StartStage(ctx, "simulate.pool", nil, obs.Str("pool", pools), obs.Int("shard", index))
 	defer func() {
 		if v := recover(); v != nil {
 			var none T
 			out, err = none, fmt.Errorf("headroom: shard %d panicked: %v", index, v)
 		}
 		degraded := s.partial && err != nil
-		s.end(st, StageEvent{
+		d := s.end(st, StageEvent{
 			Stage: "aggregate.shard", Pool: pools, Shard: index,
 			Records: int(records), Degraded: degraded, Err: err,
 		}, obs.Int64("records", records), obs.Bool("degraded", degraded))
+		// One series per pool, never per requested group, so the series a
+		// client can create are bounded by the fleet's pool names.
+		if len(names) == 0 {
+			names = []string{""}
+		}
+		for _, name := range names {
+			obs.PoolSeconds(name).Observe(d.Seconds())
+		}
 	}()
 	return run(ctx, sub, index, of)
 }

@@ -1,15 +1,19 @@
 package headroom_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"headroom"
 	"headroom/internal/metrics"
+	"headroom/internal/obs/prom"
 )
 
 // multiPoolFleet is a fleet with enough pools to exercise real sharding,
@@ -228,6 +232,62 @@ func TestSessionCustomSource(t *testing.T) {
 	if _, err := empty.Aggregate(ctx, nil); err == nil {
 		t.Error("Aggregate without a source should error")
 	}
+}
+
+// TestShardPoolSeriesPerPool: a shard holding several pools (A/B/D/H at two
+// shards is D | A,B,H) observes its duration once into the series of each of
+// its pools, never into a series labelled with the group, so the label
+// values a request can create are bounded by the fleet's pool names.
+func TestShardPoolSeriesPerPool(t *testing.T) {
+	ctx := context.Background()
+	pools := []string{"A", "B", "D", "H"}
+	fleet, err := headroom.FilterPools(headroom.DefaultFleet(1), pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := headroom.New(ctx, headroom.WithFleet(fleet), headroom.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := poolSeriesCounts(t)
+	if _, err := s.Simulate(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	after := poolSeriesCounts(t)
+	for _, p := range pools {
+		if d := after[p] - before[p]; d != 1 {
+			t.Errorf("pool %s: series count rose by %d, want 1", p, d)
+		}
+	}
+	for label := range after {
+		if strings.Contains(label, ",") {
+			t.Errorf("series labelled with a pool group: pool=%q", label)
+		}
+	}
+}
+
+// poolSeriesCounts scrapes the observation count of every
+// headroom_simulate_pool_duration_seconds series, by pool label.
+func poolSeriesCounts(t *testing.T) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := prom.Default.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `headroom_simulate_pool_duration_seconds_count{pool="`)
+		if !ok {
+			continue
+		}
+		label, n, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseInt(n, 10, 64)
+		if err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		counts[label] = v
+	}
+	return counts
 }
 
 // TestSessionInvalidFleetShardedError checks that an invalid fleet smuggled

@@ -1,5 +1,5 @@
 // Command reachfix is the fixture TestReachableFixture analyses: main reaches
-// lib.Code and lib.Wrap, and nothing reaches lib.Dead.
+// lib.Code, lib.Wrap and lib.Use, and nothing reaches lib.Dead.
 package main
 
 import (
@@ -13,4 +13,5 @@ func main() {
 	fmt.Println(lib.Code(1))
 	err := lib.Wrap(errors.New("cause"))
 	fmt.Println(errors.Is(err, err))
+	fmt.Println(lib.Use([]int{1, 2}))
 }
