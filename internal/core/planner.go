@@ -121,14 +121,14 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 	}
 
 	// Step 1a: validate the workload metric, refining if needed.
-	rep, err := measure.ValidateWorkloadMetric(series, measure.DefaultLinearR2)
+	rep, err := measure.ValidateWorkloadMetric(series)
 	if err != nil {
 		return PoolPlan{}, err
 	}
 	plan.Validation = rep
 	working := series
 	if cpu, err := rep.Counter("cpu"); err == nil && !cpu.Linear {
-		ref, err := measure.RefineByOutlierRemoval(series, 0)
+		ref, err := measure.RefineByOutlierRemoval(series)
 		if err != nil {
 			plan.Reason = "metric refinement failed: " + err.Error()
 			return plan, nil
@@ -136,7 +136,7 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 		if ref.After >= measure.DefaultLinearR2 {
 			plan.Refined = true
 			working = ref.Clean
-			rep2, err := measure.ValidateWorkloadMetric(working, measure.DefaultLinearR2)
+			rep2, err := measure.ValidateWorkloadMetric(working)
 			if err != nil {
 				return PoolPlan{}, err
 			}
@@ -152,7 +152,7 @@ func planPool(agg *metrics.Aggregator, key metrics.PoolKey, cfg PlanConfig) (Poo
 	if err != nil {
 		return PoolPlan{}, err
 	}
-	grouping, err := measure.GroupServers(sums, cfg.MaxGroups, 0.6, cfg.Seed)
+	grouping, err := measure.GroupServers(sums, cfg.MaxGroups, cfg.Seed)
 	if err != nil {
 		return PoolPlan{}, err
 	}

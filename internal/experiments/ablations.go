@@ -216,7 +216,7 @@ func AblationPlanners(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	blackBox := 1
 	for n := 1; n <= 5000; n++ {
-		fc, err := model.ForecastReduction(peak, n, n)
+		fc, err := model.ForecastReduction(peak, n)
 		if err != nil {
 			return nil, err
 		}

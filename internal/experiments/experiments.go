@@ -154,37 +154,30 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// fleetKey caches whole-fleet aggregations, which several figures share.
-type fleetKey struct {
-	seed int64
-	days int
-}
-
 var (
 	fleetMu    sync.Mutex
-	fleetCache = map[fleetKey]*metrics.Aggregator{}
+	fleetCache = map[int64]*metrics.Aggregator{} // by seed
 )
 
-// fleetAggregator simulates the default fleet for the given days and
-// aggregates it, caching per (seed, days) because Figures 12-14 share the
-// same fleet-day. The lock covers only the cache map, never the simulation,
-// so concurrent experiments stay cancellable; two concurrent misses both
-// simulate, deterministically producing the same aggregate (last one wins
-// the cache slot).
-func fleetAggregator(ctx context.Context, seed int64, days int) (*metrics.Aggregator, error) {
-	key := fleetKey{seed: seed, days: days}
+// fleetAggregator simulates one day of the default fleet and aggregates it,
+// caching per seed because Figures 12-14 share the same fleet-day. The lock
+// covers only the cache map, never the simulation, so concurrent
+// experiments stay cancellable; two concurrent misses both simulate,
+// deterministically producing the same aggregate (last one wins the cache
+// slot).
+func fleetAggregator(ctx context.Context, seed int64) (*metrics.Aggregator, error) {
 	fleetMu.Lock()
-	agg, ok := fleetCache[key]
+	agg, ok := fleetCache[seed]
 	fleetMu.Unlock()
 	if ok {
 		return agg, nil
 	}
-	agg, err := aggregateFleet(ctx, sim.DefaultFleet(seed), days*720)
+	agg, err := aggregateFleet(ctx, sim.DefaultFleet(seed), 720)
 	if err != nil {
 		return nil, err
 	}
 	fleetMu.Lock()
-	fleetCache[key] = agg
+	fleetCache[seed] = agg
 	fleetMu.Unlock()
 	return agg, nil
 }

@@ -42,7 +42,7 @@ func fleetServerSummaries(agg *metrics.Aggregator) ([]metrics.ServerSummary, err
 // Fig12 reproduces the CDF of per-server 95th-percentile CPU over a day.
 // Paper: ~60% of servers at p95 <= 15%, ~80% below 30%, global mean ~23%.
 func Fig12(ctx context.Context, cfg Config) (*Result, error) {
-	agg, err := fleetAggregator(ctx, cfg.Seed, 1)
+	agg, err := fleetAggregator(ctx, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func Fig13(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hist, err := stats.NewHistogram(nil, 20, 0, 100)
+	hist, err := stats.NewHistogram(nil, 100)
 	if err != nil {
 		return nil, err
 	}
@@ -104,12 +104,7 @@ func Fig13(ctx context.Context, cfg Config) (*Result, error) {
 		if r.CPUPct > 40 {
 			above40++
 		}
-		i := int(r.CPUPct / 5)
-		if i >= 20 {
-			i = 19
-		}
-		hist.Bins[i].Count++
-		hist.Total++
+		hist.Add(r.CPUPct)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -136,7 +131,7 @@ func Fig13(ctx context.Context, cfg Config) (*Result, error) {
 // Fig14 reproduces the distribution of daily server availability.
 // Paper: average 83%, most servers >= 80%, modes at 85% and 98%.
 func Fig14(ctx context.Context, cfg Config) (*Result, error) {
-	agg, err := fleetAggregator(ctx, cfg.Seed, 1)
+	agg, err := fleetAggregator(ctx, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +143,7 @@ func Fig14(ctx context.Context, cfg Config) (*Result, error) {
 	for _, s := range sums {
 		avs = append(avs, s.Availability)
 	}
-	hist, err := stats.NewHistogram(avs, 20, 0, 1)
+	hist, err := stats.NewHistogram(avs, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +257,7 @@ func Fig3(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	grouping, err := measure.GroupServers(all, 4, 0.6, cfg.Seed)
+	grouping, err := measure.GroupServers(all, 4, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +294,7 @@ func Fig2(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := measure.ValidateWorkloadMetric(series, 0)
+		rep, err := measure.ValidateWorkloadMetric(series)
 		if err != nil {
 			return nil, err
 		}

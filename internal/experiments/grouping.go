@@ -18,7 +18,7 @@ import (
 // machines (we scale the leaf size to our fleet). The paper also reports
 // 55% of pools with diurnal workloads exhibit a tightly bound CPU range.
 func GroupingTree(ctx context.Context, cfg Config) (*Result, error) {
-	agg, err := fleetAggregator(ctx, cfg.Seed, 1)
+	agg, err := fleetAggregator(ctx, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func GroupingTree(ctx context.Context, cfg Config) (*Result, error) {
 	if minLeaf < 20 {
 		minLeaf = 20
 	}
-	res, err := measure.TrainGroupClassifier(examples, 5, minLeaf, cfg.Seed)
+	res, err := measure.TrainGroupClassifier(examples, minLeaf, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -173,7 +173,7 @@ func cpuFigure(run *reductionRun) (*Result, error) {
 	forecast := origFit.Predict(redP95)
 
 	// Observed CPU near the p95 load of the reduced stage.
-	observed := meanNear(run.reduced, redP95, 0.05, func(t metrics.TickStat) float64 { return t.CPUMean })
+	observed := meanNear(run.reduced, redP95, func(t metrics.TickStat) float64 { return t.CPUMean })
 
 	res := &Result{
 		Header: []string{"stage", "fit", "R2", "N"},
@@ -201,7 +201,7 @@ func latencyFigure(run *reductionRun) (*Result, error) {
 	quad := orig.Latency
 	redP95 := stats.Percentile(loads(run.reduced), 95)
 	forecast := quad.Predict(redP95)
-	observed := meanNear(run.reduced, redP95, 0.05, func(t metrics.TickStat) float64 { return t.LatencyMean })
+	observed := meanNear(run.reduced, redP95, func(t metrics.TickStat) float64 { return t.LatencyMean })
 
 	res := &Result{
 		Header: []string{"model", "value"},
@@ -222,15 +222,19 @@ func latencyFigure(run *reductionRun) (*Result, error) {
 	return res, nil
 }
 
-// meanNear averages get(t) over windows whose load is within relTol of ref.
-func meanNear(series []metrics.TickStat, ref, relTol float64, get func(metrics.TickStat) float64) float64 {
+// nearTol is how close to a reference load, relative to it, a window's load
+// must be for meanNear to average it.
+const nearTol = 0.05
+
+// meanNear averages get(t) over windows whose load is within nearTol of ref.
+func meanNear(series []metrics.TickStat, ref float64, get func(metrics.TickStat) float64) float64 {
 	var sum float64
 	var n int
 	for _, t := range series {
 		if t.Servers == 0 {
 			continue
 		}
-		if abs(t.RPSPerServer-ref) <= relTol*ref {
+		if abs(t.RPSPerServer-ref) <= nearTol*ref {
 			sum += get(t)
 			n++
 		}
@@ -335,7 +339,7 @@ func Fig11(ctx context.Context, cfg Config) (*Result, error) {
 	origP95 := stats.Percentile(loads(rep.original), 95)
 	res.Metric("dc4_forecast_latency_ms", repQuad.Predict(repP95))
 	res.Metric("dc4_observed_latency_ms",
-		meanNear(rep.reduced, repP95, 0.05, func(t metrics.TickStat) float64 { return t.LatencyMean }))
+		meanNear(rep.reduced, repP95, func(t metrics.TickStat) float64 { return t.LatencyMean }))
 	res.Metric("dc4_baseline_latency_ms", repQuad.Predict(origP95))
 	res.Metric("dc4_rps_increase_frac", repP95/origP95-1)
 	res.Notes = append(res.Notes, "paper DC 4 replication: 59 -> 61 ms after +29% RPS/server")

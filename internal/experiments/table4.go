@@ -71,12 +71,12 @@ func Table4(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		// Step 1 gate: refine the workload metric when contaminated
 		// (pool A's background uploads).
-		rep, err := measure.ValidateWorkloadMetric(series, 0)
+		rep, err := measure.ValidateWorkloadMetric(series)
 		if err != nil {
 			return nil, err
 		}
 		if cc, err := rep.Counter("cpu"); err == nil && !cc.Linear {
-			ref, err := measure.RefineByOutlierRemoval(series, 0)
+			ref, err := measure.RefineByOutlierRemoval(series)
 			if err == nil && ref.After > ref.Before {
 				series = ref.Clean
 			}

@@ -33,7 +33,7 @@ func Fit(series []float64, ticksPerDay int) (Model, error) {
 	if ticksPerDay <= 0 {
 		return Model{}, fmt.Errorf("forecast: non-positive ticksPerDay %d", ticksPerDay)
 	}
-	if len(series) < 2*ticksPerDay {
+	if len(series)/2 < ticksPerDay { // not 2*ticksPerDay, which can overflow
 		return Model{}, fmt.Errorf("forecast: need >= 2 days of data (%d ticks), got %d",
 			2*ticksPerDay, len(series))
 	}
@@ -125,15 +125,16 @@ func (m Model) Predict(tick int) float64 {
 	return base * m.Seasonal[tod]
 }
 
+// peakMarginSigmas is the safety margin PeakOverHorizon adds to the
+// predicted peak, in residual standard deviations.
+const peakMarginSigmas = 2
+
 // PeakOverHorizon returns the maximum predicted load over [from, from+n)
-// plus a safety margin of k residual standard deviations — the number a
-// capacity planner provisions against.
-func (m Model) PeakOverHorizon(from, n int, k float64) (float64, error) {
+// plus a safety margin of peakMarginSigmas residual standard deviations —
+// the number a capacity planner provisions against.
+func (m Model) PeakOverHorizon(from, n int) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("forecast: non-positive horizon %d", n)
-	}
-	if k < 0 {
-		return 0, fmt.Errorf("forecast: negative margin factor %v", k)
 	}
 	var peak float64
 	for t := from; t < from+n; t++ {
@@ -141,7 +142,7 @@ func (m Model) PeakOverHorizon(from, n int, k float64) (float64, error) {
 			peak = v
 		}
 	}
-	return peak * (1 + k*m.ResidualStd), nil
+	return peak * (1 + peakMarginSigmas*m.ResidualStd), nil
 }
 
 // GrowthPerDay returns the fitted daily growth in absolute load units.

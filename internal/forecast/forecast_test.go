@@ -87,9 +87,9 @@ func TestPeakOverHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak, err := m.PeakOverHorizon(4*tpd, tpd, 0)
-	if err != nil {
-		t.Fatal(err)
+	var peak float64
+	for t := 4 * tpd; t < 5*tpd; t++ {
+		peak = max(peak, m.Predict(t))
 	}
 	// Day-5 peak must exceed the day-5 mean level (diurnal amplitude) and
 	// sit above the day-1 peak (growth).
@@ -97,18 +97,15 @@ func TestPeakOverHorizon(t *testing.T) {
 	if peak < day5Level {
 		t.Errorf("horizon peak %v below day-5 mean level %v", peak, day5Level)
 	}
-	withMargin, err := m.PeakOverHorizon(4*tpd, tpd, 2)
+	withMargin, err := m.PeakOverHorizon(4*tpd, tpd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withMargin <= peak {
-		t.Error("safety margin should raise the provisioning peak")
+	if m.ResidualStd <= 0 || withMargin != peak*(1+2*m.ResidualStd) {
+		t.Errorf("provisioning peak = %v, want the %v peak plus 2 residual sigmas (%v)", withMargin, peak, m.ResidualStd)
 	}
-	if _, err := m.PeakOverHorizon(0, 0, 0); err == nil {
+	if _, err := m.PeakOverHorizon(0, 0); err == nil {
 		t.Error("zero horizon should error")
-	}
-	if _, err := m.PeakOverHorizon(0, 1, -1); err == nil {
-		t.Error("negative margin should error")
 	}
 }
 
@@ -118,6 +115,9 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit(make([]float64, 100), 720); err == nil {
 		t.Error("insufficient history should error")
+	}
+	if _, err := Fit([]float64{1, 2}, 1<<62); err == nil {
+		t.Error("a day too long to double should error, not index an empty history")
 	}
 	neg := make([]float64, 1440)
 	neg[3] = -1

@@ -31,6 +31,18 @@ import (
 // considered "tight linear" and the metric validated.
 const DefaultLinearR2 = 0.9
 
+// outlierSigmas is how many clean-noise sigmas above the robust fit a window
+// must lie for RefineByOutlierRemoval to drop it as contaminated.
+const outlierSigmas = 3.5
+
+// minSilhouette is the silhouette a multi-group split must beat to displace
+// the single-group default (Figure 3's two generations score above it).
+const minSilhouette = 0.6
+
+// classifierFolds is the number of cross-validation folds behind
+// TrainGroupClassifier's scores.
+const classifierFolds = 5
+
 // CounterCorrelation is the workload↔counter relationship for one resource
 // counter, as plotted in the paper's Figure 2 panels.
 type CounterCorrelation struct {
@@ -77,13 +89,11 @@ var counterExtractors = []struct {
 }
 
 // ValidateWorkloadMetric evaluates the workload metric of a pool against
-// every resource counter. r2Threshold <= 0 selects DefaultLinearR2.
-func ValidateWorkloadMetric(series []metrics.TickStat, r2Threshold float64) (ValidationReport, error) {
+// every resource counter; a counter is linear when its R² reaches
+// DefaultLinearR2.
+func ValidateWorkloadMetric(series []metrics.TickStat) (ValidationReport, error) {
 	if len(series) < 3 {
 		return ValidationReport{}, fmt.Errorf("measure: need >= 3 windows, got %d", len(series))
-	}
-	if r2Threshold <= 0 {
-		r2Threshold = DefaultLinearR2
 	}
 	xs := make([]float64, len(series))
 	for i, t := range series {
@@ -103,7 +113,7 @@ func ValidateWorkloadMetric(series []metrics.TickStat, r2Threshold float64) (Val
 		if sd := stats.StdDev(ys); sd > 0 && !math.IsNaN(sd) {
 			if fit, err := stats.LinearRegression(xs, ys); err == nil {
 				cc.Fit = fit
-				cc.Linear = fit.R2 >= r2Threshold
+				cc.Linear = fit.R2 >= DefaultLinearR2
 			}
 			if r, err := stats.Pearson(xs, ys); err == nil {
 				cc.Pearson = r
@@ -115,7 +125,7 @@ func ValidateWorkloadMetric(series []metrics.TickStat, r2Threshold float64) (Val
 		}
 		rep.Counters = append(rep.Counters, cc)
 	}
-	rep.Valid = bestR2 >= r2Threshold
+	rep.Valid = bestR2 >= DefaultLinearR2
 	return rep, nil
 }
 
@@ -149,13 +159,10 @@ type RefineResult struct {
 // can be dense — the log-upload case hits a third of all windows — so the
 // clean-noise scale is estimated from the LOWER residual quantiles of a
 // preliminary fit, a robust line is anchored on the clean cluster, and
-// windows more than k·sigma above it are dropped. A k <= 0 selects 3.5.
-func RefineByOutlierRemoval(series []metrics.TickStat, k float64) (RefineResult, error) {
+// windows more than outlierSigmas·sigma above it are dropped.
+func RefineByOutlierRemoval(series []metrics.TickStat) (RefineResult, error) {
 	if len(series) < 10 {
 		return RefineResult{}, fmt.Errorf("measure: need >= 10 windows to refine, got %d", len(series))
-	}
-	if k <= 0 {
-		k = 3.5
 	}
 	xs := make([]float64, len(series))
 	ys := make([]float64, len(series))
@@ -195,7 +202,7 @@ func RefineByOutlierRemoval(series []metrics.TickStat, k float64) (RefineResult,
 	res := RefineResult{Before: before.R2}
 	for i, t := range series {
 		// One-sided: contamination only adds CPU, never removes it.
-		if ys[i]-robust.Model.Predict(xs[i]) > k*sigma {
+		if ys[i]-robust.Model.Predict(xs[i]) > outlierSigmas*sigma {
 			res.Removed++
 			continue
 		}
@@ -238,9 +245,9 @@ type Grouping struct {
 
 // GroupServers identifies capacity-planning groups from per-server daily
 // summaries using the (p5, p95) CPU scatter of §II-A2 (Figure 3). maxK
-// bounds the number of groups considered; minSilhouette is the score a
-// multi-group split must beat to displace the single-group default.
-func GroupServers(sums []metrics.ServerSummary, maxK int, minSilhouette float64, seed int64) (Grouping, error) {
+// bounds the number of groups considered; a multi-group split must beat
+// minSilhouette to displace the single-group default.
+func GroupServers(sums []metrics.ServerSummary, maxK int, seed int64) (Grouping, error) {
 	if len(sums) == 0 {
 		return Grouping{}, errors.New("measure: no server summaries")
 	}
@@ -292,12 +299,12 @@ type ClassifierResult struct {
 }
 
 // TrainGroupClassifier fits the §II-A2 decision tree on labelled server
-// feature vectors with k-fold cross-validation. minLeaf mirrors the paper's
-// minimum leaf size (2000 machines at production scale; callers pass a value
-// proportionate to their fleet).
-func TrainGroupClassifier(examples []PoolExample, folds, minLeaf int, seed int64) (ClassifierResult, error) {
-	if len(examples) < folds || folds < 2 {
-		return ClassifierResult{}, fmt.Errorf("measure: need >= %d examples and >= 2 folds", folds)
+// feature vectors with classifierFolds-fold cross-validation. minLeaf
+// mirrors the paper's minimum leaf size (2000 machines at production scale;
+// callers pass a value proportionate to their fleet).
+func TrainGroupClassifier(examples []PoolExample, minLeaf int, seed int64) (ClassifierResult, error) {
+	if len(examples) < classifierFolds {
+		return ClassifierResult{}, fmt.Errorf("measure: need >= %d examples", classifierFolds)
 	}
 	xs := make([][]float64, len(examples))
 	ys := make([]float64, len(examples))
@@ -309,7 +316,7 @@ func TrainGroupClassifier(examples []PoolExample, folds, minLeaf int, seed int64
 		}
 	}
 	cfg := dtree.Config{MaxDepth: 8, MinLeafSize: minLeaf}
-	kf, err := stats.KFold(len(examples), folds, seed)
+	kf, err := stats.KFold(len(examples), classifierFolds, seed)
 	if err != nil {
 		return ClassifierResult{}, fmt.Errorf("measure: %w", err)
 	}

@@ -39,7 +39,7 @@ func cleanSeries(n int, slope, intercept, noise float64, seed int64) []metrics.T
 
 func TestValidateWorkloadMetricCleanPool(t *testing.T) {
 	series := cleanSeries(300, 0.028, 1.37, 0.3, 1)
-	rep, err := ValidateWorkloadMetric(series, 0)
+	rep, err := ValidateWorkloadMetric(series)
 	if err != nil {
 		t.Fatalf("ValidateWorkloadMetric: %v", err)
 	}
@@ -74,10 +74,10 @@ func TestValidateWorkloadMetricCleanPool(t *testing.T) {
 }
 
 func TestValidateWorkloadMetricErrors(t *testing.T) {
-	if _, err := ValidateWorkloadMetric(nil, 0); err == nil {
+	if _, err := ValidateWorkloadMetric(nil); err == nil {
 		t.Error("empty series should error")
 	}
-	if _, err := ValidateWorkloadMetric(cleanSeries(2, 1, 0, 0, 1), 0); err == nil {
+	if _, err := ValidateWorkloadMetric(cleanSeries(2, 1, 0, 0, 1)); err == nil {
 		t.Error("two windows should error")
 	}
 }
@@ -92,7 +92,7 @@ func TestRefineByOutlierRemoval(t *testing.T) {
 			series[i].CPUMean += 8 + 4*rng.Float64()
 		}
 	}
-	before, err := ValidateWorkloadMetric(series, 0.95)
+	before, err := ValidateWorkloadMetric(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRefineByOutlierRemoval(t *testing.T) {
 	if cpuBefore.Linear {
 		t.Skip("contamination did not break linearity at this seed; strengthen")
 	}
-	res, err := RefineByOutlierRemoval(series, 0)
+	res, err := RefineByOutlierRemoval(series)
 	if err != nil {
 		t.Fatalf("RefineByOutlierRemoval: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestRefineByOutlierRemoval(t *testing.T) {
 }
 
 func TestRefineErrors(t *testing.T) {
-	if _, err := RefineByOutlierRemoval(cleanSeries(5, 1, 0, 0, 1), 0); err == nil {
+	if _, err := RefineByOutlierRemoval(cleanSeries(5, 1, 0, 0, 1)); err == nil {
 		t.Error("too few windows should error")
 	}
 }
@@ -141,7 +141,7 @@ func TestGroupServersTwoGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := GroupServers(sums, 4, 0.6, 7)
+	g, err := GroupServers(sums, 4, 7)
 	if err != nil {
 		t.Fatalf("GroupServers: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestGroupServersSingleGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := GroupServers(sums, 4, 0.6, 8)
+	g, err := GroupServers(sums, 4, 8)
 	if err != nil {
 		t.Fatalf("GroupServers: %v", err)
 	}
@@ -190,11 +190,11 @@ func TestGroupServersSingleGeneration(t *testing.T) {
 }
 
 func TestGroupServersErrors(t *testing.T) {
-	if _, err := GroupServers(nil, 3, 0.4, 1); err == nil {
+	if _, err := GroupServers(nil, 3, 1); err == nil {
 		t.Error("no summaries should error")
 	}
 	offline := []metrics.ServerSummary{{Server: "s1"}} // CPU.N == 0
-	if _, err := GroupServers(offline, 3, 0.4, 1); err == nil {
+	if _, err := GroupServers(offline, 3, 1); err == nil {
 		t.Error("all-offline pool should error")
 	}
 }
@@ -223,7 +223,7 @@ func TestTrainGroupClassifier(t *testing.T) {
 		examples = append(examples, BuildExamples([]metrics.ServerSummary{mkSummary(true)}, true)...)
 		examples = append(examples, BuildExamples([]metrics.ServerSummary{mkSummary(false)}, false)...)
 	}
-	res, err := TrainGroupClassifier(examples, 5, 10, 11)
+	res, err := TrainGroupClassifier(examples, 10, 11)
 	if err != nil {
 		t.Fatalf("TrainGroupClassifier: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestTrainGroupClassifier(t *testing.T) {
 }
 
 func TestTrainGroupClassifierErrors(t *testing.T) {
-	if _, err := TrainGroupClassifier(nil, 5, 10, 1); err == nil {
+	if _, err := TrainGroupClassifier(nil, 10, 1); err == nil {
 		t.Error("no examples should error")
 	}
 }
@@ -272,7 +272,7 @@ func TestBuildExamplesSkipsOffline(t *testing.T) {
 
 func TestValidationReportPearsonSign(t *testing.T) {
 	series := cleanSeries(100, 0.05, 2, 0.1, 12)
-	rep, err := ValidateWorkloadMetric(series, 0)
+	rep, err := ValidateWorkloadMetric(series)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,9 +128,9 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) setLabels(lbl string) {
 	h.le = make([]string, 0, len(h.bounds)+1)
 	for _, b := range h.bounds {
-		h.le = append(h.le, mergeLabel(lbl, "le", formatFloat(b)))
+		h.le = append(h.le, leLabel(lbl, formatFloat(b)))
 	}
-	h.le = append(h.le, mergeLabel(lbl, "le", "+Inf"))
+	h.le = append(h.le, leLabel(lbl, "+Inf"))
 }
 
 // Observe records one observation.
@@ -186,9 +186,9 @@ func writeBucket(buf *bytes.Buffer, name, lbl string, cum int64) {
 	buf.WriteByte('\n')
 }
 
-// mergeLabel inserts an extra label pair into a pre-rendered label suffix.
-func mergeLabel(lbl, k, v string) string {
-	pair := k + `="` + EscapeLabel(v) + `"`
+// leLabel inserts a bucket's le="v" pair into a pre-rendered label suffix.
+func leLabel(lbl, v string) string {
+	pair := `le="` + EscapeLabel(v) + `"`
 	if lbl == "" {
 		return "{" + pair + "}"
 	}
@@ -318,10 +318,10 @@ func (r *Registry) Gauge(name, help string, lbl Labels, fn GaugeFunc) {
 	r.family(name, help, "gauge").add(lbl, fn)
 }
 
-// CounterFunc registers a scrape-time-sampled counter series, for monotone
-// values owned elsewhere (cache hit totals).
-func (r *Registry) CounterFunc(name, help string, lbl Labels, fn GaugeFunc) {
-	r.family(name, help, "counter").add(lbl, fn)
+// CounterFunc registers an unlabelled scrape-time-sampled counter, for
+// monotone values owned elsewhere (cache hit totals).
+func (r *Registry) CounterFunc(name, help string, fn GaugeFunc) {
+	r.family(name, help, "counter").add(nil, fn)
 }
 
 // Histogram registers a histogram series with the given upper bounds.

@@ -144,7 +144,7 @@ func TestGaugeAndCounterFunc(t *testing.T) {
 	r := NewRegistry()
 	v := 3.5
 	r.Gauge("depth", "h", nil, func() float64 { return v })
-	r.CounterFunc("hits_total", "h", nil, func() float64 { return 7 })
+	r.CounterFunc("hits_total", "h", func() float64 { return 7 })
 	out := render(t, r)
 	if !strings.Contains(out, "depth 3.5") || !strings.Contains(out, "hits_total 7") {
 		t.Fatalf("sampled series missing:\n%s", out)

@@ -78,13 +78,13 @@ type Forecast struct {
 	LatencyMs float64
 }
 
-// ForecastReduction predicts the pool's operating point when the server
-// count changes from current to proposed at a fixed total workload
-// (totalRPS). This is the calculation behind the paper's "predicted the
-// 95th-perc. latency to be 31.5 ms after removing 30% of servers".
-func (m PoolModel) ForecastReduction(totalRPS float64, current, proposed int) (Forecast, error) {
-	if current <= 0 || proposed <= 0 {
-		return Forecast{}, fmt.Errorf("optimize: non-positive server count (%d -> %d)", current, proposed)
+// ForecastReduction predicts the pool's operating point when it runs
+// proposed servers at a fixed total workload (totalRPS). This is the
+// calculation behind the paper's "predicted the 95th-perc. latency to be
+// 31.5 ms after removing 30% of servers".
+func (m PoolModel) ForecastReduction(totalRPS float64, proposed int) (Forecast, error) {
+	if proposed <= 0 {
+		return Forecast{}, fmt.Errorf("optimize: non-positive server count %d", proposed)
 	}
 	if totalRPS < 0 {
 		return Forecast{}, fmt.Errorf("optimize: negative total RPS %v", totalRPS)
@@ -107,7 +107,7 @@ func (m PoolModel) MaxReduction(totalRPS float64, current int, qosLimitMs float6
 	}
 	best := current
 	for n := current - 1; n >= 1; n-- {
-		f, err := m.ForecastReduction(totalRPS, current, n)
+		f, err := m.ForecastReduction(totalRPS, n)
 		if err != nil {
 			return 0, 0, err
 		}

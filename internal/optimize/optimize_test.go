@@ -71,7 +71,7 @@ func TestForecastReductionPaperScenario(t *testing.T) {
 		Latency: stats.Polynomial{Coeffs: []float64{36.68, -0.031, 4.028e-5}},
 	}
 	total := 377.0 * 300 // p95 load at original count
-	fc, err := m.ForecastReduction(total, 300, 210)
+	fc, err := m.ForecastReduction(total, 210)
 	if err != nil {
 		t.Fatalf("ForecastReduction: %v", err)
 	}
@@ -86,10 +86,10 @@ func TestForecastReductionPaperScenario(t *testing.T) {
 	if math.Abs(fc.LatencyMs-31.66) > 0.2 {
 		t.Errorf("latency = %v, want ~31.66", fc.LatencyMs)
 	}
-	if _, err := m.ForecastReduction(total, 0, 10); err == nil {
-		t.Error("zero current should error")
+	if _, err := m.ForecastReduction(total, 0); err == nil {
+		t.Error("zero servers should error")
 	}
-	if _, err := m.ForecastReduction(-1, 10, 5); err == nil {
+	if _, err := m.ForecastReduction(-1, 5); err == nil {
 		t.Error("negative load should error")
 	}
 }
@@ -108,14 +108,14 @@ func TestMaxReduction(t *testing.T) {
 	if servers >= 300 || servers <= 0 {
 		t.Fatalf("servers = %d", servers)
 	}
-	fc, err := m.ForecastReduction(total, 300, servers)
+	fc, err := m.ForecastReduction(total, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fc.LatencyMs > 36 {
 		t.Errorf("latency at recommendation = %v, exceeds limit", fc.LatencyMs)
 	}
-	fc2, err := m.ForecastReduction(total, 300, servers-1)
+	fc2, err := m.ForecastReduction(total, servers-1)
 	if err != nil {
 		t.Fatal(err)
 	}

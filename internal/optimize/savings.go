@@ -116,7 +116,7 @@ func SizePool(series []metrics.TickStat, cfg SavingsConfig) (Sizing, error) {
 		sz.SavingsFrac = cfg.MaxReductionFrac
 		sz.Recommended = int(float64(sz.Current)*(1-sz.SavingsFrac) + 0.5)
 	}
-	fc, err := model.ForecastReduction(refTotal, sz.Current, sz.Recommended)
+	fc, err := model.ForecastReduction(refTotal, sz.Recommended)
 	if err != nil {
 		return Sizing{}, err
 	}

@@ -212,40 +212,28 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		s.Shutdown(context.Background())
 	})
 
-	// A valid-length forecast series containing a negative value passes
-	// HTTP validation but fails the fit — a deterministic failing job.
-	failing := func(mark int) string {
-		series := make([]float64, 48)
-		for i := range series {
-			series[i] = float64(100 + mark)
-		}
-		series[40] = -5
-		b, _ := json.Marshal(map[string]any{"series": series, "ticks_per_day": 24})
-		return string(b)
-	}
-
 	for i := 0; i < 2; i++ {
-		code, body := postJSON(t, ts.URL+"/v1/forecast?wait=true", failing(i))
+		code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(i+1))
 		if code != http.StatusUnprocessableEntity {
 			t.Fatalf("failing job %d = %d: %s", i, code, body)
 		}
 	}
 	waitFor(t, "breaker to open", func() bool {
-		st, _ := s.BreakerState("forecast")
+		st, _ := s.BreakerState("validate")
 		return st == breaker.Open
 	})
 
 	// Open: submissions fast-fail 503 without queueing, with Retry-After
 	// derived from the time until the half-open probe.
-	code, body := postJSON(t, ts.URL+"/v1/forecast?wait=true", failing(2))
+	code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(3))
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("fast-fail = %d: %s", code, body)
 	}
 	_, mtext := getJSON(t, ts.URL+"/metrics")
-	if n := metricValue(t, string(mtext), `capserved_breaker_fast_fails_total{kind="forecast"}`); n != 1 {
+	if n := metricValue(t, string(mtext), `capserved_breaker_fast_fails_total{kind="validate"}`); n != 1 {
 		t.Errorf("fast_fails = %v, want 1", n)
 	}
-	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="forecast",to="open"}`); n != 1 {
+	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="validate",to="open"}`); n != 1 {
 		t.Errorf("transitions to open = %v, want 1", n)
 	}
 
@@ -257,20 +245,20 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 	// After the open interval a probe is admitted; its success closes the
 	// breaker again.
 	advance(11 * time.Second)
-	good := buildForecastBody(t)
-	code, body = postJSON(t, ts.URL+"/v1/forecast?wait=true", good)
+	good := `{"pool":"B","servers":2,"loads":[100,200],"ticks_per_level":4}`
+	code, body = postJSON(t, ts.URL+"/v1/validate?wait=true", good)
 	if code != http.StatusOK {
 		t.Fatalf("probe = %d: %s", code, body)
 	}
 	waitFor(t, "breaker to close", func() bool {
-		st, _ := s.BreakerState("forecast")
+		st, _ := s.BreakerState("validate")
 		return st == breaker.Closed
 	})
 	_, mtext = getJSON(t, ts.URL+"/metrics")
-	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="forecast",to="half_open"}`); n != 1 {
+	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="validate",to="half_open"}`); n != 1 {
 		t.Errorf("transitions to half_open = %v, want 1", n)
 	}
-	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="forecast",to="closed"}`); n != 1 {
+	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="validate",to="closed"}`); n != 1 {
 		t.Errorf("transitions to closed = %v, want 1", n)
 	}
 }
@@ -293,17 +281,12 @@ func TestChaosBreakerFastFailBurstNoLeak(t *testing.T) {
 		s.Shutdown(context.Background())
 	})
 
-	series := make([]float64, 48)
-	for i := range series {
-		series[i] = 100
-	}
-	series[40] = -5
-	b, _ := json.Marshal(map[string]any{"series": series, "ticks_per_day": 24})
-	if code, body := postJSON(t, ts.URL+"/v1/forecast?wait=true", string(b)); code != http.StatusUnprocessableEntity {
+	b := failingValidateBody(1)
+	if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", b); code != http.StatusUnprocessableEntity {
 		t.Fatalf("failing job = %d: %s", code, body)
 	}
 	waitFor(t, "breaker to open", func() bool {
-		st, _ := s.BreakerState("forecast")
+		st, _ := s.BreakerState("validate")
 		return st == breaker.Open
 	})
 
@@ -313,7 +296,7 @@ func TestChaosBreakerFastFailBurstNoLeak(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], _ = postJSON(t, ts.URL+"/v1/forecast", string(b))
+			codes[i], _ = postJSON(t, ts.URL+"/v1/validate", b)
 		}(i)
 	}
 	wg.Wait()
@@ -497,7 +480,8 @@ func TestRetryAfterEdgeCases(t *testing.T) {
 }
 
 // FuzzValidateRequest fuzzes the strict request decoder: no body may panic
-// it, and any accepted request must satisfy the documented invariants.
+// it, and any accepted request must satisfy the documented invariants and
+// stay within the request limits.
 func FuzzValidateRequest(f *testing.F) {
 	f.Add(`{"pool":"A","loads":[10,20,30],"change":{"latency_delta_ms":3}}`)
 	f.Add(`{"pool":"B","servers":2,"loads":[1.5],"ticks_per_level":4,"seed":9,"change":{}}`)
@@ -507,6 +491,8 @@ func FuzzValidateRequest(f *testing.F) {
 	f.Add(`not json at all`)
 	f.Add(`{"pool":"A","loads":[10],"unknown_field":true}`)
 	f.Add(`{"pool":"A","loads":[1e308,2e308]}`)
+	f.Add(`{"pool":"B","servers":1000000,"loads":[1,2]}`)
+	f.Add(`{"pool":"B","servers":1099511627776,"loads":[1,2],"ticks_per_level":1099511627776}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req, err := decodeValidate([]byte(body))
 		if err != nil {
@@ -515,16 +501,82 @@ func FuzzValidateRequest(f *testing.F) {
 		if req.Pool == "" {
 			t.Fatalf("accepted request with empty pool: %q", body)
 		}
-		if len(req.Loads) == 0 {
-			t.Fatalf("accepted request with no loads: %q", body)
+		if len(req.Loads) < 2 {
+			t.Fatalf("accepted request with fewer than 2 loads: %q", body)
 		}
 		for i := 1; i < len(req.Loads); i++ {
 			if req.Loads[i] <= req.Loads[i-1] {
 				t.Fatalf("accepted non-ascending loads %v: %q", req.Loads, body)
 			}
 		}
-		if req.Servers < 1 || req.Seed == 0 {
+		if req.Servers < 1 || req.TicksPerLevel < 1 || req.Seed == 0 {
 			t.Fatalf("accepted request without defaults applied: %+v", req)
+		}
+		if n := float64(len(req.Loads)) * float64(req.TicksPerLevel) * float64(req.Servers); n > maxValidateRecords {
+			t.Fatalf("accepted %v records, over %d: %q", n, maxValidateRecords, body)
+		}
+	})
+}
+
+// FuzzForecastRequest: any forecast request the decoder accepts is within
+// the limits, so its fit and peak projection are bounded work.
+func FuzzForecastRequest(f *testing.F) {
+	f.Add(`{"series":[1,2,3,4],"ticks_per_day":2,"horizon_days":7}`)
+	f.Add(`{"series":[1,2],"ticks_per_day":1,"horizon_days":1000000000}`)
+	f.Add(`{"series":[1,2],"ticks_per_day":1,"horizon_days":12810238940076077}`)
+	f.Add(`{"series":[1,2],"ticks_per_day":4611686018427387904}`)
+	f.Add(`{"series":[1,-5,3,4],"ticks_per_day":2}`)
+	f.Add(`{"series":[1,2,3],"ticks_per_day":0}`)
+	f.Fuzz(func(t *testing.T, body string) {
+		req, err := decodeForecast([]byte(body))
+		if err != nil {
+			return
+		}
+		if req.TicksPerDay < 1 || req.TicksPerDay > maxTicksPerDay {
+			t.Fatalf("accepted ticks_per_day %d: %q", req.TicksPerDay, body)
+		}
+		if len(req.Series) < 2*req.TicksPerDay {
+			t.Fatalf("accepted %d samples at %d ticks a day: %q", len(req.Series), req.TicksPerDay, body)
+		}
+		for i, v := range req.Series {
+			if v < 0 {
+				t.Fatalf("accepted negative series[%d] = %v: %q", i, v, body)
+			}
+		}
+		if req.HorizonDays < 0 || req.HorizonDays > maxHorizonDays {
+			t.Fatalf("accepted horizon_days %d: %q", req.HorizonDays, body)
+		}
+	})
+}
+
+// FuzzPlanRequest: any plan request the decoder accepts is canonical and
+// within the limits.
+func FuzzPlanRequest(f *testing.F) {
+	f.Add(`{"pools":["B"],"days":1,"latency_budget_ms":5}`)
+	f.Add(`{"pools":["B"],"max_groups":9}`)
+	f.Add(`{"pools":["D"],"max_groups":1000}`)
+	f.Add(`{"max_groups":-1}`)
+	f.Add(`{"days":31}`)
+	f.Add(`{"pools":["H","A","H"],"max_reduction_frac":2}`)
+	f.Fuzz(func(t *testing.T, body string) {
+		req, err := decodePlan([]byte(body))
+		if err != nil {
+			return
+		}
+		if req.Days < 1 || req.Days > maxDays {
+			t.Fatalf("accepted days %d: %q", req.Days, body)
+		}
+		if req.MaxGroups < 0 || req.MaxGroups > maxGroups {
+			t.Fatalf("accepted max_groups %d: %q", req.MaxGroups, body)
+		}
+		if req.MaxReductionFrac < 0 || req.MaxReductionFrac > 1 {
+			t.Fatalf("accepted max_reduction_frac %v: %q", req.MaxReductionFrac, body)
+		}
+		if req.LatencyBudgetMs <= 0 || req.Seed == 0 || req.PlanSeed == 0 {
+			t.Fatalf("accepted request without defaults applied: %+v", req)
+		}
+		if !sort.StringsAreSorted(req.Pools) {
+			t.Fatalf("accepted unsorted pools %v: %q", req.Pools, body)
 		}
 	})
 }

@@ -21,9 +21,26 @@ import (
 	"headroom/internal/jobcache"
 )
 
-// maxDays bounds a single simulation job; longer horizons should be split
-// into multiple jobs.
-const maxDays = 30
+// Request limits: each bounds the work one accepted request can ask for, and
+// a request beyond one is a 400 before it reaches the queue.
+const (
+	// maxDays bounds a simulation or plan horizon; longer horizons should
+	// be split into multiple jobs.
+	maxDays = 30
+	// maxGroups bounds a plan's max_groups: grouping fits k-means for every
+	// k up to it, and its cost grows faster than linearly in k.
+	maxGroups = 8
+	// maxValidateRecords bounds loads × ticks_per_level × servers, the
+	// records each of a validation's two offline runs holds in memory
+	// (152 B each, so about 38 MB a run).
+	maxValidateRecords = 250_000
+	// maxTicksPerDay bounds a forecast's sampling density: one sample a
+	// second.
+	maxTicksPerDay = 86_400
+	// maxHorizonDays bounds a forecast's peak projection to a year, which
+	// PeakOverHorizon walks tick by tick.
+	maxHorizonDays = 366
+)
 
 // decode unmarshals strictly: unknown fields are rejected so a typoed
 // option fails loudly instead of silently planning the wrong scenario.
@@ -303,7 +320,8 @@ type PlanRequest struct {
 	LatencyBudgetMs float64 `json:"latency_budget_ms,omitempty"`
 	// PlanSeed drives clustering and robust fits; default 2.
 	PlanSeed int64 `json:"plan_seed,omitempty"`
-	// MaxGroups bounds server-group detection per pool (default 4).
+	// MaxGroups bounds server-group detection per pool (default 4, at
+	// most maxGroups).
 	MaxGroups int `json:"max_groups,omitempty"`
 	// MaxReductionFrac caps per-pool savings (default 1/3).
 	MaxReductionFrac float64 `json:"max_reduction_frac,omitempty"`
@@ -332,8 +350,8 @@ func (r *PlanRequest) resolvePlan() error {
 	if r.PlanSeed == 0 {
 		r.PlanSeed = 2
 	}
-	if r.MaxGroups < 0 {
-		return fmt.Errorf("max_groups must be >= 0, got %d", r.MaxGroups)
+	if r.MaxGroups < 0 || r.MaxGroups > maxGroups {
+		return fmt.Errorf("max_groups must be in [0, %d], got %d", maxGroups, r.MaxGroups)
 	}
 	if r.MaxReductionFrac < 0 || r.MaxReductionFrac > 1 {
 		return fmt.Errorf("max_reduction_frac must be in [0, 1], got %v", r.MaxReductionFrac)
@@ -445,9 +463,11 @@ type ValidateRequest struct {
 	Pool string `json:"pool"`
 	// Servers sizes each of the two offline pools; default 10.
 	Servers int `json:"servers,omitempty"`
-	// Loads is the per-server RPS sweep, ascending; required.
+	// Loads is the per-server RPS sweep, ascending, at least two levels;
+	// required.
 	Loads []float64 `json:"loads"`
-	// TicksPerLevel is how many windows each level runs; default 20.
+	// TicksPerLevel is how many windows each level runs; default 20. The
+	// product of the three is at most maxValidateRecords.
 	TicksPerLevel int `json:"ticks_per_level,omitempty"`
 	// Seed drives both pools deterministically; default 1.
 	Seed int64 `json:"seed,omitempty"`
@@ -472,8 +492,8 @@ func decodeValidate(body []byte) (ValidateRequest, error) {
 	if req.Servers < 1 {
 		return req, fmt.Errorf("servers must be >= 1, got %d", req.Servers)
 	}
-	if len(req.Loads) == 0 {
-		return req, fmt.Errorf("loads is required (ascending RPS/server sweep)")
+	if len(req.Loads) < 2 {
+		return req, fmt.Errorf("loads needs >= 2 levels (ascending RPS/server sweep), got %d", len(req.Loads))
 	}
 	for i, l := range req.Loads {
 		if l <= 0 {
@@ -487,12 +507,20 @@ func decodeValidate(body []byte) (ValidateRequest, error) {
 	if req.TicksPerLevel < 0 {
 		return req, fmt.Errorf("ticks_per_level must be >= 0, got %d", req.TicksPerLevel)
 	}
+	if req.TicksPerLevel == 0 {
+		req.TicksPerLevel = 20
+	}
+	// Each factor is at least 1, so dividing the bound never overflows.
+	if req.Servers > maxValidateRecords/len(req.Loads)/req.TicksPerLevel {
+		return req, fmt.Errorf("loads × ticks_per_level × servers must be <= %d, got %d × %d × %d",
+			maxValidateRecords, len(req.Loads), req.TicksPerLevel, req.Servers)
+	}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
 	// Resolve the pool now so unknown names fail the submission (400)
 	// instead of the job.
-	if _, err := headroom.NamedPool(headroom.DefaultFleet(req.Seed), req.Pool); err != nil {
+	if _, err := headroom.NamedPool(defaultFleet(), req.Pool); err != nil {
 		return req, err
 	}
 	return req, nil
@@ -505,7 +533,7 @@ type ValidateResult struct {
 }
 
 func (s *Server) computeValidate(ctx context.Context, req ValidateRequest) (any, *headroom.PartialError, error) {
-	pool, err := headroom.NamedPool(headroom.DefaultFleet(req.Seed), req.Pool)
+	pool, err := headroom.NamedPool(defaultFleet(), req.Pool)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -532,13 +560,14 @@ func (s *Server) computeValidate(ctx context.Context, req ValidateRequest) (any,
 
 // ForecastRequest parameterizes a workload-forecast job.
 type ForecastRequest struct {
-	// Series is the offered-load series, one sample per tick; required,
-	// at least two days long.
+	// Series is the offered-load series, one non-negative sample per tick;
+	// required, at least two days long.
 	Series []float64 `json:"series"`
-	// TicksPerDay is the series' sampling density; required.
+	// TicksPerDay is the series' sampling density; required, at most
+	// maxTicksPerDay.
 	TicksPerDay int `json:"ticks_per_day"`
 	// HorizonDays, when positive, adds a peak-load projection that many
-	// days ahead.
+	// days ahead; at most maxHorizonDays.
 	HorizonDays int `json:"horizon_days,omitempty"`
 }
 
@@ -547,15 +576,20 @@ func decodeForecast(body []byte) (ForecastRequest, error) {
 	if err := decode(body, &req); err != nil {
 		return req, err
 	}
-	if req.TicksPerDay <= 0 {
-		return req, fmt.Errorf("ticks_per_day must be positive, got %d", req.TicksPerDay)
+	if req.TicksPerDay <= 0 || req.TicksPerDay > maxTicksPerDay {
+		return req, fmt.Errorf("ticks_per_day must be in [1, %d], got %d", maxTicksPerDay, req.TicksPerDay)
 	}
 	if len(req.Series) < 2*req.TicksPerDay {
 		return req, fmt.Errorf("series needs >= 2 days (%d ticks), got %d",
 			2*req.TicksPerDay, len(req.Series))
 	}
-	if req.HorizonDays < 0 {
-		return req, fmt.Errorf("horizon_days must be >= 0, got %d", req.HorizonDays)
+	for i, v := range req.Series {
+		if v < 0 {
+			return req, fmt.Errorf("series[%d] must be >= 0, got %v", i, v)
+		}
+	}
+	if req.HorizonDays < 0 || req.HorizonDays > maxHorizonDays {
+		return req, fmt.Errorf("horizon_days must be in [0, %d], got %d", maxHorizonDays, req.HorizonDays)
 	}
 	return req, nil
 }
@@ -580,7 +614,7 @@ func (s *Server) computeForecast(ctx context.Context, req ForecastRequest) (any,
 	}
 	res := ForecastResult{Model: model, GrowthPerDay: model.GrowthPerDay()}
 	if req.HorizonDays > 0 {
-		peak, err := model.PeakOverHorizon(len(req.Series), req.HorizonDays*req.TicksPerDay, 2)
+		peak, err := model.PeakOverHorizon(len(req.Series), req.HorizonDays*req.TicksPerDay)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -120,8 +120,7 @@ func TestNodeMetricValuesPinned(t *testing.T) {
 	step(t, "plan", ts.URL+"/v1/plan?wait=true", `{"pools":["G"],"days":1,"seed":7}`, http.StatusOK)
 	step(t, "plan again", ts.URL+"/v1/plan?wait=true", `{"pools":["G"],"days":1,"seed":7}`, http.StatusOK)
 	step(t, "bad request", ts.URL+"/v1/plan", `{"dayz":1}`, http.StatusBadRequest)
-	// One load level decodes, and fails in the job: the sweep needs two.
-	step(t, "failing validate", ts.URL+"/v1/validate?wait=true", `{"pool":"B","loads":[100]}`, http.StatusUnprocessableEntity)
+	step(t, "failing validate", ts.URL+"/v1/validate?wait=true", failingValidateBody(1), http.StatusUnprocessableEntity)
 	step(t, "faulted simulate", ts.URL+"/v1/simulate?wait=true", `{"pools":["F"],"days":1,"seed":1}`, http.StatusUnprocessableEntity)
 	step(t, "faulted simulate", ts.URL+"/v1/simulate?wait=true", `{"pools":["F"],"days":1,"seed":2}`, http.StatusUnprocessableEntity)
 	waitFor(t, "simulate breaker to open", func() bool {

@@ -349,7 +349,7 @@ func (s *Server) initMetrics() {
 	m.sourceRetries = s.reg.Counter("capserved_source_retries_total",
 		"Record-source stream retries (transient shard failures).", nil)
 	s.reg.CounterFunc("capserved_injected_faults_total",
-		"Faults injected by the chaos fault injector (0 when disabled).", nil,
+		"Faults injected by the chaos fault injector (0 when disabled).",
 		func() float64 {
 			if s.cfg.Faults == nil {
 				return 0
@@ -357,7 +357,7 @@ func (s *Server) initMetrics() {
 			return float64(s.cfg.Faults.Injected())
 		})
 	s.reg.CounterFunc("capserved_cache_uncacheable_total",
-		"Computations whose (degraded) result was served but not cached.", nil,
+		"Computations whose (degraded) result was served but not cached.",
 		func() float64 { return float64(s.cache.Stats().Uncacheable) })
 
 	s.reg.Gauge("capserved_jobs_running", "Jobs currently executing.", nil,
@@ -367,13 +367,13 @@ func (s *Server) initMetrics() {
 	s.reg.Gauge("capserved_workers", "Worker-pool size.", nil,
 		func() float64 { return float64(s.queue.Workers()) })
 	s.reg.CounterFunc("capserved_cache_hits_total",
-		"Job submissions answered from the result cache.", nil,
+		"Job submissions answered from the result cache.",
 		func() float64 { return float64(s.cache.Stats().Hits) })
 	s.reg.CounterFunc("capserved_cache_misses_total",
-		"Job submissions that computed a fresh result.", nil,
+		"Job submissions that computed a fresh result.",
 		func() float64 { return float64(s.cache.Stats().Misses) })
 	s.reg.CounterFunc("capserved_cache_deduped_total",
-		"Job submissions that joined an identical in-flight computation.", nil,
+		"Job submissions that joined an identical in-flight computation.",
 		func() float64 { return float64(s.cache.Stats().Shared) })
 	s.reg.Gauge("capserved_cache_size", "Results currently cached.", nil,
 		func() float64 { return float64(s.cache.Stats().Size) })

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -187,7 +188,11 @@ func TestBadRequests(t *testing.T) {
 		{"negative budget", "/v1/plan", `{"latency_budget_ms":-1}`},
 		{"missing pool", "/v1/validate", `{"loads":[100]}`},
 		{"unsorted loads", "/v1/validate", `{"pool":"B","loads":[300,100]}`},
+		{"one load", "/v1/validate", `{"pool":"B","loads":[100]}`},
+		{"max groups too large", "/v1/plan", `{"pools":["B"],"max_groups":9}`},
 		{"short series", "/v1/forecast", `{"series":[1,2,3],"ticks_per_day":24}`},
+		{"negative sample", "/v1/forecast", `{"series":[1,-5,3,4],"ticks_per_day":2}`},
+		{"horizon too long", "/v1/forecast", `{"series":[1,2,3,4],"ticks_per_day":2,"horizon_days":367}`},
 		{"no ticks", "/v1/forecast", `{"series":[1,2,3]}`},
 		{"not json", "/v1/plan", `days=1`},
 	}
@@ -346,20 +351,16 @@ func TestForecastEndpoint(t *testing.T) {
 	}
 }
 
+// failingValidateBody is a validate request that decodes but fails its job:
+// its change makes the pool's CPU slope negative. Each seed is its own cache
+// key.
+func failingValidateBody(seed int) string {
+	return fmt.Sprintf(`{"pool":"B","loads":[100,200],"seed":%d,"change":{"cpu_slope_frac":-2}}`, seed)
+}
+
 func TestFailedJobReports422OnWait(t *testing.T) {
 	_, ts := newTestServer(t)
-	// Validate a pool that exists but with loads far beyond anything the
-	// ten-server pool can serve still succeeds, so instead drive a failure
-	// through forecast: a valid-length series containing a negative value
-	// passes HTTP validation width checks but fails the fit.
-	var series []float64
-	for i := 0; i < 48; i++ {
-		series = append(series, 100)
-	}
-	series[40] = -5
-	req := map[string]any{"series": series, "ticks_per_day": 24}
-	b, _ := json.Marshal(req)
-	code, body := postJSON(t, ts.URL+"/v1/forecast?wait=true", string(b))
+	code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(1))
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("code = %d, want 422: %s", code, body)
 	}

@@ -19,34 +19,36 @@ type Histogram struct {
 	Total int
 }
 
-// NewHistogram builds a histogram of xs with n equal-width bins spanning
-// [lo, hi]. Values outside the range are clamped into the edge bins, which
-// matches how the paper buckets CPU utilisation (0..100%).
-func NewHistogram(xs []float64, n int, lo, hi float64) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("histogram: non-positive bin count %d", n)
+// histogramBins is the number of bins NewHistogram divides its range into:
+// 5-point CPU buckets over 0..100%, as the paper's Figure 13 draws them.
+const histogramBins = 20
+
+// NewHistogram builds a histogram of xs with histogramBins equal-width bins
+// spanning [0, hi]. Values outside the range are clamped into the edge bins,
+// which matches how the paper buckets CPU utilisation (0..100%).
+func NewHistogram(xs []float64, hi float64) (*Histogram, error) {
+	if hi <= 0 {
+		return nil, fmt.Errorf("histogram: empty range [0, %v]", hi)
 	}
-	if hi <= lo {
-		return nil, fmt.Errorf("histogram: empty range [%v, %v]", lo, hi)
-	}
-	h := &Histogram{Bins: make([]Bin, n)}
-	w := (hi - lo) / float64(n)
+	h := &Histogram{Bins: make([]Bin, histogramBins)}
+	w := hi / histogramBins
 	for i := range h.Bins {
-		h.Bins[i].Lo = lo + float64(i)*w
-		h.Bins[i].Hi = lo + float64(i+1)*w
+		h.Bins[i].Lo = float64(i) * w
+		h.Bins[i].Hi = float64(i+1) * w
 	}
 	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		h.Bins[i].Count++
-		h.Total++
+		h.Add(x)
 	}
 	return h, nil
+}
+
+// Add counts x into its bin, clamped into the edge bins. Bins[0].Hi is the
+// bin width.
+func (h *Histogram) Add(x float64) {
+	i := int(x / h.Bins[0].Hi)
+	i = max(0, min(i, len(h.Bins)-1))
+	h.Bins[i].Count++
+	h.Total++
 }
 
 // ECDF is an empirical cumulative distribution function.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -46,10 +47,20 @@ var fieldAllow = map[string]string{
 
 const fieldAllowMax = 4
 
+// paramAllow names the parameters every program call sets to one constant
+// that stay on purpose, each with its reason. It holds at most paramAllowMax
+// entries, and an entry that names no such parameter fails the test as stale.
+var paramAllow = map[string]string{
+	"headroom.Session.Aggregate src": "capbench compiles against Aggregate(ctx, nil); library callers pass a trace or synth source",
+}
+
+const paramAllowMax = 2
+
 // TestReachable type-checks every non-test package of the module, its
 // examples and cmd/capbench, and fails on each package-level declaration or
-// method that no main, init or blank-var root reaches, and on each struct
-// field that no non-test code writes.
+// method that no main, init or blank-var root reaches, on each struct field
+// that no non-test code writes, and on each parameter that two or more
+// non-test calls all set to one constant.
 func TestReachable(t *testing.T) {
 	if len(reachAllow) > reachAllowMax {
 		t.Errorf("allowlist has %d entries, at most %d allowed", len(reachAllow), reachAllowMax)
@@ -57,7 +68,10 @@ func TestReachable(t *testing.T) {
 	if len(fieldAllow) > fieldAllowMax {
 		t.Errorf("field allowlist has %d entries, at most %d allowed", len(fieldAllow), fieldAllowMax)
 	}
-	rep, err := analyzeReach([]string{".", "cmd/capbench"}, reachAllow, fieldAllow)
+	if len(paramAllow) > paramAllowMax {
+		t.Errorf("parameter allowlist has %d entries, at most %d allowed", len(paramAllow), paramAllowMax)
+	}
+	rep, err := analyzeReach([]string{".", "cmd/capbench"}, reachAllow, fieldAllow, paramAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +85,12 @@ func TestReachable(t *testing.T) {
 	for _, a := range rep.fieldAllowed {
 		t.Logf("allowlisted %s: %s", a, fieldAllow[strings.Fields(a)[1]])
 	}
+	t.Logf("%d parameters: %d exempt, %d with fewer than two calls, %d varied, %d allowlisted, %d fixed",
+		rep.params, rep.exempt, rep.fewCalls, rep.params-rep.exempt-rep.fewCalls-len(rep.paramAllowed)-len(rep.fixed), len(rep.paramAllowed), len(rep.fixed))
+	for _, a := range rep.paramAllowed {
+		f := strings.Fields(a)
+		t.Logf("allowlisted %s: %s", a, paramAllow[f[1]+" "+f[2]])
+	}
 	for _, s := range rep.stale {
 		t.Errorf("stale allowlist entry %s", s)
 	}
@@ -79,6 +99,9 @@ func TestReachable(t *testing.T) {
 	}
 	for _, u := range rep.unwritten {
 		t.Errorf("unwritten: %s", u)
+	}
+	for _, u := range rep.fixed {
+		t.Errorf("fixed by every caller: %s", u)
 	}
 }
 
@@ -96,6 +119,12 @@ type reachReport struct {
 	tagged       int      // fields with a json tag, which encoding/json writes
 	unwritten    []string // in file order
 	fieldAllowed []string // allowlisted fields, unwritten as they should be
+
+	params       int      // named parameters of the program's functions and methods
+	exempt       int      // of a function used as a value or a method an interface reaches, or variadic
+	fewCalls     int      // of a function with fewer than two non-test calls
+	fixed        []string // "file:line pkg.Func param = value", in file order
+	paramAllowed []string // allowlisted parameters, fixed as they should be
 }
 
 // listedPkg is the part of `go list -json` the analysis reads.
@@ -126,8 +155,10 @@ type reachDecl struct {
 // the standard library (Unwrap, Is and As always: errors calls them through
 // unnamed interfaces). The allowlist is checked for staleness, then added to
 // the roots. Then every struct field must be written (fieldWrites says what
-// a write is) unless it has a json tag or fieldAllow names it.
-func analyzeReach(dirs []string, allow, fieldAllow map[string]string) (*reachReport, error) {
+// a write is) unless it has a json tag or fieldAllow names it, and no
+// parameter may be fixed (fixedParam says what that is) unless paramAllow
+// names it.
+func analyzeReach(dirs []string, allow, fieldAllow, paramAllow map[string]string) (*reachReport, error) {
 	listed := map[string]*listedPkg{}
 	var order []string
 	for _, dir := range dirs {
@@ -509,7 +540,153 @@ func analyzeReach(dirs []string, allow, fieldAllow map[string]string) (*reachRep
 			rep.unwritten = append(rep.unwritten, fmt.Sprintf("%s:%d %s", named[v].pos.Filename, named[v].pos.Line, named[v].name))
 		}
 	}
+
+	// Parameters: each call of a program function, and each use of one that
+	// is not a call, from every file; then each declaration's parameters.
+	calls := map[types.Object][]*ast.CallExpr{}
+	valued := map[types.Object]bool{}
+	for _, path := range order {
+		for _, f := range files[path] {
+			funcCalls(info, f, calls, valued)
+		}
+	}
+	allowSeen := map[string]bool{}
+	for _, d := range all { // in file order
+		if _, ok := d.syn.(*ast.FuncDecl); !ok {
+			continue
+		}
+		fn := d.obj.(*types.Func)
+		sig := fn.Signature()
+		exempt := valued[fn]
+		if recv := sig.Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			exempt = exempt || satisfies(t, fn.Name())
+		}
+		for i := range sig.Params().Len() {
+			v := sig.Params().At(i)
+			if v.Name() == "" || v.Name() == "_" {
+				continue
+			}
+			rep.params++
+			val := fixedParam(info, sig, i, calls[fn])
+			switch key := d.name + " " + v.Name(); {
+			case exempt || sig.Variadic() && i == sig.Params().Len()-1:
+				rep.exempt++
+			case len(calls[fn]) < 2:
+				rep.fewCalls++
+			case val != "":
+				pos := position(v.Pos())
+				line := fmt.Sprintf("%s:%d %s = %s", pos.Filename, pos.Line, key, val)
+				if _, ok := paramAllow[key]; ok {
+					rep.paramAllowed = append(rep.paramAllowed, line)
+					allowSeen[key] = true
+				} else {
+					rep.fixed = append(rep.fixed, line)
+				}
+			}
+		}
+	}
+	names = names[:0]
+	for name := range paramAllow {
+		if !allowSeen[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rep.stale = append(rep.stale, name+": not fixed")
+	}
 	return rep, nil
+}
+
+// funcCalls records in calls each call f makes to a declared function or
+// method, by its origin, and in valued each function f uses other than by
+// calling it: passed, assigned, or named as a method value or expression.
+func funcCalls(info *types.Info, f *ast.File, calls map[types.Object][]*ast.CallExpr, valued map[types.Object]bool) {
+	callee := map[*ast.Ident]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if id := calleeIdent(info, n.Fun); id != nil {
+				if fn, ok := info.Uses[id].(*types.Func); ok {
+					calls[fn.Origin()] = append(calls[fn.Origin()], n)
+					callee[id] = true
+				}
+			}
+		case *ast.Ident:
+			if fn, ok := info.Uses[n].(*types.Func); ok && !callee[n] {
+				valued[fn.Origin()] = true
+			}
+		}
+		return true
+	})
+}
+
+// calleeIdent is the identifier naming the function a call's fun
+// expression calls directly, or nil (a method expression T.M shifts the
+// arguments by its receiver, so it counts as a use, not a call).
+func calleeIdent(info *types.Info, fun ast.Expr) *ast.Ident {
+	for {
+		switch x := fun.(type) {
+		case *ast.ParenExpr:
+			fun = x.X
+		case *ast.IndexExpr: // an instantiation f[T]
+			fun = x.X
+		case *ast.IndexListExpr:
+			fun = x.X
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodExpr {
+				return nil
+			}
+			return x.Sel
+		default:
+			return nil
+		}
+	}
+}
+
+// fixedParam returns the one value all calls pass as parameter i of sig,
+// or "" if they pass different values or a value that is not a constant. A
+// value is a go/constant value or nil; a call that spreads a multi-valued
+// call over the parameters passes no constant.
+func fixedParam(info *types.Info, sig *types.Signature, i int, calls []*ast.CallExpr) string {
+	var first types.TypeAndValue
+	for k, c := range calls {
+		if i >= len(c.Args) || len(c.Args) != sig.Params().Len() && !sig.Variadic() {
+			return ""
+		}
+		tv := info.Types[c.Args[i]]
+		switch {
+		case tv.Value == nil && !tv.IsNil():
+			return ""
+		case k == 0:
+			first = tv
+		case tv.IsNil() != first.IsNil() || tv.Value != nil && !sameConstant(tv.Value, first.Value):
+			return ""
+		}
+	}
+	switch {
+	case first.IsNil():
+		return "nil"
+	case first.Value != nil:
+		return first.Value.String()
+	}
+	return "" // no calls
+}
+
+// sameConstant reports whether a and b are one value; an integer and a
+// float compare as numbers.
+func sameConstant(a, b constant.Value) bool {
+	num := func(k constant.Kind) bool { return k == constant.Int || k == constant.Float }
+	if a.Kind() != b.Kind() && !(num(a.Kind()) && num(b.Kind())) {
+		return false
+	}
+	return constant.Compare(a, token.EQL, b)
 }
 
 // fieldWrites marks in written each field f's code writes: a keyed entry

@@ -8,3 +8,9 @@ func TestUse(t *testing.T) {
 		t.Fatal("TestOnly not set")
 	}
 }
+
+func TestTestVaried(t *testing.T) {
+	if TestVaried(2) != 2 {
+		t.Fatal("TestVaried(2) != 2")
+	}
+}

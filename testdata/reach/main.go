@@ -1,5 +1,5 @@
 // Command reachfix is the fixture TestReachableFixture analyses: main reaches
-// lib.Code, lib.Wrap and lib.Use, and nothing reaches lib.Dead.
+// lib.Code, lib.Wrap, lib.Use and lib.Params, and nothing reaches lib.Dead.
 package main
 
 import (
@@ -14,4 +14,5 @@ func main() {
 	err := lib.Wrap(errors.New("cause"))
 	fmt.Println(errors.Is(err, err))
 	fmt.Println(lib.Use([]int{1, 2}))
+	fmt.Println(lib.Params())
 }
