@@ -190,7 +190,7 @@ func aggregateFleet(ctx context.Context, cfg sim.FleetConfig, ticks int, actions
 	if err != nil {
 		return nil, err
 	}
-	agg := metrics.NewAggregator()
+	agg := metrics.NewAggregatorFor(ticks)
 	if err := s.RunSteps(ctx, ticks, func(step []trace.Record) error { agg.AddAll(step); return nil }); err != nil {
 		return nil, err
 	}

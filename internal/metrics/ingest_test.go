@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"headroom/internal/trace"
@@ -24,16 +25,16 @@ func referenceAdd(pools map[PoolKey]*poolAcc, r trace.Record) {
 		p.servers[r.Server] = s
 	}
 	s.windows++
-	if !r.Online {
-		return
-	}
-	s.online++
-	s.cpu = append(s.cpu, r.CPUPct)
 	t := p.ticks[r.Tick]
 	if t == nil {
 		t = &tickAcc{}
 		p.ticks[r.Tick] = t
 	}
+	if !r.Online {
+		return
+	}
+	s.online++
+	s.cpu = append(s.cpu, r.CPUPct)
 	t.servers++
 	t.rps += r.RPS
 	t.cpu += r.CPUPct
@@ -264,7 +265,55 @@ func TestIngestCursorBounded(t *testing.T) {
 	if got := p.servers["only"].windows; got != len(run) {
 		t.Errorf("windows = %d, want %d", got, len(run))
 	}
-	if len(p.ticks) != 0 {
-		t.Errorf("offline records created %d tick accumulators", len(p.ticks))
+	if len(p.ticks) != 1 || p.ticks[1<<31].servers != 0 {
+		t.Errorf("one offline window created %d tick accumulators, want one with no server online", len(p.ticks))
+	}
+}
+
+// TestSizedAggregatorMatchesGrown: the horizon NewAggregatorFor is given is a
+// capacity hint only. Exact, half or double, the sized aggregator holds the
+// bytes, pool series and server summaries of one that grew, whether its runs
+// are whole steps or cut mid-window.
+func TestSizedAggregatorMatchesGrown(t *testing.T) {
+	const ticks = 12
+	recs := randomStream(7, ticks)
+	feeds := map[string]func(a *Aggregator){
+		"whole steps": func(a *Aggregator) {
+			for _, step := range steps(recs) {
+				a.AddAll(step)
+			}
+		},
+		"cut mid-window": func(a *Aggregator) {
+			rng := rand.New(rand.NewSource(3))
+			for rest := recs; len(rest) > 0; {
+				n := 1 + rng.Intn(min(len(rest), 7))
+				a.AddAll(rest[:n])
+				rest = rest[n:]
+			}
+		},
+	}
+	for feed, run := range feeds {
+		grown := NewAggregator()
+		run(grown)
+		want := wireBytes(t, grown)
+		for _, windows := range []int{ticks, ticks / 2, 2 * ticks} {
+			sized := NewAggregatorFor(windows)
+			run(sized)
+			if got := wireBytes(t, sized); !bytes.Equal(got, want) {
+				t.Errorf("%s, sized for %d windows: bytes differ from the grown aggregator's", feed, windows)
+			}
+			for _, key := range grown.Pools() {
+				ws, _ := grown.PoolSeries(key.DC, key.Pool)
+				gs, err := sized.PoolSeries(key.DC, key.Pool)
+				if err != nil || !reflect.DeepEqual(gs, ws) {
+					t.Errorf("%s, sized for %d windows: %v series differs (err %v)", feed, windows, key, err)
+				}
+				wsum, _ := grown.ServerSummaries(key.DC, key.Pool)
+				gsum, err := sized.ServerSummaries(key.DC, key.Pool)
+				if err != nil || !reflect.DeepEqual(gsum, wsum) {
+					t.Errorf("%s, sized for %d windows: %v summaries differ (err %v)", feed, windows, key, err)
+				}
+			}
+		}
 	}
 }

@@ -76,7 +76,8 @@ type serverAcc struct {
 	windows    int
 }
 
-// tickAcc accumulates one pool-tick's online-server sums.
+// tickAcc accumulates one pool-tick's online-server sums. Every window a pool
+// has a record in has one, with servers 0 when none of them was online.
 type tickAcc struct {
 	servers   int
 	rps       float64
@@ -101,6 +102,11 @@ type poolAcc struct {
 type Aggregator struct {
 	pools map[PoolKey]*poolAcc
 
+	// windows is the expected number of windows per server (0: unknown), a
+	// capacity hint for a new server's samples and a new pool's windows.
+	// No value read out of the aggregator depends on it.
+	windows int
+
 	// Ingest state, kept apart from pools so that aggregators holding equal
 	// data stay equal however they were fed: one cursor per pool that AddAll
 	// has touched, and the cursor of the last record.
@@ -119,7 +125,8 @@ type poolCursor struct {
 	order   []orderedServer // servers in arrival order, at most one per known server
 	next    int             // index in order of the predicted next server
 	tick    int
-	tickAcc *tickAcc // acc.ticks[tick], nil until an online record needs it
+	tickAcc *tickAcc  // acc.ticks[tick], nil until the tick's first record
+	spare   []tickAcc // preallocated accumulators for the pool's new windows
 }
 
 type orderedServer struct {
@@ -129,7 +136,16 @@ type orderedServer struct {
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
-	return &Aggregator{pools: make(map[PoolKey]*poolAcc)}
+	return NewAggregatorFor(0)
+}
+
+// NewAggregatorFor returns an empty aggregator for a stream expected to hold
+// windows windows per server: each new pool's windows and each server's CPU
+// samples are allocated once, at that size, instead of grown. The size is a
+// hint only: a longer stream grows past it, a shorter one leaves it unused,
+// and everything read out of the aggregator is the same as NewAggregator's.
+func NewAggregatorFor(windows int) *Aggregator {
+	return &Aggregator{pools: make(map[PoolKey]*poolAcc), windows: max(windows, 0)}
 }
 
 // Add ingests one record: a run of one (see AddAll).
@@ -159,21 +175,19 @@ func (a *Aggregator) AddAll(rs []trace.Record) {
 			s = c.lookupServer(r)
 		}
 		s.windows++
+		t := c.tickAcc
+		if t == nil {
+			t = c.enterTick(r.Tick)
+		}
 		if !r.Online {
 			continue
 		}
 		s.online++
+		if s.cpu == nil {
+			s.cpu = make([]float64, 0, a.windows)
+		}
 		s.cpu = append(s.cpu, r.CPUPct)
 
-		t := c.tickAcc
-		if t == nil {
-			t = c.acc.ticks[r.Tick]
-			if t == nil {
-				t = &tickAcc{}
-				c.acc.ticks[r.Tick] = t
-			}
-			c.tickAcc = t
-		}
 		t.servers++
 		t.rps += r.RPS
 		t.cpu += r.CPUPct
@@ -194,17 +208,33 @@ func (a *Aggregator) cursor(key PoolKey) *poolCursor {
 	if c := a.cursors[key]; c != nil {
 		return c
 	}
-	p := a.pools[key]
-	if p == nil {
-		p = &poolAcc{ticks: make(map[int]*tickAcc), servers: make(map[string]*serverAcc)}
-		a.pools[key] = p
-	}
 	if a.cursors == nil {
 		a.cursors = make(map[PoolKey]*poolCursor)
 	}
-	c := &poolCursor{key: key, acc: p}
+	c := &poolCursor{key: key, acc: a.pools[key]}
+	if c.acc == nil {
+		c.acc = &poolAcc{ticks: make(map[int]*tickAcc, a.windows), servers: make(map[string]*serverAcc)}
+		c.spare = make([]tickAcc, a.windows)
+		a.pools[key] = c.acc
+	}
 	a.cursors[key] = c
 	return c
+}
+
+// enterTick resolves the accumulator of the cursor's tick at its first record,
+// creating it (from the spares while they last) on the window's first sight.
+func (c *poolCursor) enterTick(tick int) *tickAcc {
+	t := c.acc.ticks[tick]
+	if t == nil {
+		if len(c.spare) > 0 {
+			t, c.spare = &c.spare[0], c.spare[1:]
+		} else {
+			t = &tickAcc{}
+		}
+		c.acc.ticks[tick] = t
+	}
+	c.tickAcc = t
+	return t
 }
 
 // lookupServer resolves a record the cursor mispredicted through the pool's
@@ -298,24 +328,24 @@ func (a *Aggregator) PoolSeries(dc, pool string) ([]TickStat, error) {
 	}
 	out := make([]TickStat, 0, len(p.ticks))
 	for tick, t := range p.ticks {
+		if t.servers == 0 {
+			continue // a window with no server online carries no load
+		}
 		n := float64(t.servers)
-		ts := TickStat{
-			Tick:     tick,
-			Servers:  t.servers,
-			TotalRPS: t.rps,
-		}
-		if t.servers > 0 {
-			ts.RPSPerServer = t.rps / n
-			ts.CPUMean = t.cpu / n
-			ts.LatencyMean = t.latency / n
-			ts.NetBytes = t.netBytes / n
-			ts.NetPkts = t.netPkts / n
-			ts.MemPages = t.memPages / n
-			ts.DiskQueue = t.diskQueue / n
-			ts.DiskRead = t.diskRead / n
-			ts.Errors = t.errs / n
-		}
-		out = append(out, ts)
+		out = append(out, TickStat{
+			Tick:         tick,
+			Servers:      t.servers,
+			TotalRPS:     t.rps,
+			RPSPerServer: t.rps / n,
+			CPUMean:      t.cpu / n,
+			LatencyMean:  t.latency / n,
+			NetBytes:     t.netBytes / n,
+			NetPkts:      t.netPkts / n,
+			MemPages:     t.memPages / n,
+			DiskQueue:    t.diskQueue / n,
+			DiskRead:     t.diskRead / n,
+			Errors:       t.errs / n,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tick < out[j].Tick })
 	return out, nil
@@ -365,7 +395,8 @@ func summarizeServer(sel *stats.Selector, name string, s *serverAcc) ServerSumma
 }
 
 // PoolAvailability returns, for each day, the pool's mean online fraction
-// (the paper's Figure 15 series). ticksPerDay must be positive.
+// over the day's windows, those with no server online included (the paper's
+// Figure 15 series). ticksPerDay must be positive.
 func (a *Aggregator) PoolAvailability(dc, pool string, ticksPerDay int) ([]float64, error) {
 	if ticksPerDay <= 0 {
 		return nil, errors.New("metrics: ticksPerDay must be positive")

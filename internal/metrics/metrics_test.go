@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"headroom/internal/stats"
@@ -143,6 +144,21 @@ func TestPoolAvailability(t *testing.T) {
 	}
 	if av[0] != 1 || av[1] != 0.5 {
 		t.Errorf("availability = %v, want [1, 0.5]", av)
+	}
+
+	// Windows with no server online count as 0, the last day's too. Pool E,
+	// 2 ticks/day, 3 days: day 0 both online then both offline, day 1 one
+	// online then none, day 2 none.
+	for tick, up := range [][2]bool{{true, true}, {}, {true, false}, {}, {}, {}} {
+		a.Add(rec(tick, "DC 1", "E", "s1", up[0], 10, 5, 20))
+		a.Add(rec(tick, "DC 1", "E", "s2", up[1], 10, 5, 20))
+	}
+	av, err = a.PoolAvailability("DC 1", "E", 2)
+	if err != nil {
+		t.Fatalf("PoolAvailability: %v", err)
+	}
+	if want := []float64{0.5, 0.25, 0}; !slices.Equal(av, want) {
+		t.Errorf("availability with all-offline windows = %v, want %v", av, want)
 	}
 	if _, err := a.PoolAvailability("DC 1", "C", 0); err == nil {
 		t.Error("non-positive ticksPerDay should error")

@@ -293,19 +293,55 @@ func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered f
 		s.step = make([]trace.Record, len(st.servers))
 	}
 	step := s.step[:len(st.servers)]
+
+	// What the availability model reads of the step, fixed for all its
+	// servers: a server is online below the capacity cap, past the incident's
+	// servers, outside its staggered maintenance window, and not while the
+	// repurposed pool is lent out around the local traffic trough.
+	av := ps.cfg.Availability
+	tod := tick % s.ticksPerDay
+	maintLen := 0
+	if av.PlannedDailyFrac > 0 {
+		maintLen = int(av.PlannedDailyFrac * float64(s.ticksPerDay))
+	}
+	lent := false
+	if av.RepurposedOffPeakFrac > 0 {
+		troughFrac := ps.cfg.Traffic.PeakHour/24 + 0.5
+		if troughFrac >= 1 {
+			troughFrac -= 1
+		}
+		d := math.Abs(s.localDayFrac(st.dc, tick) - troughFrac)
+		if d > 0.5 {
+			d = 1 - d
+		}
+		lent = d < av.RepurposedOffPeakFrac/2
+	}
+	firstUp := 0
+	if tick < st.incidentEnd {
+		firstUp = st.incidentN
+	}
+
 	nOnline := 0
 	for i := range step {
 		srv := &st.servers[i]
-		online := s.serverOnline(ps, st, i, tick)
+		online := !lent && i >= firstUp && i < st.target
+		if online && maintLen > 0 {
+			delta := tod - srv.maintStart
+			if delta < 0 {
+				delta += s.ticksPerDay
+			}
+			online = delta >= maintLen
+		}
 		if online {
 			nOnline++
 		}
-		// Cleared and set through the pointer: assigning a composite literal
-		// would build the record on the stack and copy it over.
+		// Field by field through the pointer: clearing the whole record would
+		// run the write barrier over its four strings a second time.
 		rec := &step[i]
-		*rec = trace.Record{}
 		rec.Tick, rec.DC, rec.Pool = tick, st.dc.Name, ps.cfg.Name
 		rec.Server, rec.Generation, rec.Online = srv.name, srv.gen.Name, online
+		rec.RPS, rec.CPUPct, rec.LatencyMs = 0, 0, 0
+		rec.NetBytes, rec.NetPkts, rec.MemPages, rec.DiskQueue, rec.DiskRead, rec.Errors = 0, 0, 0, 0, 0, 0
 	}
 	var perServer float64
 	if nOnline > 0 {
@@ -317,52 +353,6 @@ func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered f
 		}
 	}
 	return step
-}
-
-// serverOnline evaluates the availability model for one server at one tick.
-func (s *Simulator) serverOnline(ps *poolState, st *poolDCState, i, tick int) bool {
-	if i >= st.target {
-		return false // removed by a capacity action
-	}
-	av := ps.cfg.Availability
-	tod := tick % s.ticksPerDay
-
-	// Planned maintenance window (staggered per server).
-	if av.PlannedDailyFrac > 0 {
-		maintLen := int(av.PlannedDailyFrac * float64(s.ticksPerDay))
-		if maintLen > 0 {
-			delta := tod - st.servers[i].maintStart
-			if delta < 0 {
-				delta += s.ticksPerDay
-			}
-			if delta < maintLen {
-				return false
-			}
-		}
-	}
-
-	// Repurposed off-peak: offline in a window centred on the local
-	// traffic trough.
-	if av.RepurposedOffPeakFrac > 0 {
-		localFrac := s.localDayFrac(st.dc, tick)
-		troughFrac := ps.cfg.Traffic.PeakHour/24 + 0.5
-		if troughFrac >= 1 {
-			troughFrac -= 1
-		}
-		d := math.Abs(localFrac - troughFrac)
-		if d > 0.5 {
-			d = 1 - d
-		}
-		if d < av.RepurposedOffPeakFrac/2 {
-			return false
-		}
-	}
-
-	// Incident: the first incidentN servers are down until incidentEnd.
-	if tick < st.incidentEnd && i < st.incidentN {
-		return false
-	}
-	return true
 }
 
 func (s *Simulator) localDayFrac(dc workload.Datacenter, tick int) float64 {
@@ -412,8 +402,8 @@ func (s *Simulator) fillResponse(rec *trace.Record, rp *ResponseParams, st *pool
 	}
 	rec.LatencyMs = lat
 
-	rec.NetBytes = math.Max(0, rp.NetBytesPerReq*rps*(1+0.08*rng.NormFloat64())+bgBytes)
-	rec.NetPkts = math.Max(0, rp.NetPktsPerReq*rps*(1+0.08*rng.NormFloat64()))
+	rec.NetBytes = nonNeg(rp.NetBytesPerReq*rps*(1+0.08*rng.NormFloat64()) + bgBytes)
+	rec.NetPkts = nonNeg(rp.NetPktsPerReq * rps * (1 + 0.08*rng.NormFloat64()))
 	// Paging activity varies widely at any workload level ("vertical
 	// patterns" in Figure 2): dominated by background behaviour.
 	rec.MemPages = rng.Float64() * rp.MemPagesBase
@@ -425,6 +415,15 @@ func (s *Simulator) fillResponse(rec *trace.Record, rp *ResponseParams, st *pool
 	if rp.ErrorRate > 0 && rng.Float64() < rp.ErrorRate {
 		rec.Errors = float64(1 + rng.Intn(3))
 	}
+}
+
+// nonNeg is math.Max(0, x) — +0 for ±0 and negatives, NaN for NaN — in a
+// form the compiler inlines.
+func nonNeg(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return x
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -485,7 +484,7 @@ func SimulatePoolSeries(ctx context.Context, pc PoolConfig, dcName string, offer
 	if err != nil {
 		return nil, err
 	}
-	agg := metrics.NewAggregator()
+	agg := metrics.NewAggregatorFor(len(offered))
 	agg.AddAll(recs)
 	return agg.PoolSeries(dcName, pc.Name)
 }

@@ -327,6 +327,45 @@ func TestAvailabilityProfiles(t *testing.T) {
 	}
 }
 
+// TestPoolAvailabilityIsMeanServerAvailability: a day's pool availability
+// is the mean of its servers' own, windows with the whole pool-datacenter
+// offline included — the repurposed pools L2 and busyFleet's T are lent out
+// whole around their local trough.
+func TestPoolAvailabilityIsMeanServerAvailability(t *testing.T) {
+	cfg, actions := busyFleet()
+	l2, err := NamedPool(DefaultFleet(1), "L2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Pools = append(cfg.Pools, l2)
+	s, err := New(cfg, actions...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := metrics.NewAggregator()
+	if err := s.RunSteps(context.Background(), s.TicksPerDay(), func(step []trace.Record) error { agg.AddAll(step); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range agg.Pools() {
+		sums, err := agg.ServerSummaries(key.DC, key.Pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mean float64
+		for _, ss := range sums {
+			mean += ss.Availability
+		}
+		mean /= float64(len(sums))
+		av, err := agg.PoolAvailability(key.DC, key.Pool, s.TicksPerDay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(av) != 1 || math.Abs(av[0]-mean) > 1e-12 {
+			t.Errorf("%v: pool availability %v, mean server availability %v", key, av, mean)
+		}
+	}
+}
+
 func TestTwoGenerationsFormTwoClusters(t *testing.T) {
 	s, err := New(smallFleet(13, PoolI()))
 	if err != nil {

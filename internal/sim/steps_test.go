@@ -4,8 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"testing"
 
+	"headroom/internal/metrics"
 	"headroom/internal/trace"
 	"headroom/internal/workload"
 )
@@ -151,5 +153,58 @@ func TestStepPoolDCDoesNotAllocate(t *testing.T) {
 	stepAll() // warm-up: the buffer grows here
 	if allocs := testing.AllocsPerRun(workload.TicksPerDay(cfg.Tick), stepAll); allocs != 0 {
 		t.Errorf("%v allocations per tick of steps, want 0", allocs)
+	}
+}
+
+// TestIngestStepDoesNotAllocate: into an aggregator sized for the horizon,
+// a further tick of steps — generated and ingested — allocates nothing once
+// the first tick has met every server.
+func TestIngestStepDoesNotAllocate(t *testing.T) {
+	cfg, actions := busyFleet()
+	s, err := New(cfg, actions...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	agg := metrics.NewAggregatorFor(2 + runs) // the first tick, AllocsPerRun's warm-up, the runs
+	tick := 0
+	ingestTick := func() {
+		for _, ps := range s.pools {
+			for di, st := range ps.perDC {
+				if st == nil {
+					continue
+				}
+				step, err := s.stepPoolDC(ps, st, di, tick)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agg.AddAll(step)
+			}
+		}
+		tick++
+	}
+	ingestTick()
+	if allocs := testing.AllocsPerRun(runs, ingestTick); allocs != 0 {
+		t.Errorf("%v allocations per tick of ingested steps, want 0", allocs)
+	}
+}
+
+// TestNonNegIsMathMax: nonNeg(x) is math.Max(0, x) bit for bit, and NaN for
+// NaN.
+func TestNonNegIsMathMax(t *testing.T) {
+	for _, x := range []float64{
+		math.Copysign(0, -1), 0, -1, 1, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		got, want := nonNeg(x), math.Max(0, x)
+		if math.IsNaN(want) {
+			if !math.IsNaN(got) {
+				t.Errorf("nonNeg(%v) = %v, want NaN", x, got)
+			}
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("nonNeg(%v) = %v (%#x), want %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

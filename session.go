@@ -133,9 +133,13 @@ func WithPartialResults(enabled bool) Option {
 type ShardFunc[T any] func(ctx context.Context, sub Source, index, of int) (T, int64, error)
 
 // IngestShard is the ShardFunc of Simulate, Aggregate and AggregateShard:
-// stream the sub-source into a fresh aggregator.
+// stream the sub-source into a fresh aggregator, sized to the source's
+// horizon when the source knows it.
 func IngestShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
 	agg := metrics.NewAggregator()
+	if h, ok := sub.(interface{ windows() int }); ok {
+		agg = metrics.NewAggregatorFor(h.windows())
+	}
 	var n int64
 	if err := sub.Stream(ctx, func(run []Record) error { agg.AddAll(run); n += int64(len(run)); return nil }); err != nil {
 		return nil, n, err

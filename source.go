@@ -13,6 +13,7 @@ import (
 	"headroom/internal/sim"
 	"headroom/internal/synth"
 	"headroom/internal/trace"
+	"headroom/internal/workload"
 )
 
 // Source is a stream of trace records — the uniform input of every pipeline
@@ -82,6 +83,9 @@ func (s *simSource) Stream(ctx context.Context, emit func([]Record) error) error
 	}
 	return sm.RunSteps(ctx, s.days*sm.TicksPerDay(), emit)
 }
+
+// windows is the number of windows the stream holds per server.
+func (s *simSource) windows() int { return s.days * workload.TicksPerDay(s.cfg.Tick) }
 
 // PoolNames lists the configured pools, attributing shard failures to pool
 // names (see PoolNamer).
