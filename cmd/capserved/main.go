@@ -66,17 +66,13 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown window")
 		shards       = fs.Int("shards", 0, "aggregation shards per job (0 = one per CPU)")
 
-		peers        = fs.String("peers", "", "comma-separated worker base URLs enabling distributed scale-out (e.g. http://10.0.0.2:8080,http://10.0.0.3:8080)")
-		distToken    = fs.String("dist-token", "", "shared secret for internal shard traffic; required with -peers, and serves POST /v1/internal/shard when set")
-		hedgeAfter   = fs.Duration("hedge-after", 0, "hedge a shard dispatch still unanswered after this delay (0 = adaptive 2x worker EWMA, negative = disabled)")
-		shardTimeout = fs.Duration("shard-timeout", time.Minute, "end-to-end deadline for one distributed shard (reroutes and hedges included)")
+		peers      = fs.String("peers", "", "comma-separated worker base URLs enabling distributed scale-out (e.g. http://10.0.0.2:8080,http://10.0.0.3:8080)")
+		distToken  = fs.String("dist-token", "", "shared secret for internal shard traffic; required with -peers, and serves POST /v1/internal/shard when set")
+		hedgeAfter = fs.Duration("hedge-after", 0, "hedge a shard dispatch still unanswered after this delay (0 = adaptive 2x worker EWMA, negative = disabled)")
 
 		partial       = fs.Bool("partial-results", false, "serve degraded results when some pools fail instead of failing the whole job")
 		retryAttempts = fs.Int("source-retries", 0, "max source stream attempts per shard (0 = no retry layer: a failed stream fails its shard; N = up to N attempts)")
 		retryBackoff  = fs.Duration("source-retry-backoff", 0, "initial backoff between source retries (0 = default 50ms)")
-		brThreshold   = fs.Int("breaker-threshold", 0, "consecutive job failures before an endpoint's circuit opens (0 = default 5, negative = disabled)")
-		brOpenFor     = fs.Duration("breaker-open-for", 0, "how long an open circuit fast-fails before probing (0 = default 10s)")
-		readyHWM      = fs.Int("ready-watermark", 0, "queue depth at which /readyz reports overloaded (0 = 3/4 of queue depth)")
 
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -115,12 +111,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	if *retryBackoff < 0 {
 		return fail("source-retry-backoff must be >= 0, got %s", *retryBackoff)
 	}
-	if *brOpenFor < 0 {
-		return fail("breaker-open-for must be >= 0, got %s", *brOpenFor)
-	}
-	if *readyHWM < 0 {
-		return fail("ready-watermark must be >= 0, got %d", *readyHWM)
-	}
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -129,9 +119,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	}
 	if len(peerList) > 0 && *distToken == "" {
 		return fail("-peers requires -dist-token (the shared secret workers authenticate with)")
-	}
-	if *shardTimeout <= 0 {
-		return fail("shard-timeout must be positive, got %s", *shardTimeout)
 	}
 	if !obs.ValidFormat(*logFormat) {
 		return fail("log-format must be text or json, got %q", *logFormat)
@@ -169,24 +156,20 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	}
 
 	srv := server.New(server.Config{
-		Workers:            *workers,
-		QueueDepth:         *queueDepth,
-		CacheSize:          *cacheSize,
-		JobTimeout:         *jobTimeout,
-		DrainTimeout:       *drainTimeout,
-		Shards:             *shards,
-		Peers:              peerList,
-		DistToken:          *distToken,
-		HedgeAfter:         *hedgeAfter,
-		ShardTimeout:       *shardTimeout,
-		PartialResults:     *partial,
-		RetryAttempts:      *retryAttempts,
-		RetryBackoff:       *retryBackoff,
-		BreakerThreshold:   *brThreshold,
-		BreakerOpenFor:     *brOpenFor,
-		ReadyHighWatermark: *readyHWM,
-		Logger:             logger,
-		Tracer:             tracer,
+		Workers:        *workers,
+		QueueDepth:     *queueDepth,
+		CacheSize:      *cacheSize,
+		JobTimeout:     *jobTimeout,
+		DrainTimeout:   *drainTimeout,
+		Shards:         *shards,
+		Peers:          peerList,
+		DistToken:      *distToken,
+		HedgeAfter:     *hedgeAfter,
+		PartialResults: *partial,
+		RetryAttempts:  *retryAttempts,
+		RetryBackoff:   *retryBackoff,
+		Logger:         logger,
+		Tracer:         tracer,
 	})
 	return srv.Serve(ctx, ln)
 }

@@ -37,15 +37,14 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Config parameterizes a Breaker. Zero values take the documented defaults.
+// Config parameterizes a Breaker. Each caller names its own policy: a
+// failure count and an open interval.
 type Config struct {
-	// Threshold is the consecutive-failure count that opens the breaker;
-	// default 5.
+	// Threshold is the consecutive-failure count that opens the breaker.
 	Threshold int
-	// OpenFor is how long the breaker stays open before half-opening;
-	// default 10 s.
+	// OpenFor is how long the breaker stays open before half-opening.
 	OpenFor time.Duration
-	// Now overrides the clock, for tests.
+	// Now overrides the clock, for tests; default time.Now.
 	Now func() time.Time
 	// OnTransition, when set, observes every state change. It is called
 	// without the breaker's lock held.
@@ -53,12 +52,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Threshold <= 0 {
-		c.Threshold = 5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 10 * time.Second
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -66,9 +59,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Breaker is a consecutive-failure circuit breaker, safe for concurrent
-// use. Construct with New. A nil *Breaker is a disabled breaker — it admits
-// everything, records nothing and reads Closed — so callers with breakers
-// switched off hold nil and call it unconditionally.
+// use. Construct with New.
 type Breaker struct {
 	cfg Config
 
@@ -89,9 +80,6 @@ func New(cfg Config) *Breaker {
 // admits a single probe; in HalfOpen it admits one probe at a time. Every
 // Allow that returns true must be matched by Success, Failure or Release.
 func (b *Breaker) Allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	var transition func()
 	defer func() {
@@ -121,9 +109,6 @@ func (b *Breaker) Allow() bool {
 
 // Success records a successful request.
 func (b *Breaker) Success() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	var transition func()
 	switch b.state {
@@ -145,9 +130,6 @@ func (b *Breaker) Success() {
 
 // Failure records a failed request.
 func (b *Breaker) Failure() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	var transition func()
 	switch b.state {
@@ -173,9 +155,6 @@ func (b *Breaker) Failure() {
 // when the request never ran (queue full, server draining) so a half-open
 // probe slot is not leaked.
 func (b *Breaker) Release() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	if b.state == HalfOpen {
 		b.probing = false
@@ -187,9 +166,6 @@ func (b *Breaker) Release() {
 // when the open interval has elapsed is deliberately NOT done here: only
 // Allow transitions, so observation never mutates.
 func (b *Breaker) State() State {
-	if b == nil {
-		return Closed
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
@@ -199,9 +175,6 @@ func (b *Breaker) State() State {
 // retrying: the time until the breaker half-opens (minimum 1 s), or zero
 // when the breaker is not open.
 func (b *Breaker) RetryAfter() time.Duration {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != Open {

@@ -142,7 +142,7 @@ func TestBreakerReleaseFreesProbeSlot(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsFailureRun(t *testing.T) {
-	b := New(Config{Threshold: 2})
+	b := New(Config{Threshold: 2, OpenFor: 10 * time.Second})
 	b.Failure()
 	b.Success()
 	b.Failure()
@@ -168,35 +168,5 @@ func TestBreakerRetryAfter(t *testing.T) {
 	clk.Advance(2900 * time.Millisecond)
 	if d := b.RetryAfter(); d != time.Second {
 		t.Fatalf("RetryAfter near expiry = %s, want the 1s floor", d)
-	}
-}
-
-// TestNilBreakerIsDisabled pins the nil receiver: callers with breakers
-// switched off hold a nil *Breaker and call it unconditionally.
-func TestNilBreakerIsDisabled(t *testing.T) {
-	var b *Breaker
-	for _, step := range []struct {
-		name string
-		call func()
-	}{
-		{"fresh", func() {}},
-		{"after failures", func() {
-			for i := 0; i < 100; i++ {
-				b.Failure()
-			}
-		}},
-		{"after success", b.Success},
-		{"after release", b.Release},
-	} {
-		step.call()
-		if !b.Allow() {
-			t.Errorf("%s: nil breaker rejected a request", step.name)
-		}
-		if got := b.State(); got != Closed {
-			t.Errorf("%s: State = %s, want closed", step.name, got)
-		}
-		if got := b.RetryAfter(); got != 0 {
-			t.Errorf("%s: RetryAfter = %s, want 0", step.name, got)
-		}
 	}
 }

@@ -58,6 +58,10 @@ const ShardHeader = "X-Dist-Shard"
 // DefaultPath is the internal shard endpoint every capserved worker serves.
 const DefaultPath = "/v1/internal/shard"
 
+// shardTimeout bounds one shard's dispatch end to end, across reroutes and
+// hedges; a caller's earlier deadline still wins.
+const shardTimeout = time.Minute
+
 // maxResponseBytes bounds what a coordinator buffers from a worker per attempt
 // (a shard's rows: kilobytes); it is the server's bound on a request body.
 const maxResponseBytes = 8 << 20
@@ -72,9 +76,6 @@ type Config struct {
 	// Transport overrides the HTTP transport — tests and benchmarks use
 	// Loopback. Default: a dedicated clone of http.DefaultTransport.
 	Transport http.RoundTripper
-	// ShardTimeout bounds one shard's dispatch end to end, across reroutes
-	// and hedges; default 1 minute.
-	ShardTimeout time.Duration
 	// HedgeAfter controls hedged requests: a positive duration hedges every
 	// dispatch that is still unanswered after it; zero (the default) adapts
 	// per worker, hedging after 2x the worker's EWMA latency once three
@@ -91,9 +92,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = time.Minute
-	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
@@ -318,10 +316,7 @@ type attemptResult struct {
 // winning worker's response; on failure, a *ShardError whose Transient flag
 // says whether retrying the job later might succeed.
 func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
-	dctx, cancel := ctx, context.CancelFunc(func() {})
-	if c.cfg.ShardTimeout > 0 {
-		dctx, cancel = context.WithTimeout(ctx, c.cfg.ShardTimeout)
-	}
+	dctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 
 	order := Rank(sh.Key, c.peers)

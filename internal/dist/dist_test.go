@@ -443,23 +443,40 @@ func TestDistDispatchAllBreakersOpen(t *testing.T) {
 	}
 }
 
+// TestDistDispatchDeadline: a dispatch ends at the earlier of shardTimeout
+// (one minute) and the caller's deadline.
 func TestDistDispatchDeadline(t *testing.T) {
 	leakcheck.Check(t)
 	block := make(chan struct{})
 	defer close(block)
+	var deadline time.Time
 	mux := newHostMux()
+	mux.set("fast", func(w http.ResponseWriter, r *http.Request) {
+		deadline, _ = r.Context().Deadline()
+		w.Write([]byte("ok"))
+	})
 	mux.set("w1", func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-block:
 		case <-r.Context().Done():
 		}
 	})
-	c := newTestClient(t, mux, Config{
-		Peers:        []string{"http://w1"},
-		ShardTimeout: 20 * time.Millisecond,
-		HedgeAfter:   -1,
-	})
-	_, err := c.Dispatch(context.Background(), Shard{Key: "k"})
+
+	// Without a caller deadline, the worker is asked under shardTimeout's.
+	fast := newTestClient(t, mux, Config{Peers: []string{"http://fast"}, HedgeAfter: -1})
+	start := time.Now()
+	if _, err := fast.Dispatch(context.Background(), Shard{Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	if deadline.Before(start.Add(time.Minute)) || deadline.After(time.Now().Add(time.Minute)) {
+		t.Errorf("dispatch deadline %s after the call began, want 1m", deadline.Sub(start))
+	}
+
+	// The caller's deadline, earlier than shardTimeout, ends the dispatch.
+	c := newTestClient(t, mux, Config{Peers: []string{"http://w1"}, HedgeAfter: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err := c.Dispatch(ctx, Shard{Key: "k"})
 	var se *ShardError
 	if !errors.As(err, &se) || !se.Transient {
 		t.Fatalf("error = %v, want transient ShardError", err)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,40 +195,61 @@ func TestChaosDegradedServing(t *testing.T) {
 }
 
 // TestChaosBreakerLifecycle drives an endpoint's jobs into consecutive
-// failure until its breaker opens, verifies fast-fail 503s with a derived
-// Retry-After, then advances the clock so a half-open probe closes it.
+// failure: the breaker stays closed through four failed jobs and opens on
+// the fifth, fast-fails 503s with a derived Retry-After, admits no probe
+// before its 10 s open interval has passed and one after, and the probe's
+// success closes it.
 func TestChaosBreakerLifecycle(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Now()
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	s := New(Config{
-		Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute,
-		BreakerThreshold: 2, BreakerOpenFor: 10 * time.Second, Clock: clock,
-	})
+	s := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Clock: clock})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
-
-	for i := 0; i < 2; i++ {
-		code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(i+1))
+	failValidate := func(seed int) {
+		t.Helper()
+		code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(seed))
 		if code != http.StatusUnprocessableEntity {
-			t.Fatalf("failing job %d = %d: %s", i, code, body)
+			t.Fatalf("failing job %d = %d: %s", seed, code, body)
 		}
 	}
-	waitFor(t, "breaker to open", func() bool {
-		st, _ := s.BreakerState("validate")
-		return st == breaker.Open
+	// fastFail posts a validate the open breaker must reject and returns
+	// its Retry-After.
+	fastFail := func(seed int) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/validate?wait=true", "application/json",
+			strings.NewReader(failingValidateBody(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("fast-fail = %d, want 503", resp.StatusCode)
+		}
+		return resp.Header.Get("Retry-After")
+	}
+
+	for seed := 1; seed <= 4; seed++ {
+		failValidate(seed)
+	}
+	waitFor(t, "four failures counted", func() bool {
+		return strings.Contains(renderMetrics(s), `capserved_jobs_completed_total{kind="validate",state="failed"} 4`)
 	})
+	if st := s.BreakerState("validate"); st != breaker.Closed {
+		t.Fatalf("breaker after 4 failed jobs = %s, want closed", st)
+	}
+	failValidate(5)
+	waitFor(t, "breaker to open", func() bool { return s.BreakerState("validate") == breaker.Open })
 
 	// Open: submissions fast-fail 503 without queueing, with Retry-After
-	// derived from the time until the half-open probe.
-	code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(3))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("fast-fail = %d: %s", code, body)
+	// the time until the half-open probe.
+	if ra := fastFail(6); ra != "10" {
+		t.Errorf("Retry-After just opened = %q, want 10", ra)
 	}
 	_, mtext := getJSON(t, ts.URL+"/metrics")
 	if n := metricValue(t, string(mtext), `capserved_breaker_fast_fails_total{kind="validate"}`); n != 1 {
@@ -238,23 +260,28 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 	}
 
 	// Other endpoints are unaffected: breakers are per-endpoint.
-	if st, _ := s.BreakerState("simulate"); st != breaker.Closed {
+	if st := s.BreakerState("simulate"); st != breaker.Closed {
 		t.Errorf("simulate breaker = %s, want closed", st)
 	}
 
-	// After the open interval a probe is admitted; its success closes the
-	// breaker again.
-	advance(11 * time.Second)
+	// Before the open interval has passed no probe is admitted.
+	advance(9 * time.Second)
+	if ra := fastFail(7); ra != "1" {
+		t.Errorf("Retry-After 1 s before the probe = %q, want 1", ra)
+	}
+
+	// After it a probe is admitted; its success closes the breaker again.
+	advance(2 * time.Second)
 	good := `{"pool":"B","servers":2,"loads":[100,200],"ticks_per_level":4}`
-	code, body = postJSON(t, ts.URL+"/v1/validate?wait=true", good)
+	code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", good)
 	if code != http.StatusOK {
 		t.Fatalf("probe = %d: %s", code, body)
 	}
-	waitFor(t, "breaker to close", func() bool {
-		st, _ := s.BreakerState("validate")
-		return st == breaker.Closed
-	})
+	waitFor(t, "breaker to close", func() bool { return s.BreakerState("validate") == breaker.Closed })
 	_, mtext = getJSON(t, ts.URL+"/metrics")
+	if n := metricValue(t, string(mtext), `capserved_breaker_fast_fails_total{kind="validate"}`); n != 2 {
+		t.Errorf("fast_fails = %v, want 2", n)
+	}
 	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="validate",to="half_open"}`); n != 1 {
 		t.Errorf("transitions to half_open = %v, want 1", n)
 	}
@@ -271,24 +298,22 @@ func TestChaosBreakerFastFailBurstNoLeak(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Now()
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	s := New(Config{
-		Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute,
-		BreakerThreshold: 1, BreakerOpenFor: time.Hour, Clock: clock,
-	})
+	s := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Clock: clock})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
 
-	b := failingValidateBody(1)
-	if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", b); code != http.StatusUnprocessableEntity {
-		t.Fatalf("failing job = %d: %s", code, body)
+	// Five failed jobs open the breaker; the clock never moves, so it
+	// stays open.
+	for seed := 1; seed <= 5; seed++ {
+		if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(seed)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("failing job %d = %d: %s", seed, code, body)
+		}
 	}
-	waitFor(t, "breaker to open", func() bool {
-		st, _ := s.BreakerState("validate")
-		return st == breaker.Open
-	})
+	waitFor(t, "breaker to open", func() bool { return s.BreakerState("validate") == breaker.Open })
+	b := failingValidateBody(6)
 
 	var wg sync.WaitGroup
 	codes := make([]int, 30)
@@ -336,7 +361,8 @@ func TestFaultTransientSourceRetriedInvisibly(t *testing.T) {
 
 // TestReadyzStates walks /readyz through ready → overloaded → draining.
 func TestReadyzStates(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4, CacheSize: 4, JobTimeout: time.Minute, ReadyHighWatermark: 1})
+	// Queue depth 1 puts the watermark at max(3/4 of 1, 1) = 1.
+	s := New(Config{Workers: 1, QueueDepth: 1, CacheSize: 4, JobTimeout: time.Minute})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close() })
 
@@ -404,6 +430,63 @@ func TestReadyzStates(t *testing.T) {
 	}
 	if code, _ := getJSON(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Errorf("healthz while draining = %d, want 200 (liveness is separate)", code)
+	}
+}
+
+// TestReadyzWatermarkDerived: with no setting to override it, /readyz
+// reports overloaded once the queue holds max(3/4 of its depth bound, 1)
+// jobs, and ready one job below that.
+func TestReadyzWatermarkDerived(t *testing.T) {
+	for _, tc := range []struct{ depth, hwm int }{{1, 1}, {4, 3}, {8, 6}} {
+		s := New(Config{Workers: 1, QueueDepth: tc.depth, CacheSize: 4, JobTimeout: time.Minute})
+		ts := httptest.NewServer(s.Handler())
+		block := make(chan struct{})
+		t.Cleanup(func() {
+			close(block)
+			ts.Close()
+			s.Shutdown(context.Background())
+		})
+		submit := func(fn func(context.Context) (any, error)) {
+			t.Helper()
+			if _, err := s.queue.SubmitCtx(context.Background(), "t", fn); err != nil {
+				t.Fatalf("depth %d: %v", tc.depth, err)
+			}
+		}
+		// readyz answers the status and the watermark it reports.
+		readyz := func() (int, string, int) {
+			t.Helper()
+			code, body := getJSON(t, ts.URL+"/readyz")
+			var rz struct {
+				Status        string `json:"status"`
+				HighWatermark int    `json:"high_watermark"`
+			}
+			if err := json.Unmarshal(body, &rz); err != nil {
+				t.Fatalf("depth %d: readyz %s: %v", tc.depth, body, err)
+			}
+			return code, rz.Status, rz.HighWatermark
+		}
+
+		// Occupy the single worker so submissions stay queued.
+		submit(func(ctx context.Context) (any, error) {
+			select {
+			case <-block:
+			case <-ctx.Done():
+			}
+			return nil, nil
+		})
+		waitFor(t, "worker busy", func() bool { return s.queue.Stats().Running == 1 })
+		for i := 0; i < tc.hwm-1; i++ {
+			submit(func(context.Context) (any, error) { return nil, nil })
+		}
+		if code, status, hwm := readyz(); code != http.StatusOK || status != "ready" || hwm != tc.hwm {
+			t.Errorf("depth %d, %d queued: readyz = %d %s watermark %d, want 200 ready watermark %d",
+				tc.depth, tc.hwm-1, code, status, hwm, tc.hwm)
+		}
+		submit(func(context.Context) (any, error) { return nil, nil })
+		if code, status, hwm := readyz(); code != http.StatusServiceUnavailable || status != "overloaded" || hwm != tc.hwm {
+			t.Errorf("depth %d, %d queued: readyz = %d %s watermark %d, want 503 overloaded watermark %d",
+				tc.depth, tc.hwm, code, status, hwm, tc.hwm)
+		}
 	}
 }
 

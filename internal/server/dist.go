@@ -71,13 +71,12 @@ const placementMetaKey = "placement"
 // error, not a request error, so it panics like a bad flag would.
 func (s *Server) initDist() {
 	client, err := dist.New(dist.Config{
-		Peers:        s.cfg.Peers,
-		Token:        s.cfg.DistToken,
-		ShardTimeout: s.cfg.ShardTimeout,
-		HedgeAfter:   s.cfg.HedgeAfter,
-		Clock:        s.cfg.Clock,
-		Logger:       s.cfg.Logger,
-		Registry:     s.reg,
+		Peers:      s.cfg.Peers,
+		Token:      s.cfg.DistToken,
+		HedgeAfter: s.cfg.HedgeAfter,
+		Clock:      s.cfg.Clock,
+		Logger:     s.cfg.Logger,
+		Registry:   s.reg,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("server: distributed config: %v", err))
@@ -229,9 +228,6 @@ func shardFunc[R any](s *Server, sess *headroom.Session, req PlanRequest, reduce
 		// identical split from it.
 		pools := headroom.PoolNames(sub)
 		key := strings.Join(pools, ",")
-		if key == "" {
-			key = "shard-" + strconv.Itoa(index)
-		}
 		body, err := json.Marshal(shardRequest{PlanRequest: req, Shard: index, Of: of})
 		if err != nil {
 			return nil, 0, err

@@ -440,7 +440,7 @@ func TestDistReadyzDegraded(t *testing.T) {
 	// the per-worker breakers (threshold 3) open within one 4-shard job.
 	srv := New(Config{
 		Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: 30 * time.Second,
-		Shards: 4, HedgeAfter: -1, ShardTimeout: 5 * time.Second,
+		Shards: 4, HedgeAfter: -1,
 		Peers:     []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
 		DistToken: e2eToken,
 	})

@@ -101,13 +101,15 @@ func step(t *testing.T, what, url, body string, want int) {
 }
 
 // TestNodeMetricValuesPinned: a done plan, the same plan again (a cache hit),
-// a bad request, a validate job that fails, two simulate jobs failed by an
+// a bad request, a validate job that fails, five simulate jobs failed by an
 // injected fault (which opens that endpoint's breaker) and the fast-fail the
-// open breaker answers.
+// open breaker answers. The clock stands still, so the breaker cannot
+// half-open however long the scenario takes.
 func TestNodeMetricValuesPinned(t *testing.T) {
+	start := time.Now()
 	s := New(Config{
 		Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Shards: 2,
-		BreakerThreshold: 2, BreakerOpenFor: time.Hour,
+		Clock:  func() time.Time { return start },
 		Faults: faults.New(1, faults.Rule{Kind: faults.Permanent, Pools: []string{"F"}, At: []int{0}}),
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -121,12 +123,13 @@ func TestNodeMetricValuesPinned(t *testing.T) {
 	step(t, "plan again", ts.URL+"/v1/plan?wait=true", `{"pools":["G"],"days":1,"seed":7}`, http.StatusOK)
 	step(t, "bad request", ts.URL+"/v1/plan", `{"dayz":1}`, http.StatusBadRequest)
 	step(t, "failing validate", ts.URL+"/v1/validate?wait=true", failingValidateBody(1), http.StatusUnprocessableEntity)
-	step(t, "faulted simulate", ts.URL+"/v1/simulate?wait=true", `{"pools":["F"],"days":1,"seed":1}`, http.StatusUnprocessableEntity)
-	step(t, "faulted simulate", ts.URL+"/v1/simulate?wait=true", `{"pools":["F"],"days":1,"seed":2}`, http.StatusUnprocessableEntity)
+	for seed := 1; seed <= 5; seed++ {
+		step(t, "faulted simulate", ts.URL+"/v1/simulate?wait=true", fmt.Sprintf(`{"pools":["F"],"days":1,"seed":%d}`, seed), http.StatusUnprocessableEntity)
+	}
 	waitFor(t, "simulate breaker to open", func() bool {
 		return strings.Contains(renderMetrics(s), `capserved_breaker_state{kind="simulate"} 1`)
 	})
-	step(t, "fast-fail", ts.URL+"/v1/simulate?wait=true", `{"pools":["F"],"days":1,"seed":3}`, http.StatusServiceUnavailable)
+	step(t, "fast-fail", ts.URL+"/v1/simulate?wait=true", `{"pools":["F"],"days":1,"seed":6}`, http.StatusServiceUnavailable)
 
 	wantValues(t, s, base, strings.NewReplacer(), wantNodeValues)
 }
@@ -154,7 +157,7 @@ capserved_breaker_transitions_total{kind="validate",to="half_open"} 0
 capserved_breaker_transitions_total{kind="validate",to="open"} 0
 capserved_cache_deduped_total 0
 capserved_cache_hits_total 1
-capserved_cache_misses_total 4
+capserved_cache_misses_total 7
 capserved_cache_size 1
 capserved_cache_uncacheable_total 0
 capserved_degraded_responses_total{kind="forecast"} 0
@@ -168,9 +171,9 @@ capserved_http_requests_total{handler="jobs"} 0
 capserved_http_requests_total{handler="metrics"} 0
 capserved_http_requests_total{handler="plan"} 3
 capserved_http_requests_total{handler="readyz"} 0
-capserved_http_requests_total{handler="simulate"} 3
+capserved_http_requests_total{handler="simulate"} 6
 capserved_http_requests_total{handler="validate"} 1
-capserved_injected_faults_total 2
+capserved_injected_faults_total 5
 capserved_job_retries_total{kind="forecast"} 0
 capserved_job_retries_total{kind="plan"} 0
 capserved_job_retries_total{kind="simulate"} 0
@@ -180,13 +183,13 @@ capserved_jobs_completed_total{kind="forecast",state="failed"} 0
 capserved_jobs_completed_total{kind="plan",state="done"} 2
 capserved_jobs_completed_total{kind="plan",state="failed"} 0
 capserved_jobs_completed_total{kind="simulate",state="done"} 0
-capserved_jobs_completed_total{kind="simulate",state="failed"} 2
+capserved_jobs_completed_total{kind="simulate",state="failed"} 5
 capserved_jobs_completed_total{kind="validate",state="done"} 0
 capserved_jobs_completed_total{kind="validate",state="failed"} 1
 capserved_jobs_running 0
 capserved_jobs_submitted_total{kind="forecast"} 0
 capserved_jobs_submitted_total{kind="plan"} 2
-capserved_jobs_submitted_total{kind="simulate"} 2
+capserved_jobs_submitted_total{kind="simulate"} 5
 capserved_jobs_submitted_total{kind="validate"} 1
 capserved_not_ready_total 0
 capserved_queue_depth 0
@@ -198,18 +201,18 @@ capserved_request_duration_seconds_count{handler="jobs"} 0
 capserved_request_duration_seconds_count{handler="metrics"} 0
 capserved_request_duration_seconds_count{handler="plan"} 3
 capserved_request_duration_seconds_count{handler="readyz"} 0
-capserved_request_duration_seconds_count{handler="simulate"} 3
+capserved_request_duration_seconds_count{handler="simulate"} 6
 capserved_request_duration_seconds_count{handler="validate"} 1
 capserved_source_retries_total 0
 capserved_workers 2
-headroom_jobs_queue_wait_seconds_count 5
-headroom_jobs_run_seconds_count 5
-headroom_simulate_pool_duration_seconds_count{pool="F"} 2
+headroom_jobs_queue_wait_seconds_count 8
+headroom_jobs_run_seconds_count 8
+headroom_simulate_pool_duration_seconds_count{pool="F"} 5
 headroom_simulate_pool_duration_seconds_count{pool="G"} 1
-headroom_stage_duration_seconds_count{stage="aggregate"} 3
-headroom_stage_duration_seconds_count{stage="merge"} 3
+headroom_stage_duration_seconds_count{stage="aggregate"} 6
+headroom_stage_duration_seconds_count{stage="merge"} 6
 headroom_stage_duration_seconds_count{stage="plan"} 1
-headroom_stage_duration_seconds_count{stage="simulate"} 3
+headroom_stage_duration_seconds_count{stage="simulate"} 6
 headroom_stage_duration_seconds_count{stage="validate"} 1`
 
 // TestCoordinatorMetricValuesPinned: three one-shard plans on a 2-worker

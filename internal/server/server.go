@@ -87,16 +87,6 @@ type Config struct {
 	// headroom.RetryPolicy's default of 50 ms (used only when
 	// RetryAttempts > 0).
 	RetryBackoff time.Duration
-	// BreakerThreshold is the consecutive-job-failure count that opens an
-	// endpoint's circuit breaker; zero takes internal/breaker's default
-	// (5), negative disables breakers.
-	BreakerThreshold int
-	// BreakerOpenFor is how long an open breaker fast-fails before
-	// half-opening; zero takes internal/breaker's default (10 s).
-	BreakerOpenFor time.Duration
-	// ReadyHighWatermark marks the server not-ready (/readyz 503) while
-	// the pending queue is at or above it; default 3/4 of the queue depth.
-	ReadyHighWatermark int
 	// Peers enables distributed scale-out: simulate/plan shards are
 	// dispatched to these capserved worker base URLs instead of aggregating
 	// locally. Requires DistToken. Empty disables distribution.
@@ -105,9 +95,6 @@ type Config struct {
 	// (X-Dist-Token). Setting it (even without Peers) makes this process
 	// serve POST /v1/internal/shard as a worker.
 	DistToken string
-	// ShardTimeout bounds one distributed shard dispatch end to end
-	// (reroutes and hedges included); default 1 minute.
-	ShardTimeout time.Duration
 	// HedgeAfter tunes hedged shard dispatches: positive hedges after that
 	// fixed delay, zero adapts to 2× the worker's EWMA latency, negative
 	// disables hedging.
@@ -143,19 +130,6 @@ func (c Config) withDefaults() Config {
 		c.Tracer = obs.NewTracer(128)
 	}
 	return c
-}
-
-// readyHighWatermark resolves the configured not-ready queue threshold
-// against the queue's actual depth bound.
-func (c Config) readyHighWatermark(queueDepth int) int {
-	if c.ReadyHighWatermark > 0 {
-		return c.ReadyHighWatermark
-	}
-	hwm := queueDepth * 3 / 4
-	if hwm < 1 {
-		hwm = 1
-	}
-	return hwm
 }
 
 // maxBodyBytes bounds a request body (forecast series can be large).
@@ -208,7 +182,7 @@ type jobKind struct {
 	// build decodes, validates and canonicalizes a request body and returns
 	// the job that computes it plus the canonical request, the cache key.
 	build   func(body []byte) (jobs.Func, any, error)
-	breaker *breaker.Breaker // nil when breakers are disabled: admits everything
+	breaker *breaker.Breaker
 
 	submitted   *prom.Counter
 	done        *prom.Counter
@@ -246,18 +220,19 @@ func addKind[R any](s *Server, name string, decode func([]byte) (R, error),
 			"Circuit-breaker state transitions, by destination state.",
 			prom.Labels{"kind": name, "to": to.String()})
 	}
-	if s.cfg.BreakerThreshold >= 0 {
-		k.breaker = breaker.New(breaker.Config{
-			Threshold: s.cfg.BreakerThreshold,
-			OpenFor:   s.cfg.BreakerOpenFor,
-			Now:       s.cfg.Clock,
-			OnTransition: func(from, to breaker.State) {
-				s.cfg.Logger.Info("breaker transition",
-					"kind", name, "from", from.String(), "to", to.String())
-				k.transitions[to].Inc()
-			},
-		})
-	}
+	// An endpoint's breaker opens after breakerThreshold consecutive failed
+	// jobs and fast-fails for breakerOpenFor before it admits a probe.
+	const breakerThreshold, breakerOpenFor = 5, 10 * time.Second
+	k.breaker = breaker.New(breaker.Config{
+		Threshold: breakerThreshold,
+		OpenFor:   breakerOpenFor,
+		Now:       s.cfg.Clock,
+		OnTransition: func(from, to breaker.State) {
+			s.cfg.Logger.Info("breaker transition",
+				"kind", name, "from", from.String(), "to", to.String())
+			k.transitions[to].Inc()
+		},
+	})
 	s.reg.Gauge("capserved_breaker_state",
 		"Circuit-breaker position (0 closed, 1 open, 2 half-open).", lbl,
 		func() float64 { return float64(k.breaker.State()) })
@@ -303,7 +278,9 @@ func New(cfg Config) *Server {
 		Timeout:       cfg.JobTimeout,
 		OnStateChange: s.onJobState,
 	})
-	s.readyHWM = cfg.readyHighWatermark(s.queue.QueueDepth())
+	// /readyz reports overloaded once the queue holds three quarters of its
+	// depth bound.
+	s.readyHWM = max(s.queue.QueueDepth()*3/4, 1)
 	s.hostname, _ = os.Hostname()
 	if s.hostname == "" {
 		s.hostname = "local"

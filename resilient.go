@@ -172,7 +172,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // The wrapper preserves sharding: when src implements ShardedSource, each
 // shard is wrapped with the same policy (distinct jitter seed per shard), so
 // a transient failure in one pool's shard retries that shard alone. It also
-// forwards PoolNamer.
+// forwards PoolNamer and the source's horizon, which sizes the aggregator a
+// shard is ingested into.
 func ResilientSource(src Source, policy RetryPolicy) Source {
 	if src == nil {
 		return nil
@@ -267,6 +268,10 @@ func (r *resilientSource) Shards(n int) []Source {
 
 // PoolNames forwards the underlying source's pool attribution.
 func (r *resilientSource) PoolNames() []string { return PoolNames(r.src) }
+
+// windows forwards the underlying source's horizon, so a retried stream is
+// ingested into samples sized like the raw one's.
+func (r *resilientSource) windows() int { return windowsOf(r.src) }
 
 var (
 	_ ShardedSource = (*resilientSource)(nil)

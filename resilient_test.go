@@ -261,3 +261,29 @@ func TestResilientSourcePreservesShardingAndPoolNames(t *testing.T) {
 		t.Fatalf("PoolNames = %v, want both pools", names)
 	}
 }
+
+// TestResilientSourceIngestsSized: a retry-wrapped simulated shard reports
+// the simulator's horizon, so IngestShard sizes each server's samples once
+// instead of growing them, and allocates what the raw shard does.
+func TestResilientSourceIngestsSized(t *testing.T) {
+	fleet, err := headroom.FilterPools(headroom.DefaultFleet(1), []string{"B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAllocs := func(src headroom.Source) float64 {
+		sub := src.(headroom.ShardedSource).Shards(1)[0]
+		return testing.AllocsPerRun(1, func() {
+			if _, _, err := headroom.IngestShard(context.Background(), sub, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	raw := ingestAllocs(headroom.NewSimSource(fleet, 1))
+	wrapped := ingestAllocs(headroom.ResilientSource(headroom.NewSimSource(fleet, 1), fastRetry))
+	t.Logf("ingest allocs: raw %.0f, retry-wrapped %.0f", raw, wrapped)
+	// The margin is 5 %: the wrapper adds a handful of allocations, a race
+	// build a few dozen more at random, and an unsized ingest ~2.7× as many.
+	if wrapped > raw*1.05 {
+		t.Errorf("retry-wrapped shard allocates %.0f, raw %.0f: the wrapper hides the horizon", wrapped, raw)
+	}
+}

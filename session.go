@@ -136,15 +136,21 @@ type ShardFunc[T any] func(ctx context.Context, sub Source, index, of int) (T, i
 // stream the sub-source into a fresh aggregator, sized to the source's
 // horizon when the source knows it.
 func IngestShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
-	agg := metrics.NewAggregator()
-	if h, ok := sub.(interface{ windows() int }); ok {
-		agg = metrics.NewAggregatorFor(h.windows())
-	}
+	agg := metrics.NewAggregatorFor(windowsOf(sub))
 	var n int64
 	if err := sub.Stream(ctx, func(run []Record) error { agg.AddAll(run); n += int64(len(run)); return nil }); err != nil {
 		return nil, n, err
 	}
 	return agg, n, nil
+}
+
+// windowsOf is the number of windows per server src's stream holds, 0 when
+// src does not know it (see NewAggregatorFor).
+func windowsOf(src Source) int {
+	if h, ok := src.(interface{ windows() int }); ok {
+		return h.windows()
+	}
+	return 0
 }
 
 // StageEvent describes one completed pipeline stage, or one completed shard
