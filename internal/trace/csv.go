@@ -250,6 +250,7 @@ func decodeCSV(ctx context.Context, r io.Reader, size int, emit func([]Record) e
 		st.bytes += int64(len(c.buf))
 		row := st.records + 2
 		st.records += int64(len(c.recs))
+		st.plain += int64(c.plain)
 		if err := EmitRuns(ctx, c.recs, emit); err != nil {
 			return err
 		}
@@ -345,17 +346,34 @@ type csvParser struct {
 	names interner
 }
 
-func newCSVParser() func(*chunk) { return new(csvParser).decode }
+func newCSVParser() func(*chunk) {
+	p := new(csvParser)
+	p.names.reset()
+	return p.decode
+}
 
 // decode parses c.buf, a whole number of rows, into c.recs. It stops at the
-// first row that fails, leaving the rows before it in c.recs.
+// first row that fails, leaving the rows before it in c.recs. A row in
+// CSVWriter's plain form is read in one pass by plainRow; any other row — or
+// one plainRow declines — goes through the field splitter and strconv, which
+// decide, reject and blame it as they always have.
 func (p *csvParser) decode(c *chunk) {
-	c.recs, c.err, c.rowErr, c.pending = c.recs[:0], nil, false, false
+	c.recs, c.err, c.rowErr, c.pending, c.plain = c.recs[:0], nil, false, false, 0
 	if rows := bytes.Count(c.buf, []byte{'\n'}) + 1; cap(c.recs) < rows {
 		c.recs = make([]Record, 0, rows+rows/8)
 	}
 	wantHeader := c.header
 	for b := c.buf; len(b) > 0; {
+		if !wantHeader {
+			// Every row but the last ends in a line break, so there is
+			// room for it; plainRow sets every field or declines.
+			n := len(c.recs)
+			if rest, ok := p.plainRow(b, &c.recs[:n+1][n]); ok {
+				c.recs, b = c.recs[:n+1], rest
+				c.plain++
+				continue
+			}
+		}
 		fields, rest, err := p.split.next(b)
 		b = rest
 		if fields == nil && err == nil {
@@ -394,6 +412,71 @@ func (p *csvParser) decode(c *chunk) {
 		}
 	}
 	c.pending = wantHeader
+}
+
+// plainRow decodes the row b starts with into r and returns what follows it,
+// if the row is in the form CSVWriter gives a record whose names need no
+// quotes: a tick of 1 to 9 digits, four names free of '"', '\r' and '\n',
+// "true" or "false", and nine floats parseFloatPrefix decides, the last one
+// ending the row. Such a row reads, field by field, as the general path
+// reads it. It declines — ok false, r half written — any other row.
+func (p *csvParser) plainRow(b []byte, r *Record) (rest []byte, ok bool) {
+	i, tick := 0, 0
+	for ; i < len(b) && i < 10 && b[i]-'0' <= 9; i++ {
+		tick = tick*10 + int(b[i]-'0')
+	}
+	if i == 0 || i == 10 || i == len(b) || b[i] != ',' {
+		return nil, false
+	}
+	r.Tick, b = tick, b[i+1:]
+	for col, dst := range [...]*string{&r.DC, &r.Pool, &r.Server, &r.Generation} {
+		name, ok := p.names.guess(col, b)
+		if !ok {
+			j := 0
+			for ; j < len(b) && b[j] != ','; j++ {
+				if c := b[j]; c == '"' || c == '\r' || c == '\n' {
+					return nil, false
+				}
+			}
+			if j == len(b) {
+				return nil, false
+			}
+			name = p.names.get(col, b[:j])
+		}
+		*dst, b = name, b[len(name)+1:]
+	}
+	switch {
+	case len(b) >= 5 && string(b[:5]) == "true,":
+		r.Online, b = true, b[5:]
+	case len(b) >= 6 && string(b[:6]) == "false,":
+		r.Online, b = false, b[6:]
+	default:
+		return nil, false
+	}
+	for i, dst := range r.floats() {
+		v, n, ok := parseFloatPrefix(b)
+		if !ok {
+			return nil, false
+		}
+		*dst, b = v, b[n:]
+		if i < numFields-7 {
+			if len(b) == 0 || b[0] != ',' {
+				return nil, false
+			}
+			b = b[1:]
+		}
+	}
+	// The row ends where nextLine ends a line: at "\n" or "\r\n", or at the
+	// end of the input after at most one '\r'.
+	switch {
+	case len(b) > 0 && b[0] == '\n':
+		return b[1:], true
+	case len(b) > 1 && b[0] == '\r' && b[1] == '\n':
+		return b[2:], true
+	case len(b) == 0 || len(b) == 1 && b[0] == '\r':
+		return nil, true
+	}
+	return nil, false
 }
 
 // fieldSplitter splits rows into fields by encoding/csv's rules: RFC 4180
@@ -510,29 +593,75 @@ row:
 
 // interner hands out one string per distinct name instead of one per row:
 // a trace repeats a few hundred server names and a handful of datacenter,
-// pool and generation names for its whole length.
+// pool and generation names for its whole length. Each name remembers the
+// one that followed it in its column last time: the servers of a trace come
+// round in the same order every tick, so that guess is almost always right
+// and the table is hashed only when it is not.
 type interner struct {
-	last  [4]string // per column; all but the server repeat row after row
-	names map[string]string
+	last  [4]int32 // per column, the previous name's index in names
+	names []internedName
+	index map[string]int32
+}
+
+type internedName struct {
+	s     string
+	next  int32 // the index of the name that followed this one last time
+	plain bool  // s holds no ',', '"', '\r' or '\n'
 }
 
 // maxInterned bounds the table against a trace of all-distinct names.
-const maxInterned = 1 << 16
+// internedHint sizes it for the 539 servers of a pool-B trace and its
+// handful of other names, which then never grow it.
+const maxInterned, internedHint = 1 << 16, 768
 
+// reset empties the table. Index 0 stands for no name yet; its string is
+// the empty one, which it is also right to hand out.
+func (in *interner) reset() {
+	in.names = append(make([]internedName, 0, internedHint), internedName{plain: true})
+	in.index = make(map[string]int32, internedHint)
+	in.last = [4]int32{}
+}
+
+// guess returns the name the field at the start of b holds, followed by
+// its ',', if that name is in plain form and is the column's previous name
+// or the one that followed it last time.
+func (in *interner) guess(col int, b []byte) (string, bool) {
+	last := &in.names[in.last[col]]
+	if last.plain && len(b) > len(last.s) && b[len(last.s)] == ',' && string(b[:len(last.s)]) == last.s {
+		return last.s, true
+	}
+	next := &in.names[last.next]
+	if next.plain && len(b) > len(next.s) && b[len(next.s)] == ',' && string(b[:len(next.s)]) == next.s {
+		in.last[col] = last.next
+		return next.s, true
+	}
+	return "", false
+}
+
+// get returns the name b holds.
 func (in *interner) get(col int, b []byte) string {
-	if string(b) == in.last[col] {
-		return in.last[col]
+	last := &in.names[in.last[col]]
+	if string(b) == last.s {
+		return last.s
 	}
-	s, ok := in.names[string(b)]
+	next := &in.names[last.next]
+	if string(b) == next.s {
+		in.last[col] = last.next
+		return next.s
+	}
+	i, ok := in.index[string(b)]
 	if !ok {
-		if in.names == nil || len(in.names) >= maxInterned {
-			in.names = make(map[string]string)
+		if len(in.names) > maxInterned {
+			in.reset()
 		}
-		s = string(b)
-		in.names[s] = s
+		i = int32(len(in.names))
+		s := string(b)
+		in.names = append(in.names, internedName{s: s, plain: !strings.ContainsAny(s, ",\"\r\n")})
+		in.index[s] = i
+		last = &in.names[in.last[col]] // append may have moved it
 	}
-	in.last[col] = s
-	return s
+	last.next, in.last[col] = i, i
+	return in.names[i].s
 }
 
 // parse decodes one row's fields, in Header order, into r. strconv does the

@@ -174,6 +174,14 @@ var fuzzSeeds = func() []string {
 		// misspelt, a quoted name that is still right.
 		"tick,pool,dc" + h[len("tick,dc,pool"):] + row, h[:len(h)-2] + "\n" + row,
 		"tick,\"dc\"" + h[len("tick,dc"):] + row,
+		// The edges of the one-pass row path: a tick of 9 digits, of 10
+		// and with leading zeros; TRUE; a bare e; mantissas of 19 and 20
+		// digits; an empty float.
+		h + "123456789,DC 1,B,s,g,true,1,2,3,4,5,6,7,8,9\n1234567890,DC 1,B,s,g,false,1,2,3,4,5,6,7,8,9\n007,DC 1,B,s,g,true,1,2,3,4,5,6,7,8,9\n",
+		h + row + "3,DC 1,B,s,g,TRUE,1,2,3,4,5,6,7,8,9\n" + row,
+		h + row + "3,DC 1,B,s,g,true,1,e,3,4,5,6,7,8,9\n" + row,
+		h + "3,DC 1,B,s,g,true,1234567890123456789,12345678901234567890,0.1234567890123456789,1.2345678901234567890,00000000000000000000001,4,5,6,7\n",
+		h + row + "3,DC 1,B,s,g,true,1,,3,4,5,6,7,8,9\n" + row,
 	}
 }()
 
@@ -185,6 +193,29 @@ func TestCSVDecodeMatchesEncodingCSV(t *testing.T) {
 		for _, size := range []int{1, 2, 7, 16, 64, 200, 1 << 20} {
 			checkAgainstOracle(t, []byte(in), size)
 		}
+	}
+}
+
+// TestDecodeInternsManyNames: more distinct names than the interner holds
+// without growing, and than it holds at all before it starts afresh (with any
+// number of workers, each sees more than that), still decode to the oracle's
+// records, in an order the successor guess mostly cannot predict.
+func TestDecodeInternsManyNames(t *testing.T) {
+	n := 3*maxInterned*runtime.GOMAXPROCS(0) + 100
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Tick: i, DC: "DC 1", Pool: "B", Server: strconv.Itoa(i), Generation: "g", Online: true, RPS: float64(i % 7)}
+		if i%3 == 0 {
+			recs[i].Server = strconv.Itoa(i * 7919 % n)
+		}
+	}
+	data := oracleWrite(t, recs)
+	got, err := ReadCSV(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRecords(got, recs); err != nil {
+		t.Error(err)
 	}
 }
 

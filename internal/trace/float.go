@@ -8,6 +8,7 @@ package trace
 // the oracle for both.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 )
@@ -28,18 +29,27 @@ const digitPairs = "00010203040506070809" +
 	"80818283848586878889" +
 	"90919293949596979899"
 
-// pow5 returns 5^k for k <= 27, the last that fits in 64 bits.
-func pow5(k int) uint64 {
-	if k <= 19 {
-		return pow10[k] >> k
+// pow5 holds 5^k for k <= 27, the last that fits in 64 bits.
+var pow5 = func() (t [28]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = 5 * t[k-1]
 	}
-	return (pow10[19] >> 19) * (pow10[k-19] >> (k - 19))
-}
+	return t
+}()
 
 // parseFloat decides [+-]digits[.digits][e[+-]ddd] with at most 19
 // significant digits, m·10^e10, where m is zero, or e10 is in [-27, 27] and
 // m·5^e10 is below 2^64. It declines every other string, bad syntax included.
 func parseFloat(b []byte) (float64, bool) {
+	v, n, ok := parseFloatPrefix(b)
+	return v, ok && n == len(b)
+}
+
+// parseFloatPrefix is parseFloat for the float b starts with: it also
+// returns how many bytes of b that float is, and what follows it is the
+// caller's to check.
+func parseFloatPrefix(b []byte) (float64, int, bool) {
 	var sign uint64
 	i, n := 0, len(b)
 	if n > 0 && (b[0] == '-' || b[0] == '+') {
@@ -49,26 +59,20 @@ func parseFloat(b []byte) (float64, bool) {
 	}
 	// m wraps when there are more than 19 digits; that is refused below
 	// unless the excess is leading zeros, which leave m zero.
-	var m uint64
 	first := i
-	for ; i < n && b[i]-'0' <= 9; i++ {
-		m = m*10 + uint64(b[i]-'0')
-	}
+	m, i := digitRun(b, i, 0)
 	nd, e10 := i-first, 0
 	if i < n && b[i] == '.' {
-		i++
-		point := i
-		for ; i < n && b[i]-'0' <= 9; i++ {
-			m = m*10 + uint64(b[i]-'0')
-		}
+		point := i + 1
+		m, i = fractionRun(b, point, m)
 		e10 = point - i
 		nd -= e10
 	}
 	if nd == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	if nd > 19 {
-		for _, c := range b[first:] {
+		for _, c := range b[first:i] {
 			if c == '0' {
 				nd--
 			} else if c != '.' {
@@ -76,7 +80,7 @@ func parseFloat(b []byte) (float64, bool) {
 			}
 		}
 		if nd > 19 {
-			return 0, false
+			return 0, 0, false
 		}
 	}
 	if i < n && b[i]|0x20 == 'e' {
@@ -91,60 +95,108 @@ func parseFloat(b []byte) (float64, bool) {
 			e = e*10 + int(b[i]-'0')
 		}
 		if i == from || i-from > 3 {
-			return 0, false
+			return 0, 0, false
 		}
 		if neg {
 			e = -e
 		}
 		e10 += e
 	}
-	if i != n {
-		return 0, false
-	}
 
 	if m == 0 {
-		return math.Float64frombits(sign), true
+		return math.Float64frombits(sign), i, true
 	}
 	if e10 < -27 || e10 > 27 {
-		return 0, false
+		return 0, 0, false
 	}
 	// The value is q·2^(e2-63)·(1+ε): q holds its leading 64 bits, top bit
-	// set, and sticky tells whether ε > 0. The 2^e10 of 10^e10 goes to e2.
-	var q uint64
-	var sticky bool
+	// set, and sticky is 1 if ε > 0. The 2^e10 of 10^e10 goes to e2.
+	var q, sticky uint64
 	e2 := e10
 	if e10 >= 0 {
-		hi, lo := bits.Mul64(m, pow5(e10))
+		hi, lo := bits.Mul64(m, pow5[e10])
 		if hi != 0 {
-			return 0, false
+			return 0, 0, false
 		}
 		lz := bits.LeadingZeros64(lo)
 		q, e2 = lo<<lz, e2+63-lz
 	} else {
 		// With both normalised to 64 bits their ratio is in (1/2, 2), so
-		// one of these two divisions has a quotient of exactly 64 bits.
-		d := pow5(-e10)
+		// exactly one of mn/dn and 2·mn/dn has a quotient of 64 bits: the
+		// first when mn >= dn. Which one it is is a coin flip of the data,
+		// so it is picked by arithmetic.
+		d := pow5[-e10]
 		lz, lzd := bits.LeadingZeros64(m), bits.LeadingZeros64(d)
 		mn, dn := m<<lz, d<<lzd
-		e2 += lzd - lz
+		lt := (mn - dn) >> 63 // both have the top bit set
 		var r uint64
-		if mn >= dn {
-			q, r = bits.Div64(mn>>1, mn<<63, dn)
-		} else {
-			q, r = bits.Div64(mn, 0, dn)
-			e2--
-		}
-		sticky = r != 0
+		q, r = bits.Div64(mn>>(1-lt), mn<<63&(lt-1), dn)
+		e2 += lzd - lz - int(lt)
+		sticky = (r | -r) >> 63
 	}
-	// Round half-even to 53 bits. The values accepted lie in [1e-27, 2^91):
-	// the result is normal.
+	// Round half-even to 53 bits: up when what is dropped, rest and sticky,
+	// is more than half, or exactly half and mant is odd. A carry out of
+	// mant moves into the exponent by itself. The values accepted lie in
+	// [1e-27, 2^91): the result is normal.
 	mant, rest := q>>11, q&(1<<11-1)
-	if rest > 1<<10 || rest == 1<<10 && (sticky || mant&1 == 1) {
-		if mant++; mant == 1<<53 {
-			mant, e2 = mant>>1, e2+1
+	mant += (1<<11 - (rest<<1 | sticky) - mant&1) >> 63
+	return math.Float64frombits(sign | uint64(e2+1022)<<52 + mant), i, true
+}
+
+// digitRun reads the decimal digits b[i:] starts with onto the end of m,
+// returning m·10^k + their value, wrapped to 64 bits, and i+k, k being how
+// many there were.
+func digitRun(b []byte, i int, m uint64) (uint64, int) {
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	return m, i
+}
+
+// fractionRun is digitRun for the digits after a point. In a trace there are
+// most often 13 to 16 of them, and how many is a coin flip: while 16 bytes
+// are left in b it takes 8 digits as one word and then the next word's
+// digits, however many there are, by arithmetic instead of a loop's exit.
+func fractionRun(b []byte, i int, m uint64) (uint64, int) {
+	if len(b)-i >= 16 {
+		if x := binary.LittleEndian.Uint64(b[i:]); eightDigitsIn(x) {
+			m, i = m*1e8+digitsValue(x, 8), i+8
+			x = binary.LittleEndian.Uint64(b[i:])
+			k := leadingDigits(x)
+			if m, i = m*pow10[k]+digitsValue(x, k), i+k; k < 8 {
+				return m, i
+			}
 		}
 	}
-	return math.Float64frombits(sign | uint64(e2+1023)<<52 | mant&(1<<52-1)), true
+	return digitRun(b, i, m)
+}
+
+// eightDigitsIn reports whether all 8 bytes of x are digits. A byte of
+// 0xfa and up carries into the next one in x+0x06…, but is not a digit
+// either.
+func eightDigitsIn(x uint64) bool {
+	return x&0xf0f0f0f0f0f0f0f0|(x+0x0606060606060606)&0xf0f0f0f0f0f0f0f0>>4 == 0x3333333333333333
+}
+
+// leadingDigits is how many of x's bytes, from the lowest, are digits before
+// the first that is not. Per byte, +0x50 sets the top bit from '0' up and
+// +0x46 from ':' up. Only a byte whose top bit is set already, which is not
+// a digit, carries, and only into the bytes after it, which do not count.
+func leadingDigits(x uint64) int {
+	other := ^((x + 0x5050505050505050) &^ (x + 0x4646464646464646) &^ x) & 0x8080808080808080
+	return bits.TrailingZeros64(other) >> 3
+}
+
+// digitsValue is the value of the k <= 8 digits in x's lowest bytes, the
+// first lowest (Lemire, "Fast floating-point number parsing", 2021): they
+// move to the top, leaving zeros below them, and each step adds neighbouring
+// lanes, ten times the first, into lanes twice as wide. What the subtraction
+// borrows from the bytes after the digits is shifted out.
+func digitsValue(x uint64, k int) uint64 {
+	x = (x - 0x3030303030303030) << (64 - 8*k)
+	x = x * (1 + 10<<8) >> 8
+	x = (x & 0x00ff00ff00ff00ff) * (1 + 100<<16) >> 16
+	return (x & 0x0000ffff0000ffff) * (1 + 10000<<32) >> 32
 }
 
 // appendFloat decides +0 and the normal values of magnitude in [2^-19, 2^53)
@@ -200,16 +252,14 @@ func appendFloat(dst []byte, v float64) ([]byte, bool) {
 		l, a, u, p, j = (l+9)/10, a/10, u/10, p*10, j+1
 	}
 	// x is 4(w - a·p), rounded to odd if inexact: the nearer of a·p and
-	// (a+1)·p is on the side of 2p that it falls on.
-	switch x := 2*(c2-2*a*p) | cnz; {
-	case a < l:
-		a++
-	case a == u:
-	case x == 2*p:
+	// (a+1)·p is on the side of 2p that it falls on. a rounds up when it is
+	// below l, or when it is not u and (a+1)·p is nearer; a tie declines.
+	x := 2*(c2-2*a*p) | cnz
+	below, atU := (a-l)>>63, ((a^u)-1)>>63 // a < l, a == u
+	if x == 2*p && below|atU == 0 {
 		return dst, false
-	default:
-		a += (2*p - x) >> 63
 	}
+	a += below | (2*p-x)>>63&^atU
 	// a·p is in [1e16, 1e17]: 17 digits, of which the last j are zeros.
 	if j == 17 {
 		p, j, k = p/10, 16, k-1
@@ -262,15 +312,18 @@ func appendFloat(dst []byte, v float64) ([]byte, bool) {
 	return dst[:n+end], true
 }
 
-// put8 writes the 8 digits of v < 1e8 to out.
+// put8 writes the 8 digits of v < 1e8 to out, all in one word: v splits
+// into two 4-digit lanes of 32 bits, those into four 2-digit lanes of 16 bits
+// and those into eight digits, one per byte, first digit lowest. Each
+// quotient is a multiplication and a shift that is exact over the lane's
+// range, and no lane overflows into the next.
 func put8(out []byte, v uint32) {
-	_ = out[7]
-	hi, lo := v/1e4, v%1e4
-	a, b, c, d := hi/100*2, hi%100*2, lo/100*2, lo%100*2
-	out[0], out[1] = digitPairs[a], digitPairs[a+1]
-	out[2], out[3] = digitPairs[b], digitPairs[b+1]
-	out[4], out[5] = digitPairs[c], digitPairs[c+1]
-	out[6], out[7] = digitPairs[d], digitPairs[d+1]
+	x := uint64(v/1e4) | uint64(v%1e4)<<32
+	q := x * 5243 >> 19 & 0x0000007f0000007f // /100, exact below 43 699
+	x = q | (x-100*q)<<16
+	q = x * 103 >> 10 & 0x000f000f000f000f // /10, exact below 179
+	x = q | (x-10*q)<<8
+	binary.LittleEndian.PutUint64(out, x+0x3030303030303030)
 }
 
 // shr128 returns hi:lo >> s, which must fit in 64 bits, and 1 if a bit that

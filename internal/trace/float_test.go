@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -150,4 +151,52 @@ func TestFloatKernelsMatchStrconv(t *testing.T) {
 		}
 	}
 	t.Logf("the kernels decided %d of %d formats and %d of %d parses", formatted, n, parsed, parses)
+}
+
+// checkFractionRun compares fractionRun with the byte loop it stands in for at
+// every offset of b, from a nonzero m so that the scaling shows.
+func checkFractionRun(t testing.TB, b []byte) {
+	t.Helper()
+	for i := 0; i <= len(b); i++ {
+		m, n := fractionRun(b, i, 7)
+		wm, wn := digitRun(b, i, 7)
+		if m != wm || n != wn {
+			t.Fatalf("fractionRun(%q, %d) = %d, %d; the byte loop's %d, %d", b, i, m, n, wm, wn)
+		}
+	}
+}
+
+// TestFractionRunMatchesByteLoop: the word-at-a-time scan reads the digits
+// the byte loop reads, for every byte value at every place of the two words
+// it looks at — '/' and ':' either side of the digits, and 0xfa to 0xff,
+// which carry in its arithmetic, among them — and for every run length.
+func TestFractionRunMatchesByteLoop(t *testing.T) {
+	digits := []byte("1234567890123456789012")
+	for p := range 18 {
+		for c := range 256 {
+			b := slices.Clone(digits)
+			b[p] = byte(c)
+			checkFractionRun(t, b)
+		}
+	}
+}
+
+// TestPut8 writes every one of the 10^8 inputs.
+func TestPut8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10^8 inputs")
+	}
+	var got [8]byte
+	want := []byte("00000000")
+	for v := range uint32(1e8) {
+		if put8(got[:], v); string(got[:]) != string(want) {
+			t.Fatalf("put8(%d) = %q", v, got)
+		}
+		for i := 7; i >= 0; i-- { // want becomes v+1
+			if want[i]++; want[i] <= '9' {
+				break
+			}
+			want[i] = '0'
+		}
+	}
 }

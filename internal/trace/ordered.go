@@ -22,6 +22,7 @@ type chunk struct {
 	pending bool  // the header row was expected and buf held no row at all
 	err     error // what stopped the decode; recs holds the rows before it
 	rowErr  bool  // err is about data row len(recs) of this chunk
+	plain   int   // records the one-pass row path read
 }
 
 // ordered is the codec's one fan-out, under both directions. A sender takes

@@ -146,6 +146,7 @@ func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\
 // decodeStats is what a decode reports on its span.
 type decodeStats struct {
 	records, bytes int64
+	plain          int64 // records the CSV decoder's one-pass row path read
 	chunks         int
 }
 
@@ -159,7 +160,7 @@ func decode(ctx context.Context, format string, r io.Reader, emit func([]Record)
 	} else {
 		st, err = decodeCSV(ctx, r, decodeChunkBytes, emit)
 	}
-	stage.End(err, obs.Int64("records", st.records), obs.Int64("bytes", st.bytes), obs.Int("chunks", st.chunks))
+	stage.End(err, obs.Int64("records", st.records), obs.Int64("plain_records", st.plain), obs.Int64("bytes", st.bytes), obs.Int("chunks", st.chunks))
 	return err
 }
 
