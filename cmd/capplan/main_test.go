@@ -33,6 +33,15 @@ func TestRejectsInvalidFlags(t *testing.T) {
 	}
 }
 
+// TestHelpIsNoError: -h prints the usage and succeeds, reading no trace and
+// writing no table.
+func TestHelpIsNoError(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, strings.NewReader(""), &out); err != nil || out.Len() > 0 {
+		t.Errorf("run(-h) = %v with %d bytes out, want nil and none", err, out.Len())
+	}
+}
+
 // TestEmptyTrace: a trace with no records is still refused by name now that
 // it is streamed — whether it is empty, only a header, or only blank lines.
 func TestEmptyTrace(t *testing.T) {

@@ -29,6 +29,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -80,6 +81,9 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		traceRing = fs.Int("trace-ring", 128, "recent traces retained for /debug/traces")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h asked for the usage, which Parse printed
+		}
 		return err
 	}
 	fail := func(format string, v ...any) error {
@@ -149,7 +153,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 			ln.Close()
 			return fmt.Errorf("listen on debug addr %s: %w", *debugAddr, err)
 		}
-		dsrv := &http.Server{Handler: obs.DebugMux(tracer), ReadHeaderTimeout: 10 * time.Second}
+		dsrv := &http.Server{Handler: server.DebugMux(tracer), ReadHeaderTimeout: 10 * time.Second}
 		go dsrv.Serve(dln)
 		defer dsrv.Close()
 		logger.Info("debug listening", "addr", dln.Addr().String())

@@ -180,6 +180,14 @@ func TestCapservedEndToEnd(t *testing.T) {
 	t.Logf("drained with job %s in flight", inflightID)
 }
 
+// TestCapservedHelpIsNoError: -h prints the usage and returns nil without
+// listening.
+func TestCapservedHelpIsNoError(t *testing.T) {
+	if err := run(context.Background(), []string{"-h"}, nil); err != nil {
+		t.Errorf("run(-h) = %v, want nil", err)
+	}
+}
+
 func TestCapservedRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-workers", "-1"},

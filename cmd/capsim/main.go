@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,6 +46,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		traceOut = fs.String("trace-out", "", "write a Chrome trace_event JSON of the run (load at chrome://tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h asked for the usage, which Parse printed
+		}
 		return err
 	}
 	// Invalid flag values print usage and exit non-zero instead of

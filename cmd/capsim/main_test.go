@@ -29,6 +29,14 @@ func TestRejectsInvalidFlags(t *testing.T) {
 	}
 }
 
+// TestHelpIsNoError: -h prints the usage and succeeds, writing no trace.
+func TestHelpIsNoError(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &out); err != nil || out.Len() > 0 {
+		t.Errorf("run(-h) = %v with %d bytes out, want nil and none", err, out.Len())
+	}
+}
+
 // TestTraceBytesPinned: the trace of `-days 1 -pools B -seed 7` is, byte for
 // byte, what the encoding/csv writer (and the JSON Lines writer) wrote before
 // the codec was rewritten — to a file or to stdout, on one CPU or four.

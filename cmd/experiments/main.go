@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,6 +40,9 @@ func run(ctx context.Context, args []string) error {
 		list = fs.Bool("list", false, "list experiment IDs and exit")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h asked for the usage, which Parse printed
+		}
 		return err
 	}
 	if *list {

@@ -182,7 +182,10 @@ func (j *Job) setRunning() {
 	}
 }
 
-func (j *Job) finish(result any, err error) {
+// finish makes j terminal. It ends the job's stage and the run timer
+// before it releases the job's waiters, so the span of a request that waits
+// on the job always outlives the job's own.
+func (j *Job) finish(result any, err error, wait time.Duration, running obs.Stage) {
 	j.mu.Lock()
 	if err != nil {
 		j.state = Failed
@@ -192,8 +195,16 @@ func (j *Job) finish(result any, err error) {
 		j.result = result
 	}
 	j.finished = time.Now()
+	state, attempts := j.state, j.attempts
 	cb := j.onFinish
 	j.mu.Unlock()
+	run := running.End(nil)
+	j.stage.End(err,
+		obs.Str("state", string(state)),
+		obs.Int("attempts", attempts),
+		obs.Int64("queue_wait_ns", wait.Nanoseconds()),
+		obs.Int64("run_ns", run.Nanoseconds()),
+	)
 	close(j.done)
 	if cb != nil {
 		cb(j)
@@ -419,14 +430,6 @@ func (q *Queue) run(j *Job) {
 	j.stage.Span().Event("jobs.queued", j.created, wait, obs.Int64("queue_wait_ns", wait.Nanoseconds()))
 	running := obs.StartTimer(obs.JobRunSeconds)
 	defer func() {
-		run := running.End(nil)
-		snap := j.Snapshot()
-		j.stage.End(snap.Err,
-			obs.Str("state", string(snap.State)),
-			obs.Int("attempts", snap.Attempts),
-			obs.Int64("queue_wait_ns", wait.Nanoseconds()),
-			obs.Int64("run_ns", run.Nanoseconds()),
-		)
 		// A retained job answers status queries only: drop the closure and
 		// the submitting request's context (payload, connection) it pins.
 		j.fn, j.vals = nil, nil
@@ -442,7 +445,7 @@ func (q *Queue) run(j *Job) {
 		st.End(err)
 		return err
 	})
-	j.finish(result, err)
+	j.finish(result, err, wait, running)
 }
 
 // safeCall invokes fn, converting a panic into a permanent job failure so

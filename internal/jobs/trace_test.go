@@ -152,6 +152,51 @@ func TestFailedJobSpanRecordsError(t *testing.T) {
 	}
 }
 
+// TestJobSpanEndsBeforeWaitersAreReleased pins the order of a job's end:
+// its jobs.job span is recorded before the terminal OnStateChange callback
+// runs and before Wait returns, so a request waiting on the job can never
+// end its own span first.
+func TestJobSpanEndsBeforeWaitersAreReleased(t *testing.T) {
+	tracer := obs.NewTracer(4)
+	jobSpan := func(traceID string) (obs.SpanData, bool) {
+		td, _ := tracer.Trace(traceID)
+		for _, sd := range td.Spans {
+			if sd.Name == "jobs.job" {
+				return sd, true
+			}
+		}
+		return obs.SpanData{}, false
+	}
+	atDone := make(chan bool, 1)
+	q := New(Config{Workers: 1, OnStateChange: func(s Snapshot) {
+		if s.State == Done {
+			_, ok := jobSpan(s.TraceID)
+			atDone <- ok
+		}
+	}})
+	defer q.Close(context.Background())
+
+	ctx, root := obs.StartSpan(obs.WithTracer(context.Background(), tracer), "test.request")
+	defer root.End()
+	j, err := q.SubmitCtx(ctx, "plan", func(context.Context) (any, error) { return 1, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sd, ok := jobSpan(j.TraceID())
+	if !ok {
+		t.Fatal("Wait returned before the jobs.job span ended")
+	}
+	if attrs := sd.Attrs.Map(); attrs["state"] != "done" || attrs["attempts"] != int64(1) || attrs["run_ns"] == nil {
+		t.Errorf("jobs.job attrs = %v", attrs)
+	}
+	if !<-atDone {
+		t.Error("the Done callback ran before the jobs.job span ended")
+	}
+}
+
 func names(spans []obs.SpanData) []string {
 	out := make([]string, len(spans))
 	for i, sd := range spans {

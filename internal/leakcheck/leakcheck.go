@@ -10,16 +10,24 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"testing"
 	"time"
 )
+
+// TB is the part of testing.TB that Check calls. Naming only these three
+// methods keeps the testing package out of every binary that links
+// leakcheck for Settle or DumpGoroutines.
+type TB interface {
+	Helper()
+	Cleanup(func())
+	Error(args ...any)
+}
 
 // Check snapshots the current goroutine count and registers a cleanup that
 // fails the test if more goroutines are still running after the grace
 // period. Call it first in a test so its cleanup runs last (after server
 // and client shutdown registered later). Not compatible with t.Parallel:
 // sibling tests' goroutines would pollute the count.
-func Check(t testing.TB) {
+func Check(t TB) {
 	t.Helper()
 	start := runtime.NumGoroutine()
 	t.Cleanup(func() {

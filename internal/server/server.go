@@ -419,8 +419,8 @@ func (s *Server) routes() {
 	}
 	// Debug endpoints are served raw: instrumenting them would add a trace
 	// to the ring per /debug/traces view.
-	s.mux.Handle("GET /debug/traces", obs.TracesHandler(s.cfg.Tracer))
-	s.mux.Handle("GET /debug/goroutines", obs.GoroutinesHandler())
+	s.mux.Handle("GET /debug/traces", tracesHandler(s.cfg.Tracer))
+	s.mux.Handle("GET /debug/goroutines", goroutinesHandler())
 }
 
 // Handler returns the server's HTTP handler, for tests and embedding.

@@ -28,7 +28,7 @@ func TestReachableFixture(t *testing.T) {
 	}, map[string]string{
 		"lib.Allowed n": "allowlisted and fixed",
 		"lib.Varied n":  "allowlisted but its calls differ",
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

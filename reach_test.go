@@ -56,11 +56,21 @@ var paramAllow = map[string]string{
 
 const paramAllowMax = 2
 
+// batchMains are the one-shot binaries of the method's batch half: trace
+// in, plan or artefact out. Their dependency closures hold none of
+// serviceOnly, which capserved alone links.
+var (
+	batchMains  = []string{"headroom/cmd/capsim", "headroom/cmd/capplan", "headroom/cmd/experiments"}
+	serviceOnly = []string{"net/http", "net/http/pprof", "crypto/tls"}
+)
+
 // TestReachable type-checks every non-test package of the module, its
 // examples and cmd/capbench, and fails on each package-level declaration or
 // method that no main, init or blank-var root reaches, on each struct field
 // that no non-test code writes, and on each parameter that two or more
-// non-test calls all set to one constant.
+// non-test calls all set to one constant. From the same package listing it
+// also fails on a non-test package that imports testing and on a batch main
+// that links a package of serviceOnly.
 func TestReachable(t *testing.T) {
 	if len(reachAllow) > reachAllowMax {
 		t.Errorf("allowlist has %d entries, at most %d allowed", len(reachAllow), reachAllowMax)
@@ -71,7 +81,7 @@ func TestReachable(t *testing.T) {
 	if len(paramAllow) > paramAllowMax {
 		t.Errorf("parameter allowlist has %d entries, at most %d allowed", len(paramAllow), paramAllowMax)
 	}
-	rep, err := analyzeReach([]string{".", "cmd/capbench"}, reachAllow, fieldAllow, paramAllow)
+	rep, err := analyzeReach([]string{".", "cmd/capbench"}, reachAllow, fieldAllow, paramAllow, batchMains)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +100,12 @@ func TestReachable(t *testing.T) {
 	for _, a := range rep.paramAllowed {
 		f := strings.Fields(a)
 		t.Logf("allowlisted %s: %s", a, paramAllow[f[1]+" "+f[2]])
+	}
+	for _, c := range rep.closures {
+		t.Logf("batch main %s", c)
+	}
+	for _, l := range rep.layering {
+		t.Errorf("layering: %s", l)
 	}
 	for _, s := range rep.stale {
 		t.Errorf("stale allowlist entry %s", s)
@@ -125,12 +141,15 @@ type reachReport struct {
 	fewCalls     int      // of a function with fewer than two non-test calls
 	fixed        []string // "file:line pkg.Func param = value", in file order
 	paramAllowed []string // allowlisted parameters, fixed as they should be
+
+	closures []string // "path: N dependencies" per batch main, in the order given
+	layering []string // "path imports testing", "path links net/http" or "path: not listed"
 }
 
 // listedPkg is the part of `go list -json` the analysis reads.
 type listedPkg struct {
 	ImportPath, Name, Dir, Export string
-	GoFiles                       []string
+	GoFiles, Imports, Deps        []string
 	Standard                      bool
 	Error                         *struct{ Err string }
 }
@@ -157,8 +176,10 @@ type reachDecl struct {
 // the roots. Then every struct field must be written (fieldWrites says what
 // a write is) unless it has a json tag or fieldAllow names it, and no
 // parameter may be fixed (fixedParam says what that is) unless paramAllow
-// names it.
-func analyzeReach(dirs []string, allow, fieldAllow, paramAllow map[string]string) (*reachReport, error) {
+// names it. Last, no listed package outside the standard library may import
+// testing (test files are not listed), and no main named in batch may have
+// a package of serviceOnly among its dependencies.
+func analyzeReach(dirs []string, allow, fieldAllow, paramAllow map[string]string, batch []string) (*reachReport, error) {
 	listed := map[string]*listedPkg{}
 	var order []string
 	for _, dir := range dirs {
@@ -599,6 +620,26 @@ func analyzeReach(dirs []string, allow, fieldAllow, paramAllow map[string]string
 	for _, name := range names {
 		rep.stale = append(rep.stale, name+": not fixed")
 	}
+
+	// Layering.
+	for _, path := range order {
+		if p := listed[path]; !p.Standard && slices.Contains(p.Imports, "testing") {
+			rep.layering = append(rep.layering, path+" imports testing")
+		}
+	}
+	for _, path := range batch {
+		p := listed[path]
+		if p == nil {
+			rep.layering = append(rep.layering, path+": not listed")
+			continue
+		}
+		rep.closures = append(rep.closures, fmt.Sprintf("%s: %d dependencies", path, len(p.Deps)))
+		for _, dep := range serviceOnly {
+			if slices.Contains(p.Deps, dep) {
+				rep.layering = append(rep.layering, path+" links "+dep)
+			}
+		}
+	}
 	return rep, nil
 }
 
@@ -809,7 +850,7 @@ func posCompare(a, b token.Position) int {
 // it is not there yet).
 func goListDeps(dir string) ([]*listedPkg, error) {
 	cmd := exec.Command("go", "list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,Standard,Error", "./...")
+		"-json=ImportPath,Name,Dir,Export,GoFiles,Imports,Deps,Standard,Error", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
