@@ -71,9 +71,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		distToken  = fs.String("dist-token", "", "shared secret for internal shard traffic; required with -peers, and serves POST /v1/internal/shard when set")
 		hedgeAfter = fs.Duration("hedge-after", 0, "hedge a shard dispatch still unanswered after this delay (0 = adaptive 2x worker EWMA, negative = disabled)")
 
-		partial       = fs.Bool("partial-results", false, "serve degraded results when some pools fail instead of failing the whole job")
-		retryAttempts = fs.Int("source-retries", 0, "max source stream attempts per shard (0 = no retry layer: a failed stream fails its shard; N = up to N attempts)")
-		retryBackoff  = fs.Duration("source-retry-backoff", 0, "initial backoff between source retries (0 = default 50ms)")
+		partial = fs.Bool("partial-results", false, "serve degraded results when some pools fail instead of failing the whole job")
 
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -108,12 +106,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	}
 	if *shards < 0 {
 		return fail("shards must be >= 0, got %d", *shards)
-	}
-	if *retryAttempts < 0 {
-		return fail("source-retries must be >= 0, got %d", *retryAttempts)
-	}
-	if *retryBackoff < 0 {
-		return fail("source-retry-backoff must be >= 0, got %s", *retryBackoff)
 	}
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
@@ -170,8 +162,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		DistToken:      *distToken,
 		HedgeAfter:     *hedgeAfter,
 		PartialResults: *partial,
-		RetryAttempts:  *retryAttempts,
-		RetryBackoff:   *retryBackoff,
 		Logger:         logger,
 		Tracer:         tracer,
 	})

@@ -47,13 +47,14 @@ type Case struct {
 // FaultPlan injects one deterministic fault rule into every path's source.
 // Exactly one pool is faulted (and never all of them), so offset-based
 // per-pool ordinals — and therefore the injection point — are identical
-// across shard counts and worker placements.
+// across shard counts and worker placements. A faulted case runs with
+// partial results on, so no job is retried: a transient or panic fault fires
+// once per injector and degrades its shard, a permanent one on every run.
 type FaultPlan struct {
-	Kind    faults.Kind
-	Seed    int64
-	Pool    string
-	At      int
-	Retries int // ResilientSource attempts on every path; >0 only for Transient
+	Kind faults.Kind
+	Seed int64
+	Pool string
+	At   int
 }
 
 // Rule materializes the plan's single injector rule.
@@ -65,7 +66,7 @@ func (fp *FaultPlan) String() string {
 	if fp == nil {
 		return "none"
 	}
-	return fmt.Sprintf("%s pool=%s at=%d retries=%d seed=%d", fp.Kind, fp.Pool, fp.At, fp.Retries, fp.Seed)
+	return fmt.Sprintf("%s pool=%s at=%d seed=%d", fp.Kind, fp.Pool, fp.At, fp.Seed)
 }
 
 // cheapPools are the default-fleet pools whose one-day simulation costs
@@ -118,7 +119,7 @@ func Generate(seed int64) Case {
 	case p < 75:
 		c.Fault = &FaultPlan{Kind: faults.Permanent}
 	case p < 90:
-		c.Fault = &FaultPlan{Kind: faults.Transient, Retries: 2}
+		c.Fault = &FaultPlan{Kind: faults.Transient}
 	default:
 		c.Fault = &FaultPlan{Kind: faults.Panic}
 	}
@@ -205,9 +206,6 @@ func RunCase(ctx context.Context, c Case, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// retryBackoff keeps injected-transient retries fast on every path.
-const retryBackoff = time.Millisecond
-
 // runLibrary is paths (a) and (b): a Session over the request's fleet with
 // the given shard count, rendered through the same result builders the
 // server uses.
@@ -223,9 +221,11 @@ func (c Case) runLibrary(ctx context.Context, shards int) PathResult {
 		out.Err = err.Error()
 		return out
 	}
-	// The server's own wrap, with a fresh fault injector per path: the
-	// invariant is only meaningful if every path wraps in the same order.
-	src := server.WrapSource(c.serverConfig(true), headroom.NewSimSource(cfg, c.Req.Days), c.Req.Seed, nil)
+	// The server's source, under a fresh fault injector per path.
+	var src headroom.Source = headroom.NewSimSource(cfg, c.Req.Days)
+	if c.Fault != nil {
+		src = faults.New(c.Fault.Seed, c.Fault.Rule()).Source(src)
+	}
 	opts := []headroom.Option{
 		headroom.WithSource(src),
 		headroom.WithShards(shards),
@@ -294,10 +294,6 @@ func (c Case) serverConfig(withFaults bool) server.Config {
 	}
 	if c.Fault != nil && withFaults {
 		cfg.Faults = faults.New(c.Fault.Seed, c.Fault.Rule())
-		if c.Fault.Retries > 0 {
-			cfg.RetryAttempts = c.Fault.Retries
-			cfg.RetryBackoff = retryBackoff
-		}
 	}
 	return cfg
 }
@@ -354,11 +350,9 @@ const skippedResubmit = "skipped: one-shot fault state consumed by first run"
 // runServed is path (d): one plain capserved instance, submitted to twice —
 // a cache miss, then a resubmission that must be a byte-identical hit for
 // cacheable results and a byte-identical recomputation for permanently
-// degraded ones. Panic faults skip the resubmission: the one-shot rule is
-// consumed by the first (degraded, uncached) run, so the second run is
-// legitimately a different, fault-free computation. Transient faults are
-// resubmitted: the first run's retries already recovered the fault-free
-// bytes, so the second serve must be a cache hit of the same bytes.
+// degraded ones. Transient and panic faults skip the resubmission: the
+// one-shot rule is consumed by the first (degraded, uncached) run, so the
+// second run is legitimately a different, fault-free computation.
 func (c Case) runServed(ctx context.Context) (PathResult, PathResult, error) {
 	out := PathResult{Name: "served"}
 	again := PathResult{Name: "served-again"}
@@ -376,7 +370,7 @@ func (c Case) runServed(ctx context.Context) (PathResult, PathResult, error) {
 	}
 	fill(&out, v)
 
-	if c.Fault != nil && c.Fault.Kind == faults.Panic {
+	if c.Fault != nil && c.Fault.Kind != faults.Permanent {
 		again.Err = skippedResubmit
 		return out, again, nil
 	}
@@ -458,11 +452,10 @@ func degradedOf(raw []byte) (bool, []string) {
 func (c Case) compare(ctx context.Context, paths []PathResult) string {
 	seq, shd, dst, srv, again := paths[0], paths[1], paths[2], paths[3], paths[4]
 
-	degrading := c.Fault != nil && c.Fault.Kind != faults.Transient
+	degrading := c.Fault != nil
 	if !degrading {
-		// Fault-free, or transient absorbed by retries: every path must
-		// succeed with byte-identical results — including the resubmission,
-		// which must also be a cache hit.
+		// Fault-free: every path must succeed with byte-identical results —
+		// including the resubmission, which must also be a cache hit.
 		for _, p := range paths {
 			if p.Err != "" {
 				return fmt.Sprintf("%s failed: %s", p.Name, p.Err)
@@ -479,7 +472,7 @@ func (c Case) compare(ctx context.Context, paths []PathResult) string {
 		return ""
 	}
 
-	// Degrading fault (permanent or panic). The sequential path streams one
+	// Degrading fault (any kind). The sequential path streams one
 	// shard, so the fault fails its whole run — that asymmetry is the
 	// documented single-stream semantics, and the path is asserted to fail
 	// rather than compared byte-wise.

@@ -64,7 +64,7 @@ func TestRegressionSeeds(t *testing.T) {
 		why  string
 	}{
 		{3, "permanent fault's shard-mates join failed_pools (pools [C E G], 2 shards)"},
-		{4, "transient fault absorbed by retries must still cache-hit on resubmit"},
+		{4, "a one-shot transient fault degrades its shard alike on the sharded, dist and served paths"},
 		{6, "panic in a sequential (single-shard) run must degrade, not crash the process"},
 		{27, "plan rows reduced per shard: a permanent fault on the pool that is a shard of its own (pools [A D E H], 3 shards) leaves the survivors' rows the merged plan's"},
 	}

@@ -6,16 +6,17 @@
 //
 // The package exists so failure paths can be driven as deliberately as
 // happy paths: the chaos tests replay the exact same faults from the same
-// seed, and resilience layers (headroom.ResilientSource, internal/jobs
-// retries, the capserved circuit breaker) can be exercised against known
-// bad states instead of waiting for production to produce them.
+// seed, and resilience layers (the internal/jobs retry, the coordinator's
+// shard reroute, the capserved circuit breakers) can be exercised against
+// known bad states instead of waiting for production to produce them.
 //
 // Determinism contract: a fresh Injector with the same seed and rules,
 // driven through the same call sequence (same shard count, same stream
 // order), injects the same faults at the same points. Offset-based
 // transient, stall and panic rules are one-shot per (rule, offset) within
-// an injector's lifetime, so a retry of the same stream succeeds — exactly
-// the shape a retry layer needs. Permanent rules fire on every attempt.
+// an injector's lifetime, so a rerun of the same stream through the same
+// injector (a job the queue retries) succeeds. Permanent rules fire on every
+// attempt.
 package faults
 
 import (
@@ -152,8 +153,8 @@ func (in *Injector) fires(scope string, ri, ord int, draw func() float64) bool {
 
 // Source wraps src with fault injection. The wrapper preserves sharding
 // (each shard gets a decorrelated but reproducible random stream) and pool
-// attribution (headroom.PoolNamer), so it can sit under
-// headroom.ResilientSource and sharded aggregation transparently.
+// attribution (headroom.PoolNamer), so sharded aggregation splits and
+// reports it like the source it wraps.
 func (in *Injector) Source(src headroom.Source) headroom.Source {
 	return &faultSource{in: in, src: src, scope: "s", seed: in.seed}
 }

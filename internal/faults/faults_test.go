@@ -131,47 +131,38 @@ func TestFaultProbabilityReplaysFromSeed(t *testing.T) {
 	}
 }
 
-// TestFaultInsideRunResumesExactlyOnce: a transient fault whose offset falls
-// in the middle of a simulator step cuts the step there; under
-// ResilientSource the retry skips what was delivered, cutting the step it
-// ends in, and the consumer sees the fault-free stream.
-func TestFaultInsideRunResumesExactlyOnce(t *testing.T) {
+// TestFaultInsideRunDeliversRecordsBefore: a transient fault whose offset
+// falls in the middle of a simulator step cuts the step there. The consumer
+// has seen exactly the fault-free stream's records before the offset, and
+// the stream fails with the injected transient error.
+func TestFaultInsideRunDeliversRecordsBefore(t *testing.T) {
 	fleet := headroom.FleetConfig{
 		DCs:   headroom.NineRegions(),
 		Pools: []headroom.PoolConfig{headroom.PoolB()},
 		Seed:  5,
 	}
-	collect := func(src headroom.Source) (recs []headroom.Record, runs []int) {
-		t.Helper()
-		err := src.Stream(context.Background(), func(run []headroom.Record) error {
+	collect := func(src headroom.Source) (recs []headroom.Record, runs []int, err error) {
+		err = src.Stream(context.Background(), func(run []headroom.Record) error {
 			recs = append(recs, run...)
 			runs = append(runs, len(run))
 			return nil
 		})
-		if err != nil {
-			t.Fatalf("stream: %v", err)
-		}
-		return recs, runs
+		return recs, runs, err
 	}
-	want, steps := collect(headroom.NewSimSource(fleet, 1))
+	want, steps, err := collect(headroom.NewSimSource(fleet, 1))
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
 	// Offsets strictly inside the first step, inside a later one, and on a
 	// step boundary.
-	offsets := []int{steps[0] / 2, steps[0] + steps[1] + 1, steps[0] + steps[1] + steps[2]}
-	inj := faults.New(1, faults.Rule{Kind: faults.Transient, At: offsets})
-	var retries int
-	got, _ := collect(headroom.ResilientSource(inj.Source(headroom.NewSimSource(fleet, 1)), headroom.RetryPolicy{
-		MaxAttempts: 4, Backoff: time.Microsecond,
-		OnRetry: func(int, error) { retries++ },
-	}))
-	if retries != len(offsets) || inj.Injected() != int64(len(offsets)) {
-		t.Fatalf("retries = %d, injected = %d, want %d of each", retries, inj.Injected(), len(offsets))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("delivered %d records, the fault-free stream has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
+	for _, at := range []int{steps[0] / 2, steps[0] + steps[1] + 1, steps[0] + steps[1] + steps[2]} {
+		inj := faults.New(1, faults.Rule{Kind: faults.Transient, At: []int{at}})
+		got, _, err := collect(inj.Source(headroom.NewSimSource(fleet, 1)))
+		if !headroom.IsTransient(err) || inj.Injected() != 1 {
+			t.Fatalf("offset %d: err = %v, injected = %d, want one transient fault", at, err, inj.Injected())
+		}
+		if !reflect.DeepEqual(got, want[:at]) {
+			t.Fatalf("offset %d: delivered %d records, want the fault-free stream's first %d", at, len(got), at)
 		}
 	}
 }

@@ -88,18 +88,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached value for key, marking it most recently used. It
-// does not touch the hit/miss counters — Do owns those.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry).val, true
-	}
-	return nil, false
-}
-
 // Do returns the value for key, computing it with fn on a miss. Concurrent
 // calls for the same key share a single fn execution (single-flight); the
 // value is cached only on success, so errors are retried by the next

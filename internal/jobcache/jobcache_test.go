@@ -106,14 +106,20 @@ func TestLRUEviction(t *testing.T) {
 	c.Do("a", func() (any, error) { t.Error("a recomputed"); return nil, nil }) // touch a
 	c.Do("c", func() (any, error) { return 3, nil })                            // evicts b
 
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived eviction despite being LRU")
+	// Probe with Do: a hit is a resident key. b is probed last, as its miss
+	// stores it and evicts the then least recently used key.
+	cached := func(key string) bool {
+		_, hit, _ := c.Do(key, func() (any, error) { return 0, nil })
+		return hit
 	}
-	if _, ok := c.Get("a"); !ok {
+	if !cached("a") {
 		t.Error("a evicted despite recent use")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if !cached("c") {
 		t.Error("c missing")
+	}
+	if cached("b") {
+		t.Error("b survived eviction despite being LRU")
 	}
 	if c.Len() != 2 {
 		t.Errorf("len = %d, want 2", c.Len())

@@ -17,15 +17,12 @@ func TestUncacheableReturnedButNeverStored(t *testing.T) {
 	if v != "partial" {
 		t.Fatalf("value = %v, want the unwrapped inner value", v)
 	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("degraded result was stored in the cache")
-	}
 
 	// An identical later request recomputes instead of being served the
-	// partial answer as if it were complete.
+	// partial answer as if it were complete: it was not stored.
 	v, hit, err = c.Do("k", degraded)
 	if err != nil || hit || v != "partial" {
-		t.Fatalf("second Do = (%v, %v, %v), want recomputed value", v, hit, err)
+		t.Fatalf("second Do = (%v, %v, %v), want recomputed value: the degraded result was stored", v, hit, err)
 	}
 	if runs != 2 {
 		t.Fatalf("runs = %d, want 2", runs)
@@ -40,7 +37,8 @@ func TestUncacheableReturnedButNeverStored(t *testing.T) {
 	if err != nil || hit || v != "full" {
 		t.Fatalf("healthy Do = (%v, %v, %v)", v, hit, err)
 	}
-	if got, ok := c.Get("k"); !ok || got != "full" {
-		t.Fatalf("healthy result not cached: (%v, %v)", got, ok)
+	v, hit, _ = c.Do("k", func() (any, error) { return "recomputed", nil })
+	if !hit || v != "full" {
+		t.Fatalf("healthy result not cached: Do = (%v, hit %v)", v, hit)
 	}
 }

@@ -214,7 +214,7 @@ func (j *Job) finish(result any, err error, wait time.Duration, running obs.Stag
 // Config sizes a Queue. Zero values take the documented defaults. The retry
 // schedule is fixed, not configured: a job whose error is transient (see
 // retry.Transient) runs up to 3 times, sleeping a jittered 50 ms, then 100 ms,
-// between attempts (retry.Do's defaults, jitter seeded with 1); permanent
+// between attempts (retry.Do's schedule, jitter seeded with 1); permanent
 // errors never retry.
 type Config struct {
 	// Workers is the worker-pool size; default GOMAXPROCS.
@@ -437,7 +437,7 @@ func (q *Queue) run(j *Job) {
 	}()
 
 	var result any
-	err := retry.Do(ctx, retry.Attempts, retry.Backoff, q.jitter, retry.IsTransient, nil, func(n int) error {
+	err := retry.Do(ctx, q.jitter, func(n int) error {
 		j.setRunning()
 		attemptCtx, st := obs.StartStage(ctx, "jobs.attempt", nil, obs.Int("attempt", n))
 		var err error

@@ -248,23 +248,6 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	s.mu.Unlock()
 }
 
-// AddInt adds delta to the integer attribute key, creating it at delta when
-// absent — retry counters accumulate across attempts this way.
-func (s *Span) AddInt(key string, delta int64) {
-	if !s.Enabled() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key && s.attrs[i].kind == kindInt64 {
-			s.attrs[i].i += delta
-			return
-		}
-	}
-	s.attrs = append(s.attrs, Int64(key, delta))
-}
-
 // RecordError annotates the span with a non-nil error.
 func (s *Span) RecordError(err error) {
 	if err == nil {

@@ -78,7 +78,6 @@ func TestDisabledSpanIsNoop(t *testing.T) {
 	}
 	// All methods must be safe no-ops.
 	sp.SetAttr(Int("n", 1))
-	sp.AddInt("n", 1)
 	sp.RecordError(errors.New("x"))
 	sp.Event("e", time.Now(), time.Second)
 	sp.End()
@@ -114,20 +113,6 @@ func TestEndIdempotent(t *testing.T) {
 	td, _ := tracer.Trace(sp.TraceID())
 	if len(td.Spans) != 1 {
 		t.Fatalf("idempotent End recorded %d spans, want 1", len(td.Spans))
-	}
-}
-
-func TestAddIntAccumulates(t *testing.T) {
-	tracer := NewTracer(2)
-	ctx := WithTracer(context.Background(), tracer)
-	_, sp := StartSpan(ctx, "retries")
-	sp.AddInt("retries", 1)
-	sp.AddInt("retries", 1)
-	sp.AddInt("retries", 2)
-	sp.End()
-	td, _ := tracer.Trace(sp.TraceID())
-	if got := td.Spans[0].Attrs.Map()["retries"]; got != int64(4) {
-		t.Fatalf("retries attr = %v, want 4", got)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package retry holds what every retrying layer of the module shares: the
 // one sentinel that marks an error as worth retrying, the one jittered
-// backoff draw, and the one retry loop, Do, with its one default schedule
-// (Attempts, Backoff, MaxBackoff). It is a leaf (standard library only) so
-// the record-source layer (headroom.ResilientSource), the job queue
-// (internal/jobs) and the shard dispatcher (internal/dist) can all speak the
-// same classification without importing each other; the first two retry
-// through Do.
+// backoff draw, and the one retry loop, Do, with its one fixed schedule
+// (Attempts, Backoff). It is a leaf (standard library only) so the job queue
+// (internal/jobs), which retries through Do, and the shard dispatcher
+// (internal/dist), which reroutes a failed shard to another worker, speak the
+// same classification without importing each other.
 package retry
 
 import (
@@ -17,13 +16,11 @@ import (
 	"time"
 )
 
-// The default retry schedule: Attempts executions in all (the first
-// included), the first retry sleeping a jittered Backoff, each later one
-// double the one before, up to MaxBackoff.
+// The retry schedule: Attempts executions in all (the first included), the
+// first retry sleeping a jittered Backoff, the second double that.
 const (
-	Attempts   = 3
-	Backoff    = 50 * time.Millisecond
-	MaxBackoff = 2 * time.Second
+	Attempts = 3
+	Backoff  = 50 * time.Millisecond
 )
 
 // ErrTransient marks an error as retryable. Wrap with Transient (or any
@@ -66,21 +63,19 @@ func Seeded(seed int64) func(time.Duration) time.Duration {
 }
 
 // Do runs attempt for n = 1, 2, … until it succeeds, fails with an error
-// retryable rejects, or has run attempts times, and returns its last error.
-// Between attempts it sleeps jitter(backoff), where backoff starts at first
-// and doubles after each sleep up to MaxBackoff: one draw per retry. After a
+// that is not transient (IsTransient), or has run Attempts times, and returns
+// its last error. Between attempts it sleeps jitter(backoff), where backoff
+// starts at Backoff and doubles after each sleep: one draw per retry. After a
 // failed attempt it neither draws nor sleeps once ctx has ended, and returns
 // that attempt's error. A sleep that cannot end before ctx's deadline is not
 // begun: Do gives up with an error wrapping context.DeadlineExceeded and the
 // last error. If ctx ends during a sleep, the error wraps ctx.Err() and the
-// last error. onRetry, if not nil, sees each failed attempt n that is
-// followed by a sleep, before the sleep.
-func Do(ctx context.Context, attempts int, first time.Duration, jitter func(time.Duration) time.Duration,
-	retryable func(error) bool, onRetry func(n int, err error), attempt func(n int) error) error {
-	backoff := first
+// last error.
+func Do(ctx context.Context, jitter func(time.Duration) time.Duration, attempt func(n int) error) error {
+	backoff := Backoff
 	for n := 1; ; n++ {
 		err := attempt(n)
-		if err == nil || n >= attempts || !retryable(err) || ctx.Err() != nil {
+		if err == nil || n >= Attempts || !IsTransient(err) || ctx.Err() != nil {
 			return err
 		}
 		sleep := jitter(backoff)
@@ -90,9 +85,6 @@ func Do(ctx context.Context, attempts int, first time.Duration, jitter func(time
 			return fmt.Errorf("retry abandoned after %d attempts (backoff %s exceeds the deadline: %w): %w",
 				n, sleep, context.DeadlineExceeded, err)
 		}
-		if onRetry != nil {
-			onRetry(n, err)
-		}
 		t := time.NewTimer(sleep)
 		select {
 		case <-t.C:
@@ -100,7 +92,7 @@ func Do(ctx context.Context, attempts int, first time.Duration, jitter func(time
 			t.Stop()
 			return fmt.Errorf("%w (after %d attempts: %w)", ctx.Err(), n, err)
 		}
-		backoff = min(2*backoff, MaxBackoff)
+		backoff *= 2
 	}
 }
 

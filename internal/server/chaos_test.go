@@ -24,13 +24,12 @@ import (
 	"headroom/internal/leakcheck"
 )
 
-// chaosConfig sizes a partial-results server with fast source retries and
-// the given injector under every job's record source.
+// chaosConfig sizes a partial-results server with the given injector under
+// every job's record source.
 func chaosConfig(inj *faults.Injector) Config {
 	return Config{
 		Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute,
 		Shards: 8, PartialResults: true,
-		RetryAttempts: 3, RetryBackoff: time.Millisecond,
 		Faults: inj,
 	}
 }
@@ -335,27 +334,81 @@ func TestChaosBreakerFastFailBurstNoLeak(t *testing.T) {
 	}
 }
 
-// TestFaultTransientSourceRetriedInvisibly checks the resilience layer hides
-// a one-shot transient source fault completely: the job succeeds, the result
-// is NOT degraded, and the retry is counted.
-func TestFaultTransientSourceRetriedInvisibly(t *testing.T) {
-	inj := faults.New(7, faults.Rule{Kind: faults.Transient, Pools: []string{"B"}, At: []int{0}})
-	s := New(chaosConfig(inj))
+// transientB is a one-shot transient fault on pool B's first record: the
+// first stream of B fails, every later one through the same injector runs
+// clean.
+func transientB() *faults.Injector {
+	return faults.New(7, faults.Rule{Kind: faults.Transient, Pools: []string{"B"}, At: []int{0}})
+}
+
+const transientBody = `{"days":1,"seed":1,"pools":["B","D"]}`
+
+// TestFaultTransientRetriedByJobQueue: with partial results off, a transient
+// shard fault fails the job's first attempt, and the job queue's second
+// attempt (the injector's one shot spent) completes. The complete result is
+// cached like any other.
+func TestFaultTransientRetriedByJobQueue(t *testing.T) {
+	cfg := chaosConfig(transientB())
+	cfg.PartialResults = false
+	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
-	_, res := submitSimulate(t, ts.URL, `{"days":1,"seed":1,"pools":["B","D"]}`)
+	v1, res := submitSimulate(t, ts.URL, transientBody)
 	if res.Degraded || len(res.FailedPools) != 0 {
-		t.Fatalf("result = %+v, want complete result after in-source retry", res)
+		t.Fatalf("result = %+v, want the complete result of the retried job", res)
+	}
+	v2, _ := submitSimulate(t, ts.URL, transientBody)
+	if st := s.CacheStats(); st.Hits != 1 || st.Uncacheable != 0 {
+		t.Errorf("cache stats = %+v, want the resubmission a hit of the cached result", st)
+	}
+	if string(v2.Result) != string(v1.Result) {
+		t.Error("cache hit differs from the computed result")
 	}
 	_, mtext := getJSON(t, ts.URL+"/metrics")
-	if n := metricValue(t, string(mtext), "capserved_source_retries_total"); n < 1 {
-		t.Errorf("source_retries_total = %v, want >= 1", n)
+	if n := metricValue(t, string(mtext), `capserved_job_retries_total{kind="simulate"}`); n != 1 {
+		t.Errorf("job_retries_total{simulate} = %v, want 1", n)
 	}
-	if st := s.CacheStats(); st.Uncacheable != 0 {
-		t.Errorf("uncacheable = %d, want 0: a recovered result is cacheable", st.Uncacheable)
+	if n := metricValue(t, string(mtext), "capserved_injected_faults_total"); n != 1 {
+		t.Errorf("injected_faults_total = %v, want 1", n)
+	}
+}
+
+// TestFaultTransientDegradesWithPartialResults: with partial results on, a
+// transient shard fault degrades its shard like any other fault; the
+// degraded result is not cached, so the resubmission recomputes and (the
+// one shot spent) comes out as the fault-free bytes.
+func TestFaultTransientDegradesWithPartialResults(t *testing.T) {
+	s := New(chaosConfig(transientB()))
+	ts := httptest.NewServer(s.Handler())
+	clean := New(chaosConfig(nil))
+	tsClean := httptest.NewServer(clean.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		tsClean.Close()
+		s.Shutdown(context.Background())
+		clean.Shutdown(context.Background())
+	})
+	_, res := submitSimulate(t, ts.URL, transientBody)
+	if !res.Degraded || !reflect.DeepEqual(res.FailedPools, []string{"B"}) {
+		t.Fatalf("degraded = %v, failed_pools = %v, want a degraded result missing [B]", res.Degraded, res.FailedPools)
+	}
+	if st := s.CacheStats(); st.Uncacheable != 1 {
+		t.Errorf("uncacheable = %d, want 1: a degraded result is not cached", st.Uncacheable)
+	}
+	again, _ := submitSimulate(t, ts.URL, transientBody)
+	want, _ := submitSimulate(t, tsClean.URL, transientBody)
+	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("cache stats = %+v, want the resubmission recomputed", st)
+	}
+	if string(again.Result) != string(want.Result) {
+		t.Error("resubmission differs from the fault-free result")
+	}
+	_, mtext := getJSON(t, ts.URL+"/metrics")
+	if n := metricValue(t, string(mtext), `capserved_job_retries_total{kind="simulate"}`); n != 0 {
+		t.Errorf("job_retries_total{simulate} = %v, want 0: a degraded job succeeded", n)
 	}
 }
 

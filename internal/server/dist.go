@@ -190,24 +190,6 @@ func reduceShard[R any](sess *headroom.Session, reduce reducer[R]) headroom.Shar
 	}
 }
 
-// WrapSource wraps a raw source as cfg asks, faults (cfg.Faults) innermost,
-// then retries (cfg.RetryAttempts) jittered from seed and seen by onRetry if
-// not nil: the one wrap order of every path that streams a request's source.
-func WrapSource(cfg Config, src headroom.Source, seed int64, onRetry func(attempt int, err error)) headroom.Source {
-	if cfg.Faults != nil {
-		src = cfg.Faults.Source(src)
-	}
-	if cfg.RetryAttempts > 0 {
-		src = headroom.ResilientSource(src, headroom.RetryPolicy{
-			MaxAttempts: cfg.RetryAttempts,
-			Backoff:     cfg.RetryBackoff,
-			Seed:        seed,
-			OnRetry:     onRetry,
-		})
-	}
-	return src
-}
-
 // --- coordinator half ----------------------------------------------------
 
 // shardFunc returns how this server executes the shards of req: in-process

@@ -381,6 +381,64 @@ func TestDistPartialDegraded(t *testing.T) {
 	}
 }
 
+// TestDistTransientFaultReroutesThenDegrades gives each of three workers a
+// fresh one-shot transient fault on pool B. The coordinator reroutes B's
+// shard through all three, each failing once, and the shard is exhausted:
+// with partial results on, the job degrades naming [B]; with them off, the
+// job fails transiently and the job queue's second attempt, every one shot
+// spent, completes with the single-node bytes.
+func TestDistTransientFaultReroutesThenDegrades(t *testing.T) {
+	leakcheck.Check(t)
+	const reqBody = `{"pools":["A","B","C","D"],"days":1}`
+	run := func(partial bool) (jobView, string) {
+		t.Helper()
+		workers := newDistWorkers(t, 3, func(_ int, cfg *Config) {
+			cfg.Faults = faults.New(1, faults.Rule{Kind: faults.Transient, Pools: []string{"B"}, At: []int{0}})
+		})
+		_, coordTS := newCoordinator(t, workers, func(cfg *Config) { cfg.PartialResults = partial })
+		code, got := submitWait(t, coordTS.URL, "/v1/simulate", reqBody)
+		if code != http.StatusOK || got.State != jobs.Done {
+			t.Fatalf("partial=%v: simulate = %d state %s: %s", partial, code, got.State, got.Error)
+		}
+		_, metrics := getJSON(t, coordTS.URL+"/metrics")
+		text := string(metrics)
+		if n := metricValue(t, text, "capserved_dist_reroutes_total"); n != 2 {
+			t.Errorf("partial=%v: dist_reroutes_total = %v, want 2", partial, n)
+		}
+		if n := metricValue(t, text, "capserved_dist_shards_exhausted_total"); n != 1 {
+			t.Errorf("partial=%v: dist_shards_exhausted_total = %v, want 1", partial, n)
+		}
+		return got, text
+	}
+
+	got, text := run(true)
+	var res SimulateResult
+	if err := json.Unmarshal(got.Result, &res); err != nil {
+		t.Fatalf("unmarshal result: %v", err)
+	}
+	if !res.Degraded || len(res.FailedPools) != 1 || res.FailedPools[0] != "B" {
+		t.Errorf("degraded = %v, failed_pools = %v, want a degraded result missing [B]", res.Degraded, res.FailedPools)
+	}
+	if n := metricValue(t, text, `capserved_job_retries_total{kind="simulate"}`); n != 0 {
+		t.Errorf("job_retries_total{simulate} = %v with partial results, want 0", n)
+	}
+
+	single := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Shards: 4})
+	singleTS := httptest.NewServer(single.Handler())
+	t.Cleanup(func() {
+		singleTS.Close()
+		single.Shutdown(context.Background())
+	})
+	_, want := submitWait(t, singleTS.URL, "/v1/simulate", reqBody)
+	got, text = run(false)
+	if !bytes.Equal(got.Result, want.Result) {
+		t.Errorf("retried job's result differs from single-node:\n dist:   %s\n single: %s", got.Result, want.Result)
+	}
+	if n := metricValue(t, text, `capserved_job_retries_total{kind="simulate"}`); n != 1 {
+		t.Errorf("job_retries_total{simulate} = %v without partial results, want 1", n)
+	}
+}
+
 // TestDistAllShardsFailedNoPartial: with partial results off, a permanent
 // shard failure fails the whole job (422 on wait), mirroring single-node
 // semantics.

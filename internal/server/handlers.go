@@ -175,18 +175,20 @@ type SimulateResult struct {
 
 // session builds the one session a simulate or plan job — or, on a worker,
 // one shard of it — runs on (a simulate request's plan fields, and so its plan
-// config, are zero). The source is wrapped, innermost first, with the chaos
-// fault injector (Config.Faults) and the resilience layer
-// (Config.RetryAttempts); transient errors that escape that layer or the
-// dispatcher carry the sentinel the job queue retries on.
+// config, are zero). The source is the request's simulator, under the chaos
+// fault injector when Config.Faults is set; a transient error from either
+// carries the sentinel the job queue retries on.
 func (s *Server) session(req PlanRequest) (*headroom.Session, error) {
 	cfg, err := req.Fleet()
 	if err != nil {
 		return nil, err
 	}
+	var src headroom.Source = headroom.NewSimSource(cfg, req.Days)
+	if s.cfg.Faults != nil {
+		src = s.cfg.Faults.Source(src)
+	}
 	return headroom.New(context.Background(),
-		headroom.WithSource(WrapSource(s.cfg, headroom.NewSimSource(cfg, req.Days), req.Seed,
-			func(int, error) { s.m.sourceRetries.Inc() })),
+		headroom.WithSource(src),
 		headroom.WithShards(s.cfg.Shards),
 		headroom.WithPartialResults(s.cfg.PartialResults),
 		headroom.WithPlanConfig(req.PlanConfig()))

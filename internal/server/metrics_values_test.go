@@ -203,7 +203,6 @@ capserved_request_duration_seconds_count{handler="plan"} 3
 capserved_request_duration_seconds_count{handler="readyz"} 0
 capserved_request_duration_seconds_count{handler="simulate"} 6
 capserved_request_duration_seconds_count{handler="validate"} 1
-capserved_source_retries_total 0
 capserved_workers 2
 headroom_jobs_queue_wait_seconds_count 8
 headroom_jobs_run_seconds_count 8
@@ -357,7 +356,6 @@ capserved_request_duration_seconds_count{handler="plan"} 3
 capserved_request_duration_seconds_count{handler="readyz"} 0
 capserved_request_duration_seconds_count{handler="simulate"} 0
 capserved_request_duration_seconds_count{handler="validate"} 0
-capserved_source_retries_total 0
 capserved_workers 2
 headroom_jobs_queue_wait_seconds_count 3
 headroom_jobs_run_seconds_count 3

@@ -216,7 +216,6 @@ capserved_not_ready_total counter {}
 capserved_queue_depth gauge {}
 capserved_queue_rejections_total counter {}
 capserved_request_duration_seconds histogram {handler} le=0.001,0.005,0.025,0.1,0.25,1,2.5,10,30,+Inf
-capserved_source_retries_total counter {}
 capserved_workers gauge {}
 headroom_jobs_queue_wait_seconds histogram {} le=0.0001,0.0005,0.001,0.005,0.025,0.1,0.5,1,2.5,5,10,30,+Inf
 headroom_jobs_run_seconds histogram {} le=0.0001,0.0005,0.001,0.005,0.025,0.1,0.5,1,2.5,5,10,30,+Inf
@@ -257,6 +256,52 @@ func TestRequestIDPropagationAndErrorTraceID(t *testing.T) {
 	}
 	if e.TraceID == "" || e.TraceID != resp.Header.Get("X-Trace-Id") {
 		t.Errorf("error body trace_id %q != header %q", e.TraceID, resp.Header.Get("X-Trace-Id"))
+	}
+}
+
+// TestProbesAndScrapesKeepJobTraces: health probes and metric scrapes are
+// counted but not traced, so with a ring of 4 a job's trace survives 4
+// probes and 4 scrapes.
+func TestProbesAndScrapesKeepJobTraces(t *testing.T) {
+	tracer := obs.NewTracer(4)
+	s := New(Config{Workers: 1, QueueDepth: 4, CacheSize: 4, JobTimeout: time.Minute, Tracer: tracer})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	})
+	v, _ := submitSimulate(t, ts.URL, `{"pools":["A"],"days":1,"seed":3}`)
+	fetchTrace(t, ts.URL, v.TraceID)
+
+	for _, path := range []string{"/healthz", "/readyz", "/healthz", "/readyz", "/metrics", "/metrics", "/metrics", "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Trace-Id") != "" {
+			t.Fatalf("GET %s = %d, X-Trace-Id %q: want 200 and no trace", path, resp.StatusCode, resp.Header.Get("X-Trace-Id"))
+		}
+	}
+	if _, ok := tracer.Trace(v.TraceID); !ok {
+		t.Error("the job's trace was evicted by probes and scrapes")
+	}
+	if n := len(tracer.Traces()); n != 1 {
+		t.Errorf("ring holds %d traces, want only the job's", n)
+	}
+	_, mtext := getJSON(t, ts.URL+"/metrics")
+	for _, series := range []string{
+		`capserved_http_requests_total{handler="healthz"}`,
+		`capserved_http_requests_total{handler="readyz"}`,
+		`capserved_request_duration_seconds_count{handler="healthz"}`,
+		`capserved_request_duration_seconds_count{handler="readyz"}`,
+	} {
+		if n := metricValue(t, string(mtext), series); n != 2 {
+			t.Errorf("%s = %v, want 2", series, n)
+		}
+	}
+	if n := metricValue(t, string(mtext), `capserved_http_requests_total{handler="metrics"}`); n != 4 {
+		t.Errorf("metrics scrapes counted = %v, want 4 (this one counts when it ends)", n)
 	}
 }
 

@@ -78,15 +78,6 @@ type Config struct {
 	// failures instead of failing the whole job. Degraded results are
 	// never cached.
 	PartialResults bool
-	// RetryAttempts wraps job record sources with headroom.ResilientSource
-	// using this attempt bound, retrying transient shard failures with
-	// backoff before they surface as pool errors. Zero disables source
-	// retries.
-	RetryAttempts int
-	// RetryBackoff is the initial source-retry backoff; zero takes
-	// headroom.RetryPolicy's default of 50 ms (used only when
-	// RetryAttempts > 0).
-	RetryBackoff time.Duration
 	// Peers enables distributed scale-out: simulate/plan shards are
 	// dispatched to these capserved worker base URLs instead of aggregating
 	// locally. Requires DistToken. Empty disables distribution.
@@ -100,7 +91,8 @@ type Config struct {
 	// disables hedging.
 	HedgeAfter time.Duration
 	// Faults, when set, injects deterministic faults into every job's
-	// record source — the chaos-testing hook (see internal/faults).
+	// record source — the chaos-testing hook (see internal/faults). No flag
+	// sets it; the chaos tests and internal/diffcheck do.
 	Faults *faults.Injector
 	// Clock overrides time.Now for the circuit breakers, for tests.
 	Clock func() time.Time
@@ -165,12 +157,11 @@ type Server struct {
 // serverMetrics holds the pre-registered metric series that belong to no one
 // job kind (those are on the kind's row).
 type serverMetrics struct {
-	reqTotal      map[string]*prom.Counter   // by handler
-	reqDuration   map[string]*prom.Histogram // by handler
-	badRequests   *prom.Counter
-	queueFull     *prom.Counter
-	notReady      *prom.Counter
-	sourceRetries *prom.Counter
+	reqTotal    map[string]*prom.Counter   // by handler
+	reqDuration map[string]*prom.Histogram // by handler
+	badRequests *prom.Counter
+	queueFull   *prom.Counter
+	notReady    *prom.Counter
 }
 
 // jobKind is the one row a submission endpoint is defined by: its name (the
@@ -323,8 +314,6 @@ func (s *Server) initMetrics() {
 		"Submissions rejected because the job queue was full.", nil)
 	m.notReady = s.reg.Counter("capserved_not_ready_total",
 		"Readiness probes answered not-ready (draining or overloaded).", nil)
-	m.sourceRetries = s.reg.Counter("capserved_source_retries_total",
-		"Record-source stream retries (transient shard failures).", nil)
 	s.reg.CounterFunc("capserved_injected_faults_total",
 		"Faults injected by the chaos fault injector (0 when disabled).",
 		func() float64 {
@@ -408,14 +397,16 @@ func (s *Server) retryAfterSeconds(depth int) int {
 
 func (s *Server) routes() {
 	for _, k := range s.kinds {
-		s.mux.Handle("POST /v1/"+k.name, s.instrument(k.name, s.handleSubmit(k)))
+		s.mux.Handle("POST /v1/"+k.name, s.instrument(k.name, true, s.handleSubmit(k)))
 	}
-	s.mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs", http.HandlerFunc(s.handleJob)))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", http.HandlerFunc(s.handleHealthz)))
-	s.mux.Handle("GET /readyz", s.instrument("readyz", http.HandlerFunc(s.handleReadyz)))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", http.HandlerFunc(s.handleMetrics)))
+	s.mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs", true, http.HandlerFunc(s.handleJob)))
+	// Probes and scrapes are counted and timed but not traced: a kubelet and
+	// a Prometheus scraper would otherwise push job traces out of the ring.
+	s.mux.Handle("GET /healthz", s.instrument("healthz", false, http.HandlerFunc(s.handleHealthz)))
+	s.mux.Handle("GET /readyz", s.instrument("readyz", false, http.HandlerFunc(s.handleReadyz)))
+	s.mux.Handle("GET /metrics", s.instrument("metrics", false, http.HandlerFunc(s.handleMetrics)))
 	if s.cfg.DistToken != "" {
-		s.mux.Handle("POST "+dist.DefaultPath, s.instrument("internal_shard", http.HandlerFunc(s.handleInternalShard)))
+		s.mux.Handle("POST "+dist.DefaultPath, s.instrument("internal_shard", true, http.HandlerFunc(s.handleInternalShard)))
 	}
 	// Debug endpoints are served raw: instrumenting them would add a trace
 	// to the ring per /debug/traces view.
@@ -428,16 +419,20 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // instrument wraps a handler with the per-endpoint request counter and
 // latency histogram, and roots a span for the request: the request id is
-// taken from (or minted into) X-Request-Id, and the trace id is echoed in
-// X-Trace-Id so a client can pull the trace from /debug/traces.
-func (s *Server) instrument(name string, h http.Handler) http.Handler {
+// taken from (or minted into) X-Request-Id, and, when traced, the trace id is
+// echoed in X-Trace-Id so a client can pull the trace from /debug/traces. An
+// untraced request's span is disabled and keeps no slot in the trace ring.
+func (s *Server) instrument(name string, traced bool, h http.Handler) http.Handler {
 	total, dur := s.m.reqTotal[name], s.m.reqDuration[name]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get("X-Request-Id")
 		if reqID == "" {
 			reqID = obs.NewID()
 		}
-		ctx := obs.WithTracer(r.Context(), s.cfg.Tracer)
+		ctx := r.Context()
+		if traced {
+			ctx = obs.WithTracer(ctx, s.cfg.Tracer)
+		}
 		ctx, st := obs.StartStage(ctx, "http."+name, dur,
 			obs.Str("method", r.Method), obs.Str("path", r.URL.Path),
 			obs.Str("request_id", reqID))

@@ -31,7 +31,6 @@ var reachAllow = map[string]string{
 	"headroom.NewSynthSource": "library API: README Quickstart step 3 and \"Record sources\" replay a synthetic workload with it",
 	"headroom.BuildProfile":   "library API: README Quickstart step 3 builds the synthetic workload with it",
 	"leakcheck.Check":         "test support: the package exists for the test files that call it",
-	"jobcache.Cache.Get":      "ROADMAP item 2b's admission hook: a cache lookup without joining a flight",
 }
 
 const reachAllowMax = 8

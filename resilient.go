@@ -1,35 +1,32 @@
 package headroom
 
-// Resilience layer: error classification (transient vs permanent), the
-// retrying ResilientSource wrapper, and the typed partial-failure errors
-// surfaced by sharded aggregation (see Session.Aggregate and
-// WithPartialResults).
+// Resilience layer: error classification (transient vs permanent) and the
+// typed partial-failure errors surfaced by sharded aggregation (see
+// Session.Aggregate and WithPartialResults).
 //
 // The paper's always-on collection pipeline tolerates constant partial
 // failure — lossy agents, stragglers, restarts — without corrupting
-// aggregates. This file is the reproduction of that property: sources can
-// fail and be retried per shard, whole pools can drop out of a run without
-// aborting it, and every failure is classified and reported instead of
-// tearing the pipeline down.
+// aggregates. This file is the reproduction of that property: a shard whose
+// source fails (or panics) fails alone, whole pools can drop out of a run
+// without aborting it, and every failure is classified and reported instead
+// of tearing the pipeline down. What is worth redoing is redone above the
+// source: the job queue reruns a job that failed transiently, and a
+// coordinator reroutes a shard whose worker failed.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"headroom/internal/obs"
 	"headroom/internal/retry"
 )
 
 // ErrTransient marks an error as retryable. Sources (and fault injectors)
-// wrap errors with Transient to tell ResilientSource the failure is worth
-// retrying; unmarked errors are treated as permanent. It is the module's one
-// transient sentinel: the job queue and the shard dispatcher classify
-// against the same value, so a transient failure that escapes one layer is
-// retried by the next without re-marking.
+// wrap errors with Transient to tell the layers above that the failure is
+// worth retrying; unmarked errors are treated as permanent. It is the
+// module's one transient sentinel: the job queue and the shard dispatcher
+// classify against the same value, so a transient shard failure that fails
+// its job is retried by the queue without re-marking.
 var ErrTransient = retry.ErrTransient
 
 // Transient wraps err so resilience layers retry it. A nil err returns nil.
@@ -125,155 +122,3 @@ func (e *PartialError) FailedPools() []string {
 	sort.Strings(out)
 	return out
 }
-
-// RetryPolicy configures ResilientSource. Zero fields take internal/retry's
-// defaults, which retry.Do applies to the job queue too.
-type RetryPolicy struct {
-	// MaxAttempts bounds stream attempts (first try included); default 3.
-	MaxAttempts int
-	// Backoff is the sleep before the first retry, doubling per attempt
-	// with seeded jitter up to a fixed cap of 2 s; default 50 ms.
-	Backoff time.Duration
-	// Seed drives the backoff jitter deterministically; default 1. Sharded
-	// sources derive a distinct jitter stream per shard.
-	Seed int64
-	// OnRetry, when set, observes every retry that will sleep (attempt is
-	// the attempt that just failed, starting at 1). Used for metrics.
-	OnRetry func(attempt int, err error)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = retry.Attempts
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = retry.Backoff
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
-}
-
-// ResilientSource wraps src with retry-on-transient-failure semantics:
-// failed streams are re-run with exponential backoff and seeded jitter, and
-// records already delivered are skipped on the retry so the consumer sees
-// every record exactly once, in order. The wrapped source must therefore be
-// deterministic across attempts — true of every source in this module (all
-// are seeded).
-//
-// Classification: errors marked Transient are retried, and panics are
-// converted to permanent errors.
-// Errors returned by the consumer's emit callback and context cancellation
-// are never retried. The retries run through retry.Do, so a backoff that
-// cannot end before ctx's deadline is not slept: Stream gives up at once with
-// an error wrapping context.DeadlineExceeded and the last stream error.
-//
-// The wrapper preserves sharding: when src implements ShardedSource, each
-// shard is wrapped with the same policy (distinct jitter seed per shard), so
-// a transient failure in one pool's shard retries that shard alone. It also
-// forwards PoolNamer and the source's horizon, which sizes the aggregator a
-// shard is ingested into.
-func ResilientSource(src Source, policy RetryPolicy) Source {
-	if src == nil {
-		return nil
-	}
-	return &resilientSource{src: src, policy: policy.withDefaults()}
-}
-
-type resilientSource struct {
-	src    Source
-	policy RetryPolicy
-}
-
-// errConsumer distinguishes consumer emit errors from source failures.
-type errConsumer struct{ err error }
-
-func (e errConsumer) Error() string { return e.err.Error() }
-
-func (r *resilientSource) Stream(ctx context.Context, emit func([]Record) error) error {
-	p := r.policy
-	delivered := 0
-	var ce errConsumer
-	err := retry.Do(ctx, p.MaxAttempts, p.Backoff, retry.Seeded(p.Seed),
-		func(err error) bool { return !errors.As(err, &ce) && IsTransient(err) },
-		func(attempt int, err error) {
-			if p.OnRetry != nil {
-				p.OnRetry(attempt, err)
-			}
-			// Attribute the retry to the active shard span (if any), so a
-			// trace shows which pool's stream was retried and how often.
-			obs.ActiveSpan(ctx).AddInt("retries", 1)
-		},
-		func(int) error {
-			skip := delivered
-			err := safeStream(ctx, r.src, func(run []Record) error {
-				// Replay of an earlier attempt's records: drop them, cutting the
-				// run they end in, so the consumer sees each record exactly once.
-				n := min(skip, len(run))
-				skip -= n
-				if run = run[n:]; len(run) == 0 {
-					return nil
-				}
-				if err := emit(run); err != nil {
-					return errConsumer{err}
-				}
-				delivered += len(run)
-				return nil
-			})
-			// A source failing because the caller's context ended reports
-			// the context's error, not its own.
-			if err != nil && !errors.As(err, &ce) && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		})
-	if errors.As(err, &ce) {
-		return ce.err
-	}
-	return err
-}
-
-// safeStream runs one stream attempt, converting a panic in the source into
-// a (permanent) error so one bad shard cannot take the process down.
-func safeStream(ctx context.Context, src Source, emit func([]Record) error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("headroom: source panicked: %v", v)
-		}
-	}()
-	return src.Stream(ctx, emit)
-}
-
-// Shards wraps each of the underlying source's shards with the same policy,
-// deriving a distinct jitter seed per shard. A non-shardable underlying
-// source yields a single shard.
-func (r *resilientSource) Shards(n int) []Source {
-	sh, ok := r.src.(ShardedSource)
-	if !ok || n <= 1 {
-		return []Source{r}
-	}
-	subs := sh.Shards(n)
-	if len(subs) <= 1 {
-		return []Source{r}
-	}
-	out := make([]Source, len(subs))
-	for i, sub := range subs {
-		p := r.policy
-		p.Seed = retry.DeriveSeed(p.Seed, int64(i))
-		out[i] = &resilientSource{src: sub, policy: p}
-	}
-	return out
-}
-
-// PoolNames forwards the underlying source's pool attribution.
-func (r *resilientSource) PoolNames() []string { return PoolNames(r.src) }
-
-// windows forwards the underlying source's horizon, so a retried stream is
-// ingested into samples sized like the raw one's.
-func (r *resilientSource) windows() int { return windowsOf(r.src) }
-
-var (
-	_ ShardedSource = (*resilientSource)(nil)
-	_ PoolNamer     = (*resilientSource)(nil)
-)

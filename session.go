@@ -402,9 +402,9 @@ func aggregateAs[T any](ctx context.Context, s *Session, src Source, run ShardFu
 
 // runShard is the only place a shard runs — fan-out, one-shard run, dist
 // worker (RunShard) and dist coordinator alike — so every shard carries the
-// same "simulate.pool" span (pool names, record count, retries, degraded
-// flag), per-pool duration histogram and "aggregate.shard" event, and a
-// panic becomes that shard's error instead of tearing the process down.
+// same "simulate.pool" span (pool names, record count, degraded flag),
+// per-pool duration histogram and "aggregate.shard" event, and a panic
+// becomes that shard's error instead of tearing the process down.
 func runShard[T any](ctx context.Context, s *Session, sub Source, index, of int, run ShardFunc[T]) (out T, records int64, err error) {
 	names := PoolNames(sub)
 	pools := strings.Join(names, ",")
