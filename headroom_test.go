@@ -2,6 +2,9 @@ package headroom_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"headroom"
@@ -93,6 +96,45 @@ func TestFacadeValidate(t *testing.T) {
 	}
 	if !rep.Acceptable {
 		t.Error("no-op change should be acceptable")
+	}
+}
+
+// TestValidateFig16Pinned holds Session.Validate on the Fig16 configuration
+// (the fast run's ticks, seed 1 + 800) to the sha256 of its JSON report,
+// every float at full precision; the fig16 golden rounds to one decimal.
+// The digest was captured before the offline replay took a synthetic
+// workload profile as its one input.
+func TestValidateFig16Pinned(t *testing.T) {
+	ctx := context.Background()
+	s, err := headroom.New(ctx)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rep, err := s.Validate(ctx, headroom.ValidateConfig{
+		Pool:          headroom.PoolB(),
+		Servers:       20,
+		Loads:         []float64{100, 180, 260, 340, 420, 500, 580},
+		TicksPerLevel: 12,
+		Seed:          801,
+	}, headroom.Change{
+		Name: "memory-leak-fix-v1",
+		Apply: func(rp headroom.ResponseParams) headroom.ResponseParams {
+			rp.MemPagesBase *= 0.3
+			rp.LatQuad[2] *= 2.2
+			return rp
+		},
+	})
+	if err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "4f5e5f72a247d808c95ef64b9ef712402e3fb62bdd6f3137050b9ca7e3aa902c"
+	sum := sha256.Sum256(out)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("report sha256 %s, pinned %s", got, want)
 	}
 }
 
