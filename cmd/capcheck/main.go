@@ -10,6 +10,8 @@
 //
 //	capcheck -start 1 -n 1000
 //
+// It ends with a table of each path's outcomes over the sweep: checked,
+// skipped on purpose (a resubmission after a one-shot fault) and failed.
 // Exit status is 1 if any case diverged (or leaked goroutines), 0 otherwise.
 package main
 
@@ -18,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"headroom/internal/diffcheck"
 )
@@ -40,6 +43,7 @@ func main() {
 
 	ctx := context.Background()
 	diverged := 0
+	var tally []pathTally
 	for _, s := range seeds {
 		c := diffcheck.Generate(s)
 		if *verbose {
@@ -50,19 +54,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "capcheck: case %s\n  harness error: %v\n", c, err)
 			os.Exit(2)
 		}
-		if *verbose {
-			for _, p := range rep.Paths {
-				status := "ok"
-				switch {
-				case p.Err != "":
-					status = "error: " + p.Err
-				case p.Degraded:
-					status = fmt.Sprintf("degraded, failed_pools=%v", p.FailedPools)
-				}
-				if p.CacheHit {
-					status += " (cache hit)"
-				}
-				fmt.Printf("  %-13s %s\n", p.Name, status)
+		for i, p := range rep.Paths {
+			if i == len(tally) {
+				// One row per path, whatever its shard count: "sharded(3)"
+				// and "sharded(2)" are both "sharded".
+				name, _, _ := strings.Cut(p.Name, "(")
+				tally = append(tally, pathTally{name: name})
+			}
+			tally[i].add(p)
+			if *verbose {
+				fmt.Printf("  %-13s %s\n", p.Name, p.Status())
 			}
 		}
 		if rep.Diff != "" {
@@ -70,9 +71,33 @@ func main() {
 			fmt.Fprintf(os.Stderr, "DIVERGED case %s\n  %s\n", c, rep.Diff)
 		}
 	}
+	fmt.Printf("%-13s %8s %8s %8s\n", "path", "checked", "skipped", "failed")
+	for _, t := range tally {
+		fmt.Printf("%-13s %8d %8d %8d\n", t.name, t.checked, t.skipped, t.failed)
+	}
 	if diverged > 0 {
 		fmt.Fprintf(os.Stderr, "capcheck: %d of %d cases diverged\n", diverged, len(seeds))
 		os.Exit(1)
 	}
 	fmt.Printf("capcheck: %d cases, all paths agreed\n", len(seeds))
+}
+
+// pathTally counts one path's outcomes over the sweep: checked (it ran and
+// returned a result, degraded or not), skipped on purpose, or failed. A
+// failure is not a divergence by itself: a single-stream sequential run is
+// meant to fail under a fault.
+type pathTally struct {
+	name                     string
+	checked, skipped, failed int
+}
+
+func (t *pathTally) add(p diffcheck.PathResult) {
+	switch {
+	case p.Skipped != "":
+		t.skipped++
+	case p.Err != "":
+		t.failed++
+	default:
+		t.checked++
+	}
 }

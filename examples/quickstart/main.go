@@ -1,7 +1,8 @@
 // Quickstart: simulate two micro-service pools of a global online service
 // for a day, run the black-box capacity-planning pipeline over the observed
 // traces, and print the right-sizing recommendation for every pool in every
-// datacenter.
+// datacenter. Then build a synthetic workload from pool B's production
+// history and gate a candidate change on it offline.
 //
 //	go run ./examples/quickstart
 package main
@@ -67,4 +68,36 @@ func main() {
 	}
 	fmt.Printf("\nfleet: %d -> %d servers (%.0f%% savings), QoS impact within budget\n",
 		cur, next, 100*(1-float64(next)/float64(cur)))
+
+	// Step 3: a synthetic workload from pool B's production history in
+	// DC 1: 12 per-server load levels reaching 25% past the observed p99,
+	// for a 20-server offline pool.
+	series, err := agg.PoolSeries("DC 1", "B")
+	if err != nil {
+		log.Fatalf("pool series: %v", err)
+	}
+	profile, err := headroom.BuildProfile(series, 20, 12, 0.25)
+	if err != nil {
+		log.Fatalf("build profile: %v", err)
+	}
+
+	// Step 4: replay it to two identical offline pools, one running a
+	// candidate change, and gate the change before it ships.
+	report, err := s.Validate(ctx, headroom.ValidateConfig{
+		Pool:    headroom.PoolB(),
+		Profile: profile,
+		Seed:    3,
+	}, headroom.Change{
+		Name: "config-tune",
+		Apply: func(rp headroom.ResponseParams) headroom.ResponseParams {
+			rp.CPUIntercept *= 0.95
+			return rp
+		},
+	})
+	if err != nil {
+		log.Fatalf("validate: %v", err)
+	}
+	fmt.Printf("offline gate for %q over %.0f-%.0f RPS/server: acceptable %v (capacity impact %+.1f%%)\n",
+		report.Change, profile.Loads[0], profile.Loads[len(profile.Loads)-1],
+		report.Acceptable, 100*report.CapacityImpactFrac)
 }

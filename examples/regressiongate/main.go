@@ -25,8 +25,7 @@ func main() {
 
 	report, err := s.Validate(ctx, headroom.ValidateConfig{
 		Pool:          headroom.PoolB(),
-		Servers:       20,
-		Loads:         []float64{100, 180, 260, 340, 420, 500, 580},
+		Profile:       headroom.Profile{Loads: []float64{100, 180, 260, 340, 420, 500, 580}, Servers: 20},
 		TicksPerLevel: 30,
 		Seed:          11,
 	}, headroom.Change{

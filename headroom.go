@@ -10,14 +10,15 @@
 //
 //  1. Measure  — validate workload metrics, group servers (Simulate + Plan)
 //  2. Optimize — fit workload→QoS models and right-size pools (Plan, RunRSM)
-//  3. Model    — build and replay synthetic workloads (BuildProfile,
-//     NewSynthSource)
-//  4. Validate — gate changes offline before deployment (Validate)
+//  3. Model    — build a synthetic workload from production history
+//     (BuildProfile)
+//  4. Validate — replay that workload to two offline pools, one with a
+//     change, and gate the change before deployment (Validate)
 //
-// Every pipeline step consumes a Source — a stream of trace records — so
-// the simulator, synthetic replays and recorded traces are interchangeable
-// inputs. Aggregation shards across goroutines (per pool) with results
-// bit-identical to a sequential pass.
+// Steps 1 and 2 consume a Source — a stream of trace records — so the
+// simulator and recorded traces are interchangeable inputs. Aggregation
+// shards across goroutines (per pool) with results bit-identical to a
+// sequential pass.
 //
 // Paper tables and figures are regenerated through Session.RunExperiment /
 // Experiments; `go test -bench .` runs one benchmark per artifact.
@@ -83,8 +84,8 @@ type (
 	Datacenter = workload.Datacenter
 	// ForecastModel is a fitted workload trend + daily-seasonality model.
 	ForecastModel = forecast.Model
-	// Profile is a reproducible synthetic workload (Step 3), replayable
-	// through NewSynthSource.
+	// Profile is a reproducible synthetic workload (Step 3): a per-server
+	// load sweep at an offline pool size, replayed by Validate.
 	Profile = synth.Profile
 )
 
@@ -150,7 +151,7 @@ func FilterPools(cfg FleetConfig, names []string) (FleetConfig, error) {
 // BuildProfile derives a synthetic workload profile from production pool
 // history: a load sweep covering the observed per-server range (plus
 // extendFrac stretch beyond the p99 for stress testing) at a controlled
-// offline pool size. Replay it with NewSynthSource.
-func BuildProfile(series []metrics.TickStat, mix workload.Mix, servers, levels int, extendFrac float64) (Profile, error) {
-	return synth.BuildProfile(series, mix, servers, levels, extendFrac)
+// offline pool size. Gate a change on it with Validate (ValidateConfig.Profile).
+func BuildProfile(series []metrics.TickStat, servers, levels int, extendFrac float64) (Profile, error) {
+	return synth.BuildProfile(series, servers, levels, extendFrac)
 }

@@ -78,8 +78,7 @@ func TestFacadeValidate(t *testing.T) {
 	}
 	rep, err := s.Validate(ctx, headroom.ValidateConfig{
 		Pool:          headroom.PoolB(),
-		Servers:       10,
-		Loads:         []float64{100, 300, 500},
+		Profile:       headroom.Profile{Loads: []float64{100, 300, 500}, Servers: 10},
 		TicksPerLevel: 10,
 		Seed:          4,
 	}, headroom.Change{
@@ -112,8 +111,7 @@ func TestValidateFig16Pinned(t *testing.T) {
 	}
 	rep, err := s.Validate(ctx, headroom.ValidateConfig{
 		Pool:          headroom.PoolB(),
-		Servers:       20,
-		Loads:         []float64{100, 180, 260, 340, 420, 500, 580},
+		Profile:       headroom.Profile{Loads: []float64{100, 180, 260, 340, 420, 500, 580}, Servers: 20},
 		TicksPerLevel: 12,
 		Seed:          801,
 	}, headroom.Change{

@@ -12,9 +12,9 @@ import (
 )
 
 // TestFullMethodologyPipeline walks the paper's complete loop on pool B
-// through the Session API: measure production, plan a reduction, replay a
-// synthetic workload, gate a change offline, run the reduction, and confirm
-// the forecast QoS held.
+// through the Session API: measure production, plan a reduction, build a
+// synthetic workload, gate a change offline on it, run the reduction, and
+// confirm the forecast QoS held.
 func TestFullMethodologyPipeline(t *testing.T) {
 	ctx := context.Background()
 	pool := sim.PoolB()
@@ -51,40 +51,20 @@ func TestFullMethodologyPipeline(t *testing.T) {
 		t.Fatalf("DC 1 plan unusable: %+v", dc1)
 	}
 
-	// --- Step 3: build a synthetic workload and replay it through the same
-	// Source interface production records stream through. ---
+	// --- Step 3: build a synthetic workload from production history. ---
 	prodSeries, err := agg.PoolSeries("DC 1", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, err := headroom.BuildProfile(prodSeries, pool.Mix, 20, 12, 0.25)
+	profile, err := headroom.BuildProfile(prodSeries, 20, 12, 0.25)
 	if err != nil {
 		t.Fatalf("build profile: %v", err)
 	}
-	sagg, err := s.Aggregate(ctx, headroom.NewSynthSource(pool, profile, 20, 44))
-	if err != nil {
-		t.Fatalf("aggregate synth source: %v", err)
-	}
-	synthSeries, err := sagg.PoolSeries("offline", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prodTop, synthTop float64
-	for _, ts := range prodSeries {
-		prodTop = max(prodTop, ts.RPSPerServer)
-	}
-	for _, ts := range synthSeries {
-		synthTop = max(synthTop, ts.RPSPerServer)
-	}
-	if synthTop < prodTop {
-		t.Errorf("synthetic sweep tops out at %v rps/server, below production's %v", synthTop, prodTop)
-	}
 
-	// --- Step 4: offline-gate a benign change before the reduction. ---
+	// --- Step 4: replay it to two offline pools and gate a benign change
+	// before the reduction. ---
 	rep, err := s.Validate(ctx, headroom.ValidateConfig{
-		Pool: pool, Servers: 20,
-		Loads:         []float64{150, 300, 450, 600},
-		TicksPerLevel: 20, Seed: 45,
+		Pool: pool, Profile: profile, TicksPerLevel: 20, Seed: 44,
 	}, headroom.Change{Name: "config-tune", Apply: func(rp headroom.ResponseParams) headroom.ResponseParams {
 		rp.CPUIntercept *= 0.95
 		return rp
@@ -94,6 +74,13 @@ func TestFullMethodologyPipeline(t *testing.T) {
 	}
 	if !rep.Acceptable {
 		t.Fatal("benign change should pass the gate")
+	}
+	var prodTop float64
+	for _, ts := range prodSeries {
+		prodTop = max(prodTop, ts.RPSPerServer)
+	}
+	if top := rep.Levels[len(rep.Levels)-1].LoadRPSPerServer; top < prodTop {
+		t.Errorf("synthetic sweep tops out at %v rps/server, below production's %v", top, prodTop)
 	}
 
 	// --- Execute the planned reduction and check the forecast held. ---

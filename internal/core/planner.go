@@ -1,9 +1,10 @@
-// Package core orchestrates the four-step capacity-planning methodology
-// over a fleet trace: Measure (validate metrics, group servers), Optimize
-// (fit workload→QoS models, size each pool), Model (synthetic workload) and
-// Validate (offline regression gate). It is the paper's primary contribution
-// assembled as a pipeline; the individual steps live in internal/measure,
-// internal/optimize, internal/synth and internal/validate.
+// Package core orchestrates the first two steps of the capacity-planning
+// methodology over a fleet trace: Measure (validate metrics, group servers)
+// and Optimize (fit workload→QoS models, size each pool). It is the paper's
+// primary contribution assembled as a pipeline; the steps themselves live in
+// internal/measure and internal/optimize. The other two steps, Model
+// (internal/synth) and Validate (internal/validate), run offline pools
+// rather than read a fleet trace.
 package core
 
 import (

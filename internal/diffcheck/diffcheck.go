@@ -149,9 +149,29 @@ type PathResult struct {
 	Name        string
 	JSON        json.RawMessage // result bytes; nil when the run failed
 	Err         string          // whole-run failure, "" on success (degraded is a success)
+	Skipped     string          // why the path was deliberately not run, "" when it ran
 	Degraded    bool
 	FailedPools []string
 	CacheHit    bool // served path only: resubmission answered from cache
+}
+
+// Status is the path's outcome in one line: "skipped (why)", "error: …",
+// "degraded, failed_pools=[…]" or "ok", then " (cache hit)" for a
+// resubmission answered from cache.
+func (p PathResult) Status() string {
+	status := "ok"
+	switch {
+	case p.Skipped != "":
+		status = "skipped (" + p.Skipped + ")"
+	case p.Err != "":
+		status = "error: " + p.Err
+	case p.Degraded:
+		status = fmt.Sprintf("degraded, failed_pools=%v", p.FailedPools)
+	}
+	if p.CacheHit {
+		status += " (cache hit)"
+	}
+	return status
 }
 
 // Report is the full outcome of one differential case.
@@ -344,8 +364,8 @@ func (c Case) runDist(ctx context.Context) (PathResult, error) {
 	return out, nil
 }
 
-// skippedResubmit marks a served-again path that was intentionally not run.
-const skippedResubmit = "skipped: one-shot fault state consumed by first run"
+// skippedResubmit is why a served-again path is deliberately not run.
+const skippedResubmit = "one-shot fault state consumed by first run"
 
 // runServed is path (d): one plain capserved instance, submitted to twice —
 // a cache miss, then a resubmission that must be a byte-identical hit for
@@ -371,7 +391,7 @@ func (c Case) runServed(ctx context.Context) (PathResult, PathResult, error) {
 	fill(&out, v)
 
 	if c.Fault != nil && c.Fault.Kind != faults.Permanent {
-		again.Err = skippedResubmit
+		again.Skipped = skippedResubmit
 		return out, again, nil
 	}
 	v2, err := c.submit(ctx, ts.URL)

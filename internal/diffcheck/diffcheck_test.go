@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"headroom"
+	"headroom/internal/faults"
 	"headroom/internal/leakcheck"
 	"headroom/internal/server"
 )
@@ -145,4 +146,36 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatalf("case %s\nDIVERGED: %s", c, rep.Diff)
 		}
 	})
+}
+
+// TestSkippedResubmitIsNotAnError holds the served-again path of a one-shot
+// fault case (seed 4: a transient fault) to a deliberate skip: no error, a
+// reason, and "skipped (…)" in capcheck's status line. A real served-again
+// failure still reports, and fails a fault-free case, as an error.
+func TestSkippedResubmitIsNotAnError(t *testing.T) {
+	leakcheck.Check(t)
+	c := Generate(4)
+	if c.Fault == nil || c.Fault.Kind != faults.Transient {
+		t.Fatalf("seed 4 is no longer a transient case: %s", c)
+	}
+	rep, err := RunCase(context.Background(), c, Options{LeakGrace: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := rep.Paths[len(rep.Paths)-1]
+	if again.Name != "served-again" || again.Err != "" || again.Skipped == "" {
+		t.Fatalf("served-again = %+v, want skipped without error", again)
+	}
+	if got := again.Status(); got != "skipped ("+skippedResubmit+")" {
+		t.Errorf("status = %q", got)
+	}
+
+	failed := PathResult{Name: "served-again", Err: "job state failed"}
+	if got := failed.Status(); got != "error: job state failed" {
+		t.Errorf("status of a failed path = %q", got)
+	}
+	paths := []PathResult{{Name: "sequential"}, {Name: "sharded(2)"}, {Name: "dist(3)"}, {Name: "served"}, failed}
+	if diff := (Case{}).compare(context.Background(), paths); diff != "served-again failed: job state failed" {
+		t.Errorf("fault-free case with a failed resubmission: diff = %q", diff)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"headroom/internal/measure"
 	"headroom/internal/optimize"
 	"headroom/internal/sim"
+	"headroom/internal/synth"
 	"headroom/internal/validate"
 )
 
@@ -139,8 +140,7 @@ func Fig16(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	rep, err := validate.Run(ctx, validate.Config{
 		Pool:          sim.PoolB(),
-		Servers:       20,
-		Loads:         []float64{100, 180, 260, 340, 420, 500, 580},
+		Profile:       synth.Profile{Loads: []float64{100, 180, 260, 340, 420, 500, 580}, Servers: 20},
 		TicksPerLevel: ticks,
 		Seed:          cfg.Seed + 800,
 	}, validate.Change{

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -34,6 +35,15 @@ const (
 	// records each of a validation's two offline runs holds in memory
 	// (152 B each, so about 38 MB a run).
 	maxValidateRecords = 250_000
+	// maxLoadPerServer bounds each of a validation's loads (RPS/server). A
+	// report squares the load in its latency model; near 1e160 that
+	// overflows to an infinity JSON cannot render. A million is far past
+	// any pool the simulator models and renders finite reports.
+	maxLoadPerServer = 1e6
+	// maxChangeDelta bounds the magnitude of a change's latency_delta_ms
+	// and mem_pages_delta: near the float64 range a level's sums of them
+	// overflow the same way.
+	maxChangeDelta = 1e6
 	// maxTicksPerDay bounds a forecast's sampling density: one sample a
 	// second.
 	maxTicksPerDay = 86_400
@@ -431,11 +441,13 @@ func (s *Server) computePlan(ctx context.Context, req PlanRequest) (any, *headro
 type ChangeSpec struct {
 	// Name labels the change in reports; default "change".
 	Name string `json:"name,omitempty"`
-	// LatencyDeltaMs shifts the latency curve's constant term.
+	// LatencyDeltaMs shifts the latency curve's constant term; at most
+	// 1e6 either way.
 	LatencyDeltaMs float64 `json:"latency_delta_ms,omitempty"`
 	// CPUSlopeFrac scales the CPU-per-load slope by (1 + frac).
 	CPUSlopeFrac float64 `json:"cpu_slope_frac,omitempty"`
-	// MemPagesDelta shifts the baseline paging rate.
+	// MemPagesDelta shifts the baseline paging rate; at most 1e6 either
+	// way.
 	MemPagesDelta float64 `json:"mem_pages_delta,omitempty"`
 	// ErrorRateDelta shifts the error rate.
 	ErrorRateDelta float64 `json:"error_rate_delta,omitempty"`
@@ -465,15 +477,17 @@ type ValidateRequest struct {
 	Pool string `json:"pool"`
 	// Servers sizes each of the two offline pools; default 10.
 	Servers int `json:"servers,omitempty"`
-	// Loads is the per-server RPS sweep, ascending, at least two levels;
-	// required.
+	// Loads is the per-server RPS sweep, ascending, at least two levels,
+	// each in (0, 1e6]; required.
 	Loads []float64 `json:"loads"`
-	// TicksPerLevel is how many windows each level runs; default 20. The
+	// TicksPerLevel is how many windows each level runs, at least 2;
+	// default 20. The
 	// product of the three is at most maxValidateRecords.
 	TicksPerLevel int `json:"ticks_per_level,omitempty"`
 	// Seed drives both pools deterministically; default 1.
 	Seed int64 `json:"seed,omitempty"`
-	// LatencyTolMs and CPUTolPct bound the acceptable regression.
+	// LatencyTolMs and CPUTolPct bound the acceptable regression; 0 takes
+	// the defaults (2 ms, 1.5 points), a negative value is an error.
 	LatencyTolMs float64 `json:"latency_tol_ms,omitempty"`
 	CPUTolPct    float64 `json:"cpu_tol_pct,omitempty"`
 	// Change is the candidate modification under test.
@@ -501,16 +515,21 @@ func decodeValidate(body []byte) (ValidateRequest, error) {
 		if l <= 0 {
 			return req, fmt.Errorf("loads[%d] must be positive, got %v", i, l)
 		}
+		if l > maxLoadPerServer {
+			return req, fmt.Errorf("loads[%d] must be <= %g RPS/server, got %v", i, maxLoadPerServer, l)
+		}
 		if i > 0 && l <= req.Loads[i-1] {
 			return req, fmt.Errorf("loads must be strictly ascending (loads[%d]=%v <= loads[%d]=%v)",
 				i, l, i-1, req.Loads[i-1])
 		}
 	}
-	if req.TicksPerLevel < 0 {
-		return req, fmt.Errorf("ticks_per_level must be >= 0, got %d", req.TicksPerLevel)
-	}
 	if req.TicksPerLevel == 0 {
 		req.TicksPerLevel = 20
+	}
+	// A level's latency summary needs two windows for its spread; one
+	// window renders as NaN.
+	if req.TicksPerLevel < 2 {
+		return req, fmt.Errorf("ticks_per_level must be >= 2, got %d", req.TicksPerLevel)
 	}
 	// Each factor is at least 1, so dividing the bound never overflows.
 	if req.Servers > maxValidateRecords/len(req.Loads)/req.TicksPerLevel {
@@ -519,6 +538,18 @@ func decodeValidate(body []byte) (ValidateRequest, error) {
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
+	}
+	if req.LatencyTolMs < 0 {
+		return req, fmt.Errorf("latency_tol_ms must be >= 0, got %v", req.LatencyTolMs)
+	}
+	if req.CPUTolPct < 0 {
+		return req, fmt.Errorf("cpu_tol_pct must be >= 0, got %v", req.CPUTolPct)
+	}
+	if math.Abs(req.Change.LatencyDeltaMs) > maxChangeDelta {
+		return req, fmt.Errorf("change.latency_delta_ms must be within ±%g, got %v", maxChangeDelta, req.Change.LatencyDeltaMs)
+	}
+	if math.Abs(req.Change.MemPagesDelta) > maxChangeDelta {
+		return req, fmt.Errorf("change.mem_pages_delta must be within ±%g, got %v", maxChangeDelta, req.Change.MemPagesDelta)
 	}
 	// Resolve the pool now so unknown names fail the submission (400)
 	// instead of the job.
@@ -545,8 +576,7 @@ func (s *Server) computeValidate(ctx context.Context, req ValidateRequest) (any,
 	}
 	rep, err := sess.Validate(ctx, headroom.ValidateConfig{
 		Pool:          pool,
-		Servers:       req.Servers,
-		Loads:         req.Loads,
+		Profile:       headroom.Profile{Loads: req.Loads, Servers: req.Servers},
 		TicksPerLevel: req.TicksPerLevel,
 		LatencyTolMs:  req.LatencyTolMs,
 		CPUTolPct:     req.CPUTolPct,

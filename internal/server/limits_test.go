@@ -1,8 +1,17 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
+
+	"headroom/internal/jobs"
 )
 
 // forecastBody is a forecast request over n samples at ticksPerDay,
@@ -34,6 +43,20 @@ func validateBody(t *testing.T, levels, ticksPerLevel, servers int) string {
 	}
 	return string(b)
 }
+
+// validateWith is a pool B validate request over loads [100, 200] with one
+// more field, field formatted with v; a "loads" field replaces the sweep.
+func validateWith(field string, v float64) string {
+	loads := `"loads":[100,200],`
+	if strings.HasPrefix(field, `"loads"`) {
+		loads = ""
+	}
+	return `{"pool":"B",` + loads + fmt.Sprintf(field, v) + `}`
+}
+
+// past is the next float64 above a positive bound; -past(b) is the next
+// below -b.
+func past(bound float64) float64 { return math.Nextafter(bound, math.Inf(1)) }
 
 // TestRequestLimits holds each request limit at its edge: the bound itself
 // decodes, one past it is rejected, and so are the inputs that once held a
@@ -68,6 +91,24 @@ func TestRequestLimits(t *testing.T) {
 		{"a million servers", validate, validateBody(t, 2, 0, 1_000_000), false},
 		{"a hundred thousand loads", validate, validateBody(t, 100_000, 0, 0), false},
 		{"overflowing product", validate, validateBody(t, 2, 1<<40, 1<<40), false},
+		{"two ticks per level", validate, validateBody(t, 2, 2, 0), true},
+		{"one tick per level", validate, validateBody(t, 2, 1, 0), false},
+		{"load at bound", validate, validateWith(`"loads":[1,%v]`, maxLoadPerServer), true},
+		{"load past bound", validate, validateWith(`"loads":[1,%v]`, past(maxLoadPerServer)), false},
+		{"loads that rendered +Inf", validate, `{"pool":"B","loads":[1e160,1e161]}`, false},
+		{"latency delta at bound", validate, validateWith(`"change":{"latency_delta_ms":%v}`, maxChangeDelta), true},
+		{"latency delta at negative bound", validate, validateWith(`"change":{"latency_delta_ms":%v}`, -maxChangeDelta), true},
+		{"latency delta past bound", validate, validateWith(`"change":{"latency_delta_ms":%v}`, past(maxChangeDelta)), false},
+		{"latency delta past negative bound", validate, validateWith(`"change":{"latency_delta_ms":%v}`, -past(maxChangeDelta)), false},
+		{"latency delta that rendered +Inf", validate, validateWith(`"change":{"latency_delta_ms":%v}`, 1e308), false},
+		{"paging delta at bound", validate, validateWith(`"change":{"mem_pages_delta":%v}`, maxChangeDelta), true},
+		{"paging delta at negative bound", validate, validateWith(`"change":{"mem_pages_delta":%v}`, -maxChangeDelta), true},
+		{"paging delta past bound", validate, validateWith(`"change":{"mem_pages_delta":%v}`, past(maxChangeDelta)), false},
+		{"paging delta past negative bound", validate, validateWith(`"change":{"mem_pages_delta":%v}`, -past(maxChangeDelta)), false},
+		{"paging delta that rendered +Inf", validate, validateWith(`"change":{"mem_pages_delta":%v}`, 1e308), false},
+		{"zero tolerances", validate, validateWith(`"latency_tol_ms":%v,"cpu_tol_pct":0`, 0.0), true},
+		{"negative latency tolerance", validate, validateWith(`"latency_tol_ms":%v`, -math.SmallestNonzeroFloat64), false},
+		{"negative cpu tolerance", validate, validateWith(`"cpu_tol_pct":%v`, -math.SmallestNonzeroFloat64), false},
 	}
 	for _, tc := range cases {
 		err := tc.decode(tc.body)
@@ -89,5 +130,34 @@ func TestValidateDecodeBuildsNoFleet(t *testing.T) {
 	})
 	if allocs > 30 {
 		t.Errorf("decodeValidate allocates %v times, want <= 30", allocs)
+	}
+}
+
+// TestLargestValidateRequestRenders serves the validate requests at every
+// bound at once — the largest load and the largest change deltas either
+// way, at the fewest ticks, on one server and on a thousand — and
+// requires a finite report: 200 and a done job, not a 422 from rendering.
+func TestLargestValidateRequestRenders(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1, JobTimeout: time.Minute})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	}()
+	for _, pool := range []string{"B", "D"} {
+		for _, servers := range []int{1, 1000} {
+			for _, sign := range []float64{1, -1} {
+				body := fmt.Sprintf(`{"pool":%q,"servers":%d,"loads":[%v,%v],"ticks_per_level":2,
+				  "change":{"latency_delta_ms":%v,"mem_pages_delta":%v}}`,
+					pool, servers, maxLoadPerServer/2, maxLoadPerServer, sign*maxChangeDelta, sign*maxChangeDelta)
+				if _, err := decodeValidate([]byte(body)); err != nil {
+					t.Fatalf("%s: not accepted: %v", body, err)
+				}
+				code, v := submitWait(t, ts.URL, "/v1/validate", body)
+				if code != http.StatusOK || v.State != jobs.Done {
+					t.Errorf("%s: %d %s: %s", body, code, v.State, v.Error)
+				}
+			}
+		}
 	}
 }

@@ -31,12 +31,7 @@ func PoolB() PoolConfig {
 			MemPagesBase: 9000, DiskBytesPerPage: 2400, DiskQueueBase: 0.8,
 			ErrorRate: 0.01,
 		},
-		Traffic: workload.Pattern{BaseRPS: 525000, PeakToTrough: 2.2, PeakHour: 13},
-		Mix: workload.Mix{
-			{Name: "spell-correct", Weight: 65, CostFactor: 1, DependencyLatencyMs: 3},
-			{Name: "rewrite", Weight: 25, CostFactor: 1.6, DependencyLatencyMs: 6},
-			{Name: "passthrough", Weight: 10, CostFactor: 0.3},
-		},
+		Traffic:      workload.Pattern{BaseRPS: 525000, PeakToTrough: 2.2, PeakHour: 13},
 		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
@@ -60,11 +55,7 @@ func PoolD() PoolConfig {
 		},
 		DCLatencyDelta: map[string]float64{"DC 4": 7},
 		Traffic:        workload.Pattern{BaseRPS: 72500, PeakToTrough: 1.9, PeakHour: 14},
-		Mix: workload.Mix{
-			{Name: "render", Weight: 70, CostFactor: 1, DependencyLatencyMs: 12},
-			{Name: "route", Weight: 30, CostFactor: 0.5, DependencyLatencyMs: 2},
-		},
-		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
+		Availability:   AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
 
@@ -87,12 +78,7 @@ func PoolA() PoolConfig {
 			BackgroundPeriodTicks: 30, BackgroundDurTicks: 2,
 			BackgroundCPU: 9, BackgroundNetBytes: 3.5e8,
 		},
-		Traffic: workload.Pattern{BaseRPS: 210000, PeakToTrough: 2.4, PeakHour: 13},
-		Mix: workload.Mix{
-			{Name: "table1-get", Weight: 55, CostFactor: 0.6},
-			{Name: "table2-get", Weight: 35, CostFactor: 1.9},
-			{Name: "set", Weight: 10, CostFactor: 1.2},
-		},
+		Traffic:      workload.Pattern{BaseRPS: 210000, PeakToTrough: 2.4, PeakHour: 13},
 		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
@@ -112,9 +98,6 @@ func PoolC() PoolConfig {
 			ErrorRate: 0.02,
 		},
 		Traffic: workload.Pattern{BaseRPS: 52000, PeakToTrough: 2, PeakHour: 14},
-		Mix: workload.Mix{
-			{Name: "workflow", Weight: 100, CostFactor: 1, DependencyLatencyMs: 25},
-		},
 		Availability: AvailabilityProfile{
 			PlannedDailyFrac: 0.10,
 			IncidentProb:     0.04, IncidentFrac: 0.25, IncidentTicks: 40,
@@ -136,11 +119,7 @@ func PoolE() PoolConfig {
 			MemPagesBase: 2500, DiskBytesPerPage: 1200, DiskQueueBase: 0.3,
 			ErrorRate: 0.01,
 		},
-		Traffic: workload.Pattern{BaseRPS: 700000, PeakToTrough: 2.3, PeakHour: 13},
-		Mix: workload.Mix{
-			{Name: "proxy", Weight: 80, CostFactor: 1},
-			{Name: "auth", Weight: 20, CostFactor: 2.2, DependencyLatencyMs: 5},
-		},
+		Traffic:      workload.Pattern{BaseRPS: 700000, PeakToTrough: 2.3, PeakHour: 13},
 		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
@@ -159,11 +138,7 @@ func PoolF() PoolConfig {
 			MemPagesBase: 6000, DiskBytesPerPage: 2000, DiskQueueBase: 0.5,
 			ErrorRate: 0.008,
 		},
-		Traffic: workload.Pattern{BaseRPS: 90000, PeakToTrough: 2.1, PeakHour: 12},
-		Mix: workload.Mix{
-			{Name: "lookup", Weight: 75, CostFactor: 1},
-			{Name: "transform", Weight: 25, CostFactor: 2.5},
-		},
+		Traffic:      workload.Pattern{BaseRPS: 90000, PeakToTrough: 2.1, PeakHour: 12},
 		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
@@ -182,11 +157,7 @@ func PoolG() PoolConfig {
 			MemPagesBase: 1600, DiskBytesPerPage: 900, DiskQueueBase: 0.15,
 			ErrorRate: 0.002,
 		},
-		Traffic: workload.Pattern{BaseRPS: 400000, PeakToTrough: 1.6, PeakHour: 13},
-		Mix: workload.Mix{
-			{Name: "ingest", Weight: 95, CostFactor: 1},
-			{Name: "query", Weight: 5, CostFactor: 6},
-		},
+		Traffic:      workload.Pattern{BaseRPS: 400000, PeakToTrough: 1.6, PeakHour: 13},
 		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
@@ -205,10 +176,7 @@ func PoolH() PoolConfig {
 			MemPagesBase: 7000, DiskBytesPerPage: 2100, DiskQueueBase: 0.6,
 			ErrorRate: 0.01,
 		},
-		Traffic: workload.Pattern{BaseRPS: 60000, PeakToTrough: 2, PeakHour: 14},
-		Mix: workload.Mix{
-			{Name: "process", Weight: 100, CostFactor: 1},
-		},
+		Traffic:      workload.Pattern{BaseRPS: 60000, PeakToTrough: 2, PeakHour: 14},
 		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
@@ -234,10 +202,7 @@ func PoolI() PoolConfig {
 			MemPagesBase: 6000, DiskBytesPerPage: 2000, DiskQueueBase: 0.5,
 			ErrorRate: 0.008,
 		},
-		Traffic: workload.Pattern{BaseRPS: 160000, PeakToTrough: 2.2, PeakHour: 13},
-		Mix: workload.Mix{
-			{Name: "serve", Weight: 100, CostFactor: 1},
-		},
+		Traffic:      workload.Pattern{BaseRPS: 160000, PeakToTrough: 2.2, PeakHour: 13},
 		Availability: AvailabilityProfile{PlannedDailyFrac: 0.02},
 	}
 }
@@ -261,10 +226,7 @@ func fillerPools() []PoolConfig {
 				MemPagesBase: 5000, DiskBytesPerPage: 1800, DiskQueueBase: 0.4,
 				ErrorRate: 0.008, SpikeProb: spikeProb, SpikeAmp: spikeAmp,
 			},
-			Traffic: workload.Pattern{BaseRPS: base, PeakToTrough: 2.2, PeakHour: 13},
-			Mix: workload.Mix{
-				{Name: "serve", Weight: 100, CostFactor: 1},
-			},
+			Traffic:      workload.Pattern{BaseRPS: base, PeakToTrough: 2.2, PeakHour: 13},
 			Availability: av,
 		}
 	}

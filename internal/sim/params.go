@@ -168,9 +168,6 @@ type PoolConfig struct {
 	// notes pools can exhibit different performance characteristics per
 	// datacenter (its pool D behaved ~7 ms slower in DC 4).
 	DCLatencyDelta map[string]float64
-	// Mix is the pool's production request mix (used by the synthetic
-	// workload step).
-	Mix workload.Mix
 }
 
 // Validate checks the pool configuration.

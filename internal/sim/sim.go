@@ -438,10 +438,11 @@ func clamp(v, lo, hi float64) float64 {
 
 // SimulatePoolContext runs one pool in one datacenter against an explicit
 // offered-load series (total pool RPS per tick) with a fixed server count,
-// returning all records. This is the controlled harness used by the
-// synthetic-workload (step 3) and offline-validation (step 4) stages, where
-// the operator drives load precisely instead of receiving organic traffic.
-// ctx is checked once per tick.
+// returning all records. This is the controlled harness of the offline
+// experiments, where the operator drives load precisely instead of receiving
+// organic traffic: synth.Replay runs a synthetic workload through it for
+// the offline validation of step 4, and core.SimPlant a reduction
+// experiment's load. ctx is checked once per tick.
 func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offered []float64, servers int, seed int64) ([]trace.Record, error) {
 	if servers <= 0 {
 		return nil, fmt.Errorf("sim: non-positive server count %d", servers)

@@ -1,7 +1,9 @@
 // Package synth implements Step 3 of the capacity-planning methodology
 // (§II-C of the paper): building a reproducible synthetic workload from
-// production history and replaying it against an offline pool, so that
-// changes can be validated offline before deployment.
+// production history and replaying it against an offline pool. Replay is
+// the one loop that turns a profile into an offline pool's offered load;
+// Step 4's A/B harness (internal/validate) replays the same profile to both
+// of its pools.
 package synth
 
 import (
@@ -12,19 +14,32 @@ import (
 	"headroom/internal/metrics"
 	"headroom/internal/sim"
 	"headroom/internal/stats"
-	"headroom/internal/trace"
-	"headroom/internal/workload"
 )
 
-// Profile is a reproducible synthetic workload derived from production
-// observations: an offered-load sweep and the production request mix.
+// Profile is a reproducible synthetic workload: a load sweep at a
+// controlled offline pool size.
 type Profile struct {
-	// Offered is the total pool RPS per tick to replay.
-	Offered []float64
-	// Servers is the offline pool size the profile was built for.
+	// Loads is the per-server offered load of each level (RPS/server,
+	// strictly ascending, at least two levels).
+	Loads []float64
+	// Servers is the offline pool size the profile runs at.
 	Servers int
-	// Mix is the production request mix the replay must reproduce.
-	Mix workload.Mix
+}
+
+// check holds the rules every replayed profile obeys.
+func (p Profile) check() error {
+	if p.Servers <= 0 {
+		return fmt.Errorf("synth: non-positive server count %d", p.Servers)
+	}
+	if len(p.Loads) < 2 {
+		return fmt.Errorf("synth: need >= 2 load levels, got %d", len(p.Loads))
+	}
+	for i := 1; i < len(p.Loads); i++ {
+		if p.Loads[i] <= p.Loads[i-1] {
+			return errors.New("synth: loads must be strictly ascending")
+		}
+	}
+	return nil
 }
 
 // BuildProfile derives a synthetic workload from production pool history:
@@ -34,18 +49,9 @@ type Profile struct {
 // levels is the number of load steps; extendFrac stretches the sweep beyond
 // the observed p99 load (0.25 = +25%), giving the "small workload increments
 // over time to obtain a broad set of data" of §II-D.
-func BuildProfile(series []metrics.TickStat, mix workload.Mix, servers, levels int, extendFrac float64) (Profile, error) {
-	if servers <= 0 {
-		return Profile{}, fmt.Errorf("synth: non-positive server count %d", servers)
-	}
-	if levels < 2 {
-		return Profile{}, fmt.Errorf("synth: need >= 2 load levels, got %d", levels)
-	}
+func BuildProfile(series []metrics.TickStat, servers, levels int, extendFrac float64) (Profile, error) {
 	if extendFrac < 0 {
 		return Profile{}, fmt.Errorf("synth: negative extension %v", extendFrac)
-	}
-	if err := mix.Validate(); err != nil {
-		return Profile{}, fmt.Errorf("synth: %w", err)
 	}
 	var perServer []float64
 	for _, t := range series {
@@ -61,29 +67,33 @@ func BuildProfile(series []metrics.TickStat, mix workload.Mix, servers, levels i
 	if hi <= lo {
 		return Profile{}, fmt.Errorf("synth: degenerate load range [%v, %v]", lo, hi)
 	}
-	offered := make([]float64, levels)
-	for i := range offered {
+	p := Profile{Servers: servers}
+	for i := 0; i < levels; i++ {
 		frac := float64(i) / float64(levels-1)
-		offered[i] = (lo + (hi-lo)*frac) * float64(servers)
+		p.Loads = append(p.Loads, lo+(hi-lo)*frac)
 	}
-	return Profile{Offered: offered, Servers: servers, Mix: mix}, nil
+	if err := p.check(); err != nil {
+		return Profile{}, err
+	}
+	return p, nil
 }
 
-// ReplayContext drives an offline pool with the synthetic workload,
-// returning the trace records. ticksPerLevel repeats each load step to
-// accumulate statistics; ctx is checked per simulated tick.
-func ReplayContext(ctx context.Context, pc sim.PoolConfig, p Profile, ticksPerLevel int, seed int64) ([]trace.Record, error) {
+// Replay drives an offline pool, named dc, through the profile: each level
+// runs for ticksPerLevel windows at level × Servers total RPS. It returns
+// the pool's per-window statistics, level by level; ctx is checked per
+// simulated tick.
+func Replay(ctx context.Context, pc sim.PoolConfig, dc string, p Profile, ticksPerLevel int, seed int64) ([]metrics.TickStat, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	if ticksPerLevel <= 0 {
 		return nil, fmt.Errorf("synth: non-positive ticks per level %d", ticksPerLevel)
 	}
-	if len(p.Offered) == 0 {
-		return nil, errors.New("synth: empty profile")
-	}
-	series := make([]float64, 0, len(p.Offered)*ticksPerLevel)
-	for _, load := range p.Offered {
+	offered := make([]float64, 0, len(p.Loads)*ticksPerLevel)
+	for _, l := range p.Loads {
 		for r := 0; r < ticksPerLevel; r++ {
-			series = append(series, load)
+			offered = append(offered, l*float64(p.Servers))
 		}
 	}
-	return sim.SimulatePoolContext(ctx, pc, "offline", series, p.Servers, seed)
+	return sim.SimulatePoolSeries(ctx, pc, dc, offered, p.Servers, seed)
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"headroom/internal/metrics"
@@ -37,59 +38,78 @@ func productionTrace(t *testing.T, seed int64) []metrics.TickStat {
 
 func TestBuildProfileCoversProductionRange(t *testing.T) {
 	prod := productionTrace(t, 1)
-	mix := sim.PoolB().Mix
-	p, err := BuildProfile(prod, mix, 20, 12, 0.25)
+	p, err := BuildProfile(prod, 20, 12, 0.25)
 	if err != nil {
 		t.Fatalf("BuildProfile: %v", err)
 	}
-	if len(p.Offered) != 12 {
-		t.Fatalf("levels = %d, want 12", len(p.Offered))
-	}
-	for i := 1; i < len(p.Offered); i++ {
-		if p.Offered[i] <= p.Offered[i-1] {
-			t.Fatal("offered loads must ascend")
-		}
+	if len(p.Loads) != 12 || p.Servers != 20 {
+		t.Fatalf("profile = %d levels at %d servers, want 12 at 20", len(p.Loads), p.Servers)
 	}
 	// The sweep's top level must exceed production's p99 per-server load
 	// (stress extension).
 	var maxProd float64
 	for _, ts := range prod {
-		if ts.RPSPerServer > maxProd {
-			maxProd = ts.RPSPerServer
-		}
+		maxProd = max(maxProd, ts.RPSPerServer)
 	}
-	topPerServer := p.Offered[len(p.Offered)-1] / float64(p.Servers)
-	if topPerServer < maxProd {
-		t.Errorf("sweep top %v below production max %v", topPerServer, maxProd)
+	if top := p.Loads[len(p.Loads)-1]; top < maxProd {
+		t.Errorf("sweep top %v below production max %v", top, maxProd)
 	}
 }
 
 func TestBuildProfileErrors(t *testing.T) {
 	prod := productionTrace(t, 2)
-	mix := sim.PoolB().Mix
-	if _, err := BuildProfile(prod, mix, 0, 10, 0); err == nil {
+	if _, err := BuildProfile(prod, 0, 10, 0); err == nil {
 		t.Error("zero servers should error")
 	}
-	if _, err := BuildProfile(prod, mix, 10, 1, 0); err == nil {
+	if _, err := BuildProfile(prod, 10, 1, 0); err == nil {
 		t.Error("single level should error")
 	}
-	if _, err := BuildProfile(prod, mix, 10, 10, -1); err == nil {
+	if _, err := BuildProfile(prod, 10, -3, 0); err == nil {
+		t.Error("negative level count should error")
+	}
+	if _, err := BuildProfile(prod, 10, 10, -1); err == nil {
 		t.Error("negative extension should error")
 	}
-	if _, err := BuildProfile(prod, workload.Mix{}, 10, 10, 0); err == nil {
-		t.Error("invalid mix should error")
-	}
-	if _, err := BuildProfile(nil, mix, 10, 10, 0); err == nil {
+	if _, err := BuildProfile(nil, 10, 10, 0); err == nil {
 		t.Error("empty series should error")
+	}
+}
+
+// TestReplayRunsEveryLevel checks the replay's shape: ticksPerLevel windows
+// per level, in level order, each near the level's per-server load (the
+// pool's servers do not all take an equal share of it).
+func TestReplayRunsEveryLevel(t *testing.T) {
+	p := Profile{Loads: []float64{50, 150, 250}, Servers: 4}
+	series, err := Replay(context.Background(), sim.PoolB(), "offline", p, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 15 {
+		t.Fatalf("windows = %d, want 15", len(series))
+	}
+	for i, ts := range series {
+		want := p.Loads[i/5]
+		if ts.Servers != 4 || math.Abs(ts.RPSPerServer-want) > 0.05*want {
+			t.Errorf("window %d: %d servers at %v rps/server, want 4 at %v", i, ts.Servers, ts.RPSPerServer, want)
+		}
 	}
 }
 
 func TestReplayErrors(t *testing.T) {
 	pc := sim.PoolB()
-	if _, err := ReplayContext(context.Background(), pc, Profile{}, 10, 1); err == nil {
-		t.Error("empty profile should error")
+	ctx := context.Background()
+	for name, p := range map[string]Profile{
+		"empty":        {},
+		"zero servers": {Loads: []float64{1, 2}},
+		"single level": {Loads: []float64{1}, Servers: 5},
+		"descending":   {Loads: []float64{1, 3, 2}, Servers: 5},
+		"repeated":     {Loads: []float64{1, 1}, Servers: 5},
+	} {
+		if _, err := Replay(ctx, pc, "offline", p, 10, 1); err == nil {
+			t.Errorf("%s profile should error", name)
+		}
 	}
-	if _, err := ReplayContext(context.Background(), pc, Profile{Offered: []float64{1}, Servers: 5}, 0, 1); err == nil {
+	if _, err := Replay(ctx, pc, "offline", Profile{Loads: []float64{1, 2}, Servers: 5}, 0, 1); err == nil {
 		t.Error("zero ticks per level should error")
 	}
 }

@@ -3,8 +3,9 @@
 // reach production.
 //
 // The harness runs two pools of the same size and hardware — one with the
-// change, one without — under precisely identical synthetic workloads, makes
-// small load increments across a sweep, and compares latency and resource
+// change, one without — under precisely identical synthetic workloads (one
+// synth.Profile, replayed to each pool by synth.Replay), makes small load
+// increments across a sweep, and compares latency and resource
 // utilisation level by level. This detects not just THAT a change regressed
 // capacity or QoS but the curve describing the change, so capacity plans can
 // be adjusted before deployment (§III-C's memory-leak case study: the fix
@@ -19,6 +20,7 @@ import (
 
 	"headroom/internal/sim"
 	"headroom/internal/stats"
+	"headroom/internal/synth"
 )
 
 // Change is a candidate modification to a micro-service, expressed as a
@@ -35,10 +37,9 @@ type Change struct {
 type Config struct {
 	// Pool is the micro-service under test.
 	Pool sim.PoolConfig
-	// Servers is the size of each of the two offline pools.
-	Servers int
-	// Loads is the per-server load sweep (RPS/server, ascending).
-	Loads []float64
+	// Profile is the synthetic workload both offline pools replay: its
+	// per-server load sweep at its pool size (Step 3's output).
+	Profile synth.Profile
 	// TicksPerLevel is how many windows each load level runs.
 	TicksPerLevel int
 	// LatencyTolMs and CPUTolPct bound the acceptable regression at any
@@ -110,44 +111,24 @@ func Run(ctx context.Context, cfg Config, change Change) (Report, error) {
 	if change.Apply == nil {
 		return Report{}, errors.New("validate: change with nil Apply")
 	}
-	if cfg.Servers <= 0 {
-		return Report{}, fmt.Errorf("validate: non-positive server count %d", cfg.Servers)
-	}
-	if len(cfg.Loads) < 2 {
-		return Report{}, fmt.Errorf("validate: need >= 2 load levels, got %d", len(cfg.Loads))
-	}
-	for i := 1; i < len(cfg.Loads); i++ {
-		if cfg.Loads[i] <= cfg.Loads[i-1] {
-			return Report{}, errors.New("validate: loads must be ascending")
-		}
-	}
-
-	offered := make([]float64, 0, len(cfg.Loads)*cfg.TicksPerLevel)
-	for _, l := range cfg.Loads {
-		for r := 0; r < cfg.TicksPerLevel; r++ {
-			offered = append(offered, l*float64(cfg.Servers))
-		}
-	}
-
-	baselinePool := cfg.Pool
 	changedPool := cfg.Pool
 	changedPool.Response = change.Apply(cfg.Pool.Response)
 	if err := changedPool.Response.Validate(); err != nil {
 		return Report{}, fmt.Errorf("validate: changed response invalid: %w", err)
 	}
 
-	baseSeries, err := sim.SimulatePoolSeries(ctx, baselinePool, "offline-a", offered, cfg.Servers, cfg.Seed)
+	baseSeries, err := synth.Replay(ctx, cfg.Pool, "offline-a", cfg.Profile, cfg.TicksPerLevel, cfg.Seed)
 	if err != nil {
 		return Report{}, fmt.Errorf("validate: baseline run: %w", err)
 	}
-	changeSeries, err := sim.SimulatePoolSeries(ctx, changedPool, "offline-b", offered, cfg.Servers, cfg.Seed+1)
+	changeSeries, err := synth.Replay(ctx, changedPool, "offline-b", cfg.Profile, cfg.TicksPerLevel, cfg.Seed+1)
 	if err != nil {
 		return Report{}, fmt.Errorf("validate: change run: %w", err)
 	}
 
 	rep := Report{Change: change.Name, MemoryImproved: true}
 	var baseX, baseCPU, chX, chCPU []float64
-	for li, load := range cfg.Loads {
+	for li, load := range cfg.Profile.Loads {
 		lo, hi := li*cfg.TicksPerLevel, (li+1)*cfg.TicksPerLevel
 		var bLat, cLat []float64
 		var bCPU, cCPU, bMem, cMem float64

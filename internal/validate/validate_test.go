@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"headroom/internal/sim"
+	"headroom/internal/synth"
 )
 
 // memLeakFixWithLatencyBug is the paper's §III-C case study: a change that
@@ -25,8 +26,7 @@ func cleanImprovement(rp sim.ResponseParams) sim.ResponseParams {
 func defaultCfg(seed int64) Config {
 	return Config{
 		Pool:          sim.PoolB(),
-		Servers:       20,
-		Loads:         []float64{100, 200, 300, 400, 500, 600},
+		Profile:       synth.Profile{Loads: []float64{100, 200, 300, 400, 500, 600}, Servers: 20},
 		TicksPerLevel: 25,
 		Seed:          seed,
 	}
@@ -104,17 +104,17 @@ func TestRunErrors(t *testing.T) {
 		t.Error("nil Apply should error")
 	}
 	bad := cfg
-	bad.Servers = 0
+	bad.Profile.Servers = 0
 	if _, err := Run(context.Background(), bad, Change{Name: "x", Apply: cleanImprovement}); err == nil {
 		t.Error("zero servers should error")
 	}
 	bad = cfg
-	bad.Loads = []float64{100}
+	bad.Profile.Loads = []float64{100}
 	if _, err := Run(context.Background(), bad, Change{Name: "x", Apply: cleanImprovement}); err == nil {
 		t.Error("single load should error")
 	}
 	bad = cfg
-	bad.Loads = []float64{200, 100}
+	bad.Profile.Loads = []float64{200, 100}
 	if _, err := Run(context.Background(), bad, Change{Name: "x", Apply: cleanImprovement}); err == nil {
 		t.Error("non-ascending loads should error")
 	}

@@ -1,8 +1,7 @@
 // Package workload models the request traffic offered to a global online
 // service: diurnal per-datacenter patterns, surge events (including the
 // paper's "natural experiments" — unplanned datacenter failovers that
-// multiply the surviving datacenters' load), and request mixes used to build
-// reproducible synthetic workloads for offline validation.
+// multiply the surviving datacenters' load).
 //
 // The package is purely functional over a discrete tick timeline; all noise
 // is injected by callers with their own seeded sources so simulations stay

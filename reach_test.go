@@ -26,11 +26,9 @@ import (
 // each with its reason. It holds at most reachAllowMax entries, and an entry
 // a root reaches fails the test as stale, so the list only shrinks.
 var reachAllow = map[string]string{
-	"headroom.ErrTransient":   "library API: README \"Failure semantics\" tells callers to match it with errors.Is",
-	"headroom.EachRecord":     "library API: README \"Record sources\" adapts a per-record callback with it",
-	"headroom.NewSynthSource": "library API: README Quickstart step 3 and \"Record sources\" replay a synthetic workload with it",
-	"headroom.BuildProfile":   "library API: README Quickstart step 3 builds the synthetic workload with it",
-	"leakcheck.Check":         "test support: the package exists for the test files that call it",
+	"headroom.ErrTransient": "library API: README \"Failure semantics\" tells callers to match it with errors.Is",
+	"headroom.EachRecord":   "library API: README \"Record sources\" adapts a per-record callback with it",
+	"leakcheck.Check":       "test support: the package exists for the test files that call it",
 }
 
 const reachAllowMax = 8
@@ -50,7 +48,7 @@ const fieldAllowMax = 4
 // that stay on purpose, each with its reason. It holds at most paramAllowMax
 // entries, and an entry that names no such parameter fails the test as stale.
 var paramAllow = map[string]string{
-	"headroom.Session.Aggregate src": "capbench compiles against Aggregate(ctx, nil); library callers pass a trace or synth source",
+	"headroom.Session.Aggregate src": "capbench compiles against Aggregate(ctx, nil); library callers pass a trace or replay source",
 }
 
 const paramAllowMax = 2

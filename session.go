@@ -83,7 +83,7 @@ func WithShards(n int) Option {
 }
 
 // WithSource sets the session's record source, replacing the fleet
-// simulator: a synthetic replay, an in-memory trace, or any custom
+// simulator: a decoded trace, an in-memory one, or any custom
 // implementation. Pipeline steps that consume records read from it.
 func WithSource(src Source) Option {
 	return func(s *Session) error {
@@ -536,7 +536,8 @@ func (s *Session) RunRSM(ctx context.Context, plant Plant, cfg RSMConfig) (RSMRe
 }
 
 // Validate runs the offline A/B regression harness of §II-D: two identical
-// pools, identical synthetic workload sweeps, one with the change.
+// pools replay cfg.Profile, the synthetic workload of Step 3 (BuildProfile,
+// or a sweep built by hand), and one of them runs the change.
 func (s *Session) Validate(ctx context.Context, cfg ValidateConfig, change Change) (ValidateReport, error) {
 	ctx, done := s.opCtx(ctx)
 	defer done()

@@ -11,19 +11,18 @@ import (
 
 	"headroom/internal/metrics"
 	"headroom/internal/sim"
-	"headroom/internal/synth"
 	"headroom/internal/trace"
 	"headroom/internal/workload"
 )
 
-// Source is a stream of trace records — the uniform input of every pipeline
-// step. The methodology is deliberately black-box: it consumes only records,
-// so any system able to produce them can be measured, planned and validated.
-// Four implementations ship with the facade: the fleet simulator
-// (NewSimSource), synthetic-workload replay (NewSynthSource, Step 3 of the
-// paper), a trace file or pipe decoded as it streams (NewTraceSource) and
-// in-memory trace replay (NewReplaySource, for records built by hand or
-// already decoded).
+// Source is a stream of trace records — the uniform input of measuring and
+// planning. The methodology is deliberately black-box: it consumes only
+// records, so any system able to produce them can be measured and planned.
+// Three implementations ship with the facade: the fleet simulator
+// (NewSimSource), a trace file or pipe decoded as it streams
+// (NewTraceSource) and in-memory trace replay (NewReplaySource, for records
+// built by hand or already decoded). A synthetic workload (Step 3) is not a
+// Source: Validate replays it to its two offline pools.
 type Source interface {
 	// Stream emits every record through emit in deterministic order, a run
 	// at a time: each call carries one or more consecutive records of the
@@ -147,33 +146,6 @@ func (s *simSource) Shards(n int) []Source {
 	return out
 }
 
-// synthSource streams a synthetic-workload replay (Step 3): an offline pool
-// driven through a reproducible offered-load sweep.
-type synthSource struct {
-	pool          PoolConfig
-	profile       Profile
-	ticksPerLevel int
-	seed          int64
-}
-
-// NewSynthSource returns a Source that replays a synthetic workload profile
-// (see BuildProfile in internal/synth) against an offline pool. Each of the
-// profile's load levels runs for ticksPerLevel windows.
-func NewSynthSource(pool PoolConfig, profile Profile, ticksPerLevel int, seed int64) Source {
-	return &synthSource{pool: pool, profile: profile, ticksPerLevel: ticksPerLevel, seed: seed}
-}
-
-// PoolNames identifies the single pool the replay drives.
-func (s *synthSource) PoolNames() []string { return []string{s.pool.Name} }
-
-func (s *synthSource) Stream(ctx context.Context, emit func([]Record) error) error {
-	recs, err := synth.ReplayContext(ctx, s.pool, s.profile, s.ticksPerLevel, s.seed)
-	if err != nil {
-		return err
-	}
-	return trace.EmitRuns(ctx, recs, emit)
-}
-
 // traceSource streams a CSV or JSON Lines trace straight from its reader.
 type traceSource struct {
 	r    io.Reader
@@ -291,11 +263,9 @@ func (s *replaySource) Shards(n int) []Source {
 
 var (
 	_ ShardedSource = (*simSource)(nil)
-	_ Source        = (*synthSource)(nil)
 	_ Source        = (*traceSource)(nil)
 	_ ShardedSource = (*replaySource)(nil)
 	_ PoolNamer     = (*simSource)(nil)
-	_ PoolNamer     = (*synthSource)(nil)
 	_ PoolNamer     = (*replaySource)(nil)
 )
 
