@@ -295,9 +295,10 @@ func (s *Server) computeSimulate(ctx context.Context, req SimulateRequest) (any,
 	return simulateResult(req, rows, pe), pe, err
 }
 
-// viewResult is a job result rendered into the exact bytes it has inside an
-// indented job view: json.Marshal, then json.Indent with prefix and indent
-// "  ". It is not compact JSON; writeView copies it into every view of the job.
+// viewResult is a job result rendered into the exact bytes it has inside a
+// job view: render's bytes without the final newline, one value per line and
+// no indentation. It is not compact JSON; writeView copies it into every view
+// of the job.
 type viewResult []byte
 
 // finishResult renders a job result once into its view form, so cached
@@ -305,15 +306,11 @@ type viewResult []byte
 // degraded (partial) results uncacheable so a later identical request
 // recomputes instead of being served a partial answer as if it were complete.
 func (s *Server) finishResult(ctx context.Context, k *jobKind, v any, pe *headroom.PartialError) (any, error) {
-	raw, err := json.Marshal(v)
+	view, err := render(v)
 	if err != nil {
 		return nil, fmt.Errorf("marshal result: %w", err)
 	}
-	var view bytes.Buffer
-	if err := json.Indent(&view, raw, "  ", "  "); err != nil {
-		return nil, fmt.Errorf("indent result: %w", err)
-	}
-	res := viewResult(bytes.Clone(view.Bytes())) // exact size: the cache and job table hold it
+	res := viewResult(bytes.Clone(view[:len(view)-1])) // exact size: the cache and job table hold it
 	if pe == nil {
 		return res, nil
 	}

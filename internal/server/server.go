@@ -505,12 +505,29 @@ type apiError struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// render is the layout of every JSON body capserved writes: json.Marshal's
+// bytes with one value per line and no indentation (json.Indent with an empty
+// prefix and indent), then a newline. Without indentation a value renders to
+// the same bytes wherever it sits in a body, so a job's result is rendered
+// once (finishResult) and copied into every view of the job (writeView).
+func render(v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, raw, "", ""); err != nil {
+		return nil, err
+	}
+	out.WriteByte('\n')
+	return out.Bytes(), nil
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, _ := render(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 // errBody builds the uniform error body carrying the request's trace id.
@@ -583,18 +600,15 @@ var resultKey = []byte(`"result": 0`)
 
 // writeView writes snap's job view: the bytes writeJSON would write for it,
 // except that the result is copied from its stored view form, not encoded.
-// The small envelope is encoded around a placeholder result, which the stored
+// The small envelope is rendered around a placeholder result, which the stored
 // bytes then replace.
 func (s *Server) writeView(w http.ResponseWriter, code int, snap jobs.Snapshot) {
 	v, res := s.viewOf(snap)
 	if res != nil {
 		v.Result = json.RawMessage("0")
 	}
-	var env bytes.Buffer
-	enc := json.NewEncoder(&env)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-	head, tail := env.Bytes(), []byte(nil)
+	head, _ := render(v) // a view holds strings, times and ints: it always renders
+	var tail []byte
 	if res != nil {
 		at := bytes.Index(head, resultKey) + len(resultKey) - 1
 		head, tail = head[:at], head[at+1:]

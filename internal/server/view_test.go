@@ -19,7 +19,8 @@ import (
 )
 
 // encodeView is the oracle writeView is held to: the job view with its result
-// as compact JSON, encoded whole by encoding/json with a two-space indent.
+// as compact JSON, marshalled whole by encoding/json, then json.Indent with
+// an empty prefix and indent, then a newline.
 func encodeView(t *testing.T, v jobView, result any) []byte {
 	t.Helper()
 	if result != nil {
@@ -29,13 +30,15 @@ func encodeView(t *testing.T, v jobView, result any) []byte {
 		}
 		v.Result = raw
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	raw, err := json.Marshal(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, raw, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	return append(buf.Bytes(), '\n')
 }
 
 func TestViewBytesMatchEncodingJSON(t *testing.T) {
