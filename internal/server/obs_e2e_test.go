@@ -289,19 +289,30 @@ func TestProbesAndScrapesKeepJobTraces(t *testing.T) {
 	if n := len(tracer.Traces()); n != 1 {
 		t.Errorf("ring holds %d traces, want only the job's", n)
 	}
-	_, mtext := getJSON(t, ts.URL+"/metrics")
-	for _, series := range []string{
-		`capserved_http_requests_total{handler="healthz"}`,
-		`capserved_http_requests_total{handler="readyz"}`,
-		`capserved_request_duration_seconds_count{handler="healthz"}`,
-		`capserved_request_duration_seconds_count{handler="readyz"}`,
+	// instrument counts a request after its handler returns, so a client can
+	// read a whole response before it is counted: wait for each count, read
+	// in process (no scrape of its own), and never accept fewer.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, c := range []struct {
+		series string
+		want   float64
+	}{
+		{`capserved_http_requests_total{handler="healthz"}`, 2},
+		{`capserved_http_requests_total{handler="readyz"}`, 2},
+		{`capserved_request_duration_seconds_count{handler="healthz"}`, 2},
+		{`capserved_request_duration_seconds_count{handler="readyz"}`, 2},
+		{`capserved_http_requests_total{handler="metrics"}`, 4},
 	} {
-		if n := metricValue(t, string(mtext), series); n != 2 {
-			t.Errorf("%s = %v, want 2", series, n)
+		for {
+			n := metricValue(t, renderMetrics(s), c.series)
+			if n == c.want {
+				break
+			}
+			if n > c.want || time.Now().After(deadline) {
+				t.Fatalf("%s = %v, want %v", c.series, n, c.want)
+			}
+			time.Sleep(time.Millisecond)
 		}
-	}
-	if n := metricValue(t, string(mtext), `capserved_http_requests_total{handler="metrics"}`); n != 4 {
-		t.Errorf("metrics scrapes counted = %v, want 4 (this one counts when it ends)", n)
 	}
 }
 
