@@ -629,6 +629,7 @@ func FuzzValidateRequest(f *testing.F) {
 	f.Add(`{"pool":"A","loads":[1e308,2e308]}`)
 	f.Add(`{"pool":"B","servers":1000000,"loads":[1,2]}`)
 	f.Add(`{"pool":"B","servers":1099511627776,"loads":[1,2],"ticks_per_level":1099511627776}`)
+	f.Add(`{"pool":"B","loads":[1e-300,1e-299]}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req, err := decodeValidate([]byte(body))
 		if err != nil {
@@ -640,9 +641,12 @@ func FuzzValidateRequest(f *testing.F) {
 		if len(req.Loads) < 2 {
 			t.Fatalf("accepted request with fewer than 2 loads: %q", body)
 		}
-		for i := 1; i < len(req.Loads); i++ {
-			if req.Loads[i] <= req.Loads[i-1] {
+		for i, l := range req.Loads {
+			if i > 0 && l <= req.Loads[i-1] {
 				t.Fatalf("accepted non-ascending loads %v: %q", req.Loads, body)
+			}
+			if l < minLoadPerServer || l > maxLoadPerServer {
+				t.Fatalf("accepted loads[%d] = %v outside [%g, %g]: %q", i, l, minLoadPerServer, maxLoadPerServer, body)
 			}
 		}
 		if req.Servers < 1 || req.TicksPerLevel < 1 || req.Seed == 0 {

@@ -40,6 +40,13 @@ const (
 	// overflows to an infinity JSON cannot render. A million is far past
 	// any pool the simulator models and renders finite reports.
 	maxLoadPerServer = 1e6
+	// minLoadPerServer is the least of a validation's loads (RPS/server).
+	// The CPU fit squares each window's distance from the mean load; below
+	// about 1e-160 that underflows to zero and the fit finds no spread to
+	// fit. Every pool of the fleet fits and renders a [L, 2L] sweep at 1 and
+	// 1 000 servers down to L = 1e-160, and none does from 1e-164; a
+	// millionth of an RPS leaves as wide a margin as maxLoadPerServer does.
+	minLoadPerServer = 1e-6
 	// maxChangeDelta bounds the magnitude of a change's latency_delta_ms
 	// and mem_pages_delta: near the float64 range a level's sums of them
 	// overflow the same way.
@@ -475,7 +482,7 @@ type ValidateRequest struct {
 	// Servers sizes each of the two offline pools; default 10.
 	Servers int `json:"servers,omitempty"`
 	// Loads is the per-server RPS sweep, ascending, at least two levels,
-	// each in (0, 1e6]; required.
+	// each in [1e-6, 1e6]; required.
 	Loads []float64 `json:"loads"`
 	// TicksPerLevel is how many windows each level runs, at least 2;
 	// default 20. The
@@ -509,8 +516,8 @@ func decodeValidate(body []byte) (ValidateRequest, error) {
 		return req, fmt.Errorf("loads needs >= 2 levels (ascending RPS/server sweep), got %d", len(req.Loads))
 	}
 	for i, l := range req.Loads {
-		if l <= 0 {
-			return req, fmt.Errorf("loads[%d] must be positive, got %v", i, l)
+		if l < minLoadPerServer {
+			return req, fmt.Errorf("loads[%d] must be >= %g RPS/server, got %v", i, minLoadPerServer, l)
 		}
 		if l > maxLoadPerServer {
 			return req, fmt.Errorf("loads[%d] must be <= %g RPS/server, got %v", i, maxLoadPerServer, l)

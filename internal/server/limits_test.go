@@ -93,6 +93,9 @@ func TestRequestLimits(t *testing.T) {
 		{"overflowing product", validate, validateBody(t, 2, 1<<40, 1<<40), false},
 		{"two ticks per level", validate, validateBody(t, 2, 2, 0), true},
 		{"one tick per level", validate, validateBody(t, 2, 1, 0), false},
+		{"least load at bound", validate, validateWith(`"loads":[%v,1]`, minLoadPerServer), true},
+		{"least load past bound", validate, validateWith(`"loads":[%v,1]`, math.Nextafter(minLoadPerServer, 0)), false},
+		{"loads too fine to fit", validate, `{"pool":"B","loads":[1e-300,1e-299]}`, false},
 		{"load at bound", validate, validateWith(`"loads":[1,%v]`, maxLoadPerServer), true},
 		{"load past bound", validate, validateWith(`"loads":[1,%v]`, past(maxLoadPerServer)), false},
 		{"loads that rendered +Inf", validate, `{"pool":"B","loads":[1e160,1e161]}`, false},
@@ -157,6 +160,23 @@ func TestLargestValidateRequestRenders(t *testing.T) {
 				if code != http.StatusOK || v.State != jobs.Done {
 					t.Errorf("%s: %d %s: %s", body, code, v.State, v.Error)
 				}
+			}
+		}
+	}
+}
+
+// TestSmallestValidateRequestRenders serves the least loads a validation
+// accepts, at the fewest ticks, on one server and on a thousand: the CPU fit
+// still finds a spread, so the job is done, not a 422 from the fit.
+func TestSmallestValidateRequestRenders(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, pool := range []string{"B", "D"} {
+		for _, servers := range []int{1, 1000} {
+			body := fmt.Sprintf(`{"pool":%q,"servers":%d,"loads":[%v,%v],"ticks_per_level":2}`,
+				pool, servers, minLoadPerServer, 2*minLoadPerServer)
+			code, v := submitWait(t, ts.URL, "/v1/validate", body)
+			if code != http.StatusOK || v.State != jobs.Done {
+				t.Errorf("%s: %d %s: %s", body, code, v.State, v.Error)
 			}
 		}
 	}

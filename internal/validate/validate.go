@@ -40,7 +40,8 @@ type Config struct {
 	// Profile is the synthetic workload both offline pools replay: its
 	// per-server load sweep at its pool size (Step 3's output).
 	Profile synth.Profile
-	// TicksPerLevel is how many windows each load level runs.
+	// TicksPerLevel is how many windows each load level runs, at least 2;
+	// zero or less means 20.
 	TicksPerLevel int
 	// LatencyTolMs and CPUTolPct bound the acceptable regression at any
 	// level; defaults 2 ms and 1.5 percentage points.
@@ -108,6 +109,11 @@ type Report struct {
 // simulated runs; a cancelled ctx returns ctx.Err().
 func Run(ctx context.Context, cfg Config, change Change) (Report, error) {
 	cfg = cfg.withDefaults()
+	// A level's latency summary needs two windows for its spread: one
+	// window summarises to a NaN standard deviation, which JSON cannot render.
+	if cfg.TicksPerLevel < 2 {
+		return Report{}, fmt.Errorf("validate: ticks_per_level must be >= 2, got %d", cfg.TicksPerLevel)
+	}
 	if change.Apply == nil {
 		return Report{}, errors.New("validate: change with nil Apply")
 	}

@@ -2,6 +2,8 @@ package validate
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"headroom/internal/sim"
@@ -143,5 +145,26 @@ func TestRunDeterminism(t *testing.T) {
 		if a.Levels[i].ChangeLatency.Mean != b.Levels[i].ChangeLatency.Mean {
 			t.Fatal("level results differ across identical seeds")
 		}
+	}
+}
+
+// TestRunNeedsTwoTicksPerLevel: one window a level summarises to a NaN
+// latency spread, which JSON cannot render, so Run refuses it with the
+// message the served decoder gives; two windows give a report that marshals.
+func TestRunNeedsTwoTicksPerLevel(t *testing.T) {
+	change := Change{Name: "fix-leak-v2", Apply: cleanImprovement}
+	cfg := defaultCfg(3)
+	cfg.TicksPerLevel = 1
+	if _, err := Run(context.Background(), cfg, change); err == nil ||
+		!strings.Contains(err.Error(), "ticks_per_level must be >= 2, got 1") {
+		t.Fatalf("one tick per level: err = %v, want the ticks_per_level bound", err)
+	}
+	cfg.TicksPerLevel = 2
+	rep, err := Run(context.Background(), cfg, change)
+	if err != nil {
+		t.Fatalf("two ticks per level: %v", err)
+	}
+	if _, err := json.Marshal(rep); err != nil {
+		t.Fatalf("two ticks per level: report does not marshal: %v", err)
 	}
 }
