@@ -434,10 +434,10 @@ func (c Case) submit(ctx context.Context, base string) (jobView, error) {
 	return v, nil
 }
 
-// fill maps a job view into a PathResult. The job envelope re-indents the
-// embedded result, so the bytes are compacted back before comparison —
-// indentation is presentation; field order and float formatting are
-// preserved verbatim by json.RawMessage and stay comparable.
+// fill maps a job view into a PathResult. The job view lays the embedded
+// result out one value per line, so the bytes are compacted before
+// comparison — line breaks are presentation; field order and float
+// formatting are preserved verbatim by json.RawMessage and stay comparable.
 func fill(out *PathResult, v jobView) {
 	switch v.State {
 	case "done":

@@ -282,7 +282,7 @@ func degradedPlanOracle(t *testing.T, body string, shards int, rule faults.Rule)
 	return out
 }
 
-// compact strips the indentation the job envelope gives an embedded result.
+// compact strips the line breaks the job view gives an embedded result.
 func compact(t *testing.T, raw []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer

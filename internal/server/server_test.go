@@ -490,27 +490,31 @@ func buildForecastBody(t testing.TB) string {
 	return string(b)
 }
 
+// abdhPlan is capbench's cache_hot shape: a one-day plan of pools A, B, D
+// and H, whose done view is tens of KB.
+const abdhPlan = `{"pools":["A","B","D","H"],"days":1,"seed":1}`
+
 // BenchmarkServePlanCached measures the cache-hit serving path end to end at
 // capbench's cache_hot shape: HTTP decode, canonicalization, job scheduling, a
 // result-cache hit and the job view's bytes. The first (priming) request pays
 // the simulation; iterations must not. The client drains each body into
 // io.Discard, so B/op is the server's and the HTTP stack's, not a copy of the
-// response.
+// response; view_B/op is the size of that body.
 func BenchmarkServePlanCached(b *testing.B) {
 	s, ts := newTestServer(b)
-	const req = `{"pools":["A","B","D","H"],"days":1,"seed":1}`
-	code, body := postJSON(b, ts.URL+"/v1/plan?wait=true", req)
+	code, body := postJSON(b, ts.URL+"/v1/plan?wait=true", abdhPlan)
 	if code != http.StatusOK {
 		b.Fatalf("prime = %d: %s", code, body)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var n int64
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(ts.URL+"/v1/plan?wait=true", "application/json", strings.NewReader(req))
+		resp, err := http.Post(ts.URL+"/v1/plan?wait=true", "application/json", strings.NewReader(abdhPlan))
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, err = io.Copy(io.Discard, resp.Body)
+		n, err = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			b.Fatalf("iteration = %d: %v", resp.StatusCode, err)
@@ -520,4 +524,40 @@ func BenchmarkServePlanCached(b *testing.B) {
 	if st := s.CacheStats(); st.Hits < int64(b.N) {
 		b.Fatalf("cache hits = %d, want >= %d", st.Hits, b.N)
 	}
+	b.ReportMetric(float64(n), "view_B/op")
+}
+
+// BenchmarkDecodePlanView decodes the view BenchmarkServePlanCached serves
+// the way a JSON client reads it: into an envelope struct whose result is a
+// json.RawMessage. This is the client's share of a cache hit, and it grows
+// with the view's bytes.
+func BenchmarkDecodePlanView(b *testing.B) {
+	_, ts := newTestServer(b)
+	code, body := postJSON(b, ts.URL+"/v1/plan?wait=true", abdhPlan)
+	if code != http.StatusOK {
+		b.Fatalf("prime = %d: %s", code, body)
+	}
+	type clientView struct {
+		JobID    string          `json:"job_id"`
+		State    string          `json:"state"`
+		Created  time.Time       `json:"created"`
+		Started  *time.Time      `json:"started"`
+		Finished *time.Time      `json:"finished"`
+		Result   json.RawMessage `json:"result"`
+		Error    string          `json:"error"`
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var v clientView
+		if err := json.Unmarshal(body, &v); err != nil {
+			b.Fatal(err)
+		}
+		if v.State != "done" || len(v.Result) == 0 {
+			b.Fatalf("decoded state %q with %d result bytes", v.State, len(v.Result))
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(body)), "view_B/op")
 }

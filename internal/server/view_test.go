@@ -156,13 +156,12 @@ func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
 // A cache hit copies the stored view bytes: what it allocates does not grow
-// with the result. The bound is far below what encoding this 40 KB view on
-// every hit allocates (about 230 KB).
+// with the result. The bound is far below what encoding this 24 KB view on
+// every hit would allocate.
 func TestCacheHitAllocationBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans pools A, B, D and H once")
 	}
-	const body = `{"pools":["A","B","D","H"],"days":1,"seed":1}`
 	const hits, maxPerHit = 200, 16 << 10
 	s := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute})
 	defer s.Shutdown(context.Background())
@@ -170,7 +169,7 @@ func TestCacheHitAllocationBounded(t *testing.T) {
 	serve := func() *discardWriter {
 		// http.NewRequest, not httptest's: that one parses the request through
 		// a 4 KB bufio.Reader, which would count as the server's.
-		r, err := http.NewRequest(http.MethodPost, "/v1/plan?wait=true", strings.NewReader(body))
+		r, err := http.NewRequest(http.MethodPost, "/v1/plan?wait=true", strings.NewReader(abdhPlan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,5 +199,30 @@ func TestCacheHitAllocationBounded(t *testing.T) {
 		t.Errorf("a cache hit allocates %d B, want <= %d", perHit, maxPerHit)
 	} else {
 		t.Logf("a cache hit allocates %d B", perHit)
+	}
+}
+
+// TestPlanViewBytesBounded holds the done view of capbench's cache_hot plan
+// to its size, since a client decodes every byte of it: one value per line
+// and no indentation, so no line starts with whitespace.
+func TestPlanViewBytesBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans pools A, B, D and H once")
+	}
+	const maxViewBytes = 25_000
+	_, ts := newTestServer(t)
+	code, body := postJSON(t, ts.URL+"/v1/plan?wait=true", abdhPlan)
+	if code != http.StatusOK {
+		t.Fatalf("plan = %d: %s", code, body)
+	}
+	if len(body) > maxViewBytes {
+		t.Errorf("view is %d bytes, want <= %d", len(body), maxViewBytes)
+	} else {
+		t.Logf("view is %d bytes", len(body))
+	}
+	for i, line := range bytes.Split(body, []byte("\n")) {
+		if len(line) > 0 && (line[0] == ' ' || line[0] == '\t') {
+			t.Fatalf("line %d starts with whitespace: %q", i+1, line)
+		}
 	}
 }
