@@ -505,11 +505,12 @@ type apiError struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// render is the layout of every JSON body capserved writes: json.Marshal's
-// bytes with one value per line and no indentation (json.Indent with an empty
-// prefix and indent), then a newline. Without indentation a value renders to
-// the same bytes wherever it sits in a body, so a job's result is rendered
-// once (finishResult) and copied into every view of the job (writeView).
+// render is the layout of every JSON body the API writes (job views, errors,
+// probes, debug listings): json.Marshal's bytes with one value per line and
+// no indentation (json.Indent with an empty prefix and indent), then a
+// newline. Without indentation a value renders to the same bytes wherever it
+// sits in a body, so a job's result is rendered once (finishResult) and
+// copied into every view of the job (writeView).
 func render(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -524,7 +525,7 @@ func render(v any) ([]byte, error) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, _ := render(v)
+	body, _ := render(v) // errors, probes and debug listings: no float that JSON cannot hold
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(body)
