@@ -193,6 +193,35 @@ func TestChaosDegradedServing(t *testing.T) {
 	}
 }
 
+// TestChaosBadInputDoesNotLockOutOthers: jobs that fail on their own input
+// cost only their submitter. After five failed validates, a validate whose
+// answer is already cached and a fresh well-formed one both answer 200.
+func TestChaosBadInputDoesNotLockOutOthers(t *testing.T) {
+	s, ts := newTestServer(t)
+	const cached = `{"pool":"B","servers":2,"loads":[100,200],"ticks_per_level":4}`
+	if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", cached); code != http.StatusOK {
+		t.Fatalf("warm-up validate = %d: %s", code, body)
+	}
+	for seed := 1; seed <= 5; seed++ {
+		if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(seed)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("failing job %d = %d: %s", seed, code, body)
+		}
+	}
+	waitFor(t, "five failures counted", func() bool {
+		return strings.Contains(renderMetrics(s), `capserved_jobs_completed_total{kind="validate",state="failed"} 5`)
+	})
+	hits := s.CacheStats().Hits
+	if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", cached); code != http.StatusOK {
+		t.Errorf("cached validate after five failures = %d: %s", code, body)
+	} else if s.CacheStats().Hits != hits+1 {
+		t.Errorf("cached validate was not a cache hit")
+	}
+	const fresh = `{"pool":"D","servers":3,"loads":[50,150],"ticks_per_level":4}`
+	if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", fresh); code != http.StatusOK {
+		t.Errorf("fresh validate after five failures = %d: %s", code, body)
+	}
+}
+
 // TestChaosBreakerLifecycle drives an endpoint's jobs into consecutive
 // failure: the breaker stays closed through four failed jobs and opens on
 // the fifth, fast-fails 503s with a derived Retry-After, admits no probe
