@@ -1,10 +1,10 @@
-// Package breaker implements the per-endpoint circuit breaker capserved
-// uses to fast-fail submissions against an endpoint whose jobs keep
-// failing: after a run of consecutive failures the breaker opens and
-// requests are rejected immediately (HTTP 503 upstream) instead of queuing
-// work that is doomed, protecting the worker pool for healthy endpoints.
-// After a cool-down the breaker half-opens and lets a single probe through;
-// a probe success closes it, a probe failure re-opens it.
+// Package breaker implements the per-worker circuit breaker a capserved
+// coordinator keeps for each dist worker (internal/dist): after a run of
+// consecutive failed dispatches the worker's breaker opens and the
+// coordinator skips that worker, rerouting its shards, instead of sending
+// work to a peer that keeps failing. After a cool-down the breaker
+// half-opens and lets a single probe through; a probe success closes it, a
+// probe failure re-opens it.
 package breaker
 
 import (
@@ -152,8 +152,9 @@ func (b *Breaker) Failure() {
 }
 
 // Release cancels an admitted request without recording an outcome — used
-// when the request never ran (queue full, server draining) so a half-open
-// probe slot is not leaked.
+// when the attempt says nothing about the worker (it could not be built, or
+// the dispatch cancelled it because a sibling won) so a half-open probe slot
+// is not leaked.
 func (b *Breaker) Release() {
 	b.mu.Lock()
 	if b.state == HalfOpen {
@@ -169,22 +170,6 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// RetryAfter returns how long a rejected caller should wait before
-// retrying: the time until the breaker half-opens (minimum 1 s), or zero
-// when the breaker is not open.
-func (b *Breaker) RetryAfter() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != Open {
-		return 0
-	}
-	remain := b.cfg.OpenFor - b.cfg.Now().Sub(b.openedAt)
-	if remain < time.Second {
-		remain = time.Second
-	}
-	return remain
 }
 
 // setStateLocked transitions the breaker and returns the OnTransition

@@ -150,23 +150,3 @@ func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 		t.Fatalf("state = %s, want closed: success must reset the run", st)
 	}
 }
-
-func TestBreakerRetryAfter(t *testing.T) {
-	clk := newTestClock()
-	b := New(Config{Threshold: 1, OpenFor: 10 * time.Second, Now: clk.Now})
-	if d := b.RetryAfter(); d != 0 {
-		t.Fatalf("RetryAfter while closed = %s, want 0", d)
-	}
-	b.Failure()
-	if d := b.RetryAfter(); d != 10*time.Second {
-		t.Fatalf("RetryAfter just opened = %s, want 10s", d)
-	}
-	clk.Advance(7 * time.Second)
-	if d := b.RetryAfter(); d != 3*time.Second {
-		t.Fatalf("RetryAfter = %s, want 3s", d)
-	}
-	clk.Advance(2900 * time.Millisecond)
-	if d := b.RetryAfter(); d != time.Second {
-		t.Fatalf("RetryAfter near expiry = %s, want the 1s floor", d)
-	}
-}

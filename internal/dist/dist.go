@@ -81,8 +81,6 @@ type Config struct {
 	// per worker, hedging after 2x the worker's EWMA latency once three
 	// dispatches have been observed; negative disables hedging.
 	HedgeAfter time.Duration
-	// Clock overrides time.Now for the breakers, for tests.
-	Clock func() time.Time
 	// Logger receives dispatch lifecycle events; default discard.
 	Logger *slog.Logger
 	// Registry is where the client registers the capserved_dist_* families
@@ -250,7 +248,6 @@ func New(cfg Config) (*Client, error) {
 		w.breaker = breaker.New(breaker.Config{
 			Threshold: breakerThreshold,
 			OpenFor:   breakerOpenFor,
-			Now:       cfg.Clock,
 			OnTransition: func(from, to breaker.State) {
 				c.cfg.Logger.Info("dist: worker breaker transition",
 					"peer", p, "from", from.String(), "to", to.String())

@@ -7,7 +7,7 @@
 // The package exists so failure paths can be driven as deliberately as
 // happy paths: the chaos tests replay the exact same faults from the same
 // seed, and resilience layers (the internal/jobs retry, the coordinator's
-// shard reroute, the capserved circuit breakers) can be exercised against
+// shard reroute, the dist workers' circuit breakers) can be exercised against
 // known bad states instead of waiting for production to produce them.
 //
 // Determinism contract: a fresh Injector with the same seed and rules,

@@ -9,6 +9,7 @@ package forecast
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"headroom/internal/stats"
 )
@@ -27,20 +28,35 @@ type Model struct {
 	ResidualStd float64
 }
 
-// Fit estimates the model from an offered-load series sampled once per
-// tick. It needs at least two full days to separate trend from seasonality.
-func Fit(series []float64, ticksPerDay int) (Model, error) {
+// Check reports whether Fit accepts series sampled ticksPerDay times a day:
+// two full days or more, every sample in [0, sqrt(MaxFloat64/len(series))].
+// The bound keeps the fit finite: its largest sum, the trend regression's sum
+// of squared deviations, holds at most one squared sample per tick.
+func Check(series []float64, ticksPerDay int) error {
 	if ticksPerDay <= 0 {
-		return Model{}, fmt.Errorf("forecast: non-positive ticksPerDay %d", ticksPerDay)
+		return fmt.Errorf("forecast: non-positive ticksPerDay %d", ticksPerDay)
 	}
 	if len(series)/2 < ticksPerDay { // not 2*ticksPerDay, which can overflow
-		return Model{}, fmt.Errorf("forecast: need >= 2 days of data (%d ticks), got %d",
-			2*ticksPerDay, len(series))
+		return fmt.Errorf("forecast: need >= 2 days of data (2 x %d ticks), got %d", ticksPerDay, len(series))
 	}
+	maxLoad := math.Sqrt(math.MaxFloat64 / float64(len(series)))
 	for i, v := range series {
-		if v < 0 {
-			return Model{}, fmt.Errorf("forecast: negative load %v at tick %d", v, i)
+		if !(v >= 0) {
+			return fmt.Errorf("forecast: load %v at tick %d is not >= 0", v, i)
 		}
+		if v > maxLoad {
+			return fmt.Errorf("forecast: load %v at tick %d is over %.6g, sqrt(MaxFloat64/%d): %d squared loads must sum to a finite float64",
+				v, i, maxLoad, len(series), len(series))
+		}
+	}
+	return nil
+}
+
+// Fit estimates the model from an offered-load series sampled once per
+// tick; the series must pass Check.
+func Fit(series []float64, ticksPerDay int) (Model, error) {
+	if err := Check(series, ticksPerDay); err != nil {
+		return Model{}, err
 	}
 
 	// Trend on daily means (removes the seasonal component exactly when

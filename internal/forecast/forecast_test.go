@@ -126,6 +126,41 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
+// TestCheckKeepsFitFinite fits series whose samples are 0 or at Check's
+// bound, whole days and single ticks apart, and requires every number of the
+// model and of a year's peak projection to be finite; one sample past the
+// bound fails Check, and Fit with it.
+func TestCheckKeepsFitFinite(t *testing.T) {
+	for _, shape := range []struct{ days, tpd int }{{2, 1}, {3, 2}, {7, 24}, {30, 48}} {
+		n := shape.days * shape.tpd
+		bound := math.Sqrt(math.MaxFloat64 / float64(n))
+		series := make([]float64, n)
+		for i := range series {
+			if day := i / shape.tpd; day%2 == 0 || i%3 == 0 {
+				series[i] = bound
+			}
+		}
+		m, err := Fit(series, shape.tpd)
+		if err != nil {
+			t.Fatalf("%d days x %d: %v", shape.days, shape.tpd, err)
+		}
+		peak, err := m.PeakOverHorizon(n, 366*shape.tpd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nums := append([]float64{m.Trend.Slope, m.Trend.Intercept, m.Trend.R2, m.ResidualStd, peak}, m.Seasonal...)
+		for i, v := range nums {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("%d days x %d: number %d of the model is %v", shape.days, shape.tpd, i, v)
+			}
+		}
+		series[n-1] = math.Nextafter(bound, math.Inf(1))
+		if err := Check(series, shape.tpd); err == nil {
+			t.Errorf("%d days x %d: a sample past the bound passed Check", shape.days, shape.tpd)
+		}
+	}
+}
+
 func TestPredictFlatModel(t *testing.T) {
 	var m Model
 	m.Trend.Intercept = 100

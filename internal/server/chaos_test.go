@@ -1,12 +1,13 @@
 package server
 
 // Chaos end-to-end tests: a real server with a deterministic fault injector
-// under its record sources, exercising degraded serving, the circuit
-// breaker lifecycle, readiness, and goroutine hygiene.
+// under its record sources, exercising degraded serving, failed jobs that
+// cost only their submitter, readiness, and goroutine hygiene.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -18,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"headroom/internal/breaker"
 	"headroom/internal/faults"
 	"headroom/internal/jobs"
 	"headroom/internal/leakcheck"
@@ -34,9 +34,9 @@ func chaosConfig(inj *faults.Injector) Config {
 	}
 }
 
-// waitFor polls cond until it holds or the deadline passes. Breaker state
-// is fed by job-finish callbacks that can land just after an HTTP response,
-// so assertions on it must tolerate that window.
+// waitFor polls cond until it holds or the deadline passes. Completion
+// counters are fed by job-finish callbacks that can land just after an HTTP
+// response, so assertions on them must tolerate that window.
 func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -222,144 +222,39 @@ func TestChaosBadInputDoesNotLockOutOthers(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerLifecycle drives an endpoint's jobs into consecutive
-// failure: the breaker stays closed through four failed jobs and opens on
-// the fifth, fast-fails 503s with a derived Retry-After, admits no probe
-// before its 10 s open interval has passed and one after, and the probe's
-// success closes it.
-func TestChaosBreakerLifecycle(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Now()
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	s := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Clock: clock})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Shutdown(context.Background())
-	})
-	failValidate := func(seed int) {
-		t.Helper()
-		code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(seed))
-		if code != http.StatusUnprocessableEntity {
-			t.Fatalf("failing job %d = %d: %s", seed, code, body)
-		}
-	}
-	// fastFail posts a validate the open breaker must reject and returns
-	// its Retry-After.
-	fastFail := func(seed int) string {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/validate?wait=true", "application/json",
-			strings.NewReader(failingValidateBody(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("fast-fail = %d, want 503", resp.StatusCode)
-		}
-		return resp.Header.Get("Retry-After")
-	}
-
-	for seed := 1; seed <= 4; seed++ {
-		failValidate(seed)
-	}
-	waitFor(t, "four failures counted", func() bool {
-		return strings.Contains(renderMetrics(s), `capserved_jobs_completed_total{kind="validate",state="failed"} 4`)
-	})
-	if st := s.BreakerState("validate"); st != breaker.Closed {
-		t.Fatalf("breaker after 4 failed jobs = %s, want closed", st)
-	}
-	failValidate(5)
-	waitFor(t, "breaker to open", func() bool { return s.BreakerState("validate") == breaker.Open })
-
-	// Open: submissions fast-fail 503 without queueing, with Retry-After
-	// the time until the half-open probe.
-	if ra := fastFail(6); ra != "10" {
-		t.Errorf("Retry-After just opened = %q, want 10", ra)
-	}
-	_, mtext := getJSON(t, ts.URL+"/metrics")
-	if n := metricValue(t, string(mtext), `capserved_breaker_fast_fails_total{kind="validate"}`); n != 1 {
-		t.Errorf("fast_fails = %v, want 1", n)
-	}
-	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="validate",to="open"}`); n != 1 {
-		t.Errorf("transitions to open = %v, want 1", n)
-	}
-
-	// Other endpoints are unaffected: breakers are per-endpoint.
-	if st := s.BreakerState("simulate"); st != breaker.Closed {
-		t.Errorf("simulate breaker = %s, want closed", st)
-	}
-
-	// Before the open interval has passed no probe is admitted.
-	advance(9 * time.Second)
-	if ra := fastFail(7); ra != "1" {
-		t.Errorf("Retry-After 1 s before the probe = %q, want 1", ra)
-	}
-
-	// After it a probe is admitted; its success closes the breaker again.
-	advance(2 * time.Second)
-	good := `{"pool":"B","servers":2,"loads":[100,200],"ticks_per_level":4}`
-	code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", good)
-	if code != http.StatusOK {
-		t.Fatalf("probe = %d: %s", code, body)
-	}
-	waitFor(t, "breaker to close", func() bool { return s.BreakerState("validate") == breaker.Closed })
-	_, mtext = getJSON(t, ts.URL+"/metrics")
-	if n := metricValue(t, string(mtext), `capserved_breaker_fast_fails_total{kind="validate"}`); n != 2 {
-		t.Errorf("fast_fails = %v, want 2", n)
-	}
-	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="validate",to="half_open"}`); n != 1 {
-		t.Errorf("transitions to half_open = %v, want 1", n)
-	}
-	if n := metricValue(t, string(mtext), `capserved_breaker_transitions_total{kind="validate",to="closed"}`); n != 1 {
-		t.Errorf("transitions to closed = %v, want 1", n)
-	}
-}
-
-// TestChaosBreakerFastFailBurstNoLeak hammers an open breaker with
-// concurrent submissions: every one must be rejected immediately and no
-// goroutine may outlive the burst.
-func TestChaosBreakerFastFailBurstNoLeak(t *testing.T) {
+// TestChaosFailingBurstNoLeak fires concurrent submissions whose jobs all
+// fail: every one must be admitted as a job of its own and no goroutine may
+// outlive the burst.
+func TestChaosFailingBurstNoLeak(t *testing.T) {
 	leakcheck.Check(t)
-	var mu sync.Mutex
-	now := time.Now()
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	s := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Clock: clock})
+	const burst = 30
+	s := New(Config{Workers: 2, QueueDepth: burst, CacheSize: 16, JobTimeout: time.Minute})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
-
-	// Five failed jobs open the breaker; the clock never moves, so it
-	// stays open.
-	for seed := 1; seed <= 5; seed++ {
-		if code, body := postJSON(t, ts.URL+"/v1/validate?wait=true", failingValidateBody(seed)); code != http.StatusUnprocessableEntity {
-			t.Fatalf("failing job %d = %d: %s", seed, code, body)
-		}
-	}
-	waitFor(t, "breaker to open", func() bool { return s.BreakerState("validate") == breaker.Open })
-	b := failingValidateBody(6)
 
 	var wg sync.WaitGroup
-	codes := make([]int, 30)
+	codes := make([]int, burst)
 	for i := range codes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], _ = postJSON(t, ts.URL+"/v1/validate", b)
+			codes[i], _ = postJSON(t, ts.URL+"/v1/validate", failingValidateBody(i))
 		}(i)
 	}
 	wg.Wait()
 	for i, code := range codes {
-		if code != http.StatusServiceUnavailable {
-			t.Fatalf("burst request %d = %d, want 503", i, code)
+		if code != http.StatusAccepted {
+			t.Fatalf("burst request %d = %d, want 202", i, code)
 		}
 	}
+	waitFor(t, "every burst job to fail", func() bool {
+		return strings.Contains(renderMetrics(s), fmt.Sprintf(`capserved_jobs_completed_total{kind="validate",state="failed"} %d`, burst))
+	})
 	if depth := s.queue.Stats().Depth; depth != 0 {
-		t.Errorf("queue depth after burst = %d, want 0 (nothing queued)", depth)
+		t.Errorf("queue depth after burst = %d, want 0", depth)
 	}
 }
 
@@ -600,8 +495,8 @@ func TestRetryAfterDerivedFromServiceRate(t *testing.T) {
 	}
 }
 
-// TestRetryAfterEdgeCases pins the boundary behavior of both Retry-After
-// helpers: every path must yield a value in [1, 120] — including a
+// TestRetryAfterEdgeCases pins the boundary behavior of the Retry-After
+// estimate: every path must yield a value in [1, 120] — including a
 // pathological EWMA mean, where the old float→int conversion overflowed to
 // minInt and advertised 1 s instead of the 120 s cap.
 func TestRetryAfterEdgeCases(t *testing.T) {
@@ -625,23 +520,6 @@ func TestRetryAfterEdgeCases(t *testing.T) {
 		t.Errorf("retryAfter with huge mean, zero depth = %d, want 120 cap", got)
 	}
 
-	// retryAfterCeil: zero, negative and sub-second durations floor to 1;
-	// long ones round up exactly.
-	for _, tc := range []struct {
-		d    time.Duration
-		want int
-	}{
-		{0, 1},
-		{-5 * time.Second, 1},
-		{time.Millisecond, 1},
-		{time.Second, 1},
-		{1100 * time.Millisecond, 2},
-		{90 * time.Second, 90},
-	} {
-		if got := retryAfterCeil(tc.d); got != tc.want {
-			t.Errorf("retryAfterCeil(%v) = %d, want %d", tc.d, got, tc.want)
-		}
-	}
 }
 
 // FuzzValidateRequest fuzzes the strict request decoder: no body may panic
@@ -688,7 +566,8 @@ func FuzzValidateRequest(f *testing.F) {
 }
 
 // FuzzForecastRequest: any forecast request the decoder accepts is within
-// the limits, so its fit and peak projection are bounded work.
+// the limits, so its fit and peak projection are bounded work, and is
+// answered: its job computes a result that renders.
 func FuzzForecastRequest(f *testing.F) {
 	f.Add(`{"series":[1,2,3,4],"ticks_per_day":2,"horizon_days":7}`)
 	f.Add(`{"series":[1,2],"ticks_per_day":1,"horizon_days":1000000000}`)
@@ -696,6 +575,9 @@ func FuzzForecastRequest(f *testing.F) {
 	f.Add(`{"series":[1,2],"ticks_per_day":4611686018427387904}`)
 	f.Add(`{"series":[1,-5,3,4],"ticks_per_day":2}`)
 	f.Add(`{"series":[1,2,3],"ticks_per_day":0}`)
+	for _, body := range overflowForecastBodies {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		req, err := decodeForecast([]byte(body))
 		if err != nil {
@@ -714,6 +596,13 @@ func FuzzForecastRequest(f *testing.F) {
 		}
 		if req.HorizonDays < 0 || req.HorizonDays > maxHorizonDays {
 			t.Fatalf("accepted horizon_days %d: %q", req.HorizonDays, body)
+		}
+		res, _, err := (&Server{}).computeForecast(context.Background(), req)
+		if err != nil {
+			t.Fatalf("accepted request failed its job: %v: %q", err, body)
+		}
+		if _, err := render(res); err != nil {
+			t.Fatalf("accepted request's result does not render: %v: %q", err, body)
 		}
 	})
 }

@@ -74,7 +74,6 @@ func (s *Server) initDist() {
 		Peers:      s.cfg.Peers,
 		Token:      s.cfg.DistToken,
 		HedgeAfter: s.cfg.HedgeAfter,
-		Clock:      s.cfg.Clock,
 		Logger:     s.cfg.Logger,
 		Registry:   s.reg,
 	})

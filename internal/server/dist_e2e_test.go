@@ -478,8 +478,8 @@ func TestDistCancelledJobNotServedDegraded(t *testing.T) {
 	})
 
 	code, got := submitWait(t, coordTS.URL, "/v1/simulate", `{"pools":["A","B"],"days":1}`)
-	if code != http.StatusUnprocessableEntity || got.State != jobs.Failed {
-		t.Fatalf("simulate past its deadline = %d state %s, want 422/failed (result %s)", code, got.State, got.Result)
+	if code != http.StatusGatewayTimeout || got.State != jobs.Failed {
+		t.Fatalf("simulate past its deadline = %d state %s, want 504/failed (result %s)", code, got.State, got.Result)
 	}
 	if !strings.Contains(got.Error, context.DeadlineExceeded.Error()) {
 		t.Errorf("job error = %q, want the job's deadline", got.Error)

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"headroom"
+	"headroom/internal/forecast"
 	"headroom/internal/jobcache"
 )
 
@@ -596,8 +597,9 @@ func (s *Server) computeValidate(ctx context.Context, req ValidateRequest) (any,
 
 // ForecastRequest parameterizes a workload-forecast job.
 type ForecastRequest struct {
-	// Series is the offered-load series, one non-negative sample per tick;
-	// required, at least two days long.
+	// Series is the offered-load series, one sample per tick; required. It
+	// must pass forecast.Check: at least two days long, every sample in
+	// [0, sqrt(MaxFloat64/len(Series))].
 	Series []float64 `json:"series"`
 	// TicksPerDay is the series' sampling density; required, at most
 	// maxTicksPerDay.
@@ -612,17 +614,11 @@ func decodeForecast(body []byte) (ForecastRequest, error) {
 	if err := decode(body, &req); err != nil {
 		return req, err
 	}
-	if req.TicksPerDay <= 0 || req.TicksPerDay > maxTicksPerDay {
-		return req, fmt.Errorf("ticks_per_day must be in [1, %d], got %d", maxTicksPerDay, req.TicksPerDay)
+	if req.TicksPerDay > maxTicksPerDay {
+		return req, fmt.Errorf("ticks_per_day must be at most %d, got %d", maxTicksPerDay, req.TicksPerDay)
 	}
-	if len(req.Series) < 2*req.TicksPerDay {
-		return req, fmt.Errorf("series needs >= 2 days (%d ticks), got %d",
-			2*req.TicksPerDay, len(req.Series))
-	}
-	for i, v := range req.Series {
-		if v < 0 {
-			return req, fmt.Errorf("series[%d] must be >= 0, got %v", i, v)
-		}
+	if err := forecast.Check(req.Series, req.TicksPerDay); err != nil {
+		return req, err
 	}
 	if req.HorizonDays < 0 || req.HorizonDays > maxHorizonDays {
 		return req, fmt.Errorf("horizon_days must be in [0, %d], got %d", maxHorizonDays, req.HorizonDays)

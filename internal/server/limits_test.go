@@ -81,6 +81,10 @@ func TestRequestLimits(t *testing.T) {
 		{"ticks per day overflowing two days", forecast, forecastBody(t, 2, 1<<62, 0, 1), false},
 		{"zero load", forecast, forecastBody(t, 48, 24, 0, 0), true},
 		{"negative load", forecast, forecastBody(t, 48, 24, 0, -5), false},
+		{"load at bound", forecast, forecastBody(t, 48, 24, 0, math.Sqrt(math.MaxFloat64/48)), true},
+		{"load past bound", forecast, forecastBody(t, 48, 24, 0, past(math.Sqrt(math.MaxFloat64/48))), false},
+		{"loads whose day sums overflowed", forecast, overflowForecastBodies[0], false},
+		{"loads whose squares overflowed", forecast, overflowForecastBodies[1], false},
 		{"max groups at bound", plan, `{"pools":["B"],"max_groups":8}`, true},
 		{"max groups past bound", plan, `{"pools":["B"],"max_groups":9}`, false},
 		{"max groups of half a minute", plan, `{"pools":["D"],"max_groups":1000}`, false},
@@ -117,6 +121,43 @@ func TestRequestLimits(t *testing.T) {
 		err := tc.decode(tc.body)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// overflowForecastBodies decoded, then failed their jobs with 422 "json:
+// unsupported value: NaN": the first overflows a day's sum, the second the
+// trend fit's sum of squares (four 1e300s, a constant series, rendered).
+var overflowForecastBodies = []string{
+	`{"series":[1e308,1e308,1e308,1e308],"ticks_per_day":2}`,
+	`{"series":[1e300,1e300,0,0,1e300,1e300],"ticks_per_day":2}`,
+}
+
+// TestLargestForecastRequestRenders serves a forecast whose every sample is 0
+// or at the bound, in whole days and within one, projected as far ahead as a
+// request may ask: 200 and a done job. Past the bound it is a 400 naming the
+// rule.
+func TestLargestForecastRequestRenders(t *testing.T) {
+	_, ts := newTestServer(t)
+	const days, ticksPerDay = 5, 24
+	bound := math.Sqrt(math.MaxFloat64 / (days * ticksPerDay))
+	series := make([]float64, days*ticksPerDay)
+	for i := range series {
+		if day := i / ticksPerDay; day%2 == 0 || i%3 == 0 {
+			series[i] = bound
+		}
+	}
+	b, err := json.Marshal(ForecastRequest{Series: series, TicksPerDay: ticksPerDay, HorizonDays: maxHorizonDays})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, v := submitWait(t, ts.URL, "/v1/forecast", string(b)); code != http.StatusOK || v.State != jobs.Done {
+		t.Errorf("samples at the bound: %d %s: %s", code, v.State, v.Error)
+	}
+	for _, body := range overflowForecastBodies {
+		code, resp := postJSON(t, ts.URL+"/v1/forecast?wait=true", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(resp), "squared loads must sum to a finite float64") {
+			t.Errorf("%s = %d, want 400 naming the load bound: %s", body, code, resp)
 		}
 	}
 }

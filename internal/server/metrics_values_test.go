@@ -75,8 +75,8 @@ func metricValues(t testing.TB, text string, base map[string]float64) string {
 }
 
 // wantValues polls the server's metrics until they read want: completion
-// callbacks, breaker transitions and the request counters land just after the
-// response that caused them.
+// callbacks and the request counters land just after the response that
+// caused them.
 func wantValues(t *testing.T, s *Server, base map[string]float64, names *strings.Replacer, want string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -101,15 +101,12 @@ func step(t *testing.T, what, url, body string, want int) {
 }
 
 // TestNodeMetricValuesPinned: a done plan, the same plan again (a cache hit),
-// a bad request, a validate job that fails, five simulate jobs failed by an
-// injected fault (which opens that endpoint's breaker) and the fast-fail the
-// open breaker answers. The clock stands still, so the breaker cannot
-// half-open however long the scenario takes.
+// a bad request, a validate job that fails and six simulate jobs failed by an
+// injected fault. A run of failed jobs does not stop the next one from being
+// admitted: the sixth is a job like the first five.
 func TestNodeMetricValuesPinned(t *testing.T) {
-	start := time.Now()
 	s := New(Config{
 		Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: time.Minute, Shards: 2,
-		Clock:  func() time.Time { return start },
 		Faults: faults.New(1, faults.Rule{Kind: faults.Permanent, Pools: []string{"F"}, At: []int{0}}),
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -123,41 +120,17 @@ func TestNodeMetricValuesPinned(t *testing.T) {
 	step(t, "plan again", ts.URL+"/v1/plan?wait=true", `{"pools":["G"],"days":1,"seed":7}`, http.StatusOK)
 	step(t, "bad request", ts.URL+"/v1/plan", `{"dayz":1}`, http.StatusBadRequest)
 	step(t, "failing validate", ts.URL+"/v1/validate?wait=true", failingValidateBody(1), http.StatusUnprocessableEntity)
-	for seed := 1; seed <= 5; seed++ {
+	for seed := 1; seed <= 6; seed++ {
 		step(t, "faulted simulate", ts.URL+"/v1/simulate?wait=true", fmt.Sprintf(`{"pools":["F"],"days":1,"seed":%d}`, seed), http.StatusUnprocessableEntity)
 	}
-	waitFor(t, "simulate breaker to open", func() bool {
-		return strings.Contains(renderMetrics(s), `capserved_breaker_state{kind="simulate"} 1`)
-	})
-	step(t, "fast-fail", ts.URL+"/v1/simulate?wait=true", `{"pools":["F"],"days":1,"seed":6}`, http.StatusServiceUnavailable)
 
 	wantValues(t, s, base, strings.NewReplacer(), wantNodeValues)
 }
 
 const wantNodeValues = `capserved_bad_requests_total 1
-capserved_breaker_fast_fails_total{kind="forecast"} 0
-capserved_breaker_fast_fails_total{kind="plan"} 0
-capserved_breaker_fast_fails_total{kind="simulate"} 1
-capserved_breaker_fast_fails_total{kind="validate"} 0
-capserved_breaker_state{kind="forecast"} 0
-capserved_breaker_state{kind="plan"} 0
-capserved_breaker_state{kind="simulate"} 1
-capserved_breaker_state{kind="validate"} 0
-capserved_breaker_transitions_total{kind="forecast",to="closed"} 0
-capserved_breaker_transitions_total{kind="forecast",to="half_open"} 0
-capserved_breaker_transitions_total{kind="forecast",to="open"} 0
-capserved_breaker_transitions_total{kind="plan",to="closed"} 0
-capserved_breaker_transitions_total{kind="plan",to="half_open"} 0
-capserved_breaker_transitions_total{kind="plan",to="open"} 0
-capserved_breaker_transitions_total{kind="simulate",to="closed"} 0
-capserved_breaker_transitions_total{kind="simulate",to="half_open"} 0
-capserved_breaker_transitions_total{kind="simulate",to="open"} 1
-capserved_breaker_transitions_total{kind="validate",to="closed"} 0
-capserved_breaker_transitions_total{kind="validate",to="half_open"} 0
-capserved_breaker_transitions_total{kind="validate",to="open"} 0
 capserved_cache_deduped_total 0
 capserved_cache_hits_total 1
-capserved_cache_misses_total 7
+capserved_cache_misses_total 8
 capserved_cache_size 1
 capserved_cache_uncacheable_total 0
 capserved_degraded_responses_total{kind="forecast"} 0
@@ -173,7 +146,7 @@ capserved_http_requests_total{handler="plan"} 3
 capserved_http_requests_total{handler="readyz"} 0
 capserved_http_requests_total{handler="simulate"} 6
 capserved_http_requests_total{handler="validate"} 1
-capserved_injected_faults_total 5
+capserved_injected_faults_total 6
 capserved_job_retries_total{kind="forecast"} 0
 capserved_job_retries_total{kind="plan"} 0
 capserved_job_retries_total{kind="simulate"} 0
@@ -183,13 +156,13 @@ capserved_jobs_completed_total{kind="forecast",state="failed"} 0
 capserved_jobs_completed_total{kind="plan",state="done"} 2
 capserved_jobs_completed_total{kind="plan",state="failed"} 0
 capserved_jobs_completed_total{kind="simulate",state="done"} 0
-capserved_jobs_completed_total{kind="simulate",state="failed"} 5
+capserved_jobs_completed_total{kind="simulate",state="failed"} 6
 capserved_jobs_completed_total{kind="validate",state="done"} 0
 capserved_jobs_completed_total{kind="validate",state="failed"} 1
 capserved_jobs_running 0
 capserved_jobs_submitted_total{kind="forecast"} 0
 capserved_jobs_submitted_total{kind="plan"} 2
-capserved_jobs_submitted_total{kind="simulate"} 5
+capserved_jobs_submitted_total{kind="simulate"} 6
 capserved_jobs_submitted_total{kind="validate"} 1
 capserved_not_ready_total 0
 capserved_queue_depth 0
@@ -204,14 +177,14 @@ capserved_request_duration_seconds_count{handler="readyz"} 0
 capserved_request_duration_seconds_count{handler="simulate"} 6
 capserved_request_duration_seconds_count{handler="validate"} 1
 capserved_workers 2
-headroom_jobs_queue_wait_seconds_count 8
-headroom_jobs_run_seconds_count 8
-headroom_simulate_pool_duration_seconds_count{pool="F"} 5
+headroom_jobs_queue_wait_seconds_count 9
+headroom_jobs_run_seconds_count 9
+headroom_simulate_pool_duration_seconds_count{pool="F"} 6
 headroom_simulate_pool_duration_seconds_count{pool="G"} 1
-headroom_stage_duration_seconds_count{stage="aggregate"} 6
-headroom_stage_duration_seconds_count{stage="merge"} 6
+headroom_stage_duration_seconds_count{stage="aggregate"} 7
+headroom_stage_duration_seconds_count{stage="merge"} 7
 headroom_stage_duration_seconds_count{stage="plan"} 1
-headroom_stage_duration_seconds_count{stage="simulate"} 6
+headroom_stage_duration_seconds_count{stage="simulate"} 7
 headroom_stage_duration_seconds_count{stage="validate"} 1`
 
 // TestCoordinatorMetricValuesPinned: three one-shard plans on a 2-worker
@@ -267,26 +240,6 @@ func TestCoordinatorMetricValuesPinned(t *testing.T) {
 const hedgeAfterPinned = 3 * time.Second
 
 const wantCoordinatorValues = `capserved_bad_requests_total 0
-capserved_breaker_fast_fails_total{kind="forecast"} 0
-capserved_breaker_fast_fails_total{kind="plan"} 0
-capserved_breaker_fast_fails_total{kind="simulate"} 0
-capserved_breaker_fast_fails_total{kind="validate"} 0
-capserved_breaker_state{kind="forecast"} 0
-capserved_breaker_state{kind="plan"} 0
-capserved_breaker_state{kind="simulate"} 0
-capserved_breaker_state{kind="validate"} 0
-capserved_breaker_transitions_total{kind="forecast",to="closed"} 0
-capserved_breaker_transitions_total{kind="forecast",to="half_open"} 0
-capserved_breaker_transitions_total{kind="forecast",to="open"} 0
-capserved_breaker_transitions_total{kind="plan",to="closed"} 0
-capserved_breaker_transitions_total{kind="plan",to="half_open"} 0
-capserved_breaker_transitions_total{kind="plan",to="open"} 0
-capserved_breaker_transitions_total{kind="simulate",to="closed"} 0
-capserved_breaker_transitions_total{kind="simulate",to="half_open"} 0
-capserved_breaker_transitions_total{kind="simulate",to="open"} 0
-capserved_breaker_transitions_total{kind="validate",to="closed"} 0
-capserved_breaker_transitions_total{kind="validate",to="half_open"} 0
-capserved_breaker_transitions_total{kind="validate",to="open"} 0
 capserved_cache_deduped_total 0
 capserved_cache_hits_total 0
 capserved_cache_misses_total 3

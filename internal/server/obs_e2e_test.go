@@ -197,9 +197,6 @@ simulate.pool <session.aggregate> [degraded pool records shard]
 simulate.pool <session.aggregate> [degraded pool records shard]`
 
 const wantNodeMetrics = `capserved_bad_requests_total counter {}
-capserved_breaker_fast_fails_total counter {kind}
-capserved_breaker_state gauge {kind}
-capserved_breaker_transitions_total counter {kind,to}
 capserved_cache_deduped_total counter {}
 capserved_cache_hits_total counter {}
 capserved_cache_misses_total counter {}

@@ -20,9 +20,9 @@
 // result inline. Identical requests are answered from the result cache and
 // deduplicated in flight, so repeated what-if queries cost one simulation.
 //
-// Failure semantics: each submission endpoint sits behind a circuit breaker
-// that opens after a run of consecutive job failures and fast-fails 503
-// (with Retry-After) until a half-open probe succeeds. With partial results
+// Failure semantics: a failed job costs only its submitter, who gets 422 on
+// ?wait (504 when the job ran out of its deadline); only the dist workers,
+// the one remote dependency, sit behind circuit breakers. With partial results
 // enabled, simulate/plan jobs that lose some pools return a degraded result
 // listing the failed pools instead of failing whole; degraded results are
 // never stored in the cache.
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"headroom"
-	"headroom/internal/breaker"
 	"headroom/internal/dist"
 	"headroom/internal/faults"
 	"headroom/internal/jobcache"
@@ -94,8 +93,6 @@ type Config struct {
 	// record source — the chaos-testing hook (see internal/faults). No flag
 	// sets it; the chaos tests and internal/diffcheck do.
 	Faults *faults.Injector
-	// Clock overrides time.Now for the circuit breakers, for tests.
-	Clock func() time.Time
 	// Logger receives lifecycle events as structured records; log lines
 	// emitted inside a request or job carry its trace_id/span_id/job_id.
 	// Default: discard.
@@ -165,23 +162,20 @@ type serverMetrics struct {
 }
 
 // jobKind is the one row a submission endpoint is defined by: its name (the
-// route, the job label, the metric label), how a request body becomes a job,
-// its circuit breaker and its series of the per-kind metric families. Routes,
-// submission, completion accounting and breaker transitions all index it.
+// route, the job label, the metric label), how a request body becomes a job
+// and its series of the per-kind metric families. Routes, submission and
+// completion accounting all index it.
 type jobKind struct {
 	name string
 	// build decodes, validates and canonicalizes a request body and returns
 	// the job that computes it plus the canonical request, the cache key.
-	build   func(body []byte) (jobs.Func, any, error)
-	breaker *breaker.Breaker
+	build func(body []byte) (jobs.Func, any, error)
 
-	submitted   *prom.Counter
-	done        *prom.Counter
-	failed      *prom.Counter
-	retries     *prom.Counter    // job attempts beyond the first
-	degraded    *prom.Counter    // degraded (partial) results served
-	fastFails   *prom.Counter    // submissions rejected by the open breaker
-	transitions [3]*prom.Counter // by destination breaker.State
+	submitted *prom.Counter
+	done      *prom.Counter
+	failed    *prom.Counter
+	retries   *prom.Counter // job attempts beyond the first
+	degraded  *prom.Counter // degraded (partial) results served
 }
 
 // addKind appends the row of endpoint name, built from its typed halves:
@@ -203,30 +197,7 @@ func addKind[R any](s *Server, name string, decode func([]byte) (R, error),
 			"Job attempts beyond the first (transient-failure retries).", lbl),
 		degraded: s.reg.Counter("capserved_degraded_responses_total",
 			"Jobs that completed degraded: partial results after pool failures.", lbl),
-		fastFails: s.reg.Counter("capserved_breaker_fast_fails_total",
-			"Submissions rejected immediately by an open circuit breaker.", lbl),
 	}
-	for _, to := range []breaker.State{breaker.Open, breaker.HalfOpen, breaker.Closed} {
-		k.transitions[to] = s.reg.Counter("capserved_breaker_transitions_total",
-			"Circuit-breaker state transitions, by destination state.",
-			prom.Labels{"kind": name, "to": to.String()})
-	}
-	// An endpoint's breaker opens after breakerThreshold consecutive failed
-	// jobs and fast-fails for breakerOpenFor before it admits a probe.
-	const breakerThreshold, breakerOpenFor = 5, 10 * time.Second
-	k.breaker = breaker.New(breaker.Config{
-		Threshold: breakerThreshold,
-		OpenFor:   breakerOpenFor,
-		Now:       s.cfg.Clock,
-		OnTransition: func(from, to breaker.State) {
-			s.cfg.Logger.Info("breaker transition",
-				"kind", name, "from", from.String(), "to", to.String())
-			k.transitions[to].Inc()
-		},
-	})
-	s.reg.Gauge("capserved_breaker_state",
-		"Circuit-breaker position (0 closed, 1 open, 2 half-open).", lbl,
-		func() float64 { return float64(k.breaker.State()) })
 	k.build = func(body []byte) (jobs.Func, any, error) {
 		req, err := decode(body)
 		if err != nil {
@@ -345,8 +316,8 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.cache.Stats().Size) })
 }
 
-// onJobState feeds queue transitions into the completion counters, the
-// service-rate estimate behind Retry-After, and the circuit breakers.
+// onJobState feeds queue transitions into the completion counters and the
+// service-rate estimate behind Retry-After.
 func (s *Server) onJobState(snap jobs.Snapshot) {
 	if snap.State.Terminal() && !snap.Started.IsZero() && !snap.Finished.IsZero() {
 		s.rate.Observe(snap.Finished.Sub(snap.Started))
@@ -362,10 +333,8 @@ func (s *Server) onJobState(snap jobs.Snapshot) {
 		}
 	case jobs.Done:
 		k.done.Inc()
-		k.breaker.Success()
 	case jobs.Failed:
 		k.failed.Inc()
-		k.breaker.Failure()
 	}
 }
 
@@ -657,22 +626,10 @@ func (s *Server) handleSubmit(k *jobKind) http.Handler {
 			s.badRequest(w, r, err)
 			return
 		}
-		// Circuit breaker: when this endpoint's jobs keep failing, reject
-		// immediately instead of queueing doomed work. Retry-After is the
-		// time until the breaker half-opens for a probe.
-		br := k.breaker
-		if !br.Allow() {
-			k.fastFails.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterCeil(br.RetryAfter())))
-			writeJSON(w, http.StatusServiceUnavailable,
-				errBody(r, fmt.Sprintf("circuit breaker open for %s: recent jobs kept failing", k.name)))
-			return
-		}
 		// The cache key is the canonicalized request — defaults applied,
 		// shard count excluded (sharding never changes results).
 		key, err := jobcache.Key(k.name, canonical)
 		if err != nil {
-			br.Release()
 			s.badRequest(w, r, err)
 			return
 		}
@@ -684,18 +641,15 @@ func (s *Server) handleSubmit(k *jobKind) http.Handler {
 		})
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			br.Release() // the job never ran; don't leak a probe slot
 			s.m.queueFull.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(s.queue.Stats().Depth)))
 			writeJSON(w, http.StatusServiceUnavailable, errBody(r, err.Error()))
 			return
 		case errors.Is(err, jobs.ErrClosed):
-			br.Release()
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(s.queue.Stats().Depth)))
 			writeJSON(w, http.StatusServiceUnavailable, errBody(r, "server is draining"))
 			return
 		case err != nil:
-			br.Release()
 			writeJSON(w, http.StatusInternalServerError, errBody(r, err.Error()))
 			return
 		}
@@ -714,7 +668,7 @@ func (s *Server) handleSubmit(k *jobKind) http.Handler {
 			case jobs.Done:
 				s.writeView(w, http.StatusOK, snap)
 			case jobs.Failed:
-				s.writeView(w, http.StatusUnprocessableEntity, snap)
+				s.writeView(w, failedStatus(snap.Err), snap)
 			default: // timed out waiting: fall back to the async envelope
 				s.writeView(w, http.StatusAccepted, snap)
 			}
@@ -722,6 +676,16 @@ func (s *Server) handleSubmit(k *jobKind) http.Handler {
 		}
 		s.writeView(w, http.StatusAccepted, j.Snapshot())
 	})
+}
+
+// failedStatus is the status a failed job answers ?wait with: 504 when it ran
+// out of its deadline, 422 for every other failure, an input the job could
+// not compute.
+func failedStatus(err error) int {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusUnprocessableEntity
 }
 
 // parseWait interprets the ?wait query parameter: absent/false → no wait,
@@ -806,15 +770,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) distDegraded() bool {
 	open, total := s.DistStats()
 	return total > 0 && 2*open > total
-}
-
-// retryAfterCeil rounds a duration up to whole seconds (minimum 1).
-func retryAfterCeil(d time.Duration) int {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

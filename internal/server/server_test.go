@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"headroom/internal/faults"
 	"headroom/internal/jobs"
 )
 
@@ -363,6 +364,30 @@ func TestFailedJobReports422OnWait(t *testing.T) {
 	json.Unmarshal(body, &v)
 	if v.State != jobs.Failed || v.Error == "" {
 		t.Errorf("job = %+v, want failed with error", v)
+	}
+}
+
+// TestDeadlineFailedJobReports504OnWait: a job that ran out of its deadline
+// is not a bad input. Pool B's stream stalls far past a short JobTimeout, so
+// the job fails on its deadline every time and ?wait answers 504, not 422.
+func TestDeadlineFailedJobReports504OnWait(t *testing.T) {
+	s := New(Config{
+		Workers: 2, QueueDepth: 8, CacheSize: 16, JobTimeout: 100 * time.Millisecond,
+		Faults: faults.New(1, faults.Rule{Kind: faults.Stall, Pools: []string{"B"}, At: []int{0}, StallFor: time.Minute}),
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	})
+	code, body := postJSON(t, ts.URL+"/v1/simulate?wait=true", `{"pools":["B"],"days":1}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("code = %d, want 504: %s", code, body)
+	}
+	var v jobView
+	json.Unmarshal(body, &v)
+	if v.State != jobs.Failed || !strings.Contains(v.Error, context.DeadlineExceeded.Error()) {
+		t.Errorf("job = %+v, want failed on its deadline", v)
 	}
 }
 

@@ -37,7 +37,7 @@ const reachAllowMax = 8
 // purpose, each with its reason. It holds at most fieldAllowMax entries, and
 // an entry a program writes fails the test as stale.
 var fieldAllow = map[string]string{
-	"server.Config.Clock":  "test fixture: the chaos tests advance a fake breaker clock through it",
+	"breaker.Config.Now":   "test fixture: breaker_test advances a hand clock through it",
 	"faults.Rule.Prob":     "test fixture: partial_test.go drives probability stalls through it",
 	"faults.Rule.StallFor": "test fixture: the hedging and stall tests drive slow workers through it",
 }
