@@ -48,8 +48,8 @@ type Case struct {
 // Exactly one pool is faulted (and never all of them), so offset-based
 // per-pool ordinals — and therefore the injection point — are identical
 // across shard counts and worker placements. A faulted case runs with
-// partial results on, so no job is retried: a transient or panic fault fires
-// once per injector and degrades its shard, a permanent one on every run.
+// partial results on: a transient or panic fault fires once per injector and
+// degrades its shard, a permanent one on every run.
 type FaultPlan struct {
 	Kind faults.Kind
 	Seed int64

@@ -135,9 +135,9 @@ type ShardError struct {
 	Key string
 	// Attempts counts dispatches sent before giving up.
 	Attempts int
-	// Transient reports whether retrying the whole job later could succeed
-	// (workers were unreachable or overloaded, rather than rejecting the
-	// request as invalid).
+	// Transient reports whether resubmitting the whole job later could
+	// succeed (workers were unreachable or overloaded, rather than rejecting
+	// the request as invalid).
 	Transient bool
 	// Err is the last underlying failure.
 	Err error
@@ -150,7 +150,7 @@ func (e *ShardError) Error() string {
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // Is makes a transient ShardError satisfy errors.Is against the module's
-// transient sentinel, so the job queue retries it without re-marking.
+// transient sentinel, so its failed job answers 503 without re-marking.
 func (e *ShardError) Is(target error) bool { return e.Transient && target == retry.ErrTransient }
 
 // WorkerError is a worker's HTTP-level rejection of a dispatch.
@@ -311,7 +311,7 @@ type attemptResult struct {
 // order for the shard's key, rerouting on transient failure, hedging slow
 // attempts, and honouring the per-shard deadline. On success it returns the
 // winning worker's response; on failure, a *ShardError whose Transient flag
-// says whether retrying the job later might succeed.
+// says whether resubmitting the job later might succeed.
 func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 	dctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()

@@ -6,17 +6,18 @@
 //
 // The package exists so failure paths can be driven as deliberately as
 // happy paths: the chaos tests replay the exact same faults from the same
-// seed, and resilience layers (the internal/jobs retry, the coordinator's
-// shard reroute, the dist workers' circuit breakers) can be exercised against
-// known bad states instead of waiting for production to produce them.
+// seed, and resilience layers (the coordinator's shard reroute, the dist
+// workers' circuit breakers, partial results, a transient failure's 503) can
+// be exercised against known bad states instead of waiting for production to
+// produce them.
 //
 // Determinism contract: a fresh Injector with the same seed and rules,
 // driven through the same call sequence (same shard count, same stream
 // order), injects the same faults at the same points. Offset-based
 // transient, stall and panic rules are one-shot per (rule, offset) within
 // an injector's lifetime, so a rerun of the same stream through the same
-// injector (a job the queue retries) succeeds. Permanent rules fire on every
-// attempt.
+// injector (a client's resubmission of a job that answered 503) succeeds.
+// Permanent rules fire on every run.
 package faults
 
 import (
@@ -39,8 +40,7 @@ type Kind string
 const (
 	// Transient injects an error marked retryable (headroom.Transient).
 	Transient Kind = "transient"
-	// Permanent injects an unmarked error: resilience layers must not
-	// retry it.
+	// Permanent injects an unmarked error: nothing may retry it.
 	Permanent Kind = "permanent"
 	// Stall injects a latency stall (Rule.Stall) before the record
 	// proceeds; the stall honours context cancellation.
@@ -58,10 +58,10 @@ type Rule struct {
 	// counting to those records). Empty matches every record.
 	Pools []string
 	// At lists the matching-record ordinals (0-based, counted per stream
-	// attempt) before which the fault fires. For Transient, Stall and
-	// Panic the (rule, offset) pair fires at most once per injector
-	// lifetime, so retries of the same stream proceed past it; Permanent
-	// offsets fire on every attempt.
+	// run) before which the fault fires. For Transient, Stall and Panic the
+	// (rule, offset) pair fires at most once per injector lifetime, so
+	// reruns of the same stream proceed past it; Permanent offsets fire on
+	// every run.
 	At []int
 	// Prob injects before each matching record with this probability,
 	// drawn from the injector's seeded generator.
@@ -171,8 +171,8 @@ type faultSource struct {
 }
 
 func (f *faultSource) Stream(ctx context.Context, emit func([]headroom.Record) error) error {
-	// Per-rule matching-record ordinals restart every attempt; the rng and
-	// one-shot set persist across attempts so probability draws advance and
+	// Per-rule matching-record ordinals restart every run; the rng and
+	// one-shot set persist across runs so probability draws advance and
 	// one-shot offsets stay consumed.
 	counts := make([]int, len(f.in.rules))
 	draw := f.draw

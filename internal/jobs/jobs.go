@@ -1,8 +1,8 @@
 // Package jobs is the async execution backbone of capserved: a bounded
-// worker pool fed by a bounded queue, with per-job deadlines, retry of
-// transient failures on a fixed schedule (internal/retry's: 3 attempts,
-// jittered backoff from 50 ms, jitter seeded with 1), and job states
-// queryable by ID (pending → running → done | failed).
+// worker pool fed by a bounded queue, with per-job deadlines and job states
+// queryable by ID (pending → running → done | failed). A job runs once: a
+// failure, transient or not, fails it, and its error keeps the
+// retry.IsTransient mark for the caller to answer with.
 //
 // The queue is deliberately generic — a job is any func(ctx) (any, error) —
 // so the server layer owns request decoding and result shaping while this
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"headroom/internal/obs"
-	"headroom/internal/retry"
 )
 
 // State is a job's lifecycle phase.
@@ -28,13 +27,12 @@ type State string
 const (
 	// Pending means the job is queued but no worker has picked it up.
 	Pending State = "pending"
-	// Running means a worker is executing the job (or sleeping between
-	// retry attempts).
+	// Running means a worker is executing the job.
 	Running State = "running"
 	// Done means the job finished successfully; its Result is set.
 	Done State = "done"
-	// Failed means the job exhausted its attempts or hit a permanent
-	// error; its Err is set.
+	// Failed means the job's one run returned an error (or panicked); its
+	// Err is set.
 	Failed State = "failed"
 )
 
@@ -76,7 +74,6 @@ type Job struct {
 	state     State
 	result    any
 	err       error
-	attempts  int
 	created   time.Time
 	started   time.Time
 	finished  time.Time
@@ -95,7 +92,6 @@ type Snapshot struct {
 	State    State
 	Result   any
 	Err      error
-	Attempts int
 	Created  time.Time
 	Started  time.Time
 	Finished time.Time
@@ -120,7 +116,7 @@ func (j *Job) Snapshot() Snapshot {
 	}
 	return Snapshot{
 		ID: j.ID, Kind: j.Kind, State: j.state,
-		Result: j.result, Err: j.err, Attempts: j.attempts,
+		Result: j.result, Err: j.err,
 		Created: j.created, Started: j.started, Finished: j.finished,
 		TraceID: j.TraceID(),
 		Meta:    meta,
@@ -171,10 +167,7 @@ func (j *Job) Wait(ctx context.Context) (any, error) {
 func (j *Job) setRunning() {
 	j.mu.Lock()
 	j.state = Running
-	if j.started.IsZero() {
-		j.started = time.Now()
-	}
-	j.attempts++
+	j.started = time.Now()
 	cb := j.onRunning
 	j.mu.Unlock()
 	if cb != nil {
@@ -195,13 +188,12 @@ func (j *Job) finish(result any, err error, wait time.Duration, running obs.Stag
 		j.result = result
 	}
 	j.finished = time.Now()
-	state, attempts := j.state, j.attempts
+	state := j.state
 	cb := j.onFinish
 	j.mu.Unlock()
 	run := running.End(nil)
 	j.stage.End(err,
 		obs.Str("state", string(state)),
-		obs.Int("attempts", attempts),
 		obs.Int64("queue_wait_ns", wait.Nanoseconds()),
 		obs.Int64("run_ns", run.Nanoseconds()),
 	)
@@ -211,11 +203,8 @@ func (j *Job) finish(result any, err error, wait time.Duration, running obs.Stag
 	}
 }
 
-// Config sizes a Queue. Zero values take the documented defaults. The retry
-// schedule is fixed, not configured: a job whose error is transient (see
-// retry.Transient) runs up to 3 times, sleeping a jittered 50 ms, then 100 ms,
-// between attempts (retry.Do's schedule, jitter seeded with 1); permanent
-// errors never retry.
+// Config sizes a Queue. Zero values take the documented defaults. Nothing
+// configures a retry: a job runs once.
 type Config struct {
 	// Workers is the worker-pool size; default GOMAXPROCS.
 	Workers int
@@ -223,7 +212,7 @@ type Config struct {
 	// beyond it. Default 4 × Workers.
 	QueueDepth int
 	// Timeout is the per-job deadline measured from the moment a worker
-	// first picks the job up (it spans retries). Zero means no deadline.
+	// picks the job up. Zero means no deadline.
 	Timeout time.Duration
 	// OnStateChange, when set, is invoked after every job transition
 	// (running, done, failed). Used by the server for metrics.
@@ -263,8 +252,6 @@ type Queue struct {
 	retired int
 	closed  bool
 
-	jitter func(time.Duration) time.Duration // seeded backoff jitter
-
 	running atomic.Int64
 }
 
@@ -273,12 +260,11 @@ func New(cfg Config) *Queue {
 	cfg = cfg.withDefaults()
 	hard, kill := context.WithCancel(context.Background())
 	q := &Queue{
-		cfg:    cfg,
-		pend:   make(chan *Job, cfg.QueueDepth),
-		hard:   hard,
-		kill:   kill,
-		jobs:   make(map[string]*Job),
-		jitter: retry.Seeded(1),
+		cfg:  cfg,
+		pend: make(chan *Job, cfg.QueueDepth),
+		hard: hard,
+		kill: kill,
+		jobs: make(map[string]*Job),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		q.wg.Add(1)
@@ -409,8 +395,7 @@ func (q *Queue) worker() {
 	}
 }
 
-// run executes one job, retrying transient failures on the fixed schedule
-// until it runs out of attempts or the job deadline.
+// run executes one job, once, under the job deadline.
 func (q *Queue) run(j *Job) {
 	// The job keeps the submitting request's values (its trace linkage) but
 	// not its cancellation: what stops it is the queue's hard shutdown.
@@ -425,7 +410,7 @@ func (q *Queue) run(j *Job) {
 	ctx = context.WithValue(ctx, jobCtxKey{}, j)
 
 	// Queue-wait vs run split: how long the job sat pending, then how long
-	// it executed (spanning retries).
+	// it executed.
 	wait := j.queued.End(nil)
 	j.stage.Span().Event("jobs.queued", j.created, wait, obs.Int64("queue_wait_ns", wait.Nanoseconds()))
 	running := obs.StartTimer(obs.JobRunSeconds)
@@ -436,15 +421,8 @@ func (q *Queue) run(j *Job) {
 		q.retire(j)
 	}()
 
-	var result any
-	err := retry.Do(ctx, q.jitter, func(n int) error {
-		j.setRunning()
-		attemptCtx, st := obs.StartStage(ctx, "jobs.attempt", nil, obs.Int("attempt", n))
-		var err error
-		result, err = safeCall(attemptCtx, j.fn)
-		st.End(err)
-		return err
-	})
+	j.setRunning()
+	result, err := safeCall(ctx, j.fn)
 	j.finish(result, err, wait, running)
 }
 

@@ -33,10 +33,6 @@ func TestSubmitRunsJob(t *testing.T) {
 	if s := j.Snapshot().State; s != Done {
 		t.Errorf("state = %s, want done", s)
 	}
-	snap := j.Snapshot()
-	if snap.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", snap.Attempts)
-	}
 }
 
 func TestGetByID(t *testing.T) {
@@ -78,47 +74,27 @@ func TestPermanentFailureDoesNotRetry(t *testing.T) {
 	}
 }
 
-func TestTransientFailureRetriesWithBackoff(t *testing.T) {
-	q := New(Config{Workers: 1})
-	defer q.Close(context.Background())
-
-	var calls atomic.Int32
-	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, retry.Transient(errors.New("flaky"))
-		}
-		return "recovered", nil
-	})
-	got, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if got != "recovered" {
-		t.Errorf("result = %v", got)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Errorf("calls = %d, want 3", n)
-	}
-	if a := j.Snapshot().Attempts; a != 3 {
-		t.Errorf("attempts = %d, want 3", a)
-	}
-}
-
-func TestTransientFailureExhaustsAttempts(t *testing.T) {
+// TestTransientFailureRunsOnce: a job runs once. A transient failure fails
+// it like any other, and its error keeps the transient mark, so the server
+// can answer 503 for the client to resubmit.
+func TestTransientFailureRunsOnce(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
 
 	var calls atomic.Int32
 	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		calls.Add(1)
-		return nil, retry.Transient(errors.New("always flaky"))
+		return nil, retry.Transient(errors.New("flaky"))
 	})
 	_, err := j.Wait(context.Background())
 	if !retry.IsTransient(err) {
 		t.Fatalf("err = %v, want transient", err)
 	}
-	if n := calls.Load(); n != retry.Attempts {
-		t.Errorf("calls = %d, want retry.Attempts = %d", n, retry.Attempts)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("calls = %d, want 1: the queue does not retry", n)
+	}
+	if s := j.Snapshot().State; s != Failed {
+		t.Errorf("state = %s, want failed", s)
 	}
 }
 

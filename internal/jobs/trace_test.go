@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,10 +60,12 @@ func TestSubmitCtxLinksTrace(t *testing.T) {
 	for _, sd := range td.Spans {
 		byName[sd.Name] = sd
 	}
-	for _, name := range []string{"test.request", "jobs.job", "jobs.attempt", "jobs.queued"} {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("trace missing span %q (have %v)", name, names(td.Spans))
-		}
+	// A job runs once, directly under its jobs.job span: there is no span
+	// per attempt.
+	got := names(td.Spans)
+	slices.Sort(got)
+	if !slices.Equal(got, []string{"jobs.job", "jobs.queued", "test.request"}) {
+		t.Errorf("trace spans = %v, want [jobs.job jobs.queued test.request]", got)
 	}
 	// The job span nests under the request; the queue-wait event under the
 	// job span.
@@ -189,7 +192,7 @@ func TestJobSpanEndsBeforeWaitersAreReleased(t *testing.T) {
 	if !ok {
 		t.Fatal("Wait returned before the jobs.job span ended")
 	}
-	if attrs := sd.Attrs.Map(); attrs["state"] != "done" || attrs["attempts"] != int64(1) || attrs["run_ns"] == nil {
+	if attrs := sd.Attrs.Map(); attrs["state"] != "done" || attrs["run_ns"] == nil || attrs["attempts"] != nil {
 		t.Errorf("jobs.job attrs = %v", attrs)
 	}
 	if !<-atDone {

@@ -29,7 +29,7 @@ var (
 		"Time a job spent queued before a worker picked it up.", nil, prom.StageBuckets)
 	// JobRunSeconds is how long jobs executed once picked up.
 	JobRunSeconds = prom.Default.Histogram("headroom_jobs_run_seconds",
-		"Time a job spent executing (first pickup to terminal state, spanning retries).", nil, prom.StageBuckets)
+		"Time a job spent executing (pickup to terminal state).", nil, prom.StageBuckets)
 )
 
 // StageSeconds returns the pre-registered duration series of a pipeline

@@ -8,12 +8,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +24,7 @@ import (
 	"headroom/internal/faults"
 	"headroom/internal/jobs"
 	"headroom/internal/leakcheck"
+	"headroom/internal/synth"
 )
 
 // chaosConfig sizes a partial-results server with the given injector under
@@ -267,36 +270,76 @@ func transientB() *faults.Injector {
 
 const transientBody = `{"days":1,"seed":1,"pools":["B","D"]}`
 
-// TestFaultTransientRetriedByJobQueue: with partial results off, a transient
-// shard fault fails the job's first attempt, and the job queue's second
-// attempt (the injector's one shot spent) completes. The complete result is
-// cached like any other.
-func TestFaultTransientRetriedByJobQueue(t *testing.T) {
+// wantTransient503 submits body to base's /v1/simulate with ?wait and
+// requires the answer of a job that failed transiently: 503, a Retry-After
+// of whole seconds and the failed job's view with its error.
+func wantTransient503(t *testing.T, base, body string) jobView {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/simulate?wait=true", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("simulate = %d, want 503: %s", resp.StatusCode, raw)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Errorf("Retry-After = %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
+	}
+	var v jobView
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("unmarshal envelope: %v", err)
+	}
+	if v.State != jobs.Failed || v.Error == "" {
+		t.Fatalf("job = %s (%q), want failed with its error", v.State, v.Error)
+	}
+	return v
+}
+
+// TestFaultTransientAnswers503ThenResubmitted: with partial results off, a
+// transient shard fault fails the job's one run, and ?wait answers 503 with
+// Retry-After. A failed job is not cached, so the client's resubmission (the
+// injector's one shot spent) computes the fault-free bytes, and a third
+// submission is a cache hit of them.
+func TestFaultTransientAnswers503ThenResubmitted(t *testing.T) {
 	cfg := chaosConfig(transientB())
 	cfg.PartialResults = false
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
+	clean := New(chaosConfig(nil))
+	tsClean := httptest.NewServer(clean.Handler())
 	t.Cleanup(func() {
 		ts.Close()
+		tsClean.Close()
 		s.Shutdown(context.Background())
+		clean.Shutdown(context.Background())
 	})
+	wantTransient503(t, ts.URL, transientBody)
 	v1, res := submitSimulate(t, ts.URL, transientBody)
 	if res.Degraded || len(res.FailedPools) != 0 {
-		t.Fatalf("result = %+v, want the complete result of the retried job", res)
+		t.Fatalf("result = %+v, want the complete result of the resubmission", res)
+	}
+	want, _ := submitSimulate(t, tsClean.URL, transientBody)
+	if string(v1.Result) != string(want.Result) {
+		t.Error("resubmission differs from the fault-free result")
 	}
 	v2, _ := submitSimulate(t, ts.URL, transientBody)
-	if st := s.CacheStats(); st.Hits != 1 || st.Uncacheable != 0 {
-		t.Errorf("cache stats = %+v, want the resubmission a hit of the cached result", st)
+	if st := s.CacheStats(); st.Hits != 1 || st.Misses != 2 || st.Uncacheable != 0 {
+		t.Errorf("cache stats = %+v, want two computations, then a hit of the cached result", st)
 	}
 	if string(v2.Result) != string(v1.Result) {
 		t.Error("cache hit differs from the computed result")
 	}
 	_, mtext := getJSON(t, ts.URL+"/metrics")
-	if n := metricValue(t, string(mtext), `capserved_job_retries_total{kind="simulate"}`); n != 1 {
-		t.Errorf("job_retries_total{simulate} = %v, want 1", n)
-	}
 	if n := metricValue(t, string(mtext), "capserved_injected_faults_total"); n != 1 {
 		t.Errorf("injected_faults_total = %v, want 1", n)
+	}
+	if n := metricValue(t, string(mtext), `capserved_jobs_completed_total{kind="simulate",state="failed"}`); n != 1 {
+		t.Errorf("jobs_completed_total{simulate,failed} = %v, want 1", n)
 	}
 }
 
@@ -329,10 +372,6 @@ func TestFaultTransientDegradesWithPartialResults(t *testing.T) {
 	}
 	if string(again.Result) != string(want.Result) {
 		t.Error("resubmission differs from the fault-free result")
-	}
-	_, mtext := getJSON(t, ts.URL+"/metrics")
-	if n := metricValue(t, string(mtext), `capserved_job_retries_total{kind="simulate"}`); n != 0 {
-		t.Errorf("job_retries_total{simulate} = %v, want 0: a degraded job succeeded", n)
 	}
 }
 
@@ -537,6 +576,9 @@ func FuzzValidateRequest(f *testing.F) {
 	f.Add(`{"pool":"B","servers":1000000,"loads":[1,2]}`)
 	f.Add(`{"pool":"B","servers":1099511627776,"loads":[1,2],"ticks_per_level":1099511627776}`)
 	f.Add(`{"pool":"B","loads":[1e-300,1e-299]}`)
+	for _, body := range closeLevelBodies {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		req, err := decodeValidate([]byte(body))
 		if err != nil {
@@ -549,8 +591,8 @@ func FuzzValidateRequest(f *testing.F) {
 			t.Fatalf("accepted request with fewer than 2 loads: %q", body)
 		}
 		for i, l := range req.Loads {
-			if i > 0 && l <= req.Loads[i-1] {
-				t.Fatalf("accepted non-ascending loads %v: %q", req.Loads, body)
+			if i > 0 && !(l > req.Loads[i-1]*synth.LevelRatio(req.Servers)) {
+				t.Fatalf("accepted loads %v closer than the replay tells apart: %q", req.Loads, body)
 			}
 			if l < minLoadPerServer || l > maxLoadPerServer {
 				t.Fatalf("accepted loads[%d] = %v outside [%g, %g]: %q", i, l, minLoadPerServer, maxLoadPerServer, body)

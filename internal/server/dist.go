@@ -223,11 +223,11 @@ func shardFunc[R any](s *Server, sess *headroom.Session, req PlanRequest, reduce
 			obs.Bool("hedged", res.Hedged), obs.Int("attempts", res.Attempts))
 		if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 			// A worker from before rows crossed the wire answers with an
-			// encoded aggregate; it will on every retry, so this is permanent.
+			// encoded aggregate; it will on every resubmission, so this is permanent.
 			return nil, 0, fmt.Errorf("shard %d: worker %s answered %q, not JSON rows: upgrade workers before coordinators", index, res.Worker, ct)
 		}
 		if err := json.Unmarshal(res.Body, &rows); err != nil {
-			// Transient: the worker may answer cleanly when the job retries.
+			// Transient: the worker may answer cleanly when the client resubmits.
 			return nil, 0, headroom.Transient(fmt.Errorf("shard %d: undecodable rows from %s: %w", index, res.Worker, err))
 		}
 		// 0, the function's "cannot count", if the worker sent no count.

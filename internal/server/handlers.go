@@ -195,7 +195,8 @@ type SimulateResult struct {
 // one shard of it — runs on (a simulate request's plan fields, and so its plan
 // config, are zero). The source is the request's simulator, under the chaos
 // fault injector when Config.Faults is set; a transient error from either
-// carries the sentinel the job queue retries on.
+// carries the sentinel that a coordinator reroutes a shard on and that
+// answers a failed job with 503.
 func (s *Server) session(req PlanRequest) (*headroom.Session, error) {
 	cfg, err := req.Fleet()
 	if err != nil {
@@ -482,8 +483,9 @@ type ValidateRequest struct {
 	Pool string `json:"pool"`
 	// Servers sizes each of the two offline pools; default 10.
 	Servers int `json:"servers,omitempty"`
-	// Loads is the per-server RPS sweep, ascending, at least two levels,
-	// each in [1e-6, 1e6]; required.
+	// Loads is the per-server RPS sweep, at least two levels, each in
+	// [1e-6, 1e6] and above the one before by more than
+	// synth.LevelRatio(Servers) (synth.Profile.Check); required.
 	Loads []float64 `json:"loads"`
 	// TicksPerLevel is how many windows each level runs, at least 2;
 	// default 20. The
@@ -510,11 +512,10 @@ func decodeValidate(body []byte) (ValidateRequest, error) {
 	if req.Servers == 0 {
 		req.Servers = 10
 	}
-	if req.Servers < 1 {
-		return req, fmt.Errorf("servers must be >= 1, got %d", req.Servers)
-	}
-	if len(req.Loads) < 2 {
-		return req, fmt.Errorf("loads needs >= 2 levels (ascending RPS/server sweep), got %d", len(req.Loads))
+	// The replay's own rules: a positive server count and at least two
+	// levels, spaced far enough apart to be told apart at that count.
+	if err := (headroom.Profile{Loads: req.Loads, Servers: req.Servers}).Check(); err != nil {
+		return req, err
 	}
 	for i, l := range req.Loads {
 		if l < minLoadPerServer {
@@ -522,10 +523,6 @@ func decodeValidate(body []byte) (ValidateRequest, error) {
 		}
 		if l > maxLoadPerServer {
 			return req, fmt.Errorf("loads[%d] must be <= %g RPS/server, got %v", i, maxLoadPerServer, l)
-		}
-		if i > 0 && l <= req.Loads[i-1] {
-			return req, fmt.Errorf("loads must be strictly ascending (loads[%d]=%v <= loads[%d]=%v)",
-				i, l, i-1, req.Loads[i-1])
 		}
 	}
 	if req.TicksPerLevel == 0 {

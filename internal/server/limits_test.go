@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"headroom/internal/jobs"
+	"headroom/internal/synth"
 )
 
 // forecastBody is a forecast request over n samples at ticksPerDay,
@@ -100,6 +101,10 @@ func TestRequestLimits(t *testing.T) {
 		{"least load at bound", validate, validateWith(`"loads":[%v,1]`, minLoadPerServer), true},
 		{"least load past bound", validate, validateWith(`"loads":[%v,1]`, math.Nextafter(minLoadPerServer, 0)), false},
 		{"loads too fine to fit", validate, `{"pool":"B","loads":[1e-300,1e-299]}`, false},
+		{"level spacing at bound", validate, validateWith(`"loads":[100,%v]`, past(100*synth.LevelRatio(10))), true},
+		{"level spacing past bound", validate, validateWith(`"loads":[100,%v]`, 100*synth.LevelRatio(10)), false},
+		{"levels too close at 1 000 servers", validate, closeLevelBodies[0], false},
+		{"levels too close at 10 servers", validate, closeLevelBodies[1], false},
 		{"load at bound", validate, validateWith(`"loads":[1,%v]`, maxLoadPerServer), true},
 		{"load past bound", validate, validateWith(`"loads":[1,%v]`, past(maxLoadPerServer)), false},
 		{"loads that rendered +Inf", validate, `{"pool":"B","loads":[1e160,1e161]}`, false},
@@ -123,6 +128,14 @@ func TestRequestLimits(t *testing.T) {
 			t.Errorf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
 		}
 	}
+}
+
+// closeLevelBodies decoded, then failed their jobs with 422 "validate: change
+// cpu fit: linear regression: zero variance in x": each level's windows
+// showed the same RPS/server.
+var closeLevelBodies = []string{
+	`{"pool":"A","servers":1000,"loads":[0.1,0.10000000000000002],"ticks_per_level":2}`,
+	`{"pool":"A","servers":10,"loads":[100,100.00000000000001],"ticks_per_level":2}`,
 }
 
 // overflowForecastBodies decoded, then failed their jobs with 422 "json:
@@ -219,6 +232,33 @@ func TestSmallestValidateRequestRenders(t *testing.T) {
 			if code != http.StatusOK || v.State != jobs.Done {
 				t.Errorf("%s: %d %s: %s", body, code, v.State, v.Error)
 			}
+		}
+	}
+}
+
+// TestClosestValidateLevelsRender serves the closest levels a validation
+// accepts, at the fewest ticks, on one server and on a thousand, from the
+// least load to the largest: the replay tells the two levels apart, so the
+// CPU fit finds a spread and the job is done, not a 422 from the fit. The
+// two bodies that did fail it are 400s naming the rule.
+func TestClosestValidateLevelsRender(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, pool := range []string{"B", "D"} {
+		for _, servers := range []int{1, 1000} {
+			for _, load := range []float64{minLoadPerServer, 0.1, 100, maxLoadPerServer / 2} {
+				body := fmt.Sprintf(`{"pool":%q,"servers":%d,"loads":[%v,%v],"ticks_per_level":2}`,
+					pool, servers, load, past(load*synth.LevelRatio(servers)))
+				code, v := submitWait(t, ts.URL, "/v1/validate", body)
+				if code != http.StatusOK || v.State != jobs.Done {
+					t.Errorf("%s: %d %s: %s", body, code, v.State, v.Error)
+				}
+			}
+		}
+	}
+	for _, body := range closeLevelBodies {
+		code, raw := postJSON(t, ts.URL+"/v1/validate?wait=true", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), "must exceed the one before by a factor over") {
+			t.Errorf("%s: %d %s, want 400 naming the spacing rule", body, code, raw)
 		}
 	}
 }

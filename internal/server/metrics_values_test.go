@@ -147,10 +147,6 @@ capserved_http_requests_total{handler="readyz"} 0
 capserved_http_requests_total{handler="simulate"} 6
 capserved_http_requests_total{handler="validate"} 1
 capserved_injected_faults_total 6
-capserved_job_retries_total{kind="forecast"} 0
-capserved_job_retries_total{kind="plan"} 0
-capserved_job_retries_total{kind="simulate"} 0
-capserved_job_retries_total{kind="validate"} 0
 capserved_jobs_completed_total{kind="forecast",state="done"} 0
 capserved_jobs_completed_total{kind="forecast",state="failed"} 0
 capserved_jobs_completed_total{kind="plan",state="done"} 2
@@ -280,10 +276,6 @@ capserved_http_requests_total{handler="readyz"} 0
 capserved_http_requests_total{handler="simulate"} 0
 capserved_http_requests_total{handler="validate"} 0
 capserved_injected_faults_total 0
-capserved_job_retries_total{kind="forecast"} 0
-capserved_job_retries_total{kind="plan"} 0
-capserved_job_retries_total{kind="simulate"} 0
-capserved_job_retries_total{kind="validate"} 0
 capserved_jobs_completed_total{kind="forecast",state="done"} 0
 capserved_jobs_completed_total{kind="forecast",state="failed"} 0
 capserved_jobs_completed_total{kind="plan",state="done"} 3

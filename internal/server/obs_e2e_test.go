@@ -90,7 +90,7 @@ func TestPlanJobEndToEndObservability(t *testing.T) {
 		byID[sd.SpanID] = sd
 	}
 	for _, name := range []string{
-		"jobs.job", "jobs.queued", "jobs.attempt",
+		"jobs.job", "jobs.queued",
 		"session.simulate", "session.aggregate", "session.merge", "session.plan",
 	} {
 		if len(spans[name]) == 0 {
@@ -180,19 +180,19 @@ func TestPlanJobEndToEndObservability(t *testing.T) {
 }
 
 // The expected shapes were captured at the commit before obs.Stage existed
-// (hand-threaded StartSpan/time.Since/Observe* at every site); one line has
-// moved since, on purpose: each shard is planned where it was ingested, so
-// session.plan is a child of every simulate.pool, no longer one span under
-// jobs.attempt after the merge.
+// (hand-threaded StartSpan/time.Since/Observe* at every site); two things
+// have moved since, on purpose: each shard is planned where it was ingested,
+// so session.plan is a child of every simulate.pool, no longer one span
+// under the job after the merge; and a job runs once, so session.simulate
+// hangs directly under jobs.job, which has no attempts attribute.
 const wantPlanSpans = `http.plan <> [method path request_id]
-jobs.attempt <jobs.job> [attempt]
-jobs.job <http.plan> [attempts job_id kind queue_wait_ns run_ns state]
+jobs.job <http.plan> [job_id kind queue_wait_ns run_ns state]
 jobs.queued <jobs.job> [queue_wait_ns]
 session.aggregate <session.simulate> [degraded records shards]
 session.merge <session.aggregate> [shards]
 session.plan <simulate.pool> [pools]
 session.plan <simulate.pool> [pools]
-session.simulate <jobs.attempt> [days]
+session.simulate <jobs.job> [days]
 simulate.pool <session.aggregate> [degraded pool records shard]
 simulate.pool <session.aggregate> [degraded pool records shard]`
 
@@ -205,7 +205,6 @@ capserved_cache_uncacheable_total counter {}
 capserved_degraded_responses_total counter {kind}
 capserved_http_requests_total counter {handler}
 capserved_injected_faults_total counter {}
-capserved_job_retries_total counter {kind}
 capserved_jobs_completed_total counter {kind,state}
 capserved_jobs_running gauge {}
 capserved_jobs_submitted_total counter {kind}

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"headroom"
@@ -142,18 +143,21 @@ func joinRows(t *testing.T, rows []json.RawMessage) []byte {
 // TestDistOldWorkerAnswerNamed: a worker from before rows crossed the wire
 // answers 200 with an encoded aggregate as application/octet-stream. The shard
 // fails with an error that says what happened and what to do — not with a JSON
-// syntax error — and, being the same on every retry, it is permanent.
+// syntax error — and, being the same on every resubmission, it is permanent:
+// a 422, after one dispatch.
 func TestDistOldWorkerAnswerNamed(t *testing.T) {
 	leakcheck.Check(t)
+	var hits atomic.Int32
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write([]byte("HRAG\x01 not rows"))
 	}))
 	t.Cleanup(old.Close)
 	_, coordTS := newCoordinator(t, []distWorker{{ts: old}}, nil)
 	code, v := submitWait(t, coordTS.URL, "/v1/plan", `{"pools":["G"],"days":1}`)
-	if code != http.StatusUnprocessableEntity || v.State != jobs.Failed || v.Attempts != 1 {
-		t.Fatalf("plan against an old worker = %d %s after %d attempts, want 422 failed after 1", code, v.State, v.Attempts)
+	if code != http.StatusUnprocessableEntity || v.State != jobs.Failed || hits.Load() != 1 {
+		t.Fatalf("plan against an old worker = %d %s after %d dispatches, want 422 failed after 1", code, v.State, hits.Load())
 	}
 	for _, want := range []string{old.URL, `"application/octet-stream"`, "not JSON rows", "upgrade workers before coordinators"} {
 		if !strings.Contains(v.Error, want) {

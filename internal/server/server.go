@@ -174,7 +174,6 @@ type jobKind struct {
 	submitted *prom.Counter
 	done      *prom.Counter
 	failed    *prom.Counter
-	retries   *prom.Counter // job attempts beyond the first
 	degraded  *prom.Counter // degraded (partial) results served
 }
 
@@ -193,8 +192,6 @@ func addKind[R any](s *Server, name string, decode func([]byte) (R, error),
 			"Jobs finished, by outcome.", prom.Labels{"kind": name, "state": "done"}),
 		failed: s.reg.Counter("capserved_jobs_completed_total",
 			"Jobs finished, by outcome.", prom.Labels{"kind": name, "state": "failed"}),
-		retries: s.reg.Counter("capserved_job_retries_total",
-			"Job attempts beyond the first (transient-failure retries).", lbl),
 		degraded: s.reg.Counter("capserved_degraded_responses_total",
 			"Jobs that completed degraded: partial results after pool failures.", lbl),
 	}
@@ -327,10 +324,6 @@ func (s *Server) onJobState(snap jobs.Snapshot) {
 		return
 	}
 	switch snap.State {
-	case jobs.Running:
-		if snap.Attempts > 1 {
-			k.retries.Inc()
-		}
 	case jobs.Done:
 		k.done.Inc()
 	case jobs.Failed:
@@ -515,7 +508,6 @@ type jobView struct {
 	JobID    string          `json:"job_id"`
 	Kind     string          `json:"kind"`
 	State    jobs.State      `json:"state"`
-	Attempts int             `json:"attempts,omitempty"`
 	TraceID  string          `json:"trace_id,omitempty"`
 	Created  time.Time       `json:"created"`
 	Started  *time.Time      `json:"started,omitempty"`
@@ -533,14 +525,13 @@ type jobView struct {
 // beside it; the view's Result is left for writeView to fill.
 func (s *Server) viewOf(snap jobs.Snapshot) (jobView, viewResult) {
 	v := jobView{
-		JobID:    snap.ID,
-		Kind:     snap.Kind,
-		State:    snap.State,
-		Attempts: snap.Attempts,
-		TraceID:  snap.TraceID,
-		Created:  snap.Created,
-		Node:     s.hostname,
-		Self:     "/v1/jobs/" + snap.ID,
+		JobID:   snap.ID,
+		Kind:    snap.Kind,
+		State:   snap.State,
+		TraceID: snap.TraceID,
+		Created: snap.Created,
+		Node:    s.hostname,
+		Self:    "/v1/jobs/" + snap.ID,
 	}
 	if pl, ok := snap.Meta[placementMetaKey].([]ShardPlacement); ok {
 		v.Placement = pl
@@ -668,7 +659,11 @@ func (s *Server) handleSubmit(k *jobKind) http.Handler {
 			case jobs.Done:
 				s.writeView(w, http.StatusOK, snap)
 			case jobs.Failed:
-				s.writeView(w, failedStatus(snap.Err), snap)
+				code := failedStatus(snap.Err)
+				if code == http.StatusServiceUnavailable {
+					w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(s.queue.Stats().Depth)))
+				}
+				s.writeView(w, code, snap)
 			default: // timed out waiting: fall back to the async envelope
 				s.writeView(w, http.StatusAccepted, snap)
 			}
@@ -679,11 +674,17 @@ func (s *Server) handleSubmit(k *jobKind) http.Handler {
 }
 
 // failedStatus is the status a failed job answers ?wait with: 504 when it ran
-// out of its deadline, 422 for every other failure, an input the job could
-// not compute.
+// out of its deadline; 503 when its error is transient (a shard that failed
+// on every worker, an injected transient fault), which the client may
+// resubmit, since a failed job is never cached; 422 for every other failure,
+// an input the job could not compute. A job runs once: the client is the one
+// retry layer above the shard reroute.
 func failedStatus(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
+	case headroom.IsTransient(err):
+		return http.StatusServiceUnavailable
 	}
 	return http.StatusUnprocessableEntity
 }

@@ -73,7 +73,7 @@ func TestViewBytesMatchEncodingJSON(t *testing.T) {
 
 	t0 := time.Date(2026, 10, 16, 12, 0, 0, 123456789, time.UTC)
 	done := func(id, kind string) jobs.Snapshot {
-		return jobs.Snapshot{ID: id, Kind: kind, State: jobs.Done, Attempts: 1, TraceID: "4bf92f3577b34da6",
+		return jobs.Snapshot{ID: id, Kind: kind, State: jobs.Done, TraceID: "4bf92f3577b34da6",
 			Created: t0, Started: t0.Add(time.Millisecond), Finished: t0.Add(90 * time.Millisecond)}
 	}
 	withMeta := func(snap jobs.Snapshot, meta map[string]any) jobs.Snapshot { snap.Meta = meta; return snap }
@@ -90,10 +90,10 @@ func TestViewBytesMatchEncodingJSON(t *testing.T) {
 		{name: "no plans", snap: done("j-000003", "plan"), code: 200, result: PlanResult{Days: 1}},
 		{name: "empty rows", snap: done("j-000004", "simulate"), code: 200, result: SimulateResult{Pools: []PoolSummary{}}},
 		{name: "job id holds the result key", snap: done(`j-"result": 0`, "plan"), code: 200, result: plan},
-		{name: "failed", code: 422, snap: jobs.Snapshot{ID: "j-000005", Kind: "plan", State: jobs.Failed, Attempts: 3,
+		{name: "failed", code: 422, snap: jobs.Snapshot{ID: "j-000005", Kind: "plan", State: jobs.Failed,
 			Err: errors.New(`compute: "result": 0 <bad> & worse`), Created: t0, Started: t0, Finished: t0.Add(time.Second)}},
 		{name: "queued", code: 202, snap: jobs.Snapshot{ID: "j-000006", Kind: "simulate", State: jobs.Pending, Created: t0}},
-		{name: "running", code: 202, snap: jobs.Snapshot{ID: "j-000007", Kind: "plan", State: jobs.Running, Attempts: 1,
+		{name: "running", code: 202, snap: jobs.Snapshot{ID: "j-000007", Kind: "plan", State: jobs.Running,
 			Created: t0, Started: t0}},
 		{name: "distributed", code: 200, result: plan, snap: withMeta(done("j-000008", "plan"), map[string]any{
 			placementMetaKey: []ShardPlacement{

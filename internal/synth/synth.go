@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"headroom/internal/metrics"
 	"headroom/internal/sim"
@@ -19,27 +20,45 @@ import (
 // Profile is a reproducible synthetic workload: a load sweep at a
 // controlled offline pool size.
 type Profile struct {
-	// Loads is the per-server offered load of each level (RPS/server,
-	// strictly ascending, at least two levels).
+	// Loads is the per-server offered load of each level (RPS/server, at
+	// least two levels, each above the one before by more than
+	// LevelRatio(Servers)).
 	Loads []float64
 	// Servers is the offline pool size the profile runs at.
 	Servers int
 }
 
-// check holds the rules every replayed profile obeys.
-func (p Profile) check() error {
+// Check holds the rules every replayed profile obeys: a positive server
+// count and at least two levels, each above the one before by more than
+// LevelRatio(Servers), so that the replay tells every two levels apart.
+func (p Profile) Check() error {
 	if p.Servers <= 0 {
 		return fmt.Errorf("synth: non-positive server count %d", p.Servers)
 	}
 	if len(p.Loads) < 2 {
 		return fmt.Errorf("synth: need >= 2 load levels, got %d", len(p.Loads))
 	}
+	ratio := LevelRatio(p.Servers)
 	for i := 1; i < len(p.Loads); i++ {
-		if p.Loads[i] <= p.Loads[i-1] {
-			return errors.New("synth: loads must be strictly ascending")
+		if !(p.Loads[i] > p.Loads[i-1]*ratio) {
+			return fmt.Errorf("synth: each load must exceed the one before by a factor over %.17g at %d servers, got loads[%d]=%v after loads[%d]=%v",
+				ratio, p.Servers, i, p.Loads[i], i-1, p.Loads[i-1])
 		}
 	}
 	return nil
+}
+
+// LevelRatio is the least ratio of adjacent levels a replay at servers
+// tells apart. A window's RPS/server is the level times servers (one
+// rounding), shared out over the servers (one), skewed per server (one),
+// summed back (servers − 1) and divided by servers (one): servers + 3
+// roundings, each monotone and within a relative u = 2⁻⁵³. Levels whose
+// ratio exceeds ((1+u)/(1−u))^(servers+3) ≈ exp(2u(servers+3)) therefore
+// give windows of distinct RPS/server, and a fit over them has an x spread.
+// Two more roundings cover the bound's own: the exponential and the product
+// it is compared through.
+func LevelRatio(servers int) float64 {
+	return math.Exp(0x1p-52 * (float64(servers) + 5))
 }
 
 // BuildProfile derives a synthetic workload from production pool history:
@@ -72,7 +91,7 @@ func BuildProfile(series []metrics.TickStat, servers, levels int, extendFrac flo
 		frac := float64(i) / float64(levels-1)
 		p.Loads = append(p.Loads, lo+(hi-lo)*frac)
 	}
-	if err := p.check(); err != nil {
+	if err := p.Check(); err != nil {
 		return Profile{}, err
 	}
 	return p, nil
@@ -83,7 +102,7 @@ func BuildProfile(series []metrics.TickStat, servers, levels int, extendFrac flo
 // the pool's per-window statistics, level by level; ctx is checked per
 // simulated tick.
 func Replay(ctx context.Context, pc sim.PoolConfig, dc string, p Profile, ticksPerLevel int, seed int64) ([]metrics.TickStat, error) {
-	if err := p.check(); err != nil {
+	if err := p.Check(); err != nil {
 		return nil, err
 	}
 	if ticksPerLevel <= 0 {

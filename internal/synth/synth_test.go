@@ -99,11 +99,13 @@ func TestReplayErrors(t *testing.T) {
 	pc := sim.PoolB()
 	ctx := context.Background()
 	for name, p := range map[string]Profile{
-		"empty":        {},
-		"zero servers": {Loads: []float64{1, 2}},
-		"single level": {Loads: []float64{1}, Servers: 5},
-		"descending":   {Loads: []float64{1, 3, 2}, Servers: 5},
-		"repeated":     {Loads: []float64{1, 1}, Servers: 5},
+		"empty":         {},
+		"zero servers":  {Loads: []float64{1, 2}},
+		"single level":  {Loads: []float64{1}, Servers: 5},
+		"descending":    {Loads: []float64{1, 3, 2}, Servers: 5},
+		"repeated":      {Loads: []float64{1, 1}, Servers: 5},
+		"one ulp apart": {Loads: []float64{100, 100.00000000000001}, Servers: 10},
+		"NaN":           {Loads: []float64{1, math.NaN()}, Servers: 5},
 	} {
 		if _, err := Replay(ctx, pc, "offline", p, 10, 1); err == nil {
 			t.Errorf("%s profile should error", name)
@@ -111,5 +113,29 @@ func TestReplayErrors(t *testing.T) {
 	}
 	if _, err := Replay(ctx, pc, "offline", Profile{Loads: []float64{1, 2}, Servers: 5}, 0, 1); err == nil {
 		t.Error("zero ticks per level should error")
+	}
+}
+
+// TestClosestLevelsGiveDistinctWindows holds LevelRatio to its claim: at the
+// closest spacing Check accepts, every window of the upper level shows more
+// RPS/server than every window of the lower one, from the least load a
+// validation takes to the largest, on one server and on a thousand.
+func TestClosestLevelsGiveDistinctWindows(t *testing.T) {
+	for _, servers := range []int{1, 2, 10, 1000} {
+		for e := -6; e <= 5; e++ {
+			for _, m := range []float64{1, 3} {
+				lo := m * math.Pow(10, float64(e))
+				hi := math.Nextafter(lo*LevelRatio(servers), math.Inf(1))
+				p := Profile{Loads: []float64{lo, hi}, Servers: servers}
+				series, err := Replay(context.Background(), sim.PoolB(), "offline", p, 2, 1)
+				if err != nil {
+					t.Fatalf("%v: %v", p.Loads, err)
+				}
+				if top := max(series[0].RPSPerServer, series[1].RPSPerServer); top >= min(series[2].RPSPerServer, series[3].RPSPerServer) {
+					t.Errorf("%d servers, loads %v: windows %v, %v, %v, %v do not tell the levels apart", servers, p.Loads,
+						series[0].RPSPerServer, series[1].RPSPerServer, series[2].RPSPerServer, series[3].RPSPerServer)
+				}
+			}
+		}
 	}
 }

@@ -24,12 +24,12 @@ import (
 // ErrTransient marks an error as retryable. Sources (and fault injectors)
 // wrap errors with Transient to tell the layers above that the failure is
 // worth retrying; unmarked errors are treated as permanent. It is the
-// module's one transient sentinel: the job queue and the shard dispatcher
-// classify against the same value, so a transient shard failure that fails
-// its job is retried by the queue without re-marking.
+// module's one transient sentinel: the shard dispatcher reroutes on it, and
+// capserved answers a job that failed with it 503, for the client to
+// resubmit, without re-marking.
 var ErrTransient = retry.ErrTransient
 
-// Transient wraps err so resilience layers retry it. A nil err returns nil.
+// Transient wraps err to mark it retryable. A nil err returns nil.
 func Transient(err error) error { return retry.Transient(err) }
 
 // IsTransient reports whether err is marked retryable (wrapped by Transient
