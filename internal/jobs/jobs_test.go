@@ -74,17 +74,56 @@ func TestPermanentFailureDoesNotRetry(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRunsOnce: a job runs once. A transient failure fails
-// it like any other, and its error keeps the transient mark, so the server
-// can answer 503 for the client to resubmit.
-func TestTransientFailureRunsOnce(t *testing.T) {
+// TestTransientFailureRetriesWithBackoff: the queue does not retry, so a
+// job whose first call fails transiently fails at once with the transient
+// mark kept (the server answers 503 with Retry-After). The retry, and its
+// backoff, is the client's: a resubmission runs the function again.
+func TestTransientFailureRetriesWithBackoff(t *testing.T) {
+	q := New(Config{Workers: 1})
+	defer q.Close(context.Background())
+
+	var calls atomic.Int32
+	fn := func(ctx context.Context) (any, error) {
+		if calls.Add(1) < 2 {
+			return nil, retry.Transient(errors.New("flaky"))
+		}
+		return "recovered", nil
+	}
+	j, _ := q.SubmitCtx(context.Background(), "test", fn)
+	if _, err := j.Wait(context.Background()); !retry.IsTransient(err) {
+		t.Fatalf("first job: err = %v, want transient", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("calls after the first job = %d, want 1: the queue does not retry", n)
+	}
+	if s := j.Snapshot().State; s != Failed {
+		t.Errorf("first job state = %s, want failed", s)
+	}
+
+	j2, _ := q.SubmitCtx(context.Background(), "test", fn)
+	got, err := j2.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("resubmitted job: %v", err)
+	}
+	if got != "recovered" {
+		t.Errorf("result = %v", got)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("calls = %d, want 2: one per submission", n)
+	}
+}
+
+// TestTransientFailureExhaustsAttempts: a job has one attempt. A transient
+// failure fails it like any other, and its error keeps the transient mark,
+// so the server can answer 503 for the client to resubmit.
+func TestTransientFailureExhaustsAttempts(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Close(context.Background())
 
 	var calls atomic.Int32
 	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) {
 		calls.Add(1)
-		return nil, retry.Transient(errors.New("flaky"))
+		return nil, retry.Transient(errors.New("always flaky"))
 	})
 	_, err := j.Wait(context.Background())
 	if !retry.IsTransient(err) {
