@@ -15,9 +15,9 @@
 //     next-ranked worker;
 //   - a dispatch that outlives the worker's EWMA-tracked latency is hedged:
 //     a duplicate is sent to the next worker and the first answer wins;
-//   - per-worker circuit breakers (internal/breaker) stop traffic to a
-//     worker whose dispatches keep failing, so a dead node costs one timed
-//     attempt per open interval instead of one per shard.
+//   - each worker's circuit breaker stops traffic to a worker whose
+//     dispatches keep failing, so a dead node costs one timed attempt per
+//     open interval instead of one per shard.
 //
 // The server half is capserved's authenticated POST /v1/internal/shard
 // endpoint (internal/server), which runs exactly one shard through the
@@ -36,9 +36,9 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
-	"headroom/internal/breaker"
 	"headroom/internal/obs"
 	"headroom/internal/obs/prom"
 	"headroom/internal/retry"
@@ -164,15 +164,150 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("dist: worker %s: %d %s", e.Peer, e.Status, e.Msg)
 }
 
-// worker is what the client keeps per peer: its breaker, the latency the
-// hedge delay adapts to, and its series of the per-peer metric families.
+// A worker's breaker opens after breakerThreshold consecutive failed
+// dispatches and fast-fails for breakerOpenFor before it admits a probe.
+const breakerThreshold, breakerOpenFor = 3, 5 * time.Second
+
+// breakerState is a worker breaker's position; its value is the
+// capserved_dist_worker_breaker_state gauge.
+type breakerState int
+
+const (
+	// breakerClosed passes every dispatch; consecutive failures are counted.
+	breakerClosed breakerState = iota
+	// breakerOpen skips the worker until breakerOpenFor has elapsed.
+	breakerOpen
+	// breakerHalfOpen lets one probe dispatch through at a time.
+	breakerHalfOpen
+)
+
+// String renders the state for metric labels and logs.
+func (s breakerState) String() string {
+	switch s {
+	case breakerClosed:
+		return "closed"
+	case breakerOpen:
+		return "open"
+	}
+	return "half_open"
+}
+
+// worker is what the client keeps per peer: its circuit breaker, the latency
+// the hedge delay adapts to, and its series of the per-peer metric families.
+//
+// The breaker is a consecutive-failure one: after breakerThreshold failed
+// dispatches in a row it opens and the client skips the worker, rerouting
+// its shards; after breakerOpenFor it half-opens and admits a single probe,
+// whose success closes it and whose failure re-opens it. Each transition is
+// counted and logged where it happens.
 type worker struct {
-	breaker     *breaker.Breaker
+	peer string
+	log  *slog.Logger
+	now  func() time.Time // the breaker's clock
+
+	mu       sync.Mutex // guards the breaker's position below
+	state    breakerState
+	failRun  int  // consecutive failures while closed
+	probing  bool // a half-open probe is in flight
+	openedAt time.Time
+
 	lat         stats.EWMA // dispatch latency, the hedge delay's basis
 	dispatched  *prom.Counter
 	failures    *prom.Counter
 	latency     *prom.Histogram
-	transitions [3]*prom.Counter // by destination breaker.State
+	transitions [3]*prom.Counter // by destination breakerState
+}
+
+// allow reports whether a dispatch may go to the worker. Open refuses until
+// the open interval elapses, then half-opens and admits a single probe;
+// half-open admits one probe at a time. Every allow that returns true is
+// matched by success, failure or release.
+func (w *worker) allow() bool {
+	w.mu.Lock()
+	from, ok := w.state, true
+	switch w.state {
+	case breakerOpen:
+		if w.now().Sub(w.openedAt) < breakerOpenFor {
+			ok = false
+			break
+		}
+		w.state, w.probing = breakerHalfOpen, true
+	case breakerHalfOpen:
+		ok = !w.probing
+		w.probing = true
+	}
+	to := w.state
+	w.mu.Unlock()
+	w.transition(from, to)
+	return ok
+}
+
+// success records a dispatch the worker answered: it ends a closed
+// breaker's failure run and closes a half-open one. A success landing while
+// open (a dispatch admitted before the breaker opened) is ignored: only
+// probes close the breaker.
+func (w *worker) success() {
+	w.mu.Lock()
+	from := w.state
+	switch w.state {
+	case breakerClosed:
+		w.failRun = 0
+	case breakerHalfOpen:
+		w.state, w.probing, w.failRun = breakerClosed, false, 0
+	}
+	to := w.state
+	w.mu.Unlock()
+	w.transition(from, to)
+}
+
+// failure records a failed dispatch: the breakerThreshold-th in a row opens
+// a closed breaker, and a failed probe re-opens a half-open one for a fresh
+// interval.
+func (w *worker) failure() {
+	w.mu.Lock()
+	from := w.state
+	switch w.state {
+	case breakerClosed:
+		w.failRun++
+		if w.failRun >= breakerThreshold {
+			w.state, w.openedAt = breakerOpen, w.now()
+		}
+	case breakerHalfOpen:
+		w.state, w.probing, w.openedAt = breakerOpen, false, w.now()
+	}
+	to := w.state
+	w.mu.Unlock()
+	w.transition(from, to)
+}
+
+// release gives back an admitted dispatch without an outcome — the attempt
+// says nothing about the worker (it could not be built, or the dispatch
+// cancelled it because a sibling won) — so a half-open probe slot is not
+// leaked.
+func (w *worker) release() {
+	w.mu.Lock()
+	if w.state == breakerHalfOpen {
+		w.probing = false
+	}
+	w.mu.Unlock()
+}
+
+// breakerState returns the breaker's position. Only allow half-opens an
+// open breaker, so observing it never moves it.
+func (w *worker) breakerState() breakerState {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.state
+}
+
+// transition counts and logs a change of the breaker's position; from ==
+// to is no change.
+func (w *worker) transition(from, to breakerState) {
+	if from == to {
+		return
+	}
+	w.transitions[to].Inc()
+	w.log.Info("dist: worker breaker transition", "peer", w.peer, "from", from.String(), "to", to.String())
 }
 
 // Client dispatches shards to a static fleet of workers and owns the
@@ -226,13 +361,13 @@ func New(cfg Config) (*Client, error) {
 		peers:   peers,
 		workers: make(map[string]*worker, len(peers)),
 	}
-	// A worker's breaker opens after breakerThreshold consecutive failed
-	// dispatches and fast-fails for breakerOpenFor before it admits a probe.
-	const breakerThreshold, breakerOpenFor = 3, 5 * time.Second
 	reg := cfg.Registry
 	for _, p := range peers {
 		lbl := prom.Labels{"peer": p}
 		w := &worker{
+			peer: p,
+			log:  cfg.Logger,
+			now:  time.Now,
 			dispatched: reg.Counter("capserved_dist_shards_dispatched_total",
 				"Shard dispatches sent to a worker (reroutes and hedges included).", lbl),
 			failures: reg.Counter("capserved_dist_shard_failures_total",
@@ -240,23 +375,14 @@ func New(cfg Config) (*Client, error) {
 			latency: reg.Histogram("capserved_dist_shard_latency_seconds",
 				"Successful shard dispatch latency, by worker.", lbl, prom.DefBuckets),
 		}
-		for _, to := range []breaker.State{breaker.Closed, breaker.Open, breaker.HalfOpen} {
+		for _, to := range []breakerState{breakerClosed, breakerOpen, breakerHalfOpen} {
 			w.transitions[to] = reg.Counter("capserved_dist_breaker_transitions_total",
 				"Worker circuit-breaker transitions, by destination state.",
 				prom.Labels{"peer": p, "to": to.String()})
 		}
-		w.breaker = breaker.New(breaker.Config{
-			Threshold: breakerThreshold,
-			OpenFor:   breakerOpenFor,
-			OnTransition: func(from, to breaker.State) {
-				c.cfg.Logger.Info("dist: worker breaker transition",
-					"peer", p, "from", from.String(), "to", to.String())
-				w.transitions[to].Inc()
-			},
-		})
 		reg.Gauge("capserved_dist_worker_breaker_state",
 			"Worker circuit-breaker position (0 closed, 1 open, 2 half-open).", lbl,
-			func() float64 { return float64(w.breaker.State()) })
+			func() float64 { return float64(w.breakerState()) })
 		c.workers[p] = w
 	}
 	c.reroutes = reg.Counter("capserved_dist_reroutes_total",
@@ -280,7 +406,7 @@ func New(cfg Config) (*Client, error) {
 // total worker count — the worker-fleet health signal /readyz reports.
 func (c *Client) OpenBreakers() (open, total int) {
 	for _, w := range c.workers {
-		if w.breaker.State() == breaker.Open {
+		if w.breakerState() == breakerOpen {
 			open++
 		}
 	}
@@ -333,7 +459,7 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 			peer := order[next]
 			next++
 			w := c.workers[peer]
-			if !w.breaker.Allow() {
+			if !w.allow() {
 				c.skips.Inc()
 				continue
 			}
@@ -416,17 +542,16 @@ func (c *Client) Dispatch(ctx context.Context, sh Shard) (Result, error) {
 }
 
 // send performs one worker attempt. Breaker accounting lives here so every
-// admitted attempt records exactly one outcome: Success for a well-formed
-// response (the worker is alive, even if it rejected the request), Failure
-// for network errors, 5xx and attempt timeouts, and a neutral Release when
+// admitted attempt records exactly one outcome: success for a well-formed
+// response (the worker is alive, even if it rejected the request), failure
+// for network errors, 5xx and attempt timeouts, and a neutral release when
 // the dispatch cancelled the attempt because a sibling won.
 func (c *Client) send(ctx context.Context, peer string, w *worker, sh Shard, hedged bool) attemptResult {
 	out := attemptResult{peer: peer, w: w, hedged: hedged}
-	br := w.breaker
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+DefaultPath, bytes.NewReader(sh.Body))
 	if err != nil {
-		br.Release()
+		w.release()
 		out.err = fmt.Errorf("dist: build request for %s: %w", peer, err)
 		return out
 	}
@@ -442,13 +567,13 @@ func (c *Client) send(ctx context.Context, peer string, w *worker, sh Shard, hed
 	if err != nil {
 		switch {
 		case errors.Is(ctx.Err(), context.Canceled):
-			br.Release()
+			w.release()
 			out.err, out.canceled = ctx.Err(), true
 		case ctx.Err() != nil: // attempt deadline: the worker was too slow
-			br.Failure()
+			w.failure()
 			out.err, out.transient = ctx.Err(), true
 		default:
-			br.Failure()
+			w.failure()
 			out.err, out.transient = fmt.Errorf("dist: dispatch to %s: %w", peer, err), true
 		}
 		return out
@@ -459,33 +584,33 @@ func (c *Client) send(ctx context.Context, peer string, w *worker, sh Shard, hed
 		if errors.Is(ctx.Err(), context.Canceled) {
 			// The dispatch cancelled this attempt mid-read because a sibling
 			// won; the worker did nothing wrong, so the outcome is neutral —
-			// charging a Failure here opens an innocent worker's breaker.
-			br.Release()
+			// charging a failure here opens an innocent worker's breaker.
+			w.release()
 			out.err, out.canceled = ctx.Err(), true
 			return out
 		}
-		br.Failure()
+		w.failure()
 		out.err, out.transient = fmt.Errorf("dist: read response from %s: %w", peer, err), true
 		return out
 	}
 	if len(body) > maxResponseBytes {
-		br.Failure()
+		w.failure()
 		out.err = fmt.Errorf("dist: response from %s exceeds %d bytes", peer, maxResponseBytes)
 		return out
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		br.Success()
+		w.success()
 		w.lat.Observe(out.d)
 		out.body, out.header = body, resp.Header
 		return out
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		// The worker is healthy; the request itself was rejected. Permanent.
-		br.Success()
+		w.success()
 		out.err = &WorkerError{Peer: peer, Status: resp.StatusCode, Msg: errMsg(body)}
 		return out
 	default: // 5xx: the worker is overloaded or broken; reroutable.
-		br.Failure()
+		w.failure()
 		out.err = &WorkerError{Peer: peer, Status: resp.StatusCode, Msg: errMsg(body)}
 		out.transient = true
 		return out

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"headroom/internal/breaker"
 	"headroom/internal/leakcheck"
 	"headroom/internal/retry"
 )
@@ -298,7 +297,7 @@ func TestDispatchRejectsOversizedResponse(t *testing.T) {
 			}
 		}
 	}
-	if got := c.workers["http://w1"].breaker.State(); got != breaker.Open {
+	if got := c.workers["http://w1"].breakerState(); got != breakerOpen {
 		t.Errorf("worker breaker = %s after three oversized responses, want open", got)
 	}
 	if got := metric(t, c, peerSeries("capserved_dist_shard_failures_total", "http://w1")); got != 3 {
@@ -398,8 +397,8 @@ func TestDistDispatchBreakerSkips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.workers[order[0]].breaker.State() != breaker.Open {
-		t.Fatalf("owner breaker = %v, want Open", c.workers[order[0]].breaker.State())
+	if c.workers[order[0]].breakerState() != breakerOpen {
+		t.Fatalf("owner breaker = %v, want Open", c.workers[order[0]].breakerState())
 	}
 	// The fourth dispatch must skip the owner entirely.
 	res, err := c.Dispatch(context.Background(), Shard{Key: "br-key"})
@@ -608,7 +607,7 @@ func TestDistDispatchSlowLoserNeutral(t *testing.T) {
 	}
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if st := c.workers[order[0]].breaker.State(); st != breaker.Closed {
+		if st := c.workers[order[0]].breakerState(); st != breakerClosed {
 			t.Fatalf("loser breaker = %v; a dispatch-cancelled attempt was charged as a failure", st)
 		}
 		time.Sleep(5 * time.Millisecond)

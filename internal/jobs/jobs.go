@@ -70,16 +70,15 @@ type Job struct {
 	queued obs.Stage
 	vals   context.Context
 
-	mu        sync.Mutex
-	state     State
-	result    any
-	err       error
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	meta      map[string]any
-	onFinish  func(*Job)
-	onRunning func(*Job)
+	mu       sync.Mutex
+	state    State
+	result   any
+	err      error
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	meta     map[string]any
+	onFinish func(*Job)
 }
 
 // TraceID returns the trace the job was submitted under, or "".
@@ -168,11 +167,7 @@ func (j *Job) setRunning() {
 	j.mu.Lock()
 	j.state = Running
 	j.started = time.Now()
-	cb := j.onRunning
 	j.mu.Unlock()
-	if cb != nil {
-		cb(j)
-	}
 }
 
 // finish makes j terminal. It ends the job's stage and the run timer
@@ -214,8 +209,8 @@ type Config struct {
 	// Timeout is the per-job deadline measured from the moment a worker
 	// picks the job up. Zero means no deadline.
 	Timeout time.Duration
-	// OnStateChange, when set, is invoked after every job transition
-	// (running, done, failed). Used by the server for metrics.
+	// OnStateChange, when set, is invoked once per job, with its terminal
+	// snapshot (done or failed). Used by the server for metrics.
 	OnStateChange func(Snapshot)
 }
 
@@ -302,7 +297,6 @@ func (q *Queue) SubmitCtx(ctx context.Context, kind string, fn Func) (*Job, erro
 	j.vals, j.stage = obs.StartStage(ctx, "jobs.job", nil, obs.Str("kind", kind), obs.Str("job_id", j.ID))
 	j.queued = obs.StartTimer(obs.QueueWaitSeconds)
 	if cb := q.cfg.OnStateChange; cb != nil {
-		j.onRunning = func(j *Job) { cb(j.Snapshot()) }
 		j.onFinish = func(j *Job) { cb(j.Snapshot()) }
 	}
 

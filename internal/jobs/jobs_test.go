@@ -248,6 +248,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 	}
 }
 
+// TestOnStateChangeCallback: the callback sees a job once, terminal.
 func TestOnStateChangeCallback(t *testing.T) {
 	var mu sync.Mutex
 	var states []State
@@ -256,14 +257,15 @@ func TestOnStateChangeCallback(t *testing.T) {
 		states = append(states, s.State)
 		mu.Unlock()
 	}})
-	defer q.Close(context.Background())
 
 	j, _ := q.SubmitCtx(context.Background(), "test", func(ctx context.Context) (any, error) { return nil, nil })
 	j.Wait(context.Background())
+	// Close returns once the worker has exited, so after its callback.
+	q.Close(context.Background())
 	mu.Lock()
 	defer mu.Unlock()
-	if len(states) != 2 || states[0] != Running || states[1] != Done {
-		t.Errorf("transitions = %v, want [running done]", states)
+	if len(states) != 1 || states[0] != Done {
+		t.Errorf("transitions = %v, want [done]", states)
 	}
 }
 

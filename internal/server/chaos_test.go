@@ -272,7 +272,8 @@ const transientBody = `{"days":1,"seed":1,"pools":["B","D"]}`
 
 // wantTransient503 submits body to base's /v1/simulate with ?wait and
 // requires the answer of a job that failed transiently: 503, a Retry-After
-// of whole seconds and the failed job's view with its error.
+// of whole seconds and the failed job's view with its error, marked
+// retryable there and when the job is read back by id.
 func wantTransient503(t *testing.T, base, body string) jobView {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/simulate?wait=true", "application/json", strings.NewReader(body))
@@ -296,6 +297,12 @@ func wantTransient503(t *testing.T, base, body string) jobView {
 	}
 	if v.State != jobs.Failed || v.Error == "" {
 		t.Fatalf("job = %s (%q), want failed with its error", v.State, v.Error)
+	}
+	if !strings.Contains(string(raw), `"retryable": true`) {
+		t.Errorf("?wait view is not marked retryable:\n%s", raw)
+	}
+	if code, got := getJSON(t, base+v.Self); code != http.StatusOK || !strings.Contains(string(got), `"retryable": true`) {
+		t.Errorf("GET %s = %d, want the view marked retryable:\n%s", v.Self, code, got)
 	}
 	return v
 }

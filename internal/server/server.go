@@ -313,7 +313,7 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.cache.Stats().Size) })
 }
 
-// onJobState feeds queue transitions into the completion counters and the
+// onJobState feeds each finished job into the completion counters and the
 // service-rate estimate behind Retry-After.
 func (s *Server) onJobState(snap jobs.Snapshot) {
 	if snap.State.Terminal() && !snap.Started.IsZero() && !snap.Finished.IsZero() {
@@ -514,6 +514,9 @@ type jobView struct {
 	Finished *time.Time      `json:"finished,omitempty"`
 	Result   json.RawMessage `json:"result,omitempty"` // writeView's placeholder for the stored result
 	Error    string          `json:"error,omitempty"`
+	// Retryable marks a failed job whose ?wait answered 503: its failure
+	// was transient, and a resubmission recomputes it.
+	Retryable bool `json:"retryable,omitempty"`
 	// Node is the hostname of the coordinator that ran (or is running) the
 	// job; Placement lists where each shard of a distributed job executed.
 	Node      string           `json:"node"`
@@ -550,6 +553,7 @@ func (s *Server) viewOf(snap jobs.Snapshot) (jobView, viewResult) {
 	}
 	if snap.State == jobs.Failed && snap.Err != nil {
 		v.Error = snap.Err.Error()
+		v.Retryable = failedStatus(snap.Err) == http.StatusServiceUnavailable
 	}
 	return v, res
 }

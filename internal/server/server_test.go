@@ -365,6 +365,9 @@ func TestFailedJobReports422OnWait(t *testing.T) {
 	if v.State != jobs.Failed || v.Error == "" {
 		t.Errorf("job = %+v, want failed with error", v)
 	}
+	if strings.Contains(string(body), "retryable") {
+		t.Errorf("a 422 view is marked retryable:\n%s", body)
+	}
 }
 
 // TestDeadlineFailedJobReports504OnWait: a job that ran out of its deadline
@@ -388,6 +391,9 @@ func TestDeadlineFailedJobReports504OnWait(t *testing.T) {
 	json.Unmarshal(body, &v)
 	if v.State != jobs.Failed || !strings.Contains(v.Error, context.DeadlineExceeded.Error()) {
 		t.Errorf("job = %+v, want failed on its deadline", v)
+	}
+	if strings.Contains(string(body), "retryable") {
+		t.Errorf("a 504 view is marked retryable:\n%s", body)
 	}
 }
 

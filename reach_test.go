@@ -37,7 +37,6 @@ const reachAllowMax = 8
 // purpose, each with its reason. It holds at most fieldAllowMax entries, and
 // an entry a program writes fails the test as stale.
 var fieldAllow = map[string]string{
-	"breaker.Config.Now":   "test fixture: breaker_test advances a hand clock through it",
 	"faults.Rule.Prob":     "test fixture: partial_test.go drives probability stalls through it",
 	"faults.Rule.StallFor": "test fixture: the hedging and stall tests drive slow workers through it",
 }

@@ -10,8 +10,9 @@ package headroom
 // source fails (or panics) fails alone, whole pools can drop out of a run
 // without aborting it, and every failure is classified and reported instead
 // of tearing the pipeline down. What is worth redoing is redone above the
-// source: the job queue reruns a job that failed transiently, and a
-// coordinator reroutes a shard whose worker failed.
+// source: a coordinator reroutes a shard whose worker failed, and a job that
+// failed transiently answers 503, for the client to resubmit (a job runs
+// once).
 
 import (
 	"fmt"
