@@ -16,6 +16,7 @@ import (
 	"headroom"
 	"headroom/internal/cluster"
 	"headroom/internal/experiments"
+	"headroom/internal/metrics"
 	"headroom/internal/sim"
 	"headroom/internal/stats"
 	"headroom/internal/trace"
@@ -86,8 +87,8 @@ func BenchmarkAblationPlanners(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw record generation of the full
 // default fleet (records per op: one fleet-hour) through the per-record
-// adapter: the in-place step fill the pipeline consumes as runs, plus one
-// record copy per emit. Steps allocate nothing once the buffer has grown.
+// adapter: the in-place step fill a simulated source streams as runs (what
+// capsim writes out), plus one record copy per emit. Steps allocate nothing once the buffer has grown.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg := sim.DefaultFleet(1)
 	s, err := sim.New(cfg)
@@ -112,9 +113,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // benchSimulate aggregates half a day of the default fleet (2.4 M records)
 // through Session.Simulate at the given shard count (0 = one per CPU): the
-// record hot path, simulator steps handed as runs to Aggregator.AddAll. What
-// is left of B/op is mostly the per-server CPU samples the aggregator keeps
-// (2.4 M float64s, ~19 MB, about doubled by slice growth).
+// simulator writing each shard into its aggregator by server index
+// (IngestShard). What is left of B/op is mostly the CPU samples the
+// aggregator keeps (2.4 M float64s, ~19 MB, in one block per pool and
+// datacenter sized to the horizon).
 func benchSimulate(b *testing.B, shards int) {
 	b.Helper()
 	ctx := context.Background()
@@ -195,6 +197,50 @@ func BenchmarkPlanFleetSharded(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+}
+
+// BenchmarkIngestShard is ingest on its own, one A/B/D/H day (as in
+// capbench's cold_plan) two ways, in ns/record and B/op: "sim" is
+// IngestShard of a simulated source, which the simulator feeds by server
+// index (generation included: the records are never built), and "addall"
+// is AddAll over the same day's records, collected beforehand (the record
+// path capplan takes).
+func BenchmarkIngestShard(b *testing.B) {
+	ctx := context.Background()
+	fleet, err := headroom.FilterPools(headroom.DefaultFleet(1), []string{"A", "B", "D", "H"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	perRecord := func(b *testing.B, records int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	}
+	b.Run("sim", func(b *testing.B) {
+		src := headroom.NewSimSource(fleet, 1)
+		b.ReportAllocs()
+		var n int64
+		for i := 0; i < b.N; i++ {
+			if _, n, err = headroom.IngestShard(ctx, src, 0, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b, int(n))
+	})
+	b.Run("addall", func(b *testing.B) {
+		s, err := sim.New(fleet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs, err := s.RunCollect(s.TicksPerDay())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			metrics.NewAggregator().AddAll(recs)
+		}
+		perRecord(b, len(recs))
+	})
 }
 
 func BenchmarkPolyFitQuadratic(b *testing.B) {

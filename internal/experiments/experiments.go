@@ -18,7 +18,6 @@ import (
 
 	"headroom/internal/metrics"
 	"headroom/internal/sim"
-	"headroom/internal/trace"
 )
 
 // Config controls experiment execution.
@@ -191,7 +190,7 @@ func aggregateFleet(ctx context.Context, cfg sim.FleetConfig, ticks int, actions
 		return nil, err
 	}
 	agg := metrics.NewAggregatorFor(ticks)
-	if err := s.RunSteps(ctx, ticks, func(step []trace.Record) error { agg.AddAll(step); return nil }); err != nil {
+	if _, err := s.Aggregate(ctx, ticks, agg); err != nil {
 		return nil, err
 	}
 	return agg, nil

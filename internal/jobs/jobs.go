@@ -36,9 +36,6 @@ const (
 	Failed State = "failed"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool { return s == Done || s == Failed }
-
 // ErrQueueFull is returned by SubmitCtx when the pending queue is at capacity.
 // Callers should surface it as backpressure (HTTP 503) rather than block.
 var ErrQueueFull = errors.New("jobs: queue full")

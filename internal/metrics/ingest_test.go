@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"headroom/internal/stats"
 	"headroom/internal/trace"
 )
 
@@ -16,13 +17,12 @@ func referenceAdd(pools map[PoolKey]*poolAcc, r trace.Record) {
 	key := PoolKey{DC: r.DC, Pool: r.Pool}
 	p := pools[key]
 	if p == nil {
-		p = &poolAcc{ticks: make(map[int]*tickAcc), servers: make(map[string]*serverAcc)}
+		p = newPoolAcc(0)
 		pools[key] = p
 	}
 	s := p.servers[r.Server]
 	if s == nil {
-		s = &serverAcc{generation: r.Generation}
-		p.servers[r.Server] = s
+		s = p.addServer(r.Server, r.Generation)
 	}
 	s.windows++
 	t := p.ticks[r.Tick]
@@ -33,8 +33,7 @@ func referenceAdd(pools map[PoolKey]*poolAcc, r trace.Record) {
 	if !r.Online {
 		return
 	}
-	s.online++
-	s.cpu = append(s.cpu, r.CPUPct)
+	p.add(s, r.CPUPct, 0)
 	t.servers++
 	t.rps += r.RPS
 	t.cpu += r.CPUPct
@@ -313,6 +312,56 @@ func TestSizedAggregatorMatchesGrown(t *testing.T) {
 				if err != nil || !reflect.DeepEqual(gsum, wsum) {
 					t.Errorf("%s, sized for %d windows: %v summaries differ (err %v)", feed, windows, key, err)
 				}
+			}
+		}
+	}
+}
+
+// TestSampleBlockBounded: a stream whose servers' sample counts drift far
+// apart — one server online for thousands of windows beside a thousand seen
+// in the first window only, and servers first met late — keeps each sample
+// block within twice its samples plus two rows, ingested and decoded; keeps
+// the oracle's bytes; and summarizes every server over its samples in
+// arrival order.
+func TestSampleBlockBounded(t *testing.T) {
+	var recs []trace.Record
+	for i := 0; i < 1000; i++ {
+		recs = append(recs, trace.Record{Tick: 0, DC: "d", Pool: "p", Server: fmt.Sprintf("s%04d", i), Online: i < 3, CPUPct: float64(i)})
+	}
+	for tick := 1; tick <= 5000; tick++ {
+		recs = append(recs, trace.Record{Tick: tick, DC: "d", Pool: "p", Server: "s0001", Online: true, CPUPct: float64(tick % 97)})
+		if tick%50 == 0 {
+			recs = append(recs, trace.Record{Tick: tick, DC: "d", Pool: "p", Server: fmt.Sprintf("late%d", tick%200), Online: true, CPUPct: float64(tick % 89)})
+		}
+	}
+	samples := map[string][]float64{}
+	for _, r := range recs {
+		if r.Online {
+			samples[r.Server] = append(samples[r.Server], r.CPUPct)
+		}
+	}
+	a := NewAggregatorFor(8)
+	a.AddAll(recs)
+	var b Aggregator
+	if err := b.UnmarshalBinary(wireBytes(t, a)); err != nil {
+		t.Fatal(err)
+	}
+	for name, agg := range map[string]*Aggregator{"ingested": a, "decoded": &b} {
+		p := agg.pools[PoolKey{DC: "d", Pool: "p"}]
+		if len(p.samples) > 2*p.used+2*p.width {
+			t.Errorf("%s: block of %d entries holds %d samples (%d columns)", name, len(p.samples), p.used, p.width)
+		}
+		if got := wireBytes(t, agg); !bytes.Equal(got, wireBytes(t, referenceAggregate(recs))) {
+			t.Errorf("%s: bytes differ from the oracle's", name)
+		}
+		sums, err := agg.ServerSummaries("d", "p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sum := range sums {
+			// Printed, so that one sample's NaN spread compares equal.
+			if want := samples[sum.Server]; len(want) > 0 && fmt.Sprint(sum.CPU) != fmt.Sprint(stats.Summarize(want)) {
+				t.Errorf("%s: %s summary %+v, want %+v", name, sum.Server, sum.CPU, stats.Summarize(want))
 			}
 		}
 	}

@@ -7,6 +7,18 @@
 // This corresponds to the paper's measurement substrate: performance
 // counters averaged over 120-second windows, partitioned per workload and
 // per pool (§II-A, §III).
+//
+// Records come in two ways. AddAll takes any stream of records and recovers
+// pool, server and tick from each one's names. A PoolWriter takes a stream
+// that lists the same servers in the same order every window — the
+// simulator's — by server index, so nothing is named per record. Both write
+// the same state: per window, the online servers' sums; per server, its
+// counts; and per (pool, datacenter), one block of every server's CPU
+// samples, laid out sample-major (server i's k-th sample at k*width + i, i
+// its first-seen index). A window's writes then fall side by side in a row
+// or two of one block rather than across one slice per server, and a
+// server's samples, which its summary and the wire codec read, are one
+// column in arrival order.
 package metrics
 
 import (
@@ -68,12 +80,18 @@ func (s ServerSummary) FeatureVector() []float64 {
 	return []float64{s.CPU.P5, s.CPU.P25, s.CPU.P50, s.CPU.P75, s.CPU.P95, s.Slope, s.Intercept, s.R2}
 }
 
-// serverAcc accumulates one server's observations.
+// serverAcc accumulates one server's observations. Its CPU samples are not
+// here but in its pool's sample block, apart from any the block declined.
 type serverAcc struct {
+	name       string
 	generation string
-	cpu        []float64
-	online     int
+	col        int // first-seen index in the pool; a block column when below the pool's width
+	online     int // windows online, one CPU sample each
 	windows    int
+	// spill holds the samples past the server's part of the block, in
+	// arrival order: all of them for a server without a column, the tail of
+	// a server whose next row the block declined to add (see poolAcc.addRow).
+	spill []float64
 }
 
 // tickAcc accumulates one pool-tick's online-server sums. Every window a pool
@@ -91,20 +109,176 @@ type tickAcc struct {
 	errs      float64
 }
 
+// add sums one online server's record into the window.
+func (t *tickAcc) add(r *trace.Record) {
+	t.servers++
+	t.rps += r.RPS
+	t.cpu += r.CPUPct
+	t.latency += r.LatencyMs
+	t.netBytes += r.NetBytes
+	t.netPkts += r.NetPkts
+	t.memPages += r.MemPages
+	t.diskQueue += r.DiskQueue
+	t.diskRead += r.DiskRead
+	t.errs += r.Errors
+}
+
 // poolAcc accumulates one pool's observations.
 type poolAcc struct {
 	ticks   map[int]*tickAcc
 	servers map[string]*serverAcc
+	order   []*serverAcc // servers by first sight: order[i].col == i
+
+	// samples is the pool's sample block: rows rows of width entries,
+	// sample-major, so the k-th sample of the server in column i sits at
+	// k*width+i. A fleet emits a window's servers in one order, so a
+	// window's samples land side by side in one or two rows instead of in as
+	// many separate slices as the pool has servers, and each server's
+	// samples stay in arrival order down its column. A server owns the
+	// column of its first-seen index when it was met before the block's
+	// second row; used counts the entries that hold a sample.
+	samples []float64
+	width   int
+	rows    int
+	used    int
+}
+
+func newPoolAcc(windows int) *poolAcc {
+	return &poolAcc{ticks: make(map[int]*tickAcc, windows), servers: make(map[string]*serverAcc)}
+}
+
+// addServer registers a server the pool has not met, at the next first-seen
+// index. The block is only widened while it has at most one row, where a
+// new column is one more entry: a server met later keeps its samples in its
+// spill, so no stream makes the block copy itself.
+func (p *poolAcc) addServer(name, generation string) *serverAcc {
+	s := &serverAcc{name: name, generation: generation, col: len(p.order)}
+	p.servers[name] = s
+	p.order = append(p.order, s)
+	if p.rows <= 1 {
+		p.width++
+		if p.rows == 1 {
+			p.samples = append(p.samples, 0)
+		}
+	}
+	return s
+}
+
+// add appends the server's next CPU sample, sizing a new block to windows
+// rows (the aggregator's horizon hint) and doubling a full one.
+func (p *poolAcc) add(s *serverAcc, v float64, windows int) {
+	k := s.online
+	s.online++
+	if k < p.rows && s.spill == nil && s.col < p.width {
+		p.samples[k*p.width+s.col] = v
+		p.used++
+		return
+	}
+	p.addRow(s, k, v, windows)
+}
+
+// addRow places a sample past the block's last row. The block takes a row
+// for it only while its entries would stay within twice its samples plus
+// two rows, so a stream whose servers' sample counts drift far apart (one
+// server online long after the rest went away) cannot make the block
+// outgrow its samples; past that the server spills, and stays spilled.
+func (p *poolAcc) addRow(s *serverAcc, k int, v float64, windows int) {
+	if s.spill != nil || s.col >= p.width || (p.rows+1)*p.width > 2*(p.used+p.width) {
+		s.spill = append(s.spill, v)
+		return
+	}
+	// A server without spill has its k samples in rows [0, k), so k == rows.
+	n := (p.rows + 1) * p.width
+	if n > cap(p.samples) {
+		// make, not append: it leaves fresh memory untouched where
+		// growing a slice would clear all of its capacity up front.
+		grown := make([]float64, len(p.samples), max(n, windows*p.width, 2*len(p.samples)))
+		copy(grown, p.samples)
+		p.samples = grown
+	}
+	p.samples = p.samples[:n]
+	p.rows++
+	p.samples[k*p.width+s.col] = v
+	p.used++
+}
+
+// summaryBatch is how many servers' columns ServerSummaries copies out of
+// a block at a time. Read one at a time, a column takes an entry per row, a
+// row apart: a cache miss per sample. Copied a batch at a time, each row's
+// entries for the batch are read side by side.
+const summaryBatch = 16
+
+// transpose copies columns [lo, lo+n) of the block (those below its width)
+// into dst, column j's rows at dst[j*rows:]; entries past a column's samples
+// carry no value.
+func (p *poolAcc) transpose(dst []float64, lo, n int) {
+	n = max(min(n, p.width-lo), 0)
+	for k := 0; k < p.rows; k++ {
+		row := p.samples[k*p.width+lo : k*p.width+lo+n]
+		for j, v := range row {
+			dst[j*p.rows+k] = v
+		}
+	}
+}
+
+// appendSamples appends the server's CPU samples, in arrival order, to dst:
+// its column of the block, then its spill.
+func (p *poolAcc) appendSamples(dst []float64, s *serverAcc) []float64 {
+	for k, i := 0, s.col; k < s.online-len(s.spill); k, i = k+1, i+p.width {
+		dst = append(dst, p.samples[i])
+	}
+	return append(dst, s.spill...)
+}
+
+// addColumns appends cols[i] to dst[i]'s samples for every i, sample-major
+// (every server's first sample, then every second one, ...), the order a
+// fleet stream fills the block in.
+func (p *poolAcc) addColumns(dst []*serverAcc, cols [][]float64, windows int) {
+	live := make([]int, 0, len(cols))
+	for i, c := range cols {
+		if len(c) > 0 {
+			live = append(live, i)
+		}
+	}
+	for k := 0; len(live) > 0; k++ {
+		next := live[:0]
+		for _, i := range live {
+			p.add(dst[i], cols[i][k], windows)
+			if k+1 < len(cols[i]) {
+				next = append(next, i)
+			}
+		}
+		live = next
+	}
+}
+
+// tick returns the accumulator of the pool's window at tick, creating it
+// (from the spares while they last) on the window's first sight.
+func (p *poolAcc) tick(tick int, spare *[]tickAcc) *tickAcc {
+	t := p.ticks[tick]
+	if t == nil {
+		if len(*spare) > 0 {
+			t, *spare = &(*spare)[0], (*spare)[1:]
+		} else {
+			t = &tickAcc{}
+		}
+		p.ticks[tick] = t
+	}
+	return t
 }
 
 // Aggregator consumes trace records and produces pool and server
 // aggregates. The zero value is not usable; construct with NewAggregator.
+//
+// Each (pool, datacenter) keeps its servers' CPU samples in one block,
+// sample-major (see poolAcc.samples): what a window writes is adjacent, and
+// what ServerSummaries and MarshalBinary read of a server is one column.
 type Aggregator struct {
 	pools map[PoolKey]*poolAcc
 
 	// windows is the expected number of windows per server (0: unknown), a
-	// capacity hint for a new server's samples and a new pool's windows.
-	// No value read out of the aggregator depends on it.
+	// capacity hint for a new pool's sample block and windows. No value read
+	// out of the aggregator depends on it.
 	windows int
 
 	// Ingest state, kept apart from pools so that aggregators holding equal
@@ -122,16 +296,11 @@ type Aggregator struct {
 type poolCursor struct {
 	key     PoolKey
 	acc     *poolAcc
-	order   []orderedServer // servers in arrival order, at most one per known server
-	next    int             // index in order of the predicted next server
+	order   []*serverAcc // servers in arrival order, at most one per known server
+	next    int          // index in order of the predicted next server
 	tick    int
 	tickAcc *tickAcc  // acc.ticks[tick], nil until the tick's first record
 	spare   []tickAcc // preallocated accumulators for the pool's new windows
-}
-
-type orderedServer struct {
-	name string
-	acc  *serverAcc
 }
 
 // NewAggregator returns an empty aggregator.
@@ -140,10 +309,11 @@ func NewAggregator() *Aggregator {
 }
 
 // NewAggregatorFor returns an empty aggregator for a stream expected to hold
-// windows windows per server: each new pool's windows and each server's CPU
-// samples are allocated once, at that size, instead of grown. The size is a
-// hint only: a longer stream grows past it, a shorter one leaves it unused,
-// and everything read out of the aggregator is the same as NewAggregator's.
+// windows windows per server: each new pool's windows and its sample block
+// (windows rows of one column per server) are allocated once, at that size,
+// instead of grown. The size is a hint only: a longer stream grows past it,
+// a shorter one leaves it unused, and everything read out of the aggregator
+// is the same as NewAggregator's.
 func NewAggregatorFor(windows int) *Aggregator {
 	return &Aggregator{pools: make(map[PoolKey]*poolAcc), windows: max(windows, 0)}
 }
@@ -153,11 +323,11 @@ func (a *Aggregator) Add(r trace.Record) {
 	a.AddAll([]trace.Record{r})
 }
 
-// AddAll ingests a run of records, reading them in place. Offline windows
-// count toward availability but not toward resource aggregates (an offline
-// server serves no traffic). Records may arrive in any order; a stream in
-// fleet order (pool, datacenter, tick, then servers in a fixed order) is
-// ingested without hashing.
+// AddAll ingests a run of records, reading them in place: the record path,
+// for any stream. Offline windows count toward availability but not toward
+// resource aggregates (an offline server serves no traffic). Records may
+// arrive in any order; a stream in fleet order (pool, datacenter, tick, then
+// servers in a fixed order) is ingested without hashing.
 func (a *Aggregator) AddAll(rs []trace.Record) {
 	c := a.last
 	for i := range rs {
@@ -170,34 +340,21 @@ func (a *Aggregator) AddAll(rs []trace.Record) {
 		}
 		var s *serverAcc
 		if n := c.next; n < len(c.order) && c.order[n].name == r.Server {
-			s, c.next = c.order[n].acc, n+1
+			s, c.next = c.order[n], n+1
 		} else {
 			s = c.lookupServer(r)
 		}
 		s.windows++
 		t := c.tickAcc
 		if t == nil {
-			t = c.enterTick(r.Tick)
+			t = c.acc.tick(r.Tick, &c.spare)
+			c.tickAcc = t
 		}
 		if !r.Online {
 			continue
 		}
-		s.online++
-		if s.cpu == nil {
-			s.cpu = make([]float64, 0, a.windows)
-		}
-		s.cpu = append(s.cpu, r.CPUPct)
-
-		t.servers++
-		t.rps += r.RPS
-		t.cpu += r.CPUPct
-		t.latency += r.LatencyMs
-		t.netBytes += r.NetBytes
-		t.netPkts += r.NetPkts
-		t.memPages += r.MemPages
-		t.diskQueue += r.DiskQueue
-		t.diskRead += r.DiskRead
-		t.errs += r.Errors
+		c.acc.add(s, r.CPUPct, a.windows)
+		t.add(r)
 	}
 	a.last = c
 }
@@ -213,28 +370,12 @@ func (a *Aggregator) cursor(key PoolKey) *poolCursor {
 	}
 	c := &poolCursor{key: key, acc: a.pools[key]}
 	if c.acc == nil {
-		c.acc = &poolAcc{ticks: make(map[int]*tickAcc, a.windows), servers: make(map[string]*serverAcc)}
+		c.acc = newPoolAcc(a.windows)
 		c.spare = make([]tickAcc, a.windows)
 		a.pools[key] = c.acc
 	}
 	a.cursors[key] = c
 	return c
-}
-
-// enterTick resolves the accumulator of the cursor's tick at its first record,
-// creating it (from the spares while they last) on the window's first sight.
-func (c *poolCursor) enterTick(tick int) *tickAcc {
-	t := c.acc.ticks[tick]
-	if t == nil {
-		if len(c.spare) > 0 {
-			t, c.spare = &c.spare[0], c.spare[1:]
-		} else {
-			t = &tickAcc{}
-		}
-		c.acc.ticks[tick] = t
-	}
-	c.tickAcc = t
-	return t
 }
 
 // lookupServer resolves a record the cursor mispredicted through the pool's
@@ -246,14 +387,66 @@ func (c *poolCursor) enterTick(tick int) *tickAcc {
 func (c *poolCursor) lookupServer(r *trace.Record) *serverAcc {
 	s := c.acc.servers[r.Server]
 	if s == nil {
-		s = &serverAcc{generation: r.Generation}
-		c.acc.servers[r.Server] = s
+		s = c.acc.addServer(r.Server, r.Generation)
 	}
 	if c.next == len(c.order) && len(c.order) < len(c.acc.servers) {
-		c.order = append(c.order, orderedServer{name: r.Server, acc: s})
+		c.order = append(c.order, s)
 		c.next++
 	}
 	return s
+}
+
+// PoolWriter ingests one (pool, datacenter)'s stream by server index, beside
+// AddAll, for a stream that emits the same servers in the same order every
+// window (the simulator's): each server is named once, when the writer is
+// made, and a window is then its tick and its online servers' values, by
+// index, with no name to read or compare. Fed the windows of a record stream
+// in its order, it leaves the aggregator holding what AddAll over those
+// records leaves, bit for bit.
+type PoolWriter struct {
+	p       *poolAcc
+	servers []*serverAcc // by index
+	t       *tickAcc     // the open window
+	spare   []tickAcc
+	windows int // the aggregator's horizon hint
+}
+
+// PoolWriter returns a writer for key's stream of n servers, server i being
+// the one name(i) names (and, on first sight, gives its generation).
+func (a *Aggregator) PoolWriter(key PoolKey, n int, name func(i int) (server, generation string)) *PoolWriter {
+	w := &PoolWriter{p: a.pools[key], servers: make([]*serverAcc, n), windows: a.windows}
+	if w.p == nil {
+		w.p = newPoolAcc(a.windows)
+		w.spare = make([]tickAcc, a.windows)
+		a.pools[key] = w.p
+	}
+	for i := range w.servers {
+		server, generation := name(i)
+		s := w.p.servers[server]
+		if s == nil {
+			s = w.p.addServer(server, generation)
+		}
+		w.servers[i] = s
+	}
+	return w
+}
+
+// Window opens the window at tick, where every server of the writer has a
+// record, online or not.
+func (w *PoolWriter) Window(tick int) {
+	w.t = w.p.tick(tick, &w.spare)
+	for _, s := range w.servers {
+		s.windows++
+	}
+}
+
+// Online adds server i's values in the open window, read from r: its CPU
+// sample and its share of the window's sums. Servers must come in index
+// order, as a record stream would list them; r's tick, names and Online are
+// not read.
+func (w *PoolWriter) Online(i int, r *trace.Record) {
+	w.p.add(w.servers[i], r.CPUPct, w.windows)
+	w.t.add(r)
 }
 
 // Merge folds b's accumulated state into a, so record streams can be
@@ -292,16 +485,19 @@ func (a *Aggregator) Merge(b *Aggregator) {
 			ta.diskRead += tb.diskRead
 			ta.errs += tb.errs
 		}
-		for name, sb := range pb.servers {
-			sa, ok := pa.servers[name]
-			if !ok {
-				pa.servers[name] = sb
-				continue
+		// b's servers in b's first-seen order, each one's samples after
+		// those a holds.
+		dst := make([]*serverAcc, len(pb.order))
+		cols := make([][]float64, len(pb.order))
+		for i, sb := range pb.order {
+			sa := pa.servers[sb.name]
+			if sa == nil {
+				sa = pa.addServer(sb.name, sb.generation)
 			}
-			sa.online += sb.online
 			sa.windows += sb.windows
-			sa.cpu = append(sa.cpu, sb.cpu...)
+			dst[i], cols[i] = sa, pb.appendSamples(nil, sb)
 		}
+		pa.addColumns(dst, cols, a.windows)
 	}
 }
 
@@ -360,8 +556,17 @@ func (a *Aggregator) ServerSummaries(dc, pool string) ([]ServerSummary, error) {
 	}
 	out := make([]ServerSummary, 0, len(p.servers))
 	var sel stats.Selector
-	for name, s := range p.servers {
-		out = append(out, summarizeServer(&sel, name, s))
+	cols := make([]float64, summaryBatch*p.rows)
+	for lo := 0; lo < len(p.order); lo += summaryBatch {
+		batch := p.order[lo:min(lo+summaryBatch, len(p.order))]
+		p.transpose(cols, lo, len(batch))
+		for j, s := range batch {
+			cpu := cols[j*p.rows : j*p.rows+s.online-len(s.spill)]
+			if s.spill != nil {
+				cpu = append(cpu[:len(cpu):len(cpu)], s.spill...)
+			}
+			out = append(out, summarizeServer(&sel, s, cpu))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Server < out[j].Server })
 	return out, nil
@@ -371,19 +576,20 @@ func (a *Aggregator) ServerSummaries(dc, pool string) ([]ServerSummary, error) {
 // axis of a server's percentile line.
 var summaryRanks = []float64{5, 25, 50, 75, 95}
 
-// summarizeServer is ServerSummaries' per-server work; on a Selector that
-// has seen a sample as long as s.cpu it allocates nothing.
-func summarizeServer(sel *stats.Selector, name string, s *serverAcc) ServerSummary {
+// summarizeServer is ServerSummaries' per-server work over the server's CPU
+// samples; on a Selector that has seen a sample as long as cpu it allocates
+// nothing.
+func summarizeServer(sel *stats.Selector, s *serverAcc, cpu []float64) ServerSummary {
 	sum := ServerSummary{
-		Server:     name,
+		Server:     s.name,
 		Generation: s.generation,
 		Windows:    s.windows,
 	}
 	if s.windows > 0 {
 		sum.Availability = float64(s.online) / float64(s.windows)
 	}
-	if len(s.cpu) > 0 {
-		sum.CPU = sel.Summarize(s.cpu)
+	if len(cpu) > 0 {
+		sum.CPU = sel.Summarize(cpu)
 		vals := [...]float64{sum.CPU.P5, sum.CPU.P25, sum.CPU.P50, sum.CPU.P75, sum.CPU.P95}
 		if fit, err := stats.LinearRegression(summaryRanks, vals[:]); err == nil {
 			sum.Slope = fit.Slope

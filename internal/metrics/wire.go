@@ -29,6 +29,7 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	buf = append(buf, wireMagic[:]...)
 	buf = appendUint32(buf, wireVersion)
 	buf = appendUint32(buf, uint32(len(keys)))
+	var cpu []float64
 	for _, key := range keys {
 		p := a.pools[key]
 		buf = appendString(buf, key.DC)
@@ -62,11 +63,12 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 			buf = appendString(buf, s.generation)
 			buf = appendUint32(buf, uint32(s.online))
 			buf = appendUint32(buf, uint32(s.windows))
-			// The cpu slice keeps its append order: percentile summaries are
+			// The samples keep their arrival order: percentile summaries are
 			// computed over a sorted copy, but preserving order keeps the
 			// decoded accumulator byte-for-byte equal to the original.
-			buf = appendUint32(buf, uint32(len(s.cpu)))
-			for _, v := range s.cpu {
+			cpu = p.appendSamples(cpu[:0], s)
+			buf = appendUint32(buf, uint32(len(cpu)))
+			for _, v := range cpu {
 				buf = appendFloat(buf, v)
 			}
 		}
@@ -75,7 +77,10 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary replaces the aggregator's state with the decoded payload.
-// It works on a zero Aggregator as well as one built with NewAggregator.
+// It works on a zero Aggregator as well as one built with NewAggregator. A
+// server holds one CPU sample per window online, so a payload whose sample
+// count for a server differs from its online count is refused with an error
+// naming both, as is one that lists a server twice in a pool.
 func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	d := &wireDecoder{buf: data}
 	var magic [4]byte
@@ -94,7 +99,7 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	pools := make(map[PoolKey]*poolAcc, npools)
 	for i := 0; i < npools && d.err == nil; i++ {
 		key := PoolKey{DC: d.string(), Pool: d.string()}
-		p := &poolAcc{ticks: make(map[int]*tickAcc), servers: make(map[string]*serverAcc)}
+		p := newPoolAcc(0)
 
 		nticks := d.count(80) // 2 uint32s + 9 float64s
 		for j := 0; j < nticks && d.err == nil; j++ {
@@ -112,21 +117,34 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 			p.ticks[tick] = t
 		}
 
+		// Servers take columns in payload order; their samples are read
+		// first and placed sample-major, as a stream fills the block.
 		nservers := d.count(20) // ≥ 2 string lengths + 3 uint32s
+		dst, cols := make([]*serverAcc, 0, nservers), make([][]float64, 0, nservers)
 		for j := 0; j < nservers && d.err == nil; j++ {
-			name := d.string()
-			s := &serverAcc{generation: d.string()}
-			s.online = int(d.uint32())
-			s.windows = int(d.uint32())
+			name, generation := d.string(), d.string()
+			online, windows := d.uint32(), int(d.uint32())
 			ncpu := d.count(8)
-			if d.err == nil && ncpu > 0 {
-				s.cpu = make([]float64, ncpu)
-				for k := range s.cpu {
-					s.cpu[k] = d.float()
-				}
+			if d.err != nil {
+				break
 			}
-			p.servers[name] = s
+			if int64(online) != int64(ncpu) {
+				d.err = fmt.Errorf("metrics: corrupt aggregator payload (server %q of %s: %d windows online, %d CPU samples)", name, key, online, ncpu)
+				break
+			}
+			if p.servers[name] != nil {
+				d.err = fmt.Errorf("metrics: corrupt aggregator payload (server %q twice in %s)", name, key)
+				break
+			}
+			s := p.addServer(name, generation)
+			s.windows = windows
+			col := make([]float64, ncpu)
+			for k := range col {
+				col[k] = d.float()
+			}
+			dst, cols = append(dst, s), append(cols, col)
 		}
+		p.addColumns(dst, cols, 0)
 		pools[key] = p
 	}
 	if d.err != nil {

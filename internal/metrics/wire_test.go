@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"headroom/internal/trace"
@@ -169,6 +171,38 @@ func TestWireRejectsHostilePayloads(t *testing.T) {
 	}
 }
 
+// onlineMismatchPayload is the encoding of one server online in both of its
+// two windows, forged to claim three windows online beside its two samples.
+func onlineMismatchPayload(t testing.TB) []byte {
+	a := NewAggregator()
+	a.AddAll([]trace.Record{
+		{Tick: 0, DC: "d", Pool: "p", Server: "s", Generation: "g", Online: true, CPUPct: 10},
+		{Tick: 1, DC: "d", Pool: "p", Server: "s", Generation: "g", Online: true, CPUPct: 20},
+	})
+	enc, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header and pool count, the two keys, the tick count and two ticks, the
+	// server count, the server's name and generation: then its online count.
+	off := 12 + 2*(4+1) + 4 + 2*80 + 4 + 2*(4+1)
+	if got := binary.LittleEndian.Uint32(enc[off:]); got != 2 {
+		t.Fatalf("online count at offset %d reads %d, want 2", off, got)
+	}
+	binary.LittleEndian.PutUint32(enc[off:], 3)
+	return enc
+}
+
+// TestWireRejectsOnlineSampleMismatch: a server's sample count is its online
+// count, so a payload where they differ is refused, naming both.
+func TestWireRejectsOnlineSampleMismatch(t *testing.T) {
+	var a Aggregator
+	err := a.UnmarshalBinary(onlineMismatchPayload(t))
+	if err == nil || !strings.Contains(err.Error(), "3 windows online, 2 CPU samples") {
+		t.Fatalf("err = %v, want the online and sample counts named", err)
+	}
+}
+
 // FuzzDecodeAggregator: arbitrary bytes must never panic the decoder, and
 // any payload that decodes successfully must re-encode deterministically to
 // a fixed point (decode → encode → decode → encode yields equal bytes).
@@ -184,6 +218,8 @@ func FuzzDecodeAggregator(f *testing.F) {
 	f.Add([]byte("HAGG"))
 	// Oversized pool count straight after the header.
 	f.Add(append(append([]byte(nil), good[:8]...), 0xFF, 0xFF, 0xFF, 0xFF))
+	// A server whose online count disagrees with its sample count.
+	f.Add(onlineMismatchPayload(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a Aggregator
 		if err := a.UnmarshalBinary(data); err != nil {

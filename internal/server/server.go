@@ -314,11 +314,11 @@ func (s *Server) initMetrics() {
 }
 
 // onJobState feeds each finished job into the completion counters and the
-// service-rate estimate behind Retry-After.
+// service-rate estimate behind Retry-After. The queue calls it once per job,
+// with the terminal snapshot of a job that ran, so Started and Finished are
+// both set.
 func (s *Server) onJobState(snap jobs.Snapshot) {
-	if snap.State.Terminal() && !snap.Started.IsZero() && !snap.Finished.IsZero() {
-		s.rate.Observe(snap.Finished.Sub(snap.Started))
-	}
+	s.rate.Observe(snap.Finished.Sub(snap.Started))
 	k := s.kind(snap.Kind)
 	if k == nil {
 		return

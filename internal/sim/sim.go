@@ -209,13 +209,29 @@ func (s *Simulator) RunContext(ctx context.Context, ticks int, emit func(trace.R
 // retain it. ctx is checked at every step; once it is done RunSteps returns
 // ctx.Err(), leaving the simulator's remaining timeline unevaluated.
 func (s *Simulator) RunSteps(ctx context.Context, ticks int, emit func(step []trace.Record) error) error {
-	if ticks <= 0 {
-		return fmt.Errorf("sim: non-positive tick count %d", ticks)
-	}
 	if emit == nil {
 		return fmt.Errorf("sim: nil emit callback")
 	}
+	return s.forSteps(ctx, ticks, func(ps *poolState, di, _, tick int) error {
+		step, err := s.stepPoolDC(ps, ps.perDC[di], di, tick)
+		if err != nil {
+			return err
+		}
+		return emit(step)
+	})
+}
+
+// forSteps calls step for each (pool, datacenter) of each tick in [0,
+// ticks), in RunContext's order, with the pool, the datacenter's index and
+// the step's index within its tick. ctx is checked before every step; once
+// it is done forSteps returns ctx.Err(), leaving the rest of the timeline
+// unevaluated.
+func (s *Simulator) forSteps(ctx context.Context, ticks int, step func(ps *poolState, di, at, tick int) error) error {
+	if ticks <= 0 {
+		return fmt.Errorf("sim: non-positive tick count %d", ticks)
+	}
 	for tick := 0; tick < ticks; tick++ {
+		at := 0
 		for _, ps := range s.pools {
 			for di, st := range ps.perDC {
 				if st == nil {
@@ -224,13 +240,10 @@ func (s *Simulator) RunSteps(ctx context.Context, ticks int, emit func(step []tr
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				step, err := s.stepPoolDC(ps, st, di, tick)
-				if err != nil {
+				if err := step(ps, di, at, tick); err != nil {
 					return err
 				}
-				if err := emit(step); err != nil {
-					return err
-				}
+				at++
 			}
 		}
 	}
@@ -254,6 +267,16 @@ func (s *Simulator) RunCollect(ticks int) ([]trace.Record, error) {
 // stepPoolDC advances one pool in one datacenter by one tick and returns the
 // step's records (see fillStep for the buffer's lifetime).
 func (s *Simulator) stepPoolDC(ps *poolState, st *poolDCState, dcIdx, tick int) ([]trace.Record, error) {
+	offered, err := s.advance(ps, st, dcIdx, tick)
+	if err != nil {
+		return nil, err
+	}
+	return s.fillStep(ps, st, tick, offered), nil
+}
+
+// advance moves one pool in one datacenter to tick — due actions applied,
+// the day's incident rolled — and returns the load offered to it there.
+func (s *Simulator) advance(ps *poolState, st *poolDCState, dcIdx, tick int) (float64, error) {
 	// Apply due actions.
 	for st.nextAction < len(st.actions) && st.actions[st.nextAction].Tick <= tick {
 		a := st.actions[st.nextAction]
@@ -276,62 +299,83 @@ func (s *Simulator) stepPoolDC(ps *poolState, st *poolDCState, dcIdx, tick int) 
 	// Offered load for this pool in this datacenter.
 	offered, err := ps.gen.RPS(dcIdx, tick)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	offered *= ps.cfg.Schedule.Multiplier(st.dc.Name, tick)
-	return s.fillStep(ps, st, tick, offered), nil
+	return offered * ps.cfg.Schedule.Multiplier(st.dc.Name, tick), nil
 }
 
-// fillStep writes one record per server of st for this tick into the
-// simulator's reused step buffer and returns it; the next call overwrites it.
-// Availability is decided per server first, then the offered load is shared
-// over the online ones (the pool's load balancer spreads requests evenly) and
-// each online record is filled in place, in server order — the order of the
-// random draws.
-func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered float64) []trace.Record {
-	if cap(s.step) < len(st.servers) {
-		s.step = make([]trace.Record, len(st.servers))
-	}
-	step := s.step[:len(st.servers)]
+// availability is what the availability model reads of one step, fixed for
+// all its servers: a server is online below the capacity cap, past the
+// incident's servers, outside its staggered maintenance window, and not
+// while the repurposed pool is lent out around the local traffic trough.
+type availability struct {
+	lent           bool
+	firstUp, limit int // servers [firstUp, limit) are neither incident-held nor capped
+	tod, maintLen  int
+	ticksPerDay    int
+}
 
-	// What the availability model reads of the step, fixed for all its
-	// servers: a server is online below the capacity cap, past the incident's
-	// servers, outside its staggered maintenance window, and not while the
-	// repurposed pool is lent out around the local traffic trough.
+// availability decides the availability of st's step at tick.
+func (s *Simulator) availability(ps *poolState, st *poolDCState, tick int) availability {
 	av := ps.cfg.Availability
-	tod := tick % s.ticksPerDay
-	maintLen := 0
+	d := availability{limit: st.target, tod: tick % s.ticksPerDay, ticksPerDay: s.ticksPerDay}
 	if av.PlannedDailyFrac > 0 {
-		maintLen = int(av.PlannedDailyFrac * float64(s.ticksPerDay))
+		d.maintLen = int(av.PlannedDailyFrac * float64(s.ticksPerDay))
 	}
-	lent := false
 	if av.RepurposedOffPeakFrac > 0 {
 		troughFrac := ps.cfg.Traffic.PeakHour/24 + 0.5
 		if troughFrac >= 1 {
 			troughFrac -= 1
 		}
-		d := math.Abs(s.localDayFrac(st.dc, tick) - troughFrac)
-		if d > 0.5 {
-			d = 1 - d
+		dist := math.Abs(s.localDayFrac(st.dc, tick) - troughFrac)
+		if dist > 0.5 {
+			dist = 1 - dist
 		}
-		lent = d < av.RepurposedOffPeakFrac/2
+		d.lent = dist < av.RepurposedOffPeakFrac/2
 	}
-	firstUp := 0
 	if tick < st.incidentEnd {
-		firstUp = st.incidentN
+		d.firstUp = st.incidentN
 	}
+	return d
+}
 
+// online reports whether server i, srv, is online in the step.
+func (d *availability) online(i int, srv *serverState) bool {
+	online := !d.lent && i >= d.firstUp && i < d.limit
+	if online && d.maintLen > 0 {
+		delta := d.tod - srv.maintStart
+		if delta < 0 {
+			delta += d.ticksPerDay
+		}
+		online = delta >= d.maintLen
+	}
+	return online
+}
+
+// perServer shares the offered load evenly over the step's online servers
+// (the pool's load balancer), 0 when none is.
+func perServer(offered float64, online int) float64 {
+	if online == 0 {
+		return 0
+	}
+	return offered / float64(online)
+}
+
+// fillStep writes one record per server of st for this tick into the
+// simulator's reused step buffer and returns it; the next call overwrites it.
+// Availability is decided per server first, then the offered load is shared
+// over the online ones and each online record is filled in place, in server
+// order — the order of the random draws.
+func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered float64) []trace.Record {
+	if cap(s.step) < len(st.servers) {
+		s.step = make([]trace.Record, len(st.servers))
+	}
+	step := s.step[:len(st.servers)]
+	av := s.availability(ps, st, tick)
 	nOnline := 0
 	for i := range step {
 		srv := &st.servers[i]
-		online := !lent && i >= firstUp && i < st.target
-		if online && maintLen > 0 {
-			delta := tod - srv.maintStart
-			if delta < 0 {
-				delta += s.ticksPerDay
-			}
-			online = delta >= maintLen
-		}
+		online := av.online(i, srv)
 		if online {
 			nOnline++
 		}
@@ -343,16 +387,56 @@ func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered f
 		rec.RPS, rec.CPUPct, rec.LatencyMs = 0, 0, 0
 		rec.NetBytes, rec.NetPkts, rec.MemPages, rec.DiskQueue, rec.DiskRead, rec.Errors = 0, 0, 0, 0, 0, 0
 	}
-	var perServer float64
-	if nOnline > 0 {
-		perServer = offered / float64(nOnline)
-	}
+	share := perServer(offered, nOnline)
 	for i := range step {
 		if step[i].Online {
-			s.fillResponse(&step[i], &ps.cfg.Response, st, &st.servers[i], perServer, tick)
+			s.fillResponse(&step[i], &ps.cfg.Response, st, &st.servers[i], share, tick)
 		}
 	}
 	return step
+}
+
+// Aggregate simulates [0, ticks) windows, as RunSteps does, straight into
+// agg: each (pool, datacenter) through a metrics.PoolWriter, each online
+// server's response filled into one reused record and written by index. No
+// step is built and no record carries a name, yet agg ends up holding what
+// AddAll over RunSteps' steps leaves, bit for bit. It returns the number of
+// records the steps would have held (online or not); ctx is checked at every
+// step, and once it is done Aggregate returns ctx.Err().
+func (s *Simulator) Aggregate(ctx context.Context, ticks int, agg *metrics.Aggregator) (int64, error) {
+	var writers []*metrics.PoolWriter // by step within a tick
+	var rec trace.Record
+	var records int64
+	err := s.forSteps(ctx, ticks, func(ps *poolState, di, at, tick int) error {
+		st := ps.perDC[di]
+		if at == len(writers) {
+			writers = append(writers, agg.PoolWriter(metrics.PoolKey{DC: st.dc.Name, Pool: ps.cfg.Name}, len(st.servers),
+				func(i int) (string, string) { return st.servers[i].name, st.servers[i].gen.Name }))
+		}
+		offered, err := s.advance(ps, st, di, tick)
+		if err != nil {
+			return err
+		}
+		w := writers[at]
+		w.Window(tick)
+		av := s.availability(ps, st, tick)
+		nOnline := 0
+		for i := range st.servers {
+			if av.online(i, &st.servers[i]) {
+				nOnline++
+			}
+		}
+		share := perServer(offered, nOnline)
+		for i := range st.servers {
+			if srv := &st.servers[i]; av.online(i, srv) {
+				s.fillResponse(&rec, &ps.cfg.Response, st, srv, share, tick)
+				w.Online(i, &rec)
+			}
+		}
+		records += int64(len(st.servers))
+		return nil
+	})
+	return records, err
 }
 
 func (s *Simulator) localDayFrac(dc workload.Datacenter, tick int) float64 {
@@ -365,7 +449,7 @@ func (s *Simulator) localDayFrac(dc workload.Datacenter, tick int) float64 {
 }
 
 // fillResponse computes the server's resource and QoS response to its share
-// of the offered load, in place.
+// of the offered load, in place: every value field of rec is written.
 func (s *Simulator) fillResponse(rec *trace.Record, rp *ResponseParams, st *poolDCState, srv *serverState, perServer float64, tick int) {
 	rng := st.rng
 	rps := perServer * srv.rpsJitter
@@ -412,6 +496,7 @@ func (s *Simulator) fillResponse(rec *trace.Record, rp *ResponseParams, st *pool
 		rec.DiskRead = 0
 	}
 	rec.DiskQueue = rp.DiskQueueBase * rng.ExpFloat64()
+	rec.Errors = 0
 	if rp.ErrorRate > 0 && rng.Float64() < rp.ErrorRate {
 		rec.Errors = float64(1 + rng.Intn(3))
 	}

@@ -133,24 +133,19 @@ func WithPartialResults(enabled bool) Option {
 type ShardFunc[T any] func(ctx context.Context, sub Source, index, of int) (T, int64, error)
 
 // IngestShard is the ShardFunc of Simulate, Aggregate and AggregateShard:
-// stream the sub-source into a fresh aggregator, sized to the source's
-// horizon when the source knows it.
+// ingest the sub-source into a fresh aggregator. A simulated source (or a
+// shard of one) aggregates itself by server index, sized to its horizon;
+// every other source streams its records through Aggregator.AddAll.
 func IngestShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
-	agg := metrics.NewAggregatorFor(windowsOf(sub))
+	if s, ok := sub.(*simSource); ok {
+		return s.aggregate(ctx)
+	}
+	agg := metrics.NewAggregator()
 	var n int64
 	if err := sub.Stream(ctx, func(run []Record) error { agg.AddAll(run); n += int64(len(run)); return nil }); err != nil {
 		return nil, n, err
 	}
 	return agg, n, nil
-}
-
-// windowsOf is the number of windows per server src's stream holds, 0 when
-// src does not know it (see NewAggregatorFor).
-func windowsOf(src Source) int {
-	if h, ok := src.(interface{ windows() int }); ok {
-		return h.windows()
-	}
-	return 0
 }
 
 // StageEvent describes one completed pipeline stage, or one completed shard

@@ -12,7 +12,6 @@ import (
 	"headroom/internal/metrics"
 	"headroom/internal/sim"
 	"headroom/internal/trace"
-	"headroom/internal/workload"
 )
 
 // Source is a stream of trace records — the uniform input of measuring and
@@ -73,18 +72,41 @@ func NewSimSource(cfg FleetConfig, days int, actions ...Action) ShardedSource {
 }
 
 func (s *simSource) Stream(ctx context.Context, emit func([]Record) error) error {
-	sm, err := sim.New(s.cfg, s.actions...)
+	sm, ticks, err := s.simulator()
 	if err != nil {
 		return err
 	}
-	if s.days <= 0 {
-		return fmt.Errorf("headroom: non-positive simulation horizon %d days", s.days)
-	}
-	return sm.RunSteps(ctx, s.days*sm.TicksPerDay(), emit)
+	return sm.RunSteps(ctx, ticks, emit)
 }
 
-// windows is the number of windows the stream holds per server.
-func (s *simSource) windows() int { return s.days * workload.TicksPerDay(s.cfg.Tick) }
+// aggregate is IngestShard of the source: the simulator writes into an
+// aggregator sized to the horizon, by server index, without building the
+// stream's records (sim.Simulator.Aggregate), to the bytes AddAll over Stream
+// would leave.
+func (s *simSource) aggregate(ctx context.Context) (*Aggregator, int64, error) {
+	sm, ticks, err := s.simulator()
+	if err != nil {
+		return nil, 0, err
+	}
+	agg := metrics.NewAggregatorFor(ticks)
+	n, err := sm.Aggregate(ctx, ticks, agg)
+	if err != nil {
+		return nil, n, err
+	}
+	return agg, n, nil
+}
+
+// simulator builds the source's simulator and its horizon in windows.
+func (s *simSource) simulator() (*sim.Simulator, int, error) {
+	sm, err := sim.New(s.cfg, s.actions...)
+	if err != nil {
+		return nil, 0, err
+	}
+	if s.days <= 0 {
+		return nil, 0, fmt.Errorf("headroom: non-positive simulation horizon %d days", s.days)
+	}
+	return sm, s.days * sm.TicksPerDay(), nil
+}
 
 // PoolNames lists the configured pools, attributing shard failures to pool
 // names (see PoolNamer).

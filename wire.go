@@ -2,8 +2,9 @@ package headroom
 
 // Aggregator serialization, for callers that move a shard's samples between
 // processes (capserved moves its pools' rows instead): the codec preserves
-// every float64 bit and the accumulator layout exactly, so merging decoded
-// shards is indistinguishable from aggregating them in a single process.
+// every float64 bit and each server's samples in arrival order, so merging
+// decoded shards is indistinguishable from aggregating them in a single
+// process.
 
 import (
 	"errors"
