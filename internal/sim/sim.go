@@ -66,6 +66,7 @@ type Simulator struct {
 	ticksPerDay int
 	pools       []*poolState
 	step        []trace.Record // reused by fillStep
+	online      []bool         // reused by decide
 }
 
 // New validates the configuration and builds a simulator. Actions are
@@ -304,92 +305,86 @@ func (s *Simulator) advance(ps *poolState, st *poolDCState, dcIdx, tick int) (fl
 	return offered * ps.cfg.Schedule.Multiplier(st.dc.Name, tick), nil
 }
 
-// availability is what the availability model reads of one step, fixed for
-// all its servers: a server is online below the capacity cap, past the
-// incident's servers, outside its staggered maintenance window, and not
-// while the repurposed pool is lent out around the local traffic trough.
-type availability struct {
-	lent           bool
-	firstUp, limit int // servers [firstUp, limit) are neither incident-held nor capped
-	tod, maintLen  int
-	ticksPerDay    int
-}
-
-// availability decides the availability of st's step at tick.
-func (s *Simulator) availability(ps *poolState, st *poolDCState, tick int) availability {
+// decide decides which of st's servers are online at tick and shares the
+// offered load evenly over those (the pool's load balancer): online[i] is
+// server i's flag, in the simulator's reused buffer (the next call
+// overwrites it), and share each online server's load, 0 when none is
+// online. A server is online below the capacity cap, past the incident's
+// servers, outside its staggered maintenance window, and not while the
+// repurposed pool is lent out around the local traffic trough. RunSteps and
+// Aggregate both take a step's decision here, then fill its online servers
+// in server order — the order of the random draws.
+func (s *Simulator) decide(ps *poolState, st *poolDCState, tick int, offered float64) (online []bool, share float64) {
 	av := ps.cfg.Availability
-	d := availability{limit: st.target, tod: tick % s.ticksPerDay, ticksPerDay: s.ticksPerDay}
+	tod := tick % s.ticksPerDay
+	maintLen := 0
 	if av.PlannedDailyFrac > 0 {
-		d.maintLen = int(av.PlannedDailyFrac * float64(s.ticksPerDay))
+		maintLen = int(av.PlannedDailyFrac * float64(s.ticksPerDay))
 	}
+	lent := false
 	if av.RepurposedOffPeakFrac > 0 {
 		troughFrac := ps.cfg.Traffic.PeakHour/24 + 0.5
 		if troughFrac >= 1 {
 			troughFrac -= 1
 		}
-		dist := math.Abs(s.localDayFrac(st.dc, tick) - troughFrac)
-		if dist > 0.5 {
-			dist = 1 - dist
+		d := math.Abs(s.localDayFrac(st.dc, tick) - troughFrac)
+		if d > 0.5 {
+			d = 1 - d
 		}
-		d.lent = dist < av.RepurposedOffPeakFrac/2
+		lent = d < av.RepurposedOffPeakFrac/2
 	}
+	firstUp := 0
 	if tick < st.incidentEnd {
-		d.firstUp = st.incidentN
+		firstUp = st.incidentN
 	}
-	return d
-}
 
-// online reports whether server i, srv, is online in the step.
-func (d *availability) online(i int, srv *serverState) bool {
-	online := !d.lent && i >= d.firstUp && i < d.limit
-	if online && d.maintLen > 0 {
-		delta := d.tod - srv.maintStart
-		if delta < 0 {
-			delta += d.ticksPerDay
+	if cap(s.online) < len(st.servers) {
+		s.online = make([]bool, len(st.servers))
+	}
+	online = s.online[:len(st.servers)]
+	nOnline := 0
+	for i := range online {
+		up := !lent && i >= firstUp && i < st.target
+		if up && maintLen > 0 {
+			delta := tod - st.servers[i].maintStart
+			if delta < 0 {
+				delta += s.ticksPerDay
+			}
+			up = delta >= maintLen
 		}
-		online = delta >= d.maintLen
+		online[i] = up
+		if up {
+			nOnline++
+		}
 	}
-	return online
-}
-
-// perServer shares the offered load evenly over the step's online servers
-// (the pool's load balancer), 0 when none is.
-func perServer(offered float64, online int) float64 {
-	if online == 0 {
-		return 0
+	if nOnline > 0 {
+		share = offered / float64(nOnline)
 	}
-	return offered / float64(online)
+	return online, share
 }
 
 // fillStep writes one record per server of st for this tick into the
 // simulator's reused step buffer and returns it; the next call overwrites it.
-// Availability is decided per server first, then the offered load is shared
-// over the online ones and each online record is filled in place, in server
-// order — the order of the random draws.
+// The step is decided first (see decide), then each online record is filled
+// in place, in server order.
 func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered float64) []trace.Record {
 	if cap(s.step) < len(st.servers) {
 		s.step = make([]trace.Record, len(st.servers))
 	}
 	step := s.step[:len(st.servers)]
-	av := s.availability(ps, st, tick)
-	nOnline := 0
+	online, share := s.decide(ps, st, tick, offered)
 	for i := range step {
 		srv := &st.servers[i]
-		online := av.online(i, srv)
-		if online {
-			nOnline++
-		}
 		// Field by field through the pointer: clearing the whole record would
 		// run the write barrier over its four strings a second time.
 		rec := &step[i]
 		rec.Tick, rec.DC, rec.Pool = tick, st.dc.Name, ps.cfg.Name
-		rec.Server, rec.Generation, rec.Online = srv.name, srv.gen.Name, online
+		rec.Server, rec.Generation, rec.Online = srv.name, srv.gen.Name, online[i]
 		rec.RPS, rec.CPUPct, rec.LatencyMs = 0, 0, 0
 		rec.NetBytes, rec.NetPkts, rec.MemPages, rec.DiskQueue, rec.DiskRead, rec.Errors = 0, 0, 0, 0, 0, 0
 	}
-	share := perServer(offered, nOnline)
 	for i := range step {
-		if step[i].Online {
+		if online[i] {
 			s.fillResponse(&step[i], &ps.cfg.Response, st, &st.servers[i], share, tick)
 		}
 	}
@@ -419,17 +414,10 @@ func (s *Simulator) Aggregate(ctx context.Context, ticks int, agg *metrics.Aggre
 		}
 		w := writers[at]
 		w.Window(tick)
-		av := s.availability(ps, st, tick)
-		nOnline := 0
-		for i := range st.servers {
-			if av.online(i, &st.servers[i]) {
-				nOnline++
-			}
-		}
-		share := perServer(offered, nOnline)
-		for i := range st.servers {
-			if srv := &st.servers[i]; av.online(i, srv) {
-				s.fillResponse(&rec, &ps.cfg.Response, st, srv, share, tick)
+		online, share := s.decide(ps, st, tick, offered)
+		for i := range online {
+			if online[i] {
+				s.fillResponse(&rec, &ps.cfg.Response, st, &st.servers[i], share, tick)
 				w.Online(i, &rec)
 			}
 		}

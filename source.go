@@ -80,15 +80,17 @@ func (s *simSource) Stream(ctx context.Context, emit func([]Record) error) error
 }
 
 // aggregate is IngestShard of the source: the simulator writes into an
-// aggregator sized to the horizon, by server index, without building the
-// stream's records (sim.Simulator.Aggregate), to the bytes AddAll over Stream
-// would leave.
+// aggregator, by server index, without building the stream's records
+// (sim.Simulator.Aggregate), to the bytes AddAll over Stream would leave.
+// The aggregator is sized to at most a day of windows: sized to a long
+// horizon, each pool's first step would allocate all of it, out of reach of
+// the check for cancellation between steps; past a day it grows instead.
 func (s *simSource) aggregate(ctx context.Context) (*Aggregator, int64, error) {
 	sm, ticks, err := s.simulator()
 	if err != nil {
 		return nil, 0, err
 	}
-	agg := metrics.NewAggregatorFor(ticks)
+	agg := metrics.NewAggregatorFor(min(ticks, sm.TicksPerDay()))
 	n, err := sm.Aggregate(ctx, ticks, agg)
 	if err != nil {
 		return nil, n, err
