@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"headroom/internal/stats"
@@ -12,7 +13,12 @@ import (
 )
 
 // referenceAdd is the ingest oracle: every record resolved through the three
-// maps, nothing predicted, nothing remembered between records.
+// maps, nothing predicted, nothing remembered between records. It never
+// gives a server a column of the pool's sample block: the pool's width stays
+// 0, so every server's samples go to its spill by plain append, in arrival
+// order, and what is read back of them (appendSamples, MarshalBinary) is that
+// slice. An oracle's bytes therefore do not depend on how the block lays out
+// rows and columns.
 func referenceAdd(pools map[PoolKey]*poolAcc, r trace.Record) {
 	key := PoolKey{DC: r.DC, Pool: r.Pool}
 	p := pools[key]
@@ -22,7 +28,9 @@ func referenceAdd(pools map[PoolKey]*poolAcc, r trace.Record) {
 	}
 	s := p.servers[r.Server]
 	if s == nil {
-		s = p.addServer(r.Server, r.Generation)
+		s = &serverAcc{name: r.Server, generation: r.Generation, col: len(p.order)}
+		p.servers[r.Server] = s
+		p.order = append(p.order, s)
 	}
 	s.windows++
 	t := p.ticks[r.Tick]
@@ -33,7 +41,8 @@ func referenceAdd(pools map[PoolKey]*poolAcc, r trace.Record) {
 	if !r.Online {
 		return
 	}
-	p.add(s, r.CPUPct, 0)
+	s.online++
+	s.spill = append(s.spill, r.CPUPct)
 	t.servers++
 	t.rps += r.RPS
 	t.cpu += r.CPUPct
@@ -52,6 +61,44 @@ func referenceAggregate(recs []trace.Record) *Aggregator {
 		referenceAdd(pools, r)
 	}
 	return &Aggregator{pools: pools}
+}
+
+// arrivalSamples is every server's CPU samples in the order its online
+// records arrive, built by plain append: what the aggregator must hand back
+// for it, whatever the block does with them.
+func arrivalSamples(recs []trace.Record) map[PoolKey]map[string][]float64 {
+	out := map[PoolKey]map[string][]float64{}
+	for _, r := range recs {
+		key := PoolKey{DC: r.DC, Pool: r.Pool}
+		if out[key] == nil {
+			out[key] = map[string][]float64{}
+		}
+		if r.Online {
+			out[key][r.Server] = append(out[key][r.Server], r.CPUPct)
+		}
+	}
+	return out
+}
+
+// checkSamples fails unless a holds a server for every one of want, and
+// every server of a reads back (appendSamples) want's samples for it,
+// element by element.
+func checkSamples(t *testing.T, what string, a *Aggregator, want map[PoolKey]map[string][]float64) {
+	t.Helper()
+	for key, servers := range want {
+		for name := range servers {
+			if p := a.pools[key]; p == nil || p.servers[name] == nil {
+				t.Errorf("%s: %v %s missing", what, key, name)
+			}
+		}
+	}
+	for key, p := range a.pools {
+		for name, s := range p.servers {
+			if got, w := p.appendSamples(nil, s), want[key][name]; !slices.Equal(got, w) || s.online != len(w) {
+				t.Errorf("%s: %v %s reads %v (%d online), want %v", what, key, name, got, s.online, w)
+			}
+		}
+	}
 }
 
 func wireBytes(t *testing.T, a *Aggregator) []byte {
@@ -334,12 +381,6 @@ func TestSampleBlockBounded(t *testing.T) {
 			recs = append(recs, trace.Record{Tick: tick, DC: "d", Pool: "p", Server: fmt.Sprintf("late%d", tick%200), Online: true, CPUPct: float64(tick % 89)})
 		}
 	}
-	samples := map[string][]float64{}
-	for _, r := range recs {
-		if r.Online {
-			samples[r.Server] = append(samples[r.Server], r.CPUPct)
-		}
-	}
 	a := NewAggregatorFor(8)
 	a.AddAll(recs)
 	var b Aggregator
@@ -354,15 +395,50 @@ func TestSampleBlockBounded(t *testing.T) {
 		if got := wireBytes(t, agg); !bytes.Equal(got, wireBytes(t, referenceAggregate(recs))) {
 			t.Errorf("%s: bytes differ from the oracle's", name)
 		}
+		checkSamples(t, name, agg, arrivalSamples(recs))
 		sums, err := agg.ServerSummaries("d", "p")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, sum := range sums {
 			// Printed, so that one sample's NaN spread compares equal.
-			if want := samples[sum.Server]; len(want) > 0 && fmt.Sprint(sum.CPU) != fmt.Sprint(stats.Summarize(want)) {
+			if want := p.appendSamples(nil, p.servers[sum.Server]); len(want) > 0 && fmt.Sprint(sum.CPU) != fmt.Sprint(stats.Summarize(want)) {
 				t.Errorf("%s: %s summary %+v, want %+v", name, sum.Server, sum.CPU, stats.Summarize(want))
 			}
 		}
+	}
+}
+
+// TestSamplesKeepArrivalOrder: every server's samples read back in the order
+// its records arrived, element by element, however the stream was cut into
+// runs or interleaved, after a Merge of contiguous halves (every key split
+// over both), and after a decode.
+func TestSamplesKeepArrivalOrder(t *testing.T) {
+	for name, recs := range map[string][]trace.Record{"fleet": randomStream(4, 14), "hostile": hostileStream(4)} {
+		want := arrivalSamples(recs)
+		a := NewAggregator()
+		a.AddAll(recs)
+		checkSamples(t, name+", one run", a, want)
+
+		cut := NewAggregatorFor(3)
+		rng := rand.New(rand.NewSource(8))
+		for rest := recs; len(rest) > 0; {
+			n := 1 + rng.Intn(min(len(rest), 9))
+			cut.AddAll(rest[:n])
+			rest = rest[n:]
+		}
+		checkSamples(t, name+", random cuts", cut, want)
+		checkSamples(t, name+", interleaved", aggregate(interleave(recs)), want)
+
+		mid := len(recs) / 2
+		merged := aggregate(recs[:mid])
+		merged.Merge(aggregate(recs[mid:]))
+		checkSamples(t, name+", split-key merge", merged, want)
+
+		var decoded Aggregator
+		if err := decoded.UnmarshalBinary(wireBytes(t, merged)); err != nil {
+			t.Fatal(err)
+		}
+		checkSamples(t, name+", decoded", &decoded, want)
 	}
 }
