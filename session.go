@@ -134,8 +134,8 @@ type ShardFunc[T any] func(ctx context.Context, sub Source, index, of int) (T, i
 
 // IngestShard is the ShardFunc of Simulate, Aggregate and AggregateShard:
 // ingest the sub-source into a fresh aggregator. A simulated source (or a
-// shard of one) aggregates itself by server index, sized to its horizon;
-// every other source streams its records through Aggregator.AddAll.
+// shard of one) aggregates itself by server index, sized to its horizon up
+// to a day; every other source streams its records through Aggregator.AddAll.
 func IngestShard(ctx context.Context, sub Source, _, _ int) (*Aggregator, int64, error) {
 	if s, ok := sub.(*simSource); ok {
 		return s.aggregate(ctx)
