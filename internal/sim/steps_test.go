@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -125,6 +126,47 @@ func TestSimulatePoolStreamPinned(t *testing.T) {
 	const pinned = "a9f1760143d895848735ffbed2533079722a268619ebdb37fff9756419f5b0ba"
 	if h := streamHash(recs); h != pinned {
 		t.Errorf("stream hash %s, want %s", h, pinned)
+	}
+}
+
+// TestSimulatePoolSeriesPinned: the offline harness's per-tick series, every
+// field of every TickStat by its bits, at three pool sizes and two seeds over
+// a rising load, is the one the harness produced when it still built every
+// record and ingested them through AddAll (pinned hash).
+func TestSimulatePoolSeriesPinned(t *testing.T) {
+	cfg, _ := busyFleet()
+	offered := make([]float64, 60)
+	for i := range offered {
+		offered[i] = 200 + 35*float64(i)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, servers := range []int{1, 7, 300} {
+		for _, seed := range []int64{1, 5} {
+			series, err := SimulatePoolSeries(context.Background(), cfg.Pools[0], "offline", offered, servers, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(series) != len(offered) {
+				t.Fatalf("%d servers, seed %d: %d ticks, want %d", servers, seed, len(series), len(offered))
+			}
+			for _, ts := range series {
+				put(uint64(ts.Tick))
+				put(uint64(ts.Servers))
+				for _, v := range [...]float64{ts.TotalRPS, ts.RPSPerServer, ts.CPUMean, ts.LatencyMean,
+					ts.NetBytes, ts.NetPkts, ts.MemPages, ts.DiskQueue, ts.DiskRead, ts.Errors} {
+					put(math.Float64bits(v))
+				}
+			}
+		}
+	}
+	const pinned = "83b81fb9e3885b4091a742f28b372b4bc25ac16a596a6daa4325e475a873fb04"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinned {
+		t.Errorf("series hash %s, want %s: offline values or random-draw order changed", got, pinned)
 	}
 }
 
