@@ -25,8 +25,8 @@ func ingestPathsFleet(seed int64) (sim.FleetConfig, []sim.Action, int) {
 	return cfg, actions, 2 * 720
 }
 
-// TestSimAggregateMatchesAddAll: the simulator's by-index driver, into an
-// aggregator sized to the horizon as a simulated source's is, and the record
+// TestSimAggregateMatchesAddAll: the simulator's by-index driver, into the
+// aggregator it sizes to the horizon (a day at most), and the record
 // path (AddAll over RunSteps' steps, unsized as a trace's) leave aggregators
 // that encode to the same bytes.
 func TestSimAggregateMatchesAddAll(t *testing.T) {
@@ -35,13 +35,14 @@ func TestSimAggregateMatchesAddAll(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
 			cfg, actions, ticks := ingestPathsFleet(seed)
-			encode := func(agg *metrics.Aggregator, feed func(*sim.Simulator, *metrics.Aggregator) error) []byte {
+			encode := func(feed func(*sim.Simulator) (*metrics.Aggregator, error)) []byte {
 				t.Helper()
 				s, err := sim.New(cfg, actions...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := feed(s, agg); err != nil {
+				agg, err := feed(s)
+				if err != nil {
 					t.Fatal(err)
 				}
 				b, err := headroom.EncodeAggregator(agg)
@@ -51,17 +52,18 @@ func TestSimAggregateMatchesAddAll(t *testing.T) {
 				return b
 			}
 			var records int
-			want := encode(metrics.NewAggregator(), func(s *sim.Simulator, agg *metrics.Aggregator) error {
-				return s.RunSteps(ctx, ticks, func(step []trace.Record) error {
+			want := encode(func(s *sim.Simulator) (*metrics.Aggregator, error) {
+				agg := metrics.NewAggregator()
+				return agg, s.RunSteps(ctx, ticks, func(step []trace.Record) error {
 					records += len(step)
 					agg.AddAll(step)
 					return nil
 				})
 			})
 			var n int64
-			got := encode(metrics.NewAggregatorFor(ticks), func(s *sim.Simulator, agg *metrics.Aggregator) (err error) {
-				n, err = s.Aggregate(ctx, ticks, agg)
-				return err
+			got := encode(func(s *sim.Simulator) (agg *metrics.Aggregator, err error) {
+				agg, n, err = s.Aggregate(ctx, ticks)
+				return agg, err
 			})
 			if !bytes.Equal(got, want) {
 				t.Errorf("Aggregate's %d bytes differ from AddAll's %d", len(got), len(want))
@@ -98,7 +100,7 @@ func TestSimAggregateCancelledMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &stepBudgetCtx{Context: context.Background(), budget: 1000}
-	n, err := s.Aggregate(ctx, ticks, metrics.NewAggregator())
+	_, n, err := s.Aggregate(ctx, ticks)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -189,11 +189,8 @@ func aggregateFleet(ctx context.Context, cfg sim.FleetConfig, ticks int, actions
 	if err != nil {
 		return nil, err
 	}
-	agg := metrics.NewAggregatorFor(ticks)
-	if _, err := s.Aggregate(ctx, ticks, agg); err != nil {
-		return nil, err
-	}
-	return agg, nil
+	agg, _, err := s.Aggregate(ctx, ticks)
+	return agg, err
 }
 
 // poolAggregator simulates a single-pool fleet (cheaper than the whole

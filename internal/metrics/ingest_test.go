@@ -291,8 +291,8 @@ func TestIngestAfterMergeAndDecode(t *testing.T) {
 	}
 }
 
-// TestIngestCursorBounded: what the cursor remembers is bounded by what the
-// pool holds. A stream repeating one server, or a tick of 2³¹, must not make
+// TestIngestCursorBounded: the order AddAll's writer learns is bounded by
+// what the pool holds. A stream repeating one server, or a tick of 2³¹, must not make
 // the aggregator grow with the number of records or the size of the tick.
 func TestIngestCursorBounded(t *testing.T) {
 	a := NewAggregator()
@@ -302,9 +302,9 @@ func TestIngestCursorBounded(t *testing.T) {
 	}
 	a.AddAll(run)
 	a.AddAll(randomStream(3, 4))
-	for key, c := range a.cursors {
-		if len(c.order) > len(c.acc.servers) {
-			t.Errorf("%v: cursor remembers %d servers, the pool has %d", key, len(c.order), len(c.acc.servers))
+	for key, w := range a.cursors {
+		if len(w.servers) > len(w.p.servers) {
+			t.Errorf("%v: writer remembers %d servers, the pool has %d", key, len(w.servers), len(w.p.servers))
 		}
 	}
 	p := a.pools[PoolKey{DC: "d", Pool: "p"}]

@@ -8,17 +8,18 @@
 // counters averaged over 120-second windows, partitioned per workload and
 // per pool (§II-A, §III).
 //
-// Records come in two ways. AddAll takes any stream of records and recovers
-// pool, server and tick from each one's names. A PoolWriter takes a stream
-// that lists the same servers in the same order every window — the
-// simulator's — by server index, so nothing is named per record. Both write
-// the same state: per window, the online servers' sums; per server, its
-// counts; and per (pool, datacenter), one block of every server's CPU
-// samples, laid out sample-major (server i's k-th sample at k*width + i, i
-// its first-seen index). A window's writes then fall side by side in a row
-// or two of one block rather than across one slice per server, and a
-// server's samples, which its summary and the wire codec read, are one
-// column in arrival order.
+// One PoolWriter writes each (pool, datacenter)'s windows, fed two ways.
+// AddAll takes any stream of records, recovers pool, server and tick from
+// each one's names, and learns the order its servers come in. A stream that
+// lists the same servers in the same order every window — the simulator's —
+// names them once and is then written by server index, so nothing is named
+// per record. The state is the same: per window, the online servers' sums;
+// per server, its counts; and per (pool, datacenter), one block of every
+// server's CPU samples, laid out sample-major (server i's k-th sample at
+// k*width + i, i its first-seen index). A window's writes then fall side by
+// side in a row or two of one block rather than across one slice per
+// server, and a server's samples, which its summary and the wire codec read,
+// are one column in arrival order.
 package metrics
 
 import (
@@ -282,25 +283,10 @@ type Aggregator struct {
 	windows int
 
 	// Ingest state, kept apart from pools so that aggregators holding equal
-	// data stay equal however they were fed: one cursor per pool that AddAll
-	// has touched, and the cursor of the last record.
-	cursors map[PoolKey]*poolCursor
-	last    *poolCursor
-}
-
-// poolCursor predicts where the next record of one pool lands. A fleet emits
-// a pool's servers in the same order every tick, so the server is usually the
-// one after the last (wrapping when the tick changes) and the tick is usually
-// the last one. The pool's maps remain the index: a wrong guess costs a
-// lookup, never a wrong answer.
-type poolCursor struct {
-	key     PoolKey
-	acc     *poolAcc
-	order   []*serverAcc // servers in arrival order, at most one per known server
-	next    int          // index in order of the predicted next server
-	tick    int
-	tickAcc *tickAcc  // acc.ticks[tick], nil until the tick's first record
-	spare   []tickAcc // preallocated accumulators for the pool's new windows
+	// data stay equal however they were fed: one writer per pool that AddAll
+	// has touched, and the writer of the last record.
+	cursors map[PoolKey]*PoolWriter
+	last    *PoolWriter
 }
 
 // NewAggregator returns an empty aggregator.
@@ -329,97 +315,72 @@ func (a *Aggregator) Add(r trace.Record) {
 // arrive in any order; a stream in fleet order (pool, datacenter, tick, then
 // servers in a fixed order) is ingested without hashing.
 func (a *Aggregator) AddAll(rs []trace.Record) {
-	c := a.last
+	w := a.last
 	for i := range rs {
 		r := &rs[i]
-		if c == nil || r.Pool != c.key.Pool || r.DC != c.key.DC {
-			c = a.cursor(PoolKey{DC: r.DC, Pool: r.Pool})
+		if w == nil || r.Pool != w.key.Pool || r.DC != w.key.DC {
+			key := PoolKey{DC: r.DC, Pool: r.Pool}
+			if w = a.cursors[key]; w == nil {
+				if a.cursors == nil {
+					a.cursors = make(map[PoolKey]*PoolWriter)
+				}
+				w = a.writer(key)
+				a.cursors[key] = w
+			}
 		}
-		if r.Tick != c.tick {
-			c.tick, c.tickAcc, c.next = r.Tick, nil, 0
+		if w.t == nil || r.Tick != w.tick {
+			w.open(r.Tick)
 		}
-		var s *serverAcc
-		if n := c.next; n < len(c.order) && c.order[n].name == r.Server {
-			s, c.next = c.order[n], n+1
-		} else {
-			s = c.lookupServer(r)
-		}
+		s := w.server(r)
 		s.windows++
-		t := c.tickAcc
-		if t == nil {
-			t = c.acc.tick(r.Tick, &c.spare)
-			c.tickAcc = t
+		if r.Online {
+			w.p.add(s, r.CPUPct, w.windows)
+			w.t.add(r)
 		}
-		if !r.Online {
-			continue
-		}
-		c.acc.add(s, r.CPUPct, a.windows)
-		t.add(r)
 	}
-	a.last = c
+	a.last = w
 }
 
-// cursor returns the ingest cursor of a pool, creating the cursor and the
-// pool on first sight.
-func (a *Aggregator) cursor(key PoolKey) *poolCursor {
-	if c := a.cursors[key]; c != nil {
-		return c
-	}
-	if a.cursors == nil {
-		a.cursors = make(map[PoolKey]*poolCursor)
-	}
-	c := &poolCursor{key: key, acc: a.pools[key]}
-	if c.acc == nil {
-		c.acc = newPoolAcc(a.windows)
-		c.spare = make([]tickAcc, a.windows)
-		a.pools[key] = c.acc
-	}
-	a.cursors[key] = c
-	return c
-}
-
-// lookupServer resolves a record the cursor mispredicted through the pool's
-// server index, creating the server on first sight. A server met at the end
-// of the learned order extends it, which is how the order is learned during
-// a pool's first tick (and relearned after Merge or UnmarshalBinary brought
-// servers in); the order never outgrows the server index, so a stream that
-// repeats or shuffles servers cannot make it grow.
-func (c *poolCursor) lookupServer(r *trace.Record) *serverAcc {
-	s := c.acc.servers[r.Server]
-	if s == nil {
-		s = c.acc.addServer(r.Server, r.Generation)
-	}
-	if c.next == len(c.order) && len(c.order) < len(c.acc.servers) {
-		c.order = append(c.order, s)
-		c.next++
-	}
-	return s
-}
-
-// PoolWriter ingests one (pool, datacenter)'s stream by server index, beside
-// AddAll, for a stream that emits the same servers in the same order every
-// window (the simulator's): each server is named once, when the writer is
-// made, and a window is then its tick and its online servers' values, by
-// index, with no name to read or compare. Fed the windows of a record stream
-// in its order, it leaves the aggregator holding what AddAll over those
-// records leaves, bit for bit.
+// PoolWriter writes one (pool, datacenter)'s windows: the one writer of an
+// aggregator's state. Its servers are by index. A by-index stream, one that
+// emits the same servers in the same order every window (the simulator's),
+// names each server once, when the writer is made (Aggregator.PoolWriter),
+// and a window is then its tick and its online servers' values, by index,
+// with no name to read or compare. For AddAll the servers are instead the
+// order it learned: a fleet emits a pool's servers in the same order every
+// tick, so a record's server is usually the one after the last (from the
+// first again when the tick changes), and a wrong guess costs a lookup in
+// the pool's index, never a wrong answer. Fed the windows of a record stream
+// in its order, a by-index writer leaves the aggregator holding what AddAll
+// over those records leaves, bit for bit.
 type PoolWriter struct {
+	key     PoolKey
 	p       *poolAcc
-	servers []*serverAcc // by index
-	t       *tickAcc     // the open window
-	spare   []tickAcc
-	windows int // the aggregator's horizon hint
+	servers []*serverAcc // by index; for AddAll, at most one per server of p
+	next    int          // AddAll: the index in servers of the predicted next server
+	tick    int
+	t       *tickAcc  // the open window, p.ticks[tick]; nil until the first opens
+	spare   []tickAcc // preallocated accumulators for the pool's new windows
+	windows int       // the aggregator's horizon hint
 }
 
-// PoolWriter returns a writer for key's stream of n servers, server i being
-// the one name(i) names (and, on first sight, gives its generation).
-func (a *Aggregator) PoolWriter(key PoolKey, n int, name func(i int) (server, generation string)) *PoolWriter {
-	w := &PoolWriter{p: a.pools[key], servers: make([]*serverAcc, n), windows: a.windows}
+// writer returns a writer of key's windows with no servers, creating the
+// pool on first sight.
+func (a *Aggregator) writer(key PoolKey) *PoolWriter {
+	w := &PoolWriter{key: key, p: a.pools[key], windows: a.windows}
 	if w.p == nil {
 		w.p = newPoolAcc(a.windows)
 		w.spare = make([]tickAcc, a.windows)
 		a.pools[key] = w.p
 	}
+	return w
+}
+
+// PoolWriter returns a writer for key's stream of n servers, server i being
+// the one name(i) names (and, on first sight, gives its generation).
+func (a *Aggregator) PoolWriter(key PoolKey, n int, name func(i int) (server, generation string)) *PoolWriter {
+	w := a.writer(key)
+	w.servers = make([]*serverAcc, n)
 	for i := range w.servers {
 		server, generation := name(i)
 		s := w.p.servers[server]
@@ -431,10 +392,38 @@ func (a *Aggregator) PoolWriter(key PoolKey, n int, name func(i int) (server, ge
 	return w
 }
 
+// open makes the window at tick the open one, creating it on first sight,
+// and predicts the first server next.
+func (w *PoolWriter) open(tick int) {
+	w.tick, w.t, w.next = tick, w.p.tick(tick, &w.spare), 0
+}
+
+// server resolves AddAll's record r to its server: the predicted one when
+// the name matches, else the pool's index entry, created on first sight. A
+// server met at the end of the learned order extends it, which is how the
+// order is learned during a pool's first tick (and relearned after Merge or
+// UnmarshalBinary brought servers in); the order never outgrows the pool's
+// servers, so a stream that repeats or shuffles servers cannot make it grow.
+func (w *PoolWriter) server(r *trace.Record) *serverAcc {
+	if n := w.next; n < len(w.servers) && w.servers[n].name == r.Server {
+		w.next = n + 1
+		return w.servers[n]
+	}
+	s := w.p.servers[r.Server]
+	if s == nil {
+		s = w.p.addServer(r.Server, r.Generation)
+	}
+	if w.next == len(w.servers) && len(w.servers) < len(w.p.servers) {
+		w.servers = append(w.servers, s)
+		w.next++
+	}
+	return s
+}
+
 // Window opens the window at tick, where every server of the writer has a
 // record, online or not.
 func (w *PoolWriter) Window(tick int) {
-	w.t = w.p.tick(tick, &w.spare)
+	w.open(tick)
 	for _, s := range w.servers {
 		s.windows++
 	}

@@ -311,9 +311,10 @@ func (s *Simulator) advance(ps *poolState, st *poolDCState, dcIdx, tick int) (fl
 // overwrites it), and share each online server's load, 0 when none is
 // online. A server is online below the capacity cap, past the incident's
 // servers, outside its staggered maintenance window, and not while the
-// repurposed pool is lent out around the local traffic trough. RunSteps and
-// Aggregate both take a step's decision here, then fill its online servers
-// in server order — the order of the random draws.
+// repurposed pool is lent out around the local traffic trough. Every step
+// is decided here — fillStep's records and writeStep's windows alike — and
+// then its online servers are filled in server order, the order of the
+// random draws.
 func (s *Simulator) decide(ps *poolState, st *poolDCState, tick int, offered float64) (online []bool, share float64) {
 	av := ps.cfg.Availability
 	tod := tick % s.ticksPerDay
@@ -391,40 +392,64 @@ func (s *Simulator) fillStep(ps *poolState, st *poolDCState, tick int, offered f
 	return step
 }
 
-// Aggregate simulates [0, ticks) windows, as RunSteps does, straight into
-// agg: each (pool, datacenter) through a metrics.PoolWriter, each online
-// server's response filled into one reused record and written by index. No
-// step is built and no record carries a name, yet agg ends up holding what
-// AddAll over RunSteps' steps leaves, bit for bit. It returns the number of
-// records the steps would have held (online or not); ctx is checked at every
-// step, and once it is done Aggregate returns ctx.Err().
-func (s *Simulator) Aggregate(ctx context.Context, ticks int, agg *metrics.Aggregator) (int64, error) {
+// Aggregate simulates [0, ticks) windows, as RunSteps does, straight into a
+// new aggregator: each (pool, datacenter) through a metrics.PoolWriter, a
+// step at a time (writeStep). No step is built and no record carries a name,
+// yet the aggregator ends up holding what AddAll over RunSteps' steps leaves,
+// bit for bit. It also returns the number of records the steps would have
+// held (online or not); ctx is checked at every step, and once it is done
+// Aggregate returns ctx.Err().
+func (s *Simulator) Aggregate(ctx context.Context, ticks int) (*metrics.Aggregator, int64, error) {
+	agg := s.newAggregator(ticks)
 	var writers []*metrics.PoolWriter // by step within a tick
 	var rec trace.Record
 	var records int64
 	err := s.forSteps(ctx, ticks, func(ps *poolState, di, at, tick int) error {
 		st := ps.perDC[di]
 		if at == len(writers) {
-			writers = append(writers, agg.PoolWriter(metrics.PoolKey{DC: st.dc.Name, Pool: ps.cfg.Name}, len(st.servers),
-				func(i int) (string, string) { return st.servers[i].name, st.servers[i].gen.Name }))
+			writers = append(writers, st.writer(agg, ps.cfg.Name))
 		}
 		offered, err := s.advance(ps, st, di, tick)
 		if err != nil {
 			return err
 		}
-		w := writers[at]
-		w.Window(tick)
-		online, share := s.decide(ps, st, tick, offered)
-		for i := range online {
-			if online[i] {
-				s.fillResponse(&rec, &ps.cfg.Response, st, &st.servers[i], share, tick)
-				w.Online(i, &rec)
-			}
-		}
+		s.writeStep(writers[at], ps, st, tick, offered, &rec)
 		records += int64(len(st.servers))
 		return nil
 	})
-	return records, err
+	if err != nil {
+		return nil, records, err
+	}
+	return agg, records, nil
+}
+
+// newAggregator returns an aggregator for a run of ticks windows, sized to at
+// most a day of them: sized to a long horizon, each pool's first step would
+// allocate all of it, out of reach of the check for cancellation between
+// steps; past a day it grows instead.
+func (s *Simulator) newAggregator(ticks int) *metrics.Aggregator {
+	return metrics.NewAggregatorFor(min(ticks, s.ticksPerDay))
+}
+
+// writer returns agg's writer of the pool's windows in st's datacenter, its
+// servers by index.
+func (st *poolDCState) writer(agg *metrics.Aggregator, pool string) *metrics.PoolWriter {
+	return agg.PoolWriter(metrics.PoolKey{DC: st.dc.Name, Pool: pool}, len(st.servers),
+		func(i int) (string, string) { return st.servers[i].name, st.servers[i].gen.Name })
+}
+
+// writeStep writes one step of st at tick, under the offered load, into w:
+// the window opened, the step decided (see decide), and each online server's
+// response filled into rec and written by index, in server order.
+func (s *Simulator) writeStep(w *metrics.PoolWriter, ps *poolState, st *poolDCState, tick int, offered float64, rec *trace.Record) {
+	w.Window(tick)
+	online, share := s.decide(ps, st, tick, offered)
+	for i := range online {
+		if online[i] {
+			s.fillResponse(rec, &ps.cfg.Response, st, &st.servers[i], share, tick)
+			w.Online(i, rec)
+		}
+	}
 }
 
 func (s *Simulator) localDayFrac(dc workload.Datacenter, tick int) float64 {
@@ -509,14 +534,16 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// SimulatePoolContext runs one pool in one datacenter against an explicit
-// offered-load series (total pool RPS per tick) with a fixed server count,
-// returning all records. This is the controlled harness of the offline
+// SimulatePoolSeries runs one pool in one datacenter against an explicit
+// offered-load series (total pool RPS per tick) with a fixed server count and
+// returns the pool's per-tick series, in tick order: what an offline
+// experiment observes. This is the controlled harness of the offline
 // experiments, where the operator drives load precisely instead of receiving
-// organic traffic: synth.Replay runs a synthetic workload through it for
-// the offline validation of step 4, and core.SimPlant a reduction
-// experiment's load. ctx is checked once per tick.
-func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offered []float64, servers int, seed int64) ([]trace.Record, error) {
+// organic traffic: synth.Replay runs a synthetic workload through it for the
+// offline validation of step 4, and core.SimPlant a reduction experiment's
+// load. Each tick is written by server index into the series' aggregator
+// (writeStep), so no record is kept. ctx is checked once per tick.
+func SimulatePoolSeries(ctx context.Context, pc PoolConfig, dcName string, offered []float64, servers int, seed int64) ([]metrics.TickStat, error) {
 	if servers <= 0 {
 		return nil, fmt.Errorf("sim: non-positive server count %d", servers)
 	}
@@ -538,7 +565,9 @@ func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offe
 	// every server is online at every tick.
 	ps := &poolState{cfg: PoolConfig{Name: pc.Name, Response: pc.Response}}
 	sim := &Simulator{tick: workload.TickDuration, ticksPerDay: ticksPerDay}
-	out := make([]trace.Record, 0, len(offered)*servers)
+	agg := sim.newAggregator(len(offered))
+	w := st.writer(agg, pc.Name)
+	var rec trace.Record
 	for tick, load := range offered {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -546,19 +575,7 @@ func SimulatePoolContext(ctx context.Context, pc PoolConfig, dcName string, offe
 		if load < 0 {
 			return nil, fmt.Errorf("sim: negative offered load %v at tick %d", load, tick)
 		}
-		out = append(out, sim.fillStep(ps, st, tick, load)...)
+		sim.writeStep(w, ps, st, tick, load, &rec)
 	}
-	return out, nil
-}
-
-// SimulatePoolSeries is SimulatePoolContext aggregated into the pool's
-// per-tick series, in tick order: what an offline experiment observes.
-func SimulatePoolSeries(ctx context.Context, pc PoolConfig, dcName string, offered []float64, servers int, seed int64) ([]metrics.TickStat, error) {
-	recs, err := SimulatePoolContext(ctx, pc, dcName, offered, servers, seed)
-	if err != nil {
-		return nil, err
-	}
-	agg := metrics.NewAggregatorFor(len(offered))
-	agg.AddAll(recs)
 	return agg.PoolSeries(dcName, pc.Name)
 }

@@ -433,35 +433,28 @@ func TestBackgroundWorkloadContaminatesCPU(t *testing.T) {
 func TestSimulatePoolControlledLoad(t *testing.T) {
 	pool := tinyPool(5)
 	offered := []float64{100, 200, 300}
-	recs, err := SimulatePoolContext(context.Background(), pool, "DC 1", offered, 5, 3)
+	series, err := SimulatePoolSeries(context.Background(), pool, "DC 1", offered, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 15 {
-		t.Fatalf("records = %d, want 15", len(recs))
+	if len(series) != 3 {
+		t.Fatalf("ticks = %d, want 3", len(series))
 	}
 	// Tick 2: each server sees ~60 RPS (300/5) modulo per-server jitter.
-	var sum float64
-	var n int
-	for _, r := range recs {
-		if r.Tick == 2 {
-			sum += r.RPS
-			n++
-		}
+	ts := series[2]
+	if ts.Tick != 2 || ts.Servers != 5 {
+		t.Fatalf("tick %d has %d servers online, want tick 2 with 5", ts.Tick, ts.Servers)
 	}
-	if n != 5 {
-		t.Fatalf("tick-2 records = %d, want 5", n)
+	if math.Abs(ts.RPSPerServer-60) > 5 {
+		t.Errorf("mean per-server RPS = %v, want ~60", ts.RPSPerServer)
 	}
-	if mean := sum / float64(n); math.Abs(mean-60) > 5 {
-		t.Errorf("mean per-server RPS = %v, want ~60", mean)
-	}
-	if _, err := SimulatePoolContext(context.Background(), pool, "DC 1", offered, 0, 1); err == nil {
+	if _, err := SimulatePoolSeries(context.Background(), pool, "DC 1", offered, 0, 1); err == nil {
 		t.Error("zero servers should error")
 	}
-	if _, err := SimulatePoolContext(context.Background(), pool, "DC 1", nil, 5, 1); err == nil {
+	if _, err := SimulatePoolSeries(context.Background(), pool, "DC 1", nil, 5, 1); err == nil {
 		t.Error("empty load series should error")
 	}
-	if _, err := SimulatePoolContext(context.Background(), pool, "DC 1", []float64{-1}, 5, 1); err == nil {
+	if _, err := SimulatePoolSeries(context.Background(), pool, "DC 1", []float64{-1}, 5, 1); err == nil {
 		t.Error("negative load should error")
 	}
 }

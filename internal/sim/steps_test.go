@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"headroom/internal/metrics"
@@ -108,27 +109,6 @@ func TestRunStepsMatchesPerRecordRun(t *testing.T) {
 	}
 }
 
-// TestSimulatePoolStreamPinned: the offline harness shares the fleet's step
-// code; its records are the ones its own loop produced before (pinned hash).
-func TestSimulatePoolStreamPinned(t *testing.T) {
-	cfg, _ := busyFleet()
-	offered := make([]float64, 60)
-	for i := range offered {
-		offered[i] = 200 + 35*float64(i)
-	}
-	recs, err := SimulatePoolContext(context.Background(), cfg.Pools[0], "offline", offered, 7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 60*7 {
-		t.Fatalf("records = %d, want %d", len(recs), 60*7)
-	}
-	const pinned = "a9f1760143d895848735ffbed2533079722a268619ebdb37fff9756419f5b0ba"
-	if h := streamHash(recs); h != pinned {
-		t.Errorf("stream hash %s, want %s", h, pinned)
-	}
-}
-
 // TestSimulatePoolSeriesPinned: the offline harness's per-tick series, every
 // field of every TickStat by its bits, at three pool sizes and two seeds over
 // a rising load, is the one the harness produced when it still built every
@@ -228,6 +208,94 @@ func TestIngestStepDoesNotAllocate(t *testing.T) {
 	ingestTick()
 	if allocs := testing.AllocsPerRun(runs, ingestTick); allocs != 0 {
 		t.Errorf("%v allocations per tick of ingested steps, want 0", allocs)
+	}
+}
+
+// TestWriteStepDoesNotAllocate: into an aggregator sized for the horizon, a
+// further tick of steps written by index — advanced and written — allocates
+// nothing once the first tick has made every pool's writer.
+func TestWriteStepDoesNotAllocate(t *testing.T) {
+	cfg, actions := busyFleet()
+	s, err := New(cfg, actions...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	agg := metrics.NewAggregatorFor(2 + runs) // the first tick, AllocsPerRun's warm-up, the runs
+	var writers []*metrics.PoolWriter         // by step within a tick
+	var rec trace.Record
+	tick := 0
+	writeTick := func() {
+		at := 0
+		for _, ps := range s.pools {
+			for di, st := range ps.perDC {
+				if st == nil {
+					continue
+				}
+				if at == len(writers) {
+					writers = append(writers, st.writer(agg, ps.cfg.Name))
+				}
+				offered, err := s.advance(ps, st, di, tick)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.writeStep(writers[at], ps, st, tick, offered, &rec)
+				at++
+			}
+		}
+		tick++
+	}
+	writeTick()
+	if allocs := testing.AllocsPerRun(runs, writeTick); allocs != 0 {
+		t.Errorf("%v allocations per tick of written steps, want 0", allocs)
+	}
+}
+
+// validateCapRun is one offline run at the largest validate request the
+// server accepts: 25 load levels of 20 ticks each on 500 of pool B's servers.
+func validateCapRun(tb testing.TB) (PoolConfig, []float64, int) {
+	tb.Helper()
+	pool, err := NamedPool(DefaultFleet(1), "B")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const levels, ticksPerLevel, servers = 25, 20, 500
+	offered := make([]float64, 0, levels*ticksPerLevel)
+	for l := 0; l < levels; l++ {
+		for r := 0; r < ticksPerLevel; r++ {
+			offered = append(offered, servers*(100+15*float64(l)))
+		}
+	}
+	return pool, offered, servers
+}
+
+// TestSimulatePoolSeriesMemoryBounded: an offline run at validate's cap
+// keeps no record of its 250 000 server-windows; what it allocates is about
+// its sample block (2 MB) and its servers.
+func TestSimulatePoolSeriesMemoryBounded(t *testing.T) {
+	pool, offered, servers := validateCapRun(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	series, err := SimulatePoolSeries(context.Background(), pool, "offline", offered, servers, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != len(offered) {
+		t.Fatalf("%d ticks, want %d", len(series), len(offered))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Errorf("one run at validate's cap allocated %.1f MB, want under 8 MB", float64(got)/(1<<20))
+	}
+}
+
+// BenchmarkSimulatePoolSeries is one offline run at validate's cap.
+func BenchmarkSimulatePoolSeries(b *testing.B) {
+	pool, offered, servers := validateCapRun(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulatePoolSeries(context.Background(), pool, "offline", offered, servers, int64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

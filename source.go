@@ -82,20 +82,12 @@ func (s *simSource) Stream(ctx context.Context, emit func([]Record) error) error
 // aggregate is IngestShard of the source: the simulator writes into an
 // aggregator, by server index, without building the stream's records
 // (sim.Simulator.Aggregate), to the bytes AddAll over Stream would leave.
-// The aggregator is sized to at most a day of windows: sized to a long
-// horizon, each pool's first step would allocate all of it, out of reach of
-// the check for cancellation between steps; past a day it grows instead.
 func (s *simSource) aggregate(ctx context.Context) (*Aggregator, int64, error) {
 	sm, ticks, err := s.simulator()
 	if err != nil {
 		return nil, 0, err
 	}
-	agg := metrics.NewAggregatorFor(min(ticks, sm.TicksPerDay()))
-	n, err := sm.Aggregate(ctx, ticks, agg)
-	if err != nil {
-		return nil, n, err
-	}
-	return agg, n, nil
+	return sm.Aggregate(ctx, ticks)
 }
 
 // simulator builds the source's simulator and its horizon in windows.
