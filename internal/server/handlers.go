@@ -33,8 +33,9 @@ const (
 	// k up to it, and its cost grows faster than linearly in k.
 	maxGroups = 8
 	// maxValidateRecords bounds loads × ticks_per_level × servers, the
-	// records each of a validation's two offline runs holds in memory
-	// (152 B each, so about 38 MB a run).
+	// server-windows each of a validation's two offline runs simulates: its
+	// CPU, about 20 ms a run at the cap. A run keeps no record, only its
+	// pool's sample block (8 B a server-window).
 	maxValidateRecords = 250_000
 	// maxLoadPerServer bounds each of a validation's loads (RPS/server). A
 	// report squares the load in its latency model; near 1e160 that
