@@ -292,8 +292,9 @@ func TestIngestAfterMergeAndDecode(t *testing.T) {
 }
 
 // TestIngestCursorBounded: the order AddAll's writer learns is bounded by
-// what the pool holds. A stream repeating one server, or a tick of 2³¹, must not make
-// the aggregator grow with the number of records or the size of the tick.
+// what the pool holds. A stream repeating one server, or a tick of 2³¹, must
+// not make the aggregator grow with the number of records or the size of the
+// tick.
 func TestIngestCursorBounded(t *testing.T) {
 	a := NewAggregator()
 	run := make([]trace.Record, 5000)
